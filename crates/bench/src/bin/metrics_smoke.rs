@@ -59,7 +59,6 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "banks_uptime_seconds",
     "banks_pager_budget_bytes",
     "banks_pager_resident_bytes",
-    "banks_pager_pinned_bytes",
     "banks_pager_page_ins_total",
     "banks_pager_evictions_total",
 ];

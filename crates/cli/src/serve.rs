@@ -22,7 +22,7 @@
 //! graph keeps its decoded adjacency segments under `--memory-budget`
 //! bytes (default 256 MiB), paging and evicting on demand. Answers are
 //! bit-identical to the in-RAM backend; `/stats` grows a `storage`
-//! object with resident/pinned bytes and page-in/eviction counters.
+//! object with resident bytes and page-in/eviction counters.
 //!
 //! With `--follow LEADER:PORT` (requires `--data-dir`), the process is
 //! a **follower** (`banks-replica`): it bootstraps from the leader's

@@ -28,7 +28,9 @@
 //! > store is dropped, whichever comes first.
 //!
 //! (The pager implements this with a per-thread keep-alive ring of the
-//! last 64 decoded segments; the in-RAM backend trivially satisfies it
+//! last 64 *distinct* decoded segments — consecutive accesses to one
+//! segment do not advance it, which only lengthens the guarantee; the
+//! in-RAM backend trivially satisfies it
 //! since its arrays live as long as the graph.) The contract is exactly
 //! what the search kernel needs: the relaxation loop consumes each
 //! adjacency slice before requesting the next node's, and path
@@ -53,24 +55,19 @@ use std::sync::Arc;
 /// bound constrains.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
-    /// Bytes of decoded segment data currently held in memory
-    /// (pinned + LRU-cached).
+    /// Bytes of decoded segment data currently held in memory.
     pub resident_bytes: usize,
-    /// Bytes of decoded segment data in the pinned hot set (never
-    /// evicted; a subset of `resident_bytes`).
-    pub pinned_bytes: usize,
-    /// The configured memory budget the cache evicts against, in bytes.
+    /// The configured memory budget the cache evicts against, in bytes
+    /// (shared with the snapshot's tuple blocks).
     pub budget_bytes: usize,
     /// Total segments in the store (forward + backward directions).
     pub segment_count: usize,
     /// Segments currently decoded and resident.
     pub resident_segments: usize,
-    /// Segments in the pinned hot set.
-    pub pinned_segments: usize,
     /// Cumulative count of segment decodes (cold page-ins; a re-decode
     /// after eviction counts again).
     pub page_ins: u64,
-    /// Cumulative count of segments evicted from the LRU cache.
+    /// Cumulative count of segments evicted from the cache.
     pub evictions: u64,
     /// Cumulative wall-clock time spent decoding segments, in
     /// nanoseconds.

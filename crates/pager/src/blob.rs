@@ -43,10 +43,13 @@ use std::sync::Arc;
 pub const MAGIC: &[u8; 8] = b"BNKSPGR1";
 
 /// Default nodes-per-segment span: with DBLP-shaped degrees (~3 edges
-/// per node) a segment decodes to roughly 64–128 KB — large enough to
-/// amortize a positioned read, small enough that a tight memory budget
-/// still holds hundreds of segments.
-pub const DEFAULT_SEG_SPAN: u32 = 2048;
+/// per node) a segment decodes to roughly 8–16 KB — still one
+/// positioned read, while a backward expansion that touches a few
+/// nodes of a segment decodes a few kilobytes for them instead of
+/// ~100 KB (2048-node segments spent most of a page-in on neighbours
+/// nobody asked for). Readers take the span from the blob header, so
+/// blobs written at another span stay readable.
+pub const DEFAULT_SEG_SPAN: u32 = 256;
 
 /// Alignment of each segment payload within the blob.
 pub const SEG_ALIGN: usize = 64;

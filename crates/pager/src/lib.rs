@@ -5,8 +5,8 @@
 //! delta-varint–compressed adjacency segments behind a checksummed
 //! segment directory — and served through [`PagedGraphStore`], a
 //! [`banks_graph::GraphStore`] backend that decodes segments lazily on
-//! first touch and keeps the decoded-resident total under a memory
-//! budget with a prestige/access-pinned hot set plus an LRU sweep.
+//! first touch into a [`PageCache`] that holds the decoded-resident total
+//! under a hard memory budget.
 //!
 //! A cold open reads only the directory (O(segments), independent of
 //! corpus size); bit-identical search answers to the in-RAM backend are
@@ -33,9 +33,14 @@
 
 //! The same machinery pages the relational side: [`PagedTupleStore`]
 //! serves the v3 DATA section (fixed-span tuple-slot blocks behind a
-//! checksummed directory, see `banks_storage::blocks`) lazily, and a
-//! [`SharedBudget`] lets `--memory-budget` bound graph segments and
-//! tuple blocks *together*.
+//! checksummed directory, see `banks_storage::blocks`) lazily into the
+//! same [`PageCache`], so `--memory-budget` bounds graph segments and
+//! tuple blocks *together*, in one recency order, and neither store can
+//! starve the other (see [`budget`]). Both page sizes are fitted to
+//! what a query reads: a graph segment spans [`DEFAULT_SEG_SPAN`] nodes
+//! (~12 KB decoded) and a tuple block `banks_storage::BLOCK_SPAN` slots
+//! (~20 KB), so an 8 MiB budget holds several hundred pages rather than
+//! a dozen.
 
 pub mod blob;
 pub mod budget;
@@ -46,7 +51,7 @@ pub mod tuples;
 pub mod varint;
 
 pub use blob::{encode_paged_blob, ByteSource, Layout, SegEntry, DEFAULT_SEG_SPAN};
-pub use budget::SharedBudget;
+pub use budget::{CacheStats, Page, PageCache};
 pub use error::PagerError;
 pub use store::{page_graph, PagedGraphStore};
 pub use tuples::PagedTupleStore;

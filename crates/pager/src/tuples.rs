@@ -7,10 +7,9 @@
 //! until an answer rendering, `/node` browse, or PK confirmation first
 //! touches them: one positioned read, a checksum, and a varint decode.
 //!
-//! Residency is bounded by the [`SharedBudget`] the paged *graph* store
-//! uses too, so `--memory-budget` caps graph segments and tuple blocks
-//! together. Eviction is LRU with an access-pinned hot set re-derived
-//! every [`REPIN_EVERY`] evictions, mirroring the graph store's policy.
+//! Decoded blocks live in the [`PageCache`] the paged *graph* store of
+//! the same snapshot uses too, so `--memory-budget` caps graph segments
+//! and tuple blocks together and both age in one recency order.
 //!
 //! The borrow-soundness story is identical to the graph store's: lazy
 //! `Database` accessors park the decoded block `Arc` in a per-thread
@@ -18,42 +17,14 @@
 //! out `&Tuple` / `&[BackRef]` borrows.
 
 use crate::blob::ByteSource;
-use crate::budget::SharedBudget;
+use crate::budget::{Page, PageCache};
 use crate::error::PagerError;
-use banks_graph::FxHashMap;
 use banks_storage::blocks::{checksum64, decode_block, lane_candidates, DataLayout};
 use banks_storage::bundle::schema_from_text;
 use banks_storage::{StorageError, TupleBlock, TupleStore, TupleStoreStats};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-/// Evictions between re-derivations of the pinned set from access
-/// counters (same cadence as the graph store).
-const REPIN_EVERY: u64 = 1024;
-
-/// Fraction of the budget the pinned hot set may occupy.
-const PIN_FRACTION: usize = 4;
-
-#[derive(Debug)]
-struct CacheEntry {
-    block: Arc<TupleBlock>,
-    bytes: usize,
-    last_use: u64,
-}
-
-/// All mutable paging state, under one lock. Keys are
-/// `rel << 32 | block`.
-#[derive(Debug, Default)]
-struct BlockCache {
-    map: FxHashMap<u64, CacheEntry>,
-    access: FxHashMap<u64, u32>,
-    pinned: FxHashMap<u64, ()>,
-    resident_bytes: usize,
-    tick: u64,
-    evictions_since_repin: u64,
-}
-
+/// Cache key of block `block` of relation `rel`.
 fn cache_key(rel: u32, block: u32) -> u64 {
     (u64::from(rel) << 32) | u64::from(block)
 }
@@ -68,11 +39,8 @@ pub struct PagedTupleStore {
     lanes: Vec<Arc<[u8]>>,
     /// Tuple arity per relation, from the recorded schema.
     arities: Vec<usize>,
-    budget: Arc<SharedBudget>,
-    cache: Mutex<BlockCache>,
-    page_ins: AtomicU64,
-    evictions: AtomicU64,
-    decode_nanos: AtomicU64,
+    cache: Arc<PageCache>,
+    cache_id: u32,
 }
 
 fn malformed(e: StorageError) -> PagerError {
@@ -80,22 +48,23 @@ fn malformed(e: StorageError) -> PagerError {
 }
 
 impl PagedTupleStore {
-    /// Open a v3 DATA section living at `[base, base + len)` of `file`.
+    /// Open a v3 DATA section living at `[base, base + len)` of `file`,
+    /// keeping decoded blocks in `cache`.
     pub fn open_file(
         file: Arc<std::fs::File>,
         base: u64,
         len: u64,
-        budget: Arc<SharedBudget>,
+        cache: Arc<PageCache>,
     ) -> Result<Arc<PagedTupleStore>, PagerError> {
-        PagedTupleStore::open_source(ByteSource::File { file, base, len }, budget)
+        PagedTupleStore::open_source(ByteSource::File { file, base, len }, cache)
     }
 
     /// Open an in-memory v3 DATA section (re-encoded epochs and tests).
     pub fn open_mem(
         bytes: Arc<[u8]>,
-        budget: Arc<SharedBudget>,
+        cache: Arc<PageCache>,
     ) -> Result<Arc<PagedTupleStore>, PagerError> {
-        PagedTupleStore::open_source(ByteSource::Mem(bytes), budget)
+        PagedTupleStore::open_source(ByteSource::Mem(bytes), cache)
     }
 
     /// Open a section from any [`ByteSource`]: read and verify the
@@ -103,7 +72,7 @@ impl PagedTupleStore {
     /// every tuple block on disk.
     pub fn open_source(
         src: ByteSource,
-        budget: Arc<SharedBudget>,
+        cache: Arc<PageCache>,
     ) -> Result<Arc<PagedTupleStore>, PagerError> {
         let mut prefix = [0u8; banks_storage::blocks::HEADER_PREFIX];
         if src.len() < prefix.len() as u64 {
@@ -147,11 +116,8 @@ impl PagedTupleStore {
             layout,
             lanes,
             arities,
-            budget,
-            cache: Mutex::new(BlockCache::default()),
-            page_ins: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            decode_nanos: AtomicU64::new(0),
+            cache_id: cache.register(),
+            cache,
         }))
     }
 
@@ -161,64 +127,20 @@ impl PagedTupleStore {
         &self.layout
     }
 
-    /// The shared budget this store draws from.
-    pub fn shared_budget(&self) -> &Arc<SharedBudget> {
-        &self.budget
-    }
-
-    /// Evict LRU unpinned blocks (never `just_inserted`) until the
-    /// *shared* total fits the budget or nothing local is evictable;
-    /// periodically re-derive the pinned set from access counters.
-    fn evict_to_budget(&self, cache: &mut BlockCache, just_inserted: u64) {
-        while self.budget.over() {
-            let victim = cache
-                .map
-                .iter()
-                .filter(|(&k, _)| k != just_inserted && !cache.pinned.contains_key(&k))
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(&k, _)| k);
-            let Some(key) = victim else { break };
-            let entry = cache.map.remove(&key).expect("victim present");
-            cache.resident_bytes -= entry.bytes;
-            self.budget.sub(entry.bytes);
-            cache.evictions_since_repin += 1;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Read, verify and decode one block from the byte source.
+    fn load_block(&self, rel: u32, block: u32) -> Result<TupleBlock, PagerError> {
+        let layout = &self.layout.relations[rel as usize];
+        let meta = layout.blocks[block as usize];
+        banks_util::fault::maybe_fault("data.block.read")?;
+        let mut payload = vec![0u8; meta.len as usize];
+        self.src.read_at(meta.offset, &mut payload)?;
+        if checksum64(&payload) != meta.checksum {
+            return Err(PagerError::Malformed("block checksum mismatch".into()));
         }
-        if cache.evictions_since_repin >= REPIN_EVERY {
-            cache.evictions_since_repin = 0;
-            self.repin_from_access(cache);
-        }
-    }
-
-    /// Re-derive the pinned set: greedily pin the most-accessed blocks
-    /// until the estimated pinned footprint reaches
-    /// budget / PIN_FRACTION. Estimates use the encoded length (a
-    /// lower bound on the decoded size — close enough for a cap).
-    fn repin_from_access(&self, cache: &mut BlockCache) {
-        let pin_target = self.budget.total() / PIN_FRACTION;
-        let mut order: Vec<(u64, u32)> = cache
-            .access
-            .iter()
-            .map(|(&k, &count)| (k, count))
-            .collect();
-        order.sort_by_key(|&(k, count)| (std::cmp::Reverse(count), k));
-        cache.pinned.clear();
-        let mut pinned_est = 0usize;
-        for (key, count) in order {
-            if count == 0 {
-                break;
-            }
-            let (rel, block) = ((key >> 32) as u32, key as u32);
-            let est = self.layout.relations[rel as usize].blocks[block as usize].len as usize;
-            if pinned_est + est > pin_target {
-                continue;
-            }
-            cache.pinned.insert(key, ());
-            pinned_est += est;
-        }
-        for count in cache.access.values_mut() {
-            *count /= 2;
-        }
+        let span = self.layout.block_span;
+        let first = block * span;
+        let slots = layout.slot_count.min(first.saturating_add(span)) - first;
+        decode_block(&payload, first, slots, self.arities[rel as usize]).map_err(malformed)
     }
 }
 
@@ -256,56 +178,17 @@ impl TupleStore for PagedTupleStore {
     /// paged graph store). Directory corruption is caught, typed, at
     /// open instead.
     fn block(&self, rel: u32, block: u32) -> Arc<TupleBlock> {
-        let key = cache_key(rel, block);
-        let mut cache = self.cache.lock().expect("tuple block cache poisoned");
-        cache.tick += 1;
-        let tick = cache.tick;
-        let counter = cache.access.entry(key).or_insert(0);
-        *counter = counter.saturating_add(1);
-        if let Some(entry) = cache.map.get_mut(&key) {
-            entry.last_use = tick;
-            return Arc::clone(&entry.block);
-        }
-
-        // Page-in. Decoding under the lock serializes concurrent
-        // faults, which also guarantees each block is decoded once.
-        let meta = self.layout.relations[rel as usize].blocks[block as usize];
-        let start = Instant::now();
-        banks_util::fault::maybe_fault("data.block.read")
-            .unwrap_or_else(|e| panic!("paged tuple read failed: {e}"));
-        let mut payload = vec![0u8; meta.len as usize];
-        self.src
-            .read_at(meta.offset, &mut payload)
-            .unwrap_or_else(|e| panic!("paged tuple read failed: {e}"));
-        if checksum64(&payload) != meta.checksum {
-            panic!("tuple block {block} of relation #{rel} failed its checksum");
-        }
-        let span = self.layout.block_span;
-        let first = block * span;
-        let slots = self.layout.relations[rel as usize]
-            .slot_count
-            .min(first.saturating_add(span))
-            - first;
-        let decoded = decode_block(&payload, first, slots, self.arities[rel as usize])
+        let page = self
+            .cache
+            .get_or_load(self.cache_id, cache_key(rel, block), || {
+                self.load_block(rel, block)
+                    .map(|b| Page::Block(Arc::new(b)))
+            })
             .unwrap_or_else(|e| panic!("tuple block {block} of relation #{rel}: {e}"));
-        self.decode_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.page_ins.fetch_add(1, Ordering::Relaxed);
-
-        let block_arc = Arc::new(decoded);
-        let bytes = block_arc.bytes;
-        cache.map.insert(
-            key,
-            CacheEntry {
-                block: Arc::clone(&block_arc),
-                bytes,
-                last_use: tick,
-            },
-        );
-        cache.resident_bytes += bytes;
-        self.budget.add(bytes);
-        self.evict_to_budget(&mut cache, key);
-        block_arc
+        match page {
+            Page::Block(block) => block,
+            Page::Segment(_) => unreachable!("cache ids are unique per store"),
+        }
     }
 
     fn pk_candidates(&self, rel: u32, hash: u64) -> Vec<u32> {
@@ -331,33 +214,24 @@ impl TupleStore for PagedTupleStore {
     }
 
     fn stats(&self) -> TupleStoreStats {
-        let cache = self.cache.lock().expect("tuple block cache poisoned");
-        let pinned_resident: usize = cache
-            .map
-            .iter()
-            .filter(|(k, _)| cache.pinned.contains_key(k))
-            .map(|(_, e)| e.bytes)
-            .sum();
+        let stats = self.cache.stats(self.cache_id);
         TupleStoreStats {
-            resident_bytes: cache.resident_bytes,
-            pinned_bytes: pinned_resident,
-            budget_bytes: self.budget.total(),
+            resident_bytes: stats.resident_bytes,
+            budget_bytes: self.cache.budget(),
             block_count: self.layout.relations.iter().map(|r| r.blocks.len()).sum(),
-            resident_blocks: cache.map.len(),
-            pinned_blocks: cache.pinned.len(),
-            page_ins: self.page_ins.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            decode_nanos: self.decode_nanos.load(Ordering::Relaxed),
+            resident_blocks: stats.resident_pages,
+            page_ins: stats.page_ins,
+            evictions: stats.evictions,
+            decode_nanos: stats.decode_nanos,
         }
     }
 }
 
 impl Drop for PagedTupleStore {
     fn drop(&mut self) {
-        // Return this store's resident bytes to the shared pool so a
-        // dropped epoch doesn't starve the stores that replaced it.
-        let resident = self.cache.get_mut().map(|c| c.resident_bytes).unwrap_or(0);
-        self.budget.sub(resident);
+        // A dropped epoch's blocks must not starve the stores that
+        // replaced it.
+        self.cache.release(self.cache_id);
     }
 }
 
@@ -454,8 +328,7 @@ mod tests {
         let db = sample_db(60);
         let bytes = encode_database_v3_with_span(&db, 8).unwrap();
         // ~1 KB budget with 8-slot blocks: constant eviction.
-        let store =
-            PagedTupleStore::open_mem(bytes.into(), SharedBudget::new(1 << 10)).unwrap();
+        let store = PagedTupleStore::open_mem(bytes.into(), PageCache::new(1 << 10)).unwrap();
         let layout_schema = store.layout().schema_text.clone();
         let lazy = Database::open_lazy(&layout_schema, store.clone()).unwrap();
         assert_eq!(lazy.name(), db.name());
@@ -471,8 +344,8 @@ mod tests {
         assert!(stats.page_ins > 0);
         assert!(stats.evictions > 0, "tiny budget must evict");
         assert!(
-            stats.resident_bytes <= stats.budget_bytes + 4096,
-            "resident {} way past budget {}",
+            stats.resident_bytes <= stats.budget_bytes || stats.resident_blocks == 1,
+            "resident {} past budget {}",
             stats.resident_bytes,
             stats.budget_bytes
         );
@@ -483,7 +356,7 @@ mod tests {
         let mut eager = sample_db(40);
         let bytes = encode_database_v3_with_span(&eager, 8).unwrap();
         let store =
-            PagedTupleStore::open_mem(bytes.clone().into(), SharedBudget::new(1 << 20)).unwrap();
+            PagedTupleStore::open_mem(bytes.clone().into(), PageCache::new(1 << 20)).unwrap();
         let schema_text = store.layout().schema_text.clone();
         let mut lazy = Database::open_lazy(&schema_text, store).unwrap();
 
@@ -517,8 +390,7 @@ mod tests {
         // COW re-encode: only touched blocks rewrite, bytes must decode
         // back to the same database.
         let reencoded = encode_database_v3_with_span(&lazy, 8).unwrap();
-        let store2 =
-            PagedTupleStore::open_mem(reencoded.into(), SharedBudget::new(1 << 20)).unwrap();
+        let store2 = PagedTupleStore::open_mem(reencoded.into(), PageCache::new(1 << 20)).unwrap();
         let lazy2 = Database::open_lazy(&schema_text, store2).unwrap();
         assert_dbs_equal(&eager, &lazy2);
     }
@@ -528,7 +400,7 @@ mod tests {
         let db = sample_db(40);
         let bytes = encode_database_v3_with_span(&db, 8).unwrap();
         let store =
-            PagedTupleStore::open_mem(bytes.clone().into(), SharedBudget::new(1 << 20)).unwrap();
+            PagedTupleStore::open_mem(bytes.clone().into(), PageCache::new(1 << 20)).unwrap();
         let schema_text = store.layout().schema_text.clone();
         let lazy = Database::open_lazy(&schema_text, store).unwrap();
         // No mutations → byte-identical re-encode, zero block decodes.
@@ -541,34 +413,45 @@ mod tests {
     fn budget_is_shared_between_stores() {
         let db = sample_db(60);
         let bytes = encode_database_v3_with_span(&db, 8).unwrap();
-        let budget = SharedBudget::new(1 << 10);
-        let store = PagedTupleStore::open_mem(bytes.into(), Arc::clone(&budget)).unwrap();
-        // Another participant hogs the whole budget: the tuple store
-        // must keep evicting itself down to (nearly) nothing.
-        budget.add(1 << 10);
-        let schema_text = store.layout().schema_text.clone();
-        let lazy = Database::open_lazy(&schema_text, store.clone()).unwrap();
-        for table in lazy.relations() {
-            for slot in 0..table.slot_count() as u32 {
-                let _ = table.get(slot).cloned();
+        let cache = PageCache::new(4 << 10);
+        let sweep = |store: &Arc<PagedTupleStore>| {
+            let schema_text = store.layout().schema_text.clone();
+            let lazy = Database::open_lazy(&schema_text, store.clone()).unwrap();
+            for table in lazy.relations() {
+                for slot in 0..table.slot_count() as u32 {
+                    let _ = table.get(slot).cloned();
+                }
             }
-        }
-        let stats = store.stats();
-        // Everything unpinned was evicted on the way out; at most the
-        // just-inserted block stays.
-        assert!(
-            stats.resident_blocks <= 1,
-            "resident_blocks = {}",
-            stats.resident_blocks
+        };
+        // Two stores, one cache: the second store's sweep can only make
+        // room by evicting the first store's blocks.
+        let first = PagedTupleStore::open_mem(bytes.clone().into(), Arc::clone(&cache)).unwrap();
+        let second = PagedTupleStore::open_mem(bytes.into(), Arc::clone(&cache)).unwrap();
+        sweep(&first);
+        let filled = first.stats().resident_bytes;
+        assert!(filled > 2 << 10, "first sweep fills the cache ({filled})");
+        assert_eq!(cache.used(), filled);
+        let evicted_before = first.stats().evictions;
+        sweep(&second);
+        assert!(first.stats().evictions > evicted_before);
+        assert!(first.stats().resident_bytes < filled);
+        assert_eq!(
+            cache.used(),
+            first.stats().resident_bytes + second.stats().resident_bytes
         );
-        budget.sub(1 << 10);
+        assert!(cache.used() <= cache.budget());
+        // A dropped store returns exactly its residency.
+        let held = second.stats().resident_bytes;
+        let used = cache.used();
+        drop(second);
+        assert_eq!(cache.used(), used - held);
     }
 
     #[test]
     fn corrupt_directory_and_lane_are_typed_errors() {
         let db = sample_db(20);
         let bytes = encode_database_v3_with_span(&db, 8).unwrap();
-        let budget = || SharedBudget::new(1 << 20);
+        let budget = || PageCache::new(1 << 20);
 
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
@@ -596,8 +479,7 @@ mod tests {
         let mut bytes = encode_database_v3_with_span(&db, 8).unwrap();
         let last = bytes.len() - 2;
         bytes[last] ^= 0x08;
-        let store =
-            PagedTupleStore::open_mem(bytes.into(), SharedBudget::new(1 << 20)).unwrap();
+        let store = PagedTupleStore::open_mem(bytes.into(), PageCache::new(1 << 20)).unwrap();
         let schema_text = store.layout().schema_text.clone();
         let lazy = Database::open_lazy(&schema_text, store).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

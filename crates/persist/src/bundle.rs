@@ -69,7 +69,7 @@ use banks_core::{
 };
 use banks_graph::fxhash::FxHasher;
 use banks_graph::Graph;
-use banks_pager::{ByteSource, PagedGraphStore, PagedTupleStore, SharedBudget};
+use banks_pager::{ByteSource, PageCache, PagedGraphStore, PagedTupleStore};
 use banks_storage::postings::{self, LazyTextIndex, PostingSource};
 use banks_storage::{binary, blocks, Database, TextIndex};
 use std::fs::File;
@@ -255,13 +255,27 @@ fn decode_meta(bytes: &[u8]) -> PersistResult<BundleMeta> {
 /// lanes untouched since the snapshot was opened are copied raw from
 /// the backing store, so publishing an ingest epoch rewrites only the
 /// blocks that epoch touched.
-pub fn write_bundle(banks: &Banks, epoch: u64, mut out: impl Write) -> PersistResult<()> {
-    let meta = encode_meta(epoch, banks.config());
+pub fn write_bundle(banks: &Banks, epoch: u64, out: impl Write) -> PersistResult<()> {
     let data = blocks::encode_database_v3(banks.db())?;
-    let mut tidx = Vec::with_capacity(64 * 1024);
-    postings::write_packed_postings(banks.text_index(), &mut tidx)?;
     let grph =
         banks_pager::encode_paged_blob(banks.tuple_graph().graph(), banks_pager::DEFAULT_SEG_SPAN);
+    write_bundle_sections(banks, epoch, &data, &grph, out)
+}
+
+/// Assemble a version-3 bundle around an already encoded v3 DATA
+/// section and paged graph blob of `banks` — how [`write_bundle`]
+/// finishes, and how a bundle is produced at page spans other than the
+/// defaults (readers take both spans from the sections' own headers).
+pub fn write_bundle_sections(
+    banks: &Banks,
+    epoch: u64,
+    data: &[u8],
+    grph: &[u8],
+    mut out: impl Write,
+) -> PersistResult<()> {
+    let meta = encode_meta(epoch, banks.config());
+    let mut tidx = Vec::with_capacity(64 * 1024);
+    postings::write_packed_postings(banks.text_index(), &mut tidx)?;
 
     let meta_off = V2_HEADER as u64;
     let data_off = meta_off + meta.len() as u64;
@@ -275,9 +289,9 @@ pub fn write_bundle(banks: &Banks, epoch: u64, mut out: impl Write) -> PersistRe
     header.extend_from_slice(&(SECTION_MAGICS.len() as u32).to_le_bytes());
     let payloads: [(&[u8; 8], u64, &[u8]); 4] = [
         (SECTION_META, meta_off, &meta),
-        (SECTION_DATA, data_off, &data),
+        (SECTION_DATA, data_off, data),
         (SECTION_TIDX, tidx_off, &tidx),
-        (SECTION_GRPH, grph_off, &grph),
+        (SECTION_GRPH, grph_off, grph),
     ];
     for (magic, offset, payload) in &payloads {
         header.extend_from_slice(*magic);
@@ -291,10 +305,10 @@ pub fn write_bundle(banks: &Banks, epoch: u64, mut out: impl Write) -> PersistRe
 
     out.write_all(&header)?;
     out.write_all(&meta)?;
-    out.write_all(&data)?;
+    out.write_all(data)?;
     out.write_all(&tidx)?;
     out.write_all(&vec![0u8; (grph_off - tidx_end) as usize])?;
-    out.write_all(&grph)?;
+    out.write_all(grph)?;
     Ok(())
 }
 
@@ -647,8 +661,9 @@ impl PostingSource for FileRange {
 /// lazily off the file. Postings page in per term, the graph serves
 /// through a [`PagedGraphStore`], and — on a version-3 bundle — tuples
 /// serve through a [`PagedTupleStore`] over the v3 DATA section. The
-/// graph and tuple caches draw from one [`SharedBudget`], so `budget`
-/// bounds their *combined* decoded-resident bytes. Cold-open cost is
+/// graph and tuple stores keep their decoded pages in one
+/// [`PageCache`], so `budget` is a hard bound on their *combined*
+/// decoded-resident bytes. Cold-open cost is
 /// the meta section plus three checksummed directories —
 /// O(segments + blocks), independent of tuple, posting, and edge
 /// counts.
@@ -692,12 +707,12 @@ pub fn open_bundle_paged(
         base: dir.tidx.offset,
         len: dir.tidx.len,
     }))?;
-    let shared = SharedBudget::new(budget);
-    let store = PagedGraphStore::open_file_shared(
+    let cache = PageCache::new(budget);
+    let store = PagedGraphStore::open_file(
         Arc::clone(&file),
         dir.grph.offset,
         dir.grph.len,
-        Arc::clone(&shared),
+        Arc::clone(&cache),
     )?;
     let db = match version {
         2 => binary::read_database(&read_section(&dir.data)?)?,
@@ -707,7 +722,7 @@ pub fn open_bundle_paged(
                 Arc::clone(&file),
                 dir.data.offset,
                 dir.data.len,
-                shared,
+                cache,
             )?;
             let schema_text = tuples.layout().schema_text.clone();
             Database::open_lazy(&schema_text, tuples)?
@@ -819,7 +834,7 @@ pub fn inspect_bundle(path: &Path) -> PersistResult<BundleInfo> {
         let text_index = postings::read_packed_postings(verify_section(&bytes, &dir.tidx)?)?;
         let graph_store = banks_pager::PagedGraphStore::open_mem(
             verify_section(&bytes, &dir.grph)?.to_vec().into(),
-            0,
+            PageCache::new(0),
         )?;
         let graph = Graph::from_store(graph_store);
         return Ok(BundleInfo {

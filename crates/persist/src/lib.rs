@@ -45,7 +45,7 @@ pub mod wal;
 
 pub use bundle::{
     inspect_bundle, load_bundle, open_bundle_paged, peek_epoch, read_bundle, save_bundle,
-    write_bundle, BundleInfo, BundleMeta,
+    write_bundle, write_bundle_sections, BundleInfo, BundleMeta,
 };
 pub use error::{PersistError, PersistResult};
 pub use store::{snapshot_file, PersistOptions, PersistStats, PersistentStore, Recovery};

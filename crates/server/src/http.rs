@@ -1163,15 +1163,10 @@ fn stats_json(
                         Json::Uint(s.resident_bytes as u64),
                     ),
                     (
-                        "pinned_bytes".to_string(),
-                        Json::Uint(s.pinned_bytes as u64),
-                    ),
-                    (
                         "segments".to_string(),
                         Json::obj([
                             ("total", Json::Uint(s.segment_count as u64)),
                             ("resident", Json::Uint(s.resident_segments as u64)),
-                            ("pinned", Json::Uint(s.pinned_segments as u64)),
                         ]),
                     ),
                     ("page_ins".to_string(), Json::Uint(s.page_ins)),
@@ -1191,20 +1186,18 @@ fn stats_json(
                         ]),
                     ));
                 }
-                // Lazy tuple store (v3 bundles): block residency under
-                // the same shared budget as the graph segments.
+                // Lazy tuple store (v3 bundles): block residency in the
+                // same page cache (and budget) as the graph segments.
                 if let Some(t) = banks.db().tuple_store_stats() {
                     pairs.push((
                         "tuples".to_string(),
                         Json::obj([
                             ("resident_bytes", Json::Uint(t.resident_bytes as u64)),
-                            ("pinned_bytes", Json::Uint(t.pinned_bytes as u64)),
                             (
                                 "blocks",
                                 Json::obj([
                                     ("total", Json::Uint(t.block_count as u64)),
                                     ("resident", Json::Uint(t.resident_blocks as u64)),
-                                    ("pinned", Json::Uint(t.pinned_blocks as u64)),
                                 ]),
                             ),
                             ("page_ins", Json::Uint(t.page_ins)),

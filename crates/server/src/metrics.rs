@@ -291,12 +291,6 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
         pick(|s| s.resident_bytes as f64),
     ));
     fams.push(CollectedFamily::scalar(
-        "banks_pager_pinned_bytes",
-        "Resident bytes pinned by in-flight readers.",
-        g,
-        pick(|s| s.pinned_bytes as f64),
-    ));
-    fams.push(CollectedFamily::scalar(
         "banks_pager_page_ins_total",
         "Segments decoded into residency.",
         c,
@@ -310,8 +304,8 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
     ));
     // Tuple-store families mirror the pager's: zeros for an eager
     // database, live counters when `--paged` serves tuples lazily off
-    // the v3 DATA section. The tuple and graph caches share one
-    // budget, so `banks_pager_budget_bytes` is the combined cap.
+    // the v3 DATA section. Tuple blocks and graph segments share one
+    // page cache, so `banks_pager_budget_bytes` is the combined cap.
     let tuples = banks.db().tuple_store_stats();
     let tpick =
         |f: fn(&banks_storage::TupleStoreStats) -> f64| tuples.as_ref().map(f).unwrap_or(0.0);

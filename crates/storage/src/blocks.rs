@@ -55,10 +55,15 @@ use std::sync::Arc;
 /// Magic prefix of a v3 DATA section.
 pub const DATA_V3_MAGIC: &[u8; 8] = b"BNKSDT03";
 
-/// Slots per tuple block. ~4K tuples keeps a DBLP-shaped block in the
-/// tens of kilobytes decoded — big enough to amortize the positioned
-/// read, small enough that a tiny `--memory-budget` still holds several.
-pub const BLOCK_SPAN: u32 = 4096;
+/// Slots per tuple block. A DBLP-shaped tuple decodes to ~150 bytes
+/// (values, heap headers, back-references), so 128 slots are ~20 KB
+/// decoded — still one positioned read, and small enough that rendering
+/// an answer set (a few dozen tuples scattered over as many blocks)
+/// decodes about a megabyte rather than sweeping an 8 MiB
+/// `--memory-budget` several times over, as 4096-slot (~600 KB) blocks
+/// did. Readers take the span from the section header, so sections
+/// written at another span stay readable.
+pub const BLOCK_SPAN: u32 = 128;
 
 /// Bytes before the header payload: magic + `u64` payload length.
 pub const HEADER_PREFIX: usize = 16;
@@ -134,8 +139,12 @@ fn corrupt(msg: impl Into<String>) -> StorageError {
 // ---------------------------------------------------------------------
 
 /// Slots in the per-thread keep-alive ring; a `&Tuple` or `&[BackRef]`
-/// handed out of a lazy table stays valid for `RING_SLOTS − 1` further
-/// block accesses on its thread.
+/// handed out of a lazy table stays valid for at least `RING_SLOTS − 1`
+/// further block accesses on its thread. Re-accessing the block parked
+/// last does not advance the ring, so it holds the `RING_SLOTS` most
+/// recent *distinct* blocks and the guarantee only gets longer. The
+/// ring is outside the memory budget: at worst each thread keeps 64
+/// evicted blocks alive, ~20 KB each at [`BLOCK_SPAN`].
 const RING_SLOTS: usize = 64;
 
 thread_local! {
@@ -143,10 +152,18 @@ thread_local! {
         RefCell::new((0, vec![None; RING_SLOTS]));
 }
 
-/// Park `block` in this thread's keep-alive ring.
+/// Park `block` in this thread's keep-alive ring, unless it is the
+/// block parked last.
 pub(crate) fn keep_alive(block: &Arc<TupleBlock>) {
     KEEPALIVE.with(|cell| {
         let (next, ring) = &mut *cell.borrow_mut();
+        let last = &ring[(*next + RING_SLOTS - 1) % RING_SLOTS];
+        if last
+            .as_ref()
+            .is_some_and(|parked| Arc::ptr_eq(parked, block))
+        {
+            return;
+        }
         ring[*next] = Some(Arc::clone(block));
         *next = (*next + 1) % RING_SLOTS;
     });
@@ -204,16 +221,12 @@ impl TupleBlock {
 pub struct TupleStoreStats {
     /// Decoded tuple-block bytes currently resident.
     pub resident_bytes: usize,
-    /// Resident bytes held by pinned blocks.
-    pub pinned_bytes: usize,
     /// Memory budget shared with the graph store (0 = unbounded).
     pub budget_bytes: usize,
     /// Total blocks across all relations.
     pub block_count: usize,
     /// Blocks currently decoded.
     pub resident_blocks: usize,
-    /// Blocks in the pinned hot set.
-    pub pinned_blocks: usize,
     /// Blocks decoded into residency since open.
     pub page_ins: u64,
     /// Blocks evicted under budget pressure since open.
