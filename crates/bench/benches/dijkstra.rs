@@ -1,8 +1,8 @@
 //! Microbenchmark of the lazy Dijkstra iterator underlying §3: full
 //! expansion, bounded expansion, and the peek/next interleave pattern the
-//! iterator heap exercises — each in the one-shot form (fresh dense state
-//! per run) and the pooled form (one recycled arena block, the
-//! steady-state serving shape where "clearing" is an epoch bump).
+//! iterator heap exercises — each in the one-shot form (fresh state per
+//! run) and the pooled form (one recycled arena block, the steady-state
+//! serving shape where the node table keeps its allocation).
 
 use banks_bench::corpus;
 use banks_core::{GraphConfig, TupleGraph};
@@ -33,12 +33,7 @@ fn bench_dijkstra(c: &mut Criterion) {
     let mut arena = SearchArena::new();
     group.bench_function("full_expansion_reverse_pooled", |b| {
         b.iter(|| {
-            let it = Dijkstra::new_in(
-                graph,
-                start,
-                Direction::Reverse,
-                arena.checkout(graph.node_count()),
-            );
+            let it = Dijkstra::new_in(graph, start, Direction::Reverse, arena.checkout());
             let mut it = black_box(it);
             let n = it.by_ref().count();
             arena.recycle(it.into_state());
@@ -47,13 +42,8 @@ fn bench_dijkstra(c: &mut Criterion) {
     });
     group.bench_function("bounded_expansion_pooled/1000", |b| {
         b.iter(|| {
-            let it = Dijkstra::new_in(
-                graph,
-                start,
-                Direction::Reverse,
-                arena.checkout(graph.node_count()),
-            )
-            .with_max_settled(1000);
+            let it = Dijkstra::new_in(graph, start, Direction::Reverse, arena.checkout())
+                .with_max_settled(1000);
             let mut it = black_box(it);
             let n = it.by_ref().count();
             arena.recycle(it.into_state());

@@ -3,8 +3,8 @@
 //! prototype at 100K nodes).
 //!
 //! Cold latency is measured the way a server worker runs: uncached, on a
-//! persistent per-worker [`banks_core::SearchArena`], so the dense
-//! Dijkstra states and cross-product scratch are recycled across
+//! persistent per-worker [`banks_core::SearchArena`], so the Dijkstra
+//! state tables and cross-product scratch are recycled across
 //! iterations instead of reallocated. Warm latency goes through the
 //! `banks-server` result cache. Besides the stdout report, the bench
 //! writes `BENCH_search.json` (cold/warm medians, pops, early-termination

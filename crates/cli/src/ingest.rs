@@ -401,18 +401,43 @@ mod tests {
         .unwrap()
     }
 
+    /// Answer one request on `stream`: read it whole (headers, then
+    /// `Content-Length` body bytes) before replying, since closing a
+    /// socket with request bytes still unread sends an RST that can
+    /// reach the client before the response does.
+    fn respond(stream: &mut std::net::TcpStream, status: &str, extra: &str, body: &str) {
+        use std::io::{Read, Write};
+        let mut request = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(end) = request.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = String::from_utf8_lossy(&request[..end]).to_ascii_lowercase();
+                let body_len = head
+                    .lines()
+                    .find_map(|line| line.strip_prefix("content-length:"))
+                    .and_then(|v| v.trim().parse::<usize>().ok())
+                    .unwrap_or(0);
+                if request.len() >= end + 4 + body_len {
+                    break;
+                }
+            }
+            match stream.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => request.extend_from_slice(&buf[..n]),
+            }
+        }
+        let _ = write!(
+            stream,
+            "HTTP/1.1 {status}\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n{body}",
+            body.len()
+        );
+    }
+
     /// Serve exactly one canned HTTP response on `listener`.
     fn answer_once(listener: std::net::TcpListener, status: &'static str, body: &'static str) {
         std::thread::spawn(move || {
-            use std::io::{Read, Write};
             let (mut stream, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 4096];
-            let _ = stream.read(&mut buf);
-            let _ = write!(
-                stream,
-                "HTTP/1.1 {status}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
+            respond(&mut stream, status, "", body);
         });
     }
 
@@ -441,19 +466,12 @@ mod tests {
         responses: Vec<(&'static str, &'static str, Option<&'static str>)>,
     ) {
         std::thread::spawn(move || {
-            use std::io::{Read, Write};
             for (status, body, retry_after) in responses {
                 let (mut stream, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 4096];
-                let _ = stream.read(&mut buf);
                 let extra = retry_after
                     .map(|v| format!("Retry-After: {v}\r\n"))
                     .unwrap_or_default();
-                let _ = write!(
-                    stream,
-                    "HTTP/1.1 {status}\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n{body}",
-                    body.len()
-                );
+                respond(&mut stream, status, &extra, body);
             }
         });
     }

@@ -13,7 +13,7 @@ pub struct Shell {
     last_answers: Vec<Answer>,
     view_history: Vec<ViewSpec>,
     /// Persistent kernel scratch: every `search` in the session reuses
-    /// the same dense Dijkstra states and cross-product buffers.
+    /// the same Dijkstra state tables and cross-product buffers.
     arena: SearchArena,
 }
 

@@ -34,7 +34,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | `banks-graph` | CSR graph, lazy Dijkstra iterators on dense epoch-stamped state, the pooled [`SearchArena`], incremental `GraphPatch`, binary snapshots |
+//! | `banks-graph` | CSR graph, lazy Dijkstra iterators on sparse per-iterator state, the pooled [`SearchArena`], incremental `GraphPatch`, binary snapshots |
 //! | `banks-storage` | in-memory relational engine + text/metadata indexes |
 //! | `banks-ingest` | live tuple ingestion: delta log, incremental graph/index appliers, epoch-versioned snapshot publisher |
 //! | `banks-server` | concurrent query service: epoch-versioned `Arc`-shared [`Banks`] snapshot, sharded LRU result cache, std-only HTTP/1.1 JSON endpoint (incl. `POST /ingest`) |

@@ -7,7 +7,7 @@
 //! the cross product `{o} × Π_{j≠i} u.Lⱼ` enumerates exactly the new
 //! connection trees rooted at `u`, after which `o` joins `u.Lᵢ`.
 //!
-//! The kernel runs on a [`SearchArena`]: dense epoch-stamped Dijkstra
+//! The kernel runs on a [`SearchArena`]: sparse per-iterator Dijkstra
 //! states, the `u.Lᵢ` lists flattened into a linked-entry pool, and
 //! reused cross-product scratch — plus exact top-k early termination
 //! (the `EarlyStop` bound documented on
@@ -188,11 +188,10 @@ fn sequential_backward_search(
     excluded_roots: &FxHashSet<u32>,
 ) -> SearchOutcome {
     let graph = tuple_graph.graph();
-    let n_nodes = graph.node_count();
     let n_terms = keyword_sets.len();
 
     // One reverse-direction Dijkstra per keyword node, each running on a
-    // pooled dense state block.
+    // pooled state block.
     let total_origins: usize = keyword_sets.iter().map(|s| s.len()).sum();
     let mut iterators: Vec<Dijkstra<'_>> = Vec::with_capacity(total_origins);
     let mut infos: Vec<(usize, NodeId)> = Vec::with_capacity(total_origins);
@@ -206,7 +205,7 @@ fn sequential_backward_search(
             let (iterator, handicap) = make_iterator(
                 graph,
                 origin,
-                arena.checkout(n_nodes),
+                arena.checkout(),
                 scorer,
                 config,
                 prestige_handicap,
@@ -894,7 +893,7 @@ mod tests {
                 assert_eq!(a.relevance.to_bits(), b.relevance.to_bits());
             }
         }
-        let (_, reuses) = arena.state_counters();
+        let (_, reuses) = arena.states.state_counters();
         assert!(reuses > 0, "later queries reuse pooled states");
     }
 

@@ -16,10 +16,10 @@
 //! one tree (the nearest origin per term), making this an approximation
 //! of the exhaustive backward search — the trade the paper proposes.
 //!
-//! Like the backward kernel, the probes run on pooled dense states: one
+//! Like the backward kernel, the probes run on pooled states: one
 //! recycled [`banks_graph::DijkstraState`] serves *every* candidate root
-//! (an epoch bump per probe), where the old kernel allocated three hash
-//! maps per candidate.
+//! (cleared per probe, keeping its table), where the old kernel allocated
+//! three hash maps per candidate.
 
 use crate::answer::{Answer, ConnectionTree, TreeSignature};
 use crate::config::SearchConfig;
@@ -109,7 +109,6 @@ pub fn forward_search_in(
     }
 
     let graph = tuple_graph.graph();
-    let n_nodes = graph.node_count();
     let n_terms = keyword_sets.len();
     let policy = RootPolicy::new(tuple_graph, excluded_roots, config);
     let selective = keyword_sets
@@ -130,7 +129,7 @@ pub fn forward_search_in(
     let mut origins: Vec<NodeId> = Vec::with_capacity(keyword_sets[selective].len());
     for &origin in &keyword_sets[selective] {
         iterators.push(
-            Dijkstra::new_in(graph, origin, Direction::Reverse, arena.checkout(n_nodes))
+            Dijkstra::new_in(graph, origin, Direction::Reverse, arena.checkout())
                 .with_max_dist(config.max_distance),
         );
         origins.push(origin);
@@ -144,7 +143,7 @@ pub fn forward_search_in(
     }
 
     // One recycled state block serves every forward probe.
-    let mut probe_state = Some(arena.checkout(n_nodes));
+    let mut probe_state = Some(arena.checkout());
     let cross = &mut arena.cross;
     let mut probed: FxHashSet<u32> = FxHashSet::default();
     let mut output = OutputHeap::new(config.output_heap_size);

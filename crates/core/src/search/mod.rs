@@ -3,7 +3,7 @@
 //!
 //! Both algorithms run on reusable scratch memory: callers that serve
 //! many queries thread a [`SearchArena`] through the `*_in` entry points
-//! so the kernel's dense Dijkstra states, origin lists and cross-product
+//! so the kernel's Dijkstra state tables, origin lists and cross-product
 //! buffers are recycled instead of reallocated per query.
 
 pub mod backward;

@@ -358,7 +358,6 @@ pub(super) fn parallel_backward_search(
     excluded_roots: &FxHashSet<u32>,
 ) -> SearchOutcome {
     let graph = tuple_graph.graph();
-    let n_nodes = graph.node_count();
     let n_terms = keyword_sets.len();
     let threads = config.search_threads.min(n_terms).max(1);
 
@@ -384,7 +383,7 @@ pub(super) fn parallel_backward_search(
                 let (mut iterator, handicap) = make_iterator(
                     graph,
                     origin,
-                    pool.checkout(n_nodes),
+                    pool.checkout(),
                     scorer,
                     config,
                     prestige_handicap,

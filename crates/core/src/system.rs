@@ -210,10 +210,10 @@ impl Banks {
     /// As [`Banks::search_parsed`], executing on a caller-owned
     /// [`SearchArena`] — the zero-allocation serving path. A worker
     /// thread keeps one arena for its lifetime and threads it through
-    /// every query; the kernel's dense Dijkstra states, origin lists and
+    /// every query; the kernel's Dijkstra state tables, origin lists and
     /// cross-product scratch are then recycled instead of reallocated,
-    /// and they resize automatically when ingestion publishes a snapshot
-    /// with a different graph size. Results are bit-identical to the
+    /// and since a state is sized by the nodes it touches, they serve a
+    /// snapshot of any graph size. Results are bit-identical to the
     /// fresh-allocation path.
     pub fn search_parsed_in(
         &self,

@@ -6,11 +6,11 @@
 //! node. A [`SearchArena`] makes the whole expansion allocation-free in
 //! steady state:
 //!
-//! * [`DijkstraState`] — dense `dist`/`parent`/settled arrays of length
-//!   `n_nodes`, validity-tracked by an **epoch stamp** per slot: "clearing"
-//!   the state for the next iterator or query is a single generation-counter
-//!   bump, not a rehash or a `memset`. The distance queue is a recycled
-//!   4-ary heap ([`crate::heap::DistHeap`]).
+//! * [`DijkstraState`] — one sparse table per iterator, node →
+//!   `{dist, parent, parent_slot, settled}`, holding only the nodes the
+//!   iterator touched. Relaxing an edge is one table probe; clearing the
+//!   state for the next iterator keeps its allocation. The distance queue
+//!   is a recycled 4-ary heap ([`crate::heap::DistHeap`]).
 //! * [`OriginListPool`] — the per-node, per-term origin lists (`u.Lᵢ` in
 //!   the paper) flattened into one entry pool of forward-linked lists, so
 //!   visiting a node allocates nothing.
@@ -18,138 +18,112 @@
 //!   buffers the cross-product enumerator reuses across connection trees.
 //!
 //! A server worker keeps one arena for its lifetime; `checkout`/`recycle`
-//! hand dense states to iterators and take them back when a query ends.
-//! States resize themselves when the graph grows or shrinks across
-//! snapshot epochs, so one arena safely outlives live-ingestion publishes.
+//! hand states to iterators and take them back when a query ends. A
+//! state has no notion of graph size, so one arena safely outlives
+//! live-ingestion publishes that grow or shrink the graph.
 
 use crate::fxhash::FxHashMap;
 use crate::graph::NodeId;
 use crate::heap::DistHeap;
+use std::collections::hash_map::Entry;
 
 /// Sentinel for "no parent" / "no list entry" — the terminator
 /// [`OriginListPool::head`] and [`OriginListPool::next`] return.
 pub const NIL: u32 = u32::MAX;
 
-/// Dense epoch-stamped single-source shortest-path state.
-///
-/// A slot's `dist`/`parent` are meaningful only while its stamp equals the
-/// current epoch; bumping the epoch invalidates every slot at once.
-#[derive(Debug, Clone)]
-pub struct DijkstraState {
-    /// Current generation; stamps equal to it are live.
-    epoch: u32,
-    /// `touched[n] == epoch` ⇒ `dist[n]`/`parent[n]` are valid.
-    touched: Vec<u32>,
-    /// `settled[n] == epoch` ⇒ `dist[n]` is final.
-    settled: Vec<u32>,
-    /// Tentative (or, once settled, final) distance per node.
-    dist: Vec<f64>,
-    /// Best-path predecessor per node ([`NIL`] for the origin).
-    parent: Vec<u32>,
+/// One touched node of a [`DijkstraState`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeSlot {
+    /// Tentative (or, once settled, final) distance.
+    pub(crate) dist: f64,
+    /// Best-path predecessor ([`NIL`] for the origin).
+    pub(crate) parent: u32,
     /// CSR slot (in the traversal direction's adjacency arrays) of the
     /// edge that set `parent` — path reconstruction reads the exact edge
     /// weight (and its precomputed score) straight out of the CSR
     /// instead of re-deriving it from a distance difference.
-    parent_slot: Vec<u32>,
+    pub(crate) parent_slot: u32,
+    /// `dist` is final.
+    settled: bool,
+}
+
+/// Sparse single-source shortest-path state: one table entry per node
+/// the iterator has touched, so its size follows the work the iterator
+/// does, not the size of the graph.
+#[derive(Debug, Clone, Default)]
+pub struct DijkstraState {
+    nodes: FxHashMap<u32, NodeSlot>,
     /// The distance queue (recycled allocation).
     pub(crate) heap: DistHeap,
     settled_count: usize,
 }
 
 impl DijkstraState {
-    /// Fresh state for a graph of `n_nodes` nodes.
-    pub fn new(n_nodes: usize) -> DijkstraState {
-        DijkstraState {
-            epoch: 1,
-            touched: vec![0; n_nodes],
-            settled: vec![0; n_nodes],
-            dist: vec![0.0; n_nodes],
-            parent: vec![NIL; n_nodes],
-            parent_slot: vec![NIL; n_nodes],
-            heap: DistHeap::new(),
-            settled_count: 0,
-        }
+    /// An empty state; it serves a graph of any size.
+    pub fn new() -> DijkstraState {
+        DijkstraState::default()
     }
 
-    /// Invalidate every slot and empty the queue — an epoch bump, except
-    /// when the graph size changed (live ingestion published a new
-    /// snapshot) or the 32-bit generation wrapped, when the stamp arrays
-    /// are rebuilt.
-    pub(crate) fn reset(&mut self, n_nodes: usize) {
+    /// Forget every node and empty the queue, keeping the allocations.
+    pub(crate) fn reset(&mut self) {
+        self.nodes.clear();
         self.heap.clear();
         self.settled_count = 0;
-        if self.touched.len() != n_nodes {
-            self.touched.clear();
-            self.touched.resize(n_nodes, 0);
-            self.settled.clear();
-            self.settled.resize(n_nodes, 0);
-            self.dist.resize(n_nodes, 0.0);
-            self.parent.resize(n_nodes, NIL);
-            self.parent_slot.resize(n_nodes, NIL);
-            self.epoch = 1;
-        } else if self.epoch == u32::MAX {
-            self.touched.fill(0);
-            self.settled.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
+    }
+
+    /// Make `n` the unsettled origin at distance `dist`, with exactly one
+    /// queue entry — a repeat call replaces the earlier start.
+    pub(crate) fn start(&mut self, n: u32, dist: f64) {
+        let origin = NodeSlot {
+            dist,
+            parent: NIL,
+            parent_slot: NIL,
+            settled: false,
+        };
+        self.nodes.insert(n, origin);
+        self.heap.clear();
+        self.heap.push(dist, n);
+    }
+
+    /// Offer `n` the tentative distance `cand`, reached from `parent`
+    /// over CSR slot `slot`, with one table probe. Records it and
+    /// returns `true` when `n` is new, or unsettled at a larger distance.
+    #[inline]
+    pub(crate) fn relax(&mut self, n: u32, cand: f64, parent: u32, slot: u32) -> bool {
+        let offered = NodeSlot {
+            dist: cand,
+            parent,
+            parent_slot: slot,
+            settled: false,
+        };
+        match self.nodes.entry(n) {
+            Entry::Vacant(e) => {
+                e.insert(offered);
+                true
+            }
+            Entry::Occupied(mut e) => {
+                let known = e.get_mut();
+                let better = !known.settled && cand < known.dist;
+                if better {
+                    *known = offered;
+                }
+                better
+            }
         }
     }
 
-    /// Number of node slots (must equal the graph's node count in use).
-    pub fn capacity(&self) -> usize {
-        self.touched.len()
-    }
-
-    #[inline]
-    pub(crate) fn is_touched(&self, n: u32) -> bool {
-        self.touched[n as usize] == self.epoch
-    }
-
-    #[inline]
-    pub(crate) fn is_settled(&self, n: u32) -> bool {
-        self.settled[n as usize] == self.epoch
-    }
-
-    /// Record a (new or improved) tentative distance. `slot` is the CSR
-    /// slot of the relaxed edge ([`NIL`] for the origin).
-    #[inline]
-    pub(crate) fn touch(&mut self, n: u32, dist: f64, parent: u32, slot: u32) {
-        let i = n as usize;
-        self.touched[i] = self.epoch;
-        self.dist[i] = dist;
-        self.parent[i] = parent;
-        self.parent_slot[i] = slot;
-    }
-
-    /// Mark a node's distance final.
+    /// Mark a touched node's distance final.
     #[inline]
     pub(crate) fn settle(&mut self, n: u32) {
-        debug_assert!(self.is_touched(n), "settling an untouched node");
-        self.settled[n as usize] = self.epoch;
+        let known = self.nodes.get_mut(&n).expect("settling an untouched node");
+        known.settled = true;
         self.settled_count += 1;
     }
 
-    /// Distance of a touched node (valid only when its stamp is live).
+    /// The entry of `n` once its distance is final (`None` before).
     #[inline]
-    pub(crate) fn dist_of(&self, n: u32) -> f64 {
-        debug_assert!(self.is_touched(n));
-        self.dist[n as usize]
-    }
-
-    /// Parent of a touched node ([`NIL`] for the origin).
-    #[inline]
-    pub(crate) fn parent_of(&self, n: u32) -> u32 {
-        debug_assert!(self.is_touched(n));
-        self.parent[n as usize]
-    }
-
-    /// CSR slot of the edge that set a touched node's parent ([`NIL`]
-    /// for the origin).
-    #[inline]
-    pub(crate) fn parent_slot_of(&self, n: u32) -> u32 {
-        debug_assert!(self.is_touched(n));
-        self.parent_slot[n as usize]
+    pub(crate) fn settled(&self, n: u32) -> Option<&NodeSlot> {
+        self.nodes.get(&n).filter(|s| s.settled)
     }
 
     #[inline]
@@ -157,23 +131,19 @@ impl DijkstraState {
         self.settled_count
     }
 
-    /// Apply the recycle-time shrink policy to the distance queue. Any
-    /// queued entries are dead at recycle time (the next checkout
-    /// `reset`s the state), so they are dropped before shrinking.
-    pub(crate) fn shrink_queue(&mut self, max_entries: usize) {
-        self.heap.clear();
+    /// Recycle-time shrink policy: drop this run's content and clamp the
+    /// node table and the distance queue to about `max_entries` entries
+    /// each, so one iterator that touched much of a large graph does not
+    /// pin that table in a long-lived pool.
+    pub(crate) fn shrink(&mut self, max_entries: usize) {
+        self.reset();
+        self.nodes.shrink_to(max_entries);
         self.heap.shrink_to_entries(max_entries);
     }
 
-    /// Bytes this state block retains (dense arrays + queue buffer).
+    /// Approximate bytes this state retains (node table + queue buffer).
     pub fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.touched.capacity() * size_of::<u32>()
-            + self.settled.capacity() * size_of::<u32>()
-            + self.dist.capacity() * size_of::<f64>()
-            + self.parent.capacity() * size_of::<u32>()
-            + self.parent_slot.capacity() * size_of::<u32>()
-            + self.heap.retained_bytes()
+        self.nodes.capacity() * std::mem::size_of::<(u32, NodeSlot)>() + self.heap.retained_bytes()
     }
 }
 
@@ -360,25 +330,30 @@ impl CrossScratch {
     }
 }
 
-/// Pooled [`DijkstraState`] blocks for ONE expansion shard of the
-/// parallel executor. Each shard (one per keyword set) owns its slice of
-/// the sharded arena for the duration of a query, so checkout/recycle on
-/// its own thread needs no synchronization; the blocks are handed back
-/// when the scoped threads join.
+/// Idle [`DijkstraState`] blocks, at most `MAX_IDLE` of them: recycling
+/// into a full pool frees the block instead, and every retained block is
+/// shrunk to [`SearchArena::RETAINED_STATE_ENTRIES`].
 #[derive(Debug, Default)]
-pub struct ShardArena {
+pub struct StatePool<const MAX_IDLE: usize> {
     idle: Vec<DijkstraState>,
     states_created: u64,
     states_reused: u64,
 }
 
-impl ShardArena {
-    /// Blocks one shard's idle pool retains (shards hold one block per
-    /// keyword origin of *their* set, typically just a few).
-    pub const MAX_IDLE_STATES: usize = 8;
+/// The state pool of ONE expansion shard of the parallel executor. Each
+/// shard (one per keyword set) owns its pool for the duration of a
+/// query, so checkout/recycle on its own thread needs no synchronization;
+/// the pools are handed back when the scoped threads join. Shards hold
+/// one block per keyword origin of *their* set, typically just a few.
+pub type ShardArena = StatePool<8>;
 
-    /// Take a block, reusing an idle one when available.
-    pub fn checkout(&mut self, n_nodes: usize) -> DijkstraState {
+impl<const MAX_IDLE: usize> StatePool<MAX_IDLE> {
+    /// Blocks the idle pool retains.
+    pub const MAX_IDLE_STATES: usize = MAX_IDLE;
+
+    /// Take a block, reusing an idle one when available. The block is
+    /// cleared by [`crate::Dijkstra::new_in`].
+    pub fn checkout(&mut self) -> DijkstraState {
         match self.idle.pop() {
             Some(state) => {
                 self.states_reused += 1;
@@ -386,16 +361,16 @@ impl ShardArena {
             }
             None => {
                 self.states_created += 1;
-                DijkstraState::new(n_nodes)
+                DijkstraState::new()
             }
         }
     }
 
     /// Return a block (dropped once the pool is full; the retained
-    /// queue buffer is clamped by the shrink policy).
+    /// table and queue are clamped by the shrink policy).
     pub fn recycle(&mut self, mut state: DijkstraState) {
-        if self.idle.len() < Self::MAX_IDLE_STATES {
-            state.shrink_queue(SearchArena::RETAINED_HEAP_ENTRIES);
+        if self.idle.len() < MAX_IDLE {
+            state.shrink(SearchArena::RETAINED_STATE_ENTRIES);
             self.idle.push(state);
         }
     }
@@ -513,28 +488,27 @@ impl DeadlineToken {
 
 /// Pooled scratch memory for one search worker.
 ///
-/// Owns idle [`DijkstraState`] blocks plus the kernel's origin-list and
-/// cross-product buffers. One arena serves one thread at a time; a server
-/// gives each worker thread its own persistent arena, and the blocks
-/// adapt to graph-size changes across ingestion epochs on checkout.
+/// Owns a [`StatePool`] of idle [`DijkstraState`] blocks plus the
+/// kernel's origin-list and cross-product buffers. One arena serves one
+/// thread at a time; a server gives each worker thread its own persistent
+/// arena, and since a state is sized by the nodes its iterator touches,
+/// the same blocks serve every graph across ingestion epochs.
 ///
-/// **Memory trade.** A dense block costs ~20 bytes × `n_nodes`, and the
-/// backward search checks out one per keyword origin — O(origins ×
-/// nodes) transiently, where the old hash-map kernel grew only with
-/// visited nodes. That is the right trade for selective keyword sets
-/// (the backward-search regime); terms matching thousands of tuples
-/// should run the §7 forward strategy, which uses two blocks total
-/// regardless of set size. So that one broad query cannot permanently
-/// inflate a long-lived worker, the idle pool retains at most
+/// **Memory.** The backward search checks out one block per keyword
+/// origin, so a query's transient state is O(nodes touched), summed over
+/// its iterators. So that one broad query cannot permanently inflate a
+/// long-lived worker, the idle pool retains at most
 /// [`SearchArena::MAX_IDLE_STATES`] blocks — excess blocks are freed on
-/// recycle.
+/// recycle — and each retained block is shrunk to
+/// [`SearchArena::RETAINED_STATE_ENTRIES`].
 #[derive(Debug, Default)]
 pub struct SearchArena {
     /// Per-query trace spans. Disabled by default (one branch per probe
     /// point); the serving layer enables it for traced queries and
     /// drains it after the search returns.
     pub spans: banks_telemetry::SpanBuffer,
-    idle: Vec<DijkstraState>,
+    /// Idle state blocks for the sequential kernels.
+    pub states: StatePool<{ SearchArena::MAX_IDLE_STATES }>,
     /// Flattened `u.Lᵢ` origin lists.
     pub lists: OriginListPool,
     /// Cross-product enumeration buffers.
@@ -546,8 +520,6 @@ pub struct SearchArena {
     pub merge: MergeScratch,
     /// Cooperative-cancellation token polled by the expansion loops.
     pub deadline: DeadlineToken,
-    states_created: u64,
-    states_reused: u64,
 }
 
 impl SearchArena {
@@ -556,31 +528,15 @@ impl SearchArena {
         SearchArena::default()
     }
 
-    /// Take a dense state block for a graph of `n_nodes` nodes, reusing an
-    /// idle block when one exists. The block is epoch-reset (and resized
-    /// if the graph changed) by [`crate::Dijkstra::new_in`].
-    pub fn checkout(&mut self, n_nodes: usize) -> DijkstraState {
-        match self.idle.pop() {
-            Some(state) => {
-                self.states_reused += 1;
-                state
-            }
-            None => {
-                self.states_created += 1;
-                DijkstraState::new(n_nodes)
-            }
-        }
-    }
-
     /// Blocks the idle pool retains; recycling beyond this frees the
-    /// block instead, bounding a worker's steady-state footprint at
-    /// ~20 bytes × nodes × this cap even after one query with an
-    /// unusually broad keyword set.
+    /// block instead, bounding the pool at ~5 MiB (this cap × one shrunk
+    /// block) whatever the graph size and however broad the keyword set.
     pub const MAX_IDLE_STATES: usize = 32;
 
-    /// Distance-queue entries a recycled block keeps (the shrink policy
-    /// of [`DistHeap::shrink_to_entries`]): ~16 K entries ≈ 256 KiB.
-    pub const RETAINED_HEAP_ENTRIES: usize = 1 << 14;
+    /// Node-table and distance-queue entries a recycled block keeps (its
+    /// shrink policy): 2 K entries, a table of 4 K buckets (~130 KiB)
+    /// plus 32 KiB of queue.
+    pub const RETAINED_STATE_ENTRIES: usize = 1 << 11;
 
     /// Origin-list pool entries retained between queries (~512 KiB).
     pub const RETAINED_LIST_ENTRIES: usize = 1 << 16;
@@ -591,23 +547,14 @@ impl SearchArena {
     /// Pooled merge maps retained between queries.
     pub const RETAINED_MERGE_MAPS: usize = 64;
 
-    /// Return a block to the pool (dropped once the pool is full; the
-    /// retained distance-queue buffer is clamped by the shrink policy).
-    pub fn recycle(&mut self, mut state: DijkstraState) {
-        if self.idle.len() < Self::MAX_IDLE_STATES {
-            state.shrink_queue(Self::RETAINED_HEAP_ENTRIES);
-            self.idle.push(state);
-        }
+    /// Take a state block from [`SearchArena::states`].
+    pub fn checkout(&mut self) -> DijkstraState {
+        self.states.checkout()
     }
 
-    /// Number of idle pooled blocks.
-    pub fn pooled_states(&self) -> usize {
-        self.idle.len()
-    }
-
-    /// `(created, reused)` checkout counters since construction.
-    pub fn state_counters(&self) -> (u64, u64) {
-        (self.states_created, self.states_reused)
+    /// Return a block to [`SearchArena::states`].
+    pub fn recycle(&mut self, state: DijkstraState) {
+        self.states.recycle(state);
     }
 
     /// The sharded half of the arena: one independent [`ShardArena`] per
@@ -634,10 +581,7 @@ impl SearchArena {
     /// blocks, origin lists, cross-product scratch, shard pools, merge
     /// maps) — surfaced as `SearchStats::arena_retained_bytes`.
     pub fn retained_bytes(&self) -> usize {
-        self.idle
-            .iter()
-            .map(DijkstraState::retained_bytes)
-            .sum::<usize>()
+        self.states.retained_bytes()
             + self.lists.retained_bytes()
             + self.cross.retained_bytes()
             + self
@@ -653,44 +597,77 @@ impl SearchArena {
 mod tests {
     use super::*;
 
-    #[test]
-    fn epoch_bump_invalidates_without_clearing() {
-        let mut s = DijkstraState::new(4);
-        s.touch(2, 1.5, 0, 0);
-        s.settle(2);
-        assert!(s.is_touched(2) && s.is_settled(2));
-        s.reset(4);
-        assert!(!s.is_touched(2) && !s.is_settled(2));
-        assert_eq!(s.settled_count(), 0);
-        // Stale payloads are unreachable until re-touched.
-        s.touch(2, 9.0, NIL, NIL);
-        assert_eq!(s.dist_of(2), 9.0);
+    /// A state that touched `n` nodes with ids spread over ~97 × `n`.
+    fn state_touching(n: u32) -> DijkstraState {
+        let mut s = DijkstraState::new();
+        s.start(0, 0.0);
+        for v in 1..n {
+            assert!(s.relax(v * 97, f64::from(v), 0, v));
+            s.heap.push(f64::from(v), v * 97);
+        }
+        s
     }
 
     #[test]
-    fn reset_resizes_for_a_grown_graph() {
-        let mut s = DijkstraState::new(2);
-        s.touch(1, 3.0, 0, 0);
-        s.reset(5);
-        assert_eq!(s.capacity(), 5);
-        assert!(!s.is_touched(1));
-        s.touch(4, 1.0, NIL, NIL);
-        assert!(s.is_touched(4));
-        // Shrink is equally safe.
-        s.reset(3);
-        assert_eq!(s.capacity(), 3);
+    fn recycled_state_is_indistinguishable_from_fresh() {
+        let mut used = state_touching(1000);
+        used.settle(0);
+        used.settle(97);
+        let mut arena = SearchArena::new();
+        arena.recycle(used);
+        let mut recycled = arena.checkout();
+        let observe = |s: &mut DijkstraState| {
+            let nodes: Vec<_> = [0u32, 97, 194, 5]
+                .iter()
+                .map(|&n| s.settled(n).map(|e| (e.dist, e.parent, e.parent_slot)))
+                .collect();
+            let queued = s.heap.peek();
+            let count = s.settled_count();
+            // A stale entry at distance 1.0 would refuse this offer.
+            let took = s.relax(97, 50.0, 3, 3);
+            s.settle(97);
+            let after = s.settled(97).map(|e| (e.dist, e.parent, e.parent_slot));
+            (nodes, queued, count, took, after)
+        };
+        assert_eq!(observe(&mut recycled), observe(&mut DijkstraState::new()));
     }
 
     #[test]
-    fn epoch_wrap_rebuilds_stamps() {
-        let mut s = DijkstraState::new(2);
-        s.epoch = u32::MAX - 1;
-        s.touched[0] = u32::MAX; // would collide after a naive bump
-        s.reset(2);
-        assert_eq!(s.epoch, u32::MAX);
-        s.reset(2);
-        assert_eq!(s.epoch, 1, "wrap resets the generation");
-        assert!(!s.is_touched(0));
+    fn one_state_serves_graphs_of_different_sizes() {
+        use crate::{Dijkstra, Direction, GraphBuilder, NodeId};
+        let path = |n: usize| {
+            let mut b = GraphBuilder::new();
+            let nodes: Vec<_> = (0..n).map(|_| b.add_node(1.0)).collect();
+            for w in nodes.windows(2) {
+                b.add_edge(w[0], w[1], 1.0);
+            }
+            b.build()
+        };
+        let (small, large) = (path(4), path(300));
+        let mut state = DijkstraState::new();
+        for (graph, origin) in [(&large, 250), (&small, 3), (&large, 299)] {
+            let fresh: Vec<_> = Dijkstra::new(graph, NodeId(origin), Direction::Reverse).collect();
+            let mut reused = Dijkstra::new_in(graph, NodeId(origin), Direction::Reverse, state);
+            assert_eq!(reused.by_ref().collect::<Vec<_>>(), fresh);
+            state = reused.into_state();
+        }
+    }
+
+    #[test]
+    fn recycled_table_keeps_at_most_the_shrink_cap() {
+        let cap = SearchArena::RETAINED_STATE_ENTRIES as u32;
+        let mut at_cap = SearchArena::new();
+        at_cap.recycle(state_touching(cap));
+        let cap_bytes = at_cap.retained_bytes();
+        for n in [cap / 2, cap, 100_000] {
+            let state = state_touching(n);
+            if n > cap {
+                assert!(state.retained_bytes() > 10 * cap_bytes);
+            }
+            let mut arena = SearchArena::new();
+            arena.recycle(state);
+            assert!(arena.retained_bytes() <= cap_bytes, "{n} nodes touched");
+        }
     }
 
     #[test]
@@ -723,28 +700,28 @@ mod tests {
     #[test]
     fn arena_pools_states() {
         let mut a = SearchArena::new();
-        let s1 = a.checkout(10);
-        let s2 = a.checkout(10);
-        assert_eq!(a.state_counters(), (2, 0));
+        let s1 = a.checkout();
+        let s2 = a.checkout();
+        assert_eq!(a.states.state_counters(), (2, 0));
         a.recycle(s1);
         a.recycle(s2);
-        assert_eq!(a.pooled_states(), 2);
-        let _s = a.checkout(10);
-        assert_eq!(a.state_counters(), (2, 1));
-        assert_eq!(a.pooled_states(), 1);
+        assert_eq!(a.states.pooled_states(), 2);
+        let _s = a.checkout();
+        assert_eq!(a.states.state_counters(), (2, 1));
+        assert_eq!(a.states.pooled_states(), 1);
     }
 
     #[test]
     fn idle_pool_is_bounded() {
         let mut a = SearchArena::new();
         let blocks: Vec<_> = (0..SearchArena::MAX_IDLE_STATES + 10)
-            .map(|_| a.checkout(4))
+            .map(|_| a.checkout())
             .collect();
         for b in blocks {
             a.recycle(b);
         }
         assert_eq!(
-            a.pooled_states(),
+            a.states.pooled_states(),
             SearchArena::MAX_IDLE_STATES,
             "one broad query must not permanently inflate the pool"
         );
@@ -755,20 +732,26 @@ mod tests {
         let mut a = SearchArena::new();
         let pools = a.shard_pools(3);
         assert_eq!(pools.len(), 3);
-        let s0 = pools[0].checkout(8);
-        let s1 = pools[1].checkout(8);
+        let s0 = pools[0].checkout();
+        let mut s1 = pools[1].checkout();
+        assert_eq!(s1.retained_bytes(), 0, "a fresh state holds nothing");
+        s1.start(5, 0.0);
+        assert!(s1.relax(6, 1.0, 5, 0));
+        s1.settle(5);
         pools[0].recycle(s0);
         pools[1].recycle(s1);
         assert_eq!(pools[0].pooled_states(), 1);
         assert_eq!(pools[1].pooled_states(), 1);
         assert_eq!(pools[2].pooled_states(), 0);
         assert_eq!(pools[0].state_counters(), (1, 0));
-        let _warm = pools[0].checkout(8);
+        let _warm = pools[0].checkout();
         assert_eq!(pools[0].state_counters(), (1, 1));
         // Re-request keeps the existing pools (and their contents).
         let pools = a.shard_pools(2);
         assert_eq!(pools[1].pooled_states(), 1);
-        // Shard pools count toward the arena's retained bytes.
+        // Pool 1's state was used: it keeps its (small) table, and shard
+        // pools count toward the arena's retained bytes.
+        assert!(pools[1].retained_bytes() > 0);
         assert!(a.retained_bytes() > 0);
     }
 
@@ -777,7 +760,7 @@ mod tests {
         let mut p = ShardArena::default();
         let blocks: Vec<_> = (0..ShardArena::MAX_IDLE_STATES + 4)
             .map(|_| {
-                let mut s = p.checkout(4);
+                let mut s = p.checkout();
                 for i in 0..100_000u32 {
                     s.heap.push(i as f64, i % 4);
                 }
@@ -790,9 +773,7 @@ mod tests {
         assert_eq!(p.pooled_states(), ShardArena::MAX_IDLE_STATES);
         assert!(
             p.retained_bytes()
-                <= ShardArena::MAX_IDLE_STATES
-                    * (DijkstraState::new(4).retained_bytes()
-                        + SearchArena::RETAINED_HEAP_ENTRIES * 16),
+                <= ShardArena::MAX_IDLE_STATES * SearchArena::RETAINED_STATE_ENTRIES * 16,
             "recycled queue buffers must be clamped by the shrink policy"
         );
     }

@@ -8,13 +8,13 @@
 //! distance of the node `next()` would yield, which is the key the
 //! iterator heap orders on.
 //!
-//! The iterator's working memory is a dense, epoch-stamped
-//! [`DijkstraState`] (arrays indexed by node id, validated by a generation
-//! counter) rather than hash maps, and the distance queue is a 4-ary heap.
-//! States come from a [`crate::SearchArena`] via [`Dijkstra::new_in`] so a
-//! long-lived worker expands queries without allocating; the plain
-//! [`Dijkstra::new`] constructor allocates a one-shot state for callers
-//! that don't pool.
+//! The iterator's working memory is a sparse [`DijkstraState`] — one
+//! table entry per node it has touched, so an iterator that settles one
+//! node costs one entry whatever the graph size — and the distance queue
+//! is a 4-ary heap. Relaxing an edge probes the table once. States come
+//! from a [`crate::SearchArena`] via [`Dijkstra::new_in`] so a long-lived
+//! worker reuses their allocations; the plain [`Dijkstra::new`]
+//! constructor starts from an empty state for callers that don't pool.
 
 use crate::arena::{DijkstraState, NIL};
 use crate::graph::{Graph, NodeId};
@@ -54,20 +54,14 @@ pub struct Dijkstra<'g> {
 }
 
 impl<'g> Dijkstra<'g> {
-    /// Start a shortest-path iteration from `origin` with a freshly
-    /// allocated state. Pooling callers use [`Dijkstra::new_in`].
+    /// Start a shortest-path iteration from `origin` with a fresh state.
+    /// Pooling callers use [`Dijkstra::new_in`].
     pub fn new(graph: &'g Graph, origin: NodeId, direction: Direction) -> Dijkstra<'g> {
-        Dijkstra::new_in(
-            graph,
-            origin,
-            direction,
-            DijkstraState::new(graph.node_count()),
-        )
+        Dijkstra::new_in(graph, origin, direction, DijkstraState::new())
     }
 
     /// Start a shortest-path iteration reusing `state` (typically checked
-    /// out of a [`crate::SearchArena`]). The state is epoch-reset — and
-    /// resized, if the graph's node count changed since its last use — so
+    /// out of a [`crate::SearchArena`]). The state is cleared first, so
     /// any block can serve any graph.
     pub fn new_in(
         graph: &'g Graph,
@@ -75,9 +69,8 @@ impl<'g> Dijkstra<'g> {
         direction: Direction,
         mut state: DijkstraState,
     ) -> Dijkstra<'g> {
-        state.reset(graph.node_count());
-        state.touch(origin.0, 0.0, NIL, NIL);
-        state.heap.push(0.0, origin.0);
+        state.reset();
+        state.start(origin.0, 0.0);
         Dijkstra {
             graph,
             origin,
@@ -88,7 +81,7 @@ impl<'g> Dijkstra<'g> {
         }
     }
 
-    /// Give the dense state back (to be recycled into an arena).
+    /// Give the state back (to be recycled into an arena).
     pub fn into_state(self) -> DijkstraState {
         self.state
     }
@@ -112,10 +105,7 @@ impl<'g> Dijkstra<'g> {
     /// stale tentative entry can survive).
     pub fn with_initial_dist(mut self, dist: f64) -> Self {
         debug_assert_eq!(self.state.settled_count(), 0, "origin already expanded");
-        self.state.heap.clear();
-        self.state.heap.push(dist, self.origin.0);
-        self.state.touch(self.origin.0, dist, NIL, NIL);
-        debug_assert_eq!(self.state.heap.len(), 1, "exactly one pending origin entry");
+        self.state.start(self.origin.0, dist);
         self
     }
 
@@ -137,15 +127,13 @@ impl<'g> Dijkstra<'g> {
 
     /// Final distance of a settled node (`None` if not yet settled).
     pub fn distance(&self, node: NodeId) -> Option<f64> {
-        self.state
-            .is_settled(node.0)
-            .then(|| self.state.dist_of(node.0))
+        self.state.settled(node.0).map(|s| s.dist)
     }
 
     /// Drop stale heap entries (already settled, or beyond the bounds).
     fn skim(&mut self) {
         while let Some((dist, node)) = self.state.heap.peek() {
-            if self.state.is_settled(node) {
+            if self.state.settled(node).is_some() {
                 self.state.heap.pop();
                 continue;
             }
@@ -180,16 +168,19 @@ impl<'g> Dijkstra<'g> {
     /// (the cross-product enumerator reuses one buffer for every tree).
     /// Returns `false` — appending nothing — if `node` is unsettled.
     pub fn path_edges_into(&self, node: NodeId, out: &mut Vec<(NodeId, NodeId, f64)>) -> bool {
-        if !self.state.is_settled(node.0) {
+        if self.state.settled(node.0).is_none() {
             return false;
         }
         let mut cur = node.0;
         while cur != self.origin.0 {
-            let prev = self.state.parent_of(cur);
+            let entry = self
+                .state
+                .settled(cur)
+                .expect("a settled node's parent is settled");
+            let (prev, slot) = (entry.parent, entry.parent_slot);
             debug_assert_ne!(prev, NIL, "settled non-origin node must have a parent");
             // The connecting edge's exact CSR weight, read back through
             // the slot the relaxation recorded — no float re-derivation.
-            let slot = self.state.parent_slot_of(cur);
             match self.direction {
                 // Traversal relaxed prev→cur over a forward edge.
                 Direction::Forward => {
@@ -212,19 +203,15 @@ impl<'g> Dijkstra<'g> {
     /// event so the merge stage can rebuild paths without touching the
     /// shard-owned state.
     pub fn parent_edge_of(&self, node: NodeId) -> Option<(u32, f64)> {
-        if !self.state.is_settled(node.0) {
-            return None;
-        }
+        let entry = self.state.settled(node.0)?;
         if node == self.origin {
             return Some((NIL, 0.0));
         }
-        let parent = self.state.parent_of(node.0);
-        let slot = self.state.parent_slot_of(node.0);
         let w = match self.direction {
-            Direction::Forward => self.graph.fwd_weight_at(slot),
-            Direction::Reverse => self.graph.rev_weight_at(slot),
+            Direction::Forward => self.graph.fwd_weight_at(entry.parent_slot),
+            Direction::Reverse => self.graph.rev_weight_at(entry.parent_slot),
         };
-        Some((parent, w))
+        Some((entry.parent, w))
     }
 }
 
@@ -241,16 +228,8 @@ impl Iterator for Dijkstra<'_> {
             Direction::Reverse => self.graph.in_adjacency_slots(NodeId(node)),
         };
         for (i, (&next, &w)) in neighbours.iter().zip(weights).enumerate() {
-            if self.state.is_settled(next) {
-                continue;
-            }
             let cand = dist + w;
-            if cand > self.max_dist {
-                continue;
-            }
-            let better = !self.state.is_touched(next) || cand < self.state.dist_of(next);
-            if better {
-                self.state.touch(next, cand, node, base_slot + i as u32);
+            if cand <= self.max_dist && self.state.relax(next, cand, node, base_slot + i as u32) {
                 self.state.heap.push(cand, next);
             }
         }
@@ -459,14 +438,13 @@ mod tests {
         let (g, [a, _b, _c, d]) = chain();
         let mut arena = SearchArena::new();
         // Warm the block on one origin, then reuse it on another: the
-        // epoch bump must fully isolate the runs.
-        let mut warm = Dijkstra::new_in(&g, d, Direction::Reverse, arena.checkout(g.node_count()));
+        // reset must fully isolate the runs.
+        let mut warm = Dijkstra::new_in(&g, d, Direction::Reverse, arena.checkout());
         warm.by_ref().for_each(drop);
         arena.recycle(warm.into_state());
 
         let mut fresh = Dijkstra::new(&g, a, Direction::Forward);
-        let mut reused =
-            Dijkstra::new_in(&g, a, Direction::Forward, arena.checkout(g.node_count()));
+        let mut reused = Dijkstra::new_in(&g, a, Direction::Forward, arena.checkout());
         loop {
             let (f, r) = (fresh.next(), reused.next());
             assert_eq!(f, r);
@@ -477,6 +455,6 @@ mod tests {
             assert_eq!(fresh.path_edges(node), reused.path_edges(node));
         }
         arena.recycle(reused.into_state());
-        assert_eq!(arena.pooled_states(), 1);
+        assert_eq!(arena.states.pooled_states(), 1);
     }
 }

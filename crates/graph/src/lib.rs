@@ -22,9 +22,10 @@
 //!   iterator exposes [`Dijkstra::peek_dist`] so that many iterators can be
 //!   multiplexed on a heap ordered by "distance of the next node it will
 //!   output", exactly as in the paper's Figure 3. Its working memory is a
-//!   dense, epoch-stamped [`DijkstraState`] with a 4-ary distance heap,
-//!   checked out of a reusable [`SearchArena`] so steady-state query
-//!   serving expands without allocating (see the `arena` module).
+//!   sparse [`DijkstraState`] — one table entry per node it touched — with
+//!   a 4-ary distance heap, checked out of a reusable [`SearchArena`] so
+//!   steady-state query serving reuses its allocations (see the `arena`
+//!   module).
 //!
 //! ```
 //! use banks_graph::{GraphBuilder, Direction};
@@ -55,7 +56,7 @@ pub mod store;
 
 pub use arena::{
     CrossScratch, DeadlineToken, DijkstraState, MergeScratch, OriginListPool, SearchArena,
-    ShardArena, NIL,
+    ShardArena, StatePool, NIL,
 };
 pub use dijkstra::{Dijkstra, Direction, Visit};
 pub use fxhash::{FxHashMap, FxHashSet};

@@ -276,7 +276,10 @@ mod tests {
         for i in 0..rows {
             db.insert(
                 "Author",
-                vec![Value::text(format!("a{i}")), Value::text(format!("Author {i}"))],
+                vec![
+                    Value::text(format!("a{i}")),
+                    Value::text(format!("Author {i}")),
+                ],
             )
             .unwrap();
             db.insert(
@@ -290,7 +293,10 @@ mod tests {
             .unwrap();
             db.insert(
                 "Writes",
-                vec![Value::text(format!("a{i}")), Value::text(format!("p{}", i / 2))],
+                vec![
+                    Value::text(format!("a{i}")),
+                    Value::text(format!("p{}", i / 2)),
+                ],
             )
             .unwrap();
         }
@@ -336,8 +342,12 @@ mod tests {
         // PK lookups agree (lane → candidate → confirm path).
         for probe in ["a0", "a33", "a59", "missing"] {
             assert_eq!(
-                db.relation("Author").unwrap().lookup_pk(&[Value::text(probe)]),
-                lazy.relation("Author").unwrap().lookup_pk(&[Value::text(probe)]),
+                db.relation("Author")
+                    .unwrap()
+                    .lookup_pk(&[Value::text(probe)]),
+                lazy.relation("Author")
+                    .unwrap()
+                    .lookup_pk(&[Value::text(probe)]),
             );
         }
         let stats = store.stats();
@@ -379,11 +389,8 @@ mod tests {
                 vec![Value::text("fresh"), Value::text("Fresh Author")],
             )
             .unwrap();
-            db.insert(
-                "Writes",
-                vec![Value::text("fresh"), Value::text("p7")],
-            )
-            .unwrap();
+            db.insert("Writes", vec![Value::text("fresh"), Value::text("p7")])
+                .unwrap();
         }
         assert_dbs_equal(&eager, &lazy);
 

@@ -28,11 +28,11 @@ use std::time::{Duration, Instant};
 
 thread_local! {
     /// One persistent [`SearchArena`] per worker thread: every cache-miss
-    /// search this thread runs reuses the same dense Dijkstra states,
+    /// search this thread runs reuses the same Dijkstra state tables,
     /// origin-list pool and cross-product scratch, so steady-state
-    /// serving performs no kernel allocations. The arena re-sizes its
-    /// blocks lazily on checkout whenever a published snapshot changed
-    /// the graph's node count (an epoch change), so it needs no explicit
+    /// serving mostly reuses kernel allocations. A state is sized by the
+    /// nodes its iterator touches, not by the graph, so a published
+    /// snapshot with a different node count (an epoch change) needs no
     /// hook into [`QueryService::install_snapshot`] — which could not
     /// reach other threads' locals anyway.
     static WORKER_ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::new());

@@ -316,8 +316,7 @@ pub struct RelationLayout {
 impl RelationLayout {
     /// Is `slot` live per the presence bitmap?
     pub fn is_live(&self, slot: u32) -> bool {
-        slot < self.slot_count
-            && self.presence[(slot / 8) as usize] & (1 << (slot % 8)) != 0
+        slot < self.slot_count && self.presence[(slot / 8) as usize] & (1 << (slot % 8)) != 0
     }
 }
 
@@ -347,7 +346,9 @@ impl DataLayout {
         }
         let len = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
         if len > MAX_DECODE_LEN {
-            return Err(corrupt(format!("v3 DATA header length {len} is implausible")));
+            return Err(corrupt(format!(
+                "v3 DATA header length {len} is implausible"
+            )));
         }
         Ok(len as usize + 8)
     }
@@ -369,7 +370,10 @@ impl DataLayout {
     }
 
     fn parse_payload(payload: &[u8]) -> StorageResult<DataLayout> {
-        let mut c = HCur { bytes: payload, at: 0 };
+        let mut c = HCur {
+            bytes: payload,
+            at: 0,
+        };
         let schema_len = c.u64("schema text length")?;
         if schema_len > MAX_DECODE_LEN {
             return Err(corrupt("schema text length is implausible"));
@@ -456,11 +460,15 @@ impl<'a> HCur<'a> {
     }
 
     fn u32(&mut self, what: &str) -> StorageResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4, what)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self, what: &str) -> StorageResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8, what)?.try_into().expect("8 bytes"),
+        ))
     }
 }
 
@@ -517,8 +525,8 @@ fn take_value(bytes: &[u8], pos: &mut usize) -> StorageResult<Value> {
             Value::Float(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
         }
         TAG_TEXT => {
-            let len = read_varint(bytes, pos)
-                .ok_or_else(|| corrupt("bad text length in tuple block"))?;
+            let len =
+                read_varint(bytes, pos).ok_or_else(|| corrupt("bad text length in tuple block"))?;
             if len > MAX_DECODE_LEN {
                 return Err(corrupt("text length in tuple block is implausible"));
             }
@@ -685,7 +693,7 @@ pub(crate) fn encode_lane(mut entries: Vec<(u64, u32)>) -> Vec<u8> {
 
 /// Decode a PK lane back into `(hash, slot)` entries.
 pub(crate) fn decode_lane(lane: &[u8]) -> StorageResult<Vec<(u64, u32)>> {
-    if lane.len() % 12 != 0 {
+    if !lane.len().is_multiple_of(12) {
         return Err(corrupt("pk lane length is not a multiple of 12"));
     }
     Ok(lane
@@ -826,7 +834,9 @@ pub fn decode_database_v3(bytes: &[u8]) -> StorageResult<Database> {
     for ((id, arity), rel) in meta.into_iter().zip(&layout.relations) {
         let lane = section(rel.pk_lane.offset, rel.pk_lane.len, "pk lane")?;
         if checksum64(lane) != rel.pk_lane.checksum {
-            return Err(corrupt(format!("pk lane checksum mismatch in relation {id}")));
+            return Err(corrupt(format!(
+                "pk lane checksum mismatch in relation {id}"
+            )));
         }
         let mut slots: Vec<Option<Tuple>> = Vec::with_capacity(rel.slot_count as usize);
         for (b, blk) in rel.blocks.iter().enumerate() {
@@ -921,7 +931,11 @@ mod tests {
                 vec![
                     Value::text(format!("a{i}")),
                     Value::text(format!("Author Number {i}")),
-                    if i % 3 == 0 { Value::Int(i) } else { Value::Null },
+                    if i % 3 == 0 {
+                        Value::Int(i)
+                    } else {
+                        Value::Null
+                    },
                 ],
             )
             .unwrap();
@@ -932,7 +946,11 @@ mod tests {
                 vec![
                     Value::text(format!("p{i}")),
                     Value::Int(1990 + i),
-                    if i % 2 == 0 { Value::Float(i as f64 / 2.0) } else { Value::Null },
+                    if i % 2 == 0 {
+                        Value::Float(i as f64 / 2.0)
+                    } else {
+                        Value::Null
+                    },
                     Value::Bool(i % 2 == 1),
                 ],
             )
@@ -941,7 +959,10 @@ mod tests {
         for i in 0..40 {
             db.insert(
                 "Writes",
-                vec![Value::text(format!("a{i}")), Value::text(format!("p{}", i % 10))],
+                vec![
+                    Value::text(format!("a{i}")),
+                    Value::text(format!("p{}", i % 10)),
+                ],
             )
             .unwrap();
         }
@@ -950,7 +971,10 @@ mod tests {
             let w = db
                 .relation("Writes")
                 .unwrap()
-                .lookup_pk(&[Value::text(format!("a{i}")), Value::text(format!("p{}", i % 10))])
+                .lookup_pk(&[
+                    Value::text(format!("a{i}")),
+                    Value::text(format!("p{}", i % 10)),
+                ])
                 .unwrap();
             db.delete(w).unwrap();
             let a = db
@@ -1011,7 +1035,9 @@ mod tests {
         // Presence bitmap answers liveness from the header alone.
         let writes = &layout.relations[2];
         assert_eq!(
-            (0..writes.slot_count).filter(|&s| writes.is_live(s)).count() as u64,
+            (0..writes.slot_count)
+                .filter(|&s| writes.is_live(s))
+                .count() as u64,
             writes.live_count
         );
     }

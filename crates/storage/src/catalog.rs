@@ -213,10 +213,13 @@ impl Database {
         }
         let rid = self.tables[id.index()].insert(values)?;
         for (fk_index, target) in resolved {
-            self.add_back_ref(target, BackRef {
-                from: rid,
-                fk_index,
-            });
+            self.add_back_ref(
+                target,
+                BackRef {
+                    from: rid,
+                    fk_index,
+                },
+            );
         }
         Ok(rid)
     }
@@ -392,10 +395,13 @@ impl Database {
                 self.remove_back_ref(target, rid, fk_index);
             }
             if let Some(target) = new_target {
-                self.add_back_ref(target, BackRef {
-                    from: rid,
-                    fk_index,
-                });
+                self.add_back_ref(
+                    target,
+                    BackRef {
+                        from: rid,
+                        fk_index,
+                    },
+                );
             }
         }
         Ok(assignments
@@ -508,9 +514,7 @@ impl Database {
     /// consumes it before the next access.
     pub fn referencing(&self, rid: Rid) -> &[BackRef] {
         match &self.back_refs {
-            BackRefsRepr::Eager(map) => {
-                map.get(&rid).map(|v| v.as_slice()).unwrap_or(&[])
-            }
+            BackRefsRepr::Eager(map) => map.get(&rid).map(|v| v.as_slice()).unwrap_or(&[]),
             BackRefsRepr::Lazy { overlay, .. } => {
                 if let Some(refs) = overlay.get(&rid) {
                     return refs;

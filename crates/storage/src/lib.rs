@@ -60,9 +60,7 @@ pub mod tokenizer;
 pub mod tuple;
 pub mod value;
 
-pub use blocks::{
-    DataLayout, TupleBlock, TupleStore, TupleStoreStats, BLOCK_SPAN, DATA_V3_MAGIC,
-};
+pub use blocks::{DataLayout, TupleBlock, TupleStore, TupleStoreStats, BLOCK_SPAN, DATA_V3_MAGIC};
 pub use catalog::{BackRef, Database};
 pub use error::{StorageError, StorageResult};
 pub use metadata::{MetadataIndex, MetadataTarget};

@@ -383,9 +383,7 @@ impl Table {
                 ..
             } => {
                 let slot = *slot_count;
-                *slot_count = slot
-                    .checked_add(1)
-                    .expect("more than u32::MAX tuples");
+                *slot_count = slot.checked_add(1).expect("more than u32::MAX tuples");
                 overlay.insert(slot, Some(Tuple::new(values)));
                 *live += 1;
                 if let Some(hash) = hash {
@@ -431,9 +429,7 @@ impl Table {
     /// Is the slot live? Answered without decoding any block.
     pub fn is_live(&self, slot: u32) -> bool {
         match &self.repr {
-            Repr::Eager { slots, .. } => {
-                slots.get(slot as usize).is_some_and(|t| t.is_some())
-            }
+            Repr::Eager { slots, .. } => slots.get(slot as usize).is_some_and(|t| t.is_some()),
             Repr::Lazy {
                 store,
                 rel,
@@ -481,7 +477,9 @@ impl Table {
     /// The slot is tombstoned, keeping every other rid stable.
     pub fn delete(&mut self, slot: u32) -> StorageResult<Tuple> {
         if (slot as usize) >= self.slot_count() {
-            return Err(StorageError::InvalidRid(format!("slot {slot} out of range")));
+            return Err(StorageError::InvalidRid(format!(
+                "slot {slot} out of range"
+            )));
         }
         let tuple = self
             .get(slot)

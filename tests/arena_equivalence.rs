@@ -6,6 +6,7 @@
 
 use banks_core::{Banks, BanksConfig, SearchArena, SearchOutcome, SearchStrategy};
 use banks_datagen::dblp::{generate, DblpConfig};
+use banks_datagen::stream::{build_database, generate_to_dir, StreamConfig};
 use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
 use banks_storage::Value;
 use proptest::prelude::*;
@@ -213,5 +214,180 @@ fn early_termination_fires_and_saves_pops_at_top1() {
     assert!(
         fired > 0,
         "the bound never fired across {total} top-1 queries — it has regressed into a no-op"
+    );
+}
+
+/// The `banks datagen` 10K-tuple corpus (seed 42), generated once per
+/// process.
+fn datagen_10k() -> &'static Banks {
+    static BANKS: OnceLock<Banks> = OnceLock::new();
+    BANKS.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("banks_arena_eq_10k_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        generate_to_dir(&StreamConfig::new(42, 10_000), &dir).unwrap();
+        let banks = Banks::new(build_database(&dir).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        banks
+    })
+}
+
+/// Order-sensitive FNV-1a fingerprint of a ranked answer list: every
+/// answer's root, keyword nodes, edges (weight bits included) and
+/// relevance bits, in emission order.
+fn answers_fingerprint(outcome: &SearchOutcome) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(outcome.answers.len() as u64);
+    for a in &outcome.answers {
+        eat(u64::from(a.tree.root.0));
+        for n in &a.tree.keyword_nodes {
+            eat(u64::from(n.0));
+        }
+        for &(from, to, w) in &a.tree.edges {
+            eat(u64::from(from.0) << 32 | u64::from(to.0));
+            eat(w.to_bits());
+        }
+        eat(a.relevance.to_bits());
+    }
+    h
+}
+
+/// How each pinned query runs: the sequential backward kernel, the §7
+/// forward strategy, or the parallel executor at two threads.
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    Backward,
+    Forward,
+    Parallel,
+}
+
+/// `(query, kernel, pops, answers fingerprint)` on the 10K corpus,
+/// recorded with the dense epoch-stamped Dijkstra state that preceded
+/// the sparse per-iterator table. Every other equivalence suite compares
+/// the kernel with itself; this one pins what an earlier representation
+/// produced, so a state change must keep the settle order, the answers
+/// and their ranking exactly.
+const PINNED: &[(&str, Kernel, usize, u64)] = &[
+    ("weber rossi", Kernel::Backward, 2106, 0x377c854f5a5d1864),
+    ("novak petrov", Kernel::Backward, 1384, 0xde9d16fd5ac05b05),
+    ("fischer tanaka", Kernel::Backward, 2592, 0x1b94306d7ba06c64),
+    ("santos klein", Kernel::Backward, 2721, 0xd63152cc3185a0e4),
+    ("alice abramov", Kernel::Backward, 3569, 0x9e875bcdb70b87cf),
+    ("grace hoffman", Kernel::Backward, 1588, 0x913451af4ded2d3f),
+    (
+        "weber rossi novak",
+        Kernel::Backward,
+        5686,
+        0xc0ca3b76c628cee7,
+    ),
+    (
+        "iyer jensen kaplan",
+        Kernel::Backward,
+        1825,
+        0x96a53142f550aea0,
+    ),
+    ("weber database", Kernel::Backward, 2928, 0xf86d91775bad5d23),
+    (
+        "rossi clustering",
+        Kernel::Backward,
+        2706,
+        0x9b2689839a785949,
+    ),
+    ("data database", Kernel::Backward, 1984, 0xb3a709b10bfa3146),
+    (
+        "adaptive algorithms",
+        Kernel::Backward,
+        2093,
+        0x0a6a7ea6e456c2ed,
+    ),
+    (
+        "clustering compression",
+        Kernel::Backward,
+        2207,
+        0x215811eb3f28caf7,
+    ),
+    (
+        "p0000123 p0000456",
+        Kernel::Backward,
+        3341,
+        0xa081e21d5434b010,
+    ),
+    (
+        "p0000007 p0001000",
+        Kernel::Backward,
+        1371,
+        0xcee100f4a0fe29a3,
+    ),
+    ("weber database", Kernel::Forward, 3441, 0x239230f5f95d6a65),
+    ("alice abramov", Kernel::Forward, 13004, 0x5b43690778ad048f),
+    ("caching query", Kernel::Forward, 4378, 0x54ad9b91bde0b086),
+    (
+        "weber rossi novak",
+        Kernel::Parallel,
+        5686,
+        0xc0ca3b76c628cee7,
+    ),
+    (
+        "adaptive algorithms",
+        Kernel::Parallel,
+        2093,
+        0x0a6a7ea6e456c2ed,
+    ),
+];
+
+/// Every pinned query, run in sequence through one reused arena, settles
+/// exactly the recorded number of nodes and emits the recorded answers.
+#[test]
+fn pinned_queries_keep_pops_and_answers() {
+    let banks = datagen_10k();
+    let mut arena = SearchArena::new();
+    for &(text, kernel, pops, fingerprint) in PINNED {
+        let mut config = banks.config().clone();
+        let strategy = match kernel {
+            Kernel::Forward => SearchStrategy::Forward,
+            Kernel::Backward | Kernel::Parallel => SearchStrategy::Backward,
+        };
+        if matches!(kernel, Kernel::Parallel) {
+            config.search.search_threads = 2;
+        }
+        let query = banks.parse(text).unwrap();
+        let outcome = banks
+            .search_parsed_in(&query, strategy, &config, &mut arena)
+            .unwrap();
+        assert_eq!(outcome.stats.pops, pops, "pops of `{text}` ({kernel:?})");
+        assert_eq!(
+            answers_fingerprint(&outcome),
+            fingerprint,
+            "answers of `{text}` ({kernel:?})"
+        );
+    }
+}
+
+/// A broad two-title-word query runs one iterator per matching paper.
+/// What the arena keeps afterwards must scale with the work the query
+/// did (nodes settled, iterators run), not with iterators × graph size:
+/// a state with one slot per graph node would keep 32 × 240 KB here.
+#[test]
+fn broad_query_retains_memory_in_proportion_to_its_work() {
+    let banks = datagen_10k();
+    let query = banks.parse("data database").unwrap();
+    let mut arena = SearchArena::new();
+    let outcome = banks
+        .search_parsed_in(&query, SearchStrategy::Backward, banks.config(), &mut arena)
+        .unwrap();
+    let stats = &outcome.stats;
+    assert!(stats.iterators >= 100, "{} iterators", stats.iterators);
+    let work = stats.pops + stats.iterators;
+    assert!(
+        stats.arena_retained_bytes <= 256 * work,
+        "{} B retained for {} pops and {} iterators",
+        stats.arena_retained_bytes,
+        stats.pops,
+        stats.iterators
     );
 }
