@@ -10,10 +10,7 @@
 //! writes `BENCH_search.json` (cold/warm medians, pops, early-termination
 //! rate) for machine consumption by CI and perf diffs.
 
-use banks_bench::{
-    banks_for, corpus, fingerprint_answers, search_threads_from_env, write_search_report,
-    SearchBenchEntry,
-};
+use banks_bench::{banks_for, corpus, fingerprint_answers, write_search_report, SearchBenchEntry};
 use banks_core::SearchArena;
 use banks_eval::workload::dblp_workload;
 use banks_server::{QueryOptions, QueryService, ServiceConfig};
@@ -106,18 +103,13 @@ fn bench_query_latency(c: &mut Criterion) {
 
     // Machine-readable report over the small-corpus workload, at the
     // full result limit and at top-1 (where the early-termination bound
-    // does most of its work). The primary cold column runs at
-    // BANKS_SEARCH_THREADS (default 1); every entry also carries a
-    // 1/2/4-thread cold sweep so the intra-query-parallelism speedup is
-    // machine-readable, plus an answer fingerprint the CI thread-count
-    // equivalence check diffs.
-    let search_threads = search_threads_from_env();
+    // does most of its work), plus an answer fingerprint for diffing
+    // answers across commits.
     let service = QueryService::new(Arc::new(banks_for(&dataset)), ServiceConfig::default());
     let service_banks = service.banks();
     for limit in [service_banks.config().search.max_results, 1] {
         let mut config = service_banks.config().clone();
         config.search.max_results = limit;
-        config.search.search_threads = search_threads;
         for query in dblp_workload(&dataset.planted) {
             if query.id == "Q6-metadata" {
                 continue;
@@ -131,30 +123,12 @@ fn bench_query_latency(c: &mut Criterion) {
                     &mut arena,
                 )
                 .unwrap();
-            let mut sweep = [0.0f64; 3];
-            for (i, threads) in [1usize, 2, 4].into_iter().enumerate() {
-                let mut sweep_config = config.clone();
-                sweep_config.search.search_threads = threads;
-                sweep[i] = cold_median_ns(&service_banks, &sweep_config, &mut arena, query.text, 7);
-            }
-            // The primary column reuses its sweep twin when the env
-            // thread count is one of the sweep points (it always is in
-            // CI) instead of re-measuring.
-            let cold_ns = match [1usize, 2, 4].iter().position(|&t| t == search_threads) {
-                Some(i) => sweep[i],
-                None => cold_median_ns(&service_banks, &config, &mut arena, query.text, 7),
-            };
             report.push(SearchBenchEntry {
                 id: query.id.to_string(),
                 corpus: "small".to_string(),
                 limit,
-                search_threads,
-                cold_ns,
+                cold_ns: cold_median_ns(&service_banks, &config, &mut arena, query.text, 7),
                 warm_ns: warm_median_ns(&service, query.text, limit, 7),
-                cold_ns_t1: sweep[0],
-                cold_ns_t2: sweep[1],
-                cold_ns_t4: sweep[2],
-                speedup_t4: sweep[0] / sweep[2].max(1.0),
                 pops: outcome.stats.pops,
                 early_terminated: outcome.stats.early_terminations > 0,
                 answers_fingerprint: fingerprint_answers(&outcome.answers),
@@ -164,9 +138,8 @@ fn bench_query_latency(c: &mut Criterion) {
     write_search_report("BENCH_search.json", &report).expect("write BENCH_search.json");
     let rate = report.iter().filter(|e| e.early_terminated).count() as f64 / report.len() as f64;
     println!(
-        "wrote BENCH_search.json ({} queries at {} search thread(s), early-termination rate {:.0}%)",
+        "wrote BENCH_search.json ({} queries, early-termination rate {:.0}%)",
         report.len(),
-        search_threads,
         rate * 100.0
     );
 }

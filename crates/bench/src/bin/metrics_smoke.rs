@@ -52,9 +52,6 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "banks_graph_nodes",
     "banks_graph_edges",
     "banks_memory_bytes",
-    "banks_search_shards_total",
-    "banks_search_sequential_fallbacks_total",
-    "banks_search_merge_stall_seconds_total",
     "banks_search_early_terminations_total",
     "banks_uptime_seconds",
     "banks_pager_budget_bytes",

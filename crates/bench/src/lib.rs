@@ -31,21 +31,9 @@ pub fn banks_for(dataset: &DblpDataset) -> Banks {
     Banks::with_config(dataset.db.clone(), dblp_eval_config()).expect("banks builds")
 }
 
-/// Search threads for the primary cold measurement, from the
-/// `BANKS_SEARCH_THREADS` environment variable (default 1 =
-/// sequential). CI runs `query_latency` at 1 and 2 and diffs the
-/// answer fingerprints.
-pub fn search_threads_from_env() -> usize {
-    std::env::var("BANKS_SEARCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Order-sensitive FNV-1a fingerprint of a ranked answer list: roots,
 /// keyword nodes, edge triples (weight bits included), and relevance
-/// bits, in rank order. Bit-identical executors produce equal strings.
+/// bits, in rank order. Bit-identical runs produce equal strings.
 pub fn fingerprint_answers(answers: &[banks_core::Answer]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
@@ -78,30 +66,16 @@ pub struct SearchBenchEntry {
     pub corpus: String,
     /// Result limit (`max_results`) of the measurement.
     pub limit: usize,
-    /// Search threads of the primary measurement (`BANKS_SEARCH_THREADS`).
-    pub search_threads: usize,
-    /// Median uncached latency on a reused worker arena at
-    /// `search_threads`, nanoseconds.
+    /// Median uncached latency on a reused worker arena, nanoseconds.
     pub cold_ns: f64,
     /// Median cache-hit latency through the query service, nanoseconds.
     pub warm_ns: f64,
-    /// Cold medians of the thread-scaling sweep (1/2/4 search threads),
-    /// nanoseconds.
-    pub cold_ns_t1: f64,
-    /// See [`SearchBenchEntry::cold_ns_t1`].
-    pub cold_ns_t2: f64,
-    /// See [`SearchBenchEntry::cold_ns_t1`].
-    pub cold_ns_t4: f64,
-    /// `cold_ns_t1 / cold_ns_t4` — the cold-query speedup at 4 search
-    /// threads (≤ ~1 on single-core machines).
-    pub speedup_t4: f64,
     /// Iterator pops of one representative execution.
     pub pops: usize,
     /// Whether the kernel stopped via the top-k relevance bound.
     pub early_terminated: bool,
     /// Order-sensitive FNV fingerprint of the ranked answers (trees +
-    /// relevance bits) at `search_threads` — CI runs the bench at
-    /// different thread counts and fails if fingerprints differ.
+    /// relevance bits), for diffing answers across commits.
     pub answers_fingerprint: String,
 }
 
@@ -117,16 +91,8 @@ pub fn write_search_report(path: &str, entries: &[SearchBenchEntry]) -> std::io:
                 ("id", Json::Str(e.id.clone())),
                 ("corpus", Json::Str(e.corpus.clone())),
                 ("limit", Json::Uint(e.limit as u64)),
-                ("search_threads", Json::Uint(e.search_threads as u64)),
                 ("cold_ns", Json::Num(e.cold_ns.round())),
                 ("warm_ns", Json::Num(e.warm_ns.round())),
-                ("cold_ns_t1", Json::Num(e.cold_ns_t1.round())),
-                ("cold_ns_t2", Json::Num(e.cold_ns_t2.round())),
-                ("cold_ns_t4", Json::Num(e.cold_ns_t4.round())),
-                (
-                    "speedup_t4",
-                    Json::Num((e.speedup_t4 * 100.0).round() / 100.0),
-                ),
                 ("pops", Json::Uint(e.pops as u64)),
                 ("early_terminated", Json::Bool(e.early_terminated)),
                 (

@@ -57,9 +57,6 @@ pub struct ServeArgs {
     pub cache_capacity: usize,
     /// Result-cache shard count.
     pub cache_shards: usize,
-    /// Intra-query search threads for cold multi-keyword queries
-    /// (0 = auto: cores / workers, so total threads stay bounded).
-    pub search_threads: usize,
     /// Durable data directory (snapshot bundles + WAL; `banks-persist`).
     pub data_dir: Option<PathBuf>,
     /// Skip the per-append WAL fsync (survives process death, not power
@@ -109,7 +106,6 @@ impl Default for ServeArgs {
             workers: 0,
             cache_capacity: 4096,
             cache_shards: 8,
-            search_threads: 0,
             data_dir: None,
             no_fsync: false,
             compact_wal_batches: PersistOptions::default().compact_wal_batches,
@@ -168,10 +164,16 @@ impl ServeArgs {
                         .parse()
                         .map_err(|_| "--cache-shards must be an integer".to_string())?
                 }
+                // Kept so scripts that pass `--search-threads 1` still
+                // start; it sets nothing.
                 "--search-threads" => {
-                    parsed.search_threads = value("--search-threads")?
-                        .parse()
-                        .map_err(|_| "--search-threads must be an integer".to_string())?
+                    let raw = value("--search-threads")?;
+                    if raw != "1" {
+                        return Err(format!(
+                            "--search-threads {raw}: intra-query parallelism was removed; \
+                             every query runs on one thread (only `1` is accepted)"
+                        ));
+                    }
                 }
                 "--data-dir" => parsed.data_dir = Some(PathBuf::from(value("--data-dir")?)),
                 "--no-fsync" => parsed.no_fsync = true,
@@ -278,7 +280,6 @@ pub fn build_service(
     let service_config = ServiceConfig {
         cache_capacity: args.cache_capacity,
         cache_shards: args.cache_shards,
-        search_threads: resolve_search_threads(args),
         ..ServiceConfig::default()
     };
 
@@ -357,24 +358,6 @@ pub fn build_service(
     let summary = summary_line(args, &banks, "built from database");
     let service = Arc::new(QueryService::new(Arc::new(banks), service_config));
     Ok((service, summary, None))
-}
-
-/// Resolve `--search-threads 0` (auto) against the worker pool: each
-/// worker may fan a cold query out, so the budget is cores ÷ workers —
-/// total threads stay bounded by the machine regardless of either flag.
-fn resolve_search_threads(args: &ServeArgs) -> usize {
-    if args.search_threads != 0 {
-        return args.search_threads;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let workers = if args.workers == 0 {
-        cores
-    } else {
-        args.workers
-    };
-    (cores / workers.max(1)).max(1)
 }
 
 /// Assemble the server's config from the parsed flags.
@@ -463,10 +446,9 @@ pub fn start(
     log_info!("serve", "{summary}");
     log_info!(
         "serve",
-        "serving on http://{} ({} workers × {} search thread(s), cache {} entries × {} shards)",
+        "serving on http://{} ({} workers, cache {} entries × {} shards)",
         server.local_addr(),
         workers,
-        resolve_search_threads(args),
         service.cache().capacity(),
         service.cache().shard_count(),
     );
@@ -510,7 +492,6 @@ fn start_follower(
     let service_config = ServiceConfig {
         cache_capacity: args.cache_capacity,
         cache_shards: args.cache_shards,
-        search_threads: resolve_search_threads(args),
         ..ServiceConfig::default()
     };
     let replica = Replica::start(
@@ -616,12 +597,14 @@ mod tests {
         assert_eq!(args.workers, 3);
         assert_eq!(args.cache_capacity, 128);
         assert_eq!(args.cache_shards, 2);
-        let threaded = ServeArgs::parse(&strings(&["--search-threads", "4"])).unwrap();
-        assert_eq!(threaded.search_threads, 4);
-        assert_eq!(resolve_search_threads(&threaded), 4);
-        // Auto sizes against the worker pool and never returns 0.
-        assert!(resolve_search_threads(&ServeArgs::default()) >= 1);
-        assert!(ServeArgs::parse(&strings(&["--search-threads", "x"])).is_err());
+        // `--search-threads 1` is still accepted and changes nothing;
+        // any other value names the removal.
+        assert_eq!(
+            ServeArgs::parse(&strings(&["--search-threads", "1"])).unwrap(),
+            ServeArgs::default()
+        );
+        let err = ServeArgs::parse(&strings(&["--search-threads", "4"])).unwrap_err();
+        assert!(err.contains("intra-query parallelism was removed"), "{err}");
         assert_eq!(
             args.data_dir.as_deref(),
             Some(std::path::Path::new("/tmp/banks-data"))

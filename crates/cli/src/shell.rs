@@ -253,12 +253,11 @@ impl Shell {
         let mut parts = rest.split_whitespace();
         match (parts.next(), parts.next()) {
             (None, _) => Ok(format!(
-                "lambda {}  edge-log {}  k {}  heap {}  threads {}",
+                "lambda {}  edge-log {}  k {}  heap {}",
                 self.config.score.lambda,
                 matches!(self.config.score.edge_score, EdgeScoreMode::Log),
                 self.config.search.max_results,
                 self.config.search.output_heap_size,
-                self.config.search.search_threads
             )),
             (Some("lambda"), Some(v)) => {
                 let lambda: f64 = parse(v)?;
@@ -284,15 +283,7 @@ impl Shell {
                 self.config.search.output_heap_size = parse(v)?;
                 Ok(format!("heap = {v}"))
             }
-            (Some("threads"), Some(v)) => {
-                // Intra-query parallel expansion; results are identical
-                // at any setting, only latency changes.
-                self.config.search.search_threads = parse(v)?;
-                Ok(format!("threads = {v}"))
-            }
-            (Some(other), _) => Err(format!(
-                "unknown config `{other}` (lambda|edge-log|k|heap|threads)"
-            )),
+            (Some(other), _) => Err(format!("unknown config `{other}` (lambda|edge-log|k|heap)")),
         }
     }
 
@@ -416,9 +407,7 @@ commands:
   fsearch <keywords…>                         forward search (§7)
   show <n>                                    expand answer n as a tree
   summarize                                   group answers by tree shape (§7)
-  config [lambda|edge-log|k|heap|threads <value>]  show or set parameters
-                                              (threads = intra-query parallel
-                                              expansion; identical results)
+  config [lambda|edge-log|k|heap <value>]     show or set parameters
   browse <relation>                           open a browsing view (§4)
   view                                        re-render the current view
   drop <col#> | select <col#> <op> <value>    projection / selection
@@ -429,7 +418,7 @@ commands:
 
 server mode (not a shell command):
   banks serve [--corpus dblp|dblp-small|thesis|tpcd] [--seed N]
-              [--addr HOST:PORT] [--workers N] [--search-threads N]
+              [--addr HOST:PORT] [--workers N]
               [--cache-capacity N] [--cache-shards N] [--data-dir DIR]
               [--no-fsync] [--compact-wal-batches N] [--no-ingest]
               [--paged] [--memory-budget BYTES] [--log-level LEVEL]
@@ -508,20 +497,6 @@ mod tests {
         assert!(shell.exec("config k 5").is_ok());
         let out = shell.exec("search mohan").unwrap();
         assert!(out.lines().count() <= 9, "k=5 limits the listing: {out}");
-    }
-
-    #[test]
-    fn threads_config_keeps_answers_identical() {
-        let mut shell = loaded();
-        let sequential = shell.exec("search soumen sunita byron").unwrap();
-        assert!(shell.exec("config threads 4").unwrap().contains("4"));
-        assert!(shell.exec("config").unwrap().contains("threads 4"));
-        let parallel = shell.exec("search soumen sunita byron").unwrap();
-        assert_eq!(
-            sequential, parallel,
-            "intra-query parallelism must not change any visible output"
-        );
-        assert!(shell.exec("config threads x").is_err());
     }
 
     #[test]

@@ -227,22 +227,6 @@ pub struct SearchConfig {
     /// The termination is exact — disable only to measure the exhaustive
     /// baseline.
     pub early_termination: bool,
-    /// Expansion threads for intra-query parallel backward search: each
-    /// keyword set's multi-origin Dijkstra expansion runs as its own
-    /// shard on a scoped thread (shards beyond this count share
-    /// threads), and a deterministic merge stage consumes the shards'
-    /// settled-node events in global frontier-distance order — so the
-    /// parallel executor's answers, scores, and execution stats are
-    /// bit-identical to the sequential kernel at any thread count.
-    /// `0`/`1` = sequential (the default; serving layers size this
-    /// against their worker pool).
-    pub search_threads: usize,
-    /// Adaptive cutover for the parallel executor: sequential execution
-    /// is kept (zero overhead — no threads, no queues) while the total
-    /// candidate-origin count `Σ|Sᵢ|` is below this, since tiny
-    /// frontiers finish faster than a thread spawn. Single-keyword
-    /// queries are always sequential regardless.
-    pub parallel_min_origins: usize,
 }
 
 impl Default for SearchConfig {
@@ -259,8 +243,6 @@ impl Default for SearchConfig {
             forward_probe_budget: 4096,
             node_weight_in_distance: false,
             early_termination: true,
-            search_threads: 1,
-            parallel_min_origins: 3,
         }
     }
 }

@@ -89,12 +89,6 @@ pub fn backward_search(
 /// steady-state serving path, where a worker thread's arena makes the
 /// whole expansion allocation-free. Results are identical to the
 /// one-shot form, bit for bit.
-///
-/// With `config.search_threads ≥ 2`, multi-keyword queries above the
-/// `parallel_min_origins` cutover run on the parallel executor
-/// ([`crate::search::parallel`]); its deterministic merge makes the
-/// output — answers, scores, and execution stats — bit-identical to the
-/// sequential kernel, so the thread count is purely a latency knob.
 pub fn backward_search_in(
     arena: &mut SearchArena,
     tuple_graph: &TupleGraph,
@@ -103,27 +97,18 @@ pub fn backward_search_in(
     config: &SearchConfig,
     excluded_roots: &FxHashSet<u32>,
 ) -> SearchOutcome {
-    let parallel_requested = config.search_threads > 1;
     if keyword_sets.is_empty() || keyword_sets.iter().any(|s| s.is_empty()) {
         return SearchOutcome {
             answers: Vec::new(),
             stats: SearchStats::default(),
         };
     }
-    let total_origins: usize = keyword_sets.iter().map(|s| s.len()).sum();
+    let span = arena.spans.begin();
     let mut outcome = if keyword_sets.len() == 1 {
-        let span = arena.spans.begin();
         let policy = RootPolicy::new(tuple_graph, excluded_roots, config);
-        let mut outcome = single_term_search(scorer, &keyword_sets[0], config, &policy);
-        arena.spans.end("expand", 0, span);
-        if parallel_requested {
-            outcome.stats.sequential_fallbacks = 1;
-        }
-        outcome
-    } else if parallel_requested && total_origins >= config.parallel_min_origins {
-        // Per-shard expand spans and the merge span are recorded inside
-        // the parallel executor, against the same buffer origin.
-        crate::search::parallel::parallel_backward_search(
+        single_term_search(scorer, &keyword_sets[0], config, &policy)
+    } else {
+        multi_term_search(
             arena,
             tuple_graph,
             scorer,
@@ -131,55 +116,16 @@ pub fn backward_search_in(
             config,
             excluded_roots,
         )
-    } else {
-        let span = arena.spans.begin();
-        let mut outcome = sequential_backward_search(
-            arena,
-            tuple_graph,
-            scorer,
-            keyword_sets,
-            config,
-            excluded_roots,
-        );
-        arena.spans.end("expand", 0, span);
-        if parallel_requested {
-            outcome.stats.sequential_fallbacks = 1;
-        }
-        outcome
     };
+    arena.spans.end("expand", 0, span);
     arena.trim();
     outcome.stats.arena_retained_bytes = arena.retained_bytes();
     outcome
 }
 
-/// Construct the per-keyword-node reverse Dijkstra iterator exactly as
-/// every executor must: bounded by `max_distance`, with the §3 prestige
-/// handicap folded into the start distance when configured. Returns the
-/// iterator and its handicap (0 when the option is off).
-pub(super) fn make_iterator<'g>(
-    graph: &'g banks_graph::Graph,
-    origin: NodeId,
-    state: banks_graph::DijkstraState,
-    scorer: &Scorer<'_>,
-    config: &SearchConfig,
-    prestige_handicap: f64,
-) -> (Dijkstra<'g>, f64) {
-    let mut iterator = Dijkstra::new_in(graph, origin, Direction::Reverse, state)
-        .with_max_dist(config.max_distance);
-    let mut handicap = 0.0;
-    if config.node_weight_in_distance {
-        // §3: fold keyword-node prestige into the distance —
-        // low-prestige origins start behind by up to one w_min.
-        handicap = (1.0 - scorer.node_score(origin)) * prestige_handicap;
-        iterator = iterator.with_initial_dist(handicap);
-    }
-    (iterator, handicap)
-}
-
-/// The sequential multi-term kernel (PR-4 shape): all iterators
-/// multiplexed on one heap, visits processed inline by the shared
-/// [`AnswerSink`].
-fn sequential_backward_search(
+/// The multi-term kernel (PR-4 shape): all iterators multiplexed on one
+/// heap, visits processed inline by the [`AnswerSink`].
+fn multi_term_search(
     arena: &mut SearchArena,
     tuple_graph: &TupleGraph,
     scorer: &Scorer<'_>,
@@ -191,7 +137,7 @@ fn sequential_backward_search(
     let n_terms = keyword_sets.len();
 
     // One reverse-direction Dijkstra per keyword node, each running on a
-    // pooled state block.
+    // pooled state block and bounded by `max_distance`.
     let total_origins: usize = keyword_sets.iter().map(|s| s.len()).sum();
     let mut iterators: Vec<Dijkstra<'_>> = Vec::with_capacity(total_origins);
     let mut infos: Vec<(usize, NodeId)> = Vec::with_capacity(total_origins);
@@ -202,15 +148,16 @@ fn sequential_backward_search(
     for (term, set) in keyword_sets.iter().enumerate() {
         for &origin in set {
             let idx = iterators.len();
-            let (iterator, handicap) = make_iterator(
-                graph,
-                origin,
-                arena.checkout(),
-                scorer,
-                config,
-                prestige_handicap,
-            );
-            max_handicap = max_handicap.max(handicap);
+            let mut iterator =
+                Dijkstra::new_in(graph, origin, Direction::Reverse, arena.checkout())
+                    .with_max_dist(config.max_distance);
+            if config.node_weight_in_distance {
+                // §3: fold keyword-node prestige into the distance —
+                // low-prestige origins start behind by up to one w_min.
+                let handicap = (1.0 - scorer.node_score(origin)) * prestige_handicap;
+                iterator = iterator.with_initial_dist(handicap);
+                max_handicap = max_handicap.max(handicap);
+            }
             iterators.push(iterator);
             infos.push((term, origin));
             iter_index.insert((term as u32, origin.0), idx);
@@ -264,9 +211,7 @@ fn sequential_backward_search(
                 idx: entry.idx,
             });
         }
-        sink.process_visit(visit.node, term, origin, |idx, node, out| {
-            iterators[idx].path_edges_into(node, out)
-        });
+        sink.process_visit(visit.node, term, origin, &iterators);
     }
 
     let outcome = sink.finish();
@@ -276,12 +221,9 @@ fn sequential_backward_search(
     outcome
 }
 
-/// Shared §3 per-visit machinery: origin-list bookkeeping, cross-product
-/// enumeration, duplicate handling, and answer buffering. The sequential
-/// kernel and the parallel merge stage both drive exactly this code —
-/// only the root→origin path source differs — so the two executors
-/// cannot drift apart.
-pub(super) struct AnswerSink<'a, 'g> {
+/// The §3 per-visit machinery: origin-list bookkeeping, cross-product
+/// enumeration, duplicate handling, and answer buffering.
+struct AnswerSink<'a, 'g> {
     n_terms: usize,
     lists: &'a mut OriginListPool,
     cross: &'a mut CrossScratch,
@@ -291,14 +233,14 @@ pub(super) struct AnswerSink<'a, 'g> {
     /// `(term, origin) → global iterator index`, the paper's "iterator
     /// of `o ∈ Sⱼ`" lookup for path reconstruction.
     iter_index: FxHashMap<(u32, u32), usize>,
-    pub(super) output: OutputHeap,
-    pub(super) dedup: FxHashMap<TreeSignature, DupState>,
-    pub(super) emitted: Vec<Answer>,
-    pub(super) stats: SearchStats,
+    output: OutputHeap,
+    dedup: FxHashMap<TreeSignature, DupState>,
+    emitted: Vec<Answer>,
+    stats: SearchStats,
 }
 
 impl<'a, 'g> AnswerSink<'a, 'g> {
-    pub(super) fn new(
+    fn new(
         n_terms: usize,
         lists: &'a mut OriginListPool,
         cross: &'a mut CrossScratch,
@@ -327,21 +269,21 @@ impl<'a, 'g> AnswerSink<'a, 'g> {
     }
 
     /// The main-loop continuation condition (§3 result and pop budgets).
-    pub(super) fn want_more(&self) -> bool {
+    fn want_more(&self) -> bool {
         self.emitted.len() < self.config.max_results && self.stats.pops < self.config.max_pops
     }
 
     /// Handle one settled node `u`, visited by the iterator of `origin ∈
     /// S_term`: snapshot the other terms' origin lists, append `origin`
-    /// to `u.L_term`, and enumerate the new cross products. `path_into`
-    /// appends the root→origin path edges of a given iterator (by
-    /// global index), exactly as [`Dijkstra::path_edges_into`] would.
-    pub(super) fn process_visit(
+    /// to `u.L_term`, and enumerate the new cross products, reading each
+    /// root→origin path from `iterators` (indexed by global iterator
+    /// index).
+    fn process_visit(
         &mut self,
         u: NodeId,
         term: usize,
         origin: NodeId,
-        mut path_into: impl FnMut(usize, NodeId, &mut Vec<(NodeId, NodeId, f64)>) -> bool,
+        iterators: &[Dijkstra<'_>],
     ) {
         let base = self.lists.ensure(u.0);
 
@@ -417,7 +359,7 @@ impl<'a, 'g> AnswerSink<'a, 'g> {
             self.cross.edges.clear();
             for (j, &o) in self.cross.origins.iter().enumerate() {
                 let idx = self.iter_index[&(j as u32, o.0)];
-                let ok = path_into(idx, u, &mut self.cross.edges);
+                let ok = iterators[idx].path_edges_into(u, &mut self.cross.edges);
                 debug_assert!(ok, "iterator in u.Lj has settled u");
             }
             let tree = ConnectionTree::new(u, self.cross.origins.clone(), self.cross.edges.clone());
@@ -443,7 +385,7 @@ impl<'a, 'g> AnswerSink<'a, 'g> {
     }
 
     /// Drain the buffer into the final ranked list.
-    pub(super) fn finish(self) -> SearchOutcome {
+    fn finish(self) -> SearchOutcome {
         finish(self.emitted, self.output, self.config, self.stats)
     }
 }
@@ -895,6 +837,37 @@ mod tests {
         }
         let (_, reuses) = arena.states.state_counters();
         assert!(reuses > 0, "later queries reuse pooled states");
+    }
+
+    #[test]
+    fn traced_search_records_one_expand_span() {
+        let f = fixture();
+        let scorer = Scorer::new(f.tg.graph(), ScoreParams::default());
+        let sets = vec![
+            vec![author_node(&f, "SoumenC")],
+            vec![author_node(&f, "SunitaS")],
+        ];
+        let config = SearchConfig::default();
+        let excluded = FxHashSet::default();
+        let mut arena = SearchArena::new();
+
+        // Disabled buffer (the default): no spans.
+        let plain = backward_search_in(&mut arena, &f.tg, &scorer, &sets, &config, &excluded);
+        assert!(arena.spans.spans().is_empty());
+        assert!(
+            plain.stats.arena_retained_bytes > 0,
+            "post-trim pinned arena bytes are reported"
+        );
+
+        // Traced: one closed expand span, results unchanged.
+        arena.spans.enable();
+        let traced = backward_search_in(&mut arena, &f.tg, &scorer, &sets, &config, &excluded);
+        let spans = arena.spans.spans();
+        assert_eq!(spans.iter().map(|s| s.name).collect::<Vec<_>>(), ["expand"]);
+        assert!(spans[0].end_ns >= spans[0].start_ns);
+        assert_eq!(traced.stats, plain.stats);
+        assert_eq!(traced.answers.len(), plain.answers.len());
+        arena.spans.disable();
     }
 
     #[test]

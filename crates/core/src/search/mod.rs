@@ -9,7 +9,6 @@
 pub mod backward;
 pub mod forward;
 pub mod output_heap;
-pub mod parallel;
 
 pub use backward::{backward_search, backward_search_in};
 pub use banks_graph::SearchArena;
@@ -26,12 +25,11 @@ use banks_graph::{FxHashSet, NodeId};
 /// the evaluation harness.
 ///
 /// **Equality** compares the *execution-semantic* counters only — the
-/// numbers that must be bit-identical between the sequential kernel and
-/// the parallel executor (or between a fresh and a reused arena). The
-/// environment-descriptive fields ([`SearchStats::shards`],
-/// [`SearchStats::sequential_fallbacks`], [`SearchStats::merge_stall_ns`],
-/// [`SearchStats::arena_retained_bytes`]) describe *how* the query ran,
-/// differ by construction across executors, and are excluded.
+/// numbers that must be bit-identical between a fresh and a reused arena,
+/// or between the in-RAM and paged backends. The environment-descriptive
+/// fields ([`SearchStats::arena_retained_bytes`],
+/// [`SearchStats::deadline_expirations`]) describe *how* the query ran
+/// and are excluded.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Shortest-path iterators created (Σ|Sᵢ| in the paper's notation).
@@ -58,17 +56,6 @@ pub struct SearchStats {
     /// Bytes of origin-list cloning the flattened arena pool avoided
     /// (the old kernel cloned every other-term list per visited node).
     pub clone_bytes_saved: usize,
-    /// Expansion shards spawned by the parallel executor (0 when the
-    /// query ran on the sequential kernel). Excluded from equality.
-    pub shards: usize,
-    /// 1 when parallelism was configured (`search_threads ≥ 2`) but the
-    /// adaptive cutover kept the zero-overhead sequential path (single
-    /// keyword, tiny frontier). Excluded from equality.
-    pub sequential_fallbacks: usize,
-    /// Nanoseconds the merge stage spent stalled waiting for a shard
-    /// whose frontier bound was the global minimum. Excluded from
-    /// equality.
-    pub merge_stall_ns: u64,
     /// Bytes pinned by the caller's [`SearchArena`] pools after this
     /// query (post shrink-policy). Excluded from equality.
     pub arena_retained_bytes: usize,
@@ -223,5 +210,27 @@ impl<'a, 'g> EarlyStop<'a, 'g> {
         self.scorer
             .max_relevance_for_weight(min_weight, self.max_node_score)
             < cutoff
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SearchStats;
+
+    #[test]
+    fn stats_equality_ignores_environment_counters() {
+        let mut a = SearchStats {
+            pops: 7,
+            ..SearchStats::default()
+        };
+        let b = SearchStats {
+            pops: 7,
+            arena_retained_bytes: 999,
+            deadline_expirations: 1,
+            ..SearchStats::default()
+        };
+        assert_eq!(a, b, "environment counters are not execution semantics");
+        a.pops = 8;
+        assert_ne!(a, b);
     }
 }

@@ -147,14 +147,6 @@ impl DijkstraState {
     }
 }
 
-// Shards of the parallel executor own their state blocks across scoped
-// threads; this compile-time assertion is what "send-safe state blocks"
-// means — break it and the parallel kernel stops compiling.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<DijkstraState>();
-};
-
 /// The paper's per-node origin lists `u.Lᵢ`, flattened: one shared entry
 /// pool of forward-linked lists plus a per-node block of `n_terms`
 /// (head, tail, len) triples. Appends and whole-pool resets never free
@@ -330,27 +322,18 @@ impl CrossScratch {
     }
 }
 
-/// Idle [`DijkstraState`] blocks, at most `MAX_IDLE` of them: recycling
-/// into a full pool frees the block instead, and every retained block is
-/// shrunk to [`SearchArena::RETAINED_STATE_ENTRIES`].
+/// Idle [`DijkstraState`] blocks, at most
+/// [`SearchArena::MAX_IDLE_STATES`] of them: recycling into a full pool
+/// frees the block instead, and every retained block is shrunk to
+/// [`SearchArena::RETAINED_STATE_ENTRIES`].
 #[derive(Debug, Default)]
-pub struct StatePool<const MAX_IDLE: usize> {
+pub struct StatePool {
     idle: Vec<DijkstraState>,
     states_created: u64,
     states_reused: u64,
 }
 
-/// The state pool of ONE expansion shard of the parallel executor. Each
-/// shard (one per keyword set) owns its pool for the duration of a
-/// query, so checkout/recycle on its own thread needs no synchronization;
-/// the pools are handed back when the scoped threads join. Shards hold
-/// one block per keyword origin of *their* set, typically just a few.
-pub type ShardArena = StatePool<8>;
-
-impl<const MAX_IDLE: usize> StatePool<MAX_IDLE> {
-    /// Blocks the idle pool retains.
-    pub const MAX_IDLE_STATES: usize = MAX_IDLE;
-
+impl StatePool {
     /// Take a block, reusing an idle one when available. The block is
     /// cleared by [`crate::Dijkstra::new_in`].
     pub fn checkout(&mut self) -> DijkstraState {
@@ -369,7 +352,7 @@ impl<const MAX_IDLE: usize> StatePool<MAX_IDLE> {
     /// Return a block (dropped once the pool is full; the retained
     /// table and queue are clamped by the shrink policy).
     pub fn recycle(&mut self, mut state: DijkstraState) {
-        if self.idle.len() < MAX_IDLE {
+        if self.idle.len() < SearchArena::MAX_IDLE_STATES {
             state.shrink(SearchArena::RETAINED_STATE_ENTRIES);
             self.idle.push(state);
         }
@@ -388,48 +371,6 @@ impl<const MAX_IDLE: usize> StatePool<MAX_IDLE> {
     /// Bytes retained by the idle blocks.
     pub fn retained_bytes(&self) -> usize {
         self.idle.iter().map(DijkstraState::retained_bytes).sum()
-    }
-}
-
-/// Merge-stage scratch of the parallel executor: one path map per
-/// Dijkstra iterator (`node → (parent, edge weight)`, filled from
-/// settled-node events in consumption order), pooled so steady-state
-/// parallel serving reuses the maps' buckets instead of reallocating.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    maps: Vec<FxHashMap<u32, (u32, f64)>>,
-}
-
-impl MergeScratch {
-    /// Cleared maps for `n` iterators (allocation-preserving).
-    pub fn maps(&mut self, n: usize) -> &mut [FxHashMap<u32, (u32, f64)>] {
-        for m in self.maps.iter_mut().take(n) {
-            m.clear();
-        }
-        while self.maps.len() < n {
-            self.maps.push(FxHashMap::default());
-        }
-        &mut self.maps[..n]
-    }
-
-    /// Shrink policy: clamp each retained map to `max_entries` capacity
-    /// and the map list itself to `max_maps`.
-    pub fn shrink(&mut self, max_maps: usize, max_entries: usize) {
-        self.maps.truncate(max_maps);
-        for m in &mut self.maps {
-            if m.capacity() > max_entries {
-                m.clear();
-                m.shrink_to(max_entries);
-            }
-        }
-    }
-
-    /// Approximate bytes retained by the pooled maps.
-    pub fn retained_bytes(&self) -> usize {
-        self.maps
-            .iter()
-            .map(|m| m.capacity() * std::mem::size_of::<(u32, (u32, f64))>())
-            .sum()
     }
 }
 
@@ -507,17 +448,12 @@ pub struct SearchArena {
     /// point); the serving layer enables it for traced queries and
     /// drains it after the search returns.
     pub spans: banks_telemetry::SpanBuffer,
-    /// Idle state blocks for the sequential kernels.
-    pub states: StatePool<{ SearchArena::MAX_IDLE_STATES }>,
+    /// Idle state blocks for the search kernels.
+    pub states: StatePool,
     /// Flattened `u.Lᵢ` origin lists.
     pub lists: OriginListPool,
     /// Cross-product enumeration buffers.
     pub cross: CrossScratch,
-    /// Per-shard state pools for the parallel executor, one per keyword
-    /// set (grown on demand; see [`SearchArena::shard_pools`]).
-    shards: Vec<ShardArena>,
-    /// Merge-stage path maps for the parallel executor.
-    pub merge: MergeScratch,
     /// Cooperative-cancellation token polled by the expansion loops.
     pub deadline: DeadlineToken,
 }
@@ -541,12 +477,6 @@ impl SearchArena {
     /// Origin-list pool entries retained between queries (~512 KiB).
     pub const RETAINED_LIST_ENTRIES: usize = 1 << 16;
 
-    /// Path-map entries per pooled merge map retained between queries.
-    pub const RETAINED_MERGE_ENTRIES: usize = 1 << 14;
-
-    /// Pooled merge maps retained between queries.
-    pub const RETAINED_MERGE_MAPS: usize = 64;
-
     /// Take a state block from [`SearchArena::states`].
     pub fn checkout(&mut self) -> DijkstraState {
         self.states.checkout()
@@ -557,39 +487,18 @@ impl SearchArena {
         self.states.recycle(state);
     }
 
-    /// The sharded half of the arena: one independent [`ShardArena`] per
-    /// expansion shard (keyword set), grown on demand. The returned
-    /// slice borrows each pool mutably and disjointly, so the parallel
-    /// executor can lend one `&mut ShardArena` to each scoped thread.
-    pub fn shard_pools(&mut self, n_shards: usize) -> &mut [ShardArena] {
-        while self.shards.len() < n_shards {
-            self.shards.push(ShardArena::default());
-        }
-        &mut self.shards[..n_shards]
-    }
-
     /// End-of-query shrink policy: drop per-query content and clamp
     /// every pooled buffer to its retention cap, so one pathological
     /// query cannot pin its worst-case footprint in a worker forever.
     pub fn trim(&mut self) {
         self.lists.shrink(Self::RETAINED_LIST_ENTRIES);
-        self.merge
-            .shrink(Self::RETAINED_MERGE_MAPS, Self::RETAINED_MERGE_ENTRIES);
     }
 
     /// Bytes currently pinned by the arena's pooled memory (idle state
-    /// blocks, origin lists, cross-product scratch, shard pools, merge
-    /// maps) — surfaced as `SearchStats::arena_retained_bytes`.
+    /// blocks, origin lists, cross-product scratch) — surfaced as
+    /// `SearchStats::arena_retained_bytes`.
     pub fn retained_bytes(&self) -> usize {
-        self.states.retained_bytes()
-            + self.lists.retained_bytes()
-            + self.cross.retained_bytes()
-            + self
-                .shards
-                .iter()
-                .map(ShardArena::retained_bytes)
-                .sum::<usize>()
-            + self.merge.retained_bytes()
+        self.states.retained_bytes() + self.lists.retained_bytes() + self.cross.retained_bytes()
     }
 }
 
@@ -728,37 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_pools_grow_on_demand_and_pool_independently() {
+    fn state_recycle_caps_pool_and_queue() {
         let mut a = SearchArena::new();
-        let pools = a.shard_pools(3);
-        assert_eq!(pools.len(), 3);
-        let s0 = pools[0].checkout();
-        let mut s1 = pools[1].checkout();
-        assert_eq!(s1.retained_bytes(), 0, "a fresh state holds nothing");
-        s1.start(5, 0.0);
-        assert!(s1.relax(6, 1.0, 5, 0));
-        s1.settle(5);
-        pools[0].recycle(s0);
-        pools[1].recycle(s1);
-        assert_eq!(pools[0].pooled_states(), 1);
-        assert_eq!(pools[1].pooled_states(), 1);
-        assert_eq!(pools[2].pooled_states(), 0);
-        assert_eq!(pools[0].state_counters(), (1, 0));
-        let _warm = pools[0].checkout();
-        assert_eq!(pools[0].state_counters(), (1, 1));
-        // Re-request keeps the existing pools (and their contents).
-        let pools = a.shard_pools(2);
-        assert_eq!(pools[1].pooled_states(), 1);
-        // Pool 1's state was used: it keeps its (small) table, and shard
-        // pools count toward the arena's retained bytes.
-        assert!(pools[1].retained_bytes() > 0);
-        assert!(a.retained_bytes() > 0);
-    }
-
-    #[test]
-    fn shard_recycle_caps_pool_and_queue() {
-        let mut p = ShardArena::default();
-        let blocks: Vec<_> = (0..ShardArena::MAX_IDLE_STATES + 4)
+        let p = &mut a.states;
+        let blocks: Vec<_> = (0..SearchArena::MAX_IDLE_STATES + 4)
             .map(|_| {
                 let mut s = p.checkout();
                 for i in 0..100_000u32 {
@@ -770,10 +652,10 @@ mod tests {
         for b in blocks {
             p.recycle(b);
         }
-        assert_eq!(p.pooled_states(), ShardArena::MAX_IDLE_STATES);
+        assert_eq!(p.pooled_states(), SearchArena::MAX_IDLE_STATES);
         assert!(
             p.retained_bytes()
-                <= ShardArena::MAX_IDLE_STATES * SearchArena::RETAINED_STATE_ENTRIES * 16,
+                <= SearchArena::MAX_IDLE_STATES * SearchArena::RETAINED_STATE_ENTRIES * 16,
             "recycled queue buffers must be clamped by the shrink policy"
         );
     }
@@ -785,12 +667,6 @@ mod tests {
         for node in 0..200_000u32 {
             let base = a.lists.ensure(node);
             a.lists.push(base, 0, node);
-        }
-        let maps = a.merge.maps(4);
-        for m in maps.iter_mut() {
-            for i in 0..100_000u32 {
-                m.insert(i, (i, 0.0));
-            }
         }
         let before = a.retained_bytes();
         a.trim();
@@ -805,6 +681,5 @@ mod tests {
         let base = a.lists.ensure(7);
         a.lists.push(base, 1, 9);
         assert_eq!(a.lists.iter(base, 1).collect::<Vec<_>>(), vec![9]);
-        assert_eq!(a.merge.maps(2).len(), 2);
     }
 }

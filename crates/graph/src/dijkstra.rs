@@ -196,23 +196,6 @@ impl<'g> Dijkstra<'g> {
         }
         true
     }
-
-    /// The parent edge of a settled node as `(parent, exact edge
-    /// weight)` — `(NIL, 0.0)` for the origin, `None` if unsettled. The
-    /// parallel executor's shards emit this with every settled-node
-    /// event so the merge stage can rebuild paths without touching the
-    /// shard-owned state.
-    pub fn parent_edge_of(&self, node: NodeId) -> Option<(u32, f64)> {
-        let entry = self.state.settled(node.0)?;
-        if node == self.origin {
-            return Some((NIL, 0.0));
-        }
-        let w = match self.direction {
-            Direction::Forward => self.graph.fwd_weight_at(entry.parent_slot),
-            Direction::Reverse => self.graph.rev_weight_at(entry.parent_slot),
-        };
-        Some((entry.parent, w))
-    }
 }
 
 impl Iterator for Dijkstra<'_> {

@@ -55,8 +55,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use arena::{
-    CrossScratch, DeadlineToken, DijkstraState, MergeScratch, OriginListPool, SearchArena,
-    ShardArena, StatePool, NIL,
+    CrossScratch, DeadlineToken, DijkstraState, OriginListPool, SearchArena, StatePool, NIL,
 };
 pub use dijkstra::{Dijkstra, Direction, Visit};
 pub use fxhash::{FxHashMap, FxHashSet};

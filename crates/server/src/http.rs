@@ -1013,12 +1013,6 @@ fn answers_fragment(banks: &banks_core::Banks, result: &crate::service::CachedRe
             ("trees_generated", Json::Uint(stats.trees_generated as u64)),
             ("trees_emitted", Json::Uint(stats.trees_emitted as u64)),
             ("early_terminated", Json::Bool(stats.early_terminations > 0),),
-            ("shards", Json::Uint(stats.shards as u64)),
-            (
-                "sequential_fallback",
-                Json::Bool(stats.sequential_fallbacks > 0),
-            ),
-            ("merge_stall_us", Json::Uint(stats.merge_stall_ns / 1_000)),
         ])
         .compact(),
     )
@@ -1131,19 +1125,7 @@ fn stats_json(
                 ("memory_bytes", Json::Uint(stats.memory_bytes as u64)),
             ]),
         ),
-        (
-            "parallel",
-            Json::obj([
-                ("search_threads", Json::Uint(stats.search_threads as u64)),
-                ("shards_spawned", Json::Uint(stats.shards_spawned)),
-                (
-                    "sequential_fallbacks",
-                    Json::Uint(stats.sequential_fallbacks),
-                ),
-                ("merge_stall_us", Json::Uint(stats.merge_stall_us)),
-                ("early_terminations", Json::Uint(stats.early_terminations)),
-            ]),
-        ),
+        ("early_terminations", Json::Uint(stats.early_terminations)),
         ("uptime_secs", Json::Num(stats.uptime_secs)),
     ]);
     // Storage backend: how the stats snapshot holds its graph and
@@ -1385,7 +1367,6 @@ mod tests {
             "banks_graph_nodes",
             "banks_graph_edges",
             "banks_memory_bytes",
-            "banks_search_shards_total",
             "banks_search_early_terminations_total",
             "banks_uptime_seconds",
             "banks_pager_budget_bytes",

@@ -129,7 +129,7 @@ impl ServerMetrics {
 
 /// Register the query service's families: its two owned latency
 /// histograms plus a collector over [`QueryService::stats_with_snapshot`]
-/// (queries, cache, epoch, parallel-search, pager, graph footprint).
+/// (queries, cache, epoch, early terminations, pager, graph footprint).
 pub fn install_service_metrics(registry: &Registry, service: Arc<QueryService>) {
     registry.register_histogram(
         "banks_query_seconds",
@@ -232,24 +232,6 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
             "Graph + text-index memory footprint of the serving snapshot.",
             g,
             stats.memory_bytes as f64,
-        ),
-        CollectedFamily::scalar(
-            "banks_search_shards_total",
-            "Parallel expansion shards spawned by cold queries.",
-            c,
-            stats.shards_spawned as f64,
-        ),
-        CollectedFamily::scalar(
-            "banks_search_sequential_fallbacks_total",
-            "Cold queries the adaptive cutover kept sequential.",
-            c,
-            stats.sequential_fallbacks as f64,
-        ),
-        CollectedFamily::scalar(
-            "banks_search_merge_stall_seconds_total",
-            "Time parallel merges spent stalled on the slowest shard.",
-            c,
-            stats.merge_stall_us as f64 * 1e-6,
         ),
         CollectedFamily::scalar(
             "banks_search_early_terminations_total",

@@ -45,13 +45,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
-    /// Intra-query search threads for cold multi-keyword queries
-    /// (`SearchConfig::search_threads`): each keyword set's backward
-    /// expansion runs as its own shard, merged deterministically, so
-    /// results are bit-identical at any setting. `0`/`1` = sequential.
-    /// Front ends size this against their worker pool so
-    /// `workers × search_threads` stays within the machine's cores.
-    pub search_threads: usize,
     /// Record per-phase trace spans on every cold query. Spans feed the
     /// slow-query log and the opt-in `?trace=1` response section; the
     /// cost is a handful of clock reads per *miss* (hits never record),
@@ -67,7 +60,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 4096,
             cache_shards: 8,
-            search_threads: 1,
             record_spans: true,
             slow_log_capacity: 16,
         }
@@ -170,7 +162,7 @@ pub struct CachedResult {
     /// re-rendering and re-serializing every connection tree.
     pub http_fragment: std::sync::OnceLock<String>,
     /// Phase breakdown of the original cold run (`parse`, `match`,
-    /// `expand`, `merge`, `score`), nanosecond offsets from the start of
+    /// `expand`, `score`), nanosecond offsets from the start of
     /// the search. Empty when span recording was off.
     pub spans: Vec<Span>,
 }
@@ -228,16 +220,6 @@ pub struct ServiceStats {
     /// ascending — entry `(e, n)` means `n` stale results were dropped
     /// while epoch `e` was current.
     pub invalidations_by_epoch: Vec<(u64, u64)>,
-    /// Configured intra-query search threads (≤ 1 = sequential).
-    pub search_threads: usize,
-    /// Total expansion shards spawned by parallel cold queries.
-    pub shards_spawned: u64,
-    /// Cold queries where parallelism was configured but the adaptive
-    /// cutover kept the zero-overhead sequential path.
-    pub sequential_fallbacks: u64,
-    /// Total microseconds parallel merges spent stalled on a shard
-    /// whose frontier bound was the global minimum.
-    pub merge_stall_us: u64,
     /// Cold queries whose heap search stopped early once the result set
     /// provably could not improve (Σ `SearchStats::early_terminations`).
     pub early_terminations: u64,
@@ -267,14 +249,6 @@ pub struct QueryService {
     last_publish: Mutex<Option<String>>,
     /// epoch → stale entries dropped while that epoch was current.
     invalidations_by_epoch: Mutex<BTreeMap<u64, u64>>,
-    /// Intra-query parallelism for cold queries (≤ 1 = sequential).
-    search_threads: usize,
-    /// Σ shards spawned across parallel cold queries.
-    shards_spawned: AtomicU64,
-    /// Cold queries that fell back to the sequential path.
-    sequential_fallbacks: AtomicU64,
-    /// Σ merge-stall nanoseconds across parallel cold queries.
-    merge_stall_ns: AtomicU64,
     /// Σ early heap terminations across cold queries.
     early_terminations: AtomicU64,
     /// Record spans on every cold query (see [`ServiceConfig`]).
@@ -325,10 +299,6 @@ impl QueryService {
             started: Instant::now(),
             last_publish: Mutex::new(None),
             invalidations_by_epoch: Mutex::new(BTreeMap::new()),
-            search_threads: config.search_threads.max(1),
-            shards_spawned: AtomicU64::new(0),
-            sequential_fallbacks: AtomicU64::new(0),
-            merge_stall_ns: AtomicU64::new(0),
             early_terminations: AtomicU64::new(0),
             record_spans: config.record_spans,
             slow_log: SlowLog::new(config.slow_log_capacity),
@@ -474,17 +444,13 @@ impl QueryService {
         let t0 = Instant::now();
         let mut config = banks.config().clone();
         config.search.max_results = limit;
-        // Cold multi-keyword queries may fan their expansion shards out
-        // across the per-worker search-thread budget; the deterministic
-        // merge keeps results bit-identical to sequential execution.
-        config.search.search_threads = self.search_threads;
         let (outcome, spans) = WORKER_ARENA
             .with(|arena| {
                 let mut arena = arena.borrow_mut();
                 if trace {
                     // The parse ran before the buffer's clock origin, so
                     // its span is back-dated to offset 0; the kernel's
-                    // own spans (match/expand/merge/score) follow it.
+                    // own spans (match/expand/score) follow it.
                     arena.spans.enable();
                     if let Some(parse_ns) = parse_ns {
                         arena.spans.push("parse", 0, 0, parse_ns);
@@ -512,12 +478,6 @@ impl QueryService {
             })?;
         let elapsed = t0.elapsed();
         self.cold_latency.record_duration(elapsed);
-        self.shards_spawned
-            .fetch_add(outcome.stats.shards as u64, Ordering::Relaxed);
-        self.sequential_fallbacks
-            .fetch_add(outcome.stats.sequential_fallbacks as u64, Ordering::Relaxed);
-        self.merge_stall_ns
-            .fetch_add(outcome.stats.merge_stall_ns, Ordering::Relaxed);
         self.early_terminations
             .fetch_add(outcome.stats.early_terminations as u64, Ordering::Relaxed);
         if self.slow_log.capacity() > 0 {
@@ -615,10 +575,6 @@ impl QueryService {
                 .iter()
                 .map(|(&e, &n)| (e, n))
                 .collect(),
-            search_threads: self.search_threads,
-            shards_spawned: self.shards_spawned.load(Ordering::Relaxed),
-            sequential_fallbacks: self.sequential_fallbacks.load(Ordering::Relaxed),
-            merge_stall_us: self.merge_stall_ns.load(Ordering::Relaxed) / 1_000,
             early_terminations: self.early_terminations.load(Ordering::Relaxed),
         };
         (stats, Arc::clone(&snapshot.banks))
@@ -996,46 +952,6 @@ mod tests {
         check(
             &service,
             &["mohan", "gray", "gray sudarshan", "mohan sudarshan gray"],
-        );
-    }
-
-    #[test]
-    fn parallel_service_matches_sequential_and_counts_shards() {
-        let banks = Arc::new(Banks::new(dblp()).unwrap());
-        let sequential = QueryService::new(Arc::clone(&banks), ServiceConfig::default());
-        // Force the parallel executor even on this tiny fixture.
-        let mut para_banks_config = banks.config().clone();
-        para_banks_config.search.parallel_min_origins = 0;
-        let para_banks = Arc::new(Banks::with_config(dblp(), para_banks_config).unwrap());
-        let parallel = QueryService::new(
-            para_banks,
-            ServiceConfig {
-                search_threads: 4,
-                ..ServiceConfig::default()
-            },
-        );
-        for q in ["mohan sudarshan", "transaction sudarshan", "mohan"] {
-            let a = sequential.search(q, QueryOptions::default()).unwrap();
-            let b = parallel.search(q, QueryOptions::default()).unwrap();
-            assert_eq!(a.result.answers.len(), b.result.answers.len(), "{q}");
-            for (x, y) in a.result.answers.iter().zip(&b.result.answers) {
-                assert_eq!(x.tree, y.tree, "{q}");
-                assert_eq!(x.relevance.to_bits(), y.relevance.to_bits(), "{q}");
-            }
-        }
-        let seq_stats = sequential.stats();
-        assert_eq!(seq_stats.search_threads, 1);
-        assert_eq!(seq_stats.shards_spawned, 0);
-        let par_stats = parallel.stats();
-        assert_eq!(par_stats.search_threads, 4);
-        assert!(
-            par_stats.shards_spawned >= 4,
-            "two 2-keyword cold queries spawn ≥ 4 shards, saw {}",
-            par_stats.shards_spawned
-        );
-        assert_eq!(
-            par_stats.sequential_fallbacks, 1,
-            "the single-keyword query falls back"
         );
     }
 

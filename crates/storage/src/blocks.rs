@@ -35,7 +35,7 @@
 //!   verification, `total_tuples`) with zero block decodes.
 //!
 //! [`TupleStore`] abstracts over where blocks come from: the eager
-//! [`Database`](crate::Database) implements it by materializing blocks
+//! [`crate::Database`] implements it by materializing blocks
 //! from its slot vectors, and `banks-pager`'s `PagedTupleStore` pages
 //! them from disk under a memory budget. A lazy `Database` (see
 //! [`crate::Database::open_lazy`]) sits on either and hands out

@@ -130,8 +130,8 @@ impl LazyParts<'_> {
 /// A table opened from a paged bundle is *lazy*: the slot vector stays
 /// on disk as fixed-span blocks and pages in on first touch, the PK
 /// index is a sorted on-disk lane probed by hash, and mutations land in
-/// an overlay (see [`Repr`]). Every public accessor behaves identically
-/// in both representations.
+/// an overlay (see the private `Repr` enum). Every public accessor
+/// behaves identically in both representations.
 #[derive(Debug, Clone)]
 pub struct Table {
     id: RelationId,

@@ -12,11 +12,10 @@ use std::time::Instant;
 /// One recorded phase of a query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Span {
-    /// Phase name (`"parse"`, `"match"`, `"expand"`, `"merge"`,
-    /// `"score"`, `"render"`).
+    /// Phase name (`"parse"`, `"match"`, `"expand"`, `"score"`,
+    /// `"render"`).
     pub name: &'static str,
-    /// Disambiguator for repeated phases — the shard id for per-shard
-    /// expansion spans, 0 elsewhere.
+    /// Disambiguator for repeated phases; 0 for a phase that runs once.
     pub index: u32,
     /// Start, nanoseconds since the buffer was enabled.
     pub start_ns: u64,
@@ -69,13 +68,6 @@ impl SpanBuffer {
         self.enabled
     }
 
-    /// The instant offsets are measured from. Only meaningful while
-    /// enabled; parallel shard workers use it to timestamp from their
-    /// own threads.
-    pub fn origin(&self) -> Instant {
-        self.origin
-    }
-
     /// Current offset in nanoseconds, or 0 when disabled (no clock
     /// read). Use as the `start` handle for [`end`].
     ///
@@ -105,8 +97,9 @@ impl SpanBuffer {
         }
     }
 
-    /// Push a span measured externally (e.g. on a shard thread) against
-    /// this buffer's origin. No-op when disabled.
+    /// Push a span measured externally (e.g. a parse timed before the
+    /// buffer was enabled) against this buffer's origin. No-op when
+    /// disabled.
     pub fn push(&mut self, name: &'static str, index: u32, start_ns: u64, end_ns: u64) {
         if self.enabled {
             self.spans.push(Span {

@@ -13,7 +13,8 @@
 //!
 //! Faults are armed two ways:
 //!
-//! * programmatically, via [`arm`] / [`clear`] (in-process tests);
+//! * programmatically, via `arm` / `clear` (in-process tests; both
+//!   exist only with the `fault-injection` feature);
 //! * from the environment, via `BANKS_FAULTS` (real-process runs):
 //!   a comma-separated list of `point:kind:rate:seed[:millis]` entries,
 //!   e.g. `BANKS_FAULTS=wal.append.fsync:err:0.3:42,http.read:delay:1:7:250`.

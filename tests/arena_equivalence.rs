@@ -257,13 +257,12 @@ fn answers_fingerprint(outcome: &SearchOutcome) -> u64 {
     h
 }
 
-/// How each pinned query runs: the sequential backward kernel, the §7
-/// forward strategy, or the parallel executor at two threads.
+/// How each pinned query runs: the backward kernel or the §7 forward
+/// strategy.
 #[derive(Debug, Clone, Copy)]
 enum Kernel {
     Backward,
     Forward,
-    Parallel,
 }
 
 /// `(query, kernel, pops, answers fingerprint)` on the 10K corpus,
@@ -326,18 +325,6 @@ const PINNED: &[(&str, Kernel, usize, u64)] = &[
     ("weber database", Kernel::Forward, 3441, 0x239230f5f95d6a65),
     ("alice abramov", Kernel::Forward, 13004, 0x5b43690778ad048f),
     ("caching query", Kernel::Forward, 4378, 0x54ad9b91bde0b086),
-    (
-        "weber rossi novak",
-        Kernel::Parallel,
-        5686,
-        0xc0ca3b76c628cee7,
-    ),
-    (
-        "adaptive algorithms",
-        Kernel::Parallel,
-        2093,
-        0x0a6a7ea6e456c2ed,
-    ),
 ];
 
 /// Every pinned query, run in sequence through one reused arena, settles
@@ -347,17 +334,13 @@ fn pinned_queries_keep_pops_and_answers() {
     let banks = datagen_10k();
     let mut arena = SearchArena::new();
     for &(text, kernel, pops, fingerprint) in PINNED {
-        let mut config = banks.config().clone();
         let strategy = match kernel {
             Kernel::Forward => SearchStrategy::Forward,
-            Kernel::Backward | Kernel::Parallel => SearchStrategy::Backward,
+            Kernel::Backward => SearchStrategy::Backward,
         };
-        if matches!(kernel, Kernel::Parallel) {
-            config.search.search_threads = 2;
-        }
         let query = banks.parse(text).unwrap();
         let outcome = banks
-            .search_parsed_in(&query, strategy, &config, &mut arena)
+            .search_parsed_in(&query, strategy, banks.config(), &mut arena)
             .unwrap();
         assert_eq!(outcome.stats.pops, pops, "pops of `{text}` ({kernel:?})");
         assert_eq!(

@@ -37,7 +37,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// Assert the two systems answer every query × strategy identically:
 /// answer count, tree signatures, relevance bits, and the
-/// executor-independent search counters.
+/// execution-semantic search counters.
 fn assert_search_equivalent(in_ram: &Banks, paged: &Banks) {
     for query in QUERIES {
         for strategy in [SearchStrategy::Backward, SearchStrategy::Forward] {
