@@ -47,6 +47,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "banks_cache_evictions_total",
     "banks_cache_invalidations_total",
     "banks_cache_entries",
+    "banks_cache_bytes",
     "banks_cache_hit_ratio",
     "banks_epoch",
     "banks_graph_nodes",
@@ -65,6 +66,7 @@ const NONZERO_SAMPLES: &[&str] = &[
     "banks_queries_total",
     "banks_cache_hits_total",
     "banks_cache_misses_total",
+    "banks_cache_bytes",
     r#"banks_query_seconds_count{cache="miss"}"#,
     r#"banks_query_seconds_count{cache="hit"}"#,
     r#"banks_http_requests_total{endpoint="/search"}"#,

@@ -355,6 +355,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             .sum()
     }
 
+    /// Fold `f` over every live entry, touching neither recency nor the
+    /// counters — for scrape-time accounting. Shards are locked one at a
+    /// time, so under concurrent writes the result is approximate.
+    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &K, &V) -> A) -> A {
+        self.shards.iter().fold(init, |acc, shard| {
+            let shard = shard.lock().expect("cache lock");
+            shard.map.values().fold(acc, |acc, &idx| {
+                let slot = &shard.slots[idx];
+                f(acc, &slot.key, &slot.value)
+            })
+        })
+    }
+
     /// Whether the cache currently holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -551,6 +564,20 @@ mod tests {
         cache.insert(3, 30);
         assert_eq!(cache.stats().evictions, 0, "freed slot reused, no eviction");
         assert_eq!(cache.lru_order_of_shard(0), vec![3, 2]);
+    }
+
+    #[test]
+    fn fold_visits_live_entries_without_touching_recency_or_counters() {
+        let cache: ShardedLruCache<u32, u32> = ShardedLruCache::new(3, 1);
+        for k in 1..=4 {
+            cache.insert(k, k * 10);
+        }
+        let before = cache.stats();
+        let order = cache.lru_order_of_shard(0);
+        assert_eq!(cache.fold(0, |sum, _, &v| sum + v), 20 + 30 + 40);
+        assert_eq!(cache.fold(0, |sum, &k, _| sum + k), 2 + 3 + 4);
+        assert_eq!(cache.stats(), before);
+        assert_eq!(cache.lru_order_of_shard(0), order);
     }
 
     #[test]

@@ -855,17 +855,25 @@ fn handle_search(
     }
 
     // The heavy part of the body — rendered trees and search counters —
-    // is identical for every request hitting this cache entry, so it is
-    // serialized once and memoized on the entry; repeat hits only build
-    // the small volatile envelope around it. Rendering goes through the
-    // snapshot that produced the result (`response.banks`): node ids are
-    // snapshot-relative, and the current snapshot may already be a newer
-    // epoch by the time this executes.
+    // is identical for every request reading this cache entry. A miss
+    // renders it for its own response only: most cold results are never
+    // read again, and holding their JSON would multiply the cache's
+    // memory. The first hit renders it again and memoizes it on the
+    // entry, so later hits only build the small volatile envelope around
+    // it. Rendering goes through the snapshot that produced the result
+    // (`response.banks`): node ids are snapshot-relative, and the current
+    // snapshot may already be a newer epoch by the time this executes.
     let render_t0 = Instant::now();
-    let fragment = response
-        .result
-        .http_fragment
-        .get_or_init(|| answers_fragment(&response.banks, &response.result));
+    let rendered;
+    let fragment: &str = if response.cached {
+        response
+            .result
+            .http_fragment
+            .get_or_init(|| answers_fragment(&response.banks, &response.result).into())
+    } else {
+        rendered = answers_fragment(&response.banks, &response.result);
+        &rendered
+    };
     let render_ns = render_t0.elapsed().as_nanos() as u64;
 
     let mut fields = vec![
@@ -896,7 +904,8 @@ fn handle_search(
     if trace {
         // The spans describe the *cold* run that produced this result —
         // on a hit, that run happened earlier; `render_ns` is this
-        // request's own (usually memoized-away) serialization cost.
+        // request's own serialization cost (non-zero on a miss and on
+        // the first hit, memoized away after that).
         fields.push((
             "trace",
             Json::obj([
@@ -1104,6 +1113,7 @@ fn stats_json(
                 ("invalidations", Json::Uint(stats.cache.invalidations)),
                 ("entries", Json::Uint(stats.cache.entries as u64)),
                 ("capacity", Json::Uint(stats.cache.capacity as u64)),
+                ("bytes", Json::Uint(stats.cache_bytes as u64)),
                 ("hit_ratio", Json::Num(stats.cache.hit_ratio())),
                 (
                     "invalidations_by_epoch",
@@ -1363,6 +1373,7 @@ mod tests {
             "banks_cache_hits_total",
             "banks_cache_misses_total",
             "banks_cache_entries",
+            "banks_cache_bytes",
             "banks_epoch",
             "banks_graph_nodes",
             "banks_graph_edges",

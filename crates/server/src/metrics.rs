@@ -204,6 +204,12 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
             stats.cache.entries as f64,
         ),
         CollectedFamily::scalar(
+            "banks_cache_bytes",
+            "Heap bytes held by resident result-cache entries.",
+            g,
+            stats.cache_bytes as f64,
+        ),
+        CollectedFamily::scalar(
             "banks_cache_hit_ratio",
             "Result-cache hits / lookups since start.",
             g,

@@ -19,11 +19,12 @@ use banks_core::{
     Answer, Banks, BanksResult, CombineMode, EdgeScoreMode, NodeScoreMode, SearchArena,
     SearchStats, SearchStrategy,
 };
+use banks_graph::NodeId;
 use banks_telemetry::{Histogram, SlowLog, SlowQuery, Span};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 thread_local! {
@@ -41,7 +42,10 @@ thread_local! {
 /// Service construction options.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Maximum cached results (entries, not bytes).
+    /// Maximum cached results (entries, not bytes). An entry holds the
+    /// ranked answers (~2.2 KiB for the default 10 answers on a `datagen`
+    /// 10K corpus) and, once it has been hit, its rendered JSON (~6.5 KB
+    /// more). `/stats` reports the live total as `cache.bytes`.
     pub cache_capacity: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
@@ -141,6 +145,12 @@ impl QueryKey {
             params_fingerprint: params,
         }
     }
+
+    /// Heap bytes the key's terms own.
+    pub fn heap_bytes(&self) -> usize {
+        self.terms.capacity() * size_of::<String>()
+            + self.terms.iter().map(String::capacity).sum::<usize>()
+    }
 }
 
 /// An immutable, shareable search result (what the cache stores).
@@ -157,14 +167,37 @@ pub struct CachedResult {
     /// stale entries lazily instead of flushing the cache.
     pub epoch: u64,
     /// Serialized `"count":…,"answers":[…],"search_stats":{…}` JSON
-    /// fragment, memoized by the HTTP layer on first serve: it is
-    /// identical for every alias of the cache key, so repeat hits skip
-    /// re-rendering and re-serializing every connection tree.
-    pub http_fragment: std::sync::OnceLock<String>,
+    /// fragment, memoized by the HTTP layer on the entry's first *hit*
+    /// (a miss renders straight into its own response): it is identical
+    /// for every alias of the cache key, so later hits skip re-rendering
+    /// every connection tree, while a result that is never read again
+    /// never holds its JSON. Exact-size, since it never grows.
+    pub http_fragment: OnceLock<Box<str>>,
     /// Phase breakdown of the original cold run (`parse`, `match`,
     /// `expand`, `score`), nanosecond offsets from the start of
     /// the search. Empty when span recording was off.
     pub spans: Vec<Span>,
+}
+
+impl CachedResult {
+    /// Heap bytes this result holds: itself (it lives behind an `Arc`),
+    /// the answers with their edge and keyword-node buffers, the spans,
+    /// and the memoized fragment once it is set.
+    pub fn heap_bytes(&self) -> usize {
+        let trees: usize = self
+            .answers
+            .iter()
+            .map(|a| {
+                a.tree.edges.capacity() * size_of::<(NodeId, NodeId, f64)>()
+                    + a.tree.keyword_nodes.capacity() * size_of::<NodeId>()
+            })
+            .sum();
+        size_of::<CachedResult>()
+            + self.answers.capacity() * size_of::<Answer>()
+            + trees
+            + self.spans.capacity() * size_of::<Span>()
+            + self.http_fragment.get().map_or(0, |f| f.len())
+    }
 }
 
 /// What [`QueryService::search`] returns.
@@ -196,6 +229,9 @@ pub struct ServiceStats {
     pub errors: u64,
     /// Cache counters.
     pub cache: CacheStats,
+    /// Heap bytes held by the live cache entries (their keys' terms plus
+    /// [`CachedResult::heap_bytes`]), summed when the stats are read.
+    pub cache_bytes: usize,
     /// Graph node count.
     pub graph_nodes: usize,
     /// Graph edge count.
@@ -480,21 +516,20 @@ impl QueryService {
         self.cold_latency.record_duration(elapsed);
         self.early_terminations
             .fetch_add(outcome.stats.early_terminations as u64, Ordering::Relaxed);
-        if self.slow_log.capacity() > 0 {
-            self.slow_log.record(SlowQuery {
+        self.slow_log
+            .record(elapsed.as_micros() as u64, || SlowQuery {
                 query: key.terms.join(" "),
-                total_us: elapsed.as_micros() as u64,
+                total_us: 0,
                 epoch: snapshot.epoch,
                 unix_ms: unix_millis_now(),
                 spans: spans.clone(),
             });
-        }
         let result = Arc::new(CachedResult {
             answers: outcome.answers,
             stats: outcome.stats,
             cold_elapsed: elapsed,
             epoch: snapshot.epoch,
-            http_fragment: std::sync::OnceLock::new(),
+            http_fragment: OnceLock::new(),
             spans,
         });
         // Conditional insert under the shard lock: a fresher-epoch entry
@@ -555,6 +590,9 @@ impl QueryService {
             queries: self.queries.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             cache: self.cache.stats(),
+            cache_bytes: self.cache.fold(0, |bytes, key, result| {
+                bytes + key.heap_bytes() + result.heap_bytes()
+            }),
             graph_nodes: snapshot.banks.tuple_graph().node_count(),
             graph_edges: snapshot.banks.tuple_graph().graph().edge_count(),
             memory_bytes: snapshot.banks.memory_bytes(),

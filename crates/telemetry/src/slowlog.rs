@@ -44,15 +44,21 @@ impl SlowLog {
         self.capacity
     }
 
-    /// Offer a query; it is retained if the log has room or it is slower
-    /// than the current fastest retained entry.
-    pub fn record(&self, entry: SlowQuery) {
+    /// Offer a query that took `total_us`; it is retained if the log has
+    /// room or it is slower than the current fastest retained entry.
+    /// `build` runs only for a query that will be retained, so a fast
+    /// query allocates nothing; its `total_us` is overwritten with the
+    /// one passed here.
+    pub fn record(&self, total_us: u64, build: impl FnOnce() -> SlowQuery) {
         if self.capacity == 0 {
             return;
         }
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         if entries.len() < self.capacity {
-            entries.push(entry);
+            entries.push(SlowQuery {
+                total_us,
+                ..build()
+            });
             return;
         }
         let (min_idx, min) = entries
@@ -60,8 +66,11 @@ impl SlowLog {
             .enumerate()
             .min_by_key(|(_, e)| e.total_us)
             .expect("non-empty at capacity");
-        if entry.total_us > min.total_us {
-            entries[min_idx] = entry;
+        if total_us > min.total_us {
+            entries[min_idx] = SlowQuery {
+                total_us,
+                ..build()
+            };
         }
     }
 
@@ -78,10 +87,10 @@ impl SlowLog {
 mod tests {
     use super::*;
 
-    fn q(name: &str, total_us: u64) -> SlowQuery {
+    fn q(name: &str) -> SlowQuery {
         SlowQuery {
             query: name.to_string(),
-            total_us,
+            total_us: 0,
             epoch: 1,
             unix_ms: 0,
             spans: Vec::new(),
@@ -92,18 +101,33 @@ mod tests {
     fn keeps_the_worst_n() {
         let log = SlowLog::new(3);
         for (name, us) in [("a", 10), ("b", 50), ("c", 20), ("d", 40), ("e", 5)] {
-            log.record(q(name, us));
+            log.record(us, || q(name));
         }
         let snap = log.snapshot();
         assert_eq!(snap.len(), 3);
         let names: Vec<&str> = snap.iter().map(|e| e.query.as_str()).collect();
         assert_eq!(names, ["b", "d", "c"]);
+        let totals: Vec<u64> = snap.iter().map(|e| e.total_us).collect();
+        assert_eq!(totals, [50, 40, 20]);
+    }
+
+    #[test]
+    fn a_query_that_would_be_dropped_is_never_built() {
+        let log = SlowLog::new(2);
+        log.record(30, || q("a"));
+        log.record(20, || q("b"));
+        // Full, and no faster than the fastest retained entry (20 µs).
+        for us in [5, 20] {
+            log.record(us, || panic!("built an entry the log drops ({us} µs)"));
+        }
+        let names: Vec<String> = log.snapshot().into_iter().map(|e| e.query).collect();
+        assert_eq!(names, ["a", "b"]);
     }
 
     #[test]
     fn zero_capacity_drops_everything() {
         let log = SlowLog::new(0);
-        log.record(q("a", 10));
+        log.record(10, || panic!("a zero-capacity log builds nothing"));
         assert!(log.snapshot().is_empty());
     }
 }

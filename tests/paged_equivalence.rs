@@ -286,14 +286,27 @@ fn paged_server_serves_bit_identical_node_and_answer_json() {
 
     // Rendered answer payloads are byte-identical past the volatile
     // envelope (timings differ; everything from `count` on is the
-    // memoized fragment built from tuple values).
+    // fragment built from tuple values). A miss renders it for its own
+    // response; the hit renders it again — paging tuple blocks back in
+    // after the evictions in between — and memoizes it. Both must match.
     for q in QUERIES {
         let target = format!("/search?q={}", q.replace(' ', "+"));
-        let (sa, a) = http_get(ram_server.local_addr(), &target);
-        let (sb, b) = http_get(paged_server.local_addr(), &target);
-        assert_eq!((sa, sb), (200, 200), "{q}");
-        let strip = |body: &str| body[body.find(r#""count""#).expect("fragment")..].to_string();
-        assert_eq!(strip(&a), strip(&b), "{q}");
+        let mut fragments = Vec::new();
+        for cached in [false, true] {
+            for server in [&ram_server, &paged_server] {
+                let (status, body) = http_get(server.local_addr(), &target);
+                assert_eq!(status, 200, "{q}");
+                assert!(
+                    body.contains(&format!(r#""cached":{cached}"#)),
+                    "{q}: {body}"
+                );
+                fragments.push(body[body.find(r#""count""#).expect("fragment")..].to_string());
+            }
+        }
+        assert!(
+            fragments.iter().all(|f| *f == fragments[0]),
+            "{q}: {fragments:?}"
+        );
     }
 
     let t = paged

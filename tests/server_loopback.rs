@@ -71,6 +71,22 @@ fn encode(q: &str) -> String {
     q.replace(' ', "+")
 }
 
+/// The cacheable part of a `/search` body: everything from `"count"` up
+/// to the closing brace.
+fn fragment(body: &str) -> &str {
+    &body[body.find(r#""count""#).expect("fragment")..body.len() - 1]
+}
+
+/// `/stats` `cache.bytes` and `cache.entries`.
+fn cache_bytes_and_entries(addr: SocketAddr) -> (u64, u64) {
+    let (status, body) = http_get(addr, "/stats");
+    assert_eq!(status, 200);
+    let cache = Json::parse(&body).expect("stats JSON");
+    let cache = cache.get("cache").expect("cache section");
+    let field = |name: &str| cache.get(name).and_then(Json::as_u64).expect(name);
+    (field("bytes"), field("entries"))
+}
+
 #[test]
 fn health_node_and_error_routes() {
     let fx = fixture();
@@ -247,4 +263,123 @@ fn repeated_query_is_served_from_cache() {
 
     // Graceful shutdown releases the port and joins all threads.
     fx.server.shutdown();
+}
+
+/// A miss renders its JSON for its own response only; the first hit
+/// memoizes it on the entry and a second hit reuses it. The bodies agree
+/// byte for byte, and `cache.bytes` moves by exactly the memo.
+#[test]
+fn rendered_json_is_memoized_on_the_first_hit_only() {
+    let fx = fixture();
+    let addr = fx.server.local_addr();
+    let dataset = generate(DblpConfig::tiny(1)).expect("datagen");
+    let mut targets: Vec<String> = dblp_workload(&dataset.planted)
+        .iter()
+        .take(4)
+        .map(|q| format!("/search?q={}", encode(q.text)))
+        .collect();
+    targets.push("/search?q=mohan&limit=2".to_string());
+
+    for target in &targets {
+        let (before, _) = cache_bytes_and_entries(addr);
+        let (status, miss) = http_get(addr, target);
+        assert_eq!(status, 200, "{target}");
+        assert!(miss.contains(r#""cached":false"#), "{target}: {miss}");
+        let terms: Vec<String> = Json::parse(&miss)
+            .expect("search JSON")
+            .get("normalized")
+            .and_then(Json::as_arr)
+            .expect("normalized terms")
+            .iter()
+            .map(|t| t.as_str().expect("term").to_string())
+            .collect();
+        let (key_bytes, entry) = fx
+            .service
+            .cache()
+            .fold(None, |found, key, result| {
+                found.or_else(|| {
+                    (key.terms == terms).then(|| (key.heap_bytes(), Arc::clone(result)))
+                })
+            })
+            .expect("the miss was cached");
+        assert!(
+            entry.http_fragment.get().is_none(),
+            "{target}: a miss memoizes nothing"
+        );
+        let (after_miss, _) = cache_bytes_and_entries(addr);
+        assert_eq!(
+            after_miss - before,
+            (key_bytes + entry.heap_bytes()) as u64,
+            "{target}"
+        );
+
+        let (_, hit) = http_get(addr, target);
+        assert!(hit.contains(r#""cached":true"#), "{target}: {hit}");
+        let (after_hit, _) = cache_bytes_and_entries(addr);
+        assert_eq!(
+            entry.http_fragment.get().map(|f| &**f),
+            Some(fragment(&hit))
+        );
+        assert_eq!(
+            after_hit - after_miss,
+            fragment(&hit).len() as u64,
+            "{target}"
+        );
+
+        let (_, again) = http_get(addr, target);
+        assert!(again.contains(r#""cached":true"#), "{target}: {again}");
+        assert_eq!(cache_bytes_and_entries(addr).0, after_hit, "{target}");
+
+        assert_eq!(fragment(&miss), fragment(&hit), "{target}");
+        assert_eq!(fragment(&hit), fragment(&again), "{target}");
+    }
+}
+
+/// On a `datagen` 10K corpus, a cache filled by distinct cold queries
+/// holds only ranked answers: a few KiB an entry, where memoizing every
+/// miss's JSON cost ~16 KiB.
+#[test]
+fn cold_entries_on_a_10k_corpus_stay_under_4_kib() {
+    use banks_datagen::names::{FIRST_NAMES, LAST_NAMES};
+    use banks_datagen::stream::{build_database, generate_to_dir, StreamConfig};
+
+    let dir = std::env::temp_dir().join(format!("banks_loopback_10k_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    generate_to_dir(&StreamConfig::new(3, 10_000), &dir).expect("datagen");
+    let banks = Arc::new(Banks::new(build_database(&dir).expect("load corpus")).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+    let service = Arc::new(QueryService::new(banks, ServiceConfig::default()));
+    let server = BanksServer::bind(
+        Arc::clone(&service),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+
+    const K: usize = 24;
+    let mut answers = 0;
+    for i in 0..K {
+        let first = FIRST_NAMES[i % FIRST_NAMES.len()].to_lowercase();
+        let last = LAST_NAMES[(7 * i) % LAST_NAMES.len()].to_lowercase();
+        let (status, body) = http_get(addr, &format!("/search?q={first}+{last}"));
+        assert_eq!(status, 200, "{first} {last}: {body}");
+        assert!(body.contains(r#""cached":false"#), "{first} {last}");
+        answers += Json::parse(&body)
+            .expect("search JSON")
+            .get("count")
+            .and_then(Json::as_u64)
+            .expect("count");
+    }
+    let (bytes, entries) = cache_bytes_and_entries(addr);
+    assert_eq!(entries, K as u64);
+    assert!(answers >= 5 * K as u64, "entries must hold real answers");
+    assert!(
+        bytes / entries <= 4 << 10,
+        "{bytes} bytes over {entries} entries"
+    );
+    server.shutdown();
 }
