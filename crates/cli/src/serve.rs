@@ -32,7 +32,7 @@
 //! leader's address; `/search?min_epoch=…` waits for replication and
 //! answers `409` (plus the leader hint) past its deadline.
 
-use banks_core::{Banks, BanksConfig};
+use banks_core::{Banks, BanksConfig, TupleGraph};
 use banks_ingest::SnapshotPublisher;
 use banks_persist::{PersistOptions, PersistentStore};
 use banks_replica::{Replica, ReplicaConfig};
@@ -40,7 +40,7 @@ use banks_server::{BanksServer, IngestEndpoint, QueryService, ServerConfig, Serv
 use banks_util::{log_info, log_warn};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Parsed `serve` arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,6 +283,7 @@ pub fn build_service(
         ..ServiceConfig::default()
     };
 
+    let mut phases = Phases::default();
     if let Some(dir) = &args.data_dir {
         let options = PersistOptions {
             fsync: !args.no_fsync,
@@ -311,28 +312,35 @@ pub fn build_service(
                 (banks, recovery.epoch, source)
             }
             None => {
-                let db = crate::corpus::open(&args.corpus, args.seed)?;
-                let mut banks =
-                    Arc::new(Banks::with_config(db, config.clone()).map_err(|e| e.to_string())?);
-                store
-                    .save_snapshot(&banks, 0)
+                let built = build_from_corpus(args, &config, &mut phases)?;
+                phases
+                    .time("bundle save", || store.save_snapshot(&built, 0))
                     .map_err(|e| format!("initial snapshot: {e}"))?;
-                if args.paged {
+                let banks = if args.paged {
                     // Swap the freshly built in-RAM state for a paged
                     // open of the bundle just written — the build was
                     // unavoidable (something had to derive the graph),
-                    // but serving stays under the memory budget.
+                    // but serving stays under the memory budget. The
+                    // eager build is freed first, so the reopen and
+                    // everything after it reuse its heap instead of
+                    // sitting above it.
+                    drop(built);
                     let path = dir.join(banks_persist::snapshot_file(0));
-                    let (paged, _) = banks_persist::open_bundle_paged(
-                        &path,
-                        args.memory_budget as usize,
-                        &config,
-                    )
-                    .map_err(|e| format!("paged reopen of {}: {e}", path.display()))?;
-                    banks = Arc::new(paged);
-                }
+                    let (paged, _) = phases
+                        .time("paged reopen", || {
+                            banks_persist::open_bundle_paged(
+                                &path,
+                                args.memory_budget as usize,
+                                &config,
+                            )
+                        })
+                        .map_err(|e| format!("paged reopen of {}: {e}", path.display()))?;
+                    paged
+                } else {
+                    built
+                };
                 (
-                    banks,
+                    Arc::new(banks),
                     0,
                     format!(
                         "built from database (initial bundle saved to {})",
@@ -341,7 +349,7 @@ pub fn build_service(
                 )
             }
         };
-        let summary = summary_line(args, &banks, &source);
+        let summary = summary_line(args, &banks, &source, &phases);
         let service = Arc::new(QueryService::with_epoch(
             Arc::clone(&banks),
             epoch,
@@ -353,9 +361,8 @@ pub fn build_service(
     }
 
     // Volatile mode: build from the corpus, serve from RAM.
-    let db = crate::corpus::open(&args.corpus, args.seed)?;
-    let banks = Banks::with_config(db, config).map_err(|e| e.to_string())?;
-    let summary = summary_line(args, &banks, "built from database");
+    let banks = build_from_corpus(args, &config, &mut phases)?;
+    let summary = summary_line(args, &banks, "built from database", &phases);
     let service = Arc::new(QueryService::new(Arc::new(banks), service_config));
     Ok((service, summary, None))
 }
@@ -376,7 +383,40 @@ fn server_config(args: &ServeArgs, workers: usize, leader_hint: Option<String>) 
     }
 }
 
-fn summary_line(args: &ServeArgs, banks: &Banks, source: &str) -> String {
+/// Wall-clock time of each cold-start phase, in order, for the startup
+/// summary.
+#[derive(Debug, Default)]
+struct Phases(Vec<(&'static str, Duration)>);
+
+impl Phases {
+    /// Run `f` as the phase `name`.
+    fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        self.0.push((name, start.elapsed()));
+        out
+    }
+}
+
+/// Load the corpus, derive the data graph, and index its text — the
+/// three phases of a cold build, timed apart.
+fn build_from_corpus(
+    args: &ServeArgs,
+    config: &BanksConfig,
+    phases: &mut Phases,
+) -> Result<Banks, String> {
+    let db = phases.time("load", || crate::corpus::open(&args.corpus, args.seed))?;
+    let graph = phases
+        .time("graph", || TupleGraph::build(&db, &config.graph))
+        .map_err(|e| e.to_string())?;
+    phases
+        .time("text index", || {
+            Banks::with_graph(db, config.clone(), graph)
+        })
+        .map_err(|e| e.to_string())
+}
+
+fn summary_line(args: &ServeArgs, banks: &Banks, source: &str, phases: &Phases) -> String {
     let backend = if args.paged {
         format!(
             " — paged backend, budget {:.0} MiB",
@@ -385,8 +425,18 @@ fn summary_line(args: &ServeArgs, banks: &Banks, source: &str) -> String {
     } else {
         String::new()
     };
+    let cold_start = if phases.0.is_empty() {
+        String::new()
+    } else {
+        let list: Vec<String> = phases
+            .0
+            .iter()
+            .map(|(name, took)| format!("{name} {:.1} ms", took.as_secs_f64() * 1e3))
+            .collect();
+        format!("; cold start: {}", list.join(", "))
+    };
     format!(
-        "corpus {} (seed {}): {} nodes, {} edges, {:.1} MiB — graph {}{backend}",
+        "corpus {} (seed {}): {} nodes, {} edges, {:.1} MiB graph + text index — graph {}{backend}{cold_start}",
         args.corpus,
         args.seed,
         banks.tuple_graph().node_count(),
@@ -727,12 +777,45 @@ mod tests {
         };
         let (paged, summary, durable) = build_service(&args).unwrap();
         assert!(summary.contains("paged backend"), "{summary}");
+        // A restart recovers the bundle: nothing is built, so no phases.
+        assert!(!summary.contains("cold start"), "{summary}");
         assert!(durable.is_some());
         let got = paged.search("mohan", Default::default()).unwrap();
         assert_eq!(expected.result.answers.len(), got.result.answers.len());
         for (a, b) in expected.result.answers.iter().zip(&got.result.answers) {
             assert_eq!(a.tree.signature(), b.tree.signature());
         }
+        drop(durable);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn paged_cold_start_reports_every_phase() {
+        let dir = tmp_dir("paged_cold");
+        let args = ServeArgs {
+            corpus: "dblp".into(),
+            data_dir: Some(dir.clone()),
+            paged: true,
+            memory_budget: 1 << 20,
+            ..ServeArgs::default()
+        };
+        let (service, summary, durable) = build_service(&args).unwrap();
+        let phases = summary.split_once("; cold start: ").expect(&summary).1;
+        let names: Vec<&str> = phases
+            .split(", ")
+            .map(|phase| phase.rsplitn(3, ' ').nth(2).expect(phase))
+            .collect();
+        assert_eq!(
+            names,
+            ["load", "graph", "text index", "bundle save", "paged reopen"],
+            "{summary}"
+        );
+        assert!(!service
+            .search("mohan", Default::default())
+            .unwrap()
+            .result
+            .answers
+            .is_empty());
         drop(durable);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -748,6 +831,15 @@ mod tests {
         // Cold start: builds and writes the initial bundle.
         let (service, summary, durable) = build_service(&args).unwrap();
         assert!(summary.contains("initial bundle saved"), "{summary}");
+        assert!(summary.contains("MiB graph + text index"), "{summary}");
+        assert!(
+            summary.contains("; cold start: load ")
+                && summary.contains(" ms, graph ")
+                && summary.contains(" ms, text index ")
+                && summary.contains(" ms, bundle save ")
+                && !summary.contains("paged reopen"),
+            "{summary}"
+        );
         let parts = durable.expect("durable parts");
         assert_eq!(parts.publisher.epoch(), 0);
         assert_eq!(service.epoch(), 0);

@@ -132,13 +132,15 @@ pub fn execute(args: &SnapshotArgs) -> Result<String, String> {
             epoch,
             out,
         } => {
+            let t0 = std::time::Instant::now();
             let db = crate::corpus::open(corpus, *seed)?;
             let banks = Banks::new(db).map_err(|e| e.to_string())?;
             save_bundle(&banks, *epoch, out).map_err(|e| format!("save {}: {e}", out.display()))?;
             let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             Ok(format!(
-                "saved {} (epoch {epoch}): {} tuples, {} graph nodes, {} postings, {} bytes\n",
+                "saved {} (epoch {epoch}) in {:.1} ms: {} tuples, {} graph nodes, {} postings, {} bytes\n",
                 out.display(),
+                t0.elapsed().as_secs_f64() * 1e3,
                 banks.db().total_tuples(),
                 banks.tuple_graph().node_count(),
                 banks.text_index().posting_count(),

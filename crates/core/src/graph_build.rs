@@ -12,6 +12,16 @@
 //! * when both directions receive a contribution for the same ordered node
 //!   pair, the minimum wins (equation 1; [`banks_graph::GraphBuilder`]
 //!   coalesces duplicates by minimum).
+//!
+//! Each link is resolved exactly once, when its tuple is inserted:
+//! [`Database::insert`] probes the key against the target's primary-key
+//! index and records the link in the reverse-reference index. The build
+//! does not resolve any key again. It walks that index target by target
+//! ([`Database::referencing`]), which yields every link `r → t` of `t`
+//! together, so `IN_{R(r)}(t)` is one count per target rather than a
+//! rescan of `t`'s list per link. Nodes keep their scan order, and the
+//! builder's sort and min-coalescing make the CSR independent of the
+//! order edges are added in.
 
 use crate::config::{GraphConfig, NodeWeightMode};
 use crate::prestige;
@@ -76,31 +86,46 @@ impl TupleGraph {
             debug_assert_eq!(Some(&node), rid_nodes.get(&rid));
         }
 
-        // Pass 2: edges.
-        for table in db.relations() {
-            let schema = table.schema();
-            let similarities: Vec<f64> = schema
-                .foreign_keys
-                .iter()
-                .map(|fk| fk.similarity.unwrap_or(config.default_similarity))
-                .collect();
-            for (rid, _) in table.scan() {
-                let from = rid_nodes[&rid];
-                for (fk_index, &sim) in similarities.iter().enumerate() {
-                    let Some(target) = db.resolve_fk(rid, fk_index)? else {
-                        continue;
-                    };
-                    let to = rid_nodes[&target];
-                    // Forward edge r → t.
-                    builder.add_edge(from, to, sim);
-                    // Backward edge t → r, indegree-scaled per eq. (1).
-                    let back = if config.indegree_backward_weights {
-                        let fanin = db.indegree_from(target, rid.relation).max(1) as f64;
-                        sim * fanin
-                    } else {
-                        sim
-                    };
-                    builder.add_edge(to, from, back);
+        // Pass 2: edges, from each target's reverse references.
+        // `similarity[r][i]`: foreign key `i` of relation `r`.
+        let similarity: Vec<Vec<f64>> = db
+            .relations()
+            .map(|table| {
+                table
+                    .schema()
+                    .foreign_keys
+                    .iter()
+                    .map(|fk| fk.similarity.unwrap_or(config.default_similarity))
+                    .collect()
+            })
+            .collect();
+        // `fanin[r]` = IN_r(t) for the current target `t`.
+        let mut fanin = vec![0usize; db.relation_count()];
+        for (to, &target) in node_rids.iter().enumerate() {
+            let to = NodeId(to as u32);
+            let refs = db.referencing(target);
+            if config.indegree_backward_weights {
+                for r in refs {
+                    fanin[r.from.relation.index()] += 1;
+                }
+            }
+            for r in refs {
+                let relation = r.from.relation.index();
+                let from = rid_nodes[&r.from];
+                let sim = similarity[relation][r.fk_index];
+                // Forward edge r → t.
+                builder.add_edge(from, to, sim);
+                // Backward edge t → r, indegree-scaled per eq. (1).
+                let back = if config.indegree_backward_weights {
+                    sim * fanin[relation].max(1) as f64
+                } else {
+                    sim
+                };
+                builder.add_edge(to, from, back);
+            }
+            if config.indegree_backward_weights {
+                for r in refs {
+                    fanin[r.from.relation.index()] = 0;
                 }
             }
         }

@@ -158,29 +158,49 @@ fn skewed_base(rng: &mut Rng, count: u64) -> u64 {
     ((count as f64) * u * u) as u64
 }
 
+/// `AuthorId` of `Author` row `i` — the key alone, which `Writes` rows
+/// reference without paying for the name.
+fn author_id(i: u64) -> String {
+    match i {
+        0 => "SoumenC".into(),
+        1 => "SunitaS".into(),
+        2 => "MohanC".into(),
+        _ => format!("A{i:07}"),
+    }
+}
+
+/// `PaperId` of `Paper` row `i` — the key alone, which `Writes` and
+/// `Cites` rows reference without paying for the title.
+fn paper_id(i: u64) -> String {
+    match i {
+        0 => "ChakrabartiSD98".into(),
+        _ => format!("P{i:07}"),
+    }
+}
+
 /// `Author` row `i` as `(AuthorId, AuthorName)`.
 pub fn author_row(seed: u64, i: u64) -> (String, String) {
-    match i {
-        0 => ("SoumenC".into(), "Soumen Chakrabarti".into()),
-        1 => ("SunitaS".into(), "Sunita Sarawagi".into()),
-        2 => ("MohanC".into(), "C. Mohan".into()),
+    let name = match i {
+        0 => "Soumen Chakrabarti".into(),
+        1 => "Sunita Sarawagi".into(),
+        2 => "C. Mohan".into(),
         _ => {
             let mut rng = row_rng(seed, b'A', i);
-            let name = format!(
+            format!(
                 "{} {}",
                 rng.pick(FIRST_NAMES),
                 LAST_NAMES[(i % LAST_NAMES.len() as u64) as usize]
-            );
-            (format!("A{i:07}"), name)
+            )
         }
-    }
+    };
+    (author_id(i), name)
 }
 
 /// `Paper` row `i` as `(PaperId, PaperName)`.
 pub fn paper_row(seed: u64, i: u64) -> (String, String) {
     if i == 0 {
         return (
-            "ChakrabartiSD98".into(),
+            paper_id(0),
             "Enhanced Hypertext Categorization Using Hyperlinks".into(),
         );
     }
@@ -192,7 +212,7 @@ pub fn paper_row(seed: u64, i: u64) -> (String, String) {
     if rng.chance(0.10) {
         title.push_str(&format!(" {}", 1975 + rng.range(0, 26)));
     }
-    (format!("P{i:07}"), title)
+    (paper_id(i), title)
 }
 
 /// `Writes` row `j` as `(AuthorId, PaperId)`.
@@ -209,7 +229,7 @@ pub fn writes_row(seed: u64, counts: &StreamCounts, j: u64) -> (String, String) 
     let pool = counts.authors - PLANTED_AUTHORS;
     let mut rng = row_rng(seed, b'W', paper);
     let author = PLANTED_AUTHORS + (skewed_base(&mut rng, pool) + k) % pool;
-    (author_row(seed, author).0, paper_row(seed, paper).0)
+    (author_id(author), paper_id(paper))
 }
 
 /// `Cites` row `i` as `(Citing, Cited)`.
@@ -222,7 +242,7 @@ pub fn cites_row(seed: u64, counts: &StreamCounts, i: u64) -> (String, String) {
     let mut rng = row_rng(seed, b'C', citing);
     let m = (skewed_base(&mut rng, pool) + k) % pool;
     let cited = if m >= citing - 1 { m + 2 } else { m + 1 };
-    (paper_row(seed, citing).0, paper_row(seed, cited).0)
+    (paper_id(citing), paper_id(cited))
 }
 
 /// Global row `i` (over the concatenated table order Author, Paper,
@@ -273,7 +293,9 @@ pub fn generate_to_dir(config: &StreamConfig, dir: &Path) -> Result<StreamManife
         let end = ((shard + 1) * config.shard_tuples).min(config.tuples);
         while row < end {
             let (table, a, b) = global_row(config.seed, &counts, row);
-            writeln!(out, "{table}\t{a}\t{b}")
+            [table, "\t", &a, "\t", &b, "\n"]
+                .iter()
+                .try_for_each(|part| out.write_all(part.as_bytes()))
                 .map_err(|e| format!("write {}: {e}", path.display()))?;
             row += 1;
         }
@@ -354,12 +376,26 @@ where
     F: FnMut(&str, &str, &str) -> Result<(), String>,
 {
     let mut rows = 0u64;
+    // One line buffer for the whole corpus: a row costs no allocation here.
+    let mut line = String::new();
     for shard in 0..manifest.shards {
         let path = manifest.shard_path(dir, shard);
         let file =
             std::fs::File::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
-        for line in BufReader::new(file).lines() {
-            let line = line.map_err(|e| format!("read {}: {e}", path.display()))?;
+        let mut reader = BufReader::new(file);
+        loop {
+            line.clear();
+            let read = reader
+                .read_line(&mut line)
+                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            if read == 0 {
+                break;
+            }
+            // As `BufRead::lines`: drop `\n` or `\r\n`.
+            let line = match line.strip_suffix('\n') {
+                Some(line) => line.strip_suffix('\r').unwrap_or(line),
+                None => &line,
+            };
             let mut parts = line.splitn(3, '\t');
             match (parts.next(), parts.next(), parts.next()) {
                 (Some(table), Some(a), Some(b)) => f(table, a, b)?,

@@ -25,7 +25,7 @@
 
 use crate::error::PagerError;
 use crate::varint;
-use banks_graph::FxHashMap;
+use banks_util::fxhash::FxFoldHashMap;
 
 /// A fully decoded segment: a window of CSR arrays covering the nodes
 /// `[first_node, first_node + span)`.
@@ -96,9 +96,11 @@ pub fn encode_segment(lists: &[(&[u32], &[f64])], out: &mut Vec<u8>) -> f64 {
         varint::write_u64(out, ids.len() as u64);
     }
 
-    // Weight dictionary in first-seen order (deterministic).
+    // Weight dictionary in first-seen order (deterministic). The keys are
+    // f64 bits, whose low bits are all zero for the small integers most
+    // weights are; plain Fx would put every key in one bucket.
     let mut dict: Vec<u64> = Vec::new();
-    let mut index: FxHashMap<u64, u32> = FxHashMap::default();
+    let mut index: FxFoldHashMap<u64, u32> = FxFoldHashMap::default();
     let mut min_pos = f64::INFINITY;
     for (_, weights) in lists {
         for &w in *weights {

@@ -17,7 +17,6 @@ use crate::table::Table;
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
 use banks_util::fxhash::{FxHashMap, FxHashSet};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A recorded reverse reference: tuple `from` references the indexed tuple
@@ -58,7 +57,7 @@ impl Default for BackRefsRepr {
 pub struct Database {
     name: String,
     tables: Vec<Table>,
-    by_name: HashMap<String, RelationId>,
+    by_name: FxHashMap<String, RelationId>,
     /// rid → tuples referencing it. Maintained on insert/delete;
     /// Fx-hashed — touched on every insert/delete/update and rebuilt
     /// wholesale on binary-snapshot restore. Lazy databases read base
@@ -66,6 +65,19 @@ pub struct Database {
     back_refs: BackRefsRepr,
     /// Total number of resolved foreign-key links.
     link_count: usize,
+    /// `fk_targets[r][i]`: the relation foreign key `i` of relation `r`
+    /// references, resolved by name once, at [`Database::create_relation`].
+    fk_targets: Vec<Vec<RelationId>>,
+}
+
+/// Where one foreign key of a row points.
+enum FkTarget {
+    /// A key column is NULL: no link.
+    Null,
+    /// The referenced tuple.
+    Found(Rid),
+    /// No tuple carries the key.
+    Dangling,
 }
 
 impl Database {
@@ -115,8 +127,17 @@ impl Database {
             }
         }
         let id = RelationId(u32::try_from(self.tables.len()).expect("too many relations"));
+        let fk_targets = schema
+            .foreign_keys
+            .iter()
+            .map(|fk| match self.by_name.get(&fk.ref_relation) {
+                Some(&target) => target,
+                None => id, // the self-reference checked above
+            })
+            .collect();
         self.by_name.insert(schema.name.clone(), id);
         self.tables.push(Table::new(id, schema));
+        self.fk_targets.push(fk_targets);
         Ok(id)
     }
 
@@ -157,27 +178,58 @@ impl Database {
             .ok_or_else(|| StorageError::InvalidRid(rid.to_string()))
     }
 
-    /// Extract the foreign-key value of `values` for foreign key `fk_index`
-    /// of `schema`. Returns `None` if any component is NULL.
-    fn fk_key(schema: &RelationSchema, fk_index: usize, values: &[Value]) -> Option<Vec<Value>> {
-        let fk = &schema.foreign_keys[fk_index];
-        let mut key = Vec::with_capacity(fk.columns.len());
-        for &c in &fk.columns {
-            let v = &values[c];
-            if v.is_null() {
-                return None;
-            }
-            key.push(v.clone());
+    /// Resolve foreign key `fk_index` of a `relation` row holding
+    /// `values`. The key is read in place from `values` and probed
+    /// against the target relation fixed at schema time: no clone, no
+    /// allocation, no lookup by name.
+    fn fk_target(&self, relation: RelationId, fk_index: usize, values: &[Value]) -> FkTarget {
+        let fk = &self.tables[relation.index()].schema().foreign_keys[fk_index];
+        let key = fk.columns.iter().map(|&c| &values[c]);
+        if key.clone().any(Value::is_null) {
+            return FkTarget::Null;
         }
-        Some(key)
+        let target = &self.tables[self.fk_targets[relation.index()][fk_index].index()];
+        match target.pk_slot_by(key) {
+            Some(slot) => FkTarget::Found(Rid::new(target.id(), slot)),
+            None => FkTarget::Dangling,
+        }
+    }
+
+    /// The error for a foreign key of a `relation` row that dangles.
+    fn dangling(&self, relation: RelationId, fk_index: usize, values: &[Value]) -> StorageError {
+        let schema = self.tables[relation.index()].schema();
+        let fk = &schema.foreign_keys[fk_index];
+        let key: Vec<&Value> = fk.columns.iter().map(|&c| &values[c]).collect();
+        StorageError::ForeignKeyViolation {
+            relation: schema.name.clone(),
+            referenced: fk.ref_relation.clone(),
+            key: format!("{key:?}"),
+        }
+    }
+
+    /// The error for a NULL in a non-nullable foreign key.
+    fn null_fk(&self, relation: RelationId, fk_index: usize) -> StorageError {
+        let schema = self.tables[relation.index()].schema();
+        StorageError::NullViolation {
+            relation: schema.name.clone(),
+            column: schema.columns[schema.foreign_keys[fk_index].columns[0]]
+                .name
+                .clone(),
+        }
     }
 
     /// Insert a tuple, enforcing schema, primary-key, and foreign-key
     /// constraints, and maintaining the reverse-reference index.
+    ///
+    /// This is where every foreign-key link is resolved, once: each key
+    /// is probed in place against its target's primary-key index and the
+    /// link is recorded in the reverse-reference index, which the data
+    /// graph build then walks (see `banks_core::graph_build`) instead of
+    /// resolving the key again.
     pub fn insert(&mut self, relation: &str, values: Vec<Value>) -> StorageResult<Rid> {
         let id = self.relation_id(relation)?;
         // Resolve every foreign key before mutating anything.
-        let schema = self.tables[id.index()].schema().clone();
+        let schema = self.tables[id.index()].schema();
         if values.len() != schema.arity() {
             return Err(StorageError::ArityMismatch {
                 relation: schema.name.clone(),
@@ -187,28 +239,11 @@ impl Database {
         }
         let mut resolved: Vec<(usize, Rid)> = Vec::with_capacity(schema.foreign_keys.len());
         for (fk_index, fk) in schema.foreign_keys.iter().enumerate() {
-            match Self::fk_key(&schema, fk_index, &values) {
-                None => {
-                    if !fk.nullable {
-                        return Err(StorageError::NullViolation {
-                            relation: schema.name.clone(),
-                            column: schema.columns[fk.columns[0]].name.clone(),
-                        });
-                    }
-                }
-                Some(key) => {
-                    let target = self.relation(&fk.ref_relation)?;
-                    match target.lookup_pk(&key) {
-                        Some(target_rid) => resolved.push((fk_index, target_rid)),
-                        None => {
-                            return Err(StorageError::ForeignKeyViolation {
-                                relation: schema.name.clone(),
-                                referenced: fk.ref_relation.clone(),
-                                key: format!("{key:?}"),
-                            })
-                        }
-                    }
-                }
+            match self.fk_target(id, fk_index, &values) {
+                FkTarget::Found(target) => resolved.push((fk_index, target)),
+                FkTarget::Null if fk.nullable => {}
+                FkTarget::Null => return Err(self.null_fk(id, fk_index)),
+                FkTarget::Dangling => return Err(self.dangling(id, fk_index, &values)),
             }
         }
         let rid = self.tables[id.index()].insert(values)?;
@@ -270,14 +305,10 @@ impl Database {
             });
         }
         // Remove this tuple's own outgoing references from the reverse index.
-        let schema = self.table(rid.relation).schema().clone();
         let values: Vec<Value> = self.tuple(rid)?.values().to_vec();
-        for fk_index in 0..schema.foreign_keys.len() {
-            if let Some(key) = Self::fk_key(&schema, fk_index, &values) {
-                let fk = &schema.foreign_keys[fk_index];
-                if let Some(target_rid) = self.relation(&fk.ref_relation)?.lookup_pk(&key) {
-                    self.remove_back_ref(target_rid, rid, fk_index);
-                }
+        for fk_index in 0..self.table(rid.relation).schema().foreign_keys.len() {
+            if let FkTarget::Found(target) = self.fk_target(rid.relation, fk_index, &values) {
+                self.remove_back_ref(target, rid, fk_index);
             }
         }
         self.tables[rid.relation.index()].delete(rid.slot)
@@ -355,29 +386,16 @@ impl Database {
             if !fk.columns.iter().any(|c| touched.contains(c)) {
                 continue;
             }
-            let old_target = match Self::fk_key(&schema, fk_index, &old_values) {
-                Some(key) => self.relation(&fk.ref_relation)?.lookup_pk(&key),
-                None => None,
+            let old_target = match self.fk_target(rid.relation, fk_index, &old_values) {
+                FkTarget::Found(target) => Some(target),
+                FkTarget::Null | FkTarget::Dangling => None,
             };
-            let new_target = match Self::fk_key(&schema, fk_index, &new_values) {
-                Some(key) => match self.relation(&fk.ref_relation)?.lookup_pk(&key) {
-                    Some(target) => Some(target),
-                    None => {
-                        return Err(StorageError::ForeignKeyViolation {
-                            relation: schema.name.clone(),
-                            referenced: fk.ref_relation.clone(),
-                            key: format!("{key:?}"),
-                        })
-                    }
-                },
-                None => {
-                    if !fk.nullable {
-                        return Err(StorageError::NullViolation {
-                            relation: schema.name.clone(),
-                            column: schema.columns[fk.columns[0]].name.clone(),
-                        });
-                    }
-                    None
+            let new_target = match self.fk_target(rid.relation, fk_index, &new_values) {
+                FkTarget::Found(target) => Some(target),
+                FkTarget::Null if fk.nullable => None,
+                FkTarget::Null => return Err(self.null_fk(rid.relation, fk_index)),
+                FkTarget::Dangling => {
+                    return Err(self.dangling(rid.relation, fk_index, &new_values))
                 }
             };
             if old_target != new_target {
@@ -495,14 +513,11 @@ impl Database {
             )));
         }
         let tuple = self.tuple(rid)?;
-        match Self::fk_key(schema, fk_index, tuple.values()) {
-            None => Ok(None),
-            Some(key) => {
-                let fk = &schema.foreign_keys[fk_index];
-                let target = self.relation(&fk.ref_relation)?;
-                Ok(target.lookup_pk(&key))
-            }
-        }
+        let target = match self.fk_target(rid.relation, fk_index, tuple.values()) {
+            FkTarget::Found(target) => Some(target),
+            FkTarget::Null | FkTarget::Dangling => None,
+        };
+        Ok(target)
     }
 
     /// All tuples referencing `rid` (the backward direction of §4 browsing

@@ -5,7 +5,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::schema::RelationSchema;
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
-use banks_util::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use banks_util::fxhash::{FxFoldHashMap, FxHashMap, FxHashSet, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -30,7 +30,13 @@ impl PkSlots {
     }
 }
 
-fn pk_map_link(map: &mut FxHashMap<u64, PkSlots>, hash: u64, slot: u32) {
+/// Primary-key hash → slot(s). The keys are Fx hashes, whose low bits
+/// vary little for the 8-byte ids the generators emit, so the map
+/// re-mixes them ([`FxFoldHashMap`]); plain Fx here made every probe walk
+/// a collision chain that grew with the table.
+type PkIndex = FxFoldHashMap<u64, PkSlots>;
+
+fn pk_map_link(map: &mut PkIndex, hash: u64, slot: u32) {
     match map.entry(hash) {
         std::collections::hash_map::Entry::Vacant(e) => {
             e.insert(PkSlots::One(slot));
@@ -45,7 +51,7 @@ fn pk_map_link(map: &mut FxHashMap<u64, PkSlots>, hash: u64, slot: u32) {
     }
 }
 
-fn pk_map_unlink(map: &mut FxHashMap<u64, PkSlots>, hash: u64, slot: u32) {
+fn pk_map_unlink(map: &mut PkIndex, hash: u64, slot: u32) {
     match map.get_mut(&hash) {
         Some(PkSlots::One(s)) if *s == slot => {
             map.remove(&hash);
@@ -75,7 +81,7 @@ enum Repr {
     Eager {
         slots: Vec<Option<Tuple>>,
         live: usize,
-        pk_index: FxHashMap<u64, PkSlots>,
+        pk_index: PkIndex,
     },
     Lazy {
         store: Arc<dyn TupleStore>,
@@ -90,7 +96,7 @@ enum Repr {
         /// are always here; base slots appear once touched.
         overlay: FxHashMap<u32, Option<Tuple>>,
         /// PK index over overlay-appended rows only.
-        pk_overlay: FxHashMap<u64, PkSlots>,
+        pk_overlay: PkIndex,
         /// Base PK-lane entries masked out by deletes.
         pk_deleted: FxHashSet<(u64, u32)>,
     },
@@ -148,7 +154,7 @@ impl Table {
             repr: Repr::Eager {
                 slots: Vec::new(),
                 live: 0,
-                pk_index: FxHashMap::default(),
+                pk_index: PkIndex::default(),
             },
         }
     }
@@ -174,7 +180,7 @@ impl Table {
             slot_count: base_slots,
             live,
             overlay: FxHashMap::default(),
-            pk_overlay: FxHashMap::default(),
+            pk_overlay: PkIndex::default(),
             pk_deleted: FxHashSet::default(),
         };
         Ok(())
@@ -224,7 +230,7 @@ impl Table {
     }
 
     /// Does the live tuple at `slot` carry exactly this primary key?
-    fn slot_key_matches(&self, slot: u32, key: &[Value]) -> bool {
+    fn slot_key_matches<'v>(&self, slot: u32, key: impl Iterator<Item = &'v Value>) -> bool {
         let Some(tuple) = self.get(slot) else {
             return false;
         };
@@ -262,15 +268,34 @@ impl Table {
         }
     }
 
-    /// Find the slot holding `key` (hash → candidate confirmation).
-    fn pk_slot(&self, key: &[Value]) -> Option<u32> {
-        if key.len() != self.schema.primary_key.len() || key.is_empty() {
-            return None;
+    /// Find the live slot whose primary key equals `key` (hash →
+    /// candidate confirmation). The key is borrowed — a foreign key's
+    /// columns of the referencing row, say — and on a resident table the
+    /// candidates are read in place, so a probe neither clones nor
+    /// allocates. The caller guarantees `key` yields one value per
+    /// primary-key column.
+    pub(crate) fn pk_slot_by<'v, K>(&self, key: K) -> Option<u32>
+    where
+        K: Iterator<Item = &'v Value> + Clone,
+    {
+        self.pk_slot_hashed(Self::pk_hash(key.clone()), key)
+    }
+
+    /// [`Table::pk_slot_by`] with the key's hash already computed.
+    fn pk_slot_hashed<'v, K>(&self, hash: u64, key: K) -> Option<u32>
+    where
+        K: Iterator<Item = &'v Value> + Clone,
+    {
+        let matches = |&slot: &u32| self.slot_key_matches(slot, key.clone());
+        match &self.repr {
+            Repr::Eager { pk_index, .. } => pk_index
+                .get(&hash)?
+                .candidates()
+                .iter()
+                .copied()
+                .find(matches),
+            Repr::Lazy { .. } => self.pk_candidates_by_hash(hash).into_iter().find(matches),
         }
-        let hash = Self::pk_hash(key.iter());
-        self.pk_candidates_by_hash(hash)
-            .into_iter()
-            .find(|&slot| self.slot_key_matches(slot, key))
     }
 
     /// The catalog id of this relation.
@@ -342,15 +367,8 @@ impl Table {
         self.check_values(&values)?;
         let hash = if self.schema.has_primary_key() {
             let hash = self.pk_hash_of_row(&values);
-            let duplicate = self.pk_candidates_by_hash(hash).into_iter().any(|slot| {
-                self.get(slot).is_some_and(|tuple| {
-                    self.schema
-                        .primary_key
-                        .iter()
-                        .all(|&c| tuple.values()[c] == values[c])
-                })
-            });
-            if duplicate {
+            let key = self.schema.primary_key.iter().map(|&c| &values[c]);
+            if self.pk_slot_hashed(hash, key).is_some() {
                 let key: Vec<&Value> = self.schema.key_of(&values);
                 return Err(StorageError::DuplicateKey {
                     relation: self.schema.name.clone(),
@@ -469,7 +487,11 @@ impl Table {
 
     /// Look up a tuple by its full primary-key value.
     pub fn lookup_pk(&self, key: &[Value]) -> Option<Rid> {
-        self.pk_slot(key).map(|slot| Rid::new(self.id, slot))
+        if key.len() != self.schema.primary_key.len() || key.is_empty() {
+            return None;
+        }
+        self.pk_slot_by(key.iter())
+            .map(|slot| Rid::new(self.id, slot))
     }
 
     /// Delete the tuple at `slot`. Returns the removed tuple.
@@ -606,7 +628,7 @@ impl Table {
             "restore into a fresh table only"
         );
         let mut live = 0usize;
-        let mut pk_index = FxHashMap::default();
+        let mut pk_index = PkIndex::default();
         pk_index.reserve(if self.schema.has_primary_key() {
             slots.len()
         } else {

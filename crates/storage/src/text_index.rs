@@ -9,7 +9,7 @@
 use crate::catalog::Database;
 use crate::tokenizer::Tokenizer;
 use crate::tuple::Rid;
-use banks_util::fxhash::FxHashMap;
+use banks_util::fxhash::FxFoldHashMap;
 
 /// One posting: a tuple and the column in which the token occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,11 +36,16 @@ pub struct TextIndex {
     repr: Repr,
 }
 
+/// Term → postings. Terms include every primary-key id (`"p0012345"`),
+/// which plain Fx hashes into a few buckets, so the map re-mixes
+/// ([`FxFoldHashMap`]).
+type TermMap = FxFoldHashMap<String, Vec<Posting>>;
+
 #[derive(Debug, Clone)]
 enum Repr {
-    /// Fx-hashed: looked up per query term and rebuilt token-by-token
-    /// on binary-snapshot restore.
-    Eager(FxHashMap<String, Vec<Posting>>),
+    /// Looked up per query term and rebuilt token-by-token on
+    /// binary-snapshot restore.
+    Eager(TermMap),
     /// Shared lazy view of a packed payload (Arc: clones share the
     /// posting cache).
     Lazy(std::sync::Arc<crate::postings::LazyTextIndex>),
@@ -48,14 +53,20 @@ enum Repr {
 
 impl Default for Repr {
     fn default() -> Self {
-        Repr::Eager(FxHashMap::default())
+        Repr::Eager(TermMap::default())
     }
 }
 
 impl TextIndex {
     /// Build the index by scanning every relation of `db`.
+    ///
+    /// Tokens are borrowed from the tokenizer (see
+    /// [`Tokenizer::for_each_token`]) and looked up by `&str`; the only
+    /// per-token allocation left is the key of a term seen for the first
+    /// time.
     pub fn build(db: &Database, tokenizer: &Tokenizer) -> TextIndex {
-        let mut index = TextIndex::default();
+        let mut map = TermMap::default();
+        let mut buf = String::new();
         for table in db.relations() {
             let text_cols: Vec<usize> = table
                 .schema()
@@ -73,12 +84,22 @@ impl TextIndex {
                     let Some(text) = tuple.values()[col].as_text() else {
                         continue;
                     };
-                    for token in tokenizer.tokenize(text) {
-                        index.insert(token, rid, col as u32);
-                    }
+                    let posting = Posting {
+                        rid,
+                        column: col as u32,
+                    };
+                    tokenizer.for_each_token(text, &mut buf, |token| match map.get_mut(token) {
+                        Some(list) => list.push(posting),
+                        None => {
+                            map.insert(token.to_owned(), vec![posting]);
+                        }
+                    });
                 }
             }
         }
+        let mut index = TextIndex {
+            repr: Repr::Eager(map),
+        };
         index.finish();
         index
     }
@@ -106,7 +127,7 @@ impl TextIndex {
     /// The eager map, materializing a lazy payload first. Mutations have
     /// no error channel, so a source torn after open panics here — the
     /// same contract as a lazy lookup.
-    fn eager_mut(&mut self) -> &mut FxHashMap<String, Vec<Posting>> {
+    fn eager_mut(&mut self) -> &mut TermMap {
         if let Repr::Lazy(lazy) = &self.repr {
             let entries = lazy
                 .materialize()
@@ -117,13 +138,6 @@ impl TextIndex {
             Repr::Eager(map) => map,
             Repr::Lazy(_) => unreachable!("materialized above"),
         }
-    }
-
-    fn insert(&mut self, token: String, rid: Rid, column: u32) {
-        self.eager_mut()
-            .entry(token)
-            .or_default()
-            .push(Posting { rid, column });
     }
 
     /// Sort and deduplicate posting lists (a token may occur several times

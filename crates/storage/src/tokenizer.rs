@@ -6,6 +6,12 @@
 //! attribute values and metadata names so that matching is symmetric
 //! (e.g. the column name `AuthorName` yields tokens `author`, `name` and
 //! `authorname`, letting the keyword "author" match metadata).
+//!
+//! [`Tokenizer::for_each_token`] is the allocation-free core the index
+//! build runs over every text value: a token that is already lowercase
+//! ASCII is handed out as a slice of the input, any other token is
+//! lowercased into one buffer the caller reuses. [`Tokenizer::tokenize`]
+//! collects the same tokens into owned strings.
 
 /// Tokenizer configuration.
 #[derive(Debug, Clone)]
@@ -43,28 +49,64 @@ impl Tokenizer {
 
     /// Whether a token survives filtering.
     fn keep(&self, token: &str) -> bool {
-        token.chars().count() >= self.min_len && !self.stopwords.iter().any(|s| s == token)
+        (self.min_len <= 1 || token.chars().count() >= self.min_len)
+            && !self.stopwords.iter().any(|s| s == token)
     }
 
     /// Tokenize arbitrary text into lowercase alphanumeric tokens.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut out = Vec::new();
-        let mut current = String::new();
-        for ch in text.chars() {
-            if ch.is_alphanumeric() {
-                current.extend(ch.to_lowercase());
-            } else if !current.is_empty() {
-                if self.keep(&current) {
-                    out.push(std::mem::take(&mut current));
-                } else {
-                    current.clear();
-                }
-            }
-        }
-        if !current.is_empty() && self.keep(&current) {
-            out.push(current);
-        }
+        self.for_each_token(text, &mut String::new(), |token| out.push(token.to_owned()));
         out
+    }
+
+    /// Call `f` on each token of `text`, in order — the tokens
+    /// [`Tokenizer::tokenize`] returns, without allocating them.
+    ///
+    /// A token is a maximal run of alphanumeric characters, lowercased.
+    /// ASCII is classified byte by byte; only non-ASCII characters are
+    /// decoded. A run of lowercase ASCII letters and digits is passed as a
+    /// slice of `text`; any other run is lowercased into `buf` (with
+    /// `make_ascii_lowercase` when it is all ASCII), which the caller keeps
+    /// across calls so that it stops growing after the longest token.
+    pub fn for_each_token(&self, text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+        let mut emit = |run: &str, case: Case| {
+            let token = match case {
+                Case::Lower => run,
+                Case::Ascii => {
+                    buf.clear();
+                    buf.push_str(run);
+                    buf.make_ascii_lowercase();
+                    buf.as_str()
+                }
+                Case::Unicode => {
+                    buf.clear();
+                    buf.extend(run.chars().flat_map(char::to_lowercase));
+                    buf.as_str()
+                }
+            };
+            if self.keep(token) {
+                f(token);
+            }
+        };
+        let mut i = 0;
+        while i < text.len() {
+            let (alphanumeric, mut case, width) = class_at(text, i);
+            let start = i;
+            i += width;
+            if !alphanumeric {
+                continue;
+            }
+            while i < text.len() {
+                let (alphanumeric, next, width) = class_at(text, i);
+                if !alphanumeric {
+                    break;
+                }
+                case = case.max(next);
+                i += width;
+            }
+            emit(&text[start..i], case);
+        }
     }
 
     /// Tokenize an identifier-style name (relation or column name),
@@ -108,6 +150,35 @@ impl Tokenizer {
         out.retain(|t| self.keep(t));
         out.dedup();
         out
+    }
+}
+
+/// What lowercasing a run of alphanumeric characters needs, in order of
+/// cost; a run needs the most any of its characters needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Case {
+    /// Lowercase ASCII letters and digits: already a token.
+    Lower,
+    /// ASCII with uppercase letters: `make_ascii_lowercase`.
+    Ascii,
+    /// Non-ASCII: `char::to_lowercase`, which may change the length.
+    Unicode,
+}
+
+/// The character starting at byte `i` of `text`: whether it is
+/// alphanumeric, the [`Case`] it needs, and its UTF-8 width.
+#[inline]
+fn class_at(text: &str, i: usize) -> (bool, Case, usize) {
+    let b = text.as_bytes()[i];
+    if b.is_ascii_lowercase() || b.is_ascii_digit() {
+        (true, Case::Lower, 1)
+    } else if b.is_ascii_uppercase() {
+        (true, Case::Ascii, 1)
+    } else if b.is_ascii() {
+        (false, Case::Lower, 1)
+    } else {
+        let c = text[i..].chars().next().expect("char boundary");
+        (c.is_alphanumeric(), Case::Unicode, c.len_utf8())
     }
 }
 

@@ -76,6 +76,58 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// [`FxHasher`] with a finalizer that moves the well-mixed high bits
+/// down into the low bits, which is where `HashMap` picks a bucket.
+///
+/// Fx ends in a multiply, so bit `k` of a hash depends only on bits
+/// `0..=k` of the words written. Keys that differ only in their high
+/// bytes therefore land in a handful of buckets under plain Fx, and each
+/// lookup walks one long probe chain: 8-byte ids such as `"P0012345"`
+/// (the distinct digits sit in the high bytes of the one 8-byte chunk),
+/// or a `u64` that is itself an Fx hash. `finish` byte-swaps the hash, so
+/// its top byte (which depends on every input bit) becomes the low byte,
+/// then multiplies once more, so every output bit depends on it. Maps
+/// keyed that way — primary-key hashes, index terms — use this hasher.
+/// `FxHasher` itself stays as it is: its `finish` is stored on disk in
+/// checksums and key lanes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxFoldHasher(FxHasher);
+
+impl Hasher for FxFoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.finish().swap_bytes().wrapping_mul(SEED)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.0.write_u8(v);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0.write_u32(v);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0.write_u64(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.0.write_usize(v);
+    }
+}
+
+/// `HashMap` keyed with [`FxFoldHasher`].
+pub type FxFoldHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxFoldHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +164,32 @@ mod tests {
             })
             .collect();
         assert!(lows.len() > 32, "low bits too clustered: {}", lows.len());
+    }
+
+    #[test]
+    fn fold_spreads_keys_that_differ_only_in_high_bytes() {
+        // 8-byte ids whose first two bytes are shared: plain Fx leaves
+        // the low bucket bits almost constant, the fold does not.
+        let low_bits = |fold: bool| -> usize {
+            (0..4096u32)
+                .map(|i| {
+                    let key = format!("P{i:07}");
+                    let h = if fold {
+                        let mut h = FxFoldHasher::default();
+                        h.write(key.as_bytes());
+                        h.finish()
+                    } else {
+                        let mut h = FxHasher::default();
+                        h.write(key.as_bytes());
+                        h.finish()
+                    };
+                    h & 0xfff
+                })
+                .collect::<FxHashSet<u64>>()
+                .len()
+        };
+        assert!(low_bits(false) < 64, "plain Fx: {}", low_bits(false));
+        assert!(low_bits(true) > 2048, "folded: {}", low_bits(true));
     }
 
     #[test]
