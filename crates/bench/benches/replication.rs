@@ -64,10 +64,11 @@ fn leader(dir: &Path, banks: Arc<Banks>) -> (Arc<QueryService>, BanksServer, Arc
     let mut publisher = SnapshotPublisher::with_epoch(banks, 0);
     publisher.set_durability_hook(store.wal_hook());
     let ingest = IngestEndpoint::with_publisher(Arc::clone(&service), publisher, Some(store));
-    let server = BanksServer::bind_full(
+    let server = BanksServer::bind(
         Arc::clone(&service),
         Some(Arc::clone(&ingest)),
         ingest.store().cloned(),
+        None,
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -88,17 +89,13 @@ fn follower(dir: &Path, leader_addr: SocketAddr) -> (Replica, BanksServer) {
         ServiceConfig::default(),
     )
     .expect("follower start");
-    let server = BanksServer::bind_full(
-        replica.service(),
-        None,
-        Some(replica.store()),
-        ServerConfig {
-            workers: 2,
-            leader_hint: Some(leader_addr.to_string()),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind follower");
+    let config = ServerConfig {
+        workers: 2,
+        leader_hint: Some(leader_addr.to_string()),
+        ..ServerConfig::default()
+    };
+    let server = BanksServer::bind(replica.service(), None, Some(replica.store()), None, config)
+        .expect("bind follower");
     (replica, server)
 }
 

@@ -133,14 +133,12 @@ fn main() {
     let dataset = corpus("tiny");
     let banks = Arc::new(banks_for(&dataset));
     let service = Arc::new(QueryService::new(banks, ServiceConfig::default()));
-    let server = BanksServer::bind(
-        service,
-        ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap_or_else(|e| fail(&format!("bind: {e}")));
+    let config = ServerConfig {
+        workers,
+        ..ServerConfig::default()
+    };
+    let server = BanksServer::bind(service, None, None, None, config)
+        .unwrap_or_else(|e| fail(&format!("bind: {e}")));
     let addr = server.local_addr().to_string();
     eprintln!("metrics_smoke: serving on {addr} ({workers} workers)");
 

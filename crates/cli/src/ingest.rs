@@ -17,7 +17,7 @@
 use banks_core::Banks;
 use banks_ingest::DeltaBatch;
 use banks_server::{IngestEndpoint, QueryService, ServiceConfig};
-use banks_util::http::{http_request, ClientError};
+use banks_util::http::{http_request, percent_encode, ClientError};
 use banks_util::retry::{parse_retry_after, Outcome, RetryPolicy};
 use banks_util::{log_info, log_warn};
 use std::sync::Arc;
@@ -111,22 +111,6 @@ fn default_ts() -> String {
         .unwrap_or_default()
 }
 
-/// Percent-encode a query-string value (RFC 3986 unreserved characters
-/// pass through) so a caller-supplied timestamp with spaces or `&`
-/// cannot mangle the request line.
-fn url_encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            b => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
 /// How many POST attempts are made before giving up.
 const POST_ATTEMPTS: u32 = 5;
 /// Backoff base for the first retry (scales by 2× with full jitter).
@@ -186,7 +170,7 @@ impl PostFault {
 /// error after the connection was up are reported to the caller
 /// immediately.
 pub fn post_to_server(addr: &str, batch: &DeltaBatch, ts: &str) -> Result<String, String> {
-    let target = format!("/ingest?ts={}", url_encode(ts));
+    let target = format!("/ingest?ts={}", percent_encode(ts));
     let body = batch.to_json().compact();
     let policy = RetryPolicy {
         attempts: POST_ATTEMPTS,
@@ -385,12 +369,12 @@ mod tests {
 
     #[test]
     fn ts_is_url_encoded() {
-        assert_eq!(url_encode("1753880000"), "1753880000");
+        assert_eq!(percent_encode("1753880000"), "1753880000");
         assert_eq!(
-            url_encode("2026-07-30 12:00&x=1"),
+            percent_encode("2026-07-30 12:00&x=1"),
             "2026-07-30%2012%3A00%26x%3D1"
         );
-        assert_eq!(url_encode("t~0_a.b-c"), "t~0_a.b-c");
+        assert_eq!(percent_encode("t~0_a.b-c"), "t~0_a.b-c");
     }
 
     fn tiny_batch() -> DeltaBatch {

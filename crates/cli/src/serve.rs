@@ -368,10 +368,15 @@ pub fn build_service(
 }
 
 /// Assemble the server's config from the parsed flags.
-fn server_config(args: &ServeArgs, workers: usize, leader_hint: Option<String>) -> ServerConfig {
+fn server_config(args: &ServeArgs, leader_hint: Option<String>) -> ServerConfig {
+    let defaults = ServerConfig::default();
     ServerConfig {
         addr: args.addr.clone(),
-        workers,
+        workers: if args.workers == 0 {
+            defaults.workers
+        } else {
+            args.workers
+        },
         leader_hint,
         max_body_bytes: args.max_body_bytes,
         default_deadline_ms: args.default_deadline_ms,
@@ -379,7 +384,7 @@ fn server_config(args: &ServeArgs, workers: usize, leader_hint: Option<String>) 
         shed_after: Duration::from_millis(args.shed_after_ms),
         rate_limit_rps: args.rate_limit_rps,
         header_read_timeout: Duration::from_millis(args.header_read_timeout_ms),
-        ..ServerConfig::default()
+        ..defaults
     }
 }
 
@@ -460,13 +465,6 @@ pub fn start(
         return start_follower(args);
     }
     let (service, summary, durable) = build_service(args)?;
-    let workers = if args.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        args.workers
-    };
     let durable_on = durable.is_some();
     // The store outlives the ingest decision: a durable *read-only*
     // server (`--data-dir --no-ingest`) still surfaces its recovery
@@ -486,13 +484,10 @@ pub fn start(
         }
         (false, None) => (Some(IngestEndpoint::new(Arc::clone(&service))), None),
     };
-    let server = BanksServer::bind_full(
-        Arc::clone(&service),
-        ingest,
-        store,
-        server_config(args, workers, None),
-    )
-    .map_err(|e| format!("bind {}: {e}", args.addr))?;
+    let config = server_config(args, None);
+    let workers = config.workers;
+    let server = BanksServer::bind(Arc::clone(&service), ingest, store, None, config)
+        .map_err(|e| format!("bind {}: {e}", args.addr))?;
     log_info!("serve", "{summary}");
     log_info!(
         "serve",
@@ -560,23 +555,16 @@ fn start_follower(
     )
     .map_err(|e| format!("follow {leader}: {e}"))?;
     let service = replica.service();
-    let workers = if args.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        args.workers
-    };
     // The follower's replication counters ride on the same registry as
     // the serving families, so one scrape of this process sees both.
     let registry = Arc::new(banks_telemetry::Registry::new());
     replica.install_metrics(&registry);
-    let server = BanksServer::bind_with_registry(
+    let server = BanksServer::bind(
         Arc::clone(&service),
         None,
         Some(replica.store()),
-        registry,
-        server_config(args, workers, Some(leader.clone())),
+        Some(registry),
+        server_config(args, Some(leader.clone())),
     )
     .map_err(|e| format!("bind {}: {e}", args.addr))?;
     let downloaded = replica.stats().snapshots_downloaded > 0;
@@ -714,7 +702,7 @@ mod tests {
         assert_eq!(args.rate_limit_rps, Some(50.0));
         assert_eq!(args.shed_after_ms, 100);
         assert_eq!(args.header_read_timeout_ms, 500);
-        let config = server_config(&args, 2, None);
+        let config = server_config(&args, None);
         assert_eq!(config.default_deadline_ms, Some(250));
         assert_eq!(config.max_deadline_ms, 2000);
         assert_eq!(config.max_body_bytes, 1 << 20);

@@ -282,7 +282,7 @@ impl Replica {
 
     /// Register the follower's replication families on `registry`.
     /// Pass the same registry to
-    /// [`banks_server::BanksServer::bind_with_registry`] so the
+    /// [`banks_server::BanksServer::bind`] so the
     /// follower's `/metrics` carries them next to the serving families.
     /// The collector holds the counters and the service, not the
     /// replica itself — it keeps reporting (frozen) after shutdown.
@@ -405,6 +405,7 @@ fn fetch_bundle(config: &ReplicaConfig) -> Result<(PathBuf, u64), String> {
         &config.leader,
         "GET",
         "/replication/snapshot",
+        &[],
         config.snapshot_timeout,
         &mut sink,
     )
@@ -749,10 +750,11 @@ mod tests {
             publisher,
             Some(Arc::clone(&store)),
         );
-        let server = BanksServer::bind_full(
+        let server = BanksServer::bind(
             Arc::clone(&service),
             Some(Arc::clone(&ingest)),
             Some(store),
+            None,
             ServerConfig {
                 workers: 2,
                 ..ServerConfig::default()

@@ -37,24 +37,25 @@
 //! The router is deliberately dumb about payloads: responses stream
 //! back verbatim (status, content type, epoch headers), so everything
 //! the backends guarantee — deterministic ranking, epoch stamps,
-//! `min_epoch` semantics — passes through unchanged.
+//! `min_epoch` semantics — passes through unchanged. Writes keep the
+//! client's method. Requests are read by [`banks_util::http::HttpServer`],
+//! the core `banks serve` runs, under the server's default head and body
+//! limits (`431` over 16 KiB of head, `413` over 8 MiB of body).
 
 use banks_server::{QueryKey, QueryOptions};
 use banks_telemetry::{CollectedFamily, Kind, Registry, Sample};
 use banks_util::fxhash::FxHasher;
-use banks_util::http::{http_request, parse_query_string, query_param, ClientError, HttpResponse};
+use banks_util::http::{
+    http_request, parse_query_string, query_param, ClientError, HttpResponse, HttpServer,
+    ListenConfig, Request, Response, HEADER_READ_TIMEOUT, MAX_BODY_BYTES,
+};
 use banks_util::json::Json;
 use banks_util::retry::Outcome;
 use std::hash::Hasher;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Largest request the router accepts (mirrors the backend cap).
-const MAX_REQUEST_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Router tuning. `Default` matches a small local cluster.
 #[derive(Debug, Clone)]
@@ -276,6 +277,34 @@ struct Shared {
 }
 
 impl Shared {
+    /// Every backend closed and due for a probe now, and the registry's
+    /// scrape collector installed.
+    fn new(config: RouterConfig) -> Arc<Shared> {
+        let now = Instant::now();
+        let backends = std::iter::once((&config.leader, true))
+            .chain(config.followers.iter().map(|f| (f, false)))
+            .map(|(url, is_leader)| Backend::new(url.clone(), is_leader, now))
+            .collect();
+        let shared = Arc::new(Shared {
+            backends: Mutex::new(backends),
+            counters: Counters::default(),
+            shutdown: AtomicBool::new(false),
+            retry_budget: banks_util::retry::RetryBudget::new(config.retry_budget_tokens),
+            config,
+            registry: Registry::new(),
+            started: now,
+        });
+        // The registry lives inside `Shared`, so the scrape collector
+        // holds a `Weak` back-reference to avoid an `Arc` cycle.
+        let weak = Arc::downgrade(&shared);
+        shared.registry.register_collector(move || {
+            weak.upgrade()
+                .map(|shared| router_families(&shared))
+                .unwrap_or_default()
+        });
+        shared
+    }
+
     fn with_backend(&self, url: &str, f: impl FnOnce(&mut Backend)) {
         let mut backends = self.backends.lock().expect("registry lock");
         if let Some(backend) = backends.iter_mut().find(|b| b.url == url) {
@@ -438,108 +467,46 @@ fn target_affinity(target: &str) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// A running router. Dropping (or [`Router::shutdown`]) stops the
-/// prober, acceptor, and workers.
+/// prober and the HTTP server.
 pub struct Router {
-    addr: SocketAddr,
+    http: Option<HttpServer>,
     shared: Arc<Shared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
     prober: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Router {
     /// Bind and start routing.
     pub fn bind(config: RouterConfig) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let now = Instant::now();
-        let mut backends = vec![Backend::new(config.leader.clone(), true, now)];
-        backends.extend(
-            config
-                .followers
-                .iter()
-                .map(|f| Backend::new(f.clone(), false, now)),
-        );
-        let shared = Arc::new(Shared {
-            backends: Mutex::new(backends),
-            counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
-            retry_budget: banks_util::retry::RetryBudget::new(config.retry_budget_tokens),
-            config,
-            registry: Registry::new(),
-            started: now,
-        });
-        // The registry lives inside `Shared`, so the scrape collector
-        // holds a `Weak` back-reference to avoid an `Arc` cycle.
-        {
-            let weak = Arc::downgrade(&shared);
-            shared.registry.register_collector(move || {
-                weak.upgrade()
-                    .map(|shared| router_families(&shared))
-                    .unwrap_or_default()
-            });
-        }
-
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            sync_channel(shared.config.backlog);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("banks-router-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared))
-                    .expect("spawn router worker")
-            })
-            .collect();
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("banks-router-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let stream = match stream {
-                            Ok(stream) => stream,
-                            Err(_) => {
-                                // Back off on transient accept errors
-                                // instead of spinning.
-                                std::thread::sleep(Duration::from_millis(10));
-                                continue;
-                            }
-                        };
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn router acceptor")
+        let listen = ListenConfig {
+            addr: config.addr.clone(),
+            workers: config.workers,
+            backlog: config.backlog,
+            max_body_bytes: MAX_BODY_BYTES,
+            header_read_timeout: HEADER_READ_TIMEOUT,
+            name: "banks-router",
         };
-
+        let shared = Shared::new(config);
+        let http = {
+            let shared = Arc::clone(&shared);
+            HttpServer::bind(&listen, move |request| route(&shared, &request))?
+        };
         let prober = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("banks-router-probe".to_string())
-                .spawn(move || prober_loop(&shared))
-                .expect("spawn router prober")
+                .spawn(move || prober_loop(&shared))?
         };
 
         Ok(Router {
-            addr,
+            http: Some(http),
             shared,
-            acceptor: Some(acceptor),
-            workers,
             prober: Some(prober),
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.as_ref().expect("router is running").local_addr()
     }
 
     /// Counters + registry snapshot.
@@ -548,45 +515,24 @@ impl Router {
     }
 
     /// Stop and join all threads.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
+    pub fn shutdown(self) {}
 
     /// Block until the router is shut down from another thread (the CLI
     /// foreground mode).
     pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
-    }
-
-    fn stop(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
+        if let Some(http) = self.http.take() {
+            http.join();
         }
     }
 }
 
 impl Drop for Router {
     fn drop(&mut self) {
-        self.stop();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(self.http.take());
+        if let Some(prober) = self.prober.take() {
+            let _ = prober.join();
+        }
     }
 }
 
@@ -621,160 +567,50 @@ fn probe(url: &str, timeout: Duration) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Connection handling.
+// Request handling.
 // ---------------------------------------------------------------------------
 
-struct Reply {
-    status: u16,
-    content_type: &'static str,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-impl Reply {
-    fn json(status: u16, body: String) -> Reply {
-        Reply {
-            status,
-            content_type: "application/json",
-            headers: Vec::new(),
-            body: body.into_bytes(),
-        }
-    }
-
-    /// A backend response relayed verbatim: status, body, content type,
-    /// and the headers clients act on (`Retry-After`, `X-Banks-Epoch`).
-    fn passthrough(resp: HttpResponse) -> Reply {
-        let mut headers = Vec::new();
-        for name in ["retry-after", "x-banks-epoch"] {
-            if let Some(value) = resp.header(name) {
-                headers.push((name.to_string(), value.to_string()));
-            }
-        }
-        let content_type = match resp.header("content-type") {
-            Some(ct) if ct.starts_with("application/octet-stream") => "application/octet-stream",
-            Some(ct) if ct.starts_with("text/plain") => "text/plain; charset=utf-8",
-            _ => "application/json",
-        };
-        Reply {
-            status: resp.status,
-            content_type,
-            headers,
-            body: resp.body,
-        }
+/// A backend response relayed verbatim: status, body, content type, and
+/// the headers clients act on (`Retry-After`, `X-Banks-Epoch`).
+fn passthrough(resp: HttpResponse) -> Response {
+    let content_type = match resp.header("content-type") {
+        Some(ct) if ct.starts_with("application/octet-stream") => "application/octet-stream",
+        Some(ct) if ct.starts_with("text/plain") => "text/plain; charset=utf-8",
+        _ => "application/json",
+    };
+    let headers = ["Retry-After", "X-Banks-Epoch"]
+        .into_iter()
+        .filter_map(|name| Some((name, resp.header(name)?.to_string())))
+        .collect();
+    Response {
+        status: resp.status,
+        content_type,
+        headers,
+        body: resp.body,
     }
 }
 
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        410 => "Gone",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        _ => "Response",
-    }
-}
-
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Arc<Shared>) {
-    loop {
-        let stream = {
-            let rx = rx.lock().expect("router rx lock");
-            rx.recv()
-        };
-        match stream {
-            Ok(stream) => {
-                let _ = handle_connection(stream, shared);
-            }
-            Err(_) => break, // acceptor gone
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?).take(MAX_REQUEST_BYTES);
-
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut content_length: u64 = 0;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
-        if header == "\r\n" || header == "\n" {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length.min(MAX_REQUEST_BYTES) as usize];
-    if !body.is_empty() {
-        reader.read_exact(&mut body)?;
-    }
-
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let target = parts.next().unwrap_or("/").to_string();
-    let reply = route(shared, &method, &target, &body);
-
-    let mut stream = stream;
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        reply.status,
-        reason(reply.status),
-        reply.content_type,
-        reply.body.len()
-    );
-    for (name, value) in &reply.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&reply.body)?;
-    stream.flush()
-}
-
-fn route(shared: &Shared, method: &str, target: &str, body: &[u8]) -> Reply {
-    let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    match (method, path) {
+fn route(shared: &Shared, request: &Request) -> Response {
+    let target = request.target.as_str();
+    match (request.method.as_str(), request.path()) {
         ("GET", "/health") => health_reply(shared),
         ("GET", "/stats") => stats_reply(shared),
-        ("GET", "/metrics") => Reply {
-            status: 200,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            headers: Vec::new(),
-            body: shared.registry.render().into_bytes(),
-        },
-        ("POST", "/ingest") => forward_write(shared, target, body),
-        ("GET", "/epochs") => forward_write(shared, target, &[]),
-        ("GET", _) => {
+        ("GET", "/metrics") => Response::metrics(shared.registry.render()),
+        // The leader judges the method: a `GET /ingest` gets the
+        // leader's own 405, a bodiless `POST` its 400.
+        (method, "/ingest") | (method @ "GET", "/epochs") => {
+            forward_write(shared, method, target, &request.body)
+        }
+        ("GET", path) => {
             let affinity = if path == "/search" {
                 shared.counters.searches.fetch_add(1, Ordering::Relaxed);
-                search_affinity(&parse_query_string(query))
+                search_affinity(&parse_query_string(request.query()))
             } else {
                 target_affinity(target)
             };
             forward_read(shared, target, affinity)
         }
-        _ => Reply::json(
-            405,
-            r#"{"error":"only GET (and POST /ingest) are supported"}"#.to_string(),
-        ),
+        _ => Response::error(405, "only GET (and POST /ingest) are supported"),
     }
 }
 
@@ -806,7 +642,7 @@ fn forward_with_retry(
 
 /// Reads: walk the rendezvous plan, failing over past dead or lagging
 /// backends; the leader is always the last resort.
-fn forward_read(shared: &Shared, target: &str, affinity: u64) -> Reply {
+fn forward_read(shared: &Shared, target: &str, affinity: u64) -> Response {
     let (plan, leader_only) = shared.read_plan(affinity);
     if leader_only {
         shared
@@ -832,7 +668,7 @@ fn forward_read(shared: &Shared, target: &str, affinity: u64) -> Reply {
             }
             Ok(resp) => {
                 shared.note_forward(url);
-                return Reply::passthrough(resp);
+                return passthrough(resp);
             }
             Err(_) => {
                 shared.note_failure(url, true);
@@ -843,51 +679,43 @@ fn forward_read(shared: &Shared, target: &str, affinity: u64) -> Reply {
             }
         }
     }
-    shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-    let mut reply = Reply::json(
-        503,
-        r#"{"error":"no healthy backend","hint":"all backends unreachable; retry shortly"}"#
-            .to_string(),
-    );
-    reply
-        .headers
-        .push(("retry-after".to_string(), "1".to_string()));
-    reply
+    unavailable(
+        shared,
+        r#"{"error":"no healthy backend","hint":"all backends unreachable; retry shortly"}"#.into(),
+    )
 }
 
-/// Writes (and `/epochs`) go to the leader, never a follower.
-fn forward_write(shared: &Shared, target: &str, body: &[u8]) -> Reply {
+/// `503` + `Retry-After`: no backend could take the request.
+fn unavailable(shared: &Shared, body: String) -> Response {
+    shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
+    Response::json(503, body).with_header("Retry-After", "1".to_string())
+}
+
+/// Writes (and `/epochs`) go to the leader, never a follower, with the
+/// client's method.
+fn forward_write(shared: &Shared, method: &str, target: &str, body: &[u8]) -> Response {
     shared.counters.ingests.fetch_add(1, Ordering::Relaxed);
     let leader = shared.config.leader.clone();
-    let method = if body.is_empty() { "GET" } else { "POST" };
-    let payload = if body.is_empty() { None } else { Some(body) };
-    match forward_with_retry(shared, &leader, method, target, payload) {
+    match forward_with_retry(shared, &leader, method, target, Some(body)) {
         Ok(resp) => {
             shared.note_forward(&leader);
-            Reply::passthrough(resp)
+            passthrough(resp)
         }
         Err(e) => {
             shared.note_failure(&leader, true);
-            shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-            let mut reply = Reply::json(
-                503,
-                format!(
-                    r#"{{"error":"leader unreachable","detail":"{}"}}"#,
-                    e.to_string().replace('"', "'")
-                ),
-            );
-            reply
-                .headers
-                .push(("retry-after".to_string(), "1".to_string()));
-            reply
+            let detail = e.to_string().replace('"', "'");
+            unavailable(
+                shared,
+                format!(r#"{{"error":"leader unreachable","detail":"{detail}"}}"#),
+            )
         }
     }
 }
 
-fn health_reply(shared: &Shared) -> Reply {
+fn health_reply(shared: &Shared) -> Response {
     let stats = shared.stats();
     let healthy = stats.backends.iter().filter(|b| b.healthy).count();
-    Reply::json(
+    Response::json(
         200,
         Json::obj([
             ("status", Json::Str("ok".to_string())),
@@ -900,7 +728,7 @@ fn health_reply(shared: &Shared) -> Reply {
     )
 }
 
-fn stats_reply(shared: &Shared) -> Reply {
+fn stats_reply(shared: &Shared) -> Response {
     let stats = shared.stats();
     let backends = stats
         .backends
@@ -919,7 +747,7 @@ fn stats_reply(shared: &Shared) -> Reply {
             ])
         })
         .collect();
-    Reply::json(
+    Response::json(
         200,
         Json::obj([
             (
@@ -1128,22 +956,11 @@ mod tests {
 
     #[test]
     fn registry_ejects_and_readmits() {
-        let shared = Shared {
-            config: RouterConfig {
-                leader: "l:1".to_string(),
-                followers: vec!["f:1".to_string()],
-                ..RouterConfig::default()
-            },
-            backends: Mutex::new(vec![
-                Backend::new("l:1".to_string(), true, Instant::now()),
-                Backend::new("f:1".to_string(), false, Instant::now()),
-            ]),
-            counters: Counters::default(),
-            retry_budget: banks_util::retry::RetryBudget::new(64),
-            shutdown: AtomicBool::new(false),
-            registry: Registry::new(),
-            started: Instant::now(),
-        };
+        let shared = Shared::new(RouterConfig {
+            leader: "l:1".to_string(),
+            followers: vec!["f:1".to_string()],
+            ..RouterConfig::default()
+        });
         // Two strikes eject; the plan then holds only the leader.
         shared.note_failure("f:1", false);
         assert!(shared.stats().backends[1].healthy);
@@ -1168,24 +985,13 @@ mod tests {
 
     #[test]
     fn breaker_walks_closed_open_half_open() {
-        let shared = Shared {
-            config: RouterConfig {
-                leader: "l:1".to_string(),
-                followers: vec!["f:1".to_string()],
-                probe_interval: Duration::from_millis(10),
-                max_probe_backoff: Duration::from_millis(80),
-                ..RouterConfig::default()
-            },
-            backends: Mutex::new(vec![
-                Backend::new("l:1".to_string(), true, Instant::now()),
-                Backend::new("f:1".to_string(), false, Instant::now()),
-            ]),
-            counters: Counters::default(),
-            retry_budget: banks_util::retry::RetryBudget::new(64),
-            shutdown: AtomicBool::new(false),
-            registry: Registry::new(),
-            started: Instant::now(),
-        };
+        let shared = Shared::new(RouterConfig {
+            leader: "l:1".to_string(),
+            followers: vec!["f:1".to_string()],
+            probe_interval: Duration::from_millis(10),
+            max_probe_backoff: Duration::from_millis(80),
+            ..RouterConfig::default()
+        });
         let breaker = |shared: &Shared| shared.stats().backends[1].breaker;
         // An in-request connect failure trips the breaker immediately.
         shared.note_failure("f:1", true);
@@ -1219,26 +1025,12 @@ mod tests {
 
     #[test]
     fn stale_followers_leave_rotation() {
-        let config = RouterConfig {
+        let shared = Shared::new(RouterConfig {
             leader: "l:1".to_string(),
             followers: vec!["f:1".to_string(), "f:2".to_string()],
             staleness_bound: 2,
             ..RouterConfig::default()
-        };
-        let now = Instant::now();
-        let shared = Shared {
-            backends: Mutex::new(vec![
-                Backend::new("l:1".to_string(), true, now),
-                Backend::new("f:1".to_string(), false, now),
-                Backend::new("f:2".to_string(), false, now),
-            ]),
-            counters: Counters::default(),
-            retry_budget: banks_util::retry::RetryBudget::new(64),
-            shutdown: AtomicBool::new(false),
-            config,
-            registry: Registry::new(),
-            started: now,
-        };
+        });
         shared.note_success("l:1", 10, Duration::ZERO);
         shared.note_success("f:1", 9, Duration::ZERO); // within bound
         shared.note_success("f:2", 3, Duration::ZERO); // hopelessly behind
@@ -1254,31 +1046,13 @@ mod tests {
 
     #[test]
     fn metrics_cover_router_totals_and_labeled_backends() {
-        let now = Instant::now();
-        let shared = Arc::new(Shared {
-            config: RouterConfig {
-                leader: "l:1".to_string(),
-                followers: vec!["f:1".to_string()],
-                ..RouterConfig::default()
-            },
-            backends: Mutex::new(vec![
-                Backend::new("l:1".to_string(), true, now),
-                Backend::new("f:1".to_string(), false, now),
-            ]),
-            counters: Counters::default(),
-            retry_budget: banks_util::retry::RetryBudget::new(64),
-            shutdown: AtomicBool::new(false),
-            registry: Registry::new(),
-            started: now,
+        let shared = Shared::new(RouterConfig {
+            leader: "l:1".to_string(),
+            followers: vec!["f:1".to_string()],
+            ..RouterConfig::default()
         });
         shared.counters.searches.fetch_add(3, Ordering::Relaxed);
         shared.note_success("f:1", 7, Duration::from_micros(100));
-        let weak = Arc::downgrade(&shared);
-        shared.registry.register_collector(move || {
-            weak.upgrade()
-                .map(|shared| router_families(&shared))
-                .unwrap_or_default()
-        });
         let text = shared.registry.render();
         for family in [
             "banks_router_searches_total",

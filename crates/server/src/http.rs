@@ -1,12 +1,10 @@
 //! The std-only HTTP/1.1 JSON front end.
 //!
-//! No async runtime and no HTTP library: a `TcpListener` acceptor thread
-//! feeds connections through an `mpsc` channel to a fixed pool of worker
-//! threads, each of which parses one request, runs it against the
-//! shared [`QueryService`] (or the [`IngestEndpoint`] write path), and
-//! writes a JSON response. One request per connection
-//! (`Connection: close`) keeps the protocol surface tiny while still
-//! exercising true multi-client concurrency.
+//! The listener, worker pool and request framing (`431`, `400`, `413`)
+//! are [`banks_util::http::HttpServer`], shared with `banks route`. This
+//! module is the handler: admission control (shedding, rate limits,
+//! deadlines), per-endpoint metrics, and the routes below, answered from
+//! the shared [`QueryService`] (or the [`IngestEndpoint`] write path).
 //!
 //! | route | parameters | response |
 //! |---|---|---|
@@ -32,20 +30,21 @@
 //! what recovery would.
 
 use crate::ingest::{epoch_info_json, IngestEndpoint};
-use crate::metrics::{install_service_metrics, install_store_metrics, ServerMetrics};
+use crate::metrics::{
+    install_queue_metrics, install_service_metrics, install_store_metrics, ServerMetrics,
+};
 use crate::service::{QueryOptions, QueryService};
 use banks_core::SearchStrategy;
 use banks_graph::NodeId;
 use banks_ingest::DeltaBatch;
 use banks_telemetry::Registry;
-use banks_util::http::{parse_query_string, query_param};
+use banks_util::http::{
+    parse_query_string, query_param, HttpServer, ListenConfig, Request, Response,
+    HEADER_READ_TIMEOUT, MAX_BODY_BYTES,
+};
 use banks_util::json::Json;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// HTTP server options.
@@ -61,8 +60,9 @@ pub struct ServerConfig {
     /// follower: surfaced as the `leader` redirect hint on `min_epoch`
     /// 409s and on rejected `POST /ingest`.
     pub leader_hint: Option<String>,
-    /// Hard cap on a `POST /ingest` body (`--max-body-bytes`); larger
-    /// declared bodies are rejected with 413 before any read.
+    /// Hard cap on a request body (`--max-body-bytes`; only
+    /// `POST /ingest` uses one); larger declared bodies are rejected
+    /// with 413 before any read.
     pub max_body_bytes: u64,
     /// Deadline budget granted to a request that does not carry an
     /// `X-Banks-Deadline-Ms` header (`--default-deadline-ms`). `None`
@@ -71,11 +71,12 @@ pub struct ServerConfig {
     /// Cap on a client-supplied `X-Banks-Deadline-Ms` budget, so a
     /// client cannot grant itself an unbounded hold on a worker.
     pub max_deadline_ms: u64,
-    /// Admission bound: a connection that waited longer than this in
-    /// the accept queue is shed with `503` + `Retry-After` instead of
-    /// being served (the work it would trigger is already late, and the
-    /// clients behind it are better served by fast failure). `/health`
-    /// and `/metrics` are exempt.
+    /// Admission bound: a request that waited longer than this between
+    /// accept and its handler (queue plus head read) is shed with a
+    /// `503` and `Retry-After` instead of being served (the work it
+    /// would trigger is already late, and the clients behind it are
+    /// better served by fast failure). `/health` and `/metrics` are
+    /// exempt.
     pub shed_after: Duration,
     /// Per-client (peer IP) token-bucket rate limit in requests/second;
     /// over-limit requests get `429` + `Retry-After`. `None` (the
@@ -97,80 +98,36 @@ impl Default for ServerConfig {
                 .unwrap_or(4),
             backlog: 256,
             leader_hint: None,
-            max_body_bytes: 8 * 1024 * 1024,
+            max_body_bytes: MAX_BODY_BYTES,
             default_deadline_ms: None,
             max_deadline_ms: 60_000,
             shed_after: Duration::from_secs(5),
             rate_limit_rps: None,
-            header_read_timeout: Duration::from_secs(2),
+            header_read_timeout: HEADER_READ_TIMEOUT,
         }
     }
 }
 
 /// A running HTTP server; dropping it shuts the server down.
 pub struct BanksServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    http: HttpServer,
 }
 
 impl BanksServer {
-    /// Bind and start serving on background threads (read-only: no
-    /// ingest endpoint, `POST /ingest` answers 503).
-    pub fn bind(service: Arc<QueryService>, config: ServerConfig) -> std::io::Result<BanksServer> {
-        BanksServer::bind_with_ingest(service, None, config)
-    }
-
-    /// Bind with an optional write path: when `ingest` is provided,
-    /// `POST /ingest` publishes delta batches and `GET /epochs` reports
-    /// the publication history.
-    pub fn bind_with_ingest(
-        service: Arc<QueryService>,
-        ingest: Option<Arc<IngestEndpoint>>,
-        config: ServerConfig,
-    ) -> std::io::Result<BanksServer> {
-        BanksServer::bind_full(service, ingest, None, config)
-    }
-
-    /// Bind with an explicit durable store for `/stats` persistence
-    /// counters. Usually the store rides along inside the ingest
-    /// endpoint; this parameter covers the durable **read-only** shape
-    /// (`serve --data-dir --no-ingest`), where recovery counters must
-    /// still be observable even though no write path exists. When both
-    /// are given, the explicit store wins.
-    pub fn bind_full(
+    /// Bind and start serving on background threads. `ingest` is the
+    /// write path (without it `POST /ingest` answers 503). `store` backs
+    /// the persistence counters and replication feeds when no `ingest`
+    /// carries one (durable read-only servers, followers); it wins when
+    /// both do. `registry` may carry extra collectors (a follower's
+    /// replication counters); `None` means a fresh one.
+    pub fn bind(
         service: Arc<QueryService>,
         ingest: Option<Arc<IngestEndpoint>>,
         store: Option<Arc<banks_persist::PersistentStore>>,
+        registry: Option<Arc<Registry>>,
         config: ServerConfig,
     ) -> std::io::Result<BanksServer> {
-        BanksServer::bind_with_registry(service, ingest, store, Arc::new(Registry::new()), config)
-    }
-
-    /// Bind against a caller-supplied metric registry. The server still
-    /// installs its own families (HTTP, service, WAL); the caller may
-    /// have pre-registered extra collectors — this is how a follower's
-    /// replication counters reach the follower's `/metrics`.
-    pub fn bind_with_registry(
-        service: Arc<QueryService>,
-        ingest: Option<Arc<IngestEndpoint>>,
-        store: Option<Arc<banks_persist::PersistentStore>>,
-        registry: Arc<Registry>,
-        config: ServerConfig,
-    ) -> std::io::Result<BanksServer> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Each queued connection carries its accept timestamp so the
-        // worker that picks it up can measure queue latency — the load
-        // signal behind shedding — and anchor the request's deadline at
-        // arrival (queue time counts against the budget).
-        type Queued = (TcpStream, Instant);
-        let (tx, rx): (SyncSender<Queued>, Receiver<Queued>) = sync_channel(config.backlog);
-        let rx = Arc::new(Mutex::new(rx));
-
-        let metrics = ServerMetrics::new(registry);
+        let metrics = ServerMetrics::new(registry.unwrap_or_default());
         install_service_metrics(metrics.registry(), Arc::clone(&service));
         // `/stats` resolves the durable store the same way: explicit
         // binding first, else the one riding inside the ingest endpoint.
@@ -180,133 +137,44 @@ impl BanksServer {
         if let Some(store) = metric_store {
             install_store_metrics(metrics.registry(), store);
         }
+        let registry = Arc::clone(metrics.registry());
 
-        let shared = Arc::new(Shared {
+        let listen = ListenConfig {
+            addr: config.addr.clone(),
+            workers: config.workers,
+            backlog: config.backlog,
+            max_body_bytes: config.max_body_bytes,
+            header_read_timeout: config.header_read_timeout,
+            name: "banks-http",
+        };
+        let shared = Shared {
             service,
             ingest,
             store,
-            leader_hint: config.leader_hint.clone(),
             metrics,
             started: Instant::now(),
-            max_body_bytes: config.max_body_bytes,
-            default_deadline_ms: config.default_deadline_ms,
-            max_deadline_ms: config.max_deadline_ms,
-            shed_after: config.shed_after,
             limiter: config.rate_limit_rps.map(RateLimiter::new),
-            header_read_timeout: config.header_read_timeout,
-        });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("banks-http-{i}"))
-                    .spawn(move || worker_loop(rx, shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("banks-http-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let stream = match stream {
-                            Ok(stream) => stream,
-                            Err(_) => {
-                                // Transient accept errors (EMFILE under
-                                // fd exhaustion, ECONNABORTED) would
-                                // otherwise busy-spin this thread at
-                                // 100% CPU; back off briefly so workers
-                                // can drain and free descriptors.
-                                std::thread::sleep(Duration::from_millis(10));
-                                continue;
-                            }
-                        };
-                        // Depth counts connections sitting in the
-                        // channel; the worker decrements on pickup.
-                        shared.metrics.queue_depth.add(1);
-                        // If all workers are gone the send fails; stop.
-                        if tx.send((stream, Instant::now())).is_err() {
-                            shared.metrics.queue_depth.sub(1);
-                            break;
-                        }
-                    }
-                    // tx drops here; workers drain the queue and exit.
-                })
-                .expect("spawn acceptor")
+            config,
         };
-
-        Ok(BanksServer {
-            addr,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        let http = HttpServer::bind(&listen, move |request| handle(request, &shared))?;
+        install_queue_metrics(&registry, http.queue_depth());
+        Ok(BanksServer { http })
     }
 
     /// The bound address (with the real port when 0 was requested).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// Signal shutdown and wait for all threads to finish.
-    pub fn shutdown(mut self) {
-        self.stop();
+    pub fn shutdown(self) {
+        self.http.shutdown();
     }
 
     /// Block until the server is shut down from another thread (the CLI
     /// foreground mode).
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-
-    fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Poke the listener so the blocking accept wakes up and observes
-        // the flag. A wildcard bind (0.0.0.0 / ::) is not connectable on
-        // every platform, so the poke targets loopback on the bound port.
-        let mut poke = self.addr;
-        if poke.ip().is_unspecified() {
-            poke.set_ip(if poke.is_ipv4() {
-                std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST)
-            } else {
-                std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST)
-            });
-        }
-        let poked = TcpStream::connect_timeout(&poke, Duration::from_secs(1)).is_ok();
-        if !poked {
-            // Could not reach our own listener (e.g. firewalled
-            // interface-only bind): detach rather than deadlock the
-            // caller — the threads exit with the process.
-            self.acceptor.take();
-            self.workers.drain(..);
-            return;
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for BanksServer {
-    fn drop(&mut self) {
-        self.stop();
+    pub fn join(self) {
+        self.http.join();
     }
 }
 
@@ -315,16 +183,11 @@ struct Shared {
     service: Arc<QueryService>,
     ingest: Option<Arc<IngestEndpoint>>,
     store: Option<Arc<banks_persist::PersistentStore>>,
-    leader_hint: Option<String>,
     metrics: ServerMetrics,
     /// Bind time, for `/health`'s `uptime_s`.
     started: Instant,
-    max_body_bytes: u64,
-    default_deadline_ms: Option<u64>,
-    max_deadline_ms: u64,
-    shed_after: Duration,
     limiter: Option<RateLimiter>,
-    header_read_timeout: Duration,
+    config: ServerConfig,
 }
 
 /// Per-client token-bucket rate limiter, keyed by peer IP.
@@ -377,126 +240,24 @@ impl RateLimiter {
     }
 }
 
-fn worker_loop(rx: Arc<Mutex<Receiver<(TcpStream, Instant)>>>, shared: Arc<Shared>) {
-    loop {
-        let (stream, enqueued_at) = match rx.lock().expect("worker queue lock").recv() {
-            Ok(queued) => queued,
-            Err(_) => return, // acceptor gone and queue drained
-        };
-        shared.metrics.queue_depth.sub(1);
-        // Contain per-request panics: a worker that dies is never
-        // respawned, so an adversarial request that panicked the handler
-        // would otherwise shrink the pool until the server is dead. The
-        // service is immutable-plus-atomics, hence panic-safe to reuse.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = handle_connection(stream, enqueued_at, &shared);
-        }));
-    }
-}
-
-/// Hard cap on request-line + header bytes. A worker never reads more
-/// than this per connection, bounding both memory and the time a slow
-/// (or malicious) client can pin it.
-const MAX_REQUEST_BYTES: u64 = 16 * 1024;
-
 /// Longest a long-polling route (`/replication/wal`, `min_epoch` search)
 /// may park before answering with whatever state exists.
 const MAX_WAIT_MS: u64 = 30_000;
 
-/// One response: status line tail, body, and whatever extra headers the
-/// route wants on the wire. JSON by default; the replication routes ship
-/// raw on-disk bytes as `application/octet-stream`.
-struct Response {
-    status: &'static str,
-    content_type: &'static str,
-    headers: Vec<(&'static str, String)>,
-    body: Vec<u8>,
+/// Raw bytes stamped with the epoch they represent — even an empty WAL
+/// range carries `X-Banks-Epoch`, which is how a caught-up follower
+/// learns the leader's durable epoch without a second request.
+fn bytes_response(epoch: u64, body: Vec<u8>) -> Response {
+    Response::new(200, "application/octet-stream", body)
+        .with_header("X-Banks-Epoch", epoch.to_string())
 }
 
-impl Response {
-    fn json(status: &'static str, body: String) -> Response {
-        Response {
-            status,
-            content_type: "application/json",
-            headers: Vec::new(),
-            body: body.into_bytes(),
-        }
-    }
-
-    /// Raw bytes stamped with the epoch they represent — even an empty
-    /// WAL range carries `X-Banks-Epoch`, which is how a caught-up
-    /// follower learns the leader's durable epoch without a second
-    /// request.
-    fn bytes(epoch: u64, body: Vec<u8>) -> Response {
-        Response {
-            status: "200 OK",
-            content_type: "application/octet-stream",
-            headers: vec![("X-Banks-Epoch", epoch.to_string())],
-            body,
-        }
-    }
-
-    fn with_header(mut self, name: &'static str, value: String) -> Response {
-        self.headers.push((name, value));
-        self
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    enqueued_at: Instant,
-    shared: &Shared,
-) -> std::io::Result<()> {
+/// Admission control, routing and per-endpoint accounting for one
+/// request.
+fn handle(request: Request, shared: &Shared) -> Response {
     let t0 = Instant::now();
-    let queue_wait = t0.duration_since(enqueued_at);
-    // The head is read under the (short) slowloris budget; the body
-    // read below runs under the normal request timeout.
-    stream.set_read_timeout(Some(shared.header_read_timeout))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let peer_ip = stream.peer_addr().ok().map(|a| a.ip());
-    let mut reader = BufReader::new(stream.try_clone()?).take(MAX_REQUEST_BYTES);
-
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers, remembering Content-Length for the write path and
-    // the request's deadline budget. `take` above makes this loop
-    // terminate even for a client that streams bytes forever.
-    let mut complete = false;
-    let mut content_length: u64 = 0;
-    let mut bad_content_length = false;
-    let mut deadline_ms: Option<u64> = None;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
-        if header == "\r\n" || header == "\n" {
-            complete = true;
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                // An unparseable (or overflowing) length must be an
-                // error, not a silent 0 that skips the size cap and
-                // drops the body.
-                match value.trim().parse() {
-                    Ok(n) => content_length = n,
-                    Err(_) => bad_content_length = true,
-                }
-            } else if name.eq_ignore_ascii_case("x-banks-deadline-ms") {
-                deadline_ms = value.trim().parse().ok();
-            }
-        }
-    }
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-
-    let mut stream = stream;
-    let path = request_line
-        .split_whitespace()
-        .nth(1)
-        .map(|t| t.split_once('?').map_or(t, |(p, _)| p))
-        .unwrap_or("")
-        .to_string();
+    let queue_wait = t0.duration_since(request.enqueued_at);
+    let path = request.path();
     // Probes and scrapes are exempt from every admission control: an
     // overloaded server must stay observable (and must not be restarted
     // by a health-checker that mistakes shedding for death).
@@ -506,128 +267,69 @@ fn handle_connection(
     // queue wait spends the same budget that searching does. A
     // client-supplied budget is capped; without one, the configured
     // default (if any) applies.
-    let deadline = deadline_ms
-        .map(|ms| ms.min(shared.max_deadline_ms))
-        .or(shared.default_deadline_ms)
-        .map(|ms| enqueued_at + Duration::from_millis(ms));
+    let deadline = request
+        .header("x-banks-deadline-ms")
+        .and_then(|v| v.parse::<u64>().ok())
+        .map(|ms| ms.min(shared.config.max_deadline_ms))
+        .or(shared.config.default_deadline_ms)
+        .map(|ms| request.enqueued_at + Duration::from_millis(ms));
 
-    // Only an *unterminated* head at the cap is oversized — a request
-    // whose headers end exactly at the limit is complete and valid.
-    // Only `POST /ingest` carries a meaningful body; draining (and
-    // UTF-8 validating) up to the body cap for routes that will never
-    // look at it would let any client pin a worker with useless work.
-    // The connection is one-request (`Connection: close`), so an unread
-    // body needs no draining for protocol correctness.
-    let wants_body = request_line.starts_with("POST ") && path == "/ingest";
-
-    let response = if !exempt && queue_wait > shared.shed_after {
+    let response = if !exempt && queue_wait > shared.config.shed_after {
         // Load shedding: this connection already waited so long that
         // serving it would only delay everything behind it further.
         shared.metrics.shed_total.inc();
-        error_response("503 Service Unavailable", "server overloaded, request shed")
+        Response::error(503, "server overloaded, request shed")
             .with_header("Retry-After", "1".to_string())
     } else if let Some(limiter) = shared
         .limiter
         .as_ref()
         .filter(|_| !exempt)
-        .filter(|l| !peer_ip.is_none_or(|ip| l.admit(ip)))
+        .filter(|l| !request.peer.is_none_or(|ip| l.admit(ip)))
     {
         shared.metrics.rate_limited_total.inc();
-        error_response("429 Too Many Requests", "client rate limit exceeded")
+        Response::error(429, "client rate limit exceeded")
             .with_header("Retry-After", limiter.retry_after_secs().to_string())
     } else if !exempt && deadline.is_some_and(|d| Instant::now() >= d) {
         // The budget lapsed before any work started (queue wait ate
         // it); answering 504 now is strictly cheaper than searching.
         shared.metrics.deadline_exceeded_total.inc();
-        error_response("504 Gateway Timeout", "deadline exceeded before processing")
+        Response::error(504, "deadline exceeded before processing")
             .with_header("Retry-After", "1".to_string())
-    } else if !complete && reader.limit() == 0 {
-        error_response("431 Request Header Fields Too Large", "request too large")
-    } else if bad_content_length {
-        error_response("400 Bad Request", "bad Content-Length header")
-    } else if wants_body && content_length > shared.max_body_bytes {
-        error_response("413 Payload Too Large", "request body too large")
     } else {
-        // The head reader's byte budget does not constrain the body. A
-        // client closing early leaves a short body that fails JSON
-        // parsing with a useful error; invalid UTF-8 is rejected rather
-        // than silently replaced (the delta would otherwise publish
-        // corrupted text).
-        let request_body = if wants_body && content_length > 0 {
-            reader.set_limit(content_length);
-            let mut raw = Vec::with_capacity(content_length.min(64 * 1024) as usize);
-            reader.read_to_end(&mut raw)?;
-            String::from_utf8(raw).ok()
-        } else {
-            Some(String::new())
-        };
-        match request_body {
-            Some(request_body) => route(&request_line, &request_body, deadline, shared),
-            None => error_response("400 Bad Request", "request body is not valid UTF-8"),
-        }
+        route(&request, deadline, shared)
     };
-    // Per-endpoint accounting: first read through computed response
+    // Per-endpoint accounting: handler entry through computed response
     // (client write time excluded — a slow reader is not server time).
-    {
-        let path = request_line
-            .split_whitespace()
-            .nth(1)
-            .map(|t| t.split_once('?').map_or(t, |(p, _)| p))
-            .unwrap_or("");
-        let endpoint = shared.metrics.endpoint(path);
-        endpoint.requests.inc();
-        endpoint.latency.record_duration(t0.elapsed());
-    }
-    let mut head = format!(
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
-        response.status,
-        response.content_type,
-        response.body.len(),
-    );
-    for (name, value) in &response.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()
+    let endpoint = shared.metrics.endpoint(path);
+    endpoint.requests.inc();
+    endpoint.latency.record_duration(t0.elapsed());
+    response
 }
 
-fn route(
-    request_line: &str,
-    request_body: &str,
-    deadline: Option<Instant>,
-    shared: &Shared,
-) -> Response {
+fn route(request: &Request, deadline: Option<Instant>, shared: &Shared) -> Response {
     let service = shared.service.as_ref();
     let ingest = shared.ingest.as_deref();
     let store = shared.store.as_deref();
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => return error_response("400 Bad Request", "malformed request line"),
-    };
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let params = parse_query_string(query);
-    match (method, path) {
-        ("POST", "/ingest") => handle_ingest(&params, request_body, ingest, shared),
-        (_, "/ingest") => error_response("405 Method Not Allowed", "/ingest requires POST"),
+    let path = request.path();
+    let params = parse_query_string(request.query());
+    match (request.method.as_str(), path) {
+        // Invalid UTF-8 is rejected rather than replaced: the delta would
+        // otherwise publish corrupted text.
+        ("POST", "/ingest") => match std::str::from_utf8(&request.body) {
+            Ok(body) => handle_ingest(&params, body, ingest, shared),
+            Err(_) => Response::error(400, "request body is not valid UTF-8"),
+        },
+        (_, "/ingest") => Response::error(405, "/ingest requires POST"),
         ("GET", _) => match path {
             "/search" => handle_search(&params, deadline, service, shared),
             "/node" => handle_node(&params, service),
-            "/stats" => Response::json("200 OK", stats_json(service, ingest, store).compact()),
+            "/stats" => Response::json(200, stats_json(service, ingest, store).compact()),
             "/epochs" => handle_epochs(service, ingest),
             // The epoch rides in the liveness probe so a router can
             // track staleness with the request it already makes; the
             // build identity and uptime make probe output self-locating.
             "/health" => Response::json(
-                "200 OK",
+                200,
                 Json::obj([
                     ("status", Json::Str("ok".into())),
                     ("epoch", Json::Uint(service.epoch())),
@@ -636,18 +338,19 @@ fn route(
                 ])
                 .compact(),
             ),
-            "/metrics" => Response {
-                status: "200 OK",
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                headers: Vec::new(),
-                body: shared.metrics.registry().render().into_bytes(),
-            },
+            "/metrics" => Response::metrics(shared.metrics.registry().render()),
             "/debug/slow" => handle_slow(&params, service),
-            "/replication/snapshot" => handle_replication_snapshot(store),
-            "/replication/wal" => handle_replication_wal(&params, store),
-            _ => error_response("404 Not Found", "unknown path"),
+            "/replication/snapshot" | "/replication/wal" => match store {
+                None => Response::error(
+                    503,
+                    "replication requires a data directory (serve --data-dir)",
+                ),
+                Some(store) if path == "/replication/wal" => handle_replication_wal(&params, store),
+                Some(store) => handle_replication_snapshot(store),
+            },
+            _ => Response::error(404, "unknown path"),
         },
-        _ => error_response("405 Method Not Allowed", "only GET is supported"),
+        _ => Response::error(405, "only GET is supported"),
     }
 }
 
@@ -660,26 +363,26 @@ fn handle_ingest(
     let Some(endpoint) = ingest else {
         // A follower (or read-only server) points writers at the leader.
         let mut fields = vec![("error", Json::Str("ingestion is disabled".into()))];
-        if let Some(leader) = &shared.leader_hint {
+        if let Some(leader) = &shared.config.leader_hint {
             fields.push(("leader", Json::Str(leader.clone())));
         }
-        return Response::json("503 Service Unavailable", Json::obj(fields).compact());
+        return Response::json(503, Json::obj(fields).compact());
     };
     let batch = match DeltaBatch::from_json(request_body) {
         Ok(batch) => batch,
-        Err(e) => return error_response("400 Bad Request", &e.to_string()),
+        Err(e) => return Response::error(400, &e.to_string()),
     };
     if batch.is_empty() {
         // Malformed request, not a data conflict: 409 is reserved for
         // batches the current database rejects.
-        return error_response("400 Bad Request", "empty delta batch");
+        return Response::error(400, "empty delta batch");
     }
     let published_at = query_param(params, "ts")
         .filter(|ts| !ts.is_empty())
         .map(str::to_string);
     match endpoint.ingest(&batch, published_at) {
-        Ok(info) => Response::json("200 OK", epoch_info_json(&info).compact()),
-        Err(e) => error_response("409 Conflict", &e.to_string()),
+        Ok(info) => Response::json(200, epoch_info_json(&info).compact()),
+        Err(e) => Response::error(409, &e.to_string()),
     }
 }
 
@@ -691,21 +394,15 @@ fn handle_epochs(service: &QueryService, ingest: Option<&IngestEndpoint>) -> Res
             ("history", Json::Arr(Vec::new())),
         ]),
     };
-    Response::json("200 OK", doc.compact())
+    Response::json(200, doc.compact())
 }
 
 /// The follower-bootstrap feed: the newest snapshot bundle, byte for
 /// byte as it sits on disk, stamped with its epoch.
-fn handle_replication_snapshot(store: Option<&banks_persist::PersistentStore>) -> Response {
-    let Some(store) = store else {
-        return error_response(
-            "503 Service Unavailable",
-            "replication requires a data directory (serve --data-dir)",
-        );
-    };
+fn handle_replication_snapshot(store: &banks_persist::PersistentStore) -> Response {
     match store.newest_snapshot() {
-        Ok((epoch, bytes)) => Response::bytes(epoch, bytes),
-        Err(e) => error_response("500 Internal Server Error", &e.to_string()),
+        Ok((epoch, bytes)) => bytes_response(epoch, bytes),
+        Err(e) => Response::error(500, &e.to_string()),
     }
 }
 
@@ -714,20 +411,11 @@ fn handle_replication_snapshot(store: Option<&banks_persist::PersistentStore>) -
 /// compaction dropped a needed frame — re-bootstrap from the snapshot.
 fn handle_replication_wal(
     params: &[(String, String)],
-    store: Option<&banks_persist::PersistentStore>,
+    store: &banks_persist::PersistentStore,
 ) -> Response {
-    let Some(store) = store else {
-        return error_response(
-            "503 Service Unavailable",
-            "replication requires a data directory (serve --data-dir)",
-        );
-    };
     let Some(from_epoch) = query_param(params, "from_epoch").and_then(|v| v.parse::<u64>().ok())
     else {
-        return error_response(
-            "400 Bad Request",
-            "missing or invalid required parameter `from_epoch`",
-        );
+        return Response::error(400, "missing or invalid required parameter `from_epoch`");
     };
     let wait_ms = query_param(params, "wait_ms")
         .and_then(|v| v.parse::<u64>().ok())
@@ -741,9 +429,9 @@ fn handle_replication_wal(
         range = store.wal_since(from_epoch);
     }
     match range {
-        Ok(Some(bytes)) => Response::bytes(store.durable_epoch(), bytes),
+        Ok(Some(bytes)) => bytes_response(store.durable_epoch(), bytes),
         Ok(None) => Response::json(
-            "410 Gone",
+            410,
             Json::obj([
                 (
                     "error",
@@ -757,15 +445,8 @@ fn handle_replication_wal(
             .compact(),
         )
         .with_header("X-Banks-Epoch", store.durable_epoch().to_string()),
-        Err(e) => error_response("500 Internal Server Error", &e.to_string()),
+        Err(e) => Response::error(500, &e.to_string()),
     }
-}
-
-fn error_response(status: &'static str, message: &str) -> Response {
-    Response::json(
-        status,
-        Json::obj([("error", Json::Str(message.to_string()))]).compact(),
-    )
 }
 
 fn handle_search(
@@ -775,7 +456,7 @@ fn handle_search(
     shared: &Shared,
 ) -> Response {
     let Some(q) = query_param(params, "q") else {
-        return error_response("400 Bad Request", "missing required parameter `q`");
+        return Response::error(400, "missing required parameter `q`");
     };
     // Read-your-writes: a client that saw the leader ack epoch N asks a
     // follower for `min_epoch=N` and parks (bounded) until the tailer
@@ -783,7 +464,7 @@ fn handle_search(
     // silently stale answer.
     if let Some(raw) = query_param(params, "min_epoch").filter(|v| !v.is_empty()) {
         let Ok(min_epoch) = raw.parse::<u64>() else {
-            return error_response("400 Bad Request", "min_epoch must be an unsigned integer");
+            return Response::error(400, "min_epoch must be an unsigned integer");
         };
         let wait_ms = query_param(params, "wait_ms")
             .and_then(|v| v.parse::<u64>().ok())
@@ -801,10 +482,10 @@ fn handle_search(
                 ("epoch", Json::Uint(reached)),
                 ("min_epoch", Json::Uint(min_epoch)),
             ];
-            if let Some(leader) = &shared.leader_hint {
+            if let Some(leader) = &shared.config.leader_hint {
                 fields.push(("leader", Json::Str(leader.clone())));
             }
-            return Response::json("409 Conflict", Json::obj(fields).compact())
+            return Response::json(409, Json::obj(fields).compact())
                 .with_header("Retry-After", "1".to_string());
         }
     }
@@ -812,8 +493,8 @@ fn handle_search(
         None | Some("") | Some("backward") => SearchStrategy::Backward,
         Some("forward") => SearchStrategy::Forward,
         Some(other) => {
-            return error_response(
-                "400 Bad Request",
+            return Response::error(
+                400,
                 &format!("unknown strategy `{other}` (backward|forward)"),
             )
         }
@@ -822,7 +503,7 @@ fn handle_search(
         None | Some("") => None,
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) if n > 0 => Some(n),
-            _ => return error_response("400 Bad Request", "limit must be a positive integer"),
+            _ => return Response::error(400, "limit must be a positive integer"),
         },
     };
     let trace = matches!(query_param(params, "trace"), Some("1") | Some("true"));
@@ -837,7 +518,7 @@ fn handle_search(
         },
     ) {
         Ok(response) => response,
-        Err(e) => return error_response("400 Bad Request", &e.to_string()),
+        Err(e) => return Response::error(400, &e.to_string()),
     };
 
     // Deadline semantics: an expired search that still produced answers
@@ -849,7 +530,7 @@ fn handle_search(
     if partial {
         shared.metrics.deadline_exceeded_total.inc();
         if response.result.answers.is_empty() {
-            return error_response("504 Gateway Timeout", "deadline exceeded during search")
+            return Response::error(504, "deadline exceeded during search")
                 .with_header("Retry-After", "1".to_string());
         }
     }
@@ -917,7 +598,7 @@ fn handle_search(
     let volatile = Json::obj(fields).compact();
     // Splice: `{volatile…,fragment…}`.
     let body = format!("{},{fragment}}}", &volatile[..volatile.len() - 1]);
-    Response::json("200 OK", body)
+    Response::json(200, body)
 }
 
 fn spans_json(spans: &[banks_telemetry::Span]) -> Json {
@@ -965,7 +646,7 @@ fn handle_slow(params: &[(String, String)], service: &QueryService) -> Response 
             ),
         ),
     ]);
-    Response::json("200 OK", body.compact())
+    Response::json(200, body.compact())
 }
 
 /// Serialize the cacheable part of a search response:
@@ -1029,17 +710,17 @@ fn answers_fragment(banks: &banks_core::Banks, result: &crate::service::CachedRe
 
 fn handle_node(params: &[(String, String)], service: &QueryService) -> Response {
     let Some(raw) = query_param(params, "id") else {
-        return error_response("400 Bad Request", "missing required parameter `id`");
+        return Response::error(400, "missing required parameter `id`");
     };
     let Ok(id) = raw.parse::<u32>() else {
-        return error_response("400 Bad Request", "id must be a graph node id (u32)");
+        return Response::error(400, "id must be a graph node id (u32)");
     };
     // Pin one snapshot for both the bounds check and the rendering.
     let banks = service.banks();
     if (id as usize) >= banks.tuple_graph().node_count() {
-        return error_response("404 Not Found", "no such node");
+        return Response::error(404, "no such node");
     }
-    Response::json("200 OK", node_json(&banks, NodeId(id)).compact())
+    Response::json(200, node_json(&banks, NodeId(id)).compact())
 }
 
 /// JSON description of one graph node: its tuple, relation, prestige,
@@ -1313,7 +994,7 @@ mod tests {
             banks,
             ServiceConfig::default(),
         ));
-        BanksServer::bind(service, config).unwrap()
+        BanksServer::bind(service, None, None, None, config).unwrap()
     }
 
     /// One raw request with arbitrary extra header lines — for the

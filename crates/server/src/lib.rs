@@ -24,8 +24,8 @@
 //!   std-only HTTP/1.1 JSON endpoint ([`http::BanksServer`]) with
 //!   `GET /search`, `/node`, `/stats`, `/epochs`, `/health`, and
 //!   `POST /ingest` (when wired with an [`ingest::IngestEndpoint`]),
-//!   served by a fixed worker pool over `std::net::TcpListener` — no
-//!   async runtime, no external dependencies.
+//!   served by `banks_util::http::HttpServer`, the worker pool the
+//!   router runs too — no async runtime, no external dependencies.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -35,7 +35,7 @@
 //!
 //! let banks = Arc::new(Banks::new(db()).unwrap());
 //! let service = Arc::new(QueryService::new(banks, ServiceConfig::default()));
-//! let server = BanksServer::bind(service, ServerConfig::default()).unwrap();
+//! let server = BanksServer::bind(service, None, None, None, ServerConfig::default()).unwrap();
 //! println!("listening on http://{}", server.local_addr());
 //! server.join(); // serve until shutdown
 //! ```

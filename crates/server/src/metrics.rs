@@ -2,18 +2,19 @@
 //!
 //! The server owns one [`Registry`] per bound instance. Hot-path
 //! instruments (per-endpoint request counters and latency histograms,
-//! the accept-queue depth gauge, the service's cold/hit latency
-//! histograms) are `Arc`ed out of the registry once at bind time, so
-//! request handling never takes the registry lock. Everything that
-//! already has a counter somewhere else — cache stats, epochs, pager,
-//! WAL — is exported through scrape-time *collectors* that read the
+//! the service's cold/hit latency histograms) are `Arc`ed out of the
+//! registry once at bind time, so request handling never takes the
+//! registry lock. Everything that already has a counter somewhere else —
+//! the HTTP core's accept-queue depth, cache stats, epochs, pager, WAL —
+//! is exported through scrape-time *collectors* that read the
 //! existing snapshots, so `/metrics` adds no bookkeeping to those
 //! subsystems.
 
 use crate::service::QueryService;
 use banks_telemetry::{
-    latency_boundaries, CollectedFamily, Counter, Gauge, Histogram, Kind, Registry, Sample,
+    latency_boundaries, CollectedFamily, Counter, Histogram, Kind, Registry, Sample,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Exported latency unit: the histograms tick in nanoseconds, the
@@ -47,9 +48,6 @@ const ENDPOINTS: &[&str] = &[
 /// The server's registry plus its pre-resolved hot-path instruments.
 pub struct ServerMetrics {
     registry: Arc<Registry>,
-    /// Connections accepted but not yet picked up by a worker — the
-    /// live backpressure signal of the `sync_channel` accept queue.
-    pub queue_depth: Arc<Gauge>,
     /// Requests shed with `503` because their accept-queue wait passed
     /// the shedding bound.
     pub shed_total: Arc<Counter>,
@@ -81,11 +79,6 @@ impl ServerMetrics {
         };
         let endpoints = ENDPOINTS.iter().map(|&path| (path, make(path))).collect();
         let fallback = make("other");
-        let queue_depth = registry.gauge(
-            "banks_http_queue_depth",
-            "Accepted connections waiting for a worker.",
-            &[],
-        );
         let shed_total = registry.counter(
             "banks_shed_total",
             "Requests shed (503) because queue wait exceeded the shedding bound.",
@@ -103,7 +96,6 @@ impl ServerMetrics {
         );
         ServerMetrics {
             registry,
-            queue_depth,
             shed_total,
             rate_limited_total,
             deadline_exceeded_total,
@@ -125,6 +117,18 @@ impl ServerMetrics {
             .map(|(_, m)| m)
             .unwrap_or(&self.fallback)
     }
+}
+
+/// Export the HTTP core's accept-queue depth, the live backpressure signal.
+pub fn install_queue_metrics(registry: &Registry, depth: Arc<AtomicUsize>) {
+    registry.register_collector(move || {
+        vec![CollectedFamily::scalar(
+            "banks_http_queue_depth",
+            "Accepted connections waiting for a worker.",
+            Kind::Gauge,
+            depth.load(Ordering::Relaxed) as f64,
+        )]
+    });
 }
 
 /// Register the query service's families: its two owned latency

@@ -142,10 +142,11 @@ fn durable_server(dir: &Path) -> (Arc<QueryService>, BanksServer, Arc<Persistent
     publisher.set_durability_hook(store.wal_hook());
     let ingest =
         IngestEndpoint::with_publisher(Arc::clone(&service), publisher, Some(Arc::clone(&store)));
-    let server = BanksServer::bind_full(
+    let server = BanksServer::bind(
         Arc::clone(&service),
         Some(ingest),
         Some(Arc::clone(&store)),
+        None,
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -432,10 +433,11 @@ fn network_chaos_through_router_keeps_errors_bounded_and_writes_safe() {
         ServiceConfig::default(),
     )
     .expect("follower start");
-    let follower_server = BanksServer::bind_full(
+    let follower_server = BanksServer::bind(
         replica.service(),
         None,
         Some(replica.store()),
+        None,
         ServerConfig {
             workers: 2,
             leader_hint: Some(leader_addr.to_string()),

@@ -7,9 +7,10 @@
 use banks_core::Banks;
 use banks_datagen::dblp::{generate, DblpConfig};
 use banks_server::{BanksServer, IngestEndpoint, QueryService, ServerConfig, ServiceConfig};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use banks_util::http::http_request;
+use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 struct Fixture {
     service: Arc<QueryService>,
@@ -21,51 +22,29 @@ fn fixture() -> Fixture {
     let banks = Arc::new(Banks::new(dataset.db.clone()).expect("banks builds"));
     let service = Arc::new(QueryService::new(banks, ServiceConfig::default()));
     let ingest = IngestEndpoint::new(Arc::clone(&service));
-    let server = BanksServer::bind_with_ingest(
-        Arc::clone(&service),
-        Some(ingest),
-        ServerConfig {
-            workers: 10,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    let config = ServerConfig {
+        workers: 10,
+        ..ServerConfig::default()
+    };
+    let server = BanksServer::bind(Arc::clone(&service), Some(ingest), None, None, config)
+        .expect("bind loopback");
     Fixture { service, server }
 }
 
-/// Minimal HTTP client: one request, returns (status, body).
-fn http(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+/// One request through the shared client: `(status, body)`.
+fn http(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> (u16, String) {
+    let addr = addr.to_string();
+    let body = body.map(str::as_bytes);
+    let resp = http_request(&addr, method, target, body, Duration::from_secs(30)).expect("request");
+    (resp.status, resp.text())
 }
 
 fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!("GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"),
-    )
+    http(addr, "GET", target, None)
 }
 
 fn http_post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {target} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        ),
-    )
+    http(addr, "POST", target, Some(body))
 }
 
 /// Extract `"field":<u64>` from a flat JSON body.
@@ -240,7 +219,14 @@ fn read_only_server_disables_ingest() {
     let dataset = generate(DblpConfig::tiny(1)).expect("datagen");
     let banks = Arc::new(Banks::new(dataset.db.clone()).expect("banks builds"));
     let service = Arc::new(QueryService::new(banks, ServiceConfig::default()));
-    let server = BanksServer::bind(Arc::clone(&service), ServerConfig::default()).expect("bind");
+    let server = BanksServer::bind(
+        Arc::clone(&service),
+        None,
+        None,
+        None,
+        ServerConfig::default(),
+    )
+    .expect("bind");
     let addr = server.local_addr();
 
     let (status, body) = http_post(addr, "/ingest", &insert_batch("x"));

@@ -217,27 +217,17 @@ proptest! {
     }
 }
 
-/// Minimal HTTP/1.1 client: one GET, returns (status_code, body).
+/// One GET through the shared client: `(status, body)`.
 fn http_get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+    let resp = banks_util::http::http_request(
+        &addr.to_string(),
+        "GET",
+        target,
+        None,
+        std::time::Duration::from_secs(30),
     )
-    .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    .expect("request");
+    (resp.status, resp.text())
 }
 
 /// A server over a paged bundle under a starvation-level budget serves
@@ -267,6 +257,9 @@ fn paged_server_serves_bit_identical_node_and_answer_json() {
         ));
         BanksServer::bind(
             service,
+            None,
+            None,
+            None,
             ServerConfig {
                 workers: 2,
                 ..ServerConfig::default()

@@ -20,11 +20,12 @@ use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
 use banks_persist::{PersistOptions, PersistentStore};
 use banks_server::{BanksServer, IngestEndpoint, QueryService, ServerConfig, ServiceConfig};
 use banks_storage::Value;
+use banks_util::http::http_request;
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -226,38 +227,20 @@ proptest! {
 // Loopback crash simulation over real HTTP.
 // ---------------------------------------------------------------------------
 
-fn http(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+/// One request through the shared client: `(status, body)`.
+fn http(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> (u16, String) {
+    let addr = addr.to_string();
+    let body = body.map(str::as_bytes);
+    let resp = http_request(&addr, method, target, body, Duration::from_secs(30)).expect("request");
+    (resp.status, resp.text())
 }
 
 fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!("GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"),
-    )
+    http(addr, "GET", target, None)
 }
 
 fn http_post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {target} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        ),
-    )
+    http(addr, "POST", target, Some(body))
 }
 
 fn json_u64(body: &str, field: &str) -> Option<u64> {
@@ -290,15 +273,12 @@ fn durable_server(dir: &std::path::Path) -> (Arc<QueryService>, BanksServer, Arc
     publisher.set_durability_hook(store.wal_hook());
     let ingest =
         IngestEndpoint::with_publisher(Arc::clone(&service), publisher, Some(Arc::clone(&store)));
-    let server = BanksServer::bind_with_ingest(
-        Arc::clone(&service),
-        Some(ingest),
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    let config = ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    };
+    let server = BanksServer::bind(Arc::clone(&service), Some(ingest), None, None, config)
+        .expect("bind loopback");
     (service, server, store)
 }
 

@@ -64,10 +64,11 @@ fn leader(dir: &Path) -> (Arc<QueryService>, BanksServer, Arc<IngestEndpoint>) {
     let mut publisher = SnapshotPublisher::with_epoch(banks, epoch);
     publisher.set_durability_hook(store.wal_hook());
     let ingest = IngestEndpoint::with_publisher(Arc::clone(&service), publisher, Some(store));
-    let server = BanksServer::bind_full(
+    let server = BanksServer::bind(
         Arc::clone(&service),
         Some(Arc::clone(&ingest)),
         ingest.store().cloned(),
+        None,
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -90,17 +91,13 @@ fn follower(dir: &Path, leader_addr: SocketAddr) -> (Replica, BanksServer) {
         ServiceConfig::default(),
     )
     .expect("follower start");
-    let server = BanksServer::bind_full(
-        replica.service(),
-        None,
-        Some(replica.store()),
-        ServerConfig {
-            workers: 2,
-            leader_hint: Some(leader_addr.to_string()),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind follower");
+    let config = ServerConfig {
+        workers: 2,
+        leader_hint: Some(leader_addr.to_string()),
+        ..ServerConfig::default()
+    };
+    let server = BanksServer::bind(replica.service(), None, Some(replica.store()), None, config)
+        .expect("bind follower");
     (replica, server)
 }
 
@@ -258,6 +255,15 @@ fn cluster_converges_and_survives_a_follower_kill() {
         assert_eq!(resp.status, 200, "{}", resp.text());
         assert_eq!(json_u64(&resp.text(), "epoch"), Some(i));
     }
+    assert_eq!(leader_service.epoch(), 3);
+
+    // The router forwards the client's method: a bodiless POST reaches
+    // the leader as a POST (400, empty batch), not as a GET (405), and
+    // a GET gets the leader's own 405.
+    let resp = post(front, "/ingest", "");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let resp = get(front, "/ingest");
+    assert_eq!(resp.status, 405, "{}", resp.text());
     assert_eq!(leader_service.epoch(), 3);
 
     // Both followers converge to the leader's epoch and to

@@ -2,16 +2,20 @@
 //! on an ephemeral port, issue real TCP requests — including ≥ 8
 //! concurrent clients — and check that ranked answers match the
 //! single-threaded search path and that `/stats` accounts every
-//! hit and miss exactly.
+//! hit and miss exactly. Malformed requests get the same answers from
+//! the server and from the router in front of it.
 
 use banks_core::Banks;
 use banks_datagen::dblp::{generate, DblpConfig};
 use banks_eval::workload::{dblp_eval_config, dblp_workload};
+use banks_router::{Router, RouterConfig};
 use banks_server::{BanksServer, QueryService, ServerConfig, ServiceConfig};
+use banks_util::http::http_request;
 use banks_util::json::Json;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One tiny corpus + server shared per test (each test builds its own so
 /// `/stats` counters start from zero).
@@ -29,14 +33,12 @@ fn fixture() -> Fixture {
         Arc::clone(&banks),
         ServiceConfig::default(),
     ));
-    let server = BanksServer::bind(
-        Arc::clone(&service),
-        ServerConfig {
-            workers: 8,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    let config = ServerConfig {
+        workers: 8,
+        ..ServerConfig::default()
+    };
+    let server =
+        BanksServer::bind(Arc::clone(&service), None, None, None, config).expect("bind loopback");
     Fixture {
         banks,
         service,
@@ -44,26 +46,17 @@ fn fixture() -> Fixture {
     }
 }
 
-/// Minimal HTTP/1.1 client: one GET, returns (status_code, body).
+/// One GET through the shared client: `(status, body)`.
 fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+    let resp = http_request(
+        &addr.to_string(),
+        "GET",
+        target,
+        None,
+        Duration::from_secs(30),
     )
-    .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    .expect("request");
+    (resp.status, resp.text())
 }
 
 /// URL-encode just enough for query text (spaces).
@@ -350,14 +343,12 @@ fn cold_entries_on_a_10k_corpus_stay_under_4_kib() {
     let banks = Arc::new(Banks::new(build_database(&dir).expect("load corpus")).unwrap());
     std::fs::remove_dir_all(&dir).ok();
     let service = Arc::new(QueryService::new(banks, ServiceConfig::default()));
-    let server = BanksServer::bind(
-        Arc::clone(&service),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server =
+        BanksServer::bind(Arc::clone(&service), None, None, None, config).expect("bind loopback");
     let addr = server.local_addr();
 
     const K: usize = 24;
@@ -382,4 +373,86 @@ fn cold_entries_on_a_10k_corpus_stay_under_4_kib() {
         "{bytes} bytes over {entries} entries"
     );
     server.shutdown();
+}
+
+/// Send `request` raw, then read until the peer closes. Returns the
+/// response status (0 when the connection closed without one) and the
+/// time from connect to close.
+fn raw_exchange(addr: SocketAddr, request: &[u8]) -> (u16, Duration) {
+    let t0 = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(request).expect("send request");
+    let mut response = Vec::new();
+    // A reset after the response counts as a close.
+    let _ = stream.read_to_end(&mut response);
+    let status = String::from_utf8_lossy(&response)
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    (status, t0.elapsed())
+}
+
+/// Both roles frame requests with the same HTTP core, so a malformed
+/// request gets the same answer from `banks serve` and from `banks
+/// route`, under the server's default limits (16 KiB head, 8 MiB body,
+/// 2 s to send the head). The router answers these itself; none reaches
+/// the leader.
+#[test]
+fn malformed_requests_get_the_same_answer_from_server_and_router() {
+    let fx = fixture();
+    let router = Router::bind(RouterConfig {
+        leader: fx.server.local_addr().to_string(),
+        workers: 2,
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let padding = "x".repeat(20 * 1024);
+    let rows: [(&str, String, u16, Duration); 5] = [
+        (
+            "unparseable Content-Length",
+            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n{}".to_string(),
+            400,
+            Duration::from_secs(1),
+        ),
+        (
+            "20 KiB header block",
+            format!("GET /health HTTP/1.1\r\nHost: x\r\nX-Pad: {padding}\r\n\r\n"),
+            431,
+            Duration::from_secs(1),
+        ),
+        (
+            "declared body over the cap, none sent",
+            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 9000000\r\n\r\n".to_string(),
+            413,
+            Duration::from_secs(1),
+        ),
+        (
+            "garbage request line",
+            "GARBAGE\r\n\r\n".to_string(),
+            400,
+            Duration::from_secs(1),
+        ),
+        (
+            "client stops mid-header",
+            "GET /health HTTP/1.1\r\nHost: x\r\n".to_string(),
+            0,
+            Duration::from_secs(4),
+        ),
+    ];
+    for (role, addr) in [
+        ("server", fx.server.local_addr()),
+        ("router", router.local_addr()),
+    ] {
+        for (what, request, want, within) in &rows {
+            let (status, elapsed) = raw_exchange(addr, request.as_bytes());
+            assert_eq!(status, *want, "{role}: {what}");
+            assert!(elapsed < *within, "{role}: {what} took {elapsed:?}");
+        }
+    }
+    assert_eq!(router.stats().backends[0].forwarded, 0);
+    router.shutdown();
 }

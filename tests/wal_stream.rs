@@ -61,10 +61,11 @@ fn leader(
     publisher.set_durability_hook(store.wal_hook());
     let ingest =
         IngestEndpoint::with_publisher(Arc::clone(&service), publisher, Some(Arc::clone(&store)));
-    let server = BanksServer::bind_full(
+    let server = BanksServer::bind(
         Arc::clone(&service),
         Some(Arc::clone(&ingest)),
         Some(Arc::clone(&store)),
+        None,
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
