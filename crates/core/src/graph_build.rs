@@ -149,8 +149,8 @@ impl TupleGraph {
         })
     }
 
-    /// Re-attach a pre-materialized graph (e.g. restored from a
-    /// `banks_graph::snapshot` file) to its database.
+    /// Re-attach a pre-materialized graph (e.g. decoded from a
+    /// `banks-persist` snapshot bundle) to its database.
     ///
     /// Node order is the deterministic scan order `build` uses, so only
     /// the rid maps need rebuilding — the expensive part of `build`

@@ -12,8 +12,8 @@
 //! reused cross-product scratch — plus exact top-k early termination
 //! (the `EarlyStop` bound documented on
 //! [`crate::score::Scorer::max_relevance_for_weight`]).
-//! [`backward_search`] allocates a one-shot arena; long-lived callers
-//! keep one per worker and call [`backward_search_in`].
+//! Long-lived callers keep one arena per worker and pass it to every
+//! [`backward_search_in`] call.
 
 use crate::answer::{Answer, ConnectionTree, TreeSignature};
 use crate::config::SearchConfig;
@@ -64,31 +64,13 @@ pub(super) enum DupState {
     Emitted,
 }
 
-/// Run backward expanding search with a one-shot scratch arena.
+/// Run backward expanding search on a caller-owned [`SearchArena`] —
+/// the steady-state serving path, where a worker thread's arena makes
+/// the whole expansion allocation-free. Results are identical whether
+/// the arena is fresh or reused, bit for bit.
 ///
 /// `keyword_sets[i]` is the node set `Sᵢ` for term `i`; `excluded_roots`
 /// holds relation ids whose tuples may not be information nodes.
-pub fn backward_search(
-    tuple_graph: &TupleGraph,
-    scorer: &Scorer<'_>,
-    keyword_sets: &[Vec<NodeId>],
-    config: &SearchConfig,
-    excluded_roots: &FxHashSet<u32>,
-) -> SearchOutcome {
-    backward_search_in(
-        &mut SearchArena::new(),
-        tuple_graph,
-        scorer,
-        keyword_sets,
-        config,
-        excluded_roots,
-    )
-}
-
-/// As [`backward_search`], reusing a caller-owned [`SearchArena`] — the
-/// steady-state serving path, where a worker thread's arena makes the
-/// whole expansion allocation-free. Results are identical to the
-/// one-shot form, bit for bit.
 pub fn backward_search_in(
     arena: &mut SearchArena,
     tuple_graph: &TupleGraph,
@@ -588,7 +570,14 @@ mod tests {
 
     fn run(f: &Fixture, sets: Vec<Vec<NodeId>>, config: &SearchConfig) -> SearchOutcome {
         let scorer = Scorer::new(f.tg.graph(), ScoreParams::default());
-        backward_search(&f.tg, &scorer, &sets, config, &FxHashSet::default())
+        backward_search_in(
+            &mut SearchArena::new(),
+            &f.tg,
+            &scorer,
+            &sets,
+            config,
+            &FxHashSet::default(),
+        )
     }
 
     #[test]
@@ -672,7 +661,8 @@ mod tests {
         let mut excluded = FxHashSet::default();
         excluded.insert(paper_rel);
         let scorer = Scorer::new(f.tg.graph(), ScoreParams::default());
-        let outcome = backward_search(
+        let outcome = backward_search_in(
+            &mut SearchArena::new(),
             &f.tg,
             &scorer,
             &[vec![soumen], vec![sunita]],
@@ -733,7 +723,8 @@ mod tests {
         let b = db.insert("Paper", vec![Value::text("b")]).unwrap();
         let tg = TupleGraph::build(&db, &GraphConfig::default()).unwrap();
         let scorer = Scorer::new(tg.graph(), ScoreParams::default());
-        let outcome = backward_search(
+        let outcome = backward_search_in(
+            &mut SearchArena::new(),
             &tg,
             &scorer,
             &[vec![tg.node(a).unwrap()], vec![tg.node(b).unwrap()]],
@@ -819,7 +810,14 @@ mod tests {
         let config = SearchConfig::default();
         let mut arena = SearchArena::new();
         for sets in &queries {
-            let fresh = backward_search(&f.tg, &scorer, sets, &config, &FxHashSet::default());
+            let fresh = backward_search_in(
+                &mut SearchArena::new(),
+                &f.tg,
+                &scorer,
+                sets,
+                &config,
+                &FxHashSet::default(),
+            );
             let reused = backward_search_in(
                 &mut arena,
                 &f.tg,

@@ -61,26 +61,8 @@ impl Ord for IterEntry {
     }
 }
 
-/// Run forward search with a one-shot scratch arena. Same contract as
-/// [`crate::search::backward_search`].
-pub fn forward_search(
-    tuple_graph: &TupleGraph,
-    scorer: &Scorer<'_>,
-    keyword_sets: &[Vec<NodeId>],
-    config: &SearchConfig,
-    excluded_roots: &FxHashSet<u32>,
-) -> SearchOutcome {
-    forward_search_in(
-        &mut SearchArena::new(),
-        tuple_graph,
-        scorer,
-        keyword_sets,
-        config,
-        excluded_roots,
-    )
-}
-
-/// As [`forward_search`], reusing a caller-owned [`SearchArena`].
+/// Run forward search on a caller-owned [`SearchArena`]. Same contract
+/// as [`crate::search::backward_search_in`].
 pub fn forward_search_in(
     arena: &mut SearchArena,
     tuple_graph: &TupleGraph,
@@ -387,7 +369,8 @@ mod tests {
         let scorer = Scorer::new(tg.graph(), ScoreParams::default());
         let a = node(&db, &tg, "Author", "A");
         let b = node(&db, &tg, "Author", "B");
-        let outcome = forward_search(
+        let outcome = forward_search_in(
+            &mut SearchArena::new(),
             &tg,
             &scorer,
             &[vec![a], vec![b]],
@@ -408,14 +391,16 @@ mod tests {
         let b = node(&db, &tg, "Author", "B");
         let c = node(&db, &tg, "Author", "C");
         let cfg = SearchConfig::default();
-        let fwd = forward_search(
+        let fwd = forward_search_in(
+            &mut SearchArena::new(),
             &tg,
             &scorer,
             &[vec![b], vec![c]],
             &cfg,
             &FxHashSet::default(),
         );
-        let bwd = backward::backward_search(
+        let bwd = backward::backward_search_in(
+            &mut SearchArena::new(),
             &tg,
             &scorer,
             &[vec![b], vec![c]],
@@ -444,7 +429,8 @@ mod tests {
             node2(&db, &tg, "Writes", "A", "p2"),
             node2(&db, &tg, "Writes", "C", "p2"),
         ];
-        let outcome = forward_search(
+        let outcome = forward_search_in(
+            &mut SearchArena::new(),
             &tg,
             &scorer,
             &[vec![a], all_writes],
@@ -469,7 +455,8 @@ mod tests {
             forward_probe_budget: 1,
             ..SearchConfig::default()
         };
-        let outcome = forward_search(
+        let outcome = forward_search_in(
+            &mut SearchArena::new(),
             &tg,
             &scorer,
             &[vec![b], vec![c]],
@@ -486,7 +473,8 @@ mod tests {
                 "non-keyword-rooted tree should be impossible at budget 1"
             );
         }
-        let full = forward_search(
+        let full = forward_search_in(
+            &mut SearchArena::new(),
             &tg,
             &scorer,
             &[vec![b], vec![c]],
@@ -514,7 +502,14 @@ mod tests {
             vec![vec![b], vec![c]],
             vec![vec![a, b, c], vec![c]],
         ] {
-            let fresh = forward_search(&tg, &scorer, &sets, &cfg, &FxHashSet::default());
+            let fresh = forward_search_in(
+                &mut SearchArena::new(),
+                &tg,
+                &scorer,
+                &sets,
+                &cfg,
+                &FxHashSet::default(),
+            );
             let reused =
                 forward_search_in(&mut arena, &tg, &scorer, &sets, &cfg, &FxHashSet::default());
             assert_eq!(fresh.stats, reused.stats);

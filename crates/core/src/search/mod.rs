@@ -10,9 +10,9 @@ pub mod backward;
 pub mod forward;
 pub mod output_heap;
 
-pub use backward::{backward_search, backward_search_in};
+pub use backward::backward_search_in;
 pub use banks_graph::SearchArena;
-pub use forward::{forward_search, forward_search_in};
+pub use forward::forward_search_in;
 pub use output_heap::OutputHeap;
 
 use crate::answer::{Answer, ConnectionTree};

@@ -102,10 +102,9 @@ impl Banks {
         Banks::with_graph(db, config, tuple_graph)
     }
 
-    /// Build around a pre-materialized data graph — the snapshot-restore
-    /// path: a CSR graph read back via `banks_graph::snapshot` (see
-    /// [`TupleGraph::rebind`]) skips the §5.2 "graph load" phase of edge
-    /// derivation, so a server restart only pays for index builds.
+    /// Build around a pre-materialized data graph, re-attached with
+    /// [`TupleGraph::rebind`]: skips the §5.2 "graph load" phase of edge
+    /// derivation, so only the text index is built.
     ///
     /// The graph must describe exactly this database (one node per tuple
     /// in scan order); node count **and** per-relation catalog layout are
@@ -191,24 +190,14 @@ impl Banks {
         config: &BanksConfig,
     ) -> BanksResult<SearchOutcome> {
         let query = Query::parse(query_text, &self.tokenizer)?;
-        self.search_parsed(&query, strategy, config)
+        self.search_parsed_in(&query, strategy, config, &mut SearchArena::new())
     }
 
-    /// As [`Banks::search_with`], for an already-parsed [`Query`].
-    /// Serving layers parse once — to validate before touching their
-    /// result cache — and reuse the parse here instead of paying for a
-    /// second tokenization per cold query.
-    pub fn search_parsed(
-        &self,
-        query: &Query,
-        strategy: SearchStrategy,
-        config: &BanksConfig,
-    ) -> BanksResult<SearchOutcome> {
-        self.search_parsed_in(query, strategy, config, &mut SearchArena::new())
-    }
-
-    /// As [`Banks::search_parsed`], executing on a caller-owned
-    /// [`SearchArena`] — the zero-allocation serving path. A worker
+    /// As [`Banks::search_with`], for an already-parsed [`Query`] and
+    /// executing on a caller-owned [`SearchArena`]. Serving layers parse
+    /// once — to validate before touching their result cache — and
+    /// reuse the parse here instead of paying for a second tokenization
+    /// per cold query. This is the zero-allocation serving path: a worker
     /// thread keeps one arena for its lifetime and threads it through
     /// every query; the kernel's Dijkstra state tables, origin lists and
     /// cross-product scratch are then recycled instead of reallocated,
@@ -260,34 +249,6 @@ impl Banks {
     ) -> BanksResult<SearchOutcome> {
         let query = Query::parse(query_text, &self.tokenizer)?;
         self.search_parsed_in(&query, SearchStrategy::Backward, &self.config, arena)
-    }
-
-    /// Answer several queries concurrently, one OS thread per query
-    /// (capped at the available parallelism).
-    ///
-    /// `Banks` is immutable after construction, so queries share the
-    /// graph and indexes without synchronization — the multi-user serving
-    /// scenario of the original web deployment.
-    pub fn search_batch(&self, queries: &[&str]) -> Vec<BanksResult<Vec<Answer>>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .max(1);
-        let mut results: Vec<BanksResult<Vec<Answer>>> = Vec::with_capacity(queries.len());
-        for chunk in queries.chunks(threads) {
-            let chunk_results = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunk
-                    .iter()
-                    .map(|q| scope.spawn(move || self.search(q)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("search thread panicked"))
-                    .collect::<Vec<_>>()
-            });
-            results.extend(chunk_results);
-        }
-        results
     }
 
     /// Match query terms to node sets without running the search.
@@ -573,13 +534,12 @@ mod tests {
 
     #[test]
     fn snapshot_rebind_reproduces_search_results() {
-        // Serving-layer restart path: dump the CSR graph, restore it,
-        // rebind to the database, and get identical ranked answers
-        // without re-deriving edges.
+        // Rebind a copy of the live CSR graph to the database and get
+        // identical ranked answers without re-deriving edges (the
+        // bundle round-trip tests in `banks-persist` cover the same
+        // after a save and load).
         let fresh = Banks::new(dblp()).unwrap();
-        let mut bytes = Vec::new();
-        banks_graph::snapshot::write_snapshot(fresh.tuple_graph().graph(), &mut bytes).unwrap();
-        let graph = banks_graph::snapshot::read_snapshot(&bytes[..]).unwrap();
+        let graph = fresh.tuple_graph().graph().clone();
         let tuple_graph = TupleGraph::rebind(fresh.db(), graph).unwrap();
         let restored = Banks::with_graph(dblp(), BanksConfig::default(), tuple_graph).unwrap();
         let a = fresh.search("soumen sunita").unwrap();
@@ -657,26 +617,6 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.tree.signature(), y.tree.signature());
-        }
-    }
-
-    #[test]
-    fn batch_search_matches_sequential() {
-        let banks = Banks::new(dblp()).unwrap();
-        let queries = ["soumen sunita", "byron", "", "mining classification"];
-        let batch = banks.search_batch(&queries);
-        assert_eq!(batch.len(), 4);
-        for (query, result) in queries.iter().zip(&batch) {
-            match banks.search(query) {
-                Ok(sequential) => {
-                    let parallel = result.as_ref().expect("same success");
-                    assert_eq!(sequential.len(), parallel.len());
-                    for (a, b) in sequential.iter().zip(parallel) {
-                        assert_eq!(a.tree.signature(), b.tree.signature());
-                    }
-                }
-                Err(_) => assert!(result.is_err(), "empty query errs in both paths"),
-            }
         }
     }
 }

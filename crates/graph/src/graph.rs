@@ -387,9 +387,9 @@ impl Graph {
         }
     }
 
-    /// Assemble a graph directly from forward CSR arrays — the snapshot
+    /// Assemble a graph directly from forward CSR arrays — the bundle
     /// restore path, where `fwd_offsets`/`fwd_targets`/`fwd_weights`
-    /// were deserialized verbatim and re-expanding them into an edge
+    /// were decoded verbatim and re-expanding them into an edge
     /// triple list (as [`Graph::from_sorted_edges`] consumes) would just
     /// copy ~24 bytes per edge to immediately shred them back into
     /// columns. Only the reverse CSR is derived here.
@@ -397,7 +397,7 @@ impl Graph {
     /// The caller guarantees what the builder normally establishes:
     /// offsets monotone with the right endpoints, targets in range, and
     /// each node's adjacency sorted by target with no duplicates (the
-    /// snapshot reader validates all of this before calling).
+    /// paged-blob decoder validates all of this before calling).
     pub fn from_csr(
         node_weights: Vec<f64>,
         fwd_offsets: Vec<u32>,

@@ -51,7 +51,6 @@ pub mod fxhash;
 pub mod graph;
 pub mod heap;
 pub mod patch;
-pub mod snapshot;
 pub mod store;
 
 pub use arena::{
@@ -62,5 +61,4 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use graph::{Edges, Graph, GraphBuilder, NodeId};
 pub use heap::DistHeap;
 pub use patch::GraphPatch;
-pub use snapshot::{read_snapshot, save_snapshot, write_snapshot, SnapshotError};
 pub use store::{GraphStore, StorageStats};

@@ -203,7 +203,7 @@ impl PagedGraphStore {
     /// Fully decode the blob behind `src` into an in-RAM [`Graph`] —
     /// the non-paged bundle load path. Only forward segments are
     /// decoded; the reverse CSR (and the escore lane) are re-derived by
-    /// [`Graph::from_csr`], exactly as the snapshot reader does.
+    /// [`Graph::from_csr`].
     pub fn decode_full(src: &ByteSource) -> Result<Graph, PagerError> {
         let layout = read_layout(src)?;
         let n = layout.node_count;

@@ -43,12 +43,11 @@
 //! their bytes (payload corruption there is still caught — per-segment
 //! and per-block checksums at page-in, skeleton validation at open).
 //!
-//! Version 2 bundles (same directory, DATA as the sequential
-//! `banks_storage::binary` stream — eager-only) and version 1 bundles
-//! (sequential `magic + len` frames, graph as the
-//! `banks_graph::snapshot` format, postings interleaved) remain fully
-//! loadable; a v2 file can still be *paged* for its postings and graph,
-//! with its tuples decoded eagerly. Writing always produces version 3.
+//! Version 3 is the only format read or written. Every reader goes
+//! through one header check — length, magic, version, then directory —
+//! so a short, foreign, or older file is a typed error, never a panic.
+//! A file from before version 3 is [`PersistError::BadVersion`]; it can
+//! be rebuilt from its corpus with `banks snapshot save`.
 //!
 //! Saving goes through [`banks_util::fs::atomic_write`]: temp file,
 //! fsync, rename, directory fsync. A bundle either exists completely at
@@ -71,7 +70,7 @@ use banks_graph::fxhash::FxHasher;
 use banks_graph::Graph;
 use banks_pager::{ByteSource, PageCache, PagedGraphStore, PagedTupleStore};
 use banks_storage::postings::{self, LazyTextIndex, PostingSource};
-use banks_storage::{binary, blocks, Database, TextIndex};
+use banks_storage::{blocks, Database, TextIndex};
 use std::fs::File;
 use std::hash::Hasher;
 use std::io::{Read, Write};
@@ -81,7 +80,7 @@ use std::sync::Arc;
 
 /// File magic.
 pub const BUNDLE_MAGIC: &[u8; 8] = b"BNKSBNDL";
-/// Format version written by [`write_bundle`].
+/// The one format version written and read.
 pub const BUNDLE_VERSION: u32 = 3;
 
 const SECTION_META: &[u8; 8] = b"BNKSMETA";
@@ -91,10 +90,10 @@ const SECTION_GRPH: &[u8; 8] = b"BNKSGRPH";
 const SECTION_MAGICS: [&[u8; 8]; 4] = [SECTION_META, SECTION_DATA, SECTION_TIDX, SECTION_GRPH];
 
 /// magic + version + section_count.
-const V2_PREFIX: usize = 8 + 4 + 4;
+const PREFIX_LEN: usize = 8 + 4 + 4;
 const DIR_ENTRY_LEN: usize = 32;
-/// Whole v2 header region: prefix + directory + header checksum.
-const V2_HEADER: usize = V2_PREFIX + SECTION_MAGICS.len() * DIR_ENTRY_LEN + 8;
+/// Whole header region: prefix + directory + header checksum.
+const HEADER_LEN: usize = PREFIX_LEN + SECTION_MAGICS.len() * DIR_ENTRY_LEN + 8;
 /// The graph payload starts on a page boundary so its internal 64-byte
 /// segment alignment is alignment on disk too (mmap-friendly).
 const GRAPH_ALIGN: u64 = 4096;
@@ -120,8 +119,7 @@ pub struct BundleMeta {
 /// bytes — ~0.4 ms on a multi-MiB bundle, pure latency); four lanes run
 /// in parallel execution ports and verify the same megabytes ~4× faster.
 /// Save and load both call this function, so the definition *is* the
-/// format — v1 uses it over the whole file, v2 over the header region
-/// and over each section payload.
+/// format — it covers the header region and each section payload.
 fn stream_checksum(bytes: &[u8]) -> u64 {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
     let mut lanes = [0u64; 4];
@@ -277,13 +275,13 @@ pub fn write_bundle_sections(
     let mut tidx = Vec::with_capacity(64 * 1024);
     postings::write_packed_postings(banks.text_index(), &mut tidx)?;
 
-    let meta_off = V2_HEADER as u64;
+    let meta_off = HEADER_LEN as u64;
     let data_off = meta_off + meta.len() as u64;
     let tidx_off = data_off + data.len() as u64;
     let tidx_end = tidx_off + tidx.len() as u64;
     let grph_off = tidx_end.next_multiple_of(GRAPH_ALIGN);
 
-    let mut header = Vec::with_capacity(V2_HEADER);
+    let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(BUNDLE_MAGIC);
     header.extend_from_slice(&BUNDLE_VERSION.to_le_bytes());
     header.extend_from_slice(&(SECTION_MAGICS.len() as u32).to_le_bytes());
@@ -301,7 +299,7 @@ pub fn write_bundle_sections(
     }
     let header_checksum = stream_checksum(&header);
     header.extend_from_slice(&header_checksum.to_le_bytes());
-    debug_assert_eq!(header.len(), V2_HEADER);
+    debug_assert_eq!(header.len(), HEADER_LEN);
 
     out.write_all(&header)?;
     out.write_all(&meta)?;
@@ -323,7 +321,7 @@ pub fn save_bundle(banks: &Banks, epoch: u64, path: &Path) -> PersistResult<()> 
     .map_err(PersistError::Io)
 }
 
-/// One parsed v2 directory row.
+/// One parsed directory row.
 #[derive(Debug, Clone, Copy)]
 struct SectionEntry {
     offset: u64,
@@ -331,30 +329,52 @@ struct SectionEntry {
     checksum: u64,
 }
 
-/// The verified v2 directory: one entry per section, in file order.
-struct DirectoryV2 {
+/// The verified directory: one entry per section, in file order.
+struct Directory {
     meta: SectionEntry,
     data: SectionEntry,
     tidx: SectionEntry,
     grph: SectionEntry,
 }
 
-/// Parse and verify the v2 header region (`prefix` must hold at least
-/// [`V2_HEADER`] bytes) against the known `file_len`. Checks the header
-/// checksum, section order, offset monotonicity, and bounds; payload
-/// checksums are the caller's job (a paged open intentionally skips the
-/// two lazy sections').
-fn parse_directory_v2(prefix: &[u8], file_len: u64) -> PersistResult<DirectoryV2> {
-    let count = u32::from_le_bytes(prefix[8 + 4..V2_PREFIX].try_into().expect("4 bytes"));
+/// The one bundle-header check every reader goes through. `header` is
+/// the start of a `file_len`-byte file — the whole file, or its first
+/// [`HEADER_LEN`] bytes. Checks, in order: enough bytes for magic and
+/// version, the magic, `version == 3`, enough bytes for the directory,
+/// then the directory itself — header checksum, section order, offset
+/// monotonicity, and bounds. Payload checksums are the caller's job (a
+/// paged open intentionally skips the two lazy sections').
+fn parse_header(header: &[u8], file_len: u64) -> PersistResult<Directory> {
+    let short = || {
+        PersistError::Malformed(format!(
+            "bundle is {file_len} bytes, shorter than its {HEADER_LEN}-byte header"
+        ))
+    };
+    if header.len() < 8 + 4 {
+        return Err(short());
+    }
+    if &header[..8] != BUNDLE_MAGIC {
+        return Err(PersistError::BadMagic {
+            what: "snapshot bundle",
+        });
+    }
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    if version != BUNDLE_VERSION {
+        return Err(PersistError::BadVersion(version));
+    }
+    if header.len() < HEADER_LEN {
+        return Err(short());
+    }
+    let count = u32::from_le_bytes(header[12..PREFIX_LEN].try_into().expect("4 bytes"));
     if count as usize != SECTION_MAGICS.len() {
         return Err(PersistError::Malformed(format!(
             "bundle declares {count} sections, expected {}",
             SECTION_MAGICS.len()
         )));
     }
-    let body = V2_HEADER - 8;
-    let stored = u64::from_le_bytes(prefix[body..V2_HEADER].try_into().expect("8 bytes"));
-    if stream_checksum(&prefix[..body]) != stored {
+    let body = HEADER_LEN - 8;
+    let stored = u64::from_le_bytes(header[body..HEADER_LEN].try_into().expect("8 bytes"));
+    if stream_checksum(&header[..body]) != stored {
         return Err(PersistError::BadChecksum);
     }
     let mut entries = [SectionEntry {
@@ -362,10 +382,10 @@ fn parse_directory_v2(prefix: &[u8], file_len: u64) -> PersistResult<DirectoryV2
         len: 0,
         checksum: 0,
     }; 4];
-    let mut cursor = V2_HEADER as u64;
+    let mut cursor = HEADER_LEN as u64;
     for (i, expected_magic) in SECTION_MAGICS.iter().enumerate() {
-        let at = V2_PREFIX + i * DIR_ENTRY_LEN;
-        let row = &prefix[at..at + DIR_ENTRY_LEN];
+        let at = PREFIX_LEN + i * DIR_ENTRY_LEN;
+        let row = &header[at..at + DIR_ENTRY_LEN];
         if &row[..8] != *expected_magic {
             return Err(PersistError::Malformed(format!(
                 "directory entry {i}: expected section {} found {}",
@@ -407,7 +427,7 @@ fn parse_directory_v2(prefix: &[u8], file_len: u64) -> PersistResult<DirectoryV2
             file_len - cursor
         )));
     }
-    Ok(DirectoryV2 {
+    Ok(Directory {
         meta: entries[0],
         data: entries[1],
         tidx: entries[2],
@@ -415,31 +435,32 @@ fn parse_directory_v2(prefix: &[u8], file_len: u64) -> PersistResult<DirectoryV2
     })
 }
 
-fn section_slice<'a>(bytes: &'a [u8], entry: &SectionEntry) -> &'a [u8] {
-    &bytes[entry.offset as usize..(entry.offset + entry.len) as usize]
+/// Open the bundle at `path` and check its header with one positioned
+/// read of at most [`HEADER_LEN`] bytes.
+fn open_header(path: &Path) -> PersistResult<(File, Directory)> {
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut header = vec![0u8; file_len.min(HEADER_LEN as u64) as usize];
+    file.read_exact_at(&mut header, 0)?;
+    let dir = parse_header(&header, file_len)?;
+    Ok((file, dir))
 }
 
 fn verify_section<'a>(bytes: &'a [u8], entry: &SectionEntry) -> PersistResult<&'a [u8]> {
     banks_util::fault::maybe_fault("bundle.section.read")?;
-    let payload = section_slice(bytes, entry);
+    let payload = &bytes[entry.offset as usize..(entry.offset + entry.len) as usize];
     if stream_checksum(payload) != entry.checksum {
         return Err(PersistError::BadChecksum);
     }
     Ok(payload)
 }
 
-/// Decode a directory-laid-out bundle (version 2 or 3 — they share the
-/// header; only the DATA payload format differs).
-fn decode_bundle_dir(
-    bytes: &[u8],
-    base_config: &BanksConfig,
-    version: u32,
-) -> PersistResult<(Banks, BundleMeta)> {
-    let dir = parse_directory_v2(bytes, bytes.len() as u64)?;
+fn decode_bundle(bytes: &[u8], base_config: &BanksConfig) -> PersistResult<(Banks, BundleMeta)> {
+    let dir = parse_header(bytes, bytes.len() as u64)?;
     // Inter-section gaps (alignment padding) must be zero — every byte
     // of the file is either checksummed payload or provably-dead zeros,
     // so a flipped bit anywhere fails the load.
-    let mut cursor = V2_HEADER as u64;
+    let mut cursor = HEADER_LEN as u64;
     for entry in [&dir.meta, &dir.data, &dir.tidx, &dir.grph] {
         if bytes[cursor as usize..entry.offset as usize]
             .iter()
@@ -460,11 +481,9 @@ fn decode_bundle_dir(
     // the *max* of the section costs, not their sum. A single-core host
     // decodes sequentially (spawning would only add overhead).
     let decode_data = || -> PersistResult<_> {
-        let payload = verify_section(bytes, &dir.data)?;
-        Ok(match version {
-            2 => binary::read_database(payload)?,
-            _ => blocks::decode_database_v3(payload)?,
-        })
+        Ok(blocks::decode_database_v3(verify_section(
+            bytes, &dir.data,
+        )?)?)
     };
     let decode_tidx = || -> PersistResult<_> {
         Ok(postings::read_packed_postings(verify_section(
@@ -509,113 +528,6 @@ fn assemble(
     Ok((banks, meta))
 }
 
-/// The four v1 section payloads, borrowed from the verified byte stream.
-struct SectionsV1<'a> {
-    meta: &'a [u8],
-    data: &'a [u8],
-    tidx: &'a [u8],
-    graph: &'a [u8],
-}
-
-/// Verify a v1 bundle's trailing whole-file checksum, then split the
-/// sequential `magic + len + payload` frames out of `bytes` without
-/// copying.
-fn split_sections_v1(bytes: &[u8]) -> PersistResult<SectionsV1<'_>> {
-    let header = 8 + 4;
-    if bytes.len() < header + 8 {
-        return Err(PersistError::Malformed("bundle shorter than header".into()));
-    }
-    let body_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if stream_checksum(&bytes[..body_end]) != stored {
-        return Err(PersistError::BadChecksum);
-    }
-
-    let mut at = header;
-    let mut section = |magic: &[u8; 8]| -> PersistResult<&[u8]> {
-        if body_end - at < 16 {
-            return Err(PersistError::Malformed(format!(
-                "truncated before section {}",
-                String::from_utf8_lossy(magic)
-            )));
-        }
-        if &bytes[at..at + 8] != magic {
-            return Err(PersistError::Malformed(format!(
-                "expected section {} found {}",
-                String::from_utf8_lossy(magic),
-                String::from_utf8_lossy(&bytes[at..at + 8])
-            )));
-        }
-        let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
-        if len > MAX_SECTION_LEN || len as usize > body_end - at - 16 {
-            return Err(PersistError::Malformed(format!(
-                "section {} length {len} is implausible",
-                String::from_utf8_lossy(magic)
-            )));
-        }
-        let payload = &bytes[at + 16..at + 16 + len as usize];
-        at += 16 + len as usize;
-        Ok(payload)
-    };
-    let meta = section(SECTION_META)?;
-    let data = section(SECTION_DATA)?;
-    let tidx = section(SECTION_TIDX)?;
-    let graph = section(SECTION_GRPH)?;
-    Ok(SectionsV1 {
-        meta,
-        data,
-        tidx,
-        graph,
-    })
-}
-
-fn decode_bundle_v1(bytes: &[u8], base_config: &BanksConfig) -> PersistResult<(Banks, BundleMeta)> {
-    let sections = split_sections_v1(bytes)?;
-    let meta = decode_meta(sections.meta)?;
-    let parallel = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    let (db, text_index, graph) = if parallel {
-        let (db, text_index, graph) = std::thread::scope(|scope| {
-            let tidx_handle = scope.spawn(|| binary::read_text_index(sections.tidx));
-            let graph_handle = scope.spawn(|| banks_graph::snapshot::read_snapshot(sections.graph));
-            let db = binary::read_database(sections.data);
-            let text_index = tidx_handle.join().expect("text-index decode panicked");
-            let graph = graph_handle.join().expect("graph decode panicked");
-            (db, text_index, graph)
-        });
-        (db?, text_index?, graph?)
-    } else {
-        (
-            binary::read_database(sections.data)?,
-            binary::read_text_index(sections.tidx)?,
-            banks_graph::snapshot::read_snapshot(sections.graph)?,
-        )
-    };
-    assemble(db, text_index, graph, meta, base_config)
-}
-
-/// Magic + version check shared by every read path.
-fn bundle_version(bytes: &[u8]) -> PersistResult<u32> {
-    if bytes.len() < 12 {
-        return Err(PersistError::Malformed("bundle shorter than header".into()));
-    }
-    if &bytes[..8] != BUNDLE_MAGIC {
-        return Err(PersistError::BadMagic {
-            what: "snapshot bundle",
-        });
-    }
-    Ok(u32::from_le_bytes(
-        bytes[8..12].try_into().expect("4 bytes"),
-    ))
-}
-
-fn decode_bundle(bytes: &[u8], base_config: &BanksConfig) -> PersistResult<(Banks, BundleMeta)> {
-    match bundle_version(bytes)? {
-        1 => decode_bundle_v1(bytes, base_config),
-        v @ (2 | 3) => decode_bundle_dir(bytes, base_config, v),
-        other => Err(PersistError::BadVersion(other)),
-    }
-}
-
 /// Deserialize a bundle, assembling a query-ready [`Banks`].
 /// `base_config`'s score/graph sections are replaced by the bundle's
 /// (see the module docs); everything else is kept.
@@ -657,51 +569,34 @@ impl PostingSource for FileRange {
     }
 }
 
+/// Read the meta section at `entry` off `file` and verify its checksum.
+fn read_meta(file: &File, entry: &SectionEntry) -> PersistResult<BundleMeta> {
+    let mut buf = vec![0u8; entry.len as usize];
+    file.read_exact_at(&mut buf, entry.offset)?;
+    if stream_checksum(&buf) != entry.checksum {
+        return Err(PersistError::BadChecksum);
+    }
+    decode_meta(&buf)
+}
+
 /// Open the bundle at `path` *paged*: every bulky section serves
 /// lazily off the file. Postings page in per term, the graph serves
-/// through a [`PagedGraphStore`], and — on a version-3 bundle — tuples
-/// serve through a [`PagedTupleStore`] over the v3 DATA section. The
-/// graph and tuple stores keep their decoded pages in one
-/// [`PageCache`], so `budget` is a hard bound on their *combined*
-/// decoded-resident bytes. Cold-open cost is
-/// the meta section plus three checksummed directories —
+/// through a [`PagedGraphStore`], and tuples serve through a
+/// [`PagedTupleStore`] over the v3 DATA section. The graph and tuple
+/// stores keep their decoded pages in one [`PageCache`], so `budget` is
+/// a hard bound on their *combined* decoded-resident bytes. Cold-open
+/// cost is the meta section plus three checksummed directories —
 /// O(segments + blocks), independent of tuple, posting, and edge
 /// counts.
-///
-/// A version-2 bundle still pages its postings and graph but decodes
-/// its (sequential-format) DATA section eagerly. A version-1 file is
-/// [`PersistError::BadVersion`] here (load it fully instead).
 pub fn open_bundle_paged(
     path: &Path,
     budget: usize,
     base_config: &BanksConfig,
 ) -> PersistResult<(Banks, BundleMeta)> {
-    let file = Arc::new(File::open(path)?);
-    let file_len = file.metadata()?.len();
-    if file_len < V2_HEADER as u64 {
-        return Err(PersistError::Malformed("bundle shorter than header".into()));
-    }
-    let mut header = vec![0u8; V2_HEADER];
-    file.read_exact_at(&mut header, 0)?;
-    let version = match bundle_version(&header)? {
-        v @ (2 | 3) => v,
-        other => return Err(PersistError::BadVersion(other)),
-    };
-    let dir = parse_directory_v2(&header, file_len)?;
-
-    let read_section = |entry: &SectionEntry| -> PersistResult<Vec<u8>> {
-        banks_util::fault::maybe_fault("bundle.section.read")?;
-        let mut buf = vec![0u8; entry.len as usize];
-        file.read_exact_at(&mut buf, entry.offset)?;
-        if stream_checksum(&buf) != entry.checksum {
-            return Err(PersistError::BadChecksum);
-        }
-        Ok(buf)
-    };
-    let meta = decode_meta(&read_section(&dir.meta)?)?;
-    // Every per-section open here is a directory-sized read — nothing
-    // left worth overlapping on a thread (v2's eager DATA decode used
-    // to be, but it is the compat path now and stays simple).
+    let (file, dir) = open_header(path)?;
+    let file = Arc::new(file);
+    banks_util::fault::maybe_fault("bundle.section.read")?;
+    let meta = read_meta(&file, &dir.meta)?;
     let lazy = LazyTextIndex::open(Arc::new(FileRange {
         file: Arc::clone(&file),
         base: dir.tidx.offset,
@@ -714,20 +609,11 @@ pub fn open_bundle_paged(
         dir.grph.len,
         Arc::clone(&cache),
     )?;
-    let db = match version {
-        2 => binary::read_database(&read_section(&dir.data)?)?,
-        _ => {
-            banks_util::fault::maybe_fault("bundle.section.read")?;
-            let tuples = PagedTupleStore::open_file(
-                Arc::clone(&file),
-                dir.data.offset,
-                dir.data.len,
-                cache,
-            )?;
-            let schema_text = tuples.layout().schema_text.clone();
-            Database::open_lazy(&schema_text, tuples)?
-        }
-    };
+    banks_util::fault::maybe_fault("bundle.section.read")?;
+    let tuples =
+        PagedTupleStore::open_file(Arc::clone(&file), dir.data.offset, dir.data.len, cache)?;
+    let schema_text = tuples.layout().schema_text.clone();
+    let db = Database::open_lazy(&schema_text, tuples)?;
     let text_index = TextIndex::from_lazy(Arc::new(lazy));
     assemble(db, text_index, Graph::from_store(store), meta, base_config)
 }
@@ -737,50 +623,10 @@ pub fn open_bundle_paged(
 /// payloads. A replication bootstrap streams a downloaded bundle to a
 /// temp file, peeks the epoch to pick its final `snapshot-<epoch>`
 /// name, and lets the subsequent open do the real validation — so this
-/// verifies the meta section it reads (v2 checksums it; v1's whole-file
-/// checksum would require the bulk read this function exists to avoid).
+/// verifies only the header and the meta section it reads.
 pub fn peek_epoch(path: &Path) -> PersistResult<u64> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut prefix = [0u8; 12];
-    if file_len < prefix.len() as u64 {
-        return Err(PersistError::Malformed("bundle shorter than header".into()));
-    }
-    file.read_exact_at(&mut prefix, 0)?;
-    match bundle_version(&prefix)? {
-        1 => {
-            // Frame walk: META is always the first section, at offset 12.
-            let mut frame = [0u8; 16];
-            file.read_exact_at(&mut frame, 12)?;
-            if &frame[..8] != SECTION_META {
-                return Err(PersistError::Malformed("first section is not META".into()));
-            }
-            let len = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
-            if len > 4096 {
-                return Err(PersistError::Malformed(format!(
-                    "meta section length {len} is implausible"
-                )));
-            }
-            let mut meta = vec![0u8; len as usize];
-            file.read_exact_at(&mut meta, 28)?;
-            Ok(decode_meta(&meta)?.epoch)
-        }
-        2 | 3 => {
-            if file_len < V2_HEADER as u64 {
-                return Err(PersistError::Malformed("bundle shorter than header".into()));
-            }
-            let mut header = vec![0u8; V2_HEADER];
-            file.read_exact_at(&mut header, 0)?;
-            let dir = parse_directory_v2(&header, file_len)?;
-            let mut meta = vec![0u8; dir.meta.len as usize];
-            file.read_exact_at(&mut meta, dir.meta.offset)?;
-            if stream_checksum(&meta) != dir.meta.checksum {
-                return Err(PersistError::BadChecksum);
-            }
-            Ok(decode_meta(&meta)?.epoch)
-        }
-        other => Err(PersistError::BadVersion(other)),
-    }
+    let (file, dir) = open_header(path)?;
+    Ok(read_meta(&file, &dir.meta)?.epoch)
 }
 
 /// Summary of a bundle's sections, for `banks snapshot inspect`.
@@ -788,7 +634,7 @@ pub fn peek_epoch(path: &Path) -> PersistResult<u64> {
 pub struct BundleInfo {
     /// The meta section.
     pub meta: BundleMeta,
-    /// Bundle format version (1, 2, or 3).
+    /// Bundle format version (always [`BUNDLE_VERSION`]).
     pub version: u32,
     /// Database name.
     pub database: String,
@@ -811,93 +657,43 @@ pub struct BundleInfo {
 }
 
 /// Validate and summarize the bundle at `path`. Every section's
-/// checksum is verified — an `Ok` here means the bundle loads. On a
-/// version-3 bundle the per-relation tuple counts come straight from
-/// the v3 DATA directory (and the graph's node/edge counts from the
-/// paged blob's), without decoding a single tuple block or adjacency
-/// segment; older versions decode their sections fully.
+/// checksum is verified — an `Ok` here means the bundle loads. The
+/// per-relation tuple counts come straight from the v3 DATA directory
+/// (and the graph's node/edge counts from the paged blob's), without
+/// decoding a single tuple block or adjacency segment.
 pub fn inspect_bundle(path: &Path) -> PersistResult<BundleInfo> {
     let bytes = std::fs::read(path)?;
-    let version = bundle_version(&bytes)?;
-    if version == 3 {
-        let dir = parse_directory_v2(&bytes, bytes.len() as u64)?;
-        let meta = decode_meta(verify_section(&bytes, &dir.meta)?)?;
-        let layout = blocks::DataLayout::parse(verify_section(&bytes, &dir.data)?)?;
-        let schema = banks_storage::bundle::schema_from_text(&layout.schema_text)?;
-        if schema.relation_count() != layout.relations.len() {
-            return Err(PersistError::Malformed(format!(
-                "schema declares {} relations but the v3 directory carries {}",
-                schema.relation_count(),
-                layout.relations.len()
-            )));
-        }
-        let text_index = postings::read_packed_postings(verify_section(&bytes, &dir.tidx)?)?;
-        let graph_store = banks_pager::PagedGraphStore::open_mem(
-            verify_section(&bytes, &dir.grph)?.to_vec().into(),
-            PageCache::new(0),
-        )?;
-        let graph = Graph::from_store(graph_store);
-        return Ok(BundleInfo {
-            version,
-            database: schema.name().to_string(),
-            relations: schema
-                .relations()
-                .zip(&layout.relations)
-                .map(|(t, r)| (t.schema().name.clone(), r.live_count as usize))
-                .collect(),
-            tuples: layout.total_live() as usize,
-            tokens: text_index.distinct_tokens(),
-            postings: text_index.posting_count(),
-            nodes: graph.node_count(),
-            edges: graph.edge_count(),
-            section_bytes: (dir.meta.len, dir.data.len, dir.tidx.len, dir.grph.len),
-            file_bytes: bytes.len() as u64,
-            meta,
-        });
+    let dir = parse_header(&bytes, bytes.len() as u64)?;
+    let meta = decode_meta(verify_section(&bytes, &dir.meta)?)?;
+    let layout = blocks::DataLayout::parse(verify_section(&bytes, &dir.data)?)?;
+    let schema = banks_storage::bundle::schema_from_text(&layout.schema_text)?;
+    if schema.relation_count() != layout.relations.len() {
+        return Err(PersistError::Malformed(format!(
+            "schema declares {} relations but the v3 directory carries {}",
+            schema.relation_count(),
+            layout.relations.len()
+        )));
     }
-    let (meta, db, text_index, graph, section_bytes) = match version {
-        1 => {
-            let sections = split_sections_v1(&bytes)?;
-            (
-                decode_meta(sections.meta)?,
-                binary::read_database(sections.data)?,
-                binary::read_text_index(sections.tidx)?,
-                banks_graph::snapshot::read_snapshot(sections.graph)?,
-                (
-                    sections.meta.len() as u64,
-                    sections.data.len() as u64,
-                    sections.tidx.len() as u64,
-                    sections.graph.len() as u64,
-                ),
-            )
-        }
-        2 => {
-            let dir = parse_directory_v2(&bytes, bytes.len() as u64)?;
-            (
-                decode_meta(verify_section(&bytes, &dir.meta)?)?,
-                binary::read_database(verify_section(&bytes, &dir.data)?)?,
-                postings::read_packed_postings(verify_section(&bytes, &dir.tidx)?)?,
-                PagedGraphStore::decode_full(&ByteSource::Mem(
-                    verify_section(&bytes, &dir.grph)?.into(),
-                ))?,
-                (dir.meta.len, dir.data.len, dir.tidx.len, dir.grph.len),
-            )
-        }
-        other => return Err(PersistError::BadVersion(other)),
-    };
+    let text_index = postings::read_packed_postings(verify_section(&bytes, &dir.tidx)?)?;
+    let graph_store = banks_pager::PagedGraphStore::open_mem(
+        verify_section(&bytes, &dir.grph)?.to_vec().into(),
+        PageCache::new(0),
+    )?;
+    let graph = Graph::from_store(graph_store);
     Ok(BundleInfo {
-        version,
-        database: db.name().to_string(),
-        relations: db
+        version: BUNDLE_VERSION,
+        database: schema.name().to_string(),
+        relations: schema
             .relations()
-            .map(|t| (t.schema().name.clone(), t.len()))
+            .zip(&layout.relations)
+            .map(|(t, r)| (t.schema().name.clone(), r.live_count as usize))
             .collect(),
-        tuples: db.total_tuples(),
+        tuples: layout.total_live() as usize,
         tokens: text_index.distinct_tokens(),
         postings: text_index.posting_count(),
         nodes: graph.node_count(),
         edges: graph.edge_count(),
-        section_bytes,
+        section_bytes: (dir.meta.len, dir.data.len, dir.tidx.len, dir.grph.len),
         file_bytes: bytes.len() as u64,
         meta,
     })
@@ -1125,118 +921,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A hand-rolled v1 writer: the sequential `magic + len + payload`
-    /// frame walk with the whole-file trailing checksum, graph as the
-    /// `banks_graph::snapshot` format, postings interleaved. This is
-    /// exactly what `write_bundle` produced before version 2; reading
-    /// those files must keep working.
-    fn write_bundle_v1(banks: &Banks, epoch: u64) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(BUNDLE_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        let section = |bytes: &mut Vec<u8>, magic: &[u8; 8], payload: &[u8]| {
-            bytes.extend_from_slice(magic);
-            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(payload);
-        };
-        section(
-            &mut bytes,
-            SECTION_META,
-            &encode_meta(epoch, banks.config()),
-        );
-        let mut data = Vec::new();
-        binary::write_database(banks.db(), &mut data).unwrap();
-        section(&mut bytes, SECTION_DATA, &data);
-        let mut tidx = Vec::new();
-        binary::write_text_index(banks.text_index(), &mut tidx).unwrap();
-        section(&mut bytes, SECTION_TIDX, &tidx);
-        let mut graph = Vec::new();
-        banks_graph::snapshot::write_snapshot(banks.tuple_graph().graph(), &mut graph).unwrap();
-        section(&mut bytes, SECTION_GRPH, &graph);
-        let checksum = stream_checksum(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
-        bytes
-    }
-
-    /// A hand-rolled v2 writer: same directory layout as v3 but with
-    /// the DATA payload in the sequential `banks_storage::binary`
-    /// stream format. Exactly what `write_bundle` produced before
-    /// version 3; reading — and paging — those files must keep working.
-    fn write_bundle_v2(banks: &Banks, epoch: u64) -> Vec<u8> {
-        let meta = encode_meta(epoch, banks.config());
-        let mut data = Vec::new();
-        binary::write_database(banks.db(), &mut data).unwrap();
-        let mut tidx = Vec::new();
-        postings::write_packed_postings(banks.text_index(), &mut tidx).unwrap();
-        let grph = banks_pager::encode_paged_blob(
-            banks.tuple_graph().graph(),
-            banks_pager::DEFAULT_SEG_SPAN,
-        );
-
-        let meta_off = V2_HEADER as u64;
-        let data_off = meta_off + meta.len() as u64;
-        let tidx_off = data_off + data.len() as u64;
-        let tidx_end = tidx_off + tidx.len() as u64;
-        let grph_off = tidx_end.next_multiple_of(GRAPH_ALIGN);
-
-        let mut out = Vec::new();
-        out.extend_from_slice(BUNDLE_MAGIC);
-        out.extend_from_slice(&2u32.to_le_bytes());
-        out.extend_from_slice(&(SECTION_MAGICS.len() as u32).to_le_bytes());
-        let payloads: [(&[u8; 8], u64, &[u8]); 4] = [
-            (SECTION_META, meta_off, &meta),
-            (SECTION_DATA, data_off, &data),
-            (SECTION_TIDX, tidx_off, &tidx),
-            (SECTION_GRPH, grph_off, &grph),
-        ];
-        for (magic, offset, payload) in &payloads {
-            out.extend_from_slice(*magic);
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&stream_checksum(payload).to_le_bytes());
-        }
-        let header_checksum = stream_checksum(&out);
-        out.extend_from_slice(&header_checksum.to_le_bytes());
-        out.extend_from_slice(&meta);
-        out.extend_from_slice(&data);
-        out.extend_from_slice(&tidx);
-        out.extend_from_slice(&vec![0u8; (grph_off - tidx_end) as usize]);
-        out.extend_from_slice(&grph);
-        out
-    }
-
-    #[test]
-    fn version2_bundles_still_load_and_page() {
-        let banks = Banks::new(dblp()).unwrap();
-        let v2 = write_bundle_v2(&banks, 13);
-        let (restored, meta) = read_bundle(v2.as_slice(), &BanksConfig::default()).unwrap();
-        assert_eq!(meta.epoch, 13);
-        assert_same_answers(&banks, &restored, "mohan sudarshan");
-
-        // v2 corruption still detected.
-        let mut bad = v2.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xff;
-        assert!(read_bundle(bad.as_slice(), &BanksConfig::default()).is_err());
-
-        // A v2 file pages its postings and graph; tuples fall back to
-        // an eager decode (no lazy tuple store).
-        let dir = std::env::temp_dir().join(format!(
-            "banks_bundle_v2_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.banks");
-        std::fs::write(&path, &v2).unwrap();
-        let (paged, meta) = open_bundle_paged(&path, 1 << 20, &BanksConfig::default()).unwrap();
-        assert_eq!(meta.epoch, 13);
-        assert!(paged.text_index().is_lazy());
-        assert!(paged.db().tuple_store_stats().is_none());
-        assert_same_answers(&banks, &paged, "mohan sudarshan");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn inspect_counts_come_from_the_v3_directory() {
         let banks = Banks::new(dblp()).unwrap();
@@ -1267,32 +951,59 @@ mod tests {
     }
 
     #[test]
-    fn version1_bundles_still_load() {
+    fn short_or_older_bundles_are_typed_errors_on_every_entry_point() {
         let banks = Banks::new(dblp()).unwrap();
-        let v1 = write_bundle_v1(&banks, 11);
-        let (restored, meta) = read_bundle(v1.as_slice(), &BanksConfig::default()).unwrap();
-        assert_eq!(meta.epoch, 11);
-        assert_same_answers(&banks, &restored, "mohan sudarshan");
-
-        // v1 corruption still detected by the whole-file checksum.
-        let mut bad = v1.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xff;
-        assert!(read_bundle(bad.as_slice(), &BanksConfig::default()).is_err());
-
-        // …but v1 cannot be paged.
+        let mut valid = Vec::new();
+        write_bundle(&banks, 4, &mut valid).unwrap();
+        // Every prefix of the header region, then a whole bundle whose
+        // version field says 1, 2 or 4.
+        let mut rows: Vec<(Vec<u8>, Option<u32>)> = (0..=HEADER_LEN)
+            .map(|n| (valid[..n].to_vec(), None))
+            .collect();
+        for version in [1u32, 2, 4] {
+            let mut patched = valid.clone();
+            patched[8..12].copy_from_slice(&version.to_le_bytes());
+            rows.push((patched, Some(version)));
+        }
         let dir = std::env::temp_dir().join(format!(
-            "banks_bundle_v1_{}_{:?}",
+            "banks_bundle_headers_{}_{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.banks");
-        std::fs::write(&path, &v1).unwrap();
-        assert!(matches!(
-            open_bundle_paged(&path, 1 << 20, &BanksConfig::default()),
-            Err(PersistError::BadVersion(1))
-        ));
+        let config = BanksConfig::default();
+        for (bytes, version) in &rows {
+            std::fs::write(&path, bytes).unwrap();
+            let outcomes = [
+                (
+                    "read_bundle",
+                    read_bundle(bytes.as_slice(), &config).map(drop),
+                ),
+                ("load_bundle", load_bundle(&path, &config).map(drop)),
+                (
+                    "open_bundle_paged",
+                    open_bundle_paged(&path, 1 << 16, &config).map(drop),
+                ),
+                ("peek_epoch", peek_epoch(&path).map(drop)),
+                ("inspect_bundle", inspect_bundle(&path).map(drop)),
+            ];
+            for (entry, outcome) in outcomes {
+                let row = format!("{entry} on {} bytes, version {version:?}", bytes.len());
+                match (outcome, version) {
+                    (Err(PersistError::BadVersion(v)), Some(version)) if v == *version => {
+                        let message = PersistError::BadVersion(v).to_string();
+                        assert_eq!(
+                            message.contains("banks snapshot save"),
+                            v < BUNDLE_VERSION,
+                            "{row}: {message}"
+                        );
+                    }
+                    (Err(PersistError::Malformed(_)), None) => {}
+                    (other, _) => panic!("{row}: expected a typed error, got {other:?}"),
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,6 @@
 //! Error types for the durability layer.
 
 use banks_core::BanksError;
-use banks_graph::SnapshotError;
 use banks_ingest::IngestError;
 use banks_pager::PagerError;
 use banks_storage::StorageError;
@@ -21,7 +20,7 @@ pub enum PersistError {
         /// Which artifact was being read (bundle, section, WAL frame).
         what: &'static str,
     },
-    /// Artifact written by an incompatible format version.
+    /// Bundle written in a format version this build does not read.
     BadVersion(u32),
     /// Payload corrupted: the trailing checksum does not match.
     BadChecksum,
@@ -34,10 +33,7 @@ pub enum PersistError {
     Banks(BanksError),
     /// A WAL batch failed to re-apply during recovery replay.
     Ingest(IngestError),
-    /// The embedded CSR graph section failed to decode.
-    Graph(SnapshotError),
-    /// The paged graph blob (bundle v2 graph section) failed to open
-    /// or decode.
+    /// The bundle's graph or tuple section failed to open or decode.
     Pager(PagerError),
     /// A data directory holds durable state (snapshot files or WAL
     /// frames) but no snapshot could be loaded — refusing to continue,
@@ -64,13 +60,18 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "io error: {e}"),
             PersistError::BadMagic { what } => write!(f, "not a BANKS {what} (bad magic)"),
-            PersistError::BadVersion(v) => write!(f, "unsupported persist format version {v}"),
+            PersistError::BadVersion(v) if *v < crate::bundle::BUNDLE_VERSION => write!(
+                f,
+                "bundle format version {v} predates v{}; rebuild it from its corpus \
+                 with `banks snapshot save`",
+                crate::bundle::BUNDLE_VERSION
+            ),
+            PersistError::BadVersion(v) => write!(f, "unsupported bundle format version {v}"),
             PersistError::BadChecksum => write!(f, "checksum mismatch"),
             PersistError::Malformed(m) => write!(f, "malformed durable artifact: {m}"),
             PersistError::Storage(e) => write!(f, "storage section: {e}"),
             PersistError::Banks(e) => write!(f, "recovered parts rejected: {e}"),
             PersistError::Ingest(e) => write!(f, "WAL replay failed: {e}"),
-            PersistError::Graph(e) => write!(f, "graph section: {e}"),
             PersistError::Pager(e) => write!(f, "paged graph section: {e}"),
             PersistError::NoValidSnapshot {
                 snapshots_tried,
@@ -95,7 +96,6 @@ impl std::error::Error for PersistError {
             PersistError::Storage(e) => Some(e),
             PersistError::Banks(e) => Some(e),
             PersistError::Ingest(e) => Some(e),
-            PersistError::Graph(e) => Some(e),
             PersistError::Pager(e) => Some(e),
             _ => None,
         }
@@ -126,12 +126,6 @@ impl From<IngestError> for PersistError {
     }
 }
 
-impl From<SnapshotError> for PersistError {
-    fn from(e: SnapshotError) -> Self {
-        PersistError::Graph(e)
-    }
-}
-
 impl From<PagerError> for PersistError {
     fn from(e: PagerError) -> Self {
         PersistError::Pager(e)
@@ -149,6 +143,9 @@ mod tests {
             .to_string()
             .contains("bundle"));
         assert!(PersistError::BadVersion(9).to_string().contains('9'));
+        assert!(PersistError::BadVersion(2)
+            .to_string()
+            .contains("banks snapshot save"));
         assert!(PersistError::EpochGap {
             expected: 4,
             found: 7

@@ -16,11 +16,13 @@
 //! * [`bundle`] — **full-system snapshot bundles**: a single versioned,
 //!   checksummed file carrying catalog + schemas, table tuples (slot
 //!   layout preserved so rids stay valid), text-index postings, the CSR
-//!   graph, ranking parameters, and the publication epoch. Version 2
-//!   lays sections out behind a verified directory, stores the graph in
-//!   the `banks-pager` segment format and the postings packed, so a
-//!   bundle can be opened *paged* ([`bundle::open_bundle_paged`]) —
-//!   lazy postings, bounded-memory graph — as well as fully loaded.
+//!   graph, ranking parameters, and the publication epoch. Version 3,
+//!   the one format read and written, lays sections out behind a
+//!   verified directory, stores tuples in slot blocks, the graph in the
+//!   `banks-pager` segment format and the postings packed, so a bundle
+//!   can be opened *paged* ([`bundle::open_bundle_paged`]) — lazy
+//!   tuples and postings, bounded-memory graph — as well as fully
+//!   loaded.
 //!   Written atomically (temp file + fsync + rename).
 //! * [`wal`] — a **write-ahead log** of length-prefixed, checksummed
 //!   frames, each carrying one validated `DeltaBatch` (the PR-2 JSON

@@ -66,9 +66,7 @@ pub struct PersistOptions {
     /// Open snapshots *paged*: serve postings lazily off the bundle
     /// file and keep decoded graph segments under this many bytes
     /// ([`bundle::open_bundle_paged`]) instead of decoding the whole
-    /// bundle into RAM. `None` (the default) loads fully. A version-1
-    /// bundle cannot be paged; recovery falls back to a full load of it
-    /// with a warning, and the next compaction rewrites it as v2.
+    /// bundle into RAM. `None` (the default) loads fully.
     pub paged_budget: Option<u64>,
 }
 
@@ -261,20 +259,7 @@ impl PersistentStore {
         let mut loaded: Option<(Banks, u64)> = None;
         for (epoch, path) in &snapshot_files {
             let attempt = match options.paged_budget {
-                Some(budget) => {
-                    match bundle::open_bundle_paged(path, budget as usize, base_config) {
-                        Ok(ok) => Ok(ok),
-                        Err(PersistError::BadVersion(1)) => {
-                            warnings.push(format!(
-                                "{}: version-1 bundle cannot be paged — loading it fully; \
-                                 the next compaction rewrites it as v2",
-                                path.display()
-                            ));
-                            bundle::load_bundle(path, base_config)
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
+                Some(budget) => bundle::open_bundle_paged(path, budget as usize, base_config),
                 None => bundle::load_bundle(path, base_config),
             };
             match attempt {
@@ -867,18 +852,40 @@ mod tests {
                 PersistentStore::open(&dir, &config, PersistOptions::default()).unwrap();
             store.save_snapshot(&banks, 0).unwrap();
         }
-        // Plant a corrupt "newer" snapshot beside the valid epoch-0 one.
+        // Plant unreadable "newer" snapshots beside the valid epoch-0
+        // one: garbage after the magic, a 14-byte file whose header says
+        // version 3, and a whole bundle whose header says version 2.
+        let mut v2 = std::fs::read(dir.join(snapshot_file(0))).unwrap();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
         std::fs::write(dir.join(snapshot_file(9)), b"BNKSBNDLgarbage").unwrap();
-        let (store, recovery) =
-            PersistentStore::open(&dir, &config, PersistOptions::default()).unwrap();
-        assert_eq!(recovery.epoch, 0);
-        assert!(recovery.banks.is_some());
-        assert!(
-            recovery.warnings.iter().any(|w| w.contains("corrupt")),
-            "{:?}",
-            recovery.warnings
-        );
-        drop(store);
+        std::fs::write(dir.join(snapshot_file(8)), b"BNKSBNDL\x03\0\0\0\0\0").unwrap();
+        std::fs::write(dir.join(snapshot_file(7)), v2).unwrap();
+        for paged_budget in [None, Some(1 << 16)] {
+            let options = PersistOptions {
+                paged_budget,
+                ..PersistOptions::default()
+            };
+            let (store, recovery) = PersistentStore::open(&dir, &config, options).unwrap();
+            assert_eq!(recovery.epoch, 0);
+            assert!(recovery.banks.is_some());
+            let warned = |what: &str| recovery.warnings.iter().any(|w| w.contains(what));
+            assert_eq!(
+                recovery
+                    .warnings
+                    .iter()
+                    .filter(|w| w.contains("skipping corrupt snapshot"))
+                    .count(),
+                3,
+                "{:?}",
+                recovery.warnings
+            );
+            assert!(
+                warned("shorter than") && warned("banks snapshot save"),
+                "{:?}",
+                recovery.warnings
+            );
+            drop(store);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,7 +8,7 @@
 //!   [`banks_core::Banks`] system (database + text index + data graph)
 //!   behind an `Arc`, queried from any number of threads without
 //!   synchronization. Queries never block each other; the graph is
-//!   built (or restored from a `banks_graph::snapshot`) once at
+//!   built (or restored from a `banks-persist` snapshot bundle) once at
 //!   startup, and live writes publish *successor* snapshots through
 //!   `banks-ingest` — [`service::QueryService::install_snapshot`] swaps
 //!   the pointer while in-flight queries finish on their old epoch.

@@ -69,7 +69,7 @@ pub const BLOCK_SPAN: u32 = 128;
 pub const HEADER_PREFIX: usize = 16;
 
 /// Refuse implausible length prefixes instead of attempting the
-/// allocation (same guard as the v2 decoder).
+/// allocation.
 const MAX_DECODE_LEN: u64 = 1 << 32;
 
 // ---------------------------------------------------------------------
@@ -476,7 +476,7 @@ impl<'a> HCur<'a> {
 // Block + lane codecs
 // ---------------------------------------------------------------------
 
-// Value tags, matching the v2 stream (the booleans fold into the tag).
+// Value tags (the booleans fold into the tag).
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
 const TAG_TRUE: u8 = 2;

@@ -60,7 +60,7 @@ pub struct Database {
     by_name: FxHashMap<String, RelationId>,
     /// rid → tuples referencing it. Maintained on insert/delete;
     /// Fx-hashed — touched on every insert/delete/update and rebuilt
-    /// wholesale on binary-snapshot restore. Lazy databases read base
+    /// wholesale on a full bundle load. Lazy databases read base
     /// lists out of tuple blocks instead (see [`BackRefsRepr`]).
     back_refs: BackRefsRepr,
     /// Total number of resolved foreign-key links.
@@ -440,11 +440,11 @@ impl Database {
         self.tables[relation.index()].restore_slots(slots)
     }
 
-    /// Install a deserialized reverse-reference index wholesale —
-    /// the binary-snapshot load path, which serializes the index
-    /// instead of re-resolving every foreign key (15K `Vec<Value>`
-    /// hash lookups on the small corpus) and thereby preserves the
-    /// live system's exact per-target reference order.
+    /// Install a deserialized reverse-reference index wholesale — the
+    /// full bundle load path. The v3 DATA section serializes the index
+    /// instead of re-resolving every foreign key (15K `Vec<Value>` hash
+    /// lookups on the small corpus), and thereby preserves the live
+    /// system's exact per-target reference order.
     ///
     /// Every rid is bounds/liveness-checked (O(1) each); the tuples
     /// themselves were validated by the slot restore. Each `(from,
@@ -974,6 +974,32 @@ mod tests {
             writes.push(w);
         }
         (paper, authors, writes)
+    }
+
+    #[test]
+    fn install_links_rejects_inconsistent_back_references() {
+        let mut db = bib_db();
+        let (paper, _, writes) = seed_fig1(&mut db);
+        let links = |from: Rid, fk_index: usize| vec![(paper, vec![BackRef { from, fk_index }])];
+        // Writes has two foreign keys: #1 is valid, #7 names none.
+        db.install_links(links(writes[0], 1)).unwrap();
+        match db.install_links(links(writes[0], 7)) {
+            Err(StorageError::Corrupt(m)) => assert!(m.contains("foreign key"), "{m}"),
+            other => panic!("wild fk_index must be Corrupt, got {other:?}"),
+        }
+        // A reference from a slot that holds no live tuple.
+        let dead = Rid::new(writes[0].relation, 999);
+        match db.install_links(links(dead, 1)) {
+            Err(StorageError::Corrupt(m)) => assert!(m.contains("live"), "{m}"),
+            other => panic!("dead source rid must be Corrupt, got {other:?}"),
+        }
+        // A target listed twice would shadow its first entry.
+        let mut twice = links(writes[0], 1);
+        twice.extend(links(writes[1], 1));
+        assert!(matches!(
+            db.install_links(twice),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 //! assert_eq!(db.tuple(rid).unwrap().values()[1], Value::text("Soumen Chakrabarti"));
 //! ```
 
-pub mod binary;
 pub mod blocks;
 pub mod bundle;
 pub mod catalog;

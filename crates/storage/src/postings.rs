@@ -1,9 +1,9 @@
 //! Packed, lazily-decodable posting storage for the inverted keyword
 //! index — the text-index half of the out-of-core bundle format.
 //!
-//! [`crate::binary::write_text_index`] interleaves tokens and posting
-//! lists, so reading *any* token costs a full sequential parse. This
-//! module stores the same data mmap-style: a fixed-size term table and a
+//! A stream that interleaved tokens and posting lists would make reading
+//! *any* token cost a full sequential parse. This module stores the
+//! postings mmap-style instead: a fixed-size term table and a
 //! string heap up front (tiny — read eagerly), with the raw posting
 //! triples in one contiguous area behind them (the bulk — left on disk
 //! and fetched per term on first lookup).

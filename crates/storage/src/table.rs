@@ -130,7 +130,7 @@ impl LazyParts<'_> {
 /// The index maps the Fx hash of a key to its slot(s) — the key values
 /// themselves are **not** duplicated out of the tuples. Lookups hash the
 /// probe key and confirm candidates against the stored tuple, so inserts
-/// and binary-snapshot restores never clone key values, and the index
+/// and bundle restores never clone key values, and the index
 /// costs 12 bytes per tuple instead of a cloned `Vec<Value>`.
 ///
 /// A table opened from a paged bundle is *lazy*: the slot vector stays
@@ -608,20 +608,20 @@ impl Table {
 
     /// Restore a deserialized slot vector wholesale, **preserving slot
     /// numbers** (deleted slots stay `None`), and rebuild the live count
-    /// and primary-key index. This is the binary-snapshot load path: rids
-    /// recorded in a graph snapshot or text-index dump stay valid only if
-    /// every tuple lands in its original slot, so the normal
-    /// [`Table::insert`] (which compacts) cannot be used.
+    /// and primary-key index. This is the full bundle load path: rids
+    /// recorded in the bundle's graph and text-index sections stay
+    /// valid only if every tuple lands in its original slot, so the
+    /// normal [`Table::insert`] (which compacts) cannot be used.
     ///
     /// Tuples are arity-checked (a short tuple would make later column
     /// access panic) and the primary-key index must come out
     /// collision-free; a violation means the serialized bytes were not
     /// produced from a consistent table and is reported as
     /// [`StorageError::Corrupt`]. Deep per-value type checks are skipped
-    /// on this path (debug builds still run them): the stream is
-    /// checksummed and written by [`crate::binary::write_database`] from
-    /// an already-validated table, and restore latency is the whole
-    /// point of binary snapshots.
+    /// on this path (debug builds still run them): the v3 DATA section is
+    /// checksummed and written by [`crate::blocks::encode_database_v3`]
+    /// from an already-validated table, and restore latency is the whole
+    /// point of snapshot bundles.
     pub(crate) fn restore_slots(&mut self, slots: Vec<Option<Tuple>>) -> StorageResult<()> {
         debug_assert!(
             matches!(&self.repr, Repr::Eager { slots, .. } if slots.is_empty()),
@@ -695,15 +695,6 @@ impl Table {
             pk_index,
         };
         Ok(())
-    }
-
-    /// Iterate over every slot (live or tombstoned), in slot order — the
-    /// binary-snapshot save path, which must preserve slot layout.
-    ///
-    /// On a lazy table this pages in every block; prefer
-    /// [`Table::live_slots`] when only liveness is needed.
-    pub fn slots(&self) -> impl Iterator<Item = Option<&Tuple>> + '_ {
-        (0..self.slot_count() as u32).map(move |slot| self.get(slot))
     }
 
     /// Iterate over the slot numbers of live tuples, in slot order —

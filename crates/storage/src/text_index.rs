@@ -43,8 +43,8 @@ type TermMap = FxFoldHashMap<String, Vec<Posting>>;
 
 #[derive(Debug, Clone)]
 enum Repr {
-    /// Looked up per query term and rebuilt token-by-token on
-    /// binary-snapshot restore.
+    /// Looked up per query term; built from the database or
+    /// materialized from packed postings.
     Eager(TermMap),
     /// Shared lazy view of a packed payload (Arc: clones share the
     /// posting cache).
@@ -193,9 +193,10 @@ impl TextIndex {
         tokens
     }
 
-    /// Rebuild an index from deserialized posting lists — the binary
-    /// snapshot load path. Lists serialized by a well-formed index are
-    /// already sorted by `(rid, column)` and duplicate-free; that is
+    /// Rebuild an index from deserialized posting lists — how packed
+    /// postings materialize on a full bundle load. Lists serialized by
+    /// a well-formed index are already sorted by `(rid, column)` and
+    /// duplicate-free; that is
     /// verified with one linear scan, and only a list that fails it
     /// (hand-edited or foreign input) pays the sort + dedup
     /// normalization every other entry point maintains.

@@ -4,7 +4,7 @@
 //! shortest-path iterator, and a metadata-heavy query can spawn thousands of
 //! iterators (§7 of the paper discusses exactly this blow-up); the storage
 //! layer hashes a primary key per insert/lookup and rebuilds whole key
-//! indexes when a binary snapshot restores. SipHash — the std default —
+//! indexes when a snapshot bundle restores. SipHash — the std default —
 //! dominates profiles in both places, so we use the classic
 //! multiply-rotate "Fx" construction (as popularized by the Rust compiler's
 //! `rustc-hash`). HashDoS resistance is irrelevant: keys are internal node

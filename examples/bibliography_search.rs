@@ -4,7 +4,7 @@
 //! strategy for metadata-heavy queries.
 //!
 //! ```text
-//! cargo run -p banks-examples --example bibliography_search [seed]
+//! cargo run -p banks-testsuite --example bibliography_search [seed]
 //! ```
 
 use banks_core::{Banks, BanksConfig, SearchStrategy};

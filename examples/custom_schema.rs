@@ -3,7 +3,7 @@
 //! edge, projects, and assignments — plus bundle persistence.
 //!
 //! ```text
-//! cargo run -p banks-examples --example custom_schema [bundle-dir]
+//! cargo run -p banks-testsuite --example custom_schema [bundle-dir]
 //! ```
 
 use banks_core::{Banks, BanksConfig};

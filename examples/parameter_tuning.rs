@@ -3,7 +3,7 @@
 //! inspect how the output-heap size affects rank quality (§3's heuristic).
 //!
 //! ```text
-//! cargo run --release -p banks-examples --example parameter_tuning [seed]
+//! cargo run --release -p banks-testsuite --example parameter_tuning [seed]
 //! ```
 
 use banks_datagen::dblp::{generate, DblpConfig};

@@ -2,7 +2,7 @@
 //! sunita", printing the Figure 2 connection tree.
 //!
 //! ```text
-//! cargo run -p banks-examples --example quickstart
+//! cargo run -p banks-testsuite --example quickstart
 //! ```
 
 use banks_core::Banks;

@@ -3,7 +3,7 @@
 //! primary key, the four templates, and an HTML dump.
 //!
 //! ```text
-//! cargo run -p banks-examples --example thesis_browsing [out.html]
+//! cargo run -p banks-testsuite --example thesis_browsing [out.html]
 //! ```
 
 use banks_browse::{

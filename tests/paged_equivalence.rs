@@ -408,7 +408,7 @@ fn serial_replay_pages_each_graph_segment_in_a_few_times_at_most() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Locate the GRPH section payload inside a v2 bundle file by walking
+/// Locate the GRPH section payload inside a bundle file by walking
 /// the 4-entry directory at offset 16 (32 bytes per entry: 8 magic,
 /// 8 offset, 8 len, 8 checksum; GRPH is the fourth).
 fn grph_offset(bytes: &[u8]) -> u64 {
