@@ -7,8 +7,9 @@
 //! ```
 //!
 //! With `--data-dir`, the directory becomes the server's durable home
-//! (`banks-persist`): on a fresh directory the corpus is built once and
-//! a full-system snapshot bundle (epoch 0) is written; every acked
+//! (`banks-persist`): on a fresh directory the full-system snapshot
+//! bundle (epoch 0) is written straight from the corpus and then opened
+//! like any restart's; every acked
 //! `POST /ingest` is appended to a write-ahead log *before* it
 //! publishes; and on restart the newest snapshot is loaded, the WAL
 //! replayed past its epoch, and the exact pre-crash state — epoch
@@ -285,69 +286,54 @@ pub fn build_service(
 
     let mut phases = Phases::default();
     if let Some(dir) = &args.data_dir {
+        let in_dir = |e: &dyn std::fmt::Display| format!("data dir {}: {e}", dir.display());
+        // A first boot writes the epoch-0 bundle straight from the
+        // corpus, then opens it exactly like a restart does.
+        let fresh = banks_persist::is_fresh(dir).map_err(|e| in_dir(&e))?;
+        if fresh {
+            let rows = phases.time("load", || crate::corpus::stage(&args.corpus, args.seed))?;
+            std::fs::create_dir_all(dir).map_err(|e| in_dir(&e))?;
+            let path = dir.join(banks_persist::snapshot_file(0));
+            let written = banks_persist::write_corpus_bundle(rows, &config, 0, &path)
+                .map_err(|e| in_dir(&e))?;
+            phases.0.extend(written.phases);
+        }
         let options = PersistOptions {
             fsync: !args.no_fsync,
             compact_wal_batches: args.compact_wal_batches,
             paged_budget: args.paged.then_some(args.memory_budget),
             ..PersistOptions::default()
         };
-        let (store, recovery) = PersistentStore::open(dir, &config, options)
-            .map_err(|e| format!("open data dir {}: {e}", dir.display()))?;
+        let start = Instant::now();
+        let (store, recovery) =
+            PersistentStore::open(dir, &config, options).map_err(|e| in_dir(&e))?;
+        if fresh {
+            phases.0.push(("open", start.elapsed()));
+        }
         for warning in &recovery.warnings {
             log_warn!("serve", "{warning}");
         }
-        let (banks, epoch, source) = match recovery.banks {
-            Some(banks) => {
-                let source = format!(
-                    "recovered from {} (epoch {}, {} WAL batch(es) replayed{})",
-                    dir.display(),
-                    recovery.epoch,
-                    recovery.replayed_batches,
-                    if recovery.truncated_wal_bytes > 0 {
-                        format!(", {} torn byte(s) truncated", recovery.truncated_wal_bytes)
-                    } else {
-                        String::new()
-                    }
-                );
-                (banks, recovery.epoch, source)
-            }
-            None => {
-                let built = build_from_corpus(args, &config, &mut phases)?;
-                phases
-                    .time("bundle save", || store.save_snapshot(&built, 0))
-                    .map_err(|e| format!("initial snapshot: {e}"))?;
-                let banks = if args.paged {
-                    // Swap the freshly built in-RAM state for a paged
-                    // open of the bundle just written — the build was
-                    // unavoidable (something had to derive the graph),
-                    // but serving stays under the memory budget. The
-                    // eager build is freed first, so the reopen and
-                    // everything after it reuse its heap instead of
-                    // sitting above it.
-                    drop(built);
-                    let path = dir.join(banks_persist::snapshot_file(0));
-                    let (paged, _) = phases
-                        .time("paged reopen", || {
-                            banks_persist::open_bundle_paged(
-                                &path,
-                                args.memory_budget as usize,
-                                &config,
-                            )
-                        })
-                        .map_err(|e| format!("paged reopen of {}: {e}", path.display()))?;
-                    paged
+        let banks = recovery
+            .banks
+            .ok_or_else(|| in_dir(&"no snapshot to serve"))?;
+        let epoch = recovery.epoch;
+        let source = if fresh {
+            format!(
+                "built from corpus (initial bundle saved to {})",
+                dir.display()
+            )
+        } else {
+            format!(
+                "recovered from {} (epoch {}, {} WAL batch(es) replayed{})",
+                dir.display(),
+                recovery.epoch,
+                recovery.replayed_batches,
+                if recovery.truncated_wal_bytes > 0 {
+                    format!(", {} torn byte(s) truncated", recovery.truncated_wal_bytes)
                 } else {
-                    built
-                };
-                (
-                    Arc::new(banks),
-                    0,
-                    format!(
-                        "built from database (initial bundle saved to {})",
-                        dir.display()
-                    ),
-                )
-            }
+                    String::new()
+                }
+            )
         };
         let summary = summary_line(args, &banks, &source, &phases);
         let service = Arc::new(QueryService::with_epoch(
@@ -360,8 +346,17 @@ pub fn build_service(
         return Ok((service, summary, Some(DurableParts { publisher, store })));
     }
 
-    // Volatile mode: build from the corpus, serve from RAM.
-    let banks = build_from_corpus(args, &config, &mut phases)?;
+    // Volatile mode: load the corpus, derive the data graph, and index
+    // its text — the three phases of a cold build, timed apart.
+    let db = phases.time("load", || crate::corpus::open(&args.corpus, args.seed))?;
+    let graph = phases
+        .time("graph", || TupleGraph::build(&db, &config.graph))
+        .map_err(|e| e.to_string())?;
+    let banks = phases
+        .time("text index", || {
+            Banks::with_graph(db, config.clone(), graph)
+        })
+        .map_err(|e| e.to_string())?;
     let summary = summary_line(args, &banks, "built from database", &phases);
     let service = Arc::new(QueryService::new(Arc::new(banks), service_config));
     Ok((service, summary, None))
@@ -403,24 +398,6 @@ impl Phases {
     }
 }
 
-/// Load the corpus, derive the data graph, and index its text — the
-/// three phases of a cold build, timed apart.
-fn build_from_corpus(
-    args: &ServeArgs,
-    config: &BanksConfig,
-    phases: &mut Phases,
-) -> Result<Banks, String> {
-    let db = phases.time("load", || crate::corpus::open(&args.corpus, args.seed))?;
-    let graph = phases
-        .time("graph", || TupleGraph::build(&db, &config.graph))
-        .map_err(|e| e.to_string())?;
-    phases
-        .time("text index", || {
-            Banks::with_graph(db, config.clone(), graph)
-        })
-        .map_err(|e| e.to_string())
-}
-
 fn summary_line(args: &ServeArgs, banks: &Banks, source: &str, phases: &Phases) -> String {
     let backend = if args.paged {
         format!(
@@ -443,7 +420,7 @@ fn summary_line(args: &ServeArgs, banks: &Banks, source: &str, phases: &Phases) 
     format!(
         "corpus {} (seed {}): {} nodes, {} edges, {:.1} MiB graph + text index — graph {}{backend}{cold_start}",
         args.corpus,
-        args.seed,
+        crate::corpus::seed_of(&args.corpus, args.seed),
         banks.tuple_graph().node_count(),
         banks.tuple_graph().graph().edge_count(),
         banks.memory_bytes() as f64 / (1024.0 * 1024.0),
@@ -497,23 +474,17 @@ pub fn start(
         service.cache().capacity(),
         service.cache().shard_count(),
     );
-    if args.no_ingest {
-        log_info!(
-            "serve",
-            "endpoints: /search?q=…  /node?id=…  /stats  /metrics  /epochs  /health (ingest disabled)"
-        );
+    let writes = if args.no_ingest {
+        " (ingest disabled)"
     } else if durable_on {
-        log_info!(
-            "serve",
-            "endpoints: /search?q=…  /node?id=…  /stats  /metrics  /epochs  /health  POST /ingest \
-             (live writes on, WAL'd to disk)"
-        );
+        "  POST /ingest (live writes on, WAL'd to disk)"
     } else {
-        log_info!(
-            "serve",
-            "endpoints: /search?q=…  /node?id=…  /stats  /metrics  /epochs  /health  POST /ingest (live writes on)"
-        );
-    }
+        "  POST /ingest (live writes on)"
+    };
+    log_info!(
+        "serve",
+        "endpoints: /search?q=…  /node?id=…  /stats  /metrics  /epochs  /health{writes}"
+    );
     Ok((service, server, None))
 }
 
@@ -777,75 +748,104 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The phase names of a summary's `cold start:` list.
+    fn phase_names(summary: &str) -> Vec<&str> {
+        let phases = summary.split_once("; cold start: ").expect(summary).1;
+        phases
+            .split(", ")
+            .map(|phase| phase.rsplitn(3, ' ').nth(2).expect(phase))
+            .collect()
+    }
+
     #[test]
     fn paged_cold_start_reports_every_phase() {
         let dir = tmp_dir("paged_cold");
         let args = ServeArgs {
-            corpus: "dblp".into(),
             data_dir: Some(dir.clone()),
             paged: true,
             memory_budget: 1 << 20,
             ..ServeArgs::default()
         };
         let (service, summary, durable) = build_service(&args).unwrap();
-        let phases = summary.split_once("; cold start: ").expect(&summary).1;
-        let names: Vec<&str> = phases
-            .split(", ")
-            .map(|phase| phase.rsplitn(3, ' ').nth(2).expect(phase))
-            .collect();
-        assert_eq!(
-            names,
-            ["load", "graph", "text index", "bundle save", "paged reopen"],
-            "{summary}"
-        );
-        assert!(!service
-            .search("mohan", Default::default())
-            .unwrap()
-            .result
-            .answers
-            .is_empty());
+        // Stage the rows, write each bundle section, open the bundle.
+        let phases = ["load", "data", "text index", "graph", "open"];
+        assert_eq!(phase_names(&summary), phases, "{summary}");
+        let mohan = service.search("mohan", Default::default()).unwrap();
+        assert!(!mohan.result.answers.is_empty());
         drop(durable);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A `datagen` directory carries its own seed; the summary prints
+    /// that one, not `--seed`.
+    #[test]
+    fn summary_prints_the_seed_of_a_datagen_directory() {
+        let dir = tmp_dir("seed");
+        let corpus = dir.join("corpus");
+        banks_datagen::stream::generate_to_dir(&banks_datagen::StreamConfig::new(42, 300), &corpus)
+            .unwrap();
+        for data_dir in [None, Some(dir.join("data"))] {
+            let args = ServeArgs {
+                corpus: corpus.display().to_string(),
+                data_dir,
+                ..ServeArgs::default()
+            };
+            let (_, summary, durable) = build_service(&args).unwrap();
+            assert!(summary.contains("(seed 42)"), "{summary}");
+            drop(durable);
+        }
+        let (_, summary, _) = build_service(&ServeArgs {
+            seed: 9,
+            ..ServeArgs::default()
+        })
+        .unwrap();
+        assert!(summary.starts_with("corpus dblp (seed 9)"), "{summary}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A first boot writes the bundle and opens it like a restart: both
+    /// lives of a data directory answer identically, in RAM or paged,
+    /// and identically to a volatile server built from the corpus.
     #[test]
     fn data_dir_cold_start_then_recovery() {
-        let dir = tmp_dir("datadir");
-        let args = ServeArgs {
-            corpus: "dblp".into(),
-            data_dir: Some(dir.clone()),
-            ..ServeArgs::default()
+        let answers = |service: &QueryService| -> Vec<Vec<String>> {
+            ["mohan", "soumen sunita", "transaction", "gray reuter"]
+                .iter()
+                .map(|q| {
+                    let out = service.search(q, Default::default()).unwrap();
+                    let answers = out.result.answers.iter();
+                    answers
+                        .map(|a| format!("{:?} {:.12}", a.tree.signature(), a.relevance))
+                        .collect()
+                })
+                .collect()
         };
-        // Cold start: builds and writes the initial bundle.
-        let (service, summary, durable) = build_service(&args).unwrap();
-        assert!(summary.contains("initial bundle saved"), "{summary}");
-        assert!(summary.contains("MiB graph + text index"), "{summary}");
-        assert!(
-            summary.contains("; cold start: load ")
-                && summary.contains(" ms, graph ")
-                && summary.contains(" ms, text index ")
-                && summary.contains(" ms, bundle save ")
-                && !summary.contains("paged reopen"),
-            "{summary}"
-        );
-        let parts = durable.expect("durable parts");
-        assert_eq!(parts.publisher.epoch(), 0);
-        assert_eq!(service.epoch(), 0);
-        let cold = service.search("mohan", Default::default()).unwrap();
-        drop(parts);
-        drop(service);
-
-        // Restart: recovered from the bundle, identical answers.
-        let (service2, summary2, durable2) = build_service(&args).unwrap();
-        assert!(summary2.contains("recovered from"), "{summary2}");
-        assert!(durable2.is_some());
-        let warm = service2.search("mohan", Default::default()).unwrap();
-        assert_eq!(cold.result.answers.len(), warm.result.answers.len());
-        for (a, b) in cold.result.answers.iter().zip(&warm.result.answers) {
-            assert_eq!(a.tree.signature(), b.tree.signature());
+        let want = answers(&build_service(&ServeArgs::default()).unwrap().0);
+        assert!(want.iter().all(|a| !a.is_empty()), "{want:?}");
+        for paged in [false, true] {
+            let dir = tmp_dir(&format!("datadir_{paged}"));
+            let args = ServeArgs {
+                data_dir: Some(dir.clone()),
+                paged,
+                memory_budget: 1 << 20,
+                ..ServeArgs::default()
+            };
+            let (first, summary, durable) = build_service(&args).unwrap();
+            assert!(summary.contains("initial bundle saved"), "{summary}");
+            assert!(summary.contains("MiB graph + text index"), "{summary}");
+            let phases = ["load", "data", "text index", "graph", "open"];
+            assert_eq!(phase_names(&summary), phases, "{summary}");
+            let parts = durable.expect("durable parts");
+            assert_eq!((parts.publisher.epoch(), first.epoch()), (0, 0));
+            assert_eq!(answers(&first), want, "first boot, paged {paged}");
+            drop((first, parts));
+            let (restart, summary, durable) = build_service(&args).unwrap();
+            assert!(summary.contains("recovered from"), "{summary}");
+            assert!(!summary.contains("cold start"), "{summary}");
+            assert_eq!(answers(&restart), want, "restart, paged {paged}");
+            drop(durable);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drop(durable2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

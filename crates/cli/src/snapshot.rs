@@ -7,7 +7,8 @@
 //! banks snapshot load dblp.banks --query "mohan sudarshan"
 //! ```
 //!
-//! `save` builds the corpus and writes a bundle (atomically, fsync'd);
+//! `save` writes the corpus's bundle (atomically, fsync'd) without
+//! building the in-RAM system (`banks_persist::write_corpus_bundle`);
 //! `inspect` validates one — sections, checksums — and prints a
 //! summary, reading the per-relation live-tuple counts of a v3 bundle
 //! straight from its DATA directory without decoding a single tuple
@@ -15,8 +16,8 @@
 //! and optionally runs a query, which doubles as an end-to-end check
 //! that restore-from-bundle serves real answers.
 
-use banks_core::{Banks, BanksConfig};
-use banks_persist::{inspect_bundle, load_bundle, save_bundle};
+use banks_core::BanksConfig;
+use banks_persist::{inspect_bundle, load_bundle, write_corpus_bundle};
 use std::path::PathBuf;
 
 /// Parsed `snapshot` arguments.
@@ -133,18 +134,17 @@ pub fn execute(args: &SnapshotArgs) -> Result<String, String> {
             out,
         } => {
             let t0 = std::time::Instant::now();
-            let db = crate::corpus::open(corpus, *seed)?;
-            let banks = Banks::new(db).map_err(|e| e.to_string())?;
-            save_bundle(&banks, *epoch, out).map_err(|e| format!("save {}: {e}", out.display()))?;
-            let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
+            let rows = crate::corpus::stage(corpus, *seed)?;
+            let saved = write_corpus_bundle(rows, &BanksConfig::default(), *epoch, out)
+                .map_err(|e| format!("save {}: {e}", out.display()))?;
             Ok(format!(
                 "saved {} (epoch {epoch}) in {:.1} ms: {} tuples, {} graph nodes, {} postings, {} bytes\n",
                 out.display(),
                 t0.elapsed().as_secs_f64() * 1e3,
-                banks.db().total_tuples(),
-                banks.tuple_graph().node_count(),
-                banks.text_index().posting_count(),
-                bytes,
+                saved.tuples,
+                saved.tuples,
+                saved.postings,
+                saved.bytes,
             ))
         }
         SnapshotArgs::Load { path, query } => {

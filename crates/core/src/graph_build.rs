@@ -14,19 +14,20 @@
 //!   coalesces duplicates by minimum).
 //!
 //! Each link is resolved exactly once, when its tuple is inserted:
-//! [`Database::insert`] probes the key against the target's primary-key
-//! index and records the link in the reverse-reference index. The build
-//! does not resolve any key again. It walks that index target by target
-//! ([`Database::referencing`]), which yields every link `r → t` of `t`
-//! together, so `IN_{R(r)}(t)` is one count per target rather than a
-//! rescan of `t`'s list per link. Nodes keep their scan order, and the
-//! builder's sort and min-coalescing make the CSR independent of the
-//! order edges are added in.
+//! [`Database::insert`] (or, for a cold bundle write, the staged-row
+//! arena of `banks_storage::arena`) probes the key against the target's
+//! primary-key index and records the link under its target. The build
+//! does not resolve any key again. [`derive_graph`] walks the links
+//! target by target, which yields every link `r → t` of `t` together, so
+//! `IN_{R(r)}(t)` is one count per target rather than a rescan of `t`'s
+//! list per link. Nodes keep their scan order, and the builder's sort
+//! and min-coalescing make the CSR independent of the order edges are
+//! added in.
 
 use crate::config::{GraphConfig, NodeWeightMode};
 use crate::prestige;
 use banks_graph::{FxHashMap, Graph, GraphBuilder, NodeId};
-use banks_storage::{Database, Rid, StorageResult};
+use banks_storage::{BackRef, Database, Rid, StorageResult};
 
 /// The BANKS data graph plus the bijection between graph nodes and tuples.
 #[derive(Debug, Clone)]
@@ -67,82 +68,21 @@ impl TupleGraph {
         (node_rids, rid_nodes, relation_of)
     }
 
-    /// Build the data graph for `db` under `config`.
+    /// Build the data graph for `db` under `config`: its tuples, with
+    /// each target's reverse references ([`Database::referencing`]) fed
+    /// to [`derive_graph`].
     pub fn build(db: &Database, config: &GraphConfig) -> StorageResult<TupleGraph> {
         let (node_rids, rid_nodes, relation_of) = Self::rid_maps(db);
-        let mut builder = GraphBuilder::with_capacity(node_rids.len(), db.link_count() * 2);
-
-        // Pass 1: nodes, with indegree prestige.
-        for &rid in &node_rids {
-            let weight = match config.node_weight {
-                NodeWeightMode::Uniform => 1.0,
-                // Authority transfer starts from indegree too; the
-                // post-pass below refines it.
-                NodeWeightMode::Indegree | NodeWeightMode::AuthorityTransfer { .. } => {
-                    db.indegree(rid) as f64
-                }
-            };
-            let node = builder.add_node(weight);
-            debug_assert_eq!(Some(&node), rid_nodes.get(&rid));
-        }
-
-        // Pass 2: edges, from each target's reverse references.
-        // `similarity[r][i]`: foreign key `i` of relation `r`.
-        let similarity: Vec<Vec<f64>> = db
-            .relations()
-            .map(|table| {
-                table
-                    .schema()
-                    .foreign_keys
-                    .iter()
-                    .map(|fk| fk.similarity.unwrap_or(config.default_similarity))
-                    .collect()
-            })
-            .collect();
-        // `fanin[r]` = IN_r(t) for the current target `t`.
-        let mut fanin = vec![0usize; db.relation_count()];
-        for (to, &target) in node_rids.iter().enumerate() {
-            let to = NodeId(to as u32);
-            let refs = db.referencing(target);
-            if config.indegree_backward_weights {
-                for r in refs {
-                    fanin[r.from.relation.index()] += 1;
-                }
-            }
-            for r in refs {
-                let relation = r.from.relation.index();
-                let from = rid_nodes[&r.from];
-                let sim = similarity[relation][r.fk_index];
-                // Forward edge r → t.
-                builder.add_edge(from, to, sim);
-                // Backward edge t → r, indegree-scaled per eq. (1).
-                let back = if config.indegree_backward_weights {
-                    sim * fanin[relation].max(1) as f64
-                } else {
-                    sim
-                };
-                builder.add_edge(to, from, back);
-            }
-            if config.indegree_backward_weights {
-                for r in refs {
-                    fanin[r.from.relation.index()] = 0;
-                }
-            }
-        }
-
-        if let NodeWeightMode::AuthorityTransfer {
-            iterations,
-            damping,
-        } = config.node_weight
-        {
-            let weights = prestige::authority_transfer(db, &rid_nodes, iterations, damping);
-            for (node_idx, w) in weights.into_iter().enumerate() {
-                builder.set_node_weight(NodeId(node_idx as u32), w);
-            }
-        }
-
+        let graph = derive_graph(
+            db,
+            node_rids.len(),
+            db.link_count(),
+            node_rids.iter().map(|&rid| db.referencing(rid)),
+            |rid| rid_nodes[&rid],
+            config,
+        );
         Ok(TupleGraph {
-            graph: builder.build(),
+            graph,
             node_rids,
             rid_nodes,
             relation_of,
@@ -259,6 +199,102 @@ impl TupleGraph {
             // HashMap entries: key + value + ~1 byte control overhead each.
             + self.rid_nodes.capacity() * (size_of::<(Rid, NodeId)>() + 1)
     }
+}
+
+/// The §2.2 derivation: the data graph from every tuple's reverse
+/// references. The one copy of the node-prestige and edge-weight rules,
+/// shared by [`TupleGraph::build`] (references from the database) and
+/// the staged-corpus bundle writer (references sorted by target).
+///
+/// `refs` yields one list per graph node, in node order: the references
+/// to that node's tuple, each naming the referencing tuple and foreign
+/// key of `catalog`'s relations. `node_of` maps a referencing tuple to
+/// its node. Nodes keep that order, and the builder's sort and
+/// min-coalescing make the CSR independent of the order edges are
+/// added in.
+pub fn derive_graph<'r>(
+    catalog: &Database,
+    node_count: usize,
+    link_count: usize,
+    refs: impl Iterator<Item = &'r [BackRef]>,
+    node_of: impl Fn(Rid) -> NodeId,
+    config: &GraphConfig,
+) -> Graph {
+    let mut builder = GraphBuilder::with_capacity(node_count, link_count * 2);
+    let uniform = matches!(config.node_weight, NodeWeightMode::Uniform);
+    for _ in 0..node_count {
+        builder.add_node(if uniform { 1.0 } else { 0.0 });
+    }
+    // `similarity[r][i]`: foreign key `i` of relation `r`.
+    let similarity: Vec<Vec<f64>> = catalog
+        .relations()
+        .map(|table| {
+            table
+                .schema()
+                .foreign_keys
+                .iter()
+                .map(|fk| fk.similarity.unwrap_or(config.default_similarity))
+                .collect()
+        })
+        .collect();
+    // Authority transfer starts from indegree and pushes prestige along
+    // the link direction: `(indegree, out_links)` per node.
+    let mut transfer: Option<(Vec<f64>, Vec<Vec<u32>>)> =
+        matches!(config.node_weight, NodeWeightMode::AuthorityTransfer { .. })
+            .then(|| (vec![0.0; node_count], vec![Vec::new(); node_count]));
+    // `fanin[r]` = IN_r(t) for the current target `t`.
+    let mut fanin = vec![0usize; catalog.relation_count()];
+    for (to, refs) in refs.enumerate() {
+        let to = NodeId(to as u32);
+        if !uniform {
+            builder.set_node_weight(to, refs.len() as f64);
+        }
+        if let Some((base, _)) = &mut transfer {
+            base[to.index()] = refs.len() as f64;
+        }
+        if config.indegree_backward_weights {
+            for r in refs {
+                fanin[r.from.relation.index()] += 1;
+            }
+        }
+        for r in refs {
+            let relation = r.from.relation.index();
+            let from = node_of(r.from);
+            let sim = similarity[relation][r.fk_index];
+            // Forward edge r → t.
+            builder.add_edge(from, to, sim);
+            // Backward edge t → r, indegree-scaled per eq. (1).
+            let back = if config.indegree_backward_weights {
+                sim * fanin[relation].max(1) as f64
+            } else {
+                sim
+            };
+            builder.add_edge(to, from, back);
+            if let Some((_, out_links)) = &mut transfer {
+                out_links[from.index()].push(to.0);
+            }
+        }
+        if config.indegree_backward_weights {
+            for r in refs {
+                fanin[r.from.relation.index()] = 0;
+            }
+        }
+    }
+
+    if let (
+        NodeWeightMode::AuthorityTransfer {
+            iterations,
+            damping,
+        },
+        Some((base, out_links)),
+    ) = (config.node_weight, transfer)
+    {
+        let weights = prestige::transfer(base, &out_links, iterations, damping);
+        for (node_idx, w) in weights.into_iter().enumerate() {
+            builder.set_node_weight(NodeId(node_idx as u32), w);
+        }
+    }
+    builder.build()
 }
 
 #[cfg(test)]

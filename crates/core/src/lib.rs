@@ -124,7 +124,7 @@ pub use config::{
     NodeWeightMode, ScoreParams, SearchConfig,
 };
 pub use error::{BanksError, BanksResult};
-pub use graph_build::TupleGraph;
+pub use graph_build::{derive_graph, TupleGraph};
 pub use matching::{MatchKind, TermMatch};
 pub use query::{Query, Term};
 pub use score::Scorer;

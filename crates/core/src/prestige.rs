@@ -45,6 +45,20 @@ pub fn authority_transfer(
         }
     }
 
+    transfer(base, &out_links, iterations, damping)
+}
+
+/// The damped power iteration itself: `base` is each node's indegree,
+/// `out_links[i]` the nodes `i` references (one entry per link). Each
+/// node's additions arrive in node order, so the result does not depend
+/// on the order within an `out_links` list.
+pub fn transfer(
+    base: Vec<f64>,
+    out_links: &[Vec<u32>],
+    iterations: usize,
+    damping: f64,
+) -> Vec<f64> {
+    let n = base.len();
     let mut weights = base.clone();
     let mut next = vec![0.0f64; n];
     for _ in 0..iterations {

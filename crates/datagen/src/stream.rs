@@ -30,12 +30,13 @@
 //! On disk a corpus is a directory: `MANIFEST` (key=value header) plus
 //! `shard-NNNNN.tsv` files of `Table\tvalue\tvalue` lines in deterministic
 //! order. [`build_database`] streams the shards back into a
-//! [`Database`]; [`for_each_row`] exposes the raw stream for consumers
+//! [`Database`], [`stage_rows`] into the bundle writer's staging arena;
+//! [`for_each_row`] exposes the raw stream for consumers
 //! that want to batch rows themselves.
 
 use crate::names::{FIRST_NAMES, LAST_NAMES, TITLE_WORDS};
 use crate::rng::Rng;
-use banks_storage::{Database, Value};
+use banks_storage::{Database, RowArena, Value};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
@@ -425,6 +426,29 @@ pub fn build_database(dir: &Path) -> Result<Database, String> {
             .map_err(|e| format!("insert into {table}: {e}"))
     })?;
     Ok(db)
+}
+
+/// Stage a stream corpus for the bundle writer: the same replay as
+/// [`build_database`], with the same checks and errors, into a
+/// [`RowArena`] instead of a database. One row buffer serves the whole
+/// corpus.
+pub fn stage_rows(dir: &Path) -> Result<RowArena, String> {
+    let manifest = read_manifest(dir)?;
+    let mut arena = RowArena::new(crate::dblp::dblp_schema().map_err(|e| e.to_string())?);
+    let mut row = [Value::text(""), Value::text("")];
+    for_each_row(dir, &manifest, |table, a, b| {
+        for (value, text) in row.iter_mut().zip([a, b]) {
+            if let Value::Text(buf) = value {
+                buf.clear();
+                buf.push_str(text);
+            }
+        }
+        arena
+            .insert(table, &row)
+            .map(|_| ())
+            .map_err(|e| format!("insert into {table}: {e}"))
+    })?;
+    Ok(arena)
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ use banks_storage::postings::{self, LazyTextIndex, PostingSource};
 use banks_storage::{blocks, Database, TextIndex};
 use std::fs::File;
 use std::hash::Hasher;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
@@ -118,27 +118,167 @@ pub struct BundleMeta {
 /// single-lane Fx fold is a serial dependency chain (~4 cycles per 8
 /// bytes — ~0.4 ms on a multi-MiB bundle, pure latency); four lanes run
 /// in parallel execution ports and verify the same megabytes ~4× faster.
-/// Save and load both call this function, so the definition *is* the
-/// format — it covers the header region and each section payload.
-fn stream_checksum(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut lanes = [0u64; 4];
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let word = u64::from_le_bytes(block[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-            *lane = (lane.rotate_left(5) ^ word).wrapping_mul(SEED);
-        }
-    }
-    let mut h = FxHasher::default();
-    for lane in lanes {
-        h.write_u64(lane);
-    }
-    h.write(blocks.remainder());
-    h.finish()
+/// Save and load both use this definition, so it *is* the format — it
+/// covers the header region and each section payload. Bytes may arrive
+/// in any chunking ([`StreamChecksum::update`]): a section written
+/// piece by piece sums like the whole slice.
+#[derive(Debug, Clone, Default)]
+struct StreamChecksum {
+    lanes: [u64; 4],
+    /// A partial 32-byte block carried to the next update.
+    carry: [u8; 32],
+    carry_len: usize,
 }
 
-fn encode_meta(epoch: u64, config: &BanksConfig) -> Vec<u8> {
+impl StreamChecksum {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn block(&mut self, block: &[u8]) {
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let word = u64::from_le_bytes(block[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
+            *lane = (lane.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.carry_len > 0 {
+            let take = (32 - self.carry_len).min(bytes.len());
+            self.carry[self.carry_len..self.carry_len + take].copy_from_slice(&bytes[..take]);
+            self.carry_len += take;
+            bytes = &bytes[take..];
+            if self.carry_len < 32 {
+                return;
+            }
+            let carry = self.carry;
+            self.block(&carry);
+            self.carry_len = 0;
+        }
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            self.block(block);
+        }
+        let rest = blocks.remainder();
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.carry_len = rest.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = FxHasher::default();
+        for lane in self.lanes {
+            h.write_u64(lane);
+        }
+        h.write(&self.carry[..self.carry_len]);
+        h.finish()
+    }
+}
+
+fn stream_checksum(bytes: &[u8]) -> u64 {
+    let mut sum = StreamChecksum::default();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// One directory row as written: section magic, offset, length and
+/// payload checksum.
+type SectionRow = (&'static [u8; 8], u64, u64, u64);
+
+/// The header region — prefix, directory and header checksum — for
+/// the four sections in file order.
+fn encode_header(rows: &[SectionRow; 4]) -> Vec<u8> {
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(BUNDLE_MAGIC);
+    header.extend_from_slice(&BUNDLE_VERSION.to_le_bytes());
+    header.extend_from_slice(&(SECTION_MAGICS.len() as u32).to_le_bytes());
+    for (magic, offset, len, checksum) in rows {
+        header.extend_from_slice(*magic);
+        header.extend_from_slice(&offset.to_le_bytes());
+        header.extend_from_slice(&len.to_le_bytes());
+        header.extend_from_slice(&checksum.to_le_bytes());
+    }
+    let header_checksum = stream_checksum(&header);
+    header.extend_from_slice(&header_checksum.to_le_bytes());
+    debug_assert_eq!(header.len(), HEADER_LEN);
+    header
+}
+
+/// The one writer of the layout above: a header-sized placeholder, the
+/// four sections in file order (the graph's on a [`GRAPH_ALIGN`]
+/// boundary), then the header written back over the placeholder. Each
+/// section is filled through this writer's [`Write`] impl, which keeps
+/// its length and checksum, so a section can be produced piece by
+/// piece and freed before the next one starts.
+pub(crate) struct BundleWriter<W: Write + Seek> {
+    out: W,
+    pos: u64,
+    sum: StreamChecksum,
+    rows: Vec<SectionRow>,
+}
+
+impl<W: Write + Seek> BundleWriter<W> {
+    pub(crate) fn new(mut out: W) -> PersistResult<Self> {
+        out.write_all(&[0u8; HEADER_LEN])?;
+        Ok(BundleWriter {
+            out,
+            pos: HEADER_LEN as u64,
+            sum: StreamChecksum::default(),
+            rows: Vec::with_capacity(SECTION_MAGICS.len()),
+        })
+    }
+
+    /// Write the next section's payload with `fill`.
+    pub(crate) fn section<T>(
+        &mut self,
+        fill: impl FnOnce(&mut Self) -> PersistResult<T>,
+    ) -> PersistResult<T> {
+        let magic = SECTION_MAGICS[self.rows.len()];
+        if magic == SECTION_GRPH {
+            let pad = self.pos.next_multiple_of(GRAPH_ALIGN) - self.pos;
+            self.out.write_all(&vec![0u8; pad as usize])?;
+            self.pos += pad;
+        }
+        self.sum = StreamChecksum::default();
+        let offset = self.pos;
+        let made = fill(self)?;
+        self.rows
+            .push((magic, offset, self.pos - offset, self.sum.finish()));
+        Ok(made)
+    }
+
+    /// Write the header over the placeholder; returns the file length.
+    pub(crate) fn finish(mut self) -> PersistResult<u64> {
+        let rows: [SectionRow; 4] = self.rows.try_into().expect("all four sections written");
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(&encode_header(&rows))?;
+        Ok(self.pos)
+    }
+}
+
+impl<W: Write + Seek> Write for BundleWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.sum.update(&buf[..n]);
+        self.pos += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// Write the packed postings of `index` into a section, batching the
+/// layout's small fields so the checksum sees large chunks.
+pub(crate) fn write_postings_section<W: Write + Seek>(
+    index: &TextIndex,
+    out: &mut BundleWriter<W>,
+) -> PersistResult<()> {
+    let mut batched = std::io::BufWriter::with_capacity(1 << 16, out);
+    postings::write_packed_postings(index, &mut batched)?;
+    batched.flush()?;
+    Ok(())
+}
+
+pub(crate) fn encode_meta(epoch: u64, config: &BanksConfig) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&epoch.to_le_bytes());
     let s = config.score;
@@ -253,7 +393,7 @@ fn decode_meta(bytes: &[u8]) -> PersistResult<BundleMeta> {
 /// lanes untouched since the snapshot was opened are copied raw from
 /// the backing store, so publishing an ingest epoch rewrites only the
 /// blocks that epoch touched.
-pub fn write_bundle(banks: &Banks, epoch: u64, out: impl Write) -> PersistResult<()> {
+pub fn write_bundle(banks: &Banks, epoch: u64, out: impl Write + Seek) -> PersistResult<()> {
     let data = blocks::encode_database_v3(banks.db())?;
     let grph =
         banks_pager::encode_paged_blob(banks.tuple_graph().graph(), banks_pager::DEFAULT_SEG_SPAN);
@@ -269,56 +409,38 @@ pub fn write_bundle_sections(
     epoch: u64,
     data: &[u8],
     grph: &[u8],
-    mut out: impl Write,
+    out: impl Write + Seek,
 ) -> PersistResult<()> {
-    let meta = encode_meta(epoch, banks.config());
-    let mut tidx = Vec::with_capacity(64 * 1024);
-    postings::write_packed_postings(banks.text_index(), &mut tidx)?;
-
-    let meta_off = HEADER_LEN as u64;
-    let data_off = meta_off + meta.len() as u64;
-    let tidx_off = data_off + data.len() as u64;
-    let tidx_end = tidx_off + tidx.len() as u64;
-    let grph_off = tidx_end.next_multiple_of(GRAPH_ALIGN);
-
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(BUNDLE_MAGIC);
-    header.extend_from_slice(&BUNDLE_VERSION.to_le_bytes());
-    header.extend_from_slice(&(SECTION_MAGICS.len() as u32).to_le_bytes());
-    let payloads: [(&[u8; 8], u64, &[u8]); 4] = [
-        (SECTION_META, meta_off, &meta),
-        (SECTION_DATA, data_off, data),
-        (SECTION_TIDX, tidx_off, &tidx),
-        (SECTION_GRPH, grph_off, grph),
-    ];
-    for (magic, offset, payload) in &payloads {
-        header.extend_from_slice(*magic);
-        header.extend_from_slice(&offset.to_le_bytes());
-        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        header.extend_from_slice(&stream_checksum(payload).to_le_bytes());
-    }
-    let header_checksum = stream_checksum(&header);
-    header.extend_from_slice(&header_checksum.to_le_bytes());
-    debug_assert_eq!(header.len(), HEADER_LEN);
-
-    out.write_all(&header)?;
-    out.write_all(&meta)?;
-    out.write_all(data)?;
-    out.write_all(&tidx)?;
-    out.write_all(&vec![0u8; (grph_off - tidx_end) as usize])?;
-    out.write_all(grph)?;
+    let mut bundle = BundleWriter::new(out)?;
+    bundle.section(|w| Ok(w.write_all(&encode_meta(epoch, banks.config()))?))?;
+    bundle.section(|w| Ok(w.write_all(data)?))?;
+    bundle.section(|w| write_postings_section(banks.text_index(), w))?;
+    bundle.section(|w| Ok(w.write_all(grph)?))?;
+    bundle.finish()?;
     Ok(())
 }
 
 /// Atomically write the bundle to `path` (temp file + fsync + rename).
 pub fn save_bundle(banks: &Banks, epoch: u64, path: &Path) -> PersistResult<()> {
+    save_atomically(path, |w| write_bundle(banks, epoch, w))
+}
+
+/// Run `write` on the temp file of an [`banks_util::fs::atomic_write`]
+/// to `path`: the bundle exists completely at `path`, or not at all.
+pub(crate) fn save_atomically<T>(
+    path: &Path,
+    write: impl FnOnce(&mut std::io::BufWriter<File>) -> PersistResult<T>,
+) -> PersistResult<T> {
+    let mut made = None;
     banks_util::fs::atomic_write(path, |w| {
-        write_bundle(banks, epoch, w).map_err(|e| match e {
+        made = Some(write(w).map_err(|e| match e {
             PersistError::Io(io) => io,
             other => std::io::Error::other(other.to_string()),
-        })
+        })?);
+        Ok(())
     })
-    .map_err(PersistError::Io)
+    .map_err(PersistError::Io)?;
+    Ok(made.expect("atomic_write ran the writer"))
 }
 
 /// One parsed directory row.
@@ -753,7 +875,7 @@ mod tests {
 
     fn roundtrip(banks: &Banks, epoch: u64) -> (Banks, BundleMeta) {
         let mut buf = Vec::new();
-        write_bundle(banks, epoch, &mut buf).unwrap();
+        write_bundle(banks, epoch, std::io::Cursor::new(&mut buf)).unwrap();
         read_bundle(buf.as_slice(), &BanksConfig::default()).unwrap()
     }
 
@@ -764,6 +886,19 @@ mod tests {
         for (p, q) in x.iter().zip(&y) {
             assert_eq!(p.tree.signature(), q.tree.signature());
             assert!((p.relevance - q.relevance).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn stream_checksum_ignores_chunking() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let whole = stream_checksum(&bytes);
+        for chunk in [1, 7, 31, 32, 33, 100, 1000] {
+            let mut sum = StreamChecksum::default();
+            for piece in bytes.chunks(chunk) {
+                sum.update(piece);
+            }
+            assert_eq!(sum.finish(), whole, "pieces of {chunk}");
         }
     }
 
@@ -801,7 +936,7 @@ mod tests {
         config.graph.default_similarity = 3.0;
         let banks = Banks::with_config(dblp(), config.clone()).unwrap();
         let mut buf = Vec::new();
-        write_bundle(&banks, 1, &mut buf).unwrap();
+        write_bundle(&banks, 1, std::io::Cursor::new(&mut buf)).unwrap();
         // Load under *default* base config: the bundle's params must win.
         let (restored, meta) = read_bundle(buf.as_slice(), &BanksConfig::default()).unwrap();
         assert_eq!(meta.score, config.score);
@@ -814,7 +949,7 @@ mod tests {
     fn corruption_and_truncation_detected() {
         let banks = Banks::new(dblp()).unwrap();
         let mut buf = Vec::new();
-        write_bundle(&banks, 3, &mut buf).unwrap();
+        write_bundle(&banks, 3, std::io::Cursor::new(&mut buf)).unwrap();
 
         // Flip one byte anywhere — header, directory, payload, or the
         // alignment padding — and the load must fail; never a silent
@@ -954,7 +1089,7 @@ mod tests {
     fn short_or_older_bundles_are_typed_errors_on_every_entry_point() {
         let banks = Banks::new(dblp()).unwrap();
         let mut valid = Vec::new();
-        write_bundle(&banks, 4, &mut valid).unwrap();
+        write_bundle(&banks, 4, std::io::Cursor::new(&mut valid)).unwrap();
         // Every prefix of the header region, then a whole bundle whose
         // version field says 1, 2 or 4.
         let mut rows: Vec<(Vec<u8>, Option<u32>)> = (0..=HEADER_LEN)

@@ -41,6 +41,7 @@
 //! directly through `banks snapshot save|load|inspect`.
 
 pub mod bundle;
+pub mod corpus;
 pub mod error;
 pub mod store;
 pub mod wal;
@@ -49,6 +50,7 @@ pub use bundle::{
     inspect_bundle, load_bundle, open_bundle_paged, peek_epoch, read_bundle, save_bundle,
     write_bundle, write_bundle_sections, BundleInfo, BundleMeta,
 };
+pub use corpus::{write_corpus_bundle, CorpusBundle};
 pub use error::{PersistError, PersistResult};
-pub use store::{snapshot_file, PersistOptions, PersistStats, PersistentStore, Recovery};
+pub use store::{is_fresh, snapshot_file, PersistOptions, PersistStats, PersistentStore, Recovery};
 pub use wal::{scan_frames, scan_wal, WalFrame, WalScan, WalWriter};

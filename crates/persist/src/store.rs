@@ -113,8 +113,9 @@ pub struct PersistStats {
 #[derive(Debug)]
 pub struct Recovery {
     /// The recovered state, or `None` for a fresh (empty) directory —
-    /// the caller builds initial state and calls
-    /// [`PersistentStore::save_snapshot`] with it.
+    /// the caller saves initial state with
+    /// [`PersistentStore::save_snapshot`], or (see [`is_fresh`]) writes
+    /// the epoch-0 bundle before opening.
     pub banks: Option<Arc<Banks>>,
     /// The recovered epoch (0 for a fresh directory).
     pub epoch: u64,
@@ -141,6 +142,32 @@ fn snapshot_epoch(name: &str) -> Option<u64> {
         .strip_suffix(".banks")?
         .parse()
         .ok()
+}
+
+/// Every `snapshot-<epoch>.banks` file in `dir`, unordered.
+fn snapshot_files(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    Ok(std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .filter_map(|e| {
+            let name = e.file_name();
+            let epoch = snapshot_epoch(name.to_str()?)?;
+            Some((epoch, e.path()))
+        })
+        .collect())
+}
+
+/// Whether `dir` holds no state to recover — no snapshot file and no
+/// WAL frame; a missing directory is fresh. [`PersistentStore::open`]
+/// recovers nothing from exactly such a directory, so a caller that
+/// finds it fresh writes the epoch-0 bundle (named by
+/// [`snapshot_file`]) first and then opens it like any restart.
+pub fn is_fresh(dir: &Path) -> PersistResult<bool> {
+    match snapshot_files(dir) {
+        Ok(files) if !files.is_empty() => Ok(false),
+        Ok(_) => Ok(scan_wal(&dir.join(WAL_FILE))?.frames.is_empty()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(true),
+        Err(e) => Err(e.into()),
+    }
 }
 
 struct Inner {
@@ -193,13 +220,9 @@ impl Inner {
         self.wal.lock().expect("wal lock").compact(epoch)?;
         // Prune strictly older snapshots; newer ones (a concurrent roll
         // racing ahead) stay.
-        for entry in std::fs::read_dir(&self.dir)?.filter_map(|e| e.ok()) {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(e) = snapshot_epoch(name) {
-                if e < epoch {
-                    let _ = std::fs::remove_file(entry.path());
-                }
+        for (e, path) in snapshot_files(&self.dir)? {
+            if e < epoch {
+                let _ = std::fs::remove_file(path);
             }
         }
         banks_util::fs::sync_dir(&self.dir);
@@ -246,14 +269,7 @@ impl PersistentStore {
         let mut warnings = Vec::new();
 
         // Newest loadable snapshot wins.
-        let mut snapshot_files: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name();
-                let epoch = snapshot_epoch(name.to_str()?)?;
-                Some((epoch, e.path()))
-            })
-            .collect();
+        let mut snapshot_files = snapshot_files(dir)?;
         snapshot_files.sort_by_key(|&(epoch, _)| std::cmp::Reverse(epoch));
         let snapshots_tried = snapshot_files.len();
         let mut loaded: Option<(Banks, u64)> = None;
@@ -441,13 +457,8 @@ impl PersistentStore {
     /// listed file may be deleted before the read lands).
     pub fn newest_snapshot(&self) -> PersistResult<(u64, Vec<u8>)> {
         for _ in 0..8 {
-            let newest = std::fs::read_dir(&self.inner.dir)?
-                .filter_map(|e| e.ok())
-                .filter_map(|e| {
-                    let name = e.file_name();
-                    let epoch = snapshot_epoch(name.to_str()?)?;
-                    Some((epoch, e.path()))
-                })
+            let newest = snapshot_files(&self.inner.dir)?
+                .into_iter()
                 .max_by_key(|&(epoch, _)| epoch);
             let Some((epoch, path)) = newest else {
                 return Err(PersistError::NoValidSnapshot {
@@ -468,8 +479,10 @@ impl PersistentStore {
 
     /// Synchronously write a snapshot bundle for `(banks, epoch)`,
     /// dropping superseded WAL frames and pruning older snapshot files.
-    /// Used for the initial snapshot of a fresh directory and by tests;
-    /// the ingest path uses [`PersistentStore::maybe_compact`] instead.
+    /// Used by tests and benches to seed a directory with a built
+    /// system (`banks serve` writes a fresh directory's bundle from the
+    /// corpus instead, see [`is_fresh`]); the ingest path uses
+    /// [`PersistentStore::maybe_compact`].
     pub fn save_snapshot(&self, banks: &Banks, epoch: u64) -> PersistResult<()> {
         self.inner.roll_snapshot(banks, epoch)
     }

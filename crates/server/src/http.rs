@@ -920,6 +920,16 @@ fn stats_json(
             pairs.push(("persistence".to_string(), section));
         }
     }
+    // Process memory, where `/proc` reports it: a boot's peak included.
+    if let Some(m) = banks_util::process::memory() {
+        let section = Json::obj([
+            ("rss_bytes", Json::Uint(m.rss_bytes)),
+            ("peak_rss_bytes", Json::Uint(m.peak_rss_bytes)),
+        ]);
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.push(("process".to_string(), section));
+        }
+    }
     doc
 }
 
@@ -1082,6 +1092,21 @@ mod tests {
         // The in-RAM backend still exports pager families, as zeros.
         assert!(body.contains("banks_pager_budget_bytes 0"));
         assert!(body.contains("banks_tuple_resident_bytes 0"));
+        // Process memory, in both documents, wherever `/proc` has it.
+        let stats = get(addr, "/stats").text();
+        if banks_util::process::memory().is_some() {
+            for family in [
+                "banks_process_resident_bytes",
+                "banks_process_peak_resident_bytes",
+            ] {
+                assert!(body.contains(&format!("# TYPE {family} gauge")), "{body}");
+            }
+            assert!(stats.contains(r#""process":{"rss_bytes":"#), "{stats}");
+            assert!(stats.contains(r#","peak_rss_bytes":"#), "{stats}");
+        } else {
+            assert!(!body.contains("banks_process_"), "{body}");
+            assert!(!stats.contains(r#""process""#), "{stats}");
+        }
     }
 
     #[test]

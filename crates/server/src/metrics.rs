@@ -266,6 +266,22 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
             lag as f64,
         ));
     }
+    // Process memory, where `/proc` reports it (absent elsewhere, like
+    // `/stats`' `process` object).
+    if let Some(m) = banks_util::process::memory() {
+        fams.push(CollectedFamily::scalar(
+            "banks_process_resident_bytes",
+            "Resident set size of this process (VmRSS).",
+            g,
+            m.rss_bytes as f64,
+        ));
+        fams.push(CollectedFamily::scalar(
+            "banks_process_peak_resident_bytes",
+            "Peak resident set size of this process since start (VmHWM).",
+            g,
+            m.peak_rss_bytes as f64,
+        ));
+    }
     // Pager families are always emitted — zeros for the in-RAM backend —
     // so a dashboard template works against any serving mode.
     let pager = banks.tuple_graph().graph().storage_stats();

@@ -505,12 +505,33 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn take_value(bytes: &[u8], pos: &mut usize) -> StorageResult<Value> {
+/// One value decoded in place: text borrows the encoded bytes, every
+/// other kind is small enough to materialize.
+pub(crate) enum EncodedValue<'a> {
+    Text(&'a str),
+    Other(Value),
+}
+
+impl EncodedValue<'_> {
+    /// Does this equal `v` under [`Value`]'s equality?
+    pub(crate) fn matches(&self, v: &Value) -> bool {
+        match self {
+            EncodedValue::Text(s) => matches!(v, Value::Text(t) if t == s),
+            EncodedValue::Other(own) => own == v,
+        }
+    }
+}
+
+/// Decode the value at `*pos` without allocating (see [`EncodedValue`]).
+pub(crate) fn take_value_ref<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+) -> StorageResult<EncodedValue<'a>> {
     let tag = *bytes
         .get(*pos)
         .ok_or_else(|| corrupt("tuple block ends inside a value tag"))?;
     *pos += 1;
-    Ok(match tag {
+    Ok(EncodedValue::Other(match tag {
         TAG_NULL => Value::Null,
         TAG_FALSE => Value::Bool(false),
         TAG_TRUE => Value::Bool(true),
@@ -534,33 +555,65 @@ fn take_value(bytes: &[u8], pos: &mut usize) -> StorageResult<Value> {
                 .get(*pos..*pos + len as usize)
                 .ok_or_else(|| corrupt("tuple block ends inside a string"))?;
             *pos += len as usize;
-            Value::Text(
+            return Ok(EncodedValue::Text(
                 std::str::from_utf8(raw)
-                    .map_err(|_| corrupt("tuple block string is not valid UTF-8"))?
-                    .to_owned(),
-            )
+                    .map_err(|_| corrupt("tuple block string is not valid UTF-8"))?,
+            ));
         }
         other => return Err(corrupt(format!("unknown value tag {other} in tuple block"))),
+    }))
+}
+
+fn take_value(bytes: &[u8], pos: &mut usize) -> StorageResult<Value> {
+    Ok(match take_value_ref(bytes, pos)? {
+        EncodedValue::Text(s) => Value::Text(s.to_owned()),
+        EncodedValue::Other(v) => v,
     })
+}
+
+/// Append `values` in the block value encoding — what a live slot of a
+/// block holds before its back-reference sublane.
+pub(crate) fn encode_values(values: &[Value], out: &mut Vec<u8>) {
+    for v in values {
+        put_value(out, v);
+    }
+}
+
+/// The values of one live slot, as [`encode_block`] writes them: a
+/// resident tuple, or a row already in the block value encoding (see
+/// [`encode_values`]).
+pub(crate) trait SlotValues {
+    /// Append the encoded values to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+impl SlotValues for &Tuple {
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_values(self.values(), out);
+    }
+}
+
+impl SlotValues for &[u8] {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
 }
 
 /// Encode one block: per slot a presence byte, then (for live slots)
 /// the tuple's values followed by its back-reference sublane.
 ///
-/// `rows` yields `(tuple, refs)` per slot in `[first, end)` — `None`
+/// `rows` yields `(values, refs)` per slot in `[first, end)` — `None`
 /// for tombstones.
-pub(crate) fn encode_block<'a>(
-    rows: impl Iterator<Item = Option<(&'a Tuple, &'a [BackRef])>>,
+pub(crate) fn encode_block<'a, V: SlotValues>(
+    rows: impl Iterator<Item = Option<(V, &'a [BackRef])>>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     for row in rows {
         match row {
             None => out.push(0),
-            Some((tuple, refs)) => {
+            Some((values, refs)) => {
                 out.push(1);
-                for v in tuple.values() {
-                    put_value(&mut out, v);
-                }
+                values.put(&mut out);
                 write_varint(&mut out, refs.len() as u64);
                 for r in refs {
                     write_varint(&mut out, u64::from(r.from.relation.0));
@@ -750,16 +803,37 @@ pub fn encode_database_v3_with_span(db: &Database, span: u32) -> StorageResult<V
             )));
         }
     }
-    let schema_text = schema_to_text(db);
     let payloads: Vec<RelationPayload> = db
         .relations()
         .map(|table| db.v3_relation_payload(table.id(), span))
         .collect::<StorageResult<_>>()?;
+    let mut out = Vec::new();
+    write_data_section(
+        &mut out,
+        &schema_to_text(db),
+        db.link_count() as u64,
+        span,
+        &payloads,
+    )
+    .expect("writing to a Vec cannot fail");
+    Ok(out)
+}
 
+/// Write a v3 DATA section — prefix, checksummed header, then every
+/// relation's PK lane and blocks — around already encoded relation
+/// payloads. The one assembler behind [`encode_database_v3`] and the
+/// staged-corpus writer ([`crate::arena::StagedRows`]).
+pub(crate) fn write_data_section(
+    out: &mut impl std::io::Write,
+    schema_text: &str,
+    link_count: u64,
+    span: u32,
+    payloads: &[RelationPayload],
+) -> std::io::Result<()> {
     // Header size is fully determined by the payload shapes; lay the
     // header out first, then assign payload offsets after it.
     let mut header_len = 8 + schema_text.len() + 8 + 4 + 4;
-    for p in &payloads {
+    for p in payloads {
         header_len += 4 + 8 + p.presence.len() + 32 + 4 + p.blocks.len() * 24;
     }
     let mut offset = (HEADER_PREFIX + header_len + 8) as u64;
@@ -767,10 +841,10 @@ pub fn encode_database_v3_with_span(db: &Database, span: u32) -> StorageResult<V
     let mut header = Vec::with_capacity(header_len);
     write_fixed_u64(&mut header, schema_text.len() as u64);
     header.extend_from_slice(schema_text.as_bytes());
-    write_fixed_u64(&mut header, db.link_count() as u64);
+    write_fixed_u64(&mut header, link_count);
     header.extend_from_slice(&span.to_le_bytes());
     header.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for p in &payloads {
+    for p in payloads {
         header.extend_from_slice(&p.slot_count.to_le_bytes());
         write_fixed_u64(&mut header, p.live_count);
         header.extend_from_slice(&p.presence);
@@ -789,19 +863,17 @@ pub fn encode_database_v3_with_span(db: &Database, span: u32) -> StorageResult<V
     }
     debug_assert_eq!(header.len(), header_len);
 
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(DATA_V3_MAGIC);
-    out.extend_from_slice(&(header_len as u64).to_le_bytes());
-    out.extend_from_slice(&header);
-    out.extend_from_slice(&checksum64(&header).to_le_bytes());
-    for p in &payloads {
-        out.extend_from_slice(&p.pk_lane);
+    out.write_all(DATA_V3_MAGIC)?;
+    out.write_all(&(header_len as u64).to_le_bytes())?;
+    out.write_all(&header)?;
+    out.write_all(&checksum64(&header).to_le_bytes())?;
+    for p in payloads {
+        out.write_all(&p.pk_lane)?;
         for (bytes, _) in &p.blocks {
-            out.extend_from_slice(bytes);
+            out.write_all(bytes)?;
         }
     }
-    debug_assert_eq!(out.len() as u64, offset);
-    Ok(out)
+    Ok(())
 }
 
 fn write_fixed_u64(out: &mut Vec<u8>, v: u64) {

@@ -141,6 +141,21 @@ impl Database {
         Ok(id)
     }
 
+    /// An empty database with this one's name and relations — the
+    /// catalog alone, no tuples.
+    pub fn empty_like(&self) -> StorageResult<Database> {
+        let mut db = Database::new(self.name.clone());
+        for table in &self.tables {
+            db.create_relation(table.schema().clone())?;
+        }
+        Ok(db)
+    }
+
+    /// The relation foreign key `fk_index` of `relation` references.
+    pub(crate) fn fk_target_relation(&self, relation: RelationId, fk_index: usize) -> RelationId {
+        self.fk_targets[relation.index()][fk_index]
+    }
+
     /// Number of relations.
     pub fn relation_count(&self) -> usize {
         self.tables.len()
@@ -196,7 +211,12 @@ impl Database {
     }
 
     /// The error for a foreign key of a `relation` row that dangles.
-    fn dangling(&self, relation: RelationId, fk_index: usize, values: &[Value]) -> StorageError {
+    pub(crate) fn dangling(
+        &self,
+        relation: RelationId,
+        fk_index: usize,
+        values: &[Value],
+    ) -> StorageError {
         let schema = self.tables[relation.index()].schema();
         let fk = &schema.foreign_keys[fk_index];
         let key: Vec<&Value> = fk.columns.iter().map(|&c| &values[c]).collect();
@@ -208,7 +228,7 @@ impl Database {
     }
 
     /// The error for a NULL in a non-nullable foreign key.
-    fn null_fk(&self, relation: RelationId, fk_index: usize) -> StorageError {
+    pub(crate) fn null_fk(&self, relation: RelationId, fk_index: usize) -> StorageError {
         let schema = self.tables[relation.index()].schema();
         StorageError::NullViolation {
             relation: schema.name.clone(),

@@ -43,6 +43,7 @@
 //! assert_eq!(db.tuple(rid).unwrap().values()[1], Value::text("Soumen Chakrabarti"));
 //! ```
 
+pub mod arena;
 pub mod blocks;
 pub mod bundle;
 pub mod catalog;
@@ -59,6 +60,7 @@ pub mod tokenizer;
 pub mod tuple;
 pub mod value;
 
+pub use arena::{RowArena, StagedRows};
 pub use blocks::{DataLayout, TupleBlock, TupleStore, TupleStoreStats, BLOCK_SPAN, DATA_V3_MAGIC};
 pub use catalog::{BackRef, Database};
 pub use error::{StorageError, StorageResult};

@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// million keys make `Many` astronomically rare, so the common entry
 /// stays inline with no per-entry heap allocation.
 #[derive(Debug, Clone)]
-enum PkSlots {
+pub(crate) enum PkSlots {
     /// The typical entry: exactly one slot has this key hash.
     One(u32),
     /// Hash collision between distinct keys (or transiently during a
@@ -22,7 +22,7 @@ enum PkSlots {
 }
 
 impl PkSlots {
-    fn candidates(&self) -> &[u32] {
+    pub(crate) fn candidates(&self) -> &[u32] {
         match self {
             PkSlots::One(slot) => std::slice::from_ref(slot),
             PkSlots::Many(slots) => slots,
@@ -34,9 +34,9 @@ impl PkSlots {
 /// vary little for the 8-byte ids the generators emit, so the map
 /// re-mixes them ([`FxFoldHashMap`]); plain Fx here made every probe walk
 /// a collision chain that grew with the table.
-type PkIndex = FxFoldHashMap<u64, PkSlots>;
+pub(crate) type PkIndex = FxFoldHashMap<u64, PkSlots>;
 
-fn pk_map_link(map: &mut PkIndex, hash: u64, slot: u32) {
+pub(crate) fn pk_map_link(map: &mut PkIndex, hash: u64, slot: u32) {
     match map.entry(hash) {
         std::collections::hash_map::Entry::Vacant(e) => {
             e.insert(PkSlots::One(slot));
@@ -329,7 +329,7 @@ impl Table {
     }
 
     /// Type/arity/nullability-check `values` against the schema.
-    fn check_values(&self, values: &[Value]) -> StorageResult<()> {
+    pub(crate) fn check_values(&self, values: &[Value]) -> StorageResult<()> {
         if values.len() != self.schema.arity() {
             return Err(StorageError::ArityMismatch {
                 relation: self.schema.name.clone(),

@@ -58,44 +58,53 @@ impl Default for Repr {
 }
 
 impl TextIndex {
-    /// Build the index by scanning every relation of `db`.
+    /// Build the index by scanning every relation of `db`: its text
+    /// values, fed to [`TextIndex::from_texts`].
+    pub fn build(db: &Database, tokenizer: &Tokenizer) -> TextIndex {
+        fn is_text(c: &crate::schema::ColumnDef) -> bool {
+            matches!(c.ty, crate::schema::ColumnType::Text)
+        }
+        let texts = db
+            .relations()
+            .filter(|table| table.schema().columns.iter().any(is_text))
+            .flat_map(|table| {
+                let columns = &table.schema().columns;
+                table.scan().flat_map(move |(rid, tuple)| {
+                    columns
+                        .iter()
+                        .zip(tuple.values())
+                        .enumerate()
+                        .filter(|(_, (c, _))| is_text(c))
+                        .filter_map(move |(col, (_, value))| {
+                            value.as_text().map(|text| (rid, col as u32, text))
+                        })
+                })
+            });
+        TextIndex::from_texts(texts, tokenizer)
+    }
+
+    /// Index a stream of `(rid, column, text)` values — the text
+    /// columns of every tuple — the one tokenizing derivation behind
+    /// [`TextIndex::build`] and the staged-corpus bundle writer.
     ///
     /// Tokens are borrowed from the tokenizer (see
     /// [`Tokenizer::for_each_token`]) and looked up by `&str`; the only
     /// per-token allocation left is the key of a term seen for the first
     /// time.
-    pub fn build(db: &Database, tokenizer: &Tokenizer) -> TextIndex {
+    pub fn from_texts<'t>(
+        texts: impl IntoIterator<Item = (Rid, u32, &'t str)>,
+        tokenizer: &Tokenizer,
+    ) -> TextIndex {
         let mut map = TermMap::default();
         let mut buf = String::new();
-        for table in db.relations() {
-            let text_cols: Vec<usize> = table
-                .schema()
-                .columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| matches!(c.ty, crate::schema::ColumnType::Text))
-                .map(|(i, _)| i)
-                .collect();
-            if text_cols.is_empty() {
-                continue;
-            }
-            for (rid, tuple) in table.scan() {
-                for &col in &text_cols {
-                    let Some(text) = tuple.values()[col].as_text() else {
-                        continue;
-                    };
-                    let posting = Posting {
-                        rid,
-                        column: col as u32,
-                    };
-                    tokenizer.for_each_token(text, &mut buf, |token| match map.get_mut(token) {
-                        Some(list) => list.push(posting),
-                        None => {
-                            map.insert(token.to_owned(), vec![posting]);
-                        }
-                    });
+        for (rid, column, text) in texts {
+            let posting = Posting { rid, column };
+            tokenizer.for_each_token(text, &mut buf, |token| match map.get_mut(token) {
+                Some(list) => list.push(posting),
+                None => {
+                    map.insert(token.to_owned(), vec![posting]);
                 }
-            }
+            });
         }
         let mut index = TextIndex {
             repr: Repr::Eager(map),

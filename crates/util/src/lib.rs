@@ -20,7 +20,9 @@
 //!   full jitter, retry budget) used by every HTTP client in the
 //!   workspace;
 //! * [`fault`] — deterministic fault injection behind the
-//!   `fault-injection` cargo feature (zero-cost no-ops otherwise).
+//!   `fault-injection` cargo feature (zero-cost no-ops otherwise);
+//! * [`process`] — this process's resident and peak memory, for
+//!   `/stats` and `/metrics`.
 
 pub mod build;
 pub mod fault;
@@ -29,6 +31,7 @@ pub mod fxhash;
 pub mod http;
 pub mod json;
 pub mod log;
+pub mod process;
 pub mod retry;
 
 pub use fs::atomic_write;

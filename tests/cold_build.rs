@@ -10,15 +10,19 @@
 //!   database, and after random ingest batches;
 //! * the tokenizer against a char-by-char reference on arbitrary
 //!   Unicode, and `TextIndex::build` against an index built value by
-//!   value with `add_value`.
+//!   value with `add_value`;
+//! * the corpus writer (staged rows → bundle, no `Database`) against
+//!   `save_bundle` of the system built from the same corpus: the same
+//!   bytes on every generator and a `datagen` directory, and the same
+//!   error for a corpus that does not load.
 
 use banks_core::{Banks, BanksConfig, GraphConfig, NodeWeightMode, TupleGraph};
-use banks_datagen::stream::{build_database, generate_to_dir, StreamConfig};
+use banks_datagen::stream::{build_database, generate_to_dir, stage_rows, StreamConfig};
 use banks_datagen::{dblp, thesis, tpcd, DblpConfig, ThesisConfig, TpcdConfig};
 use banks_graph::{Graph, GraphBuilder, NodeId};
 use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
-use banks_persist::{open_bundle_paged, save_bundle};
-use banks_storage::{ColumnType, Database, Rid, TextIndex, Tokenizer, Value};
+use banks_persist::{open_bundle_paged, save_bundle, write_corpus_bundle};
+use banks_storage::{ColumnType, Database, Rid, RowArena, TextIndex, Tokenizer, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -94,6 +98,134 @@ fn datagen_10k_bundle_is_pinned() {
         0xd534_6228_0db4_e2db,
         "node weights + forward CSR digest"
     );
+    // The corpus writer never builds the system, and writes the same
+    // bytes.
+    let written = dir.join("written.banks");
+    let rows = stage_rows(&corpus).unwrap().finish();
+    write_corpus_bundle(rows, &BanksConfig::default(), 0, &written).unwrap();
+    assert_eq!(
+        std::fs::read(&written).unwrap(),
+        bytes,
+        "corpus writer bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// The corpus writer against save_bundle of the built system.
+// ---------------------------------------------------------------------
+
+/// `write_corpus_bundle(rows)` and `save_bundle(Banks::with_config(db))`
+/// must write the same file.
+fn assert_writer_matches(
+    db: Database,
+    rows: RowArena,
+    config: &BanksConfig,
+    dir: &std::path::Path,
+    what: &str,
+) {
+    let want = dir.join(format!("{what}.want.banks"));
+    let got = dir.join(format!("{what}.got.banks"));
+    save_bundle(&Banks::with_config(db, config.clone()).unwrap(), 3, &want).unwrap();
+    let written = write_corpus_bundle(rows.finish(), config, 3, &got).unwrap();
+    let want = std::fs::read(&want).unwrap();
+    assert_eq!(written.bytes, want.len() as u64, "{what}: reported size");
+    assert!(
+        std::fs::read(&got).unwrap() == want,
+        "{what}: bundles differ"
+    );
+}
+
+#[test]
+fn corpus_writer_matches_save_bundle_on_every_corpus() {
+    let dir = tmp_dir("writer");
+    let stream = dir.join("corpus");
+    generate_to_dir(&StreamConfig::new(42, 2_000), &stream).unwrap();
+    let defaults = BanksConfig::default();
+    let mut transfer = BanksConfig {
+        graph: GraphConfig {
+            node_weight: NodeWeightMode::AuthorityTransfer {
+                iterations: 3,
+                damping: 0.5,
+            },
+            default_similarity: 0.5,
+            indegree_backward_weights: false,
+        },
+        ..BanksConfig::default()
+    };
+    transfer.score.lambda = 0.7;
+
+    // A datagen directory streams straight into the arena.
+    let db = build_database(&stream).unwrap();
+    assert_writer_matches(
+        db,
+        stage_rows(&stream).unwrap(),
+        &defaults,
+        &dir,
+        "datagen 2k",
+    );
+    // The generators insert across relations in their own order; the
+    // arena copies each target's references in the database's order.
+    for (kind, name) in [(0, "dblp"), (1, "thesis"), (2, "tpcd")] {
+        for (config, tag) in [(&defaults, "defaults"), (&transfer, "transfer")] {
+            let db = corpus(kind, 7);
+            let rows = RowArena::from_database(&db).unwrap();
+            assert_writer_matches(db, rows, config, &dir, &format!("{name} {tag}"));
+        }
+    }
+    // Tombstoned slots stay tombstones (unreferenced Cites rows deleted).
+    let mut db = corpus(0, 11);
+    let cites = db.relation("Cites").unwrap();
+    let dead: Vec<Rid> = cites
+        .live_slots()
+        .step_by(3)
+        .map(|s| Rid::new(cites.id(), s))
+        .collect();
+    for rid in dead {
+        db.delete(rid).unwrap();
+    }
+    let rows = RowArena::from_database(&db).unwrap();
+    assert_writer_matches(db, rows, &defaults, &dir, "dblp with tombstones");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A corpus that does not load fails the same way on both paths: the
+/// first bad row, the same typed error.
+#[test]
+fn corpus_writer_rejects_what_the_database_rejects() {
+    let dir = tmp_dir("writer_errors");
+    let stream = dir.join("corpus");
+    let manifest = generate_to_dir(&StreamConfig::new(5, 500), &stream).unwrap();
+    let shard = manifest.shard_path(&stream, 0);
+    let text = std::fs::read_to_string(&shard).unwrap();
+    let line = text.lines().find(|l| l.starts_with("Writes\t")).unwrap();
+    let bad = line.replacen("Writes\t", "Writes\tNoSuchAuthor", 1);
+    let (author, paper) = bad["Writes\t".len()..].split_once('\t').unwrap();
+    std::fs::write(&shard, text.replacen(line, &bad, 1)).unwrap();
+    let want = build_database(&stream).unwrap_err();
+    assert!(want.contains("foreign key"), "{want}");
+    assert_eq!(stage_rows(&stream).unwrap_err(), want);
+
+    // Row by row: every refusal of `Database::insert` is `RowArena::insert`'s.
+    let mut db = banks_datagen::dblp::dblp_schema().unwrap();
+    let mut arena = RowArena::new(db.empty_like().unwrap());
+    let rows: Vec<(&str, [&str; 2])> = vec![
+        ("Author", ["a1", "Ann"]),
+        ("Paper", ["p1", "Paper One"]),
+        ("Writes", ["a1", "p1"]),
+        ("Writes", [author, paper]),
+        ("Writes", ["a1", "p1"]),
+        ("Author", ["a1", "Ann Again"]),
+        ("Nope", ["x", "y"]),
+    ];
+    for (table, [a, b]) in rows {
+        let want = db.insert(table, vec![Value::text(a), Value::text(b)]);
+        let got = arena.insert(table, &[Value::text(a), Value::text(b)]);
+        assert_eq!(got, want, "{table} {a} {b}");
+    }
+    let arity = arena.insert("Author", &[Value::text("only one")]);
+    assert_eq!(arity, db.insert("Author", vec![Value::text("only one")]));
+    assert!(arity.is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
