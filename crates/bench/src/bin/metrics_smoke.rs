@@ -54,6 +54,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "banks_graph_edges",
     "banks_memory_bytes",
     "banks_search_early_terminations_total",
+    "banks_search_state_bytes_max",
     "banks_uptime_seconds",
     "banks_pager_budget_bytes",
     "banks_pager_resident_bytes",

@@ -25,7 +25,7 @@ use banks_graph::{
     CrossScratch, Dijkstra, Direction, FxHashMap, FxHashSet, NodeId, OriginListPool, SearchArena,
 };
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Iterator-heap entry: min-heap on the distance of the iterator's next
 /// output ("ordered on the distance of the first node it will output").
@@ -174,29 +174,36 @@ fn multi_term_search(
             sink.stats.deadline_expirations += 1;
             break;
         }
-        let Some(&frontier) = iter_heap.peek() else {
+        let Some(mut frontier) = iter_heap.peek_mut() else {
             break;
         };
         if early_stop.should_stop(frontier.dist, sink.emitted.len(), &sink.output) {
             sink.stats.early_terminations += 1;
             break;
         }
-        let entry = iter_heap.pop().expect("peeked entry");
-        let (term, origin) = infos[entry.idx];
-        let Some(visit) = iterators[entry.idx].next() else {
+        // The iterator's next key replaces its entry in place; the
+        // `(dist, idx)` order is total, so the pop sequence is the one a
+        // pop and re-push would give.
+        let idx = frontier.idx;
+        let Some(visit) = iterators[idx].next() else {
+            PeekMut::pop(frontier);
             continue;
         };
-        sink.stats.pops += 1;
-        if let Some(dist) = iterators[entry.idx].peek_dist() {
-            iter_heap.push(IterEntry {
-                dist,
-                idx: entry.idx,
-            });
+        match iterators[idx].peek_dist() {
+            Some(dist) => frontier.dist = dist,
+            None => {
+                PeekMut::pop(frontier);
+            }
         }
+        sink.stats.pops += 1;
+        let (term, origin) = infos[idx];
         sink.process_visit(visit.node, term, origin, &iterators);
     }
 
-    let outcome = sink.finish();
+    let state_bytes =
+        sink.lists.retained_bytes() + iterators.iter().map(Dijkstra::state_bytes).sum::<usize>();
+    let mut outcome = sink.finish();
+    outcome.stats.state_bytes = state_bytes;
     for iterator in iterators {
         arena.recycle(iterator.into_state());
     }

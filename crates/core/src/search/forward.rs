@@ -277,13 +277,16 @@ pub fn forward_search_in(
         probe_state = Some(probe.into_state());
     }
 
+    let mut state_bytes = iterators.iter().map(Dijkstra::state_bytes).sum::<usize>();
     if let Some(state) = probe_state {
+        state_bytes += state.retained_bytes();
         arena.recycle(state);
     }
     for iterator in iterators {
         arena.recycle(iterator.into_state());
     }
     let mut outcome = backward::finish(emitted, output, config, stats);
+    outcome.stats.state_bytes = state_bytes;
     arena.trim();
     outcome.stats.arena_retained_bytes = arena.retained_bytes();
     outcome

@@ -28,8 +28,8 @@ use banks_graph::{FxHashSet, NodeId};
 /// numbers that must be bit-identical between a fresh and a reused arena,
 /// or between the in-RAM and paged backends. The environment-descriptive
 /// fields ([`SearchStats::arena_retained_bytes`],
-/// [`SearchStats::deadline_expirations`]) describe *how* the query ran
-/// and are excluded.
+/// [`SearchStats::state_bytes`], [`SearchStats::deadline_expirations`])
+/// describe *how* the query ran and are excluded.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Shortest-path iterators created (Σ|Sᵢ| in the paper's notation).
@@ -59,6 +59,11 @@ pub struct SearchStats {
     /// Bytes pinned by the caller's [`SearchArena`] pools after this
     /// query (post shrink-policy). Excluded from equality.
     pub arena_retained_bytes: usize,
+    /// Heap bytes of the query's own search state at its end — every
+    /// iterator's node table and queue plus the origin-list pool — the
+    /// high-water of what the query held. Counted like
+    /// `arena_retained_bytes`, and excluded from equality.
+    pub state_bytes: usize,
     /// 1 when the expansion was cut short by the caller's deadline
     /// token and the answers are a (possibly empty) prefix of the full
     /// result. Timing-dependent, so excluded from equality.
@@ -226,6 +231,7 @@ mod tests {
         let b = SearchStats {
             pops: 7,
             arena_retained_bytes: 999,
+            state_bytes: 4096,
             deadline_expirations: 1,
             ..SearchStats::default()
         };

@@ -7,10 +7,11 @@
 //! steady state:
 //!
 //! * [`DijkstraState`] — one sparse table per iterator, node →
-//!   `{dist, parent, parent_slot, settled}`, holding only the nodes the
-//!   iterator touched. Relaxing an edge is one table probe; clearing the
-//!   state for the next iterator keeps its allocation. The distance queue
-//!   is a recycled 4-ary heap ([`crate::heap::DistHeap`]).
+//!   `{parent, dist}` with the settled flag in the distance's sign bit,
+//!   holding only the nodes the iterator touched. A bucket is 16 bytes.
+//!   Relaxing an edge is one table probe; clearing the state for the
+//!   next iterator keeps its allocation. The distance queue is a
+//!   recycled 4-ary heap of 12-byte entries ([`crate::heap::DistHeap`]).
 //! * [`OriginListPool`] — the per-node, per-term origin lists (`u.Lᵢ` in
 //!   the paper) flattened into one entry pool of forward-linked lists, so
 //!   visiting a node allocates nothing.
@@ -26,25 +27,57 @@ use crate::fxhash::FxHashMap;
 use crate::graph::NodeId;
 use crate::heap::DistHeap;
 use std::collections::hash_map::Entry;
+use std::mem::size_of;
 
 /// Sentinel for "no parent" / "no list entry" — the terminator
 /// [`OriginListPool::head`] and [`OriginListPool::next`] return.
 pub const NIL: u32 = u32::MAX;
 
-/// One touched node of a [`DijkstraState`].
+/// Heap bytes of a std (hashbrown) hash table whose `capacity()` is
+/// `capacity`: one `T` and one control byte per bucket, plus one
+/// trailing 16-byte control group. Buckets are a power of two, and a
+/// table of 8 or more buckets holds at most 7/8 of them.
+fn table_bytes<T>(capacity: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity / 7 * 8
+    }
+    .next_power_of_two();
+    buckets * (size_of::<T>() + 1) + 16
+}
+
+/// One touched node of a [`DijkstraState`]: 12 bytes with 4-byte
+/// alignment (`packed(4)`), so a `(u32, NodeSlot)` table bucket is 16.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 pub(crate) struct NodeSlot {
-    /// Tentative (or, once settled, final) distance.
-    pub(crate) dist: f64,
     /// Best-path predecessor ([`NIL`] for the origin).
     pub(crate) parent: u32,
-    /// CSR slot (in the traversal direction's adjacency arrays) of the
-    /// edge that set `parent` — path reconstruction reads the exact edge
-    /// weight (and its precomputed score) straight out of the CSR
-    /// instead of re-deriving it from a distance difference.
-    pub(crate) parent_slot: u32,
-    /// `dist` is final.
-    settled: bool,
+    /// The tentative (or, once settled, final) distance, negated once
+    /// settled: distances are never negative, so the sign bit is free
+    /// to carry the flag.
+    signed_dist: f64,
+}
+
+impl NodeSlot {
+    #[inline]
+    fn unsettled(dist: f64, parent: u32) -> NodeSlot {
+        debug_assert!(dist.is_sign_positive(), "negative distance {dist}");
+        NodeSlot {
+            parent,
+            signed_dist: dist,
+        }
+    }
+
+    /// The distance.
+    #[inline]
+    pub(crate) fn dist(&self) -> f64 {
+        { self.signed_dist }.abs()
+    }
 }
 
 /// Sparse single-source shortest-path state: one table entry per node
@@ -74,38 +107,28 @@ impl DijkstraState {
     /// Make `n` the unsettled origin at distance `dist`, with exactly one
     /// queue entry — a repeat call replaces the earlier start.
     pub(crate) fn start(&mut self, n: u32, dist: f64) {
-        let origin = NodeSlot {
-            dist,
-            parent: NIL,
-            parent_slot: NIL,
-            settled: false,
-        };
-        self.nodes.insert(n, origin);
+        self.nodes.insert(n, NodeSlot::unsettled(dist, NIL));
         self.heap.clear();
         self.heap.push(dist, n);
     }
 
-    /// Offer `n` the tentative distance `cand`, reached from `parent`
-    /// over CSR slot `slot`, with one table probe. Records it and
-    /// returns `true` when `n` is new, or unsettled at a larger distance.
+    /// Offer `n` the tentative distance `cand`, reached from `parent`,
+    /// with one table probe. Records it and returns `true` when `n` is
+    /// new, or unsettled at a larger distance.
     #[inline]
-    pub(crate) fn relax(&mut self, n: u32, cand: f64, parent: u32, slot: u32) -> bool {
-        let offered = NodeSlot {
-            dist: cand,
-            parent,
-            parent_slot: slot,
-            settled: false,
-        };
+    pub(crate) fn relax(&mut self, n: u32, cand: f64, parent: u32) -> bool {
         match self.nodes.entry(n) {
             Entry::Vacant(e) => {
-                e.insert(offered);
+                e.insert(NodeSlot::unsettled(cand, parent));
                 true
             }
             Entry::Occupied(mut e) => {
                 let known = e.get_mut();
-                let better = !known.settled && cand < known.dist;
+                // A settled entry reads as a non-positive distance, which
+                // no candidate beats.
+                let better = cand < known.signed_dist;
                 if better {
-                    *known = offered;
+                    *known = NodeSlot::unsettled(cand, parent);
                 }
                 better
             }
@@ -116,14 +139,16 @@ impl DijkstraState {
     #[inline]
     pub(crate) fn settle(&mut self, n: u32) {
         let known = self.nodes.get_mut(&n).expect("settling an untouched node");
-        known.settled = true;
+        known.signed_dist = -known.dist();
         self.settled_count += 1;
     }
 
     /// The entry of `n` once its distance is final (`None` before).
     #[inline]
     pub(crate) fn settled(&self, n: u32) -> Option<&NodeSlot> {
-        self.nodes.get(&n).filter(|s| s.settled)
+        self.nodes
+            .get(&n)
+            .filter(|s| { s.signed_dist }.is_sign_negative())
     }
 
     #[inline]
@@ -141,9 +166,9 @@ impl DijkstraState {
         self.heap.shrink_to_entries(max_entries);
     }
 
-    /// Approximate bytes this state retains (node table + queue buffer).
+    /// Heap bytes this state holds (node table + queue buffer).
     pub fn retained_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<(u32, NodeSlot)>() + self.heap.retained_bytes()
+        table_bytes::<(u32, NodeSlot)>(self.nodes.capacity()) + self.heap.retained_bytes()
     }
 }
 
@@ -266,11 +291,10 @@ impl OriginListPool {
 
     /// Bytes retained by the pool's backing buffers.
     pub fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.entries.capacity() * size_of::<(u32, u32)>()
             + (self.heads.capacity() + self.tails.capacity() + self.lens.capacity())
                 * size_of::<u32>()
-            + self.node_base.capacity() * size_of::<(u32, u32)>()
+            + table_bytes::<(u32, u32)>(self.node_base.capacity())
     }
 }
 
@@ -313,7 +337,6 @@ impl CrossScratch {
 
     /// Bytes retained by the scratch buffers.
     pub fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
         (self.terms.capacity() + self.counter.capacity()) * size_of::<usize>()
             + (self.heads.capacity() + self.cursors.capacity()) * size_of::<u32>()
             + self.lens.capacity() * size_of::<usize>()
@@ -465,16 +488,19 @@ impl SearchArena {
     }
 
     /// Blocks the idle pool retains; recycling beyond this frees the
-    /// block instead, bounding the pool at ~5 MiB (this cap × one shrunk
-    /// block) whatever the graph size and however broad the keyword set.
+    /// block instead, bounding the pool at ~2.9 MiB (this cap × one
+    /// shrunk block) whatever the graph size and however broad the
+    /// keyword set.
     pub const MAX_IDLE_STATES: usize = 32;
 
     /// Node-table and distance-queue entries a recycled block keeps (its
-    /// shrink policy): 2 K entries, a table of 4 K buckets (~130 KiB)
-    /// plus 32 KiB of queue.
+    /// shrink policy): 2 K entries, a table of 4 K 16-byte buckets plus
+    /// their control bytes (~68 KiB) and 24 KiB of queue.
     pub const RETAINED_STATE_ENTRIES: usize = 1 << 11;
 
-    /// Origin-list pool entries retained between queries (~512 KiB).
+    /// Origin-list pool entries retained between queries: 512 KiB of
+    /// list cells, 768 KiB of per-node head/tail/length lanes and a
+    /// node table of up to 128 K 8-byte buckets (~1.1 MiB).
     pub const RETAINED_LIST_ENTRIES: usize = 1 << 16;
 
     /// Take a state block from [`SearchArena::states`].
@@ -511,7 +537,7 @@ mod tests {
         let mut s = DijkstraState::new();
         s.start(0, 0.0);
         for v in 1..n {
-            assert!(s.relax(v * 97, f64::from(v), 0, v));
+            assert!(s.relax(v * 97, f64::from(v), 0));
             s.heap.push(f64::from(v), v * 97);
         }
         s
@@ -528,17 +554,76 @@ mod tests {
         let observe = |s: &mut DijkstraState| {
             let nodes: Vec<_> = [0u32, 97, 194, 5]
                 .iter()
-                .map(|&n| s.settled(n).map(|e| (e.dist, e.parent, e.parent_slot)))
+                .map(|&n| s.settled(n).map(|e| (e.dist(), e.parent)))
                 .collect();
             let queued = s.heap.peek();
             let count = s.settled_count();
             // A stale entry at distance 1.0 would refuse this offer.
-            let took = s.relax(97, 50.0, 3, 3);
+            let took = s.relax(97, 50.0, 3);
             s.settle(97);
-            let after = s.settled(97).map(|e| (e.dist, e.parent, e.parent_slot));
+            let after = s.settled(97).map(|e| (e.dist(), e.parent));
             (nodes, queued, count, took, after)
         };
         assert_eq!(observe(&mut recycled), observe(&mut DijkstraState::new()));
+    }
+
+    #[test]
+    fn node_table_buckets_are_sixteen_bytes() {
+        assert_eq!(size_of::<NodeSlot>(), 12);
+        assert_eq!(size_of::<(u32, NodeSlot)>(), 16);
+    }
+
+    #[test]
+    fn settled_flag_rides_in_the_sign_bit() {
+        let mut s = DijkstraState::new();
+        s.start(4, 0.0);
+        assert!(s.relax(5, 2.5, 4));
+        assert!(!s.relax(5, 2.5, 6), "an equal offer is refused");
+        assert!(s.relax(5, 1.5, 6));
+        assert!(s.settled(5).is_none());
+        s.settle(4);
+        s.settle(5);
+        let (origin, five) = (s.settled(4).unwrap(), s.settled(5).unwrap());
+        assert_eq!(
+            (origin.dist().to_bits(), origin.parent),
+            (0.0f64.to_bits(), NIL)
+        );
+        assert_eq!((five.dist(), five.parent), (1.5, 6));
+        // Settled distances are final, even against a zero offer.
+        assert!(!s.relax(4, 0.0, 5));
+        assert!(!s.relax(5, 0.0, 4));
+        assert_eq!(s.settled_count(), 2);
+    }
+
+    #[test]
+    fn table_bytes_counts_buckets_and_control_bytes() {
+        assert_eq!(table_bytes::<(u32, NodeSlot)>(0), 0);
+        assert_eq!(table_bytes::<(u32, NodeSlot)>(3), 4 * 17 + 16);
+        assert_eq!(table_bytes::<(u32, NodeSlot)>(7), 8 * 17 + 16);
+        assert_eq!(table_bytes::<(u32, NodeSlot)>(14), 16 * 17 + 16);
+        assert_eq!(table_bytes::<(u32, NodeSlot)>(3584), 4096 * 17 + 16);
+        // The inversion holds for every capacity a growing table reports:
+        // a power-of-two bucket count of which it can fill `capacity`.
+        let mut map: FxHashMap<u32, NodeSlot> = FxHashMap::default();
+        for n in 0..5000u32 {
+            map.insert(n, NodeSlot::unsettled(0.0, n));
+            let cap = map.capacity();
+            let buckets = (table_bytes::<(u32, NodeSlot)>(cap) - 16) / 17;
+            assert!(buckets.is_power_of_two());
+            let fill = if buckets < 8 {
+                buckets - 1
+            } else {
+                buckets / 8 * 7
+            };
+            assert_eq!(fill, cap, "{n} entries");
+        }
+        let mut shrunk = map.clone();
+        shrunk.clear();
+        shrunk.shrink_to(SearchArena::RETAINED_STATE_ENTRIES);
+        assert_eq!(
+            table_bytes::<(u32, NodeSlot)>(shrunk.capacity()),
+            4096 * 17 + 16
+        );
     }
 
     #[test]

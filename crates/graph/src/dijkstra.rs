@@ -103,7 +103,13 @@ impl<'g> Dijkstra<'g> {
     /// idempotent: a repeat call simply replaces the pending start
     /// distance (the queue is rebuilt to exactly one origin entry, so no
     /// stale tentative entry can survive).
+    ///
+    /// # Panics
+    ///
+    /// If `dist` is negative (or `-0.0`): the state keeps its settled
+    /// flags in the sign bit of non-negative distances.
     pub fn with_initial_dist(mut self, dist: f64) -> Self {
+        assert!(dist.is_sign_positive(), "negative initial distance {dist}");
         debug_assert_eq!(self.state.settled_count(), 0, "origin already expanded");
         self.state.start(self.origin.0, dist);
         self
@@ -127,7 +133,12 @@ impl<'g> Dijkstra<'g> {
 
     /// Final distance of a settled node (`None` if not yet settled).
     pub fn distance(&self, node: NodeId) -> Option<f64> {
-        self.state.settled(node.0).map(|s| s.dist)
+        self.state.settled(node.0).map(|s| s.dist())
+    }
+
+    /// Heap bytes the iterator's node table and queue hold.
+    pub fn state_bytes(&self) -> usize {
+        self.state.retained_bytes()
     }
 
     /// Drop stale heap entries (already settled, or beyond the bounds).
@@ -167,34 +178,61 @@ impl<'g> Dijkstra<'g> {
     /// As [`Dijkstra::path_edges`], appending into a caller-owned buffer
     /// (the cross-product enumerator reuses one buffer for every tree).
     /// Returns `false` — appending nothing — if `node` is unsettled.
+    ///
+    /// Each hop's weight is read back from the parent's adjacency: the
+    /// first edge to the child whose `dist(parent) + w` equals the
+    /// child's distance. That is the same float sum the relaxation
+    /// computed, and relaxation replaces only on a strictly smaller
+    /// distance, so the first edge reaching the minimum is exactly the
+    /// one that set the child's parent.
     pub fn path_edges_into(&self, node: NodeId, out: &mut Vec<(NodeId, NodeId, f64)>) -> bool {
-        if self.state.settled(node.0).is_none() {
+        let Some(mut entry) = self.state.settled(node.0) else {
             return false;
-        }
+        };
         let mut cur = node.0;
         while cur != self.origin.0 {
-            let entry = self
-                .state
-                .settled(cur)
-                .expect("a settled node's parent is settled");
-            let (prev, slot) = (entry.parent, entry.parent_slot);
+            let prev = entry.parent;
             debug_assert_ne!(prev, NIL, "settled non-origin node must have a parent");
-            // The connecting edge's exact CSR weight, read back through
-            // the slot the relaxation recorded — no float re-derivation.
+            let parent = self
+                .state
+                .settled(prev)
+                .expect("a settled node's parent is settled");
+            let w = self.hop_weight(prev, parent.dist(), cur, entry.dist());
             match self.direction {
                 // Traversal relaxed prev→cur over a forward edge.
-                Direction::Forward => {
-                    out.push((NodeId(prev), NodeId(cur), self.graph.fwd_weight_at(slot)))
-                }
+                Direction::Forward => out.push((NodeId(prev), NodeId(cur), w)),
                 // Traversal relaxed prev→cur over a *reverse* view of the
                 // graph edge cur→prev.
-                Direction::Reverse => {
-                    out.push((NodeId(cur), NodeId(prev), self.graph.rev_weight_at(slot)))
-                }
+                Direction::Reverse => out.push((NodeId(cur), NodeId(prev), w)),
             }
             cur = prev;
+            entry = parent;
         }
         true
+    }
+
+    /// Weight of the first edge `prev → cur` (in the traversal
+    /// direction) with `prev_dist + w == cur_dist`.
+    fn hop_weight(&self, prev: u32, prev_dist: f64, cur: u32, cur_dist: f64) -> f64 {
+        let (neighbours, weights) = self.adjacency(prev);
+        // Adjacency is sorted by neighbour id.
+        let first = neighbours.partition_point(|&v| v < cur);
+        neighbours[first..]
+            .iter()
+            .zip(&weights[first..])
+            .take_while(|&(&v, _)| v == cur)
+            .map(|(_, &w)| w)
+            .find(|&w| prev_dist + w == cur_dist)
+            .expect("the parent edge reaches the settled distance")
+    }
+
+    /// Adjacency of `node` in the traversal direction.
+    #[inline]
+    fn adjacency(&self, node: u32) -> (&'g [u32], &'g [f64]) {
+        match self.direction {
+            Direction::Forward => self.graph.out_adjacency(NodeId(node)),
+            Direction::Reverse => self.graph.in_adjacency(NodeId(node)),
+        }
     }
 }
 
@@ -206,13 +244,10 @@ impl Iterator for Dijkstra<'_> {
         let (dist, node) = self.state.heap.pop()?;
         self.state.settle(node);
 
-        let (base_slot, neighbours, weights) = match self.direction {
-            Direction::Forward => self.graph.out_adjacency_slots(NodeId(node)),
-            Direction::Reverse => self.graph.in_adjacency_slots(NodeId(node)),
-        };
-        for (i, (&next, &w)) in neighbours.iter().zip(weights).enumerate() {
+        let (neighbours, weights) = self.adjacency(node);
+        for (&next, &w) in neighbours.iter().zip(weights) {
             let cand = dist + w;
-            if cand <= self.max_dist && self.state.relax(next, cand, node, base_slot + i as u32) {
+            if cand <= self.max_dist && self.state.relax(next, cand, node) {
                 self.state.heap.push(cand, next);
             }
         }
@@ -414,6 +449,132 @@ mod tests {
         let g = b.build();
         let visits: Vec<_> = Dijkstra::new(&g, x, Direction::Forward).collect();
         assert_eq!(visits[1], Visit { node: y, dist: 0.0 });
+    }
+
+    type Edge = (NodeId, NodeId, f64);
+
+    /// A plain Dijkstra that records, for each node, the index within
+    /// its parent's adjacency of the edge that set it — the reference
+    /// the slot-free reconstruction must reproduce edge for edge.
+    fn slot_recording_paths(
+        g: &Graph,
+        origin: NodeId,
+        direction: Direction,
+        initial: f64,
+    ) -> Vec<(NodeId, Vec<Edge>)> {
+        let adjacency = |v: u32| match direction {
+            Direction::Forward => g.out_adjacency(NodeId(v)),
+            Direction::Reverse => g.in_adjacency(NodeId(v)),
+        };
+        let n = g.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        // (parent, index of the edge within the parent's adjacency)
+        let mut via: Vec<Option<(u32, usize)>> = vec![None; n];
+        let mut settled = vec![false; n];
+        let mut order = Vec::new();
+        let mut queue = vec![(initial, origin.0)];
+        dist[origin.index()] = initial;
+        while !queue.is_empty() {
+            let (i, _) = queue
+                .iter()
+                .enumerate()
+                .fold((0, queue[0]), |best, (i, &e)| {
+                    let better = e.0.total_cmp(&best.1 .0).then(e.1.cmp(&best.1 .1)).is_lt();
+                    if better {
+                        (i, e)
+                    } else {
+                        best
+                    }
+                });
+            let (d, v) = queue.swap_remove(i);
+            if settled[v as usize] {
+                continue;
+            }
+            settled[v as usize] = true;
+            order.push(v);
+            let (neighbours, weights) = adjacency(v);
+            for (slot, (&u, &w)) in neighbours.iter().zip(weights).enumerate() {
+                let cand = d + w;
+                if !settled[u as usize] && cand < dist[u as usize] {
+                    dist[u as usize] = cand;
+                    via[u as usize] = Some((v, slot));
+                    queue.push((cand, u));
+                }
+            }
+        }
+        order
+            .into_iter()
+            .map(|node| {
+                let mut edges = Vec::new();
+                let mut cur = node;
+                while let Some((prev, slot)) = via[cur as usize] {
+                    let w = adjacency(prev).1[slot];
+                    edges.push(match direction {
+                        Direction::Forward => (NodeId(prev), NodeId(cur), w),
+                        Direction::Reverse => (NodeId(cur), NodeId(prev), w),
+                    });
+                    cur = prev;
+                }
+                (NodeId(node), edges)
+            })
+            .collect()
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Weights chosen so that ties abound: repeats, a zero, and a
+        /// 1e-17 that vanishes when added to anything near 1, so
+        /// different paths' float sums round to the same distance.
+        const WEIGHTS: [f64; 8] = [0.0, 1e-17, 0.1, 0.2, 0.3, 0.5, 1.0, 1.0];
+        const HANDICAPS: [f64; 4] = [0.0, 0.1, 0.7, 2.5];
+
+        proptest! {
+            /// Slot-free path reconstruction emits exactly the edges a
+            /// slot-recording Dijkstra records, on random multigraphs
+            /// (parallel input edges coalesce to their minimum), both
+            /// directions, with and without an initial handicap.
+            #[test]
+            fn path_edges_match_a_slot_recording_reference(
+                n in 2usize..24,
+                raw in proptest::collection::vec((0usize..24, 0usize..24, 0usize..8), 0..90),
+                origin in 0usize..24,
+                handicap in 0usize..4,
+            ) {
+                let mut b = GraphBuilder::new();
+                let ids: Vec<_> = (0..n).map(|_| b.add_node(1.0)).collect();
+                for &(f, t, w) in &raw {
+                    b.add_edge(ids[f % n], ids[t % n], WEIGHTS[w]);
+                    // A parallel twin with a weight that may tie or lose.
+                    if w % 3 == 0 {
+                        b.add_edge(ids[f % n], ids[t % n], WEIGHTS[(w + 1) % 8]);
+                    }
+                }
+                let g = b.build();
+                let origin = ids[origin % n];
+                let initial = HANDICAPS[handicap];
+                for direction in [Direction::Forward, Direction::Reverse] {
+                    let expected = slot_recording_paths(&g, origin, direction, initial);
+                    let mut it = Dijkstra::new(&g, origin, direction).with_initial_dist(initial);
+                    let order: Vec<NodeId> = it.by_ref().map(|v| v.node).collect();
+                    prop_assert_eq!(
+                        order,
+                        expected.iter().map(|(v, _)| *v).collect::<Vec<_>>()
+                    );
+                    for (node, edges) in &expected {
+                        prop_assert_eq!(it.path_edges(*node).as_ref(), Some(edges));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "negative initial distance")]
+    fn negative_initial_distance_is_rejected() {
+        let (g, [a, ..]) = chain();
+        let _ = Dijkstra::new(&g, a, Direction::Forward).with_initial_dist(-0.0);
     }
 
     #[test]

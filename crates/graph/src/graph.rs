@@ -459,7 +459,7 @@ impl Graph {
                 fwd_offsets.push(0u32);
                 for node in 0..n as u32 {
                     node_weights.push(s.node_weight(node));
-                    let (_, targets, weights) = s.out_adjacency_slots(node);
+                    let (targets, weights) = s.out_adjacency(node);
                     fwd_targets.extend_from_slice(targets);
                     fwd_weights.extend_from_slice(weights);
                     fwd_offsets.push(fwd_targets.len() as u32);
@@ -508,7 +508,7 @@ impl Graph {
                 Edges::borrowed(&g.fwd_targets[lo..hi], &g.fwd_weights[lo..hi])
             }
             Repr::Paged(s) => {
-                let (_, targets, weights) = s.out_adjacency_slots(node.0);
+                let (targets, weights) = s.out_adjacency(node.0);
                 Edges::owned(targets, weights)
             }
         }
@@ -523,7 +523,7 @@ impl Graph {
                 Edges::borrowed(&g.rev_sources[lo..hi], &g.rev_weights[lo..hi])
             }
             Repr::Paged(s) => {
-                let (_, sources, weights) = s.in_adjacency_slots(node.0);
+                let (sources, weights) = s.in_adjacency(node.0);
                 Edges::owned(sources, weights)
             }
         }
@@ -542,10 +542,7 @@ impl Graph {
                 let (lo, hi) = g.out_range(node);
                 (&g.fwd_targets[lo..hi], &g.fwd_weights[lo..hi])
             }
-            Repr::Paged(s) => {
-                let (_, targets, weights) = s.out_adjacency_slots(node.0);
-                (targets, weights)
-            }
+            Repr::Paged(s) => s.out_adjacency(node.0),
         }
     }
 
@@ -559,56 +556,7 @@ impl Graph {
                 let (lo, hi) = g.in_range(node);
                 (&g.rev_sources[lo..hi], &g.rev_weights[lo..hi])
             }
-            Repr::Paged(s) => {
-                let (_, sources, weights) = s.in_adjacency_slots(node.0);
-                (sources, weights)
-            }
-        }
-    }
-
-    /// As [`Graph::out_adjacency`], additionally returning the CSR slot
-    /// of the first edge — the relaxation loop records the slot of the
-    /// parent edge so path reconstruction can read exact edge weights
-    /// (and precomputed scores) back out of the CSR arrays.
-    #[inline]
-    pub fn out_adjacency_slots(&self, node: NodeId) -> (u32, &[u32], &[f64]) {
-        match &self.repr {
-            Repr::InRam(g) => {
-                let (lo, hi) = g.out_range(node);
-                (lo as u32, &g.fwd_targets[lo..hi], &g.fwd_weights[lo..hi])
-            }
-            Repr::Paged(s) => s.out_adjacency_slots(node.0),
-        }
-    }
-
-    /// As [`Graph::in_adjacency`], with the CSR slot of the first edge.
-    #[inline]
-    pub fn in_adjacency_slots(&self, node: NodeId) -> (u32, &[u32], &[f64]) {
-        match &self.repr {
-            Repr::InRam(g) => {
-                let (lo, hi) = g.in_range(node);
-                (lo as u32, &g.rev_sources[lo..hi], &g.rev_weights[lo..hi])
-            }
-            Repr::Paged(s) => s.in_adjacency_slots(node.0),
-        }
-    }
-
-    /// Weight stored at a forward CSR slot (as returned by
-    /// [`Graph::out_adjacency_slots`]).
-    #[inline]
-    pub fn fwd_weight_at(&self, slot: u32) -> f64 {
-        match &self.repr {
-            Repr::InRam(g) => g.fwd_weights[slot as usize],
-            Repr::Paged(s) => s.fwd_weight_at(slot),
-        }
-    }
-
-    /// Weight stored at a reverse CSR slot.
-    #[inline]
-    pub fn rev_weight_at(&self, slot: u32) -> f64 {
-        match &self.repr {
-            Repr::InRam(g) => g.rev_weights[slot as usize],
-            Repr::Paged(s) => s.rev_weight_at(slot),
+            Repr::Paged(s) => s.in_adjacency(node.0),
         }
     }
 
@@ -635,7 +583,7 @@ impl Graph {
     /// so results never depend on whether the lookup hit.
     #[inline]
     pub fn log_edge_score(&self, from: NodeId, to: NodeId, weight: f64) -> Option<f64> {
-        let (_, targets, weights) = self.out_adjacency_slots(from);
+        let (targets, weights) = self.out_adjacency(from);
         let i = targets.binary_search(&to.0).ok()?;
         if weights[i].to_bits() != weight.to_bits() {
             return None;
@@ -801,14 +749,23 @@ mod tests {
             }
         }
         assert_eq!(g.log_edge_score(d, a, 1.0), None, "absent edge");
-        // Slot accessors agree with the plain adjacency views.
-        let (lo, targets, weights) = g.out_adjacency_slots(a);
-        assert_eq!((targets, weights), g.out_adjacency(a));
-        assert_eq!(g.fwd_weight_at(lo), weights[0]);
-        let (rlo, sources, rweights) = g.in_adjacency_slots(d);
-        assert_eq!((sources, rweights), g.in_adjacency(d));
-        assert_eq!(g.rev_weight_at(rlo), rweights[0]);
-        let _ = b;
+        // The slice views agree with the owned edge iterators.
+        for v in [a, b, d] {
+            let (targets, weights) = g.out_adjacency(v);
+            let out: Vec<_> = targets
+                .iter()
+                .map(|&t| NodeId(t))
+                .zip(weights.iter().copied())
+                .collect();
+            assert_eq!(out, g.out_edges(v).collect::<Vec<_>>());
+            let (sources, rweights) = g.in_adjacency(v);
+            let inc: Vec<_> = sources
+                .iter()
+                .map(|&t| NodeId(t))
+                .zip(rweights.iter().copied())
+                .collect();
+            assert_eq!(inc, g.in_edges(v).collect::<Vec<_>>());
+        }
         // Edgeless graphs degenerate to empty/zero scores.
         let mut eb = GraphBuilder::new();
         let lone = eb.add_node(1.0);

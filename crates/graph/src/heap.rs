@@ -3,30 +3,42 @@
 //! `std::collections::BinaryHeap` is binary and max-ordered, which the old
 //! kernel worked around with a reversed `Ord` wrapper. A 4-ary layout
 //! halves the tree depth, keeps each sift-down's children in one cache
-//! line (four `(f64, u32)` entries), and lets the arena recycle the
-//! backing buffer between queries without reallocation.
+//! line, and lets the arena recycle the backing buffer between queries
+//! without reallocation.
+//!
+//! An entry is 12 bytes with 4-byte alignment: the `f64` distance, then
+//! the node id. A plain `(f64, u32)` tuple pads to 16 bytes, so packing
+//! saves a quarter of every queue a broad query grows.
 //!
 //! Ordering matches the old wrapper exactly — smallest distance first,
 //! ties broken by the smaller node id — so pop order (and therefore every
 //! downstream answer) is bit-identical to the `BinaryHeap` kernel.
 
 /// Arity of the heap. Four children share a 64-byte line at 12 bytes per
-/// packed entry.
+/// entry.
 const ARITY: usize = 4;
+
+/// One queued `(dist, node)` key; `packed(4)` drops the padding.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
+struct Entry {
+    dist: f64,
+    node: u32,
+}
 
 /// A min-heap of `(dist, node)` keys ordered by `f64::total_cmp` on the
 /// distance, then ascending node id.
 #[derive(Debug, Clone, Default)]
 pub struct DistHeap {
-    data: Vec<(f64, u32)>,
+    data: Vec<Entry>,
 }
 
 #[inline]
-fn less(a: (f64, u32), b: (f64, u32)) -> bool {
-    match a.0.total_cmp(&b.0) {
+fn less(a: Entry, b: Entry) -> bool {
+    match { a.dist }.total_cmp(&{ b.dist }) {
         std::cmp::Ordering::Less => true,
         std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
+        std::cmp::Ordering::Equal => a.node < b.node,
     }
 }
 
@@ -68,19 +80,19 @@ impl DistHeap {
 
     /// Bytes retained by the backing buffer.
     pub fn retained_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<(f64, u32)>()
+        self.data.capacity() * std::mem::size_of::<Entry>()
     }
 
     /// The smallest entry, if any.
     #[inline]
     pub fn peek(&self) -> Option<(f64, u32)> {
-        self.data.first().copied()
+        self.data.first().map(|e| (e.dist, e.node))
     }
 
     /// Insert an entry.
     #[inline]
     pub fn push(&mut self, dist: f64, node: u32) {
-        self.data.push((dist, node));
+        self.data.push(Entry { dist, node });
         self.sift_up(self.data.len() - 1);
     }
 
@@ -93,7 +105,7 @@ impl DistHeap {
         if !self.data.is_empty() {
             self.sift_down(0);
         }
-        top
+        top.map(|e| (e.dist, e.node))
     }
 
     #[inline]
@@ -142,6 +154,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn entries_are_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 12);
+        assert_eq!(std::mem::align_of::<Entry>(), 4);
+        let mut h = DistHeap::new();
+        h.push(1.0, 1);
+        assert_eq!(h.retained_bytes(), h.capacity() * 12);
+    }
+
+    #[test]
     fn pops_in_distance_then_node_order() {
         let mut h = DistHeap::new();
         for &(d, n) in &[(2.0, 7), (1.0, 3), (2.0, 1), (0.5, 9), (1.0, 2)] {
@@ -183,7 +204,7 @@ mod tests {
         assert!(h.capacity() >= 10_000);
         h.shrink_to_entries(64);
         assert!(h.capacity() <= 64, "capacity {} not capped", h.capacity());
-        assert!(h.retained_bytes() <= 64 * std::mem::size_of::<(f64, u32)>());
+        assert!(h.retained_bytes() <= 64 * std::mem::size_of::<Entry>());
         // Shrinking never drops live entries.
         for i in 0..128u32 {
             h.push(i as f64, i);

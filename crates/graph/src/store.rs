@@ -9,19 +9,19 @@
 //! telemetry a backend exposes to `/stats`.
 //!
 //! The trait deliberately mirrors the slice-returning accessors of the
-//! in-RAM CSR (`out_adjacency_slots` and friends) rather than an
-//! iterator protocol: the PR-4 `DijkstraState` relaxation loop is
-//! written against raw `(&[u32], &[f64])` slices and must not grow an
-//! allocation or a virtual call per *edge* — one virtual call per
-//! *node expansion* is the entire dispatch cost of a paged backend.
+//! in-RAM CSR (`out_adjacency` and friends) rather than an iterator
+//! protocol: the `DijkstraState` relaxation loop is written against raw
+//! `(&[u32], &[f64])` slices and must not grow an allocation or a
+//! virtual call per *edge* — one virtual call per *node expansion* is
+//! the entire dispatch cost of a paged backend.
 //!
 //! # Slice lifetime contract
 //!
 //! A paged backend cannot hand out slices borrowed from a cache entry
 //! that a later access might evict. Backends therefore guarantee, and
 //! callers rely on, the following contract for every slice-returning
-//! method ([`GraphStore::out_adjacency_slots`],
-//! [`GraphStore::in_adjacency_slots`], [`GraphStore::out_escores`]):
+//! method ([`GraphStore::out_adjacency`], [`GraphStore::in_adjacency`],
+//! [`GraphStore::out_escores`]):
 //!
 //! > The returned slices stay valid until the same thread performs
 //! > **63 further** adjacency accesses on *any* paged store, or the
@@ -34,9 +34,8 @@
 //! since its arrays live as long as the graph.) The contract is exactly
 //! what the search kernel needs: the relaxation loop consumes each
 //! adjacency slice before requesting the next node's, and path
-//! reconstruction reads single weights by value via
-//! [`GraphStore::fwd_weight_at`]/[`GraphStore::rev_weight_at`] instead
-//! of holding slices across iterations. Code that must hold many
+//! reconstruction looks up one hop's weight in the parent's adjacency
+//! and drops the slice before the next hop. Code that must hold many
 //! adjacency lists at once (e.g. graph analysis sweeps) should copy the
 //! slices or use the owned [`Graph::out_edges`] iterator.
 //!
@@ -103,27 +102,20 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Largest node weight (`w_max`); zero for an empty graph.
     fn max_node_weight(&self) -> f64;
 
-    /// Forward adjacency of `node` as `(first_slot, targets, weights)`,
-    /// targets sorted ascending — the shape
-    /// `Graph::out_adjacency_slots` promises the kernel.
-    fn out_adjacency_slots(&self, node: u32) -> (u32, &[u32], &[f64]);
+    /// Forward adjacency of `node` as `(targets, weights)`, targets
+    /// sorted ascending without duplicates — the shape
+    /// `Graph::out_adjacency` promises the kernel.
+    fn out_adjacency(&self, node: u32) -> (&[u32], &[f64]);
 
-    /// Reverse adjacency of `node` as `(first_slot, sources, weights)`,
-    /// sources sorted ascending.
-    fn in_adjacency_slots(&self, node: u32) -> (u32, &[u32], &[f64]);
+    /// Reverse adjacency of `node` as `(sources, weights)`, sources
+    /// sorted ascending without duplicates.
+    fn in_adjacency(&self, node: u32) -> (&[u32], &[f64]);
 
     /// Precomputed log-mode edge scores parallel to the forward
     /// adjacency of `node` — bit-identical to recomputing
     /// `log2(1 + w/w_min)` from this store's weights and
     /// [`min_edge_weight`](GraphStore::min_edge_weight).
     fn out_escores(&self, node: u32) -> &[f64];
-
-    /// Weight stored at a forward CSR slot (by value, so path
-    /// reconstruction never holds a slice across iterations).
-    fn fwd_weight_at(&self, slot: u32) -> f64;
-
-    /// Weight stored at a reverse CSR slot.
-    fn rev_weight_at(&self, slot: u32) -> f64;
 
     /// Current in-memory footprint in bytes (resident decoded data plus
     /// directories/bookkeeping), i.e. what this backend actually costs

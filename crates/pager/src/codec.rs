@@ -33,8 +33,6 @@ use banks_util::fxhash::FxFoldHashMap;
 pub struct DecodedSegment {
     /// First node id covered by this segment.
     pub first_node: u32,
-    /// Global CSR slot of this segment's first edge.
-    pub slot_start: u32,
     /// Local prefix offsets, `span + 1` entries.
     pub offsets: Box<[u32]>,
     /// Neighbor ids (targets for forward segments, sources for reverse).
@@ -57,17 +55,13 @@ impl DecodedSegment {
     }
 
     /// Adjacency of `node` (which must be in this segment's range) as
-    /// `(global_slot, ids, weights)`.
+    /// `(ids, weights)`.
     #[inline]
-    pub fn adjacency(&self, node: u32) -> (u32, &[u32], &[f64]) {
+    pub fn adjacency(&self, node: u32) -> (&[u32], &[f64]) {
         let local = (node - self.first_node) as usize;
         let lo = self.offsets[local] as usize;
         let hi = self.offsets[local + 1] as usize;
-        (
-            self.slot_start + lo as u32,
-            &self.ids[lo..hi],
-            &self.weights[lo..hi],
-        )
+        (&self.ids[lo..hi], &self.weights[lo..hi])
     }
 
     /// Log-score lane of `node`'s adjacency (forward segments only).
@@ -77,12 +71,6 @@ impl DecodedSegment {
         let lo = self.offsets[local] as usize;
         let hi = self.offsets[local + 1] as usize;
         &self.escores[lo..hi]
-    }
-
-    /// Weight at a global CSR slot owned by this segment.
-    #[inline]
-    pub fn weight_at(&self, slot: u32) -> f64 {
-        self.weights[(slot - self.slot_start) as usize]
     }
 }
 
@@ -145,13 +133,11 @@ pub fn encode_segment(lists: &[(&[u32], &[f64])], out: &mut Vec<u8>) -> f64 {
 /// `id_bound` the exclusive upper bound for neighbor ids
 /// (`node_count`), and `w_min` the store-level normalizer used to
 /// compute the forward log-score lane when `with_escores` is set.
-#[allow(clippy::too_many_arguments)]
 pub fn decode_segment(
     bytes: &[u8],
     span: u32,
     expected_edges: u32,
     first_node: u32,
-    slot_start: u32,
     id_bound: u32,
     w_min: f64,
     with_escores: bool,
@@ -239,7 +225,6 @@ pub fn decode_segment(
 
     Ok(DecodedSegment {
         first_node,
-        slot_start,
         offsets: offsets.into_boxed_slice(),
         ids: ids.into_boxed_slice(),
         weights: weights.into_boxed_slice(),
@@ -261,14 +246,10 @@ mod tests {
         let mut buf = Vec::new();
         let min_pos = encode_segment(&lists, &mut buf);
         assert_eq!(min_pos, 0.5);
-        let seg = decode_segment(&buf, 3, 4, 10, 100, 20, 0.5, true).unwrap();
-        assert_eq!(
-            seg.adjacency(10),
-            (100, &[1u32, 5, 6][..], &[0.5, 2.0, 0.5][..])
-        );
-        assert_eq!(seg.adjacency(11), (103, &[][..], &[][..]));
-        assert_eq!(seg.adjacency(12), (103, &[0u32][..], &[2.0][..]));
-        assert_eq!(seg.weight_at(101), 2.0);
+        let seg = decode_segment(&buf, 3, 4, 10, 20, 0.5, true).unwrap();
+        assert_eq!(seg.adjacency(10), (&[1u32, 5, 6][..], &[0.5, 2.0, 0.5][..]));
+        assert_eq!(seg.adjacency(11), (&[][..], &[][..]));
+        assert_eq!(seg.adjacency(12), (&[0u32][..], &[2.0][..]));
         let expect = (1.0f64 + 0.5 / 0.5).log2();
         assert_eq!(seg.escores_of(10)[0].to_bits(), expect.to_bits());
         assert_eq!(seg.bytes(), 4 * 4 + 4 * 4 + 4 * 8 + 4 * 8);
@@ -280,15 +261,15 @@ mod tests {
         let mut buf = Vec::new();
         encode_segment(&lists, &mut buf);
         // Wrong edge count vs directory.
-        assert!(decode_segment(&buf, 1, 3, 0, 0, 10, 1.0, false).is_err());
+        assert!(decode_segment(&buf, 1, 3, 0, 10, 1.0, false).is_err());
         // Truncated payload.
-        assert!(decode_segment(&buf[..buf.len() - 1], 1, 2, 0, 0, 10, 1.0, false).is_err());
+        assert!(decode_segment(&buf[..buf.len() - 1], 1, 2, 0, 10, 1.0, false).is_err());
         // Id out of bound.
-        assert!(decode_segment(&buf, 1, 2, 0, 0, 3, 1.0, false).is_err());
+        assert!(decode_segment(&buf, 1, 2, 0, 3, 1.0, false).is_err());
         // Trailing garbage.
         let mut extended = buf.clone();
         extended.push(0);
-        assert!(decode_segment(&extended, 1, 2, 0, 0, 10, 1.0, false).is_err());
+        assert!(decode_segment(&extended, 1, 2, 0, 10, 1.0, false).is_err());
     }
 
     #[test]
@@ -297,7 +278,7 @@ mod tests {
         let mut buf = Vec::new();
         let min_pos = encode_segment(&lists, &mut buf);
         assert!(min_pos.is_infinite());
-        let seg = decode_segment(&buf, 1, 1, 0, 0, 10, f64::INFINITY, true).unwrap();
+        let seg = decode_segment(&buf, 1, 1, 0, 10, f64::INFINITY, true).unwrap();
         assert_eq!(seg.escores[0], 0.0);
     }
 }

@@ -223,18 +223,9 @@ impl PagedGraphStore {
                     segment: i as u32,
                 });
             }
-            let seg = decode_segment(
-                &payload,
-                end - first,
-                edges,
-                first,
-                entry.slot_start,
-                n,
-                f64::NAN,
-                false,
-            )?;
+            let seg = decode_segment(&payload, end - first, edges, first, n, f64::NAN, false)?;
             for node in first..end {
-                let (_, ids, weights) = seg.adjacency(node);
+                let (ids, weights) = seg.adjacency(node);
                 fwd_targets.extend_from_slice(ids);
                 fwd_weights.extend_from_slice(weights);
                 fwd_offsets.push(fwd_targets.len() as u32);
@@ -297,7 +288,6 @@ impl PagedGraphStore {
             end - first,
             self.seg_edge_count(dir, seg),
             first,
-            meta.slot_start,
             self.node_count,
             self.min_edge_weight,
             dir == 0,
@@ -317,24 +307,16 @@ impl PagedGraphStore {
 
     /// Adjacency of `node` in direction `dir`, with the keep-alive
     /// lifetime extension the module docs describe.
-    fn adjacency(&self, dir: u32, node: u32) -> (u32, &[u32], &[f64]) {
+    fn adjacency(&self, dir: u32, node: u32) -> (&[u32], &[f64]) {
         assert!(node < self.node_count, "node out of range");
         let seg = self.segment(dir, node / self.seg_span);
         keep_alive(&seg);
-        let (slot, ids, weights) = seg.adjacency(node);
+        let (ids, weights) = seg.adjacency(node);
         // SAFETY: `seg` was just parked in this thread's keep-alive
         // ring, so its arrays outlive the returned slices for the next
         // RING_SLOTS − 1 adjacency accesses on this thread — the
         // documented contract of `banks_graph::store`.
-        unsafe { (slot, extend_slice(ids), extend_slice(weights)) }
-    }
-
-    /// Owning segment index (within a direction's directory) of a
-    /// global CSR slot.
-    fn seg_of_slot(&self, dir: u32, slot: u32) -> u32 {
-        let base = (dir * self.seg_count) as usize;
-        let entries = &self.metas[base..base + self.seg_count as usize];
-        (entries.partition_point(|m| m.slot_start <= slot) - 1) as u32
+        unsafe { (extend_slice(ids), extend_slice(weights)) }
     }
 
     /// Copy-on-write patch application: see [`GraphStore::apply_patch`].
@@ -459,7 +441,7 @@ impl PagedGraphStore {
         let mut r = 0usize;
         if node < old_n {
             let seg = self.segment(dir, node / self.seg_span);
-            let (_, old_ids, old_ws) = seg.adjacency(node);
+            let (old_ids, old_ws) = seg.adjacency(node);
             for (&other, &w) in old_ids.iter().zip(old_ws) {
                 let live = if dir == 0 {
                     !patch.is_dirty(node, other)
@@ -512,11 +494,11 @@ impl GraphStore for PagedGraphStore {
         self.max_node_weight
     }
 
-    fn out_adjacency_slots(&self, node: u32) -> (u32, &[u32], &[f64]) {
+    fn out_adjacency(&self, node: u32) -> (&[u32], &[f64]) {
         self.adjacency(0, node)
     }
 
-    fn in_adjacency_slots(&self, node: u32) -> (u32, &[u32], &[f64]) {
+    fn in_adjacency(&self, node: u32) -> (&[u32], &[f64]) {
         self.adjacency(1, node)
     }
 
@@ -528,16 +510,6 @@ impl GraphStore for PagedGraphStore {
         // SAFETY: as in `adjacency` — the segment was just parked in
         // the keep-alive ring.
         unsafe { extend_slice(escores) }
-    }
-
-    fn fwd_weight_at(&self, slot: u32) -> f64 {
-        let seg = self.seg_of_slot(0, slot);
-        self.segment(0, seg).weight_at(slot)
-    }
-
-    fn rev_weight_at(&self, slot: u32) -> f64 {
-        let seg = self.seg_of_slot(1, slot);
-        self.segment(1, seg).weight_at(slot)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -625,9 +597,9 @@ mod tests {
         assert_eq!(a.max_node_weight().to_bits(), b.max_node_weight().to_bits());
         for v in a.nodes() {
             assert_eq!(a.node_weight(v).to_bits(), b.node_weight(v).to_bits());
-            let (alo, at, aw) = a.out_adjacency_slots(v);
-            let (blo, bt, bw) = b.out_adjacency_slots(v);
-            assert_eq!((alo, at.to_vec()), (blo, bt.to_vec()));
+            let (at, aw) = a.out_adjacency(v);
+            let (bt, bw) = b.out_adjacency(v);
+            assert_eq!(at, bt);
             assert_eq!(
                 aw.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
                 bw.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
@@ -642,22 +614,12 @@ mod tests {
                     .map(|w| w.to_bits())
                     .collect::<Vec<_>>()
             );
-            let (rlo, rs, rw) = a.in_adjacency_slots(v);
-            let (blo2, bs, bw2) = b.in_adjacency_slots(v);
-            assert_eq!((rlo, rs.to_vec()), (blo2, bs.to_vec()));
+            let (rs, rw) = a.in_adjacency(v);
+            let (bs, bw2) = b.in_adjacency(v);
+            assert_eq!(rs, bs);
             assert_eq!(
                 rw.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
                 bw2.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-            );
-        }
-        for slot in 0..a.edge_count() as u32 {
-            assert_eq!(
-                a.fwd_weight_at(slot).to_bits(),
-                b.fwd_weight_at(slot).to_bits()
-            );
-            assert_eq!(
-                a.rev_weight_at(slot).to_bits(),
-                b.rev_weight_at(slot).to_bits()
             );
         }
     }

@@ -592,6 +592,10 @@ fn handle_search(
             Json::obj([
                 ("spans", spans_json(&response.result.spans)),
                 ("render_ns", Json::Uint(render_ns)),
+                (
+                    "state_bytes",
+                    Json::Uint(response.result.stats.state_bytes as u64),
+                ),
             ]),
         ));
     }
@@ -639,6 +643,7 @@ fn handle_slow(params: &[(String, String)], service: &QueryService) -> Response 
                             ("total_us", Json::Uint(e.total_us)),
                             ("epoch", Json::Uint(e.epoch)),
                             ("unix_ms", Json::Uint(e.unix_ms)),
+                            ("state_bytes", Json::Uint(e.state_bytes)),
                             ("spans", spans_json(&e.spans)),
                         ])
                     })
@@ -1070,6 +1075,7 @@ mod tests {
             "banks_graph_edges",
             "banks_memory_bytes",
             "banks_search_early_terminations_total",
+            "banks_search_state_bytes_max",
             "banks_uptime_seconds",
             "banks_pager_budget_bytes",
             "banks_pager_resident_bytes",
@@ -1130,6 +1136,9 @@ mod tests {
         let traced = get(addr, "/search?q=mohan&trace=1").text();
         assert!(traced.contains(r#""trace":{"spans":["#), "{traced}");
         assert!(traced.contains(r#""render_ns""#));
+        assert!(traced.contains(r#""state_bytes":"#), "{traced}");
+        // The state size stays out of the cacheable fragment.
+        assert!(!plain.contains("state_bytes"), "{plain}");
         for span in ["parse", "match", "expand", "score"] {
             assert!(
                 traced.contains(&format!(r#""name":"{span}""#)),
@@ -1153,6 +1162,7 @@ mod tests {
         assert!(body.contains(r#""count":2"#), "{body}");
         assert!(body.contains(r#""query":"mohan sudarshan""#));
         assert!(body.contains(r#""spans""#));
+        assert!(body.contains(r#""state_bytes":"#), "{body}");
         // `limit` trims the list to the slowest entries.
         let trimmed = get(addr, "/debug/slow?limit=1").text();
         assert!(trimmed.contains(r#""count":1"#), "{trimmed}");

@@ -250,6 +250,12 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
             stats.early_terminations as f64,
         ),
         CollectedFamily::scalar(
+            "banks_search_state_bytes_max",
+            "Largest search state (node tables, queues, origin lists) a cold query held since start.",
+            g,
+            stats.state_bytes_max as f64,
+        ),
+        CollectedFamily::scalar(
             "banks_uptime_seconds",
             "Seconds since the query service was built.",
             g,

@@ -259,6 +259,8 @@ pub struct ServiceStats {
     /// Cold queries whose heap search stopped early once the result set
     /// provably could not improve (Σ `SearchStats::early_terminations`).
     pub early_terminations: u64,
+    /// Largest `SearchStats::state_bytes` of any cold query since start.
+    pub state_bytes_max: u64,
 }
 
 /// The current snapshot plus everything derived from it that a query
@@ -287,6 +289,8 @@ pub struct QueryService {
     invalidations_by_epoch: Mutex<BTreeMap<u64, u64>>,
     /// Σ early heap terminations across cold queries.
     early_terminations: AtomicU64,
+    /// High-water of `SearchStats::state_bytes` across cold queries.
+    state_bytes_max: AtomicU64,
     /// Record spans on every cold query (see [`ServiceConfig`]).
     record_spans: bool,
     /// Worst cold queries with span breakdowns (`GET /debug/slow`).
@@ -336,6 +340,7 @@ impl QueryService {
             last_publish: Mutex::new(None),
             invalidations_by_epoch: Mutex::new(BTreeMap::new()),
             early_terminations: AtomicU64::new(0),
+            state_bytes_max: AtomicU64::new(0),
             record_spans: config.record_spans,
             slow_log: SlowLog::new(config.slow_log_capacity),
             cold_latency: Arc::new(Histogram::new()),
@@ -516,12 +521,16 @@ impl QueryService {
         self.cold_latency.record_duration(elapsed);
         self.early_terminations
             .fetch_add(outcome.stats.early_terminations as u64, Ordering::Relaxed);
+        let state_bytes = outcome.stats.state_bytes as u64;
+        self.state_bytes_max
+            .fetch_max(state_bytes, Ordering::Relaxed);
         self.slow_log
             .record(elapsed.as_micros() as u64, || SlowQuery {
                 query: key.terms.join(" "),
                 total_us: 0,
                 epoch: snapshot.epoch,
                 unix_ms: unix_millis_now(),
+                state_bytes,
                 spans: spans.clone(),
             });
         let result = Arc::new(CachedResult {
@@ -614,6 +623,7 @@ impl QueryService {
                 .map(|(&e, &n)| (e, n))
                 .collect(),
             early_terminations: self.early_terminations.load(Ordering::Relaxed),
+            state_bytes_max: self.state_bytes_max.load(Ordering::Relaxed),
         };
         (stats, Arc::clone(&snapshot.banks))
     }
@@ -1071,6 +1081,10 @@ mod tests {
         assert_eq!(slow[0].query, "mohan sudarshan");
         assert!(!slow[0].spans.is_empty());
         assert!(slow[0].total_us <= cold.result.cold_elapsed.as_micros() as u64);
+        // It carries the query's state size, the high-water so far.
+        assert!(cold.result.stats.state_bytes > 0);
+        assert_eq!(slow[0].state_bytes, cold.result.stats.state_bytes as u64);
+        assert_eq!(service.stats().state_bytes_max, slow[0].state_bytes);
     }
 
     #[test]

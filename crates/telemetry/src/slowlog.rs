@@ -19,6 +19,8 @@ pub struct SlowQuery {
     pub epoch: u64,
     /// Wall-clock completion time, milliseconds since the Unix epoch.
     pub unix_ms: u64,
+    /// Heap bytes of the query's search state at its end.
+    pub state_bytes: u64,
     /// Phase breakdown (empty when span recording was off).
     pub spans: Vec<Span>,
 }
@@ -93,6 +95,7 @@ mod tests {
             total_us: 0,
             epoch: 1,
             unix_ms: 0,
+            state_bytes: 0,
             spans: Vec::new(),
         }
     }
