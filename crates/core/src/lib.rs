@@ -42,7 +42,6 @@
 //! | `banks-browse` | §4 browsing interface |
 //! | `banks-datagen` | deterministic synthetic corpora |
 //! | `banks-eval` | §5 evaluation harness |
-//! | `banks-bench` | micro-benches + server throughput and ingest-vs-rebuild benches |
 //! | `banks-util` | dependency-free JSON/HTTP helpers |
 //!
 //! A built [`Banks`] is immutable and `Send + Sync`: construction

@@ -1068,8 +1068,12 @@ mod tests {
             "banks_query_errors_total",
             "banks_cache_hits_total",
             "banks_cache_misses_total",
+            "banks_cache_insertions_total",
+            "banks_cache_evictions_total",
+            "banks_cache_invalidations_total",
             "banks_cache_entries",
             "banks_cache_bytes",
+            "banks_cache_hit_ratio",
             "banks_epoch",
             "banks_graph_nodes",
             "banks_graph_edges",
@@ -1080,6 +1084,7 @@ mod tests {
             "banks_pager_budget_bytes",
             "banks_pager_resident_bytes",
             "banks_pager_page_ins_total",
+            "banks_pager_evictions_total",
             "banks_tuple_resident_bytes",
             "banks_tuple_page_ins_total",
             "banks_tuple_evictions_total",
@@ -1089,12 +1094,30 @@ mod tests {
                 "family {family} missing from /metrics:\n{body}"
             );
         }
-        // The cold/hit split is labeled, histogram-shaped, and counted.
-        assert!(body.contains(r#"banks_query_seconds_count{cache="miss"} 1"#));
-        assert!(body.contains(r#"banks_query_seconds_count{cache="hit"} 1"#));
-        assert!(body.contains(r#"banks_query_seconds_bucket{cache="miss",le="+Inf"} 1"#));
-        // Per-endpoint request counters carry the endpoint label.
-        assert!(body.contains(r#"banks_http_requests_total{endpoint="/search"} 2"#));
+        // Traffic is counted: the cold/hit split is labeled and
+        // histogram-shaped, and per-endpoint counters carry the label.
+        for sample in [
+            "banks_queries_total 2",
+            "banks_cache_hits_total 1",
+            "banks_cache_misses_total 1",
+            r#"banks_query_seconds_count{cache="miss"} 1"#,
+            r#"banks_query_seconds_count{cache="hit"} 1"#,
+            r#"banks_query_seconds_bucket{cache="miss",le="+Inf"} 1"#,
+            r#"banks_http_requests_total{endpoint="/search"} 2"#,
+            r#"banks_http_request_seconds_count{endpoint="/search"} 2"#,
+        ] {
+            assert!(
+                body.lines().any(|line| line == sample),
+                "sample `{sample}` missing from /metrics:\n{body}"
+            );
+        }
+        // The miss cached its answers and the hit its rendered JSON.
+        let cache_bytes: f64 = body
+            .lines()
+            .find_map(|l| l.strip_prefix("banks_cache_bytes "))
+            .and_then(|v| v.parse().ok())
+            .expect("banks_cache_bytes sample");
+        assert!(cache_bytes > 0.0, "{body}");
         // The in-RAM backend still exports pager families, as zeros.
         assert!(body.contains("banks_pager_budget_bytes 0"));
         assert!(body.contains("banks_tuple_resident_bytes 0"));

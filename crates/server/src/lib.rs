@@ -20,7 +20,7 @@
 //!   publish. Per-instance hit/miss/insert/evict/invalidation counters
 //!   feed the `/stats` endpoint.
 //! * **Two front ends** — the in-process [`service::QueryService`] API
-//!   (used by `banks-cli serve` and the `banks-bench` benches), and a
+//!   (used by `banks-cli serve` and the benchmark's layer probe), and a
 //!   std-only HTTP/1.1 JSON endpoint ([`http::BanksServer`]) with
 //!   `GET /search`, `/node`, `/stats`, `/epochs`, `/health`, and
 //!   `POST /ingest` (when wired with an [`ingest::IngestEndpoint`]),

@@ -2,7 +2,7 @@
 //! graph identical — nodes, edges, weights — to a from-scratch rebuild
 //! of the mutated database, and a text index identical to a bulk
 //! re-index. This is the correctness contract of `banks-ingest`'s
-//! touched-neighborhood patching (ISSUE 2 acceptance criterion).
+//! touched-neighborhood patching.
 
 use banks_core::{BanksConfig, TupleGraph};
 use banks_ingest::{apply_batch, DeltaBatch, TupleOp};
