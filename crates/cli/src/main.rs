@@ -77,7 +77,7 @@ fn main() {
         let script = args.get(1).cloned().unwrap_or_default();
         for command in script.split(';') {
             match shell.exec(command) {
-                Ok(out) => print!("{out}"),
+                Ok(out) => print_output(&out),
                 Err(err) => {
                     eprintln!("error: {err}");
                     std::process::exit(1);
@@ -108,12 +108,16 @@ fn main() {
             break;
         }
         match shell.exec(trimmed) {
-            Ok(out) => {
-                if !out.is_empty() {
-                    println!("{out}");
-                }
-            }
+            Ok(out) => print_output(&out),
             Err(err) => println!("error: {err}"),
         }
+    }
+}
+
+/// Print one command's output on its own lines: both the REPL and `-c`
+/// go through here, so consecutive outputs never run together.
+fn print_output(out: &str) {
+    if !out.is_empty() {
+        println!("{out}");
     }
 }

@@ -122,10 +122,10 @@ impl Shell {
 
     fn cmd_save(&self, rest: &str) -> Result<String, String> {
         if rest.is_empty() {
-            return Err("usage: save <directory>".to_string());
+            return Err("usage: save <file>".to_string());
         }
         let banks = self.banks()?;
-        banks_storage::bundle::save_bundle(banks.db(), std::path::Path::new(rest))
+        banks_persist::save_bundle(banks, 0, std::path::Path::new(rest))
             .map_err(|e| e.to_string())?;
         Ok(format!(
             "saved {} relations to {rest}",
@@ -135,13 +135,13 @@ impl Shell {
 
     fn cmd_load(&mut self, rest: &str) -> Result<String, String> {
         if rest.is_empty() {
-            return Err("usage: load <directory>".to_string());
+            return Err("usage: load <file>".to_string());
         }
-        let db = banks_storage::bundle::load_bundle(std::path::Path::new(rest))
+        let (banks, _) = banks_persist::load_bundle(std::path::Path::new(rest), &self.config)
             .map_err(|e| e.to_string())?;
-        let tuples = db.total_tuples();
-        let links = db.link_count();
-        self.banks = Some(Banks::with_config(db, self.config.clone()).map_err(|e| e.to_string())?);
+        let tuples = banks.db().total_tuples();
+        let links = banks.db().link_count();
+        self.banks = Some(banks);
         self.last_answers.clear();
         self.view_history.clear();
         Ok(format!("loaded {rest}: {tuples} tuples, {links} links"))
@@ -400,7 +400,7 @@ fn parse_value(s: &str) -> Value {
 pub const HELP: &str = "\
 commands:
   open <dblp|dblp-small|thesis|tpcd> [seed]   load a synthetic database
-  save <dir> / load <dir>                     bundle persistence (schema + CSVs)
+  save <file> / load <file>                   snapshot bundle (as banks snapshot)
   schema                                      list relations and foreign keys
   stats                                       graph/index sizes
   search <keywords…>                          backward expanding search (§3)
@@ -536,18 +536,31 @@ mod tests {
 
     #[test]
     fn save_load_bundle_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("banks_cli_bundle_{}", std::process::id()));
-        let dir_str = dir.to_str().unwrap().to_string();
+        let path = std::env::temp_dir().join(format!("banks_cli_{}.banks", std::process::id()));
+        let path_str = path.to_str().unwrap().to_string();
         let mut shell = loaded();
         let before = shell.exec("search soumen sunita").unwrap();
-        shell.exec(&format!("save {dir_str}")).unwrap();
+        shell.exec(&format!("save {path_str}")).unwrap();
+        let info = banks_persist::inspect_bundle(&path).unwrap();
+        assert_eq!(
+            (info.version, info.meta.epoch),
+            (3, 0),
+            "a v3 bundle at epoch 0"
+        );
 
         let mut restored = Shell::new();
-        let out = restored.exec(&format!("load {dir_str}")).unwrap();
+        let out = restored.exec(&format!("load {path_str}")).unwrap();
         assert!(out.contains("tuples"));
         let after = restored.exec("search soumen sunita").unwrap();
         assert_eq!(before, after, "restored database answers identically");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
+
+        let dir = std::env::temp_dir();
+        assert!(restored.exec(&format!("load {}", dir.display())).is_err());
+        assert!(
+            restored.exec(&format!("load {path_str}")).is_err(),
+            "missing file"
+        );
     }
 
     #[test]

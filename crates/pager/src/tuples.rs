@@ -20,7 +20,7 @@ use crate::blob::ByteSource;
 use crate::budget::{Page, PageCache};
 use crate::error::PagerError;
 use banks_storage::blocks::{checksum64, decode_block, lane_candidates, DataLayout};
-use banks_storage::bundle::schema_from_text;
+use banks_storage::schema::schema_from_text;
 use banks_storage::{StorageError, TupleBlock, TupleStore, TupleStoreStats};
 use std::sync::Arc;
 

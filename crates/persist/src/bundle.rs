@@ -788,7 +788,7 @@ pub fn inspect_bundle(path: &Path) -> PersistResult<BundleInfo> {
     let dir = parse_header(&bytes, bytes.len() as u64)?;
     let meta = decode_meta(verify_section(&bytes, &dir.meta)?)?;
     let layout = blocks::DataLayout::parse(verify_section(&bytes, &dir.data)?)?;
-    let schema = banks_storage::bundle::schema_from_text(&layout.schema_text)?;
+    let schema = banks_storage::schema::schema_from_text(&layout.schema_text)?;
     if schema.relation_count() != layout.relations.len() {
         return Err(PersistError::Malformed(format!(
             "schema declares {} relations but the v3 directory carries {}",

@@ -11,9 +11,7 @@
 //! subsystems.
 
 use crate::service::QueryService;
-use banks_telemetry::{
-    latency_boundaries, CollectedFamily, Counter, Histogram, Kind, Registry, Sample,
-};
+use banks_telemetry::{latency_boundaries, CollectedFamily, Counter, Histogram, Kind, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -381,13 +379,4 @@ pub fn install_store_metrics(registry: &Registry, store: Arc<banks_persist::Pers
             ),
         ]
     });
-}
-
-/// A single unlabeled sample with owned labels — helper for callers
-/// building labeled families by hand.
-pub fn labeled_sample(labels: &[(&'static str, &str)], value: f64) -> Sample {
-    Sample {
-        labels: labels.iter().map(|&(k, v)| (k, v.to_string())).collect(),
-        value,
-    }
 }

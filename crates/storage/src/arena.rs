@@ -29,9 +29,9 @@ use crate::blocks::{
     checksum64, encode_block, encode_lane, encode_values, take_value_ref, write_data_section,
     EncodedValue, RelationPayload, BLOCK_SPAN,
 };
-use crate::bundle::schema_to_text;
 use crate::catalog::{BackRef, Database};
 use crate::error::StorageResult;
+use crate::schema::schema_to_text;
 use crate::schema::ColumnType;
 use crate::table::{pk_map_link, PkIndex, Table};
 use crate::tuple::{RelationId, Rid};

@@ -34,17 +34,18 @@
 //! * The **presence bitmap** answers liveness questions (graph/catalog
 //!   verification, `total_tuples`) with zero block decodes.
 //!
-//! [`TupleStore`] abstracts over where blocks come from: the eager
-//! [`crate::Database`] implements it by materializing blocks
-//! from its slot vectors, and `banks-pager`'s `PagedTupleStore` pages
-//! them from disk under a memory budget. A lazy `Database` (see
-//! [`crate::Database::open_lazy`]) sits on either and hands out
+//! [`TupleStore`] is where a lazy `Database` (see
+//! [`crate::Database::open_lazy`]) gets its blocks from; its one
+//! implementor is `banks-pager`'s `PagedTupleStore`, which pages them
+//! from disk under a memory budget. The lazy `Database` hands out
 //! `&Tuple`/`&[BackRef]` borrows licensed by the same per-thread
-//! keep-alive ring contract the paged graph store uses.
+//! keep-alive ring contract the paged graph store uses. An eager
+//! `Database` needs no store: it encodes its slot vectors directly
+//! ([`encode_database_v3`]).
 
-use crate::bundle::{schema_from_text, schema_to_text};
 use crate::catalog::{BackRef, Database};
 use crate::error::{StorageError, StorageResult};
+use crate::schema::{schema_from_text, schema_to_text};
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
 use banks_util::fxhash::FxHasher;
@@ -235,7 +236,7 @@ pub struct TupleStoreStats {
     pub decode_nanos: u64,
 }
 
-/// Where tuples live: the eager [`Database`] or a paged backend.
+/// Where a lazy [`Database`]'s tuples live: a paged backend.
 ///
 /// `block` has no error channel (callers are deep inside borrow-handing
 /// accessors); paged implementations panic on I/O or checksum failure,

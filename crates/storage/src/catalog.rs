@@ -7,12 +7,11 @@
 //! feature of §4.
 
 use crate::blocks::{
-    checksum64, decode_lane, encode_block, encode_lane, RelationPayload, TupleBlock, TupleStore,
-    TupleStoreStats, BLOCK_SPAN,
+    checksum64, decode_lane, encode_block, encode_lane, RelationPayload, TupleStore,
+    TupleStoreStats,
 };
-use crate::bundle::schema_from_text;
 use crate::error::{StorageError, StorageResult};
-use crate::schema::RelationSchema;
+use crate::schema::{schema_from_text, RelationSchema};
 use crate::table::Table;
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
@@ -629,8 +628,10 @@ impl Database {
             .is_some_and(|t| t.is_live(rid.slot))
     }
 
-    /// Open a lazy database over `store`: the catalog comes from
-    /// `schema_text` (the store's recorded schema), tuples and reverse
+    /// Open a lazy database over `store` (in practice `banks-pager`'s
+    /// `PagedTupleStore` over a bundle's DATA section): the catalog
+    /// comes from `schema_text` (the store's recorded schema text, see
+    /// [`crate::schema::schema_from_text`]), tuples and reverse
     /// references page in from the store on demand, and mutations land
     /// in per-table overlays so a later snapshot rewrites only touched
     /// blocks.
@@ -793,124 +794,6 @@ fn base_refs_of(store: &dyn TupleStore, target: Rid) -> Vec<BackRef> {
         .block(rel, target.slot / store.block_span())
         .refs(target.slot)
         .to_vec()
-}
-
-/// The eager database *is* a tuple store: blocks materialize by cloning
-/// out of the slot vectors. This keeps the two representations
-/// interchangeable (tests diff them directly) and gives the snapshot
-/// writer one code path; it is not a hot path.
-impl TupleStore for Database {
-    fn relation_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    fn block_span(&self) -> u32 {
-        BLOCK_SPAN
-    }
-
-    fn slot_count(&self, rel: u32) -> u32 {
-        self.tables
-            .get(rel as usize)
-            .map(|t| t.slot_count() as u32)
-            .unwrap_or(0)
-    }
-
-    fn live_count(&self, rel: u32) -> usize {
-        self.tables.get(rel as usize).map(|t| t.len()).unwrap_or(0)
-    }
-
-    fn link_count(&self) -> u64 {
-        self.link_count as u64
-    }
-
-    fn is_live(&self, rel: u32, slot: u32) -> bool {
-        self.is_live(Rid::new(RelationId(rel), slot))
-    }
-
-    fn block(&self, rel: u32, block: u32) -> Arc<TupleBlock> {
-        let id = RelationId(rel);
-        let table = self.table(id);
-        let span = TupleStore::block_span(self);
-        let first = block * span;
-        let end = (table.slot_count() as u32).min(first.saturating_add(span));
-        let mut bytes = 64usize;
-        let tuples: Vec<Option<Tuple>> = (first..end)
-            .map(|s| {
-                let t = table.get(s).cloned();
-                if let Some(t) = &t {
-                    bytes += 48
-                        + t.arity() * 32
-                        + t.values()
-                            .iter()
-                            .map(|v| match v {
-                                Value::Text(s) => s.len(),
-                                _ => 0,
-                            })
-                            .sum::<usize>();
-                }
-                t
-            })
-            .collect();
-        let back_refs: Vec<Vec<BackRef>> = (first..end)
-            .map(|s| {
-                let refs = self.referencing(Rid::new(id, s)).to_vec();
-                bytes += 24 + refs.len() * std::mem::size_of::<BackRef>();
-                refs
-            })
-            .collect();
-        Arc::new(TupleBlock {
-            first_slot: first,
-            tuples,
-            back_refs,
-            bytes,
-        })
-    }
-
-    fn pk_candidates(&self, rel: u32, hash: u64) -> Vec<u32> {
-        self.tables
-            .get(rel as usize)
-            .map(|t| t.pk_candidates_by_hash(hash))
-            .unwrap_or_default()
-    }
-
-    fn raw_block(&self, rel: u32, block: u32) -> StorageResult<(Vec<u8>, u64)> {
-        let id = RelationId(rel);
-        let span = TupleStore::block_span(self);
-        let first = block * span;
-        let end = (self.table(id).slot_count() as u32).min(first.saturating_add(span));
-        let bytes = self.encode_block_range(id, first, end);
-        let checksum = checksum64(&bytes);
-        Ok((bytes, checksum))
-    }
-
-    fn raw_pk_lane(&self, rel: u32) -> StorageResult<(Vec<u8>, u64, u64)> {
-        let id = RelationId(rel);
-        let table = self.table(id);
-        let entries = if table.schema().has_primary_key() {
-            table
-                .scan()
-                .map(|(rid, t)| (table.pk_hash_of_row(t.values()), rid.slot))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let lane = encode_lane(entries);
-        let checksum = checksum64(&lane);
-        let count = (lane.len() / 12) as u64;
-        Ok((lane, checksum, count))
-    }
-
-    fn stats(&self) -> TupleStoreStats {
-        let span = u64::from(TupleStore::block_span(self));
-        TupleStoreStats {
-            block_count: self
-                .tables
-                .iter()
-                .map(|t| (t.slot_count() as u64).div_ceil(span) as usize)
-                .sum(),
-            ..TupleStoreStats::default()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -79,9 +79,9 @@ pub enum StorageError {
     },
     /// A row identifier pointed at a missing (deleted or out-of-range) tuple.
     InvalidRid(String),
-    /// CSV parsing failed.
-    Csv {
-        /// 1-based line number of the malformed record.
+    /// Schema text (see [`crate::schema::schema_from_text`]) failed to parse.
+    SchemaText {
+        /// 1-based line number of the malformed line.
         line: usize,
         /// Description of the problem.
         message: String,
@@ -141,8 +141,8 @@ impl fmt::Display for StorageError {
                 "graph snapshot does not match the database: snapshot has {expected}, database has {actual}"
             ),
             StorageError::InvalidRid(msg) => write!(f, "invalid rid: {msg}"),
-            StorageError::Csv { line, message } => {
-                write!(f, "csv parse error at line {line}: {message}")
+            StorageError::SchemaText { line, message } => {
+                write!(f, "schema text error at line {line}: {message}")
             }
             StorageError::Corrupt(msg) => write!(f, "corrupt binary data: {msg}"),
         }
@@ -170,11 +170,14 @@ mod tests {
         };
         assert!(e.to_string().contains("expects 2 values, got 3"));
 
-        let e = StorageError::Csv {
+        let e = StorageError::SchemaText {
             line: 7,
-            message: "unterminated quote".into(),
+            message: "unterminated relation".into(),
         };
-        assert!(e.to_string().contains("line 7"));
+        assert_eq!(
+            e.to_string(),
+            "schema text error at line 7: unterminated relation"
+        );
 
         let e = StorageError::SnapshotMismatch {
             expected: "10 nodes".into(),

@@ -22,7 +22,14 @@
 //! All BANKS search work happens on the in-memory graph built from this
 //! catalog (see `banks-graph` / `banks-core`), which mirrors the paper's
 //! assumption that "the graph fits in memory" while keyword→RID indexes may
-//! be disk resident (ours are in memory too).
+//! be disk resident.
+//!
+//! A database has one saved form: the v3 snapshot bundle that
+//! `banks-persist` writes and reads. This crate supplies two of its
+//! sections — the DATA section ([`blocks`]) with the catalog's
+//! [schema text](schema::schema_to_text) in its header, and the packed
+//! postings ([`postings`]) — and, for a bundle opened out of core, the
+//! lazy [`Database`] and [`LazyTextIndex`] that page them in.
 //!
 //! ## Quick example
 //!
@@ -45,9 +52,7 @@
 
 pub mod arena;
 pub mod blocks;
-pub mod bundle;
 pub mod catalog;
-pub mod csv;
 pub mod error;
 pub mod metadata;
 pub mod postings;

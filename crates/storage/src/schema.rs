@@ -5,7 +5,28 @@
 //! Each [`ForeignKey`] therefore carries an optional *similarity* override —
 //! the `s(R1, R2)` of the paper's §2.2 — which the graph builder in
 //! `banks-core` uses as the forward edge weight (default 1.0).
+//!
+//! A database's catalog travels as line-based *schema text*
+//! ([`schema_to_text`] / [`schema_from_text`]), which the v3 DATA section
+//! embeds in its header:
+//!
+//! ```text
+//! database dblp
+//! relation Author
+//! column AuthorId text
+//! column AuthorName text
+//! primary_key AuthorId
+//! end
+//! relation Writes
+//! column AuthorId text
+//! column PaperId text
+//! primary_key AuthorId PaperId
+//! foreign_key AuthorId -> Author
+//! foreign_key PaperId -> Paper similarity 2
+//! end
+//! ```
 
+use crate::catalog::Database;
 use crate::error::{StorageError, StorageResult};
 use crate::value::Value;
 
@@ -37,7 +58,7 @@ impl ColumnType {
         )
     }
 
-    /// Name used in error messages and CSV headers.
+    /// Name used in error messages and in schema text.
     pub fn name(&self) -> &'static str {
         match self {
             ColumnType::Int => "int",
@@ -328,6 +349,178 @@ impl SchemaBuilder {
     }
 }
 
+/// Serialize every relation schema of `db` to the schema text format.
+pub fn schema_to_text(db: &Database) -> String {
+    let mut out = format!("database {}\n", db.name());
+    for table in db.relations() {
+        let schema = table.schema();
+        out.push_str(&format!("relation {}\n", schema.name));
+        for col in &schema.columns {
+            if col.nullable {
+                out.push_str(&format!("column {} {} nullable\n", col.name, col.ty.name()));
+            } else {
+                out.push_str(&format!("column {} {}\n", col.name, col.ty.name()));
+            }
+        }
+        if schema.has_primary_key() {
+            out.push_str(&format!(
+                "primary_key {}\n",
+                schema.primary_key_names().join(" ")
+            ));
+        }
+        for fk in &schema.foreign_keys {
+            let cols: Vec<&str> = fk
+                .columns
+                .iter()
+                .map(|&c| schema.columns[c].name.as_str())
+                .collect();
+            out.push_str(&format!(
+                "foreign_key {} -> {}",
+                cols.join(" "),
+                fk.ref_relation
+            ));
+            if let Some(s) = fk.similarity {
+                out.push_str(&format!(" similarity {s}"));
+            }
+            if fk.nullable {
+                out.push_str(" nullable");
+            }
+            out.push('\n');
+        }
+        out.push_str("end\n");
+    }
+    out
+}
+
+/// Parse schema text back into an empty database with all relations
+/// declared (in text order, so foreign keys resolve).
+pub fn schema_from_text(text: &str) -> StorageResult<Database> {
+    let mut db: Option<Database> = None;
+    let mut builder: Option<RelationSchema> = None;
+
+    fn err(line_no: usize, message: impl Into<String>) -> StorageError {
+        StorageError::SchemaText {
+            line: line_no,
+            message: message.into(),
+        }
+    }
+
+    for (i, raw) in text.lines().enumerate() {
+        let line_no = i + 1;
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.split_whitespace();
+        let keyword = parts.next().unwrap_or("");
+        match keyword {
+            "database" => {
+                let name = parts.next().ok_or_else(|| err(line_no, "missing name"))?;
+                db = Some(Database::new(name));
+            }
+            "relation" => {
+                if builder.is_some() {
+                    return Err(err(line_no, "nested relation (missing `end`?)"));
+                }
+                let name = parts.next().ok_or_else(|| err(line_no, "missing name"))?;
+                builder = Some(RelationSchema {
+                    name: name.to_string(),
+                    columns: Vec::new(),
+                    primary_key: Vec::new(),
+                    foreign_keys: Vec::new(),
+                });
+            }
+            "column" => {
+                let schema = builder
+                    .as_mut()
+                    .ok_or_else(|| err(line_no, "column outside relation"))?;
+                let name = parts.next().ok_or_else(|| err(line_no, "missing name"))?;
+                let ty = parts
+                    .next()
+                    .and_then(ColumnType::parse)
+                    .ok_or_else(|| err(line_no, "missing/unknown type"))?;
+                let nullable = match parts.next() {
+                    None => false,
+                    Some("nullable") => true,
+                    Some(other) => return Err(err(line_no, format!("unexpected `{other}`"))),
+                };
+                schema.columns.push(ColumnDef {
+                    name: name.to_string(),
+                    ty,
+                    nullable,
+                });
+            }
+            "primary_key" => {
+                let schema = builder
+                    .as_mut()
+                    .ok_or_else(|| err(line_no, "primary_key outside relation"))?;
+                for name in parts {
+                    let idx = schema
+                        .column_index(name)
+                        .ok_or_else(|| err(line_no, format!("unknown column `{name}`")))?;
+                    schema.primary_key.push(idx);
+                }
+            }
+            "foreign_key" => {
+                let schema = builder
+                    .as_mut()
+                    .ok_or_else(|| err(line_no, "foreign_key outside relation"))?;
+                let tokens: Vec<&str> = parts.collect();
+                let arrow = tokens
+                    .iter()
+                    .position(|&t| t == "->")
+                    .ok_or_else(|| err(line_no, "missing `->`"))?;
+                if arrow == 0 || arrow + 1 >= tokens.len() {
+                    return Err(err(line_no, "malformed foreign_key"));
+                }
+                let mut columns = Vec::with_capacity(arrow);
+                for name in &tokens[..arrow] {
+                    let idx = schema
+                        .column_index(name)
+                        .ok_or_else(|| err(line_no, format!("unknown column `{name}`")))?;
+                    columns.push(idx);
+                }
+                let ref_relation = tokens[arrow + 1].to_string();
+                let mut similarity = None;
+                let mut nullable = false;
+                let mut rest = tokens[arrow + 2..].iter();
+                while let Some(&token) = rest.next() {
+                    match token {
+                        "similarity" => {
+                            let v = rest
+                                .next()
+                                .and_then(|s| s.parse::<f64>().ok())
+                                .ok_or_else(|| err(line_no, "bad similarity"))?;
+                            similarity = Some(v);
+                        }
+                        "nullable" => nullable = true,
+                        other => return Err(err(line_no, format!("unexpected `{other}`"))),
+                    }
+                }
+                schema.foreign_keys.push(ForeignKey {
+                    columns,
+                    ref_relation,
+                    similarity,
+                    nullable,
+                });
+            }
+            "end" => {
+                let schema = builder
+                    .take()
+                    .ok_or_else(|| err(line_no, "`end` outside relation"))?;
+                db.as_mut()
+                    .ok_or_else(|| err(line_no, "relation before `database`"))?
+                    .create_relation(schema)?;
+            }
+            other => return Err(err(line_no, format!("unknown keyword `{other}`"))),
+        }
+    }
+    if builder.is_some() {
+        return Err(err(text.lines().count(), "unterminated relation"));
+    }
+    db.ok_or_else(|| err(1, "no `database` line"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,5 +615,91 @@ mod tests {
             .column("a", ColumnType::Int)
             .build();
         assert!(err.is_err());
+    }
+
+    fn sample_db() -> Database {
+        let mut db = Database::new("schema-text");
+        db.create_relation(
+            RelationSchema::builder("Author")
+                .column("Id", ColumnType::Text)
+                .nullable_column("Name", ColumnType::Text)
+                .primary_key(&["Id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db.create_relation(
+            RelationSchema::builder("Paper")
+                .column("Id", ColumnType::Text)
+                .column("Year", ColumnType::Int)
+                .nullable_column("Rating", ColumnType::Float)
+                .column("Published", ColumnType::Bool)
+                .primary_key(&["Id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db.create_relation(
+            RelationSchema::builder("Writes")
+                .column("A", ColumnType::Text)
+                .column("P", ColumnType::Text)
+                .primary_key(&["A", "P"])
+                .foreign_key(&["A"], "Author")
+                .foreign_key_with_similarity(&["P"], "Paper", 2.0)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db
+    }
+
+    #[test]
+    fn schema_text_roundtrip() {
+        let db = sample_db();
+        let text = schema_to_text(&db);
+        let parsed = schema_from_text(&text).unwrap();
+        assert_eq!(parsed.name(), "schema-text");
+        assert_eq!(parsed.relation_count(), 3);
+        for (a, b) in db.relations().zip(parsed.relations()) {
+            assert_eq!(
+                a.schema(),
+                b.schema(),
+                "schema drift for {}",
+                a.schema().name
+            );
+        }
+    }
+
+    #[test]
+    fn parse_errors_carry_line_numbers() {
+        for (text, needle) in [
+            ("relation R\ncolumn A text\nend\n", "before `database`"),
+            ("database x\ncolumn A text\n", "outside relation"),
+            ("database x\nrelation R\ncolumn A text\n", "unterminated"),
+            (
+                "database x\nrelation R\ncolumn A varchar\nend\n",
+                "unknown type",
+            ),
+            (
+                "database x\nrelation R\ncolumn A text\nprimary_key B\nend\n",
+                "unknown column",
+            ),
+            (
+                "database x\nrelation R\ncolumn A text\nforeign_key A Author\nend\n",
+                "->",
+            ),
+            ("database x\nfrobnicate\n", "unknown keyword"),
+        ] {
+            let result = schema_from_text(text);
+            let err = result.expect_err(text).to_string();
+            assert!(err.contains(needle), "`{text}` gave `{err}`");
+        }
+    }
+
+    #[test]
+    fn comments_and_blank_lines_ignored() {
+        let text = "# a catalog\ndatabase x\n\nrelation R\ncolumn A text\nprimary_key A\nend\n";
+        let db = schema_from_text(text).unwrap();
+        assert_eq!(db.relation_count(), 1);
     }
 }

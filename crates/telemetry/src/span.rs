@@ -62,12 +62,6 @@ impl SpanBuffer {
         self.enabled = false;
     }
 
-    /// Whether spans are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Current offset in nanoseconds, or 0 when disabled (no clock
     /// read). Use as the `start` handle for [`end`].
     ///

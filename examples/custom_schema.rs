@@ -1,13 +1,13 @@
 //! Bring-your-own schema: BANKS on a database that doesn't come from the
 //! built-in generators — an org chart with a self-referential manager
-//! edge, projects, and assignments — plus bundle persistence.
+//! edge, projects, and assignments — plus snapshot-bundle persistence.
 //!
 //! ```text
-//! cargo run -p banks-testsuite --example custom_schema [bundle-dir]
+//! cargo run -p banks-testsuite --example custom_schema [bundle-file]
 //! ```
 
 use banks_core::{Banks, BanksConfig};
-use banks_storage::bundle::{load_bundle, save_bundle};
+use banks_persist::{load_bundle, save_bundle};
 use banks_storage::{ColumnType, Database, RelationSchema, Value};
 use std::path::PathBuf;
 
@@ -101,19 +101,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    // Persist the database as a bundle and read it back.
-    let dir: PathBuf = std::env::args()
+    // Persist the system as a snapshot bundle and read it back.
+    let path: PathBuf = std::env::args()
         .nth(1)
         .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("banks_orgchart_bundle"));
-    save_bundle(banks.db(), &dir)?;
-    let restored = load_bundle(&dir)?;
+        .unwrap_or_else(|| std::env::temp_dir().join("banks_orgchart.banks"));
+    save_bundle(&banks, 0, &path)?;
+    let (restored, _) = load_bundle(&path, banks.config())?;
     println!(
         "bundle round trip: {} tuples → {} ({} relations) at {}",
         banks.db().total_tuples(),
-        restored.total_tuples(),
-        restored.relation_count(),
-        dir.display()
+        restored.db().total_tuples(),
+        restored.db().relation_count(),
+        path.display()
     );
     Ok(())
 }

@@ -10,14 +10,18 @@
 //!   must serve the exact epoch and identical query results. (The CI
 //!   recovery suite repeats this with a real `kill -9` against the
 //!   `banks serve` binary.)
+//! * Snapshot-bundle round trips of the dblp evaluation workload and
+//!   the thesis corpus: a saved and reloaded system is identical.
 //! * Torn-tail behavior at the store level: a partial append past the
 //!   last acked frame is truncated, never replayed, never fatal.
 
 use banks_core::{Banks, BanksConfig};
 use banks_datagen::dblp::{generate, DblpConfig};
 use banks_datagen::rng::Rng;
+use banks_datagen::thesis::{self, ThesisConfig};
+use banks_eval::workload::{dblp_eval_config, dblp_workload};
 use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
-use banks_persist::{PersistOptions, PersistentStore};
+use banks_persist::{load_bundle, save_bundle, PersistOptions, PersistentStore};
 use banks_server::{BanksServer, IngestEndpoint, QueryService, ServerConfig, ServiceConfig};
 use banks_storage::Value;
 use banks_util::http::http_request;
@@ -221,6 +225,36 @@ proptest! {
         assert_identical(&live, &recovered, &["recovered", "mohan", "author recovered"]);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Save `banks` as a snapshot bundle file, load it back, and assert the
+/// two systems bit-for-bit interchangeable on `queries`.
+fn assert_bundle_roundtrip(tag: &str, banks: &Banks, queries: &[&str]) {
+    let dir = tmp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("snapshot.banks");
+    save_bundle(banks, 0, &path).unwrap();
+    let (restored, meta) = load_bundle(&path, banks.config()).unwrap();
+    assert_eq!(meta.epoch, 0);
+    assert_identical(banks, &restored, queries);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bundle_roundtrip_preserves_dblp_workload_results() {
+    let dataset = generate(DblpConfig::tiny(1)).unwrap();
+    let banks = Banks::with_config(dataset.db, dblp_eval_config()).unwrap();
+    let workload = dblp_workload(&dataset.planted);
+    let queries: Vec<&str> = workload.iter().map(|q| q.text).collect();
+    assert_bundle_roundtrip("dblp_workload", &banks, &queries);
+}
+
+#[test]
+fn bundle_roundtrip_preserves_thesis_database() {
+    let dataset = thesis::generate(ThesisConfig::tiny(4)).unwrap();
+    let banks = Banks::new(dataset.db).unwrap();
+    assert!(!banks.search("sudarshan aditya").unwrap().is_empty());
+    assert_bundle_roundtrip("thesis", &banks, &["sudarshan aditya"]);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-//! Property-based tests spanning crates: storage mutation fuzzing, CSV
-//! round-trips over adversarial values, tokenizer laws, tree-signature
-//! invariance, and whole-pipeline search invariants on random corpora.
+//! Property-based tests spanning crates: storage mutation fuzzing, v3
+//! DATA-section round-trips over adversarial values, tokenizer laws,
+//! tree-signature invariance, and whole-pipeline search invariants on
+//! random corpora.
 
 use banks_core::{Banks, ConnectionTree};
 use banks_datagen::dblp::{generate, DblpConfig};
 use banks_graph::NodeId;
-use banks_storage::csv::{load_csv_into, table_to_csv};
+use banks_storage::blocks::{decode_database_v3, encode_database_v3};
 use banks_storage::{ColumnType, Database, RelationSchema, Tokenizer, Value};
 use proptest::prelude::*;
 
@@ -111,30 +112,26 @@ proptest! {
         }
     }
 
-    /// CSV round-trips survive adversarial text: quotes, commas, newlines,
-    /// unicode, empty strings, and NULLs.
+    /// v3 DATA-section round-trips survive adversarial text: quotes,
+    /// commas, newlines, unicode, empty strings, and NULLs.
     #[test]
-    fn csv_roundtrip_adversarial_values(
+    fn v3_roundtrip_adversarial_values(
         rows in proptest::collection::vec(
             (any::<Option<String>>(), any::<Option<i64>>()),
             0..25
         )
     ) {
-        let schema = || {
-            let mut db = Database::new("t");
-            db.create_relation(
-                RelationSchema::builder("T")
-                    .column("Id", ColumnType::Int)
-                    .nullable_column("Text", ColumnType::Text)
-                    .nullable_column("Num", ColumnType::Int)
-                    .primary_key(&["Id"])
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            db
-        };
-        let mut db = schema();
+        let mut db = Database::new("t");
+        db.create_relation(
+            RelationSchema::builder("T")
+                .column("Id", ColumnType::Int)
+                .nullable_column("Text", ColumnType::Text)
+                .nullable_column("Num", ColumnType::Int)
+                .primary_key(&["Id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
         for (i, (text, num)) in rows.iter().enumerate() {
             db.insert(
                 "T",
@@ -146,10 +143,8 @@ proptest! {
             )
             .unwrap();
         }
-        let csv = table_to_csv(db.relation("T").unwrap());
-        let mut reloaded = schema();
-        let n = load_csv_into(&mut reloaded, "T", &csv).unwrap();
-        prop_assert_eq!(n, rows.len());
+        let reloaded = decode_database_v3(&encode_database_v3(&db).unwrap()).unwrap();
+        prop_assert_eq!(reloaded.relation("T").unwrap().len(), rows.len());
         for (rid, tuple) in db.relation("T").unwrap().scan() {
             let key = vec![tuple.values()[0].clone()];
             let rid2 = reloaded.relation("T").unwrap().lookup_pk(&key).unwrap();
