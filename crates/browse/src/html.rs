@@ -10,7 +10,7 @@ use crate::view::RenderedView;
 use std::fmt::Write as _;
 
 /// Escape text for HTML.
-pub fn escape(text: &str) -> String {
+pub(crate) fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {

@@ -77,7 +77,7 @@ pub struct BackRefSummary {
 
 /// Enumerate the backward-browsing options for a tuple, grouped by
 /// `(referencing relation, foreign key)`.
-pub fn backref_summaries(db: &Database, target: Rid) -> Vec<BackRefSummary> {
+pub(crate) fn backref_summaries(db: &Database, target: Rid) -> Vec<BackRefSummary> {
     let mut out: Vec<BackRefSummary> = Vec::new();
     for backref in db.referencing(target) {
         let rel = backref.from.relation;

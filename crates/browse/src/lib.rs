@@ -39,10 +39,10 @@ pub mod session;
 pub mod templates;
 pub mod view;
 
-pub use hyperlink::{backref_summaries, BackRefSummary, Hyperlink};
+pub use hyperlink::Hyperlink;
 pub use session::Session;
 pub use templates::{
-    ChartData, ChartKind, ChartPoint, ChartSpec, Crosstab, CrosstabSpec, FolderNode, FolderSpec,
-    GroupByLevel, GroupBySpec, Measure, TemplateOutput, TemplateRegistry, TemplateSpec,
+    ChartKind, ChartSpec, Crosstab, CrosstabSpec, FolderSpec, GroupBySpec, Measure, TemplateOutput,
+    TemplateRegistry, TemplateSpec,
 };
 pub use view::{render, Cell, JoinSpec, RenderedView, ReverseJoinSpec, ViewSpec};

@@ -26,7 +26,7 @@ impl<'db> Session<'db> {
     }
 
     /// The current view specification.
-    pub fn current(&self) -> &ViewSpec {
+    pub(crate) fn current(&self) -> &ViewSpec {
         &self.history[self.cursor]
     }
 
@@ -96,7 +96,7 @@ impl<'db> Session<'db> {
     }
 
     /// View a single tuple (selection on its primary key).
-    pub fn view_tuple(&mut self, rid: Rid) -> StorageResult<()> {
+    pub(crate) fn view_tuple(&mut self, rid: Rid) -> StorageResult<()> {
         let schema = self.db.table(rid.relation).schema().clone();
         let tuple = self.db.tuple(rid)?;
         let mut spec = ViewSpec::relation(rid.relation);

@@ -63,7 +63,7 @@ pub struct ChartData {
 }
 
 /// Evaluate a chart template.
-pub fn evaluate(db: &Database, spec: &ChartSpec) -> StorageResult<ChartData> {
+pub(crate) fn evaluate(db: &Database, spec: &ChartSpec) -> StorageResult<ChartData> {
     let table = db.table(spec.relation);
     let schema = table.schema();
     if spec.label_attr as usize >= schema.arity() {

@@ -38,15 +38,6 @@ impl FolderNode {
     pub fn depth(&self) -> usize {
         1 + self.children.iter().map(|c| c.depth()).max().unwrap_or(0)
     }
-
-    /// Total folders in the subtree (including self).
-    pub fn folder_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(|c| c.folder_count())
-            .sum::<usize>()
-    }
 }
 
 /// Materialize the folder tree.
@@ -160,7 +151,7 @@ mod tests {
         let root = evaluate(&d.db, &spec).unwrap();
         assert_eq!(root.depth(), 1);
         assert_eq!(root.leaves.len(), root.count);
-        assert_eq!(root.folder_count(), 1);
+        assert!(root.children.is_empty());
     }
 
     #[test]

@@ -36,7 +36,11 @@ pub enum GroupByLevel {
 
 /// Drill into the hierarchy along `path` (values chosen for the first
 /// `path.len()` levels).
-pub fn drill(db: &Database, spec: &GroupBySpec, path: &[Value]) -> StorageResult<GroupByLevel> {
+pub(crate) fn drill(
+    db: &Database,
+    spec: &GroupBySpec,
+    path: &[Value],
+) -> StorageResult<GroupByLevel> {
     let table = db.table(spec.relation);
     let arity = table.schema().arity();
     for &level in &spec.levels {

@@ -110,8 +110,8 @@ pub enum TemplateOutput {
     Chart(ChartData),
 }
 
-/// Evaluate a template at its root (group-by templates start at the top
-/// level; use [`groupby::drill`] to descend).
+/// Evaluate a template at its root (a group-by template yields its top
+/// level).
 pub fn evaluate(db: &Database, spec: &TemplateSpec) -> StorageResult<TemplateOutput> {
     Ok(match spec {
         TemplateSpec::Crosstab(s) => TemplateOutput::Crosstab(crosstab::evaluate(db, s)?),

@@ -7,12 +7,12 @@ use banks_storage::{Database, RowArena, StagedRows};
 use std::path::Path;
 
 /// The accepted corpus names, for error messages and help text.
-pub const CORPORA: &str = "dblp|dblp-small|thesis|tpcd|<stream dir>";
+pub(crate) const CORPORA: &str = "dblp|dblp-small|thesis|tpcd|<stream dir>";
 
 /// Generate the named synthetic corpus at the given seed, or load a
 /// `banks datagen` shard directory (a path whose `MANIFEST` carries the
 /// stream magic; the directory's own seed applies, not `seed`).
-pub fn open(name: &str, seed: u64) -> Result<Database, String> {
+pub(crate) fn open(name: &str, seed: u64) -> Result<Database, String> {
     if stream::is_stream_dir(Path::new(name)) {
         return stream::build_database(Path::new(name));
     }
@@ -34,7 +34,7 @@ fn generate(name: &str, seed: u64) -> Result<Database, String> {
 /// ([`banks_persist::write_corpus_bundle`]): a shard directory streams
 /// its rows straight into the arena; a generator corpus is generated,
 /// then staged from its database.
-pub fn stage(name: &str, seed: u64) -> Result<StagedRows, String> {
+pub(crate) fn stage(name: &str, seed: u64) -> Result<StagedRows, String> {
     let arena = if stream::is_stream_dir(Path::new(name)) {
         stream::stage_rows(Path::new(name))?
     } else {
@@ -45,7 +45,7 @@ pub fn stage(name: &str, seed: u64) -> Result<StagedRows, String> {
 
 /// The seed the named corpus is generated at: a shard directory's own
 /// (from its `MANIFEST`), else `seed`.
-pub fn seed_of(name: &str, seed: u64) -> u64 {
+pub(crate) fn seed_of(name: &str, seed: u64) -> u64 {
     stream::read_manifest(Path::new(name)).map_or(seed, |m| m.config.seed)
 }
 

@@ -10,12 +10,13 @@
 //! anywhere a corpus name is: `banks serve --corpus /tmp/corpus …` or
 //! `open /tmp/corpus` in the shell.
 
+use crate::{flag_number, flag_value};
 use banks_datagen::stream::{self, StreamConfig, DEFAULT_SHARD_TUPLES};
 use std::path::PathBuf;
 
 /// Parsed `banks datagen` arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DatagenArgs {
+pub(crate) struct DatagenArgs {
     /// Exact total tuple count.
     pub tuples: u64,
     /// Output directory for shards + manifest.
@@ -28,37 +29,18 @@ pub struct DatagenArgs {
 
 impl DatagenArgs {
     /// Parse `banks datagen` flags.
-    pub fn parse(args: &[String]) -> Result<DatagenArgs, String> {
+    pub(crate) fn parse(args: &[String]) -> Result<DatagenArgs, String> {
         let mut tuples: Option<u64> = None;
         let mut out: Option<PathBuf> = None;
         let mut seed = 42u64;
         let mut shard_tuples = DEFAULT_SHARD_TUPLES;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
             match flag.as_str() {
-                "--tuples" => {
-                    tuples = Some(
-                        value("--tuples")?
-                            .parse()
-                            .map_err(|e| format!("--tuples: {e}"))?,
-                    )
-                }
-                "--out" => out = Some(PathBuf::from(value("--out")?)),
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--shard-tuples" => {
-                    shard_tuples = value("--shard-tuples")?
-                        .parse()
-                        .map_err(|e| format!("--shard-tuples: {e}"))?
-                }
+                "--tuples" => tuples = Some(flag_number(&mut it, "--tuples")?),
+                "--out" => out = Some(PathBuf::from(flag_value(&mut it, "--out")?)),
+                "--seed" => seed = flag_number(&mut it, "--seed")?,
+                "--shard-tuples" => shard_tuples = flag_number(&mut it, "--shard-tuples")?,
                 other => return Err(format!("unknown flag `{other}` (see `banks datagen`)")),
             }
         }

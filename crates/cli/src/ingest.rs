@@ -14,6 +14,7 @@
 //! before anything is sent, and applied atomically — a rejected op
 //! leaves the target snapshot unchanged.
 
+use crate::{flag_number, flag_value};
 use banks_core::Banks;
 use banks_ingest::DeltaBatch;
 use banks_server::{IngestEndpoint, QueryService, ServiceConfig};
@@ -25,7 +26,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Parsed `ingest` arguments.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct IngestArgs {
+pub(crate) struct IngestArgs {
     /// Delta file path.
     pub file: String,
     /// `json` or `csv`; inferred from the extension when empty.
@@ -43,29 +44,20 @@ pub struct IngestArgs {
 
 impl IngestArgs {
     /// Parse `--flag value` pairs (everything after `banks ingest`).
-    pub fn parse(args: &[String]) -> Result<IngestArgs, String> {
+    pub(crate) fn parse(args: &[String]) -> Result<IngestArgs, String> {
         let mut parsed = IngestArgs {
             seed: 1,
             ..IngestArgs::default()
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
             match flag.as_str() {
-                "--file" => parsed.file = value("--file")?,
-                "--format" => parsed.format = value("--format")?,
-                "--server" => parsed.server = Some(value("--server")?),
-                "--corpus" => parsed.corpus = Some(value("--corpus")?),
-                "--seed" => {
-                    parsed.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed must be an integer".to_string())?
-                }
-                "--ts" => parsed.ts = Some(value("--ts")?),
+                "--file" => parsed.file = flag_value(&mut it, "--file")?,
+                "--format" => parsed.format = flag_value(&mut it, "--format")?,
+                "--server" => parsed.server = Some(flag_value(&mut it, "--server")?),
+                "--corpus" => parsed.corpus = Some(flag_value(&mut it, "--corpus")?),
+                "--seed" => parsed.seed = flag_number(&mut it, "--seed")?,
+                "--ts" => parsed.ts = Some(flag_value(&mut it, "--ts")?),
                 other => return Err(format!("unknown ingest flag `{other}` — see `banks help`")),
             }
         }
@@ -90,7 +82,7 @@ impl IngestArgs {
 }
 
 /// Load and parse the delta file per the arguments.
-pub fn load_batch(args: &IngestArgs) -> Result<DeltaBatch, String> {
+pub(crate) fn load_batch(args: &IngestArgs) -> Result<DeltaBatch, String> {
     let text =
         std::fs::read_to_string(&args.file).map_err(|e| format!("read {}: {e}", args.file))?;
     let batch = match args.format.as_str() {
@@ -169,7 +161,7 @@ impl PostFault {
 /// *without* the hint (a read-only follower, a real conflict) and any
 /// error after the connection was up are reported to the caller
 /// immediately.
-pub fn post_to_server(addr: &str, batch: &DeltaBatch, ts: &str) -> Result<String, String> {
+pub(crate) fn post_to_server(addr: &str, batch: &DeltaBatch, ts: &str) -> Result<String, String> {
     let target = format!("/ingest?ts={}", percent_encode(ts));
     let body = batch.to_json().compact();
     let policy = RetryPolicy {
@@ -238,7 +230,11 @@ pub fn post_to_server(addr: &str, batch: &DeltaBatch, ts: &str) -> Result<String
 
 /// Apply a batch against a locally generated corpus and report what the
 /// equivalent publication would do.
-pub fn apply_locally(args: &IngestArgs, batch: &DeltaBatch, ts: &str) -> Result<String, String> {
+pub(crate) fn apply_locally(
+    args: &IngestArgs,
+    batch: &DeltaBatch,
+    ts: &str,
+) -> Result<String, String> {
     let corpus = args.corpus.as_deref().expect("local mode");
     let db = crate::corpus::open(corpus, args.seed)?;
     let banks = Arc::new(Banks::new(db).map_err(|e| e.to_string())?);

@@ -13,18 +13,51 @@
 //! assert!(out.contains("ChakrabartiSD98"));
 //! ```
 
-pub mod corpus;
+pub(crate) mod corpus;
 pub mod datagen;
 pub mod ingest;
 pub mod route;
 pub mod serve;
 pub mod shell;
 pub mod snapshot;
-pub mod table;
+pub(crate) mod table;
 
-pub use datagen::DatagenArgs;
-pub use ingest::IngestArgs;
-pub use route::RouteArgs;
-pub use serve::ServeArgs;
 pub use shell::Shell;
-pub use snapshot::SnapshotArgs;
+
+use std::slice::Iter;
+use std::str::FromStr;
+
+/// Take the value after a command-line `--flag` from `args`.
+fn flag_value(args: &mut Iter<'_, String>, flag: &str) -> Result<String, String> {
+    args.next()
+        .cloned()
+        .ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// Take the value after a numeric `--flag` from `args` and parse it.
+fn flag_number<T: FlagNumber>(args: &mut Iter<'_, String>, flag: &str) -> Result<T, String> {
+    flag_value(args, flag)?
+        .parse()
+        .map_err(|_| format!("{flag} must be {}", T::KIND))
+}
+
+/// A numeric flag type, and how a parse error names what it expects.
+trait FlagNumber: FromStr {
+    const KIND: &'static str;
+}
+
+impl FlagNumber for u32 {
+    const KIND: &'static str = "an integer";
+}
+
+impl FlagNumber for u64 {
+    const KIND: &'static str = "an integer";
+}
+
+impl FlagNumber for usize {
+    const KIND: &'static str = "an integer";
+}
+
+impl FlagNumber for f64 {
+    const KIND: &'static str = "a number";
+}

@@ -14,13 +14,14 @@
 //! the router's own registry. See `banks-router` for the routing,
 //! ejection, and staleness rules.
 
+use crate::{flag_number, flag_value};
 use banks_router::{Router, RouterConfig};
 use banks_util::log_info;
 use std::time::Duration;
 
 /// Parsed `route` arguments.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RouteArgs {
+pub(crate) struct RouteArgs {
     /// Bind address of the router itself.
     pub addr: String,
     /// Leader address.
@@ -58,41 +59,24 @@ impl Default for RouteArgs {
 
 impl RouteArgs {
     /// Parse `--flag value` pairs (everything after `banks route`).
-    pub fn parse(args: &[String]) -> Result<RouteArgs, String> {
+    pub(crate) fn parse(args: &[String]) -> Result<RouteArgs, String> {
         let mut parsed = RouteArgs::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
             match flag.as_str() {
-                "--addr" => parsed.addr = value("--addr")?,
-                "--leader" => parsed.leader = value("--leader")?,
-                "--follower" => parsed.followers.push(value("--follower")?),
-                "--workers" => {
-                    parsed.workers = value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers must be an integer".to_string())?
-                }
+                "--addr" => parsed.addr = flag_value(&mut it, "--addr")?,
+                "--leader" => parsed.leader = flag_value(&mut it, "--leader")?,
+                "--follower" => parsed.followers.push(flag_value(&mut it, "--follower")?),
+                "--workers" => parsed.workers = flag_number(&mut it, "--workers")?,
                 "--probe-interval-ms" => {
-                    parsed.probe_interval_ms = value("--probe-interval-ms")?
-                        .parse()
-                        .map_err(|_| "--probe-interval-ms must be an integer".to_string())?
+                    parsed.probe_interval_ms = flag_number(&mut it, "--probe-interval-ms")?
                 }
-                "--eject-after" => {
-                    parsed.eject_after = value("--eject-after")?
-                        .parse()
-                        .map_err(|_| "--eject-after must be an integer".to_string())?
-                }
+                "--eject-after" => parsed.eject_after = flag_number(&mut it, "--eject-after")?,
                 "--staleness-bound" => {
-                    parsed.staleness_bound = value("--staleness-bound")?
-                        .parse()
-                        .map_err(|_| "--staleness-bound must be an integer".to_string())?
+                    parsed.staleness_bound = flag_number(&mut it, "--staleness-bound")?
                 }
                 "--log-level" => {
-                    let raw = value("--log-level")?;
+                    let raw = flag_value(&mut it, "--log-level")?;
                     parsed.log_level =
                         Some(banks_util::log::Level::parse(&raw).ok_or_else(|| {
                             format!("--log-level must be error|warn|info|debug, got `{raw}`")
@@ -120,7 +104,7 @@ impl RouteArgs {
 
 /// Bind the router for the given arguments. Returns the running router
 /// so callers (tests, embedding processes) control its lifetime.
-pub fn start(args: &RouteArgs) -> Result<Router, String> {
+pub(crate) fn start(args: &RouteArgs) -> Result<Router, String> {
     if let Some(level) = args.log_level {
         banks_util::log::set_level(level);
     }

@@ -33,6 +33,7 @@
 //! leader's address; `/search?min_epoch=…` waits for replication and
 //! answers `409` (plus the leader hint) past its deadline.
 
+use crate::{flag_number, flag_value};
 use banks_core::{Banks, BanksConfig, TupleGraph};
 use banks_ingest::SnapshotPublisher;
 use banks_persist::{PersistOptions, PersistentStore};
@@ -45,7 +46,7 @@ use std::time::{Duration, Instant};
 
 /// Parsed `serve` arguments.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
+pub(crate) struct ServeArgs {
     /// Synthetic corpus name (`dblp`, `dblp-small`, `thesis`, `tpcd`).
     pub corpus: String,
     /// Generation seed.
@@ -133,42 +134,23 @@ fn server_defaults() -> ServerConfig {
 
 impl ServeArgs {
     /// Parse `--flag value` pairs (everything after `banks serve`).
-    pub fn parse(args: &[String]) -> Result<ServeArgs, String> {
+    pub(crate) fn parse(args: &[String]) -> Result<ServeArgs, String> {
         let mut parsed = ServeArgs::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
             match flag.as_str() {
-                "--corpus" => parsed.corpus = value("--corpus")?,
-                "--seed" => {
-                    parsed.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed must be an integer".to_string())?
-                }
-                "--addr" => parsed.addr = value("--addr")?,
-                "--workers" => {
-                    parsed.workers = value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers must be an integer".to_string())?
-                }
+                "--corpus" => parsed.corpus = flag_value(&mut it, "--corpus")?,
+                "--seed" => parsed.seed = flag_number(&mut it, "--seed")?,
+                "--addr" => parsed.addr = flag_value(&mut it, "--addr")?,
+                "--workers" => parsed.workers = flag_number(&mut it, "--workers")?,
                 "--cache-capacity" => {
-                    parsed.cache_capacity = value("--cache-capacity")?
-                        .parse()
-                        .map_err(|_| "--cache-capacity must be an integer".to_string())?
+                    parsed.cache_capacity = flag_number(&mut it, "--cache-capacity")?
                 }
-                "--cache-shards" => {
-                    parsed.cache_shards = value("--cache-shards")?
-                        .parse()
-                        .map_err(|_| "--cache-shards must be an integer".to_string())?
-                }
+                "--cache-shards" => parsed.cache_shards = flag_number(&mut it, "--cache-shards")?,
                 // Kept so scripts that pass `--search-threads 1` still
                 // start; it sets nothing.
                 "--search-threads" => {
-                    let raw = value("--search-threads")?;
+                    let raw = flag_value(&mut it, "--search-threads")?;
                     if raw != "1" {
                         return Err(format!(
                             "--search-threads {raw}: intra-query parallelism was removed; \
@@ -176,56 +158,47 @@ impl ServeArgs {
                         ));
                     }
                 }
-                "--data-dir" => parsed.data_dir = Some(PathBuf::from(value("--data-dir")?)),
+                "--data-dir" => {
+                    parsed.data_dir = Some(PathBuf::from(flag_value(&mut it, "--data-dir")?))
+                }
                 "--no-fsync" => parsed.no_fsync = true,
                 "--compact-wal-batches" => {
-                    parsed.compact_wal_batches = value("--compact-wal-batches")?
-                        .parse()
-                        .map_err(|_| "--compact-wal-batches must be an integer".to_string())?
+                    parsed.compact_wal_batches = flag_number(&mut it, "--compact-wal-batches")?
                 }
                 "--paged" => parsed.paged = true,
                 "--memory-budget" => {
-                    parsed.memory_budget = parse_byte_size(&value("--memory-budget")?)?
+                    parsed.memory_budget =
+                        parse_byte_size(&flag_value(&mut it, "--memory-budget")?)?
                 }
                 "--no-ingest" => parsed.no_ingest = true,
-                "--follow" => parsed.follow = Some(value("--follow")?),
+                "--follow" => parsed.follow = Some(flag_value(&mut it, "--follow")?),
                 "--default-deadline-ms" => {
-                    parsed.default_deadline_ms = Some(
-                        value("--default-deadline-ms")?
-                            .parse()
-                            .map_err(|_| "--default-deadline-ms must be an integer".to_string())?,
-                    )
+                    parsed.default_deadline_ms =
+                        Some(flag_number(&mut it, "--default-deadline-ms")?)
                 }
                 "--max-deadline-ms" => {
-                    parsed.max_deadline_ms = value("--max-deadline-ms")?
-                        .parse()
-                        .map_err(|_| "--max-deadline-ms must be an integer".to_string())?
+                    parsed.max_deadline_ms = flag_number(&mut it, "--max-deadline-ms")?
                 }
                 "--max-body-bytes" => {
-                    parsed.max_body_bytes = parse_byte_size(&value("--max-body-bytes")?)?
+                    parsed.max_body_bytes =
+                        parse_byte_size(&flag_value(&mut it, "--max-body-bytes")?)?
                 }
                 "--rate-limit-rps" => {
-                    let raw = value("--rate-limit-rps")?;
-                    let rps: f64 = raw
-                        .parse()
-                        .map_err(|_| "--rate-limit-rps must be a number".to_string())?;
+                    let rps: f64 = flag_number(&mut it, "--rate-limit-rps")?;
                     if !rps.is_finite() || rps <= 0.0 {
                         return Err("--rate-limit-rps must be positive".to_string());
                     }
                     parsed.rate_limit_rps = Some(rps);
                 }
                 "--shed-after-ms" => {
-                    parsed.shed_after_ms = value("--shed-after-ms")?
-                        .parse()
-                        .map_err(|_| "--shed-after-ms must be an integer".to_string())?
+                    parsed.shed_after_ms = flag_number(&mut it, "--shed-after-ms")?
                 }
                 "--header-read-timeout-ms" => {
-                    parsed.header_read_timeout_ms = value("--header-read-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "--header-read-timeout-ms must be an integer".to_string())?
+                    parsed.header_read_timeout_ms =
+                        flag_number(&mut it, "--header-read-timeout-ms")?
                 }
                 "--log-level" => {
-                    let raw = value("--log-level")?;
+                    let raw = flag_value(&mut it, "--log-level")?;
                     parsed.log_level =
                         Some(banks_util::log::Level::parse(&raw).ok_or_else(|| {
                             format!("--log-level must be error|warn|info|debug, got `{raw}`")
@@ -264,7 +237,7 @@ fn parse_byte_size(s: &str) -> Result<u64, String> {
 
 /// The durable half of a built service: the publisher (seeded at the
 /// recovered epoch, WAL hook installed) and the store it writes to.
-pub struct DurableParts {
+pub(crate) struct DurableParts {
     /// Ready-to-use publisher for the ingest endpoint.
     pub publisher: SnapshotPublisher,
     /// The open data directory.
@@ -274,14 +247,13 @@ pub struct DurableParts {
 /// Build the shared snapshot + service per the arguments. Returns the
 /// service, a human-readable startup summary, and — when `--data-dir`
 /// is active — the durable parts for the ingest endpoint.
-pub fn build_service(
+pub(crate) fn build_service(
     args: &ServeArgs,
 ) -> Result<(Arc<QueryService>, String, Option<DurableParts>), String> {
     let config = BanksConfig::default();
     let service_config = ServiceConfig {
         cache_capacity: args.cache_capacity,
         cache_shards: args.cache_shards,
-        ..ServiceConfig::default()
     };
 
     let mut phases = Phases::default();
@@ -432,7 +404,7 @@ fn summary_line(args: &ServeArgs, banks: &Banks, source: &str, phases: &Phases) 
 /// server so callers (tests, embedding processes) control its lifetime.
 /// A third tuple element keeps follower mode's tail thread alive: drop
 /// it and the follower stops replicating.
-pub fn start(
+pub(crate) fn start(
     args: &ServeArgs,
 ) -> Result<(Arc<QueryService>, BanksServer, Option<Replica>), String> {
     if let Some(level) = args.log_level {
@@ -508,7 +480,6 @@ fn start_follower(
     let service_config = ServiceConfig {
         cache_capacity: args.cache_capacity,
         cache_shards: args.cache_shards,
-        ..ServiceConfig::default()
     };
     let replica = Replica::start(
         ReplicaConfig {

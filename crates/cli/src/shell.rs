@@ -249,42 +249,48 @@ impl Shell {
         Ok(out)
     }
 
+    /// Show the parameters, or set one: the change is made on a copy
+    /// and kept only if the whole configuration still validates.
     fn cmd_config(&mut self, rest: &str) -> Result<String, String> {
         let mut parts = rest.split_whitespace();
-        match (parts.next(), parts.next()) {
-            (None, _) => Ok(format!(
-                "lambda {}  edge-log {}  k {}  heap {}",
-                self.config.score.lambda,
-                matches!(self.config.score.edge_score, EdgeScoreMode::Log),
-                self.config.search.max_results,
-                self.config.search.output_heap_size,
-            )),
+        let mut config = self.config.clone();
+        let reply = match (parts.next(), parts.next()) {
+            (None, _) => {
+                return Ok(format!(
+                    "lambda {}  edge-log {}  k {}  heap {}",
+                    config.score.lambda,
+                    matches!(config.score.edge_score, EdgeScoreMode::Log),
+                    config.search.max_results,
+                    config.search.output_heap_size,
+                ))
+            }
             (Some("lambda"), Some(v)) => {
-                let lambda: f64 = parse(v)?;
-                if !(0.0..=1.0).contains(&lambda) {
-                    return Err("lambda must be in [0,1]".to_string());
-                }
-                self.config.score.lambda = lambda;
-                Ok(format!("lambda = {lambda}"))
+                config.score.lambda = parse(v)?;
+                format!("lambda = {}", config.score.lambda)
             }
             (Some("edge-log"), Some(v)) => {
-                self.config.score.edge_score = if v == "on" {
+                config.score.edge_score = if v == "on" {
                     EdgeScoreMode::Log
                 } else {
                     EdgeScoreMode::Linear
                 };
-                Ok(format!("edge-log = {v}"))
+                format!("edge-log = {v}")
             }
             (Some("k"), Some(v)) => {
-                self.config.search.max_results = parse(v)?;
-                Ok(format!("k = {v}"))
+                config.search.max_results = parse(v)?;
+                format!("k = {v}")
             }
             (Some("heap"), Some(v)) => {
-                self.config.search.output_heap_size = parse(v)?;
-                Ok(format!("heap = {v}"))
+                config.search.output_heap_size = parse(v)?;
+                format!("heap = {v}")
             }
-            (Some(other), _) => Err(format!("unknown config `{other}` (lambda|edge-log|k|heap)")),
-        }
+            (Some(other), _) => {
+                return Err(format!("unknown config `{other}` (lambda|edge-log|k|heap)"))
+            }
+        };
+        config.validate().map_err(|e| e.to_string())?;
+        self.config = config;
+        Ok(reply)
     }
 
     fn cmd_browse(&mut self, rest: &str) -> Result<String, String> {
@@ -397,7 +403,7 @@ fn parse_value(s: &str) -> Value {
 }
 
 /// Help text.
-pub const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 commands:
   open <dblp|dblp-small|thesis|tpcd> [seed]   load a synthetic database
   save <file> / load <file>                   snapshot bundle (as banks snapshot)
@@ -497,6 +503,22 @@ mod tests {
         assert!(shell.exec("config k 5").is_ok());
         let out = shell.exec("search mohan").unwrap();
         assert!(out.lines().count() <= 9, "k=5 limits the listing: {out}");
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_and_not_kept() {
+        let mut shell = loaded();
+        let before = shell.exec("config").unwrap();
+        assert_eq!(
+            shell.exec("config heap 0").unwrap_err(),
+            "bad configuration: output_heap_size must be ≥ 1"
+        );
+        assert!(shell.exec("config lambda 2").is_err());
+        assert_eq!(shell.exec("config").unwrap(), before);
+        assert!(shell
+            .exec("search soumen sunita")
+            .unwrap()
+            .contains("answers"));
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //! and optionally runs a query, which doubles as an end-to-end check
 //! that restore-from-bundle serves real answers.
 
+use crate::{flag_number, flag_value};
 use banks_core::BanksConfig;
 use banks_persist::{inspect_bundle, load_bundle, write_corpus_bundle};
 use std::path::PathBuf;
 
 /// Parsed `snapshot` arguments.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotArgs {
+pub(crate) enum SnapshotArgs {
     /// `snapshot save --corpus NAME [--seed N] [--epoch N] --out PATH`
     Save {
         /// Corpus to build.
@@ -50,7 +51,7 @@ pub enum SnapshotArgs {
 
 impl SnapshotArgs {
     /// Parse everything after `banks snapshot`.
-    pub fn parse(args: &[String]) -> Result<SnapshotArgs, String> {
+    pub(crate) fn parse(args: &[String]) -> Result<SnapshotArgs, String> {
         let Some((verb, rest)) = args.split_first() else {
             return Err("snapshot needs a verb: save | load | inspect".into());
         };
@@ -59,24 +60,11 @@ impl SnapshotArgs {
             "save" => {
                 let (mut corpus, mut seed, mut epoch, mut out) = (None, 1u64, 0u64, None);
                 while let Some(flag) = it.next() {
-                    let mut value = |name: &str| {
-                        it.next()
-                            .cloned()
-                            .ok_or_else(|| format!("{name} requires a value"))
-                    };
                     match flag.as_str() {
-                        "--corpus" => corpus = Some(value("--corpus")?),
-                        "--seed" => {
-                            seed = value("--seed")?
-                                .parse()
-                                .map_err(|_| "--seed must be an integer".to_string())?
-                        }
-                        "--epoch" => {
-                            epoch = value("--epoch")?
-                                .parse()
-                                .map_err(|_| "--epoch must be an integer".to_string())?
-                        }
-                        "--out" => out = Some(PathBuf::from(value("--out")?)),
+                        "--corpus" => corpus = Some(flag_value(&mut it, "--corpus")?),
+                        "--seed" => seed = flag_number(&mut it, "--seed")?,
+                        "--epoch" => epoch = flag_number(&mut it, "--epoch")?,
+                        "--out" => out = Some(PathBuf::from(flag_value(&mut it, "--out")?)),
                         other => return Err(format!("unknown snapshot save flag `{other}`")),
                     }
                 }
@@ -94,13 +82,7 @@ impl SnapshotArgs {
                 let mut query = None;
                 while let Some(flag) = it.next() {
                     match flag.as_str() {
-                        "--query" => {
-                            query = Some(
-                                it.next()
-                                    .cloned()
-                                    .ok_or("--query requires a value".to_string())?,
-                            )
-                        }
+                        "--query" => query = Some(flag_value(&mut it, "--query")?),
                         other => return Err(format!("unknown snapshot load flag `{other}`")),
                     }
                 }
@@ -125,7 +107,7 @@ impl SnapshotArgs {
 }
 
 /// Execute a parsed snapshot command, returning the printable output.
-pub fn execute(args: &SnapshotArgs) -> Result<String, String> {
+pub(crate) fn execute(args: &SnapshotArgs) -> Result<String, String> {
     match args {
         SnapshotArgs::Save {
             corpus,

@@ -5,7 +5,7 @@ use banks_browse::RenderedView;
 /// Render a [`RenderedView`] as an aligned ASCII table with a pagination
 /// footer. Link-bearing cells are bracketed so navigation targets are
 /// visible in a terminal.
-pub fn render_text_table(view: &RenderedView) -> String {
+pub(crate) fn render_text_table(view: &RenderedView) -> String {
     let mut widths: Vec<usize> = view.columns.iter().map(|c| c.chars().count()).collect();
     let cells: Vec<Vec<String>> = view
         .rows

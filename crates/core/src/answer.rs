@@ -67,7 +67,7 @@ impl ConnectionTree {
     /// whose root has exactly one child ("the tree formed by removing the
     /// root node would also have been generated, and would be a better
     /// answer").
-    pub fn root_child_count(&self) -> usize {
+    pub(crate) fn root_child_count(&self) -> usize {
         let mut children: Vec<NodeId> = self
             .edges
             .iter()
@@ -100,7 +100,7 @@ impl ConnectionTree {
     /// Schema-level shape signature, used by answer summarization (§7:
     /// "group the output tuples into sets that have the same tree
     /// structure"): the tree with every node replaced by its relation.
-    pub fn shape_signature(&self, tuple_graph: &TupleGraph) -> String {
+    pub(crate) fn shape_signature(&self, tuple_graph: &TupleGraph) -> String {
         fn render(
             node: NodeId,
             children: &BTreeMap<u32, Vec<NodeId>>,
@@ -135,7 +135,7 @@ impl ConnectionTree {
     /// Render the tree as indented text in the style of the paper's
     /// Figure 2: one line per node showing relation and attributes, with
     /// keyword nodes marked `*`.
-    pub fn render(&self, db: &Database, tuple_graph: &TupleGraph) -> String {
+    pub(crate) fn render(&self, db: &Database, tuple_graph: &TupleGraph) -> String {
         let mut children: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
         for &(f, t, _) in &self.edges {
             children.entry(f.0).or_default().push(t);

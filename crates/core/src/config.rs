@@ -65,7 +65,7 @@ impl Default for ScoreParams {
 
 impl ScoreParams {
     /// Validate ranges.
-    pub fn validate(&self) -> BanksResult<()> {
+    pub(crate) fn validate(&self) -> BanksResult<()> {
         if !(0.0..=1.0).contains(&self.lambda) {
             return Err(BanksError::BadConfig(format!(
                 "lambda must be in [0,1], got {}",
@@ -73,38 +73,6 @@ impl ScoreParams {
             )));
         }
         Ok(())
-    }
-
-    /// All eight (edge, node, combine) combinations at a given λ, in a
-    /// stable order — the space the paper's §2.3 enumerates.
-    pub fn all_combinations(lambda: f64) -> Vec<ScoreParams> {
-        let mut out = Vec::with_capacity(8);
-        for edge in [EdgeScoreMode::Linear, EdgeScoreMode::Log] {
-            for node in [NodeScoreMode::Linear, NodeScoreMode::Log] {
-                for combine in [CombineMode::Additive, CombineMode::Multiplicative] {
-                    out.push(ScoreParams {
-                        lambda,
-                        edge_score: edge,
-                        node_score: node,
-                        combine,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// The five combinations the paper actually compares: it "discarded
-    /// three combinations: those that involve log scaling and
-    /// multiplication as these scores tended to become quite small" (§2.3).
-    pub fn retained_combinations(lambda: f64) -> Vec<ScoreParams> {
-        Self::all_combinations(lambda)
-            .into_iter()
-            .filter(|p| {
-                !(p.combine == CombineMode::Multiplicative
-                    && (p.edge_score == EdgeScoreMode::Log || p.node_score == NodeScoreMode::Log))
-            })
-            .collect()
     }
 }
 
@@ -221,7 +189,7 @@ pub struct SearchConfig {
     pub node_weight_in_distance: bool,
     /// Stop expanding once the top `max_results` can no longer change:
     /// every un-generated tree's relevance is bounded above by
-    /// [`crate::score::Scorer::max_relevance_for_weight`] of the frontier
+    /// `crate::score::Scorer::max_relevance_for_weight` of the frontier
     /// distance, and when that bound falls strictly below the worst
     /// retained answer no future tree can enter (or reorder) the output.
     /// The termination is exact — disable only to measure the exhaustive
@@ -292,20 +260,6 @@ mod tests {
         assert_eq!(p.edge_score, EdgeScoreMode::Log);
         assert_eq!(p.combine, CombineMode::Additive);
         assert!(BanksConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn combination_counts_match_paper() {
-        assert_eq!(ScoreParams::all_combinations(0.5).len(), 8);
-        // "we discarded three combinations" → 5 retained.
-        assert_eq!(ScoreParams::retained_combinations(0.5).len(), 5);
-        // Retained multiplicative ones use no log scaling anywhere.
-        for p in ScoreParams::retained_combinations(0.5) {
-            if p.combine == CombineMode::Multiplicative {
-                assert_eq!(p.edge_score, EdgeScoreMode::Linear);
-                assert_eq!(p.node_score, NodeScoreMode::Linear);
-            }
-        }
     }
 
     #[test]

@@ -26,8 +26,9 @@
 
 use crate::config::{GraphConfig, NodeWeightMode};
 use crate::prestige;
-use banks_graph::{FxHashMap, Graph, GraphBuilder, NodeId};
+use banks_graph::{Graph, GraphBuilder, NodeId};
 use banks_storage::{BackRef, Database, Rid, StorageResult};
+use banks_util::fxhash::FxHashMap;
 
 /// The BANKS data graph plus the bijection between graph nodes and tuples.
 #[derive(Debug, Clone)]
@@ -99,7 +100,7 @@ impl TupleGraph {
     /// graph's node count doesn't match the tuple count; a mismatch the
     /// count can't see (an edited database with equal cardinality but a
     /// different per-relation layout) is caught by
-    /// [`TupleGraph::verify_catalog`], which [`crate::Banks::with_graph`]
+    /// `TupleGraph::verify_catalog`, which [`crate::Banks::with_graph`]
     /// runs on every attach.
     ///
     /// [`StorageError::SnapshotMismatch`]: banks_storage::StorageError::SnapshotMismatch
@@ -127,7 +128,7 @@ impl TupleGraph {
     /// on a lazy database — cheap next to an index build, and the
     /// check that stops a same-cardinality-but-different-database
     /// snapshot from being silently accepted.
-    pub fn verify_catalog(&self, db: &Database) -> StorageResult<()> {
+    pub(crate) fn verify_catalog(&self, db: &Database) -> StorageResult<()> {
         use banks_storage::StorageError;
         if self.node_count() != db.total_tuples() {
             return Err(StorageError::SnapshotMismatch {
@@ -180,7 +181,7 @@ impl TupleGraph {
     }
 
     /// Relation id of the tuple behind `node` (raw u32 form).
-    pub fn relation_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn relation_of(&self, node: NodeId) -> u32 {
         self.relation_of[node.index()]
     }
 

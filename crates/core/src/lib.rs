@@ -20,7 +20,7 @@
 //! |---|---|---|
 //! | [`graph_build`] | §2.2 | database → weighted graph (eq. 1 backward weights, prestige) |
 //! | [`query`], [`matching`] | §2.3, §7 | parsing, `Sᵢ` node sets, metadata/approx matching |
-//! | [`score`] | §2.3 | Escore/Nscore normalization, λ combination, early-termination bound |
+//! | `score` | §2.3 | Escore/Nscore normalization, λ combination, early-termination bound |
 //! | [`search`] | §3, §7 | backward expanding search, output heap, forward search — on pooled [`SearchArena`] scratch with exact top-k early termination |
 //! | [`answer`] | §2.3, Fig. 2 | connection trees, duplicate signatures, rendering |
 //! | [`summarize`] | §7 | grouping answers by tree shape |
@@ -112,21 +112,18 @@ pub mod graph_build;
 pub mod matching;
 pub mod prestige;
 pub mod query;
-pub mod score;
+pub(crate) mod score;
 pub mod search;
 pub mod summarize;
 pub mod system;
 
-pub use answer::{Answer, ConnectionTree, TreeSignature};
+pub use answer::{Answer, ConnectionTree};
 pub use config::{
-    BanksConfig, CombineMode, EdgeScoreMode, GraphConfig, MatchConfig, NodeScoreMode,
-    NodeWeightMode, ScoreParams, SearchConfig,
+    BanksConfig, CombineMode, EdgeScoreMode, GraphConfig, NodeScoreMode, NodeWeightMode,
+    ScoreParams,
 };
 pub use error::{BanksError, BanksResult};
 pub use graph_build::{derive_graph, TupleGraph};
-pub use matching::{MatchKind, TermMatch};
 pub use query::{Query, Term};
-pub use score::Scorer;
 pub use search::{SearchArena, SearchOutcome, SearchStats};
-pub use summarize::AnswerGroup;
 pub use system::{Banks, SearchStrategy};

@@ -12,13 +12,14 @@ use crate::config::MatchConfig;
 use crate::error::{BanksError, BanksResult};
 use crate::graph_build::TupleGraph;
 use crate::query::{Query, Term};
-use banks_graph::{FxHashMap, FxHashSet, NodeId};
+use banks_graph::NodeId;
 use banks_storage::{ColumnType, Database, MetadataIndex, MetadataTarget, TextIndex};
+use banks_util::fxhash::{FxHashMap, FxHashSet};
 
 /// Where a term's matches came from — reported for diagnostics and used by
 /// the forward-search heuristic to pick selective terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchKind {
+pub(crate) enum MatchKind {
     /// Matched attribute values through the inverted index.
     Data,
     /// Matched relation/column names.
@@ -31,9 +32,7 @@ pub enum MatchKind {
 
 /// The match set of one term.
 #[derive(Debug, Clone)]
-pub struct TermMatch {
-    /// The term, rendered.
-    pub term: String,
+pub(crate) struct TermMatch {
     /// Matching nodes, deduplicated, in node-id order.
     pub nodes: Vec<NodeId>,
     /// Node relevances below 1.0 (§2.3's node-relevance extension):
@@ -47,7 +46,7 @@ pub struct TermMatch {
 
 impl TermMatch {
     /// Match relevance of one node of this term's set.
-    pub fn relevance(&self, node: NodeId) -> f64 {
+    pub(crate) fn relevance(&self, node: NodeId) -> f64 {
         self.relevances.get(&node.0).copied().unwrap_or(1.0)
     }
 }
@@ -58,7 +57,7 @@ impl TermMatch {
 /// [`MatchConfig::allow_missing_terms`] is set, in which case they are
 /// dropped (§2.3's relaxation). An error is also returned if *no* term
 /// matches anything.
-pub fn match_query(
+pub(crate) fn match_query(
     db: &Database,
     text_index: &TextIndex,
     metadata_index: &MetadataIndex,
@@ -71,7 +70,6 @@ pub fn match_query(
         let m = match_term(db, text_index, metadata_index, tuple_graph, term, config);
         if m.nodes.is_empty() && !config.allow_missing_terms {
             return Ok(vec![TermMatch {
-                term: term.to_string(),
                 nodes: Vec::new(),
                 relevances: FxHashMap::default(),
                 kind: m.kind,
@@ -156,7 +154,6 @@ fn match_term(
     let mut nodes: Vec<NodeId> = nodes.into_iter().collect();
     nodes.sort_unstable();
     TermMatch {
-        term: term.to_string(),
         nodes,
         relevances,
         kind,

@@ -9,8 +9,9 @@
 //! `damping` fraction of its prestige to the tuples it references, split
 //! evenly, on top of a base share of its indegree.
 
-use banks_graph::{FxHashMap, NodeId};
+use banks_graph::NodeId;
 use banks_storage::{Database, Rid};
+use banks_util::fxhash::FxHashMap;
 
 /// Compute authority-transfer prestige for every node.
 ///
@@ -52,7 +53,7 @@ pub fn authority_transfer(
 /// `out_links[i]` the nodes `i` references (one entry per link). Each
 /// node's additions arrive in node order, so the result does not depend
 /// on the order within an `out_links` list.
-pub fn transfer(
+pub(crate) fn transfer(
     base: Vec<f64>,
     out_links: &[Vec<u32>],
     iterations: usize,

@@ -52,7 +52,7 @@ impl Query {
     /// Whitespace separates raw terms; a raw keyword that tokenizes into
     /// several tokens (e.g. `"query-optimization"`) contributes one term
     /// per token, mirroring how the data side is indexed.
-    pub fn parse(text: &str, tokenizer: &Tokenizer) -> BanksResult<Query> {
+    pub(crate) fn parse(text: &str, tokenizer: &Tokenizer) -> BanksResult<Query> {
         let mut terms = Vec::new();
         for raw in text.split_whitespace() {
             if let Some(rest) = strip_approx(raw) {

@@ -17,7 +17,7 @@ use banks_graph::{Graph, NodeId};
 
 /// A relevance scorer bound to one graph (for its normalizers).
 #[derive(Debug, Clone)]
-pub struct Scorer<'g> {
+pub(crate) struct Scorer<'g> {
     graph: &'g Graph,
     params: ScoreParams,
     w_min_edge: f64,
@@ -26,7 +26,7 @@ pub struct Scorer<'g> {
 
 impl<'g> Scorer<'g> {
     /// Create a scorer over `graph` with the given parameters.
-    pub fn new(graph: &'g Graph, params: ScoreParams) -> Scorer<'g> {
+    pub(crate) fn new(graph: &'g Graph, params: ScoreParams) -> Scorer<'g> {
         Scorer {
             graph,
             params,
@@ -35,13 +35,8 @@ impl<'g> Scorer<'g> {
         }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &ScoreParams {
-        &self.params
-    }
-
     /// Normalized score of one edge weight.
-    pub fn edge_score(&self, weight: f64) -> f64 {
+    pub(crate) fn edge_score(&self, weight: f64) -> f64 {
         if !self.w_min_edge.is_finite() || self.w_min_edge <= 0.0 {
             return 0.0;
         }
@@ -61,7 +56,7 @@ impl<'g> Scorer<'g> {
     /// lookup validates the weight bits and falls back to computing, so
     /// the result is bit-identical either way (trees whose edges came
     /// from the search kernel carry exact CSR weights and always hit).
-    pub fn tree_edge_score(&self, tree: &ConnectionTree) -> f64 {
+    pub(crate) fn tree_edge_score(&self, tree: &ConnectionTree) -> f64 {
         let sum: f64 = match self.params.edge_score {
             EdgeScoreMode::Log => tree
                 .edges
@@ -78,7 +73,7 @@ impl<'g> Scorer<'g> {
     }
 
     /// Normalized prestige score of one node, in `[0,1]`.
-    pub fn node_score(&self, node: NodeId) -> f64 {
+    pub(crate) fn node_score(&self, node: NodeId) -> f64 {
         if self.w_max_node <= 0.0 {
             return 0.0;
         }
@@ -96,7 +91,7 @@ impl<'g> Scorer<'g> {
     /// is counted as many times as the number of search terms it
     /// contains"). The root contributes once unless it is itself one of
     /// the keyword nodes (then its term contributions already cover it).
-    pub fn tree_node_score(&self, tree: &ConnectionTree) -> f64 {
+    pub(crate) fn tree_node_score(&self, tree: &ConnectionTree) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
         for &leaf in &tree.keyword_nodes {
@@ -128,7 +123,7 @@ impl<'g> Scorer<'g> {
     /// modes are monotone in `Escore` and `Nscore`. On an edgeless graph
     /// `edge_score` degenerates to 0 and the bound to 1, which simply
     /// never terminates early.
-    pub fn max_relevance_for_weight(&self, min_weight: f64, max_node_score: f64) -> f64 {
+    pub(crate) fn max_relevance_for_weight(&self, min_weight: f64, max_node_score: f64) -> f64 {
         let e = 1.0 / (1.0 + self.edge_score(min_weight));
         let n = max_node_score.clamp(0.0, 1.0);
         let lambda = self.params.lambda;
@@ -147,7 +142,7 @@ impl<'g> Scorer<'g> {
     /// root counted → `N ≤ (ΣMⱼ + 1)/(k+1)`; root a keyword node →
     /// `N ≤ ΣMⱼ/k ≤ (ΣMⱼ + 1)/(k+1)` (since every `Mⱼ ≤ 1`). So the
     /// first form dominates both cases.
-    pub fn max_node_score_for_sets(&self, keyword_sets: &[Vec<NodeId>]) -> f64 {
+    pub(crate) fn max_node_score_for_sets(&self, keyword_sets: &[Vec<NodeId>]) -> f64 {
         let k = keyword_sets.len();
         if k == 0 {
             return 1.0;
@@ -164,7 +159,7 @@ impl<'g> Scorer<'g> {
     }
 
     /// Overall relevance of a tree, combining edge and node scores.
-    pub fn relevance(&self, tree: &ConnectionTree) -> f64 {
+    pub(crate) fn relevance(&self, tree: &ConnectionTree) -> f64 {
         let e = self.tree_edge_score(tree);
         let n = self.tree_node_score(tree);
         let lambda = self.params.lambda;

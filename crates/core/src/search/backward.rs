@@ -21,9 +21,8 @@ use crate::graph_build::TupleGraph;
 use crate::score::Scorer;
 use crate::search::output_heap::OutputHeap;
 use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats};
-use banks_graph::{
-    CrossScratch, Dijkstra, Direction, FxHashMap, FxHashSet, NodeId, OriginListPool, SearchArena,
-};
+use banks_graph::{CrossScratch, Dijkstra, Direction, NodeId, OriginListPool, SearchArena};
+use banks_util::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -71,7 +70,7 @@ pub(super) enum DupState {
 ///
 /// `keyword_sets[i]` is the node set `Sᵢ` for term `i`; `excluded_roots`
 /// holds relation ids whose tuples may not be information nodes.
-pub fn backward_search_in(
+pub(crate) fn backward_search_in(
     arena: &mut SearchArena,
     tuple_graph: &TupleGraph,
     scorer: &Scorer<'_>,
@@ -276,10 +275,9 @@ impl<'a, 'g> AnswerSink<'a, 'g> {
     ) {
         let base = self.lists.ensure(u.0);
 
-        // Record the other terms' origin lists for the cross product —
-        // borrowed straight from the flattened pool where the old kernel
-        // cloned each `Vec<u32>` (the pool append below only touches
-        // `term`'s own list).
+        // Record the other terms' origin lists for the cross product,
+        // borrowed straight from the flattened pool (the pool append
+        // below only touches `term`'s own list).
         self.cross.clear_dims();
         let mut all_nonempty = true;
         for j in 0..self.n_terms {
@@ -291,7 +289,6 @@ impl<'a, 'g> AnswerSink<'a, 'g> {
                 all_nonempty = false;
                 break;
             }
-            self.stats.clone_bytes_saved += len * std::mem::size_of::<u32>();
             self.cross.push_dim(j, self.lists.head(base, j), len);
         }
         // "Insert origin in u.Lᵢ" — after the cross product snapshot.
@@ -911,21 +908,5 @@ mod tests {
             assert!(early.stats.pops <= exhaustive.stats.pops);
             assert_eq!(exhaustive.stats.early_terminations, 0);
         }
-    }
-
-    #[test]
-    fn flattened_lists_count_saved_clone_bytes() {
-        let f = fixture();
-        let soumen = author_node(&f, "SoumenC");
-        let sunita = author_node(&f, "SunitaS");
-        let outcome = run(
-            &f,
-            vec![vec![soumen], vec![sunita]],
-            &SearchConfig::default(),
-        );
-        assert!(
-            outcome.stats.clone_bytes_saved > 0,
-            "cross products borrowed lists the old kernel would clone"
-        );
     }
 }

@@ -28,7 +28,8 @@ use crate::score::Scorer;
 use crate::search::backward::{self, DupState};
 use crate::search::output_heap::OutputHeap;
 use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats};
-use banks_graph::{Dijkstra, Direction, FxHashMap, FxHashSet, NodeId, SearchArena};
+use banks_graph::{Dijkstra, Direction, NodeId, SearchArena};
+use banks_util::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -62,8 +63,8 @@ impl Ord for IterEntry {
 }
 
 /// Run forward search on a caller-owned [`SearchArena`]. Same contract
-/// as [`crate::search::backward_search_in`].
-pub fn forward_search_in(
+/// as [`backward::backward_search_in`].
+pub(crate) fn forward_search_in(
     arena: &mut SearchArena,
     tuple_graph: &TupleGraph,
     scorer: &Scorer<'_>,

@@ -6,20 +6,20 @@
 //! so the kernel's Dijkstra state tables, origin lists and cross-product
 //! buffers are recycled instead of reallocated per query.
 
-pub mod backward;
-pub mod forward;
-pub mod output_heap;
+pub(crate) mod backward;
+pub(crate) mod forward;
+mod output_heap;
 
-pub use backward::backward_search_in;
 pub use banks_graph::SearchArena;
-pub use forward::forward_search_in;
-pub use output_heap::OutputHeap;
+
+use output_heap::OutputHeap;
 
 use crate::answer::{Answer, ConnectionTree};
 use crate::config::SearchConfig;
 use crate::graph_build::TupleGraph;
 use crate::score::Scorer;
-use banks_graph::{FxHashSet, NodeId};
+use banks_graph::NodeId;
+use banks_util::fxhash::FxHashSet;
 
 /// Counters describing one search execution, for diagnostics, tests and
 /// the evaluation harness.
@@ -53,9 +53,6 @@ pub struct SearchStats {
     /// 1 when the expansion stopped via the top-k relevance bound instead
     /// of exhausting its iterators or budgets.
     pub early_terminations: usize,
-    /// Bytes of origin-list cloning the flattened arena pool avoided
-    /// (the old kernel cloned every other-term list per visited node).
-    pub clone_bytes_saved: usize,
     /// Bytes pinned by the caller's [`SearchArena`] pools after this
     /// query (post shrink-policy). Excluded from equality.
     pub arena_retained_bytes: usize,
@@ -83,7 +80,6 @@ impl PartialEq for SearchStats {
             && self.duplicates_replaced == other.duplicates_replaced
             && self.cross_product_truncations == other.cross_product_truncations
             && self.early_terminations == other.early_terminations
-            && self.clone_bytes_saved == other.clone_bytes_saved
     }
 }
 

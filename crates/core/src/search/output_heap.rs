@@ -16,7 +16,7 @@ use crate::answer::{Answer, TreeSignature};
 
 /// Fixed-capacity relevance buffer.
 #[derive(Debug, Clone)]
-pub struct OutputHeap {
+pub(crate) struct OutputHeap {
     capacity: usize,
     entries: Vec<(Answer, TreeSignature)>,
     /// Bumped on every content change, so the early-termination cutoff
@@ -26,7 +26,7 @@ pub struct OutputHeap {
 
 impl OutputHeap {
     /// Create a buffer holding at most `capacity` answers.
-    pub fn new(capacity: usize) -> OutputHeap {
+    pub(crate) fn new(capacity: usize) -> OutputHeap {
         assert!(capacity >= 1, "output heap capacity must be >= 1");
         OutputHeap {
             capacity,
@@ -36,7 +36,7 @@ impl OutputHeap {
     }
 
     /// Monotone content-change counter.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
@@ -44,7 +44,7 @@ impl OutputHeap {
     /// when fewer than `k` answers are buffered. This is the
     /// early-termination cutoff: with `k` answers still owed, a future
     /// tree must beat this value to alter the final output.
-    pub fn kth_best_relevance(&self, k: usize) -> Option<f64> {
+    pub(crate) fn kth_best_relevance(&self, k: usize) -> Option<f64> {
         if k == 0 || self.entries.len() < k {
             return None;
         }
@@ -54,18 +54,18 @@ impl OutputHeap {
     }
 
     /// Number of buffered answers.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Insert an answer. If the buffer overflows, the highest-relevance
     /// answer (which may be the new one) is emitted and returned.
-    pub fn push(&mut self, answer: Answer, sig: TreeSignature) -> Option<(Answer, TreeSignature)> {
+    pub(crate) fn push(
+        &mut self,
+        answer: Answer,
+        sig: TreeSignature,
+    ) -> Option<(Answer, TreeSignature)> {
         self.version += 1;
         self.entries.push((answer, sig));
         if self.entries.len() <= self.capacity {
@@ -76,7 +76,7 @@ impl OutputHeap {
     }
 
     /// Relevance of the buffered answer with the given signature.
-    pub fn relevance_of(&self, sig: &TreeSignature) -> Option<f64> {
+    pub(crate) fn relevance_of(&self, sig: &TreeSignature) -> Option<f64> {
         self.entries
             .iter()
             .find(|(_, s)| s == sig)
@@ -84,7 +84,7 @@ impl OutputHeap {
     }
 
     /// Remove the buffered answer with the given signature.
-    pub fn remove(&mut self, sig: &TreeSignature) -> Option<Answer> {
+    pub(crate) fn remove(&mut self, sig: &TreeSignature) -> Option<Answer> {
         let idx = self.entries.iter().position(|(_, s)| s == sig)?;
         self.version += 1;
         Some(self.entries.swap_remove(idx).0)
@@ -112,7 +112,7 @@ impl OutputHeap {
     /// Drain all remaining answers in decreasing relevance order ("when all
     /// answers have been generated, the remaining trees in the heap are
     /// output in decreasing order of relevance").
-    pub fn drain_sorted(mut self) -> Vec<(Answer, TreeSignature)> {
+    pub(crate) fn drain_sorted(mut self) -> Vec<(Answer, TreeSignature)> {
         self.entries.sort_by(|(a, _), (b, _)| {
             b.relevance
                 .total_cmp(&a.relevance)

@@ -26,7 +26,11 @@ pub struct AnswerGroup {
 }
 
 /// Group `answers` by tree shape, ordered by best member relevance.
-pub fn summarize(db: &Database, tuple_graph: &TupleGraph, answers: &[Answer]) -> Vec<AnswerGroup> {
+pub(crate) fn summarize(
+    db: &Database,
+    tuple_graph: &TupleGraph,
+    answers: &[Answer],
+) -> Vec<AnswerGroup> {
     let mut order: Vec<String> = Vec::new();
     let mut groups: HashMap<String, AnswerGroup> = HashMap::new();
     for answer in answers {

@@ -8,10 +8,13 @@ use crate::graph_build::TupleGraph;
 use crate::matching::{match_query, TermMatch};
 use crate::query::Query;
 use crate::score::Scorer;
-use crate::search::{backward_search_in, forward_search_in, SearchArena, SearchOutcome};
+use crate::search::backward::backward_search_in;
+use crate::search::forward::forward_search_in;
+use crate::search::{SearchArena, SearchOutcome};
 use crate::summarize::{summarize, AnswerGroup};
-use banks_graph::{FxHashSet, NodeId};
+use banks_graph::NodeId;
 use banks_storage::{Database, MetadataIndex, TextIndex, Tokenizer};
+use banks_util::fxhash::FxHashSet;
 
 /// §2.3's node-relevance extension: when some keyword node matched only
 /// approximately, scale each answer's relevance by the mean match
@@ -108,7 +111,7 @@ impl Banks {
     ///
     /// The graph must describe exactly this database (one node per tuple
     /// in scan order); node count **and** per-relation catalog layout are
-    /// verified via [`TupleGraph::verify_catalog`], and a mismatched
+    /// verified via `TupleGraph::verify_catalog`, and a mismatched
     /// snapshot is rejected with the typed
     /// [`BanksError::SnapshotMismatch`](crate::BanksError::SnapshotMismatch).
     pub fn with_graph(
@@ -203,7 +206,9 @@ impl Banks {
     /// cross-product scratch are then recycled instead of reallocated,
     /// and since a state is sized by the nodes it touches, they serve a
     /// snapshot of any graph size. Results are bit-identical to the
-    /// fresh-allocation path.
+    /// fresh-allocation path. A `config` that fails
+    /// [`BanksConfig::validate`] is rejected with
+    /// [`BanksError::BadConfig`](crate::BanksError::BadConfig).
     pub fn search_parsed_in(
         &self,
         query: &Query,
@@ -211,6 +216,7 @@ impl Banks {
         config: &BanksConfig,
         arena: &mut SearchArena,
     ) -> BanksResult<SearchOutcome> {
+        config.validate()?;
         let span = arena.spans.begin();
         let matches = self.match_terms(query, config)?;
         arena.spans.end("match", 0, span);
@@ -252,7 +258,11 @@ impl Banks {
     }
 
     /// Match query terms to node sets without running the search.
-    pub fn match_terms(&self, query: &Query, config: &BanksConfig) -> BanksResult<Vec<TermMatch>> {
+    pub(crate) fn match_terms(
+        &self,
+        query: &Query,
+        config: &BanksConfig,
+    ) -> BanksResult<Vec<TermMatch>> {
         match_query(
             &self.db,
             &self.text_index,
@@ -433,6 +443,15 @@ mod tests {
         let banks = Banks::new(dblp()).unwrap();
         let answers = banks.search("soumen xyzzy").unwrap();
         assert!(answers.is_empty());
+    }
+
+    #[test]
+    fn invalid_per_call_config_is_rejected() {
+        let banks = Banks::new(dblp()).unwrap();
+        let mut config = banks.config().clone();
+        config.search.output_heap_size = 0;
+        let result = banks.search_with("soumen sunita", SearchStrategy::Backward, &config);
+        assert!(matches!(result, Err(crate::BanksError::BadConfig(_))));
     }
 
     #[test]

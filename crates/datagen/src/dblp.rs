@@ -446,7 +446,6 @@ fn plant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banks_storage::stats::DatabaseStats;
 
     #[test]
     fn deterministic_generation() {
@@ -465,12 +464,12 @@ mod tests {
     #[test]
     fn tiny_counts_in_expected_range() {
         let d = generate(DblpConfig::tiny(1)).unwrap();
-        let stats = DatabaseStats::gather(&d.db);
-        assert!(stats.total_tuples > 400, "got {}", stats.total_tuples);
-        assert!(stats.total_tuples < 1200, "got {}", stats.total_tuples);
+        let total = d.db.total_tuples();
+        assert!(total > 400, "got {total}");
+        assert!(total < 1200, "got {total}");
         // All four relations populated.
-        for r in &stats.relations {
-            assert!(r.tuples > 0, "{} empty", r.name);
+        for table in d.db.relations() {
+            assert!(!table.is_empty(), "{} empty", table.schema().name);
         }
     }
 

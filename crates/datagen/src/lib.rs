@@ -32,6 +32,6 @@ pub mod tpcd;
 pub mod zipf;
 
 pub use dblp::{DblpConfig, DblpDataset, DblpPlanted};
-pub use stream::{StreamConfig, StreamCounts, StreamManifest};
-pub use thesis::{ThesisConfig, ThesisDataset, ThesisPlanted};
-pub use tpcd::{TpcdConfig, TpcdDataset, TpcdPlanted};
+pub use stream::{StreamConfig, StreamCounts};
+pub use thesis::{ThesisConfig, ThesisDataset};
+pub use tpcd::TpcdConfig;

@@ -220,7 +220,7 @@ pub const TITLE_WORDS: &[&str] = &[
 
 /// Department names for the thesis database (the planted "Computer Science
 /// and Engineering" department is added separately by the generator).
-pub const DEPARTMENTS: &[&str] = &[
+pub(crate) const DEPARTMENTS: &[&str] = &[
     "Electrical Power Systems",
     "Mechanical Design",
     "Civil Structures",
@@ -234,10 +234,10 @@ pub const DEPARTMENTS: &[&str] = &[
 ];
 
 /// Degree programs for the thesis database.
-pub const PROGRAMS: &[&str] = &["MTech", "PhD", "Dual Degree", "MS by Research"];
+pub(crate) const PROGRAMS: &[&str] = &["MTech", "PhD", "Dual Degree", "MS by Research"];
 
 /// Part-name words for the TPC-D-style catalog.
-pub const PART_WORDS: &[&str] = &[
+pub(crate) const PART_WORDS: &[&str] = &[
     "anodized",
     "brushed",
     "burnished",
@@ -259,7 +259,7 @@ pub const PART_WORDS: &[&str] = &[
 ];
 
 /// Part-kind words for the TPC-D-style catalog.
-pub const PART_KINDS: &[&str] = &[
+pub(crate) const PART_KINDS: &[&str] = &[
     "bearing", "bolt", "bracket", "casing", "coupling", "flange", "gasket", "gear", "housing",
     "pin", "pulley", "rivet", "rotor", "shaft", "spring", "valve", "washer", "widget",
 ];

@@ -31,7 +31,7 @@
 //! `shard-NNNNN.tsv` files of `Table\tvalue\tvalue` lines in deterministic
 //! order. [`build_database`] streams the shards back into a
 //! [`Database`], [`stage_rows`] into the bundle writer's staging arena;
-//! [`for_each_row`] exposes the raw stream for consumers
+//! `for_each_row` exposes the raw stream for consumers
 //! that want to batch rows themselves.
 
 use crate::names::{FIRST_NAMES, LAST_NAMES, TITLE_WORDS};
@@ -41,13 +41,13 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Manifest file name inside a stream-corpus directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
+pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 /// First line of a valid manifest.
-pub const MANIFEST_MAGIC: &str = "banks-stream v1";
+pub(crate) const MANIFEST_MAGIC: &str = "banks-stream v1";
 /// Default rows per shard file.
 pub const DEFAULT_SHARD_TUPLES: u64 = 250_000;
 /// Smallest total the proportional split supports.
-pub const MIN_TUPLES: u64 = 64;
+pub(crate) const MIN_TUPLES: u64 = 64;
 
 /// Size knobs for the streaming generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,7 +117,7 @@ impl StreamCounts {
     }
 
     /// Total rows across all tables.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.authors + self.papers + self.writes + self.cites
     }
 }
@@ -180,7 +180,7 @@ fn paper_id(i: u64) -> String {
 }
 
 /// `Author` row `i` as `(AuthorId, AuthorName)`.
-pub fn author_row(seed: u64, i: u64) -> (String, String) {
+pub(crate) fn author_row(seed: u64, i: u64) -> (String, String) {
     let name = match i {
         0 => "Soumen Chakrabarti".into(),
         1 => "Sunita Sarawagi".into(),
@@ -198,7 +198,7 @@ pub fn author_row(seed: u64, i: u64) -> (String, String) {
 }
 
 /// `Paper` row `i` as `(PaperId, PaperName)`.
-pub fn paper_row(seed: u64, i: u64) -> (String, String) {
+pub(crate) fn paper_row(seed: u64, i: u64) -> (String, String) {
     if i == 0 {
         return (
             paper_id(0),
@@ -217,7 +217,7 @@ pub fn paper_row(seed: u64, i: u64) -> (String, String) {
 }
 
 /// `Writes` row `j` as `(AuthorId, PaperId)`.
-pub fn writes_row(seed: u64, counts: &StreamCounts, j: u64) -> (String, String) {
+pub(crate) fn writes_row(seed: u64, counts: &StreamCounts, j: u64) -> (String, String) {
     if j == 0 {
         return ("SoumenC".into(), "ChakrabartiSD98".into());
     }
@@ -234,7 +234,7 @@ pub fn writes_row(seed: u64, counts: &StreamCounts, j: u64) -> (String, String) 
 }
 
 /// `Cites` row `i` as `(Citing, Cited)`.
-pub fn cites_row(seed: u64, counts: &StreamCounts, i: u64) -> (String, String) {
+pub(crate) fn cites_row(seed: u64, counts: &StreamCounts, i: u64) -> (String, String) {
     let citing = 1 + i % (counts.papers - 1);
     let k = i / (counts.papers - 1);
     // Walk a run through the other synthetic papers: a range of size
@@ -248,7 +248,11 @@ pub fn cites_row(seed: u64, counts: &StreamCounts, i: u64) -> (String, String) {
 
 /// Global row `i` (over the concatenated table order Author, Paper,
 /// Writes, Cites) as `(table, column 0, column 1)`.
-pub fn global_row(seed: u64, counts: &StreamCounts, i: u64) -> (&'static str, String, String) {
+pub(crate) fn global_row(
+    seed: u64,
+    counts: &StreamCounts,
+    i: u64,
+) -> (&'static str, String, String) {
     let mut at = i;
     if at < counts.authors {
         let (a, b) = author_row(seed, at);
@@ -372,7 +376,7 @@ pub fn read_manifest(dir: &Path) -> Result<StreamManifest, String> {
 
 /// Stream every row of the corpus under `dir`, one shard at a time, in
 /// generation order. The callback gets `(table, column 0, column 1)`.
-pub fn for_each_row<F>(dir: &Path, manifest: &StreamManifest, mut f: F) -> Result<(), String>
+pub(crate) fn for_each_row<F>(dir: &Path, manifest: &StreamManifest, mut f: F) -> Result<(), String>
 where
     F: FnMut(&str, &str, &str) -> Result<(), String>,
 {

@@ -88,7 +88,7 @@ pub struct ThesisDataset {
 }
 
 /// Create the thesis schema in a fresh database.
-pub fn thesis_schema() -> StorageResult<Database> {
+pub(crate) fn thesis_schema() -> StorageResult<Database> {
     let mut db = Database::new("thesis");
     db.create_relation(
         RelationSchema::builder("Department")

@@ -67,7 +67,7 @@ pub struct TpcdDataset {
 }
 
 /// Create the schema in a fresh database.
-pub fn tpcd_schema() -> StorageResult<Database> {
+pub(crate) fn tpcd_schema() -> StorageResult<Database> {
     let mut db = Database::new("tpcd");
     db.create_relation(
         RelationSchema::builder("Part")

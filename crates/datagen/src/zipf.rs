@@ -17,7 +17,7 @@ pub struct Zipf {
 
 impl Zipf {
     /// Build a sampler over `n ≥ 1` ranks with exponent `s ≥ 0`.
-    pub fn new(n: usize, s: f64) -> Zipf {
+    pub(crate) fn new(n: usize, s: f64) -> Zipf {
         assert!(n >= 1, "Zipf needs at least one rank");
         assert!(s >= 0.0 && s.is_finite(), "exponent must be finite, ≥ 0");
         let mut cumulative = Vec::with_capacity(n);
@@ -40,7 +40,7 @@ impl Zipf {
     }
 
     /// Draw one rank in `0..n`.
-    pub fn sample(&self, rng: &mut Rng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let x = rng.next_f64() * total;
         match self

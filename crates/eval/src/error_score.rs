@@ -13,15 +13,15 @@ use crate::workload::WorkloadQuery;
 use banks_core::{Answer, Banks};
 
 /// Number of answers examined per query (the paper stops at 10).
-pub const ANSWERS_EXAMINED: usize = 10;
+pub(crate) const ANSWERS_EXAMINED: usize = 10;
 
 /// Rank assigned to an ideal answer missing from the top
 /// [`ANSWERS_EXAMINED`] (one past the end).
-pub const MISSING_RANK: usize = ANSWERS_EXAMINED + 1;
+pub(crate) const MISSING_RANK: usize = ANSWERS_EXAMINED + 1;
 
 /// Error of a single query at one parameter setting.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueryError {
+pub(crate) struct QueryError {
     /// Query id.
     pub query: String,
     /// Raw error: Σ |ideal rank − actual rank|.
@@ -35,7 +35,7 @@ pub struct QueryError {
 }
 
 /// Score one ranked answer list against a query's ideals.
-pub fn score_query(banks: &Banks, query: &WorkloadQuery, answers: &[Answer]) -> QueryError {
+pub(crate) fn score_query(banks: &Banks, query: &WorkloadQuery, answers: &[Answer]) -> QueryError {
     let examined = &answers[..answers.len().min(ANSWERS_EXAMINED)];
     let mut used = vec![false; examined.len()];
     let mut actual_ranks = Vec::with_capacity(query.ideals.len());
@@ -73,7 +73,7 @@ pub fn score_query(banks: &Banks, query: &WorkloadQuery, answers: &[Answer]) -> 
 }
 
 /// Average scaled error over a workload.
-pub fn average_scaled_error(errors: &[QueryError]) -> f64 {
+pub(crate) fn average_scaled_error(errors: &[QueryError]) -> f64 {
     if errors.is_empty() {
         return 0.0;
     }

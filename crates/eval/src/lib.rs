@@ -14,18 +14,17 @@
 //!
 //! The workload ([`workload`]) instantiates the paper's seven query
 //! classes against the synthetic corpora of `banks-datagen`; the error
-//! metric ([`error_score`]) is the paper's scaled rank-difference score.
+//! metric (`error_score`) is the paper's scaled rank-difference score.
 
 pub mod anecdotes;
-pub mod error_score;
+pub(crate) mod error_score;
 pub mod fig5;
 pub mod scale;
 pub mod spacetime;
 pub mod workload;
 
-pub use anecdotes::{run_anecdotes, AnecdoteOutcome};
-pub use error_score::{average_scaled_error, score_query, QueryError, ANSWERS_EXAMINED};
-pub use fig5::{run_fig5, run_heap_sweep, Fig5Cell, Fig5Report, HeapSweepRow};
-pub use scale::{run_scale_sweep, ScalePoint};
-pub use spacetime::{run_spacetime, QueryTiming, SpaceTimeReport};
-pub use workload::{dblp_workload, AnswerMatcher, IdealAnswer, QueryClass, WorkloadQuery};
+pub use anecdotes::run_anecdotes;
+pub use fig5::{run_fig5, run_heap_sweep};
+pub use scale::run_scale_sweep;
+pub use spacetime::run_spacetime;
+pub use workload::{dblp_workload, WorkloadQuery};

@@ -53,7 +53,7 @@ pub struct SpaceTimeReport {
 
 impl SpaceTimeReport {
     /// Median query latency in milliseconds.
-    pub fn median_query_ms(&self) -> f64 {
+    pub(crate) fn median_query_ms(&self) -> f64 {
         let mut times: Vec<f64> = self.queries.iter().map(|q| q.millis).collect();
         times.sort_by(f64::total_cmp);
         if times.is_empty() {

@@ -11,7 +11,7 @@
 //!   holding only the nodes the iterator touched. A bucket is 16 bytes.
 //!   Relaxing an edge is one table probe; clearing the state for the
 //!   next iterator keeps its allocation. The distance queue is a
-//!   recycled 4-ary heap of 12-byte entries ([`crate::heap::DistHeap`]).
+//!   recycled 4-ary heap of 12-byte entries (`crate::heap::DistHeap`).
 //! * [`OriginListPool`] — the per-node, per-term origin lists (`u.Lᵢ` in
 //!   the paper) flattened into one entry pool of forward-linked lists, so
 //!   visiting a node allocates nothing.
@@ -23,9 +23,9 @@
 //! state has no notion of graph size, so one arena safely outlives
 //! live-ingestion publishes that grow or shrink the graph.
 
-use crate::fxhash::FxHashMap;
 use crate::graph::NodeId;
 use crate::heap::DistHeap;
+use banks_util::fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
 use std::mem::size_of;
 
@@ -93,7 +93,7 @@ pub struct DijkstraState {
 
 impl DijkstraState {
     /// An empty state; it serves a graph of any size.
-    pub fn new() -> DijkstraState {
+    pub(crate) fn new() -> DijkstraState {
         DijkstraState::default()
     }
 
@@ -270,7 +270,7 @@ impl OriginListPool {
     /// buffer to at most `max_entries` entries, so one broad query does
     /// not pin its high-water mark in a long-lived worker arena forever.
     /// Called at the end of a search — the next query `reset`s anyway.
-    pub fn shrink(&mut self, max_entries: usize) {
+    pub(crate) fn shrink(&mut self, max_entries: usize) {
         self.node_base.clear();
         self.heads.clear();
         self.tails.clear();
@@ -336,7 +336,7 @@ impl CrossScratch {
     }
 
     /// Bytes retained by the scratch buffers.
-    pub fn retained_bytes(&self) -> usize {
+    pub(crate) fn retained_bytes(&self) -> usize {
         (self.terms.capacity() + self.counter.capacity()) * size_of::<usize>()
             + (self.heads.capacity() + self.cursors.capacity()) * size_of::<u32>()
             + self.lens.capacity() * size_of::<usize>()
@@ -346,9 +346,9 @@ impl CrossScratch {
 }
 
 /// Idle [`DijkstraState`] blocks, at most
-/// [`SearchArena::MAX_IDLE_STATES`] of them: recycling into a full pool
+/// `SearchArena::MAX_IDLE_STATES` of them: recycling into a full pool
 /// frees the block instead, and every retained block is shrunk to
-/// [`SearchArena::RETAINED_STATE_ENTRIES`].
+/// `SearchArena::RETAINED_STATE_ENTRIES`.
 #[derive(Debug, Default)]
 pub struct StatePool {
     idle: Vec<DijkstraState>,
@@ -359,7 +359,7 @@ pub struct StatePool {
 impl StatePool {
     /// Take a block, reusing an idle one when available. The block is
     /// cleared by [`crate::Dijkstra::new_in`].
-    pub fn checkout(&mut self) -> DijkstraState {
+    pub(crate) fn checkout(&mut self) -> DijkstraState {
         match self.idle.pop() {
             Some(state) => {
                 self.states_reused += 1;
@@ -374,7 +374,7 @@ impl StatePool {
 
     /// Return a block (dropped once the pool is full; the retained
     /// table and queue are clamped by the shrink policy).
-    pub fn recycle(&mut self, mut state: DijkstraState) {
+    pub(crate) fn recycle(&mut self, mut state: DijkstraState) {
         if self.idle.len() < SearchArena::MAX_IDLE_STATES {
             state.shrink(SearchArena::RETAINED_STATE_ENTRIES);
             self.idle.push(state);
@@ -382,7 +382,8 @@ impl StatePool {
     }
 
     /// Number of idle pooled blocks.
-    pub fn pooled_states(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pooled_states(&self) -> usize {
         self.idle.len()
     }
 
@@ -392,7 +393,7 @@ impl StatePool {
     }
 
     /// Bytes retained by the idle blocks.
-    pub fn retained_bytes(&self) -> usize {
+    pub(crate) fn retained_bytes(&self) -> usize {
         self.idle.iter().map(DijkstraState::retained_bytes).sum()
     }
 }
@@ -402,7 +403,7 @@ impl StatePool {
 /// The serving layer arms the token with the request's absolute
 /// deadline before dispatching a search; the expansion loops poll
 /// [`DeadlineToken::expired`] once per pop. A poll reads the monotonic
-/// clock only every [`DeadlineToken::POLL_INTERVAL`] calls, so the hot
+/// clock only every `DeadlineToken::POLL_INTERVAL` calls, so the hot
 /// loop pays one decrement-and-branch per pop. Unarmed (the default),
 /// every poll is `false` — searches outside a server never expire.
 #[derive(Debug, Default)]
@@ -415,7 +416,7 @@ pub struct DeadlineToken {
 impl DeadlineToken {
     /// Polls between clock reads. At BANKS pop rates (millions/s) this
     /// bounds deadline overshoot to well under a millisecond.
-    pub const POLL_INTERVAL: u32 = 256;
+    pub(crate) const POLL_INTERVAL: u32 = 256;
 
     /// Arm with an absolute deadline (`None` disarms). Resets the
     /// sticky expired flag; the first poll after arming reads the
@@ -462,9 +463,9 @@ impl DeadlineToken {
 /// origin, so a query's transient state is O(nodes touched), summed over
 /// its iterators. So that one broad query cannot permanently inflate a
 /// long-lived worker, the idle pool retains at most
-/// [`SearchArena::MAX_IDLE_STATES`] blocks — excess blocks are freed on
+/// `SearchArena::MAX_IDLE_STATES` blocks — excess blocks are freed on
 /// recycle — and each retained block is shrunk to
-/// [`SearchArena::RETAINED_STATE_ENTRIES`].
+/// `SearchArena::RETAINED_STATE_ENTRIES`.
 #[derive(Debug, Default)]
 pub struct SearchArena {
     /// Per-query trace spans. Disabled by default (one branch per probe
@@ -491,17 +492,17 @@ impl SearchArena {
     /// block instead, bounding the pool at ~2.9 MiB (this cap × one
     /// shrunk block) whatever the graph size and however broad the
     /// keyword set.
-    pub const MAX_IDLE_STATES: usize = 32;
+    pub(crate) const MAX_IDLE_STATES: usize = 32;
 
     /// Node-table and distance-queue entries a recycled block keeps (its
     /// shrink policy): 2 K entries, a table of 4 K 16-byte buckets plus
     /// their control bytes (~68 KiB) and 24 KiB of queue.
-    pub const RETAINED_STATE_ENTRIES: usize = 1 << 11;
+    pub(crate) const RETAINED_STATE_ENTRIES: usize = 1 << 11;
 
     /// Origin-list pool entries retained between queries: 512 KiB of
     /// list cells, 768 KiB of per-node head/tail/length lanes and a
     /// node table of up to 128 K 8-byte buckets (~1.1 MiB).
-    pub const RETAINED_LIST_ENTRIES: usize = 1 << 16;
+    pub(crate) const RETAINED_LIST_ENTRIES: usize = 1 << 16;
 
     /// Take a state block from [`SearchArena::states`].
     pub fn checkout(&mut self) -> DijkstraState {

@@ -127,7 +127,8 @@ impl<'g> Dijkstra<'g> {
     }
 
     /// Number of nodes settled so far.
-    pub fn settled_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn settled_count(&self) -> usize {
         self.state.settled_count()
     }
 
@@ -163,21 +164,24 @@ impl<'g> Dijkstra<'g> {
         self.state.heap.peek().map(|(dist, _)| dist)
     }
 
-    /// Reconstruct the traversal path from `node` back to the origin as a
-    /// list of `(from, to, weight)` *graph* edges (i.e. already oriented
-    /// the way they exist in the graph, regardless of traversal direction).
-    ///
-    /// With `Direction::Reverse`, the returned edges form the forward path
-    /// `node → … → origin`, which is exactly the root-to-leaf path of a
-    /// BANKS connection tree. Returns `None` if `node` is unsettled.
-    pub fn path_edges(&self, node: NodeId) -> Option<Vec<(NodeId, NodeId, f64)>> {
+    /// [`Dijkstra::path_edges_into`] into a fresh buffer; `None` if
+    /// `node` is unsettled.
+    #[cfg(test)]
+    pub(crate) fn path_edges(&self, node: NodeId) -> Option<Vec<(NodeId, NodeId, f64)>> {
         let mut edges = Vec::new();
         self.path_edges_into(node, &mut edges).then_some(edges)
     }
 
-    /// As [`Dijkstra::path_edges`], appending into a caller-owned buffer
-    /// (the cross-product enumerator reuses one buffer for every tree).
-    /// Returns `false` — appending nothing — if `node` is unsettled.
+    /// Append the traversal path from `node` back to the origin to `out`
+    /// as a list of `(from, to, weight)` *graph* edges (i.e. already
+    /// oriented the way they exist in the graph, regardless of traversal
+    /// direction). The cross-product enumerator reuses one buffer for
+    /// every tree. Returns `false` — appending nothing — if `node` is
+    /// unsettled.
+    ///
+    /// With `Direction::Reverse`, the edges form the forward path
+    /// `node → … → origin`, which is exactly the root-to-leaf path of a
+    /// BANKS connection tree.
     ///
     /// Each hop's weight is read back from the parent's adjacency: the
     /// first edge to the child whose `dist(parent) + w` equals the
@@ -263,6 +267,7 @@ mod tests {
     use super::*;
     use crate::arena::SearchArena;
     use crate::graph::GraphBuilder;
+    use proptest::prelude::*;
 
     /// a →1 b →1 c →1 d, plus shortcut a →2.5 c
     fn chain() -> (Graph, [NodeId; 4]) {
@@ -522,7 +527,6 @@ mod tests {
 
     mod prop {
         use super::*;
-        use proptest::prelude::*;
 
         /// Weights chosen so that ties abound: repeats, a zero, and a
         /// 1e-17 that vanishes when added to anything near 1, so
@@ -600,5 +604,113 @@ mod tests {
         }
         arena.recycle(reused.into_state());
         assert_eq!(arena.states.pooled_states(), 1);
+    }
+
+    /// Nodes reachable from `start` following forward edges (including
+    /// `start`). Plain BFS: the oracle for Dijkstra coverage.
+    fn reachable_from(graph: &Graph, start: NodeId) -> Vec<NodeId> {
+        let mut seen = vec![false; graph.node_count()];
+        let mut queue = std::collections::VecDeque::new();
+        seen[start.index()] = true;
+        queue.push_back(start);
+        let mut out = Vec::new();
+        while let Some(v) = queue.pop_front() {
+            out.push(v);
+            for (nbr, _) in graph.out_edges(v) {
+                if !seen[nbr.index()] {
+                    seen[nbr.index()] = true;
+                    queue.push_back(nbr);
+                }
+            }
+        }
+        out
+    }
+
+    /// Random-graph strategy: up to 24 nodes, arbitrary edges with small
+    /// positive weights.
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (2usize..24).prop_flat_map(|n| {
+            proptest::collection::vec((0..n, 0..n, 1u32..10), 0..80).prop_map(move |edges| {
+                let mut b = GraphBuilder::new();
+                let ids: Vec<_> = (0..n).map(|_| b.add_node(1.0)).collect();
+                for (f, t, w) in edges {
+                    b.add_edge(ids[f], ids[t], w as f64);
+                }
+                b.build()
+            })
+        })
+    }
+
+    proptest! {
+        /// Dijkstra settles exactly the BFS-reachable set, in
+        /// nondecreasing distance order.
+        #[test]
+        fn dijkstra_matches_bfs_reachability(g in arb_graph()) {
+            let start = NodeId(0);
+            let visits: Vec<_> = Dijkstra::new(&g, start, Direction::Forward).collect();
+            let mut reach: Vec<_> = reachable_from(&g, start);
+            reach.sort();
+            let mut settled: Vec<_> = visits.iter().map(|v| v.node).collect();
+            settled.sort();
+            prop_assert_eq!(settled, reach);
+            for w in visits.windows(2) {
+                prop_assert!(w[0].dist <= w[1].dist);
+            }
+        }
+
+        /// Triangle inequality of settled distances along any edge.
+        #[test]
+        fn dijkstra_distances_respect_edges(g in arb_graph()) {
+            let start = NodeId(0);
+            let mut it = Dijkstra::new(&g, start, Direction::Forward);
+            it.by_ref().for_each(drop);
+            for u in g.nodes() {
+                if let Some(du) = it.distance(u) {
+                    for (v, w) in g.out_edges(u) {
+                        if let Some(dv) = it.distance(v) {
+                            prop_assert!(dv <= du + w + 1e-9);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Path edges reconstruct to the reported distance.
+        #[test]
+        fn path_weights_sum_to_distance(g in arb_graph()) {
+            let start = NodeId(0);
+            let mut it = Dijkstra::new(&g, start, Direction::Forward);
+            it.by_ref().for_each(drop);
+            for u in g.nodes() {
+                if let Some(d) = it.distance(u) {
+                    let path = it.path_edges(u).unwrap();
+                    let sum: f64 = path.iter().map(|e| e.2).sum();
+                    prop_assert!((sum - d).abs() < 1e-9);
+                    // every edge on the path exists in the graph with a
+                    // weight no larger than recorded
+                    for (f, t, w) in path {
+                        let gw = g.edge_weight(f, t).unwrap();
+                        prop_assert!(gw <= w + 1e-9);
+                    }
+                }
+            }
+        }
+
+        /// Reverse iteration from t finds s iff forward from s finds t,
+        /// with equal distance.
+        #[test]
+        fn forward_reverse_symmetry(g in arb_graph()) {
+            let s = NodeId(0);
+            let t = NodeId((g.node_count() - 1) as u32);
+            let mut fwd = Dijkstra::new(&g, s, Direction::Forward);
+            fwd.by_ref().for_each(drop);
+            let mut rev = Dijkstra::new(&g, t, Direction::Reverse);
+            rev.by_ref().for_each(drop);
+            match (fwd.distance(t), rev.distance(s)) {
+                (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9),
+                (None, None) => {}
+                (a, b) => prop_assert!(false, "asymmetry: {a:?} vs {b:?}"),
+            }
+        }
     }
 }

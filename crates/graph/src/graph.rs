@@ -381,7 +381,7 @@ impl Graph {
     /// [`GraphBuilder::build`] and the O(m) fast path of
     /// [`crate::patch::GraphPatch::apply`], which produces its merged
     /// edge stream in sorted order and must not pay a global re-sort.
-    pub fn from_sorted_edges(node_weights: Vec<f64>, edges: Vec<(u32, u32, f64)>) -> Graph {
+    pub(crate) fn from_sorted_edges(node_weights: Vec<f64>, edges: Vec<(u32, u32, f64)>) -> Graph {
         Graph {
             repr: Repr::InRam(InRamGraph::from_sorted_edges(node_weights, edges)),
         }
@@ -390,7 +390,7 @@ impl Graph {
     /// Assemble a graph directly from forward CSR arrays — the bundle
     /// restore path, where `fwd_offsets`/`fwd_targets`/`fwd_weights`
     /// were decoded verbatim and re-expanding them into an edge
-    /// triple list (as [`Graph::from_sorted_edges`] consumes) would just
+    /// triple list (as `Graph::from_sorted_edges` consumes) would just
     /// copy ~24 bytes per edge to immediately shred them back into
     /// columns. Only the reverse CSR is derived here.
     ///
@@ -516,7 +516,8 @@ impl Graph {
 
     /// Incoming edges of `node` as `(source, weight)`.
     #[inline]
-    pub fn in_edges(&self, node: NodeId) -> Edges<'_> {
+    #[cfg(test)]
+    pub(crate) fn in_edges(&self, node: NodeId) -> Edges<'_> {
         match &self.repr {
             Repr::InRam(g) => {
                 let (lo, hi) = g.in_range(node);

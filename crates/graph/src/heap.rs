@@ -29,7 +29,7 @@ struct Entry {
 /// A min-heap of `(dist, node)` keys ordered by `f64::total_cmp` on the
 /// distance, then ascending node id.
 #[derive(Debug, Clone, Default)]
-pub struct DistHeap {
+pub(crate) struct DistHeap {
     data: Vec<Entry>,
 }
 
@@ -43,62 +43,42 @@ fn less(a: Entry, b: Entry) -> bool {
 }
 
 impl DistHeap {
-    /// An empty heap.
-    pub fn new() -> DistHeap {
-        DistHeap::default()
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the heap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Drop all entries, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.data.clear();
-    }
-
-    /// Current backing-buffer capacity, in entries.
-    pub fn capacity(&self) -> usize {
-        self.data.capacity()
     }
 
     /// Shrink policy: clamp the retained backing buffer to at most
     /// `max_entries` (keeping at least the current length). One huge
     /// query can grow the queue toward O(edges); without this, every
     /// recycled state would pin that worst case forever.
-    pub fn shrink_to_entries(&mut self, max_entries: usize) {
+    pub(crate) fn shrink_to_entries(&mut self, max_entries: usize) {
         if self.data.capacity() > max_entries {
             self.data.shrink_to(max_entries);
         }
     }
 
     /// Bytes retained by the backing buffer.
-    pub fn retained_bytes(&self) -> usize {
+    pub(crate) fn retained_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<Entry>()
     }
 
     /// The smallest entry, if any.
     #[inline]
-    pub fn peek(&self) -> Option<(f64, u32)> {
+    pub(crate) fn peek(&self) -> Option<(f64, u32)> {
         self.data.first().map(|e| (e.dist, e.node))
     }
 
     /// Insert an entry.
     #[inline]
-    pub fn push(&mut self, dist: f64, node: u32) {
+    pub(crate) fn push(&mut self, dist: f64, node: u32) {
         self.data.push(Entry { dist, node });
         self.sift_up(self.data.len() - 1);
     }
 
     /// Remove and return the smallest entry.
     #[inline]
-    pub fn pop(&mut self) -> Option<(f64, u32)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, u32)> {
         let last = self.data.len().checked_sub(1)?;
         self.data.swap(0, last);
         let top = self.data.pop();
@@ -157,14 +137,14 @@ mod tests {
     fn entries_are_twelve_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 12);
         assert_eq!(std::mem::align_of::<Entry>(), 4);
-        let mut h = DistHeap::new();
+        let mut h = DistHeap::default();
         h.push(1.0, 1);
-        assert_eq!(h.retained_bytes(), h.capacity() * 12);
+        assert_eq!(h.retained_bytes(), h.data.capacity() * 12);
     }
 
     #[test]
     fn pops_in_distance_then_node_order() {
-        let mut h = DistHeap::new();
+        let mut h = DistHeap::default();
         for &(d, n) in &[(2.0, 7), (1.0, 3), (2.0, 1), (0.5, 9), (1.0, 2)] {
             h.push(d, n);
         }
@@ -181,36 +161,40 @@ mod tests {
 
     #[test]
     fn peek_matches_pop_and_clear_retains_capacity() {
-        let mut h = DistHeap::new();
-        assert!(h.is_empty());
+        let mut h = DistHeap::default();
+        assert!(h.data.is_empty());
         assert_eq!(h.pop(), None);
         h.push(3.0, 0);
         h.push(1.0, 1);
         assert_eq!(h.peek(), Some((1.0, 1)));
         assert_eq!(h.pop(), Some((1.0, 1)));
-        assert_eq!(h.len(), 1);
+        assert_eq!(h.data.len(), 1);
         h.clear();
-        assert!(h.is_empty());
+        assert!(h.data.is_empty());
         assert_eq!(h.peek(), None);
     }
 
     #[test]
     fn shrink_policy_caps_capacity() {
-        let mut h = DistHeap::new();
+        let mut h = DistHeap::default();
         for i in 0..10_000u32 {
             h.push(i as f64, i);
         }
         while h.pop().is_some() {}
-        assert!(h.capacity() >= 10_000);
+        assert!(h.data.capacity() >= 10_000);
         h.shrink_to_entries(64);
-        assert!(h.capacity() <= 64, "capacity {} not capped", h.capacity());
+        assert!(
+            h.data.capacity() <= 64,
+            "capacity {} not capped",
+            h.data.capacity()
+        );
         assert!(h.retained_bytes() <= 64 * std::mem::size_of::<Entry>());
         // Shrinking never drops live entries.
         for i in 0..128u32 {
             h.push(i as f64, i);
         }
         h.shrink_to_entries(64);
-        assert_eq!(h.len(), 128);
+        assert_eq!(h.data.len(), 128);
         assert_eq!(h.pop(), Some((0.0, 0)));
     }
 
@@ -224,7 +208,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut h = DistHeap::new();
+        let mut h = DistHeap::default();
         let mut expected: Vec<(f64, u32)> = Vec::new();
         for _ in 0..500 {
             let d = (next() % 64) as f64 / 8.0;

@@ -44,21 +44,15 @@
 //! assert_eq!(visits, vec![(d, 0.0), (c, 2.0), (a, 3.0)]);
 //! ```
 
-pub mod analysis;
 pub mod arena;
 pub mod dijkstra;
-pub mod fxhash;
 pub mod graph;
-pub mod heap;
+pub(crate) mod heap;
 pub mod patch;
 pub mod store;
 
-pub use arena::{
-    CrossScratch, DeadlineToken, DijkstraState, OriginListPool, SearchArena, StatePool, NIL,
-};
+pub use arena::{CrossScratch, DeadlineToken, DijkstraState, OriginListPool, SearchArena, NIL};
 pub use dijkstra::{Dijkstra, Direction, Visit};
-pub use fxhash::{FxHashMap, FxHashSet};
 pub use graph::{Edges, Graph, GraphBuilder, NodeId};
-pub use heap::DistHeap;
 pub use patch::GraphPatch;
 pub use store::{GraphStore, StorageStats};

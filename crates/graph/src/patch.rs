@@ -17,15 +17,15 @@
 //! [`GraphPatch::apply`] exploits the monotone remap: the old CSR's
 //! edges stream out already sorted by `(from, to)` after remapping, the
 //! (small) replacement set is sorted on its own, and a linear merge
-//! feeds [`Graph::from_sorted_edges`] — so a patch costs O(m + r log r)
+//! feeds `Graph::from_sorted_edges` — so a patch costs O(m + r log r)
 //! with no per-edge hashing of tuples and **no global re-sort**, where
 //! `r` is the number of replacement edges. That is the asymptotic edge a
 //! delta-apply has over a from-scratch rebuild, which pays foreign-key
 //! resolution (hash lookups on composite keys) per edge plus an
 //! O(m log m) sort.
 
-use crate::fxhash::FxHashSet;
 use crate::graph::{Graph, NodeId};
+use banks_util::fxhash::FxHashSet;
 
 /// A pending incremental update of a [`Graph`]. See the module docs.
 #[derive(Debug, Clone)]

@@ -36,8 +36,8 @@
 //! adjacency slice before requesting the next node's, and path
 //! reconstruction looks up one hop's weight in the parent's adjacency
 //! and drops the slice before the next hop. Code that must hold many
-//! adjacency lists at once (e.g. graph analysis sweeps) should copy the
-//! slices or use the owned [`Graph::out_edges`] iterator.
+//! adjacency lists at once should copy the slices or use the owned
+//! [`Graph::out_edges`] iterator.
 //!
 //! [`Graph`]: crate::Graph
 //! [`Graph::out_edges`]: crate::Graph::out_edges

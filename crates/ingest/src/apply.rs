@@ -26,10 +26,11 @@
 use crate::delta::{DeltaBatch, TupleOp};
 use crate::error::{IngestError, IngestResult};
 use banks_core::{GraphConfig, NodeWeightMode, TupleGraph};
-use banks_graph::{FxHashMap, FxHashSet, GraphPatch, NodeId};
+use banks_graph::{GraphPatch, NodeId};
 use banks_storage::{
     ColumnType, Database, RelationSchema, Rid, StorageError, TextIndex, Tokenizer, Value,
 };
+use banks_util::fxhash::{FxHashMap, FxHashSet};
 
 /// Per-kind operation counts of an applied batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,7 +57,7 @@ pub struct ApplyStats {
 
 /// Everything the database mutation recorded for the graph patch.
 #[derive(Debug, Default)]
-pub struct DbChanges {
+pub(crate) struct DbChanges {
     /// Rids inserted by the batch and still alive at its end — an
     /// insert-then-delete of the same tuple nets out of both lists.
     pub inserted: Vec<Rid>,
@@ -125,7 +126,7 @@ fn text_columns(schema: &RelationSchema) -> Vec<usize> {
 /// wanting atomic semantics apply to a scratch clone and promote it only
 /// on success, which is exactly what
 /// [`SnapshotPublisher`](crate::SnapshotPublisher) does.
-pub fn apply_to_database(
+pub(crate) fn apply_to_database(
     db: &mut Database,
     batch: &DeltaBatch,
     mut text: Option<(&mut TextIndex, &Tokenizer)>,

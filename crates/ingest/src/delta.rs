@@ -265,7 +265,7 @@ impl DeltaBatch {
 }
 
 /// JSON scalar → storage [`Value`].
-pub fn value_from_json(v: &Json) -> Result<Value, IngestError> {
+pub(crate) fn value_from_json(v: &Json) -> Result<Value, IngestError> {
     match v {
         Json::Null => Ok(Value::Null),
         Json::Bool(b) => Ok(Value::Bool(*b)),
@@ -282,7 +282,7 @@ pub fn value_from_json(v: &Json) -> Result<Value, IngestError> {
 }
 
 /// Storage [`Value`] → JSON scalar.
-pub fn value_to_json(v: &Value) -> Json {
+pub(crate) fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Null => Json::Null,
         Value::Bool(b) => Json::Bool(*b),

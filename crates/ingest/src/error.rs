@@ -5,7 +5,7 @@ use banks_storage::StorageError;
 use std::fmt;
 
 /// Result alias for ingestion operations.
-pub type IngestResult<T> = Result<T, IngestError>;
+pub(crate) type IngestResult<T> = Result<T, IngestError>;
 
 /// Errors raised while parsing, validating, or applying a delta batch.
 #[derive(Debug, Clone, PartialEq)]

@@ -21,8 +21,8 @@
 //!   `banks_graph::GraphPatch`) and the `TextIndex` (posting insertions
 //!   and tombstones) instead of re-deriving either from scratch.
 //! * [`publish`] — the **epoch-versioned publisher**:
-//!   [`SnapshotPublisher`] batches staged deltas and atomically derives
-//!   a new `Arc<Banks>` stamped with a monotone epoch. Readers never
+//!   [`SnapshotPublisher`] applies each delta batch and atomically
+//!   derives a new `Arc<Banks>` stamped with a monotone epoch. Readers never
 //!   block: serving layers swap the pointer, in-flight queries finish on
 //!   their old epoch, and a failed batch leaves the current snapshot
 //!   untouched.
@@ -67,7 +67,7 @@ pub mod delta;
 pub mod error;
 pub mod publish;
 
-pub use apply::{apply_batch, apply_to_database, ApplyStats, DbChanges, OpCounts};
+pub use apply::apply_batch;
 pub use delta::{DeltaBatch, TupleOp};
-pub use error::{IngestError, IngestResult};
-pub use publish::{DurabilityHook, EpochInfo, Published, SnapshotPublisher, HISTORY_CAP};
+pub use error::IngestError;
+pub use publish::{DurabilityHook, EpochInfo, Published, SnapshotPublisher};

@@ -1,8 +1,8 @@
 //! Epoch-versioned snapshot publication.
 //!
 //! A [`SnapshotPublisher`] owns the write side of the system: it holds
-//! the current immutable [`Banks`] snapshot, batches staged delta
-//! operations, and on publish derives the successor snapshot —
+//! the current immutable [`Banks`] snapshot and, for each published
+//! delta batch, derives the successor snapshot —
 //! incrementally where the configuration allows, by full rebuild
 //! otherwise — stamped with a monotonically increasing **epoch**.
 //!
@@ -14,7 +14,7 @@
 //! clone that is only promoted on success.
 
 use crate::apply::{apply_batch, apply_to_database, OpCounts};
-use crate::delta::{DeltaBatch, TupleOp};
+use crate::delta::DeltaBatch;
 use crate::error::{IngestError, IngestResult};
 use banks_core::{Banks, NodeWeightMode};
 use banks_storage::Tokenizer;
@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How many published epochs the history ring keeps (for `/epochs`).
-pub const HISTORY_CAP: usize = 64;
+pub(crate) const HISTORY_CAP: usize = 64;
 
 /// Summary of one published epoch.
 #[derive(Debug, Clone)]
@@ -65,13 +65,12 @@ pub trait DurabilityHook: Send {
     fn persist_batch(&mut self, epoch: u64, batch: &DeltaBatch) -> Result<(), String>;
 }
 
-/// The write side of a BANKS deployment: batches deltas and publishes
-/// epoch-stamped successor snapshots. See the module docs.
+/// The write side of a BANKS deployment: publishes an epoch-stamped
+/// successor snapshot per delta batch. See the module docs.
 pub struct SnapshotPublisher {
     current: Arc<Banks>,
     epoch: u64,
     history: VecDeque<EpochInfo>,
-    pending: DeltaBatch,
     durability: Option<Box<dyn DurabilityHook>>,
 }
 
@@ -79,7 +78,6 @@ impl std::fmt::Debug for SnapshotPublisher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotPublisher")
             .field("epoch", &self.epoch)
-            .field("pending", &self.pending.len())
             .field("durable", &self.durability.is_some())
             .finish()
     }
@@ -99,7 +97,6 @@ impl SnapshotPublisher {
             current: banks,
             epoch,
             history: VecDeque::new(),
-            pending: DeltaBatch::new(),
             durability: None,
         }
     }
@@ -121,34 +118,9 @@ impl SnapshotPublisher {
     }
 
     /// Recently published epochs, oldest first (capped at
-    /// [`HISTORY_CAP`]).
+    /// `HISTORY_CAP`).
     pub fn history(&self) -> impl Iterator<Item = &EpochInfo> + '_ {
         self.history.iter()
-    }
-
-    /// Stage operations for the next [`publish_pending`] call without
-    /// deriving anything yet; returns the pending count. This is the
-    /// batching knob: many small writers can stage, one timer or
-    /// size-threshold trigger publishes.
-    ///
-    /// [`publish_pending`]: SnapshotPublisher::publish_pending
-    pub fn stage(&mut self, ops: impl IntoIterator<Item = TupleOp>) -> usize {
-        self.pending.ops.extend(ops);
-        self.pending.len()
-    }
-
-    /// Number of staged-but-unpublished operations.
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Publish everything staged via [`SnapshotPublisher::stage`] as one
-    /// batch. On failure the staged ops are discarded (they were
-    /// rejected; retrying identically would fail identically) and the
-    /// current snapshot is unchanged.
-    pub fn publish_pending(&mut self, published_at: Option<String>) -> IngestResult<Published> {
-        let batch = std::mem::take(&mut self.pending);
-        self.publish(&batch, published_at)
     }
 
     /// Derive, stamp, and install the successor snapshot for `batch`.
@@ -228,6 +200,7 @@ impl SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::TupleOp;
     use banks_storage::{ColumnType, Database, RelationSchema, Value};
 
     fn dblp() -> Database {
@@ -353,29 +326,6 @@ mod tests {
             publisher.publish(&DeltaBatch::new(), None).is_err(),
             "empty batch"
         );
-    }
-
-    #[test]
-    fn staging_batches_deltas_until_published() {
-        let banks = Arc::new(Banks::new(dblp()).unwrap());
-        let mut publisher = SnapshotPublisher::new(banks);
-        assert_eq!(
-            publisher.stage(author_batch("A", "Alice Writer", "P1").ops),
-            2
-        );
-        assert_eq!(
-            publisher.stage(author_batch("B", "Bob Writer", "P1").ops),
-            4
-        );
-        assert_eq!(publisher.pending_ops(), 4);
-        // Staging derives nothing.
-        assert_eq!(publisher.epoch(), 0);
-
-        let published = publisher.publish_pending(None).unwrap();
-        assert_eq!(published.info.ops, 4);
-        assert_eq!(publisher.pending_ops(), 0);
-        assert_eq!(publisher.epoch(), 1);
-        assert_eq!(published.banks.search("alice").unwrap().len(), 1);
     }
 
     #[test]

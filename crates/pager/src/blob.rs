@@ -33,14 +33,14 @@
 
 use crate::codec::encode_segment;
 use crate::error::PagerError;
-use banks_graph::fxhash::FxHasher;
 use banks_graph::{Graph, NodeId};
+use banks_util::fxhash::FxHasher;
 use std::fs::File;
 use std::hash::Hasher;
 use std::sync::Arc;
 
 /// File format magic (the trailing `1` is the version).
-pub const MAGIC: &[u8; 8] = b"BNKSPGR1";
+pub(crate) const MAGIC: &[u8; 8] = b"BNKSPGR1";
 
 /// Default nodes-per-segment span: with DBLP-shaped degrees (~3 edges
 /// per node) a segment decodes to roughly 8–16 KB — still one
@@ -52,7 +52,7 @@ pub const MAGIC: &[u8; 8] = b"BNKSPGR1";
 pub const DEFAULT_SEG_SPAN: u32 = 256;
 
 /// Alignment of each segment payload within the blob.
-pub const SEG_ALIGN: usize = 64;
+pub(crate) const SEG_ALIGN: usize = 64;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4;
 const SEG_ENTRY_LEN: usize = 8 + 4 + 4 + 8 + 8;
@@ -108,7 +108,7 @@ pub enum ByteSource {
 
 impl ByteSource {
     /// Length of the region in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         match self {
             ByteSource::File { len, .. } => *len,
             ByteSource::Mem(bytes) => bytes.len() as u64,
@@ -122,7 +122,7 @@ impl ByteSource {
 
     /// Read `buf.len()` bytes at `offset` (relative to the region
     /// start). Errors on short reads past the region end.
-    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), PagerError> {
+    pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), PagerError> {
         if offset
             .checked_add(buf.len() as u64)
             .is_none_or(|end| end > self.len())
@@ -151,19 +151,19 @@ fn pad_to(buf: &mut Vec<u8>, align: usize) {
 }
 
 /// Checksum of a segment payload.
-pub fn segment_checksum(payload: &[u8]) -> u64 {
+pub(crate) fn segment_checksum(payload: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(payload);
     h.finish()
 }
 
 /// Number of segments needed for `node_count` nodes at `seg_span`.
-pub fn seg_count_for(node_count: u32, seg_span: u32) -> u32 {
+pub(crate) fn seg_count_for(node_count: u32, seg_span: u32) -> u32 {
     node_count.div_ceil(seg_span)
 }
 
 /// The node range `[first, end)` of segment `seg`.
-pub fn seg_range(seg: u32, seg_span: u32, node_count: u32) -> (u32, u32) {
+pub(crate) fn seg_range(seg: u32, seg_span: u32, node_count: u32) -> (u32, u32) {
     let first = seg * seg_span;
     (first, (first + seg_span).min(node_count))
 }
@@ -295,7 +295,7 @@ impl Cursor<'_> {
 /// directories. Fails with a typed error on truncation, bad magic, a
 /// directory checksum mismatch (torn write), or structurally
 /// inconsistent entries — payloads are *not* touched.
-pub fn read_layout(src: &ByteSource) -> Result<Layout, PagerError> {
+pub(crate) fn read_layout(src: &ByteSource) -> Result<Layout, PagerError> {
     let mut cur = Cursor {
         src,
         pos: 0,
@@ -390,7 +390,7 @@ pub fn read_layout(src: &ByteSource) -> Result<Layout, PagerError> {
 
 /// Edge count of segment `seg` according to a directory (the difference
 /// of consecutive `slot_start`s, closed by the global edge count).
-pub fn seg_edges(entries: &[SegEntry], seg: usize, edge_count: u64) -> u32 {
+pub(crate) fn seg_edges(entries: &[SegEntry], seg: usize, edge_count: u64) -> u32 {
     let next = entries
         .get(seg + 1)
         .map(|e| u64::from(e.slot_start))

@@ -27,8 +27,8 @@
 //!   drops, returning its residency to the pool.
 
 use crate::codec::DecodedSegment;
-use banks_graph::FxHashMap;
 use banks_storage::TupleBlock;
+use banks_util::fxhash::FxHashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -177,7 +177,7 @@ impl PageCache {
     }
 
     /// The configured budget in bytes.
-    pub fn budget(&self) -> usize {
+    pub(crate) fn budget(&self) -> usize {
         self.budget
     }
 

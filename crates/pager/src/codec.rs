@@ -46,7 +46,7 @@ pub struct DecodedSegment {
 
 impl DecodedSegment {
     /// Decoded heap footprint in bytes (what the memory budget counts).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.offsets.len() * size_of::<u32>()
             + self.ids.len() * size_of::<u32>()
@@ -57,7 +57,7 @@ impl DecodedSegment {
     /// Adjacency of `node` (which must be in this segment's range) as
     /// `(ids, weights)`.
     #[inline]
-    pub fn adjacency(&self, node: u32) -> (&[u32], &[f64]) {
+    pub(crate) fn adjacency(&self, node: u32) -> (&[u32], &[f64]) {
         let local = (node - self.first_node) as usize;
         let lo = self.offsets[local] as usize;
         let hi = self.offsets[local + 1] as usize;
@@ -66,7 +66,7 @@ impl DecodedSegment {
 
     /// Log-score lane of `node`'s adjacency (forward segments only).
     #[inline]
-    pub fn escores_of(&self, node: u32) -> &[f64] {
+    pub(crate) fn escores_of(&self, node: u32) -> &[f64] {
         let local = (node - self.first_node) as usize;
         let lo = self.offsets[local] as usize;
         let hi = self.offsets[local + 1] as usize;
@@ -79,7 +79,7 @@ impl DecodedSegment {
 /// strictly-positive weight in the segment (infinity if none) — the
 /// per-segment minimum the directory records so the store-level `w_min`
 /// is an O(segments) fold.
-pub fn encode_segment(lists: &[(&[u32], &[f64])], out: &mut Vec<u8>) -> f64 {
+pub(crate) fn encode_segment(lists: &[(&[u32], &[f64])], out: &mut Vec<u8>) -> f64 {
     for (ids, _) in lists {
         varint::write_u64(out, ids.len() as u64);
     }
@@ -133,7 +133,7 @@ pub fn encode_segment(lists: &[(&[u32], &[f64])], out: &mut Vec<u8>) -> f64 {
 /// `id_bound` the exclusive upper bound for neighbor ids
 /// (`node_count`), and `w_min` the store-level normalizer used to
 /// compute the forward log-score lane when `with_escores` is set.
-pub fn decode_segment(
+pub(crate) fn decode_segment(
     bytes: &[u8],
     span: u32,
     expected_edges: u32,

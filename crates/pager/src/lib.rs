@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use banks_graph::{Graph, GraphBuilder, NodeId};
-//! use banks_pager::page_graph;
+//! use banks_pager::{encode_paged_blob, PageCache, PagedGraphStore, DEFAULT_SEG_SPAN};
 //!
 //! let mut b = GraphBuilder::new();
 //! let x = b.add_node(1.0);
@@ -25,7 +25,8 @@
 //! let g = b.build();
 //!
 //! // Round-trip through the paged backend under a tiny budget.
-//! let store = page_graph(&g, None, 1 << 16).unwrap();
+//! let blob = encode_paged_blob(&g, DEFAULT_SEG_SPAN);
+//! let store = PagedGraphStore::open_mem(blob.into(), PageCache::new(1 << 16)).unwrap();
 //! let paged = Graph::from_store(store);
 //! assert_eq!(paged.edge_weight(x, y), Some(0.5));
 //! assert_eq!(paged.out_adjacency(x), g.out_adjacency(x));
@@ -48,10 +49,10 @@ pub mod codec;
 pub mod error;
 pub mod store;
 pub mod tuples;
-pub mod varint;
+pub(crate) mod varint;
 
-pub use blob::{encode_paged_blob, ByteSource, Layout, SegEntry, DEFAULT_SEG_SPAN};
+pub use blob::{encode_paged_blob, ByteSource, Layout, DEFAULT_SEG_SPAN};
 pub use budget::{CacheStats, Page, PageCache};
 pub use error::PagerError;
-pub use store::{page_graph, PagedGraphStore};
+pub use store::PagedGraphStore;
 pub use tuples::PagedTupleStore;

@@ -28,13 +28,14 @@
 
 use crate::blob::{
     encode_paged_blob, read_layout, seg_count_for, seg_edges, seg_range, segment_checksum,
-    ByteSource, DEFAULT_SEG_SPAN,
+    ByteSource,
 };
 use crate::budget::{Page, PageCache};
 use crate::codec::{decode_segment, encode_segment, DecodedSegment};
 use crate::error::PagerError;
 use banks_graph::store::{GraphStore, StorageStats};
-use banks_graph::{FxHashSet, Graph, GraphPatch};
+use banks_graph::{Graph, GraphPatch};
+use banks_util::fxhash::FxHashSet;
 use std::cell::RefCell;
 use std::fs::File;
 use std::sync::Arc;
@@ -132,7 +133,7 @@ impl PagedGraphStore {
     }
 
     /// Open a blob from any [`ByteSource`].
-    pub fn open_source(
+    pub(crate) fn open_source(
         src: ByteSource,
         cache: Arc<PageCache>,
     ) -> Result<Arc<PagedGraphStore>, PagerError> {
@@ -193,11 +194,6 @@ impl PagedGraphStore {
             cache_id: cache.register(),
             cache,
         }
-    }
-
-    /// The segment span this store was encoded with.
-    pub fn seg_span(&self) -> u32 {
-        self.seg_span
     }
 
     /// Fully decode the blob behind `src` into an in-RAM [`Graph`] —
@@ -551,21 +547,21 @@ impl Drop for PagedGraphStore {
     }
 }
 
-/// Encode `graph` and reopen it as a paged store with the given budget
-/// — the one-call path tests and tools use.
-pub fn page_graph(
-    graph: &Graph,
-    seg_span: Option<u32>,
-    budget: usize,
-) -> Result<Arc<PagedGraphStore>, PagerError> {
-    let blob = encode_paged_blob(graph, seg_span.unwrap_or(DEFAULT_SEG_SPAN));
-    PagedGraphStore::open_mem(blob.into(), PageCache::new(budget))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blob::DEFAULT_SEG_SPAN;
     use banks_graph::{GraphBuilder, NodeId};
+
+    /// Encode `graph` and reopen it as a paged store with the given budget.
+    fn page_graph(
+        graph: &Graph,
+        seg_span: Option<u32>,
+        budget: usize,
+    ) -> Result<Arc<PagedGraphStore>, PagerError> {
+        let blob = encode_paged_blob(graph, seg_span.unwrap_or(DEFAULT_SEG_SPAN));
+        PagedGraphStore::open_mem(blob.into(), PageCache::new(budget))
+    }
 
     /// A deterministic pseudo-random graph with a few distinct weights
     /// (dictionary-friendly, like real schema-derived weights).

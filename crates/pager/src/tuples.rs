@@ -70,7 +70,7 @@ impl PagedTupleStore {
     /// Open a section from any [`ByteSource`]: read and verify the
     /// checksummed directory and the PK lanes (typed errors), leave
     /// every tuple block on disk.
-    pub fn open_source(
+    pub(crate) fn open_source(
         src: ByteSource,
         cache: Arc<PageCache>,
     ) -> Result<Arc<PagedTupleStore>, PagerError> {

@@ -7,7 +7,7 @@
 
 /// Append `value` to `out` as an unsigned LEB128 varint (1–10 bytes).
 #[inline]
-pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -23,7 +23,7 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
 /// advancing `*pos` past it. Returns `None` on truncation or a varint
 /// longer than 10 bytes (which cannot be a valid `u64`).
 #[inline]
-pub fn read_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn read_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {

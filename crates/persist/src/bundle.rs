@@ -66,22 +66,22 @@ use banks_core::{
     Banks, BanksConfig, CombineMode, EdgeScoreMode, GraphConfig, NodeScoreMode, NodeWeightMode,
     ScoreParams, TupleGraph,
 };
-use banks_graph::fxhash::FxHasher;
 use banks_graph::Graph;
 use banks_pager::{ByteSource, PageCache, PagedGraphStore, PagedTupleStore};
 use banks_storage::postings::{self, LazyTextIndex, PostingSource};
 use banks_storage::{blocks, Database, TextIndex};
+use banks_util::fxhash::FxHasher;
 use std::fs::File;
 use std::hash::Hasher;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
 /// File magic.
-pub const BUNDLE_MAGIC: &[u8; 8] = b"BNKSBNDL";
+pub(crate) const BUNDLE_MAGIC: &[u8; 8] = b"BNKSBNDL";
 /// The one format version written and read.
-pub const BUNDLE_VERSION: u32 = 3;
+pub(crate) const BUNDLE_VERSION: u32 = 3;
 
 const SECTION_META: &[u8; 8] = b"BNKSMETA";
 const SECTION_DATA: &[u8; 8] = b"BNKSDATA";
@@ -393,7 +393,7 @@ fn decode_meta(bytes: &[u8]) -> PersistResult<BundleMeta> {
 /// lanes untouched since the snapshot was opened are copied raw from
 /// the backing store, so publishing an ingest epoch rewrites only the
 /// blocks that epoch touched.
-pub fn write_bundle(banks: &Banks, epoch: u64, out: impl Write + Seek) -> PersistResult<()> {
+pub(crate) fn write_bundle(banks: &Banks, epoch: u64, out: impl Write + Seek) -> PersistResult<()> {
     let data = blocks::encode_database_v3(banks.db())?;
     let grph =
         banks_pager::encode_paged_blob(banks.tuple_graph().graph(), banks_pager::DEFAULT_SEG_SPAN);
@@ -401,7 +401,7 @@ pub fn write_bundle(banks: &Banks, epoch: u64, out: impl Write + Seek) -> Persis
 }
 
 /// Assemble a version-3 bundle around an already encoded v3 DATA
-/// section and paged graph blob of `banks` — how [`write_bundle`]
+/// section and paged graph blob of `banks` — how `write_bundle`
 /// finishes, and how a bundle is produced at page spans other than the
 /// defaults (readers take both spans from the sections' own headers).
 pub fn write_bundle_sections(
@@ -650,20 +650,10 @@ fn assemble(
     Ok((banks, meta))
 }
 
-/// Deserialize a bundle, assembling a query-ready [`Banks`].
+/// Load a bundle from `path`: one sequential whole-file read, then an
+/// in-memory zero-copy decode into a query-ready [`Banks`].
 /// `base_config`'s score/graph sections are replaced by the bundle's
 /// (see the module docs); everything else is kept.
-pub fn read_bundle(
-    mut input: impl Read,
-    base_config: &BanksConfig,
-) -> PersistResult<(Banks, BundleMeta)> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes)?;
-    decode_bundle(&bytes, base_config)
-}
-
-/// Load a bundle from `path`: one sequential whole-file read, then an
-/// in-memory zero-copy decode (see [`read_bundle`]).
 pub fn load_bundle(path: &Path, base_config: &BanksConfig) -> PersistResult<(Banks, BundleMeta)> {
     let bytes = std::fs::read(path)?;
     decode_bundle(&bytes, base_config)
@@ -756,7 +746,7 @@ pub fn peek_epoch(path: &Path) -> PersistResult<u64> {
 pub struct BundleInfo {
     /// The meta section.
     pub meta: BundleMeta,
-    /// Bundle format version (always [`BUNDLE_VERSION`]).
+    /// Bundle format version (always `BUNDLE_VERSION`).
     pub version: u32,
     /// Database name.
     pub database: String,
@@ -876,7 +866,7 @@ mod tests {
     fn roundtrip(banks: &Banks, epoch: u64) -> (Banks, BundleMeta) {
         let mut buf = Vec::new();
         write_bundle(banks, epoch, std::io::Cursor::new(&mut buf)).unwrap();
-        read_bundle(buf.as_slice(), &BanksConfig::default()).unwrap()
+        decode_bundle(&buf, &BanksConfig::default()).unwrap()
     }
 
     fn assert_same_answers(a: &Banks, b: &Banks, query: &str) {
@@ -938,7 +928,7 @@ mod tests {
         let mut buf = Vec::new();
         write_bundle(&banks, 1, std::io::Cursor::new(&mut buf)).unwrap();
         // Load under *default* base config: the bundle's params must win.
-        let (restored, meta) = read_bundle(buf.as_slice(), &BanksConfig::default()).unwrap();
+        let (restored, meta) = decode_bundle(&buf, &BanksConfig::default()).unwrap();
         assert_eq!(meta.score, config.score);
         assert_eq!(meta.graph, config.graph);
         assert_eq!(restored.config().score, config.score);
@@ -958,22 +948,22 @@ mod tests {
             let mut bad = buf.clone();
             bad[at] ^= 0xff;
             assert!(
-                read_bundle(bad.as_slice(), &BanksConfig::default()).is_err(),
+                decode_bundle(&bad, &BanksConfig::default()).is_err(),
                 "flip at {at} must not load"
             );
         }
         // Truncation is an error, not a panic.
         let cut = buf.len() - 9;
-        assert!(read_bundle(&buf[..cut], &BanksConfig::default()).is_err());
+        assert!(decode_bundle(&buf[..cut], &BanksConfig::default()).is_err());
         // Wrong magic / version.
         assert!(matches!(
-            read_bundle(&b"NOTABNDL________________"[..], &BanksConfig::default()),
+            decode_bundle(b"NOTABNDL________________", &BanksConfig::default()),
             Err(PersistError::BadMagic { .. })
         ));
         let mut wrong_version = buf.clone();
         wrong_version[8] = 99;
         assert!(matches!(
-            read_bundle(wrong_version.as_slice(), &BanksConfig::default()),
+            decode_bundle(&wrong_version, &BanksConfig::default()),
             Err(PersistError::BadVersion(99))
         ));
     }
@@ -1111,10 +1101,7 @@ mod tests {
         for (bytes, version) in &rows {
             std::fs::write(&path, bytes).unwrap();
             let outcomes = [
-                (
-                    "read_bundle",
-                    read_bundle(bytes.as_slice(), &config).map(drop),
-                ),
+                ("decode_bundle", decode_bundle(bytes, &config).map(drop)),
                 ("load_bundle", load_bundle(&path, &config).map(drop)),
                 (
                     "open_bundle_paged",

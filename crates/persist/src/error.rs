@@ -8,7 +8,7 @@ use std::fmt;
 use std::io;
 
 /// Result alias for persistence operations.
-pub type PersistResult<T> = Result<T, PersistError>;
+pub(crate) type PersistResult<T> = Result<T, PersistError>;
 
 /// Errors raised while writing, loading, or recovering durable state.
 #[derive(Debug)]

@@ -47,10 +47,9 @@ pub mod store;
 pub mod wal;
 
 pub use bundle::{
-    inspect_bundle, load_bundle, open_bundle_paged, peek_epoch, read_bundle, save_bundle,
-    write_bundle, write_bundle_sections, BundleInfo, BundleMeta,
+    inspect_bundle, load_bundle, open_bundle_paged, peek_epoch, save_bundle, write_bundle_sections,
 };
-pub use corpus::{write_corpus_bundle, CorpusBundle};
-pub use error::{PersistError, PersistResult};
-pub use store::{is_fresh, snapshot_file, PersistOptions, PersistStats, PersistentStore, Recovery};
-pub use wal::{scan_frames, scan_wal, WalFrame, WalScan, WalWriter};
+pub use corpus::write_corpus_bundle;
+pub use error::PersistError;
+pub use store::{is_fresh, snapshot_file, PersistOptions, PersistentStore, Recovery};
+pub use wal::scan_frames;

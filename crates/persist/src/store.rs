@@ -532,7 +532,8 @@ impl PersistentStore {
     }
 
     /// Block until no compaction is in flight (tests and shutdown paths).
-    pub fn quiesce(&self) {
+    #[cfg(test)]
+    pub(crate) fn quiesce(&self) {
         while self.inner.compacting.load(Ordering::Acquire) {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }

@@ -25,26 +25,26 @@
 //!
 //! A crash mid-append leaves a *torn* final frame: a short length
 //! prefix, a short payload, or a checksum that does not match. The
-//! scanner ([`scan_wal`]) stops cleanly at the last whole frame and
+//! scanner (`scan_wal`) stops cleanly at the last whole frame and
 //! reports where the valid prefix ends; recovery truncates the file
 //! there before appending again. Anything torn was by definition never
 //! acked (the ack happens after the fsync), so truncation never loses
 //! an acknowledged write.
 
 use crate::error::{PersistError, PersistResult};
-use banks_graph::fxhash::FxHasher;
 use banks_ingest::DeltaBatch;
+use banks_util::fxhash::FxHasher;
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File name of the log inside a data directory.
-pub const WAL_FILE: &str = "wal.log";
+pub(crate) const WAL_FILE: &str = "wal.log";
 
 /// Sanity cap on one frame's payload. The HTTP layer caps ingest bodies
 /// at 8 MiB; anything bigger in a length prefix is corruption, not data.
-pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 fn checksum(payload: &[u8]) -> u64 {
     let mut h = FxHasher::default();
@@ -62,7 +62,7 @@ pub struct WalFrame {
 }
 
 /// Encode one frame (length prefix + payload + checksum).
-pub fn encode_frame(epoch: u64, batch: &DeltaBatch) -> Vec<u8> {
+pub(crate) fn encode_frame(epoch: u64, batch: &DeltaBatch) -> Vec<u8> {
     let json = batch.to_json().compact();
     let mut payload = Vec::with_capacity(8 + json.len());
     payload.extend_from_slice(&epoch.to_le_bytes());
@@ -98,7 +98,7 @@ pub struct WalScan {
 /// [`WalScan::torn_bytes`]) and a *checksum-valid frame that does not
 /// parse* (impossible without a bug or tampering — a hard
 /// [`PersistError::Malformed`]).
-pub fn scan_wal(path: &Path) -> PersistResult<WalScan> {
+pub(crate) fn scan_wal(path: &Path) -> PersistResult<WalScan> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalScan::default()),
@@ -177,7 +177,7 @@ pub fn scan_frames(bytes: &[u8]) -> PersistResult<WalScan> {
 /// A poisoned WAL means ingest returns errors until restart; it never
 /// means silent data loss.
 #[derive(Debug)]
-pub struct WalWriter {
+pub(crate) struct WalWriter {
     file: File,
     path: PathBuf,
     fsync: bool,
@@ -197,7 +197,7 @@ impl WalWriter {
     /// Open `path` for appending, first truncating it to the scan's
     /// valid prefix (dropping a torn tail found by [`scan_wal`]) and
     /// seeding the frame index from the scan.
-    pub fn open(path: &Path, scan: &WalScan, fsync: bool) -> PersistResult<WalWriter> {
+    pub(crate) fn open(path: &Path, scan: &WalScan, fsync: bool) -> PersistResult<WalWriter> {
         let file = OpenOptions::new()
             .create(true)
             .read(true)
@@ -245,7 +245,7 @@ impl WalWriter {
     /// retried publish appends at a clean boundary and earlier acked
     /// frames can never be mistaken for a torn tail. A rollback that
     /// itself fails poisons the writer.
-    pub fn append(&mut self, epoch: u64, batch: &DeltaBatch) -> PersistResult<()> {
+    pub(crate) fn append(&mut self, epoch: u64, batch: &DeltaBatch) -> PersistResult<()> {
         self.check_poisoned()?;
         let frame = encode_frame(epoch, batch);
         let mut fsync_elapsed = None;
@@ -294,23 +294,18 @@ impl WalWriter {
     }
 
     /// Bytes currently in the log.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Whole frames currently in the log.
-    pub fn batches(&self) -> u64 {
+    pub(crate) fn batches(&self) -> u64 {
         self.index.len() as u64
     }
 
     /// `(count, total nanoseconds)` of completed append fsyncs.
-    pub fn fsync_totals(&self) -> (u64, u64) {
+    pub(crate) fn fsync_totals(&self) -> (u64, u64) {
         (self.fsyncs, self.fsync_nanos)
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Raw bytes of every whole frame with `epoch > from_epoch`, exactly
@@ -325,7 +320,7 @@ impl WalWriter {
     /// An empty log serves any request as zero bytes — the caller
     /// cross-checks against the durable epoch to distinguish "caught
     /// up" from "compacted away" (see `PersistentStore::wal_since`).
-    pub fn frames_since(&mut self, from_epoch: u64) -> PersistResult<Option<Vec<u8>>> {
+    pub(crate) fn frames_since(&mut self, from_epoch: u64) -> PersistResult<Option<Vec<u8>>> {
         self.check_poisoned()?;
         let Some(&(first_epoch, _)) = self.index.first() else {
             return Ok(Some(Vec::new()));
@@ -346,11 +341,6 @@ impl WalWriter {
         Ok(Some(out))
     }
 
-    /// Epoch of the newest frame in the log, if any.
-    pub fn last_epoch(&self) -> Option<u64> {
-        self.index.last().map(|&(epoch, _)| epoch)
-    }
-
     /// Drop every frame with `epoch <= up_to_epoch` (superseded by a
     /// snapshot at that epoch). Uses the in-memory frame index to copy
     /// the surviving byte range verbatim — no re-read of dropped
@@ -360,7 +350,7 @@ impl WalWriter {
     /// The rename unlinks the inode behind the old handle, so a failed
     /// reopen poisons the writer: appending to the dead inode would
     /// ack writes into a file nothing can ever read back.
-    pub fn compact(&mut self, up_to_epoch: u64) -> PersistResult<()> {
+    pub(crate) fn compact(&mut self, up_to_epoch: u64) -> PersistResult<()> {
         self.check_poisoned()?;
         let keep_from = self
             .index
@@ -593,7 +583,7 @@ mod tests {
 
         // The interleaved reads left the append offset intact.
         w.append(5, &batch("e5", 1)).unwrap();
-        assert_eq!(w.last_epoch(), Some(5));
+        assert_eq!(w.index.last().map(|&(epoch, _)| epoch), Some(5));
         assert_eq!(scan_wal(&path).unwrap().torn_bytes, 0);
         std::fs::remove_file(&path).ok();
     }

@@ -71,7 +71,7 @@ pub struct ReplicaConfig {
     /// Timeout for a snapshot download (bundles are big).
     pub snapshot_timeout: Duration,
     /// Base backoff after a leader error; doubles per consecutive
-    /// failure, capped at [`MAX_BACKOFF`].
+    /// failure, capped at `MAX_BACKOFF`.
     pub retry_backoff: Duration,
     /// Bootstrap attempts before `start` gives up (the leader may still
     /// be coming up when the follower starts).
@@ -96,7 +96,7 @@ impl Default for ReplicaConfig {
 }
 
 /// Ceiling for the doubling retry backoff.
-pub const MAX_BACKOFF: Duration = Duration::from_secs(5);
+pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(5);
 
 /// Why a follower could not start (the tail loop itself never dies —
 /// it retries, re-bootstraps, or waits for shutdown).

@@ -136,7 +136,7 @@ pub enum BreakerState {
 
 impl BreakerState {
     /// Stable label for `/stats` and the `banks_breaker_state` gauge.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",
@@ -145,7 +145,7 @@ impl BreakerState {
     }
 
     /// Gauge encoding: 0 closed, 1 half-open, 2 open (higher = worse).
-    pub fn gauge(self) -> f64 {
+    pub(crate) fn gauge(self) -> f64 {
         match self {
             BreakerState::Closed => 0.0,
             BreakerState::HalfOpen => 1.0,

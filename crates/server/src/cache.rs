@@ -42,7 +42,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fraction of lookups served from cache (0 when no lookups yet).
-    pub fn hit_ratio(&self) -> f64 {
+    pub(crate) fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -172,6 +172,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 
     /// Keys from most to least recently used (test/debug aid).
+    #[cfg(test)]
     fn lru_order(&self) -> Vec<K> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut idx = self.head;
@@ -307,7 +308,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// missed but whose query then failed to execute: the entry was
     /// never computable, so keeping the miss would leave the counters
     /// claiming more cacheable lookups than answered queries.
-    pub fn forget_miss(&self) {
+    pub(crate) fn forget_miss(&self) {
         self.misses.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -348,7 +349,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     }
 
     /// Live entry count (sums shard sizes; approximate under concurrency).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("cache lock").map.len())
@@ -384,7 +385,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     }
 
     /// Snapshot the counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -398,7 +399,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
 
     /// Keys of one shard from most to least recently used — exposed for
     /// eviction-order tests; meaningful only for single-shard caches.
-    pub fn lru_order_of_shard(&self, shard: usize) -> Vec<K> {
+    #[cfg(test)]
+    pub(crate) fn lru_order_of_shard(&self, shard: usize) -> Vec<K> {
         self.shards[shard].lock().expect("cache lock").lru_order()
     }
 }

@@ -513,7 +513,6 @@ fn handle_search(
         QueryOptions {
             strategy,
             limit,
-            trace,
             deadline,
         },
     ) {

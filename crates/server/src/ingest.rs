@@ -96,7 +96,7 @@ impl IngestEndpoint {
     /// Current epoch plus the recent publication history, as the
     /// `/epochs` JSON document. Reads the post-publish mirror — O(size
     /// of history), never blocked by a publish in progress.
-    pub fn epochs_json(&self) -> Json {
+    pub(crate) fn epochs_json(&self) -> Json {
         let (epoch, history) = {
             let mirror = self.epochs.lock().expect("epochs lock");
             (mirror.0, mirror.1.clone())
@@ -113,7 +113,7 @@ impl IngestEndpoint {
 
 /// JSON rendering of one [`EpochInfo`] (shared by `/ingest` responses
 /// and `/epochs` history entries).
-pub fn epoch_info_json(info: &EpochInfo) -> Json {
+pub(crate) fn epoch_info_json(info: &EpochInfo) -> Json {
     Json::obj([
         ("epoch", Json::Uint(info.epoch)),
         ("ops", Json::Uint(info.ops as u64)),

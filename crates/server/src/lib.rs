@@ -46,10 +46,7 @@ pub mod ingest;
 pub mod metrics;
 pub mod service;
 
-pub use cache::{CacheLookup, CacheStats, ShardedLruCache};
+pub use cache::{CacheStats, ShardedLruCache};
 pub use http::{BanksServer, ServerConfig};
 pub use ingest::IngestEndpoint;
-pub use metrics::ServerMetrics;
-pub use service::{
-    CachedResult, QueryKey, QueryOptions, QueryService, SearchResponse, ServiceConfig, ServiceStats,
-};
+pub use service::{QueryKey, QueryOptions, QueryService, ServiceConfig};

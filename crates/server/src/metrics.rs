@@ -20,7 +20,7 @@ use std::sync::Arc;
 const NANOS_TO_SECONDS: f64 = 1e-9;
 
 /// Instruments for one HTTP endpoint.
-pub struct EndpointMetrics {
+pub(crate) struct EndpointMetrics {
     /// Requests handled (any status).
     pub requests: Arc<Counter>,
     /// Request service latency, nanosecond ticks.
@@ -44,7 +44,7 @@ const ENDPOINTS: &[&str] = &[
 ];
 
 /// The server's registry plus its pre-resolved hot-path instruments.
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     registry: Arc<Registry>,
     /// Requests shed with `503` because their accept-queue wait passed
     /// the shedding bound.
@@ -60,7 +60,7 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Resolve every owned instrument against `registry` once.
-    pub fn new(registry: Arc<Registry>) -> ServerMetrics {
+    pub(crate) fn new(registry: Arc<Registry>) -> ServerMetrics {
         let make = |endpoint: &str| EndpointMetrics {
             requests: registry.counter(
                 "banks_http_requests_total",
@@ -103,12 +103,12 @@ impl ServerMetrics {
     }
 
     /// The registry (for `/metrics` rendering and extra collectors).
-    pub fn registry(&self) -> &Arc<Registry> {
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
 
     /// The instruments for a request path (unknown paths → `other`).
-    pub fn endpoint(&self, path: &str) -> &EndpointMetrics {
+    pub(crate) fn endpoint(&self, path: &str) -> &EndpointMetrics {
         self.endpoints
             .iter()
             .find(|(p, _)| *p == path)
@@ -118,7 +118,7 @@ impl ServerMetrics {
 }
 
 /// Export the HTTP core's accept-queue depth, the live backpressure signal.
-pub fn install_queue_metrics(registry: &Registry, depth: Arc<AtomicUsize>) {
+pub(crate) fn install_queue_metrics(registry: &Registry, depth: Arc<AtomicUsize>) {
     registry.register_collector(move || {
         vec![CollectedFamily::scalar(
             "banks_http_queue_depth",
@@ -132,7 +132,7 @@ pub fn install_queue_metrics(registry: &Registry, depth: Arc<AtomicUsize>) {
 /// Register the query service's families: its two owned latency
 /// histograms plus a collector over [`QueryService::stats_with_snapshot`]
 /// (queries, cache, epoch, early terminations, pager, graph footprint).
-pub fn install_service_metrics(registry: &Registry, service: Arc<QueryService>) {
+pub(crate) fn install_service_metrics(registry: &Registry, service: Arc<QueryService>) {
     registry.register_histogram(
         "banks_query_seconds",
         "End-to-end query latency through the service, by cache outcome.",
@@ -343,7 +343,10 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
 }
 
 /// Register WAL + persistence families from a durable store.
-pub fn install_store_metrics(registry: &Registry, store: Arc<banks_persist::PersistentStore>) {
+pub(crate) fn install_store_metrics(
+    registry: &Registry,
+    store: Arc<banks_persist::PersistentStore>,
+) {
     registry.register_collector(move || {
         let p = store.stats();
         vec![

@@ -1,8 +1,8 @@
 //! The in-process query service: an `Arc`-shared BANKS snapshot fronted
 //! by the sharded result cache.
 //!
-//! Every front end — the HTTP endpoint, `banks-cli serve`, the
-//! throughput bench — goes through [`QueryService::search`], so cache
+//! Every front end — the HTTP endpoint, `banks serve`, the benchmark's
+//! layer probe — goes through [`QueryService::search`], so cache
 //! semantics and counters are identical everywhere.
 //!
 //! Since live ingestion (`banks-ingest`), the snapshot is **epoch
@@ -39,7 +39,10 @@ thread_local! {
     static WORKER_ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::new());
 }
 
-/// Service construction options.
+/// Service construction options: the result cache's size and sharding.
+/// Every cold query records its per-phase trace spans (a handful of
+/// clock reads per miss; hits never record), which feed the slow-query
+/// log and the `?trace=1` response section.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum cached results (entries, not bytes). An entry holds the
@@ -49,14 +52,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
-    /// Record per-phase trace spans on every cold query. Spans feed the
-    /// slow-query log and the opt-in `?trace=1` response section; the
-    /// cost is a handful of clock reads per *miss* (hits never record),
-    /// so this defaults to on. `false` reduces tracing to one branch.
-    pub record_spans: bool,
-    /// How many worst-by-latency cold queries the slow log retains
-    /// (`GET /debug/slow`). `0` disables the log.
-    pub slow_log_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -64,8 +59,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 4096,
             cache_shards: 8,
-            record_spans: true,
-            slow_log_capacity: 16,
         }
     }
 }
@@ -78,12 +71,6 @@ pub struct QueryOptions {
     /// Override of `search.max_results`, capped by the server to the
     /// configured maximum.
     pub limit: Option<usize>,
-    /// Force span recording for this query even when the service has
-    /// `record_spans: false` (the `?trace=1` escape hatch). Does not
-    /// affect the cache key: a traced and an untraced run of the same
-    /// query share one entry, and a hit serves the spans recorded by
-    /// whichever cold run populated it.
-    pub trace: bool,
     /// Absolute deadline for a cold search. The expansion loops poll it
     /// (arena [`banks_graph::DeadlineToken`]) and cut the search short
     /// when it lapses; the truncated result is flagged via
@@ -291,8 +278,6 @@ pub struct QueryService {
     early_terminations: AtomicU64,
     /// High-water of `SearchStats::state_bytes` across cold queries.
     state_bytes_max: AtomicU64,
-    /// Record spans on every cold query (see [`ServiceConfig`]).
-    record_spans: bool,
     /// Worst cold queries with span breakdowns (`GET /debug/slow`).
     slow_log: SlowLog,
     /// Cold (cache-miss) search latency, nanosecond ticks. `Arc`ed so a
@@ -314,6 +299,10 @@ pub struct QueryService {
 
 /// How many epochs of invalidation counts `/stats` retains.
 const INVALIDATION_EPOCHS_KEPT: usize = 64;
+
+/// How many worst-by-latency cold queries the slow log retains
+/// (`GET /debug/slow`).
+const SLOW_LOG_CAPACITY: usize = 16;
 
 impl QueryService {
     /// Wrap a built BANKS snapshot (epoch 0).
@@ -341,8 +330,7 @@ impl QueryService {
             invalidations_by_epoch: Mutex::new(BTreeMap::new()),
             early_terminations: AtomicU64::new(0),
             state_bytes_max: AtomicU64::new(0),
-            record_spans: config.record_spans,
-            slow_log: SlowLog::new(config.slow_log_capacity),
+            slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
             cold_latency: Arc::new(Histogram::new()),
             hit_latency: Arc::new(Histogram::new()),
             epoch_sync: Mutex::new(epoch),
@@ -399,7 +387,7 @@ impl QueryService {
     /// wait behind `/search?min_epoch=N` on a follower: the caller saw
     /// the leader ack epoch `N` and parks here until the tailer installs
     /// it (or gives up and redirects to the leader).
-    pub fn wait_for_min_epoch(&self, min_epoch: u64, deadline: Duration) -> u64 {
+    pub(crate) fn wait_for_min_epoch(&self, min_epoch: u64, deadline: Duration) -> u64 {
         let mirror = self.epoch_sync.lock().expect("epoch sync lock");
         let (guard, _timeout) = self
             .epoch_advanced
@@ -435,8 +423,7 @@ impl QueryService {
         // hit/miss counters only ever count answerable queries and
         // `queries == hits + computed` stays an invariant of `/stats`.
         // The parse is kept and reused on the miss path below.
-        let trace = self.record_spans || options.trace;
-        let parse_t0 = trace.then(Instant::now);
+        let parse_t0 = Instant::now();
         let query = match banks.parse(query_text) {
             Ok(query) => query,
             Err(e) => {
@@ -444,7 +431,7 @@ impl QueryService {
                 return Err(e);
             }
         };
-        let parse_ns = parse_t0.map(|t| t.elapsed().as_nanos() as u64);
+        let parse_ns = parse_t0.elapsed().as_nanos() as u64;
         let configured_max = banks.config().search.max_results;
         let limit = options
             .limit
@@ -488,25 +475,16 @@ impl QueryService {
         let (outcome, spans) = WORKER_ARENA
             .with(|arena| {
                 let mut arena = arena.borrow_mut();
-                if trace {
-                    // The parse ran before the buffer's clock origin, so
-                    // its span is back-dated to offset 0; the kernel's
-                    // own spans (match/expand/score) follow it.
-                    arena.spans.enable();
-                    if let Some(parse_ns) = parse_ns {
-                        arena.spans.push("parse", 0, 0, parse_ns);
-                    }
-                }
+                // The parse ran before the buffer's clock origin, so its
+                // span is back-dated to offset 0; the kernel's own spans
+                // (match/expand/score) follow it.
+                arena.spans.enable();
+                arena.spans.push("parse", 0, 0, parse_ns);
                 arena.deadline.arm(options.deadline);
                 let result = banks.search_parsed_in(&query, options.strategy, &config, &mut arena);
                 arena.deadline.clear();
-                let spans = if trace {
-                    let spans = arena.spans.take();
-                    arena.spans.disable();
-                    spans
-                } else {
-                    Vec::new()
-                };
+                let spans = arena.spans.take();
+                arena.spans.disable();
                 result.map(|outcome| (outcome, spans))
             })
             .inspect_err(|_| {
@@ -593,7 +571,7 @@ impl QueryService {
     /// the one this method pinned (instead of a second `banks()` call)
     /// keeps the whole stats document internally consistent even when a
     /// publish lands between the two reads.
-    pub fn stats_with_snapshot(&self) -> (ServiceStats, Arc<Banks>) {
+    pub(crate) fn stats_with_snapshot(&self) -> (ServiceStats, Arc<Banks>) {
         let snapshot = self.current();
         let stats = ServiceStats {
             queries: self.queries.load(Ordering::Relaxed),
@@ -629,17 +607,17 @@ impl QueryService {
     }
 
     /// The slow-query log (worst cold queries with span breakdowns).
-    pub fn slow_log(&self) -> &SlowLog {
+    pub(crate) fn slow_log(&self) -> &SlowLog {
         &self.slow_log
     }
 
     /// Cold (cache-miss) end-to-end latency histogram, nanosecond ticks.
-    pub fn cold_latency(&self) -> Arc<Histogram> {
+    pub(crate) fn cold_latency(&self) -> Arc<Histogram> {
         Arc::clone(&self.cold_latency)
     }
 
     /// Cache-hit lookup latency histogram, nanosecond ticks.
-    pub fn hit_latency(&self) -> Arc<Histogram> {
+    pub(crate) fn hit_latency(&self) -> Arc<Histogram> {
         Arc::clone(&self.hit_latency)
     }
 
@@ -1054,7 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn cold_queries_record_spans_slow_log_and_latency() {
+    fn cold_queries_fill_spans_slow_log_and_latency() {
         let service = service();
         let cold = service
             .search("mohan sudarshan", QueryOptions::default())
@@ -1085,30 +1063,5 @@ mod tests {
         assert!(cold.result.stats.state_bytes > 0);
         assert_eq!(slow[0].state_bytes, cold.result.stats.state_bytes as u64);
         assert_eq!(service.stats().state_bytes_max, slow[0].state_bytes);
-    }
-
-    #[test]
-    fn span_recording_can_be_disabled_and_forced_per_query() {
-        let banks = Arc::new(Banks::new(dblp()).unwrap());
-        let service = QueryService::new(
-            banks,
-            ServiceConfig {
-                record_spans: false,
-                ..ServiceConfig::default()
-            },
-        );
-        let untraced = service.search("mohan", QueryOptions::default()).unwrap();
-        assert!(untraced.result.spans.is_empty());
-        // `?trace=1` overrides a service-wide off switch for one query.
-        let traced = service
-            .search(
-                "sudarshan",
-                QueryOptions {
-                    trace: true,
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(!traced.result.spans.is_empty());
     }
 }

@@ -54,7 +54,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Magic prefix of a v3 DATA section.
-pub const DATA_V3_MAGIC: &[u8; 8] = b"BNKSDT03";
+pub(crate) const DATA_V3_MAGIC: &[u8; 8] = b"BNKSDT03";
 
 /// Slots per tuple block. A DBLP-shaped tuple decodes to ~150 bytes
 /// (values, heap headers, back-references), so 128 slots are ~20 KB
@@ -201,14 +201,14 @@ pub struct TupleBlock {
 
 impl TupleBlock {
     /// The tuple at absolute `slot`, if live and in range.
-    pub fn tuple(&self, slot: u32) -> Option<&Tuple> {
+    pub(crate) fn tuple(&self, slot: u32) -> Option<&Tuple> {
         self.tuples
             .get(slot.checked_sub(self.first_slot)? as usize)?
             .as_ref()
     }
 
     /// The reverse references of absolute `slot` (empty if out of range).
-    pub fn refs(&self, slot: u32) -> &[BackRef] {
+    pub(crate) fn refs(&self, slot: u32) -> &[BackRef] {
         slot.checked_sub(self.first_slot)
             .and_then(|i| self.back_refs.get(i as usize))
             .map(|v| v.as_slice())

@@ -27,7 +27,7 @@
 //! A database has one saved form: the v3 snapshot bundle that
 //! `banks-persist` writes and reads. This crate supplies two of its
 //! sections — the DATA section ([`blocks`]) with the catalog's
-//! [schema text](schema::schema_to_text) in its header, and the packed
+//! [schema text](schema) in its header, and the packed
 //! postings ([`postings`]) — and, for a bundle opened out of core, the
 //! lazy [`Database`] and [`LazyTextIndex`] that page them in.
 //!
@@ -58,7 +58,6 @@ pub mod metadata;
 pub mod postings;
 pub mod predicate;
 pub mod schema;
-pub mod stats;
 pub mod table;
 pub mod text_index;
 pub mod tokenizer;
@@ -66,15 +65,15 @@ pub mod tuple;
 pub mod value;
 
 pub use arena::{RowArena, StagedRows};
-pub use blocks::{DataLayout, TupleBlock, TupleStore, TupleStoreStats, BLOCK_SPAN, DATA_V3_MAGIC};
+pub use blocks::{DataLayout, TupleBlock, TupleStore, TupleStoreStats, BLOCK_SPAN};
 pub use catalog::{BackRef, Database};
 pub use error::{StorageError, StorageResult};
 pub use metadata::{MetadataIndex, MetadataTarget};
 pub use postings::{LazyTextIndex, PostingSource};
 pub use predicate::Predicate;
-pub use schema::{ColumnDef, ColumnType, ForeignKey, RelationSchema, SchemaBuilder};
+pub use schema::{ColumnType, RelationSchema};
 pub use table::Table;
-pub use text_index::{Posting, TextIndex};
+pub use text_index::TextIndex;
 pub use tokenizer::Tokenizer;
 pub use tuple::{RelationId, Rid, Tuple};
 pub use value::Value;

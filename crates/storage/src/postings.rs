@@ -42,7 +42,7 @@ use std::io::Write;
 use std::sync::Mutex;
 
 /// Magic leading a packed postings payload.
-pub const POSTINGS_MAGIC: &[u8; 8] = b"BNKSPST1";
+pub(crate) const POSTINGS_MAGIC: &[u8; 8] = b"BNKSPST1";
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -70,7 +70,7 @@ pub trait PostingSource: Send + Sync + std::fmt::Debug {
 
 /// A [`PostingSource`] over an in-memory buffer.
 #[derive(Debug, Clone)]
-pub struct MemSource(pub std::sync::Arc<[u8]>);
+pub(crate) struct MemSource(pub std::sync::Arc<[u8]>);
 
 impl PostingSource for MemSource {
     fn len(&self) -> u64 {
@@ -143,7 +143,7 @@ pub fn write_packed_postings(index: &TextIndex, w: &mut impl Write) -> StorageRe
 /// posting lists fetched from the [`PostingSource`] on first lookup and
 /// cached forever after (the cache is append-only — entries are boxed
 /// slices whose addresses are stable, which is what lets
-/// [`LazyTextIndex::lookup`] hand out `&[Posting]` borrows of `&self`).
+/// `LazyTextIndex::lookup` hand out `&[Posting]` borrows of `&self`).
 pub struct LazyTextIndex {
     source: std::sync::Arc<dyn PostingSource>,
     table: Box<[TermEntry]>,
@@ -292,7 +292,7 @@ impl LazyTextIndex {
     }
 
     /// Postings for `token`, fetched on first touch and cached.
-    pub fn lookup(&self, token: &str) -> &[Posting] {
+    pub(crate) fn lookup(&self, token: &str) -> &[Posting] {
         let Some(idx) = self.find(token) else {
             return &[];
         };
@@ -308,23 +308,23 @@ impl LazyTextIndex {
     }
 
     /// All tokens, in lexicographic order.
-    pub fn tokens(&self) -> impl Iterator<Item = &str> + '_ {
+    pub(crate) fn tokens(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.table.len()).map(|i| self.token_at(i))
     }
 
     /// Number of distinct tokens.
-    pub fn distinct_tokens(&self) -> usize {
+    pub(crate) fn distinct_tokens(&self) -> usize {
         self.table.len()
     }
 
     /// Total postings across all tokens (from the header, not a scan).
-    pub fn posting_count(&self) -> usize {
+    pub(crate) fn posting_count(&self) -> usize {
         self.total_postings as usize
     }
 
     /// Resident bytes: table + heap + currently cached posting lists.
     /// (The triples area on the source is *not* resident.)
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         let cached: usize = self
             .cache
             .lock()
@@ -337,7 +337,7 @@ impl LazyTextIndex {
 
     /// `(cached terms, total terms, cached posting bytes)` for storage
     /// stats reporting.
-    pub fn cache_stats(&self) -> (usize, usize, usize) {
+    pub(crate) fn cache_stats(&self) -> (usize, usize, usize) {
         let cache = self.cache.lock().expect("postings cache");
         let bytes = cache
             .values()
@@ -349,7 +349,7 @@ impl LazyTextIndex {
     /// Decode everything into eager `(token, list)` pairs — the full
     /// bundle-load path and the mutation path (an index being written
     /// to must be eager). One bulk read of the triples area.
-    pub fn materialize(&self) -> StorageResult<Vec<(String, Vec<Posting>)>> {
+    pub(crate) fn materialize(&self) -> StorageResult<Vec<(String, Vec<Posting>)>> {
         let mut raw = vec![0u8; (self.total_postings as usize) * TRIPLE_LEN];
         self.source
             .read_at(self.triples_base, &mut raw)

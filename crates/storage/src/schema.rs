@@ -7,7 +7,7 @@
 //! `banks-core` uses as the forward edge weight (default 1.0).
 //!
 //! A database's catalog travels as line-based *schema text*
-//! ([`schema_to_text`] / [`schema_from_text`]), which the v3 DATA section
+//! (`schema_to_text` / [`schema_from_text`]), which the v3 DATA section
 //! embeds in its header:
 //!
 //! ```text
@@ -46,7 +46,7 @@ pub enum ColumnType {
 impl ColumnType {
     /// Whether `value` conforms to this column type (NULL always conforms;
     /// nullability is checked separately).
-    pub fn accepts(&self, value: &Value) -> bool {
+    pub(crate) fn accepts(&self, value: &Value) -> bool {
         matches!(
             (self, value),
             (_, Value::Null)
@@ -69,7 +69,7 @@ impl ColumnType {
     }
 
     /// Parse a type name as produced by [`ColumnType::name`].
-    pub fn parse(s: &str) -> Option<ColumnType> {
+    pub(crate) fn parse(s: &str) -> Option<ColumnType> {
         match s {
             "int" => Some(ColumnType::Int),
             "float" => Some(ColumnType::Float),
@@ -138,7 +138,7 @@ impl RelationSchema {
     }
 
     /// Resolve a column name to its index, with a descriptive error.
-    pub fn require_column(&self, name: &str) -> StorageResult<usize> {
+    pub(crate) fn require_column(&self, name: &str) -> StorageResult<usize> {
         self.column_index(name)
             .ok_or_else(|| StorageError::UnknownColumn {
                 relation: self.name.clone(),
@@ -157,7 +157,7 @@ impl RelationSchema {
     }
 
     /// Names of the primary-key columns, in key order.
-    pub fn primary_key_names(&self) -> Vec<&str> {
+    pub(crate) fn primary_key_names(&self) -> Vec<&str> {
         self.primary_key
             .iter()
             .map(|&i| self.columns[i].name.as_str())
@@ -165,7 +165,7 @@ impl RelationSchema {
     }
 
     /// Validate internal consistency (column name uniqueness, index bounds).
-    pub fn validate(&self) -> StorageResult<()> {
+    pub(crate) fn validate(&self) -> StorageResult<()> {
         if self.name.is_empty() {
             return Err(StorageError::InvalidSchema(
                 "relation name must be non-empty".into(),
@@ -350,7 +350,7 @@ impl SchemaBuilder {
 }
 
 /// Serialize every relation schema of `db` to the schema text format.
-pub fn schema_to_text(db: &Database) -> String {
+pub(crate) fn schema_to_text(db: &Database) -> String {
     let mut out = format!("database {}\n", db.name());
     for table in db.relations() {
         let schema = table.schema();

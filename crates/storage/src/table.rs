@@ -119,7 +119,7 @@ pub(crate) struct LazyParts<'a> {
 
 impl LazyParts<'_> {
     /// Has the PK lane changed since open?
-    pub fn pk_dirty(&self) -> bool {
+    pub(crate) fn pk_dirty(&self) -> bool {
         !self.pk_added.is_empty() || !self.pk_deleted.is_empty()
     }
 }
@@ -147,7 +147,7 @@ pub struct Table {
 
 impl Table {
     /// Create an empty table for `schema` with catalog id `id`.
-    pub fn new(id: RelationId, schema: RelationSchema) -> Table {
+    pub(crate) fn new(id: RelationId, schema: RelationSchema) -> Table {
         Table {
             id,
             schema,
@@ -363,7 +363,7 @@ impl Table {
     ///
     /// Foreign keys are enforced one level up, by
     /// [`crate::Database::insert`], which can see the referenced tables.
-    pub fn insert(&mut self, values: Vec<Value>) -> StorageResult<Rid> {
+    pub(crate) fn insert(&mut self, values: Vec<Value>) -> StorageResult<Rid> {
         self.check_values(&values)?;
         let hash = if self.schema.has_primary_key() {
             let hash = self.pk_hash_of_row(&values);
@@ -445,7 +445,7 @@ impl Table {
     }
 
     /// Is the slot live? Answered without decoding any block.
-    pub fn is_live(&self, slot: u32) -> bool {
+    pub(crate) fn is_live(&self, slot: u32) -> bool {
         match &self.repr {
             Repr::Eager { slots, .. } => slots.get(slot as usize).is_some_and(|t| t.is_some()),
             Repr::Lazy {
@@ -497,7 +497,7 @@ impl Table {
     /// Delete the tuple at `slot`. Returns the removed tuple.
     ///
     /// The slot is tombstoned, keeping every other rid stable.
-    pub fn delete(&mut self, slot: u32) -> StorageResult<Tuple> {
+    pub(crate) fn delete(&mut self, slot: u32) -> StorageResult<Tuple> {
         if (slot as usize) >= self.slot_count() {
             return Err(StorageError::InvalidRid(format!(
                 "slot {slot} out of range"
@@ -552,7 +552,7 @@ impl Table {
     ///
     /// Primary-key columns cannot be updated (delete + insert instead);
     /// this keeps the pk index and any foreign keys pointing here valid.
-    pub fn update(&mut self, slot: u32, column: usize, value: Value) -> StorageResult<()> {
+    pub(crate) fn update(&mut self, slot: u32, column: usize, value: Value) -> StorageResult<()> {
         if self.schema.primary_key.contains(&column) {
             return Err(StorageError::InvalidSchema(format!(
                 "cannot update primary-key column {column} of `{}`",

@@ -209,7 +209,7 @@ impl TextIndex {
     /// verified with one linear scan, and only a list that fails it
     /// (hand-edited or foreign input) pays the sort + dedup
     /// normalization every other entry point maintains.
-    pub fn from_postings<I>(entries: I) -> TextIndex
+    pub(crate) fn from_postings<I>(entries: I) -> TextIndex
     where
         I: IntoIterator<Item = (String, Vec<Posting>)>,
     {

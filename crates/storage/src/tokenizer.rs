@@ -114,7 +114,7 @@ impl Tokenizer {
     /// lowercased identifier as a token.
     ///
     /// `"AuthorName"` → `["author", "name", "authorname"]`.
-    pub fn tokenize_identifier(&self, name: &str) -> Vec<String> {
+    pub(crate) fn tokenize_identifier(&self, name: &str) -> Vec<String> {
         let mut out = Vec::new();
         let mut current = String::new();
         let chars: Vec<char> = name.chars().collect();

@@ -57,7 +57,7 @@ pub struct Tuple {
 
 impl Tuple {
     /// Create a tuple from values. Arity/type checks happen at table level.
-    pub fn new(values: Vec<Value>) -> Tuple {
+    pub(crate) fn new(values: Vec<Value>) -> Tuple {
         Tuple {
             values: values.into_boxed_slice(),
         }

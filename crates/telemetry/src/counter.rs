@@ -41,7 +41,7 @@ pub struct Counter {
 
 impl Counter {
     /// A fresh counter at zero.
-    pub fn new() -> Counter {
+    pub(crate) fn new() -> Counter {
         Counter::default()
     }
 
@@ -53,12 +53,12 @@ impl Counter {
 
     /// Add `n`.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.cells[thread_shard()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current total across all shards.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
@@ -104,7 +104,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Values are non-negative integer "ticks" (the serving layer records
 //! nanoseconds). The bucket layout is fixed at compile time: values
-//! below [`SUB_BUCKETS`] get exact unit buckets, and every power-of-two
-//! octave above that is split into [`SUB_BUCKETS`] linear sub-buckets,
+//! below `SUB_BUCKETS` get exact unit buckets, and every power-of-two
+//! octave above that is split into `SUB_BUCKETS` linear sub-buckets,
 //! bounding relative error by `1 / SUB_BUCKETS` (6.25%). The layout is
 //! identical for every histogram, so two histograms merge by bucket-wise
 //! addition and a merged histogram answers quantile queries exactly as
@@ -19,15 +19,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const SUB_BITS: u32 = 4;
 
 /// Linear sub-buckets per octave (and exact unit buckets below it).
-pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
+pub(crate) const SUB_BUCKETS: usize = 1 << SUB_BITS;
 
 /// Total bucket count: unit buckets plus `SUB_BUCKETS` per octave for
 /// octaves `SUB_BITS..64`.
-pub const BUCKET_COUNT: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
+pub(crate) const BUCKET_COUNT: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
 
 /// Bucket index for a value. Exact below `SUB_BUCKETS`; log-linear above.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS as u64 {
         v as usize
     } else {
@@ -39,7 +39,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` (saturating for the last octave).
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     debug_assert!(i < BUCKET_COUNT);
     if i < SUB_BUCKETS {
         i as u64
@@ -88,7 +88,7 @@ impl Histogram {
 
     /// Record one value.
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
@@ -138,7 +138,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// An all-zero snapshot, useful as a merge accumulator.
-    pub fn empty() -> HistogramSnapshot {
+    pub(crate) fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: vec![0; BUCKET_COUNT],
             sum: 0,
@@ -151,7 +151,7 @@ impl HistogramSnapshot {
     }
 
     /// Sum of all recorded values, in ticks.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
@@ -166,7 +166,7 @@ impl HistogramSnapshot {
     /// Number of samples with value `<= bound`. Exact whenever `bound`
     /// is a bucket upper bound (all `2^k - 1` are, for `k >= SUB_BITS`);
     /// otherwise conservatively excludes the straddling bucket.
-    pub fn cumulative_le(&self, bound: u64) -> u64 {
+    pub(crate) fn cumulative_le(&self, bound: u64) -> u64 {
         let mut total = 0;
         for (i, &c) in self.buckets.iter().enumerate() {
             if bucket_upper_bound(i) > bound {
@@ -181,7 +181,8 @@ impl HistogramSnapshot {
     /// containing the sample of rank `ceil(q * count)`. Returns 0 for an
     /// empty snapshot. Relative error is bounded by the bucket width
     /// (≤ 6.25%).
-    pub fn quantile(&self, q: f64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -198,7 +199,7 @@ impl HistogramSnapshot {
         bucket_upper_bound(BUCKET_COUNT - 1)
     }
 
-    /// Raw bucket counts (fixed layout, see [`bucket_upper_bound`]).
+    /// Raw bucket counts (fixed layout, see `bucket_upper_bound`).
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }

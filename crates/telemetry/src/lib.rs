@@ -24,11 +24,11 @@
 pub mod counter;
 pub mod histogram;
 pub mod registry;
-pub mod slowlog;
+pub(crate) mod slowlog;
 pub mod span;
 
 pub use counter::{Counter, Gauge};
-pub use histogram::{latency_boundaries, Histogram, HistogramSnapshot};
-pub use registry::{CollectedFamily, Collector, Kind, LabelSet, Registry, Sample};
+pub use histogram::{latency_boundaries, Histogram};
+pub use registry::{CollectedFamily, Kind, Registry, Sample};
 pub use slowlog::{SlowLog, SlowQuery};
 pub use span::{Span, SpanBuffer};

@@ -42,7 +42,7 @@ impl Kind {
 }
 
 /// A label set: name/value pairs, rendered in insertion order.
-pub type LabelSet = Vec<(&'static str, String)>;
+pub(crate) type LabelSet = Vec<(&'static str, String)>;
 
 /// One scalar sample produced by a collector.
 #[derive(Clone, Debug)]
@@ -84,7 +84,7 @@ impl CollectedFamily {
 }
 
 /// A scrape-time family source.
-pub type Collector = Arc<dyn Fn() -> Vec<CollectedFamily> + Send + Sync>;
+pub(crate) type Collector = Arc<dyn Fn() -> Vec<CollectedFamily> + Send + Sync>;
 
 enum Instrument {
     Counter(Arc<Counter>),

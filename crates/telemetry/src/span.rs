@@ -39,7 +39,7 @@ impl Default for SpanBuffer {
 
 impl SpanBuffer {
     /// A disabled buffer; recording costs one predictable branch.
-    pub fn new() -> SpanBuffer {
+    pub(crate) fn new() -> SpanBuffer {
         SpanBuffer {
             enabled: false,
             origin: Instant::now(),

@@ -5,11 +5,11 @@
 //! one binary was deployed.
 
 /// Workspace crate version (`CARGO_PKG_VERSION`).
-pub const PKG_VERSION: &str = env!("CARGO_PKG_VERSION");
+pub(crate) const PKG_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// `git describe --tags --always --dirty` at build time, or
 /// `"unknown"` outside a git checkout (see `build.rs`).
-pub const GIT_DESCRIBE: &str = env!("BANKS_GIT_DESCRIBE");
+pub(crate) const GIT_DESCRIBE: &str = env!("BANKS_GIT_DESCRIBE");
 
 /// Human-readable build identity: `<version>+<git describe>`.
 pub fn version() -> String {

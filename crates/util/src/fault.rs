@@ -123,7 +123,7 @@ mod imp {
     }
 
     /// Arm (or re-arm, resetting the stream) a named fault point.
-    pub fn arm(point: &str, fault: FaultPoint, rate: f64, seed: u64) {
+    pub(crate) fn arm(point: &str, fault: FaultPoint, rate: f64, seed: u64) {
         registry()
             .lock()
             .unwrap()
@@ -131,12 +131,12 @@ mod imp {
     }
 
     /// Disarm every fault point (tests call this between scenarios).
-    pub fn clear() {
+    pub(crate) fn clear() {
         registry().lock().unwrap().clear();
     }
 
     /// Times the named point has fired since it was armed.
-    pub fn fired(point: &str) -> u64 {
+    pub(crate) fn fired(point: &str) -> u64 {
         registry().lock().unwrap().get(point).map_or(0, |s| s.fires)
     }
 
@@ -160,7 +160,7 @@ mod imp {
     /// The general hook: errors on `ReturnErr`, sleeps on `Delay`.
     /// `TornWrite` does not fire here — only [`torn_write`] sites
     /// understand partial writes.
-    pub fn maybe_fault(point: &str) -> io::Result<()> {
+    pub(crate) fn maybe_fault(point: &str) -> io::Result<()> {
         match roll(point) {
             Some(FaultPoint::ReturnErr) => Err(injected_err(point)),
             Some(FaultPoint::Delay(d)) => {
@@ -177,7 +177,7 @@ mod imp {
     /// mid-write. The prefix length is drawn from the same stream, so
     /// it is deterministic too. `ReturnErr`/`Delay` armed on the same
     /// point behave as in [`maybe_fault`] (reported via the `Err` arm).
-    pub fn torn_write(point: &str, len: usize) -> io::Result<Option<usize>> {
+    pub(crate) fn torn_write(point: &str, len: usize) -> io::Result<Option<usize>> {
         match roll(point) {
             Some(FaultPoint::TornWrite) => {
                 let cut = registry()

@@ -12,7 +12,7 @@
 //! * **Server** — [`HttpServer`]: one listener, an acceptor thread, a
 //!   bounded queue of accepted connections stamped with their accept
 //!   time, and a fixed worker pool. The core does the framing and the
-//!   limits ([`MAX_HEAD_BYTES`], the body cap, the head-read timeout)
+//!   limits (`MAX_HEAD_BYTES`, the body cap, the head-read timeout)
 //!   and contains handler panics; admission control and routing belong
 //!   to the handler each role passes in.
 
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 ///
 /// Invalid escapes are passed through literally rather than erroring —
 /// the server treats a malformed query as a search for the literal text.
-pub fn percent_decode(s: &str) -> String {
+pub(crate) fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -105,7 +105,7 @@ pub fn percent_encode(s: &str) -> String {
 
 /// Strip an optional `http://` scheme and trailing `/` so flags accept
 /// either `host:port` or `http://host:port` spellings of a peer address.
-pub fn host_port(url: &str) -> &str {
+pub(crate) fn host_port(url: &str) -> &str {
     url.strip_prefix("http://")
         .unwrap_or(url)
         .trim_end_matches('/')
@@ -328,7 +328,7 @@ fn read_response(
 
 /// Longest request head (request line, headers, blank line) a server
 /// reads; an unterminated head of this size is answered `431`.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Default cap on a request body; a larger declared `Content-Length` is
 /// answered `413` before any body byte is read.
 pub const MAX_BODY_BYTES: u64 = 8 * 1024 * 1024;
@@ -480,7 +480,7 @@ impl HttpServer {
     /// background threads.
     ///
     /// The handler sees well-framed requests only: a head over
-    /// [`MAX_HEAD_BYTES`] is answered `431`, a malformed request line or
+    /// `MAX_HEAD_BYTES` is answered `431`, a malformed request line or
     /// `Content-Length` `400`, a body over `max_body_bytes` `413`. A
     /// client that has not sent its head within `header_read_timeout` is
     /// disconnected. A handler that panics loses its connection, not its

@@ -35,4 +35,4 @@ pub mod process;
 pub mod retry;
 
 pub use fs::atomic_write;
-pub use json::{Json, ToJson};
+pub use json::Json;

@@ -57,7 +57,7 @@ static LEVEL: AtomicU8 = AtomicU8::new(UNINIT);
 
 /// Current level, initializing from `BANKS_LOG` (default `info`) on
 /// first use.
-pub fn level() -> Level {
+pub(crate) fn level() -> Level {
     let raw = LEVEL.load(Ordering::Relaxed);
     if raw != UNINIT {
         return decode(raw);
@@ -104,7 +104,7 @@ pub fn write(level: Level, component: &str, args: std::fmt::Arguments<'_>) {
 }
 
 /// Current wall-clock time as `YYYY-MM-DDTHH:MM:SS.mmmZ`.
-pub fn rfc3339_now() -> String {
+pub(crate) fn rfc3339_now() -> String {
     let now = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .unwrap_or_default();
@@ -112,7 +112,7 @@ pub fn rfc3339_now() -> String {
 }
 
 /// Format milliseconds-since-epoch as RFC 3339 UTC.
-pub fn rfc3339_from_unix_ms(unix_ms: u64) -> String {
+pub(crate) fn rfc3339_from_unix_ms(unix_ms: u64) -> String {
     let secs = (unix_ms / 1000) as i64;
     let millis = (unix_ms % 1000) as u32;
     let days = secs.div_euclid(86_400);

@@ -158,7 +158,7 @@ impl RetryBudget {
 
     /// Take one retry token; `false` means the budget is dry and the
     /// caller must fail fast instead of retrying.
-    pub fn withdraw(&self) -> bool {
+    pub(crate) fn withdraw(&self) -> bool {
         self.units
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |u| {
                 u.checked_sub(TOKEN)
@@ -167,7 +167,7 @@ impl RetryBudget {
     }
 
     /// Credit a successful first attempt (a tenth of a token).
-    pub fn deposit(&self) {
+    pub(crate) fn deposit(&self) {
         self.units
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |u| {
                 Some((u + 1).min(self.max_units))

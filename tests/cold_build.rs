@@ -239,7 +239,7 @@ fn corpus_writer_rejects_what_the_database_rejects() {
 /// from those links, and the builder's sort and min-coalescing make the
 /// CSR.
 fn reference_graph(db: &Database, config: &GraphConfig) -> Graph {
-    let mut rid_nodes = banks_graph::FxHashMap::default();
+    let mut rid_nodes = banks_util::fxhash::FxHashMap::default();
     let mut rids = Vec::new();
     for table in db.relations() {
         for slot in table.live_slots() {
