@@ -10,8 +10,8 @@ use banks_storage::{Database, Predicate, RelationId, Rid, StorageResult, Value};
 #[derive(Debug)]
 pub struct Session<'db> {
     db: &'db Database,
+    /// Every view so far; the last is the current one.
     history: Vec<ViewSpec>,
-    cursor: usize,
 }
 
 impl<'db> Session<'db> {
@@ -21,13 +21,12 @@ impl<'db> Session<'db> {
         Ok(Session {
             db,
             history: vec![ViewSpec::relation(rel)],
-            cursor: 0,
         })
     }
 
     /// The current view specification.
     pub(crate) fn current(&self) -> &ViewSpec {
-        &self.history[self.cursor]
+        self.history.last().expect("history starts non-empty")
     }
 
     /// Render the current view.
@@ -35,36 +34,20 @@ impl<'db> Session<'db> {
         render(self.db, self.current())
     }
 
-    /// Push a new view onto the history (dropping any forward entries).
-    fn push(&mut self, spec: ViewSpec) {
-        self.history.truncate(self.cursor + 1);
-        self.history.push(spec);
-        self.cursor += 1;
-    }
-
     /// Modify the current view in place via a copy-push (so Back undoes
     /// the control interaction too).
     fn modify(&mut self, f: impl FnOnce(&mut ViewSpec)) {
         let mut spec = self.current().clone();
         f(&mut spec);
-        self.push(spec);
+        self.history.push(spec);
     }
 
     /// Go back one step. Returns false at the start of history.
     pub fn back(&mut self) -> bool {
-        if self.cursor == 0 {
+        if self.history.len() == 1 {
             return false;
         }
-        self.cursor -= 1;
-        true
-    }
-
-    /// Go forward one step (after Back). Returns false at the end.
-    pub fn forward(&mut self) -> bool {
-        if self.cursor + 1 >= self.history.len() {
-            return false;
-        }
-        self.cursor += 1;
+        self.history.pop();
         true
     }
 
@@ -78,7 +61,7 @@ impl<'db> Session<'db> {
                 fk_index,
             } => self.view_backrefs(*target, *relation, *fk_index),
             Hyperlink::Relation(rel) => {
-                self.push(ViewSpec::relation(*rel));
+                self.history.push(ViewSpec::relation(*rel));
                 Ok(())
             }
             Hyperlink::GroupValue {
@@ -88,7 +71,7 @@ impl<'db> Session<'db> {
             } => {
                 let mut spec = ViewSpec::relation(*relation);
                 spec.selections = vec![(*column, Predicate::Eq(value.clone()))];
-                self.push(spec);
+                self.history.push(spec);
                 Ok(())
             }
             Hyperlink::Template(_) => Ok(()), // resolved by the caller's template registry
@@ -105,7 +88,7 @@ impl<'db> Session<'db> {
             .iter()
             .map(|&k| (k as u32, Predicate::Eq(tuple.values()[k].clone())))
             .collect();
-        self.push(spec);
+        self.history.push(spec);
         Ok(())
     }
 
@@ -141,7 +124,7 @@ impl<'db> Session<'db> {
             .zip(key_values)
             .map(|(&col, v)| (col as u32, Predicate::Eq(v)))
             .collect();
-        self.push(spec);
+        self.history.push(spec);
         Ok(())
     }
 
@@ -185,11 +168,6 @@ impl<'db> Session<'db> {
     /// Sort by a rendered column.
     pub fn sort(&mut self, column: usize, ascending: bool) {
         self.modify(|s| s.sort = Some((column, ascending)));
-    }
-
-    /// Move to a page.
-    pub fn page(&mut self, page: usize) {
-        self.modify(|s| s.page = page);
     }
 }
 
@@ -246,19 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn history_back_and_forward() {
+    fn history_back_undoes_each_step() {
         let d = generate(ThesisConfig::tiny(4)).unwrap();
         let mut session = Session::open(&d.db, "Student").unwrap();
         session.group_by(2);
+        session.sort(0, false);
+        assert_eq!(session.render().unwrap().columns[1], "count");
+        assert!(session.back(), "undoes the sort");
         let grouped = session.render().unwrap();
         assert!(grouped.columns[1] == "count");
-        assert!(session.back());
+        assert!(session.back(), "undoes the grouping");
         let plain = session.render().unwrap();
         assert_eq!(plain.columns.len(), 4);
-        assert!(session.forward());
-        assert_eq!(session.render().unwrap().columns[1], "count");
-        assert!(!session.forward());
-        session.back();
         assert!(!session.back(), "at start of history");
     }
 

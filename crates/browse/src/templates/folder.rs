@@ -35,7 +35,8 @@ pub struct FolderNode {
 
 impl FolderNode {
     /// Depth of the tree under this node (a leaf-only node has depth 1).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         1 + self.children.iter().map(|c| c.depth()).max().unwrap_or(0)
     }
 }

@@ -57,8 +57,6 @@ pub(crate) struct ServeArgs {
     pub workers: usize,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Result-cache shard count.
-    pub cache_shards: usize,
     /// Durable data directory (snapshot bundles + WAL; `banks-persist`).
     pub data_dir: Option<PathBuf>,
     /// Skip the per-append WAL fsync (survives process death, not power
@@ -82,32 +80,29 @@ pub(crate) struct ServeArgs {
     pub default_deadline_ms: Option<u64>,
     /// Cap on client-supplied deadline budgets (`--max-deadline-ms`).
     pub max_deadline_ms: u64,
-    /// Hard cap on a `POST /ingest` body (`--max-body-bytes`; accepts
-    /// `k`/`m`/`g` suffixes).
-    pub max_body_bytes: u64,
     /// Per-client token-bucket rate limit in requests/second
     /// (`--rate-limit-rps`); `None` disables limiting.
     pub rate_limit_rps: Option<f64>,
     /// Queue-wait bound before a connection is shed with 503
     /// (`--shed-after-ms`).
     pub shed_after_ms: u64,
-    /// Budget for reading the request line + headers
-    /// (`--header-read-timeout-ms`); cuts off slowloris clients.
-    pub header_read_timeout_ms: u64,
     /// Log verbosity override (`error|warn|info|debug`); defaults to
     /// the `BANKS_LOG` environment variable, then `info`.
     pub log_level: Option<banks_util::log::Level>,
 }
 
 impl Default for ServeArgs {
+    /// Mirrors the server, service and store crates' own defaults
+    /// instead of restating the numbers, so the two can never drift
+    /// apart.
     fn default() -> Self {
+        let server = ServerConfig::default();
         ServeArgs {
             corpus: "dblp".to_string(),
             seed: 1,
             addr: "127.0.0.1:7331".to_string(),
             workers: 0,
-            cache_capacity: 4096,
-            cache_shards: 8,
+            cache_capacity: ServiceConfig::default().cache_capacity,
             data_dir: None,
             no_fsync: false,
             compact_wal_batches: PersistOptions::default().compact_wal_batches,
@@ -115,21 +110,13 @@ impl Default for ServeArgs {
             memory_budget: 256 * 1024 * 1024,
             no_ingest: false,
             follow: None,
-            default_deadline_ms: server_defaults().default_deadline_ms,
-            max_deadline_ms: server_defaults().max_deadline_ms,
-            max_body_bytes: server_defaults().max_body_bytes,
-            rate_limit_rps: server_defaults().rate_limit_rps,
-            shed_after_ms: server_defaults().shed_after.as_millis() as u64,
-            header_read_timeout_ms: server_defaults().header_read_timeout.as_millis() as u64,
+            default_deadline_ms: server.default_deadline_ms,
+            max_deadline_ms: server.max_deadline_ms,
+            rate_limit_rps: server.rate_limit_rps,
+            shed_after_ms: server.shed_after.as_millis() as u64,
             log_level: None,
         }
     }
-}
-
-/// The server crate's own defaults — the CLI mirrors them instead of
-/// restating the numbers, so the two can never drift apart.
-fn server_defaults() -> ServerConfig {
-    ServerConfig::default()
 }
 
 impl ServeArgs {
@@ -146,7 +133,6 @@ impl ServeArgs {
                 "--cache-capacity" => {
                     parsed.cache_capacity = flag_number(&mut it, "--cache-capacity")?
                 }
-                "--cache-shards" => parsed.cache_shards = flag_number(&mut it, "--cache-shards")?,
                 // Kept so scripts that pass `--search-threads 1` still
                 // start; it sets nothing.
                 "--search-threads" => {
@@ -179,10 +165,6 @@ impl ServeArgs {
                 "--max-deadline-ms" => {
                     parsed.max_deadline_ms = flag_number(&mut it, "--max-deadline-ms")?
                 }
-                "--max-body-bytes" => {
-                    parsed.max_body_bytes =
-                        parse_byte_size(&flag_value(&mut it, "--max-body-bytes")?)?
-                }
                 "--rate-limit-rps" => {
                     let rps: f64 = flag_number(&mut it, "--rate-limit-rps")?;
                     if !rps.is_finite() || rps <= 0.0 {
@@ -192,10 +174,6 @@ impl ServeArgs {
                 }
                 "--shed-after-ms" => {
                     parsed.shed_after_ms = flag_number(&mut it, "--shed-after-ms")?
-                }
-                "--header-read-timeout-ms" => {
-                    parsed.header_read_timeout_ms =
-                        flag_number(&mut it, "--header-read-timeout-ms")?
                 }
                 "--log-level" => {
                     let raw = flag_value(&mut it, "--log-level")?;
@@ -253,7 +231,6 @@ pub(crate) fn build_service(
     let config = BanksConfig::default();
     let service_config = ServiceConfig {
         cache_capacity: args.cache_capacity,
-        cache_shards: args.cache_shards,
     };
 
     let mut phases = Phases::default();
@@ -274,7 +251,6 @@ pub(crate) fn build_service(
             fsync: !args.no_fsync,
             compact_wal_batches: args.compact_wal_batches,
             paged_budget: args.paged.then_some(args.memory_budget),
-            ..PersistOptions::default()
         };
         let start = Instant::now();
         let (store, recovery) =
@@ -345,12 +321,10 @@ fn server_config(args: &ServeArgs, leader_hint: Option<String>) -> ServerConfig 
             args.workers
         },
         leader_hint,
-        max_body_bytes: args.max_body_bytes,
         default_deadline_ms: args.default_deadline_ms,
         max_deadline_ms: args.max_deadline_ms,
         shed_after: Duration::from_millis(args.shed_after_ms),
         rate_limit_rps: args.rate_limit_rps,
-        header_read_timeout: Duration::from_millis(args.header_read_timeout_ms),
         ..defaults
     }
 }
@@ -479,7 +453,6 @@ fn start_follower(
     }
     let service_config = ServiceConfig {
         cache_capacity: args.cache_capacity,
-        cache_shards: args.cache_shards,
     };
     let replica = Replica::start(
         ReplicaConfig {
@@ -489,7 +462,6 @@ fn start_follower(
                 fsync: !args.no_fsync,
                 compact_wal_batches: args.compact_wal_batches,
                 paged_budget: args.paged.then_some(args.memory_budget),
-                ..PersistOptions::default()
             },
             ..ReplicaConfig::default()
         },
@@ -562,8 +534,6 @@ mod tests {
             "3",
             "--cache-capacity",
             "128",
-            "--cache-shards",
-            "2",
             "--data-dir",
             "/tmp/banks-data",
             "--no-fsync",
@@ -576,7 +546,6 @@ mod tests {
         assert_eq!(args.addr, "127.0.0.1:0");
         assert_eq!(args.workers, 3);
         assert_eq!(args.cache_capacity, 128);
-        assert_eq!(args.cache_shards, 2);
         // `--search-threads 1` is still accepted and changes nothing;
         // any other value names the removal.
         assert_eq!(
@@ -628,41 +597,45 @@ mod tests {
             "250",
             "--max-deadline-ms",
             "2000",
-            "--max-body-bytes",
-            "1m",
             "--rate-limit-rps",
             "50",
             "--shed-after-ms",
             "100",
-            "--header-read-timeout-ms",
-            "500",
         ]))
         .unwrap();
         assert_eq!(args.default_deadline_ms, Some(250));
         assert_eq!(args.max_deadline_ms, 2000);
-        assert_eq!(args.max_body_bytes, 1 << 20);
         assert_eq!(args.rate_limit_rps, Some(50.0));
         assert_eq!(args.shed_after_ms, 100);
-        assert_eq!(args.header_read_timeout_ms, 500);
         let config = server_config(&args, None);
         assert_eq!(config.default_deadline_ms, Some(250));
         assert_eq!(config.max_deadline_ms, 2000);
-        assert_eq!(config.max_body_bytes, 1 << 20);
         assert_eq!(config.rate_limit_rps, Some(50.0));
         assert_eq!(config.shed_after, Duration::from_millis(100));
-        assert_eq!(config.header_read_timeout, Duration::from_millis(500));
         // Defaults mirror the server crate's own.
         let defaults = ServeArgs::default();
         assert_eq!(
-            defaults.max_body_bytes,
-            ServerConfig::default().max_body_bytes
+            defaults.max_deadline_ms,
+            ServerConfig::default().max_deadline_ms
         );
         assert_eq!(defaults.rate_limit_rps, None);
+        // The framing limits and the cache's sharding are constants of
+        // the HTTP core and the service, not flags.
+        for (flag, value) in [
+            ("--cache-shards", "4"),
+            ("--max-body-bytes", "1m"),
+            ("--header-read-timeout-ms", "500"),
+        ] {
+            let err = ServeArgs::parse(&strings(&[flag, value])).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown serve flag `{flag}`")),
+                "{err}"
+            );
+        }
         // Bad values are refused with a flag-specific message.
         assert!(ServeArgs::parse(&strings(&["--rate-limit-rps", "0"])).is_err());
         assert!(ServeArgs::parse(&strings(&["--rate-limit-rps", "x"])).is_err());
         assert!(ServeArgs::parse(&strings(&["--default-deadline-ms", "x"])).is_err());
-        assert!(ServeArgs::parse(&strings(&["--max-body-bytes", "lots"])).is_err());
     }
 
     #[test]

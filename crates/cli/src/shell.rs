@@ -425,7 +425,7 @@ commands:
 server mode (not a shell command):
   banks serve [--corpus dblp|dblp-small|thesis|tpcd] [--seed N]
               [--addr HOST:PORT] [--workers N]
-              [--cache-capacity N] [--cache-shards N] [--data-dir DIR]
+              [--cache-capacity N] [--data-dir DIR]
               [--no-fsync] [--compact-wal-batches N] [--no-ingest]
               [--paged] [--memory-budget BYTES] [--log-level LEVEL]
     serves /search, /node, /stats, /metrics, /epochs, /health,

@@ -125,5 +125,5 @@ pub use config::{
 pub use error::{BanksError, BanksResult};
 pub use graph_build::{derive_graph, TupleGraph};
 pub use query::{Query, Term};
-pub use search::{SearchArena, SearchOutcome, SearchStats};
+pub use search::{SearchArena, SearchOutcome, SearchStats, StopReason};
 pub use system::{Banks, SearchStrategy};

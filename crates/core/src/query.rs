@@ -94,16 +94,6 @@ impl Query {
         }
         Ok(Query { terms })
     }
-
-    /// Number of search terms `n` (§2.3).
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Whether the query has no terms (never true for parsed queries).
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
 }
 
 impl fmt::Display for Query {
@@ -141,7 +131,7 @@ mod tests {
                 Term::Keyword("sunita".into())
             ]
         );
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.terms.len(), 2);
         assert_eq!(q.to_string(), "soumen sunita");
     }
 

@@ -20,7 +20,7 @@ use crate::config::SearchConfig;
 use crate::graph_build::TupleGraph;
 use crate::score::Scorer;
 use crate::search::output_heap::OutputHeap;
-use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats};
+use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats, StopReason};
 use banks_graph::{CrossScratch, Dijkstra, Direction, NodeId, OriginListPool, SearchArena};
 use banks_util::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
@@ -165,20 +165,24 @@ fn multi_term_search(
     sink.stats.iterators = iterators.len();
     let mut early_stop = EarlyStop::new(config, scorer, max_handicap, keyword_sets);
 
-    while sink.want_more() {
+    sink.stats.stop = loop {
+        if sink.emitted.len() >= config.max_results {
+            break StopReason::Exhausted;
+        }
+        let Some(mut frontier) = iter_heap.peek_mut() else {
+            break StopReason::Exhausted;
+        };
+        if sink.stats.pops >= config.max_pops {
+            break StopReason::PopCap;
+        }
         // Cooperative cancellation: an expired request stops burning
         // CPU and returns whatever prefix it has produced (the serving
         // layer flags the result as partial and never caches it).
         if arena.deadline.expired() {
-            sink.stats.deadline_expirations += 1;
-            break;
+            break StopReason::Deadline;
         }
-        let Some(mut frontier) = iter_heap.peek_mut() else {
-            break;
-        };
         if early_stop.should_stop(frontier.dist, sink.emitted.len(), &sink.output) {
-            sink.stats.early_terminations += 1;
-            break;
+            break StopReason::TopK;
         }
         // The iterator's next key replaces its entry in place; the
         // `(dist, idx)` order is total, so the pop sequence is the one a
@@ -197,7 +201,7 @@ fn multi_term_search(
         sink.stats.pops += 1;
         let (term, origin) = infos[idx];
         sink.process_visit(visit.node, term, origin, &iterators);
-    }
+    };
 
     let state_bytes =
         sink.lists.retained_bytes() + iterators.iter().map(Dijkstra::state_bytes).sum::<usize>();
@@ -254,11 +258,6 @@ impl<'a, 'g> AnswerSink<'a, 'g> {
             emitted: Vec::with_capacity(config.max_results),
             stats: SearchStats::default(),
         }
-    }
-
-    /// The main-loop continuation condition (§3 result and pop budgets).
-    fn want_more(&self) -> bool {
-        self.emitted.len() < self.config.max_results && self.stats.pops < self.config.max_pops
     }
 
     /// Handle one settled node `u`, visited by the iterator of `origin ∈
@@ -751,6 +750,18 @@ mod tests {
         let outcome = run(&f, vec![vec![soumen], vec![sunita]], &config);
         assert!(outcome.stats.pops <= 1);
         assert!(outcome.answers.is_empty());
+        assert_eq!(outcome.stats.stop, StopReason::PopCap);
+        assert!(outcome.stats.stop.truncated());
+        let uncapped = run(
+            &f,
+            vec![vec![soumen], vec![sunita]],
+            &SearchConfig::default(),
+        );
+        assert!(
+            !uncapped.stats.stop.truncated(),
+            "{:?}",
+            uncapped.stats.stop
+        );
     }
 
     #[test]
@@ -906,7 +917,7 @@ mod tests {
                 assert_eq!(a.relevance.to_bits(), b.relevance.to_bits());
             }
             assert!(early.stats.pops <= exhaustive.stats.pops);
-            assert_eq!(exhaustive.stats.early_terminations, 0);
+            assert_ne!(exhaustive.stats.stop, StopReason::TopK);
         }
     }
 }

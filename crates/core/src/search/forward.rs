@@ -27,7 +27,7 @@ use crate::graph_build::TupleGraph;
 use crate::score::Scorer;
 use crate::search::backward::{self, DupState};
 use crate::search::output_heap::OutputHeap;
-use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats};
+use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats, StopReason};
 use banks_graph::{Dijkstra, Direction, NodeId, SearchArena};
 use banks_util::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
@@ -141,18 +141,22 @@ pub(crate) fn forward_search_in(
     let mut hits: Vec<Vec<NodeId>> = vec![Vec::new(); n_terms];
     let mut backward_path: Vec<(NodeId, NodeId, f64)> = Vec::new();
 
-    while emitted.len() < config.max_results && stats.pops < config.max_pops {
-        // Cooperative cancellation, same contract as the backward loop.
-        if arena.deadline.expired() {
-            stats.deadline_expirations += 1;
-            break;
+    stats.stop = loop {
+        if emitted.len() >= config.max_results {
+            break StopReason::Exhausted;
         }
         let Some(&frontier) = iter_heap.peek() else {
-            break;
+            break StopReason::Exhausted;
         };
+        if stats.pops >= config.max_pops {
+            break StopReason::PopCap;
+        }
+        // Cooperative cancellation, same contract as the backward loop.
+        if arena.deadline.expired() {
+            break StopReason::Deadline;
+        }
         if early_stop.should_stop(frontier.dist, emitted.len(), &output) {
-            stats.early_terminations += 1;
-            break;
+            break StopReason::TopK;
         }
         let entry = iter_heap.pop().expect("peeked entry");
         let Some(visit) = iterators[entry.idx].next() else {
@@ -276,7 +280,7 @@ pub(crate) fn forward_search_in(
             }
         }
         probe_state = Some(probe.into_state());
-    }
+    };
 
     let mut state_bytes = iterators.iter().map(Dijkstra::state_bytes).sum::<usize>();
     if let Some(state) = probe_state {

@@ -28,8 +28,9 @@ use banks_util::fxhash::FxHashSet;
 /// numbers that must be bit-identical between a fresh and a reused arena,
 /// or between the in-RAM and paged backends. The environment-descriptive
 /// fields ([`SearchStats::arena_retained_bytes`],
-/// [`SearchStats::state_bytes`], [`SearchStats::deadline_expirations`])
-/// describe *how* the query ran and are excluded.
+/// [`SearchStats::state_bytes`]) describe *how* the query ran and are
+/// excluded, and a [`StopReason::Deadline`] stop compares equal to
+/// [`StopReason::Exhausted`].
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Shortest-path iterators created (Σ|Sᵢ| in the paper's notation).
@@ -50,9 +51,8 @@ pub struct SearchStats {
     pub duplicates_replaced: usize,
     /// Cross products truncated by the per-node combination cap.
     pub cross_product_truncations: usize,
-    /// 1 when the expansion stopped via the top-k relevance bound instead
-    /// of exhausting its iterators or budgets.
-    pub early_terminations: usize,
+    /// Why the expansion loop ended.
+    pub stop: StopReason,
     /// Bytes pinned by the caller's [`SearchArena`] pools after this
     /// query (post shrink-policy). Excluded from equality.
     pub arena_retained_bytes: usize,
@@ -61,10 +61,42 @@ pub struct SearchStats {
     /// high-water of what the query held. Counted like
     /// `arena_retained_bytes`, and excluded from equality.
     pub state_bytes: usize,
-    /// 1 when the expansion was cut short by the caller's deadline
-    /// token and the answers are a (possibly empty) prefix of the full
-    /// result. Timing-dependent, so excluded from equality.
-    pub deadline_expirations: usize,
+}
+
+/// Why a search's expansion loop ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum StopReason {
+    /// It ran to its end: every iterator drained, or `max_results`
+    /// answers were emitted.
+    #[default]
+    Exhausted,
+    /// The exact top-k bound proved that no later tree can enter the
+    /// answers.
+    TopK,
+    /// The caller's deadline lapsed; the answers are a (possibly empty)
+    /// prefix of the full result. Timing-dependent.
+    Deadline,
+    /// The `max_pops` cap (§7's safety valve) cut the expansion short;
+    /// the answers may miss better trees.
+    PopCap,
+}
+
+impl StopReason {
+    /// Whether the answers may be incomplete: a deadline or the pop cap
+    /// cut the search short. Such a result is flagged partial and never
+    /// cached.
+    pub fn truncated(self) -> bool {
+        matches!(self, StopReason::Deadline | StopReason::PopCap)
+    }
+
+    /// The stop as equality sees it: a deadline is the environment's
+    /// doing, so it reads like a search that ran to its end.
+    fn semantic(self) -> StopReason {
+        match self {
+            StopReason::Deadline => StopReason::Exhausted,
+            other => other,
+        }
+    }
 }
 
 impl PartialEq for SearchStats {
@@ -79,7 +111,7 @@ impl PartialEq for SearchStats {
             && self.duplicates_discarded == other.duplicates_discarded
             && self.duplicates_replaced == other.duplicates_replaced
             && self.cross_product_truncations == other.cross_product_truncations
-            && self.early_terminations == other.early_terminations
+            && self.stop.semantic() == other.stop.semantic()
     }
 }
 
@@ -216,7 +248,7 @@ impl<'a, 'g> EarlyStop<'a, 'g> {
 
 #[cfg(test)]
 mod tests {
-    use super::SearchStats;
+    use super::{SearchStats, StopReason};
 
     #[test]
     fn stats_equality_ignores_environment_counters() {
@@ -228,10 +260,13 @@ mod tests {
             pops: 7,
             arena_retained_bytes: 999,
             state_bytes: 4096,
-            deadline_expirations: 1,
+            stop: StopReason::Deadline,
             ..SearchStats::default()
         };
         assert_eq!(a, b, "environment counters are not execution semantics");
+        a.stop = StopReason::PopCap;
+        assert_ne!(a, b, "the pop cap is deterministic");
+        a.stop = StopReason::Exhausted;
         a.pops = 8;
         assert_ne!(a, b);
     }

@@ -247,7 +247,7 @@ impl Banks {
     }
 
     /// Answer a keyword query on a caller-owned arena, with execution
-    /// counters — the convenience form benchmarks and workers use.
+    /// counters: [`Banks::search_outcome`] with arena reuse.
     pub fn search_outcome_in(
         &self,
         query_text: &str,

@@ -51,14 +51,6 @@ impl Rng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.range(0, items.len())]
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.range(0, i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,17 +94,6 @@ mod tests {
         let mut rng = Rng::new(9);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut rng = Rng::new(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "astronomically unlikely to be identity");
     }
 
     #[test]

@@ -48,19 +48,6 @@ impl ThesisConfig {
             cse_share: 0.4,
         }
     }
-
-    /// The paper's scale: "thousands of nodes and tens of thousands of
-    /// edges".
-    pub fn paper_scale(seed: u64) -> ThesisConfig {
-        ThesisConfig {
-            seed,
-            departments: 10,
-            faculty: 250,
-            students: 2_000,
-            theses: 1_600,
-            cse_share: 0.3,
-        }
-    }
 }
 
 /// Planted entity ids for the thesis anecdotes.
@@ -322,15 +309,6 @@ mod tests {
         let t = d.db.tuple(rid).unwrap();
         assert_eq!(t.values()[2].as_text(), Some("ROLLADITYA"));
         assert_eq!(t.values()[3].as_text(), Some("FACSUDARSHAN"));
-    }
-
-    #[test]
-    fn paper_scale_in_range() {
-        let d = generate(ThesisConfig::paper_scale(1)).unwrap();
-        let nodes = d.db.total_tuples();
-        let edges = d.db.link_count() * 2;
-        assert!((3_000..=6_000).contains(&nodes), "nodes {nodes}");
-        assert!((10_000..=30_000).contains(&edges), "edges {edges}");
     }
 
     #[test]

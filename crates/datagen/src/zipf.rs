@@ -29,16 +29,6 @@ impl Zipf {
         Zipf { cumulative }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the sampler has no ranks (never true after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
     /// Draw one rank in `0..n`.
     pub(crate) fn sample(&self, rng: &mut Rng) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
@@ -52,8 +42,9 @@ impl Zipf {
         }
     }
 
-    /// Expected probability of rank `k` (for tests).
-    pub fn probability(&self, k: usize) -> f64 {
+    /// Expected probability of rank `k` (the tests' oracle).
+    #[cfg(test)]
+    pub(crate) fn probability(&self, k: usize) -> f64 {
         let total = *self.cumulative.last().expect("non-empty");
         let prev = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
         (self.cumulative[k] - prev) / total
@@ -77,7 +68,6 @@ mod tests {
         let z = Zipf::new(100, 1.0);
         assert!(z.probability(0) > z.probability(1));
         assert!(z.probability(1) > z.probability(50));
-        assert_eq!(z.len(), 100);
     }
 
     #[test]

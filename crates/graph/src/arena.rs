@@ -253,8 +253,9 @@ impl OriginListPool {
         self.entries[entry as usize].1
     }
 
-    /// Iterate a list in insertion order (diagnostics and tests).
-    pub fn iter(&self, base: u32, term: usize) -> impl Iterator<Item = u32> + '_ {
+    /// Iterate a list in insertion order (a test observer).
+    #[cfg(test)]
+    pub(crate) fn iter(&self, base: u32, term: usize) -> impl Iterator<Item = u32> + '_ {
         let mut cur = self.head(base, term);
         std::iter::from_fn(move || {
             if cur == NIL {

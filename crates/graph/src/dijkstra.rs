@@ -121,11 +121,6 @@ impl<'g> Dijkstra<'g> {
         self
     }
 
-    /// The origin node this iterator expands from.
-    pub fn origin(&self) -> NodeId {
-        self.origin
-    }
-
     /// Number of nodes settled so far.
     #[cfg(test)]
     pub(crate) fn settled_count(&self) -> usize {
@@ -395,7 +390,6 @@ mod tests {
         assert_eq!(it.distance(a), Some(0.0));
         assert_eq!(it.distance(b), None);
         assert_eq!(it.settled_count(), 1);
-        assert_eq!(it.origin(), a);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl GraphBuilder {
         NodeId(id)
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.node_weights.len()
-    }
-
     /// Add a directed edge. Duplicate `(from, to)` pairs are coalesced at
     /// [`GraphBuilder::build`] time by keeping the **minimum** weight — the
     /// `min` of the paper's equation (1) when both a forward and a backward
@@ -442,33 +437,6 @@ impl Graph {
         }
     }
 
-    /// A fully in-RAM copy of this graph (a plain clone when already
-    /// in-RAM). For a paged graph this decodes **everything** — use
-    /// only where the full footprint is acceptable, e.g. tests and the
-    /// ingest fallback path.
-    pub fn materialize(&self) -> Graph {
-        match &self.repr {
-            Repr::InRam(_) => self.clone(),
-            Repr::Paged(s) => {
-                let n = s.node_count();
-                let m = s.edge_count();
-                let mut node_weights = Vec::with_capacity(n);
-                let mut fwd_offsets = Vec::with_capacity(n + 1);
-                let mut fwd_targets = Vec::with_capacity(m);
-                let mut fwd_weights = Vec::with_capacity(m);
-                fwd_offsets.push(0u32);
-                for node in 0..n as u32 {
-                    node_weights.push(s.node_weight(node));
-                    let (targets, weights) = s.out_adjacency(node);
-                    fwd_targets.extend_from_slice(targets);
-                    fwd_weights.extend_from_slice(weights);
-                    fwd_offsets.push(fwd_targets.len() as u32);
-                }
-                Graph::from_csr(node_weights, fwd_offsets, fwd_targets, fwd_weights)
-            }
-        }
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         match &self.repr {
@@ -780,18 +748,6 @@ mod tests {
         b.set_node_weight(x, 10.0);
         let g = b.build();
         assert_eq!(g.node_weight(x), 10.0);
-    }
-
-    #[test]
-    fn materialize_in_ram_is_identity() {
-        let (g, [a, _b, _c, d]) = diamond();
-        let m = g.materialize();
-        assert_eq!(m.node_count(), g.node_count());
-        assert_eq!(m.edge_count(), g.edge_count());
-        assert_eq!(m.out_adjacency(a), g.out_adjacency(a));
-        assert_eq!(m.in_adjacency(d), g.in_adjacency(d));
-        assert!(g.store().is_none());
-        assert!(g.storage_stats().is_none());
     }
 
     mod properties {

@@ -92,15 +92,10 @@ impl GraphPatch {
         self.dirty.len()
     }
 
-    /// The node remap: `remap()[old_id]` = new id, or `None` for removed
-    /// nodes. Exposed (with the other read accessors below) so a
+    /// Weight of every node of the **new** graph. Exposed (with the
+    /// other read accessors below) so a
     /// [`GraphStore`](crate::store::GraphStore) backend can apply the
     /// patch copy-on-write without materializing the old graph.
-    pub fn remap(&self) -> &[Option<u32>] {
-        &self.remap
-    }
-
-    /// Weight of every node of the **new** graph.
     pub fn new_node_weights(&self) -> &[f64] {
         &self.new_node_weights
     }

@@ -66,17 +66,6 @@ pub enum TupleOp {
     },
 }
 
-impl TupleOp {
-    /// The relation this op targets.
-    pub fn relation(&self) -> &str {
-        match self {
-            TupleOp::Insert { relation, .. }
-            | TupleOp::Update { relation, .. }
-            | TupleOp::Delete { relation, .. } => relation,
-        }
-    }
-}
-
 /// An ordered batch of tuple operations — the unit of atomic publication.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaBatch {
@@ -85,11 +74,6 @@ pub struct DeltaBatch {
 }
 
 impl DeltaBatch {
-    /// An empty batch.
-    pub fn new() -> DeltaBatch {
-        DeltaBatch::default()
-    }
-
     /// Number of operations.
     pub fn len(&self) -> usize {
         self.ops.len()

@@ -323,7 +323,7 @@ mod tests {
         assert!(Arc::ptr_eq(&before, &publisher.current()));
         assert_eq!(publisher.current().db().total_tuples(), 3);
         assert!(
-            publisher.publish(&DeltaBatch::new(), None).is_err(),
+            publisher.publish(&DeltaBatch::default(), None).is_err(),
             "empty batch"
         );
     }

@@ -34,7 +34,7 @@
 use crate::codec::encode_segment;
 use crate::error::PagerError;
 use banks_graph::{Graph, NodeId};
-use banks_util::fxhash::FxHasher;
+use banks_util::fxhash::{checksum, FxHasher};
 use std::fs::File;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -115,11 +115,6 @@ impl ByteSource {
         }
     }
 
-    /// Whether the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Read `buf.len()` bytes at `offset` (relative to the region
     /// start). Errors on short reads past the region end.
     pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), PagerError> {
@@ -148,13 +143,6 @@ fn pad_to(buf: &mut Vec<u8>, align: usize) {
     while !buf.len().is_multiple_of(align) {
         buf.push(0);
     }
-}
-
-/// Checksum of a segment payload.
-pub(crate) fn segment_checksum(payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    h.finish()
 }
 
 /// Number of segments needed for `node_count` nodes at `seg_span`.
@@ -209,7 +197,7 @@ pub fn encode_paged_blob(graph: &Graph, seg_span: u32) -> Vec<u8> {
                 len: payload.len() as u32,
                 slot_start,
                 min_pos_weight: min_pos,
-                checksum: segment_checksum(&payload),
+                checksum: checksum(&payload),
             });
             payloads.push(payload);
             slot_start += edges;

@@ -27,15 +27,14 @@
 //! each at the 2048-node span older blobs were written with).
 
 use crate::blob::{
-    encode_paged_blob, read_layout, seg_count_for, seg_edges, seg_range, segment_checksum,
-    ByteSource,
+    encode_paged_blob, read_layout, seg_count_for, seg_edges, seg_range, ByteSource,
 };
 use crate::budget::{Page, PageCache};
 use crate::codec::{decode_segment, encode_segment, DecodedSegment};
 use crate::error::PagerError;
 use banks_graph::store::{GraphStore, StorageStats};
 use banks_graph::{Graph, GraphPatch};
-use banks_util::fxhash::FxHashSet;
+use banks_util::fxhash::{checksum, FxHashSet};
 use std::cell::RefCell;
 use std::fs::File;
 use std::sync::Arc;
@@ -213,7 +212,7 @@ impl PagedGraphStore {
             let edges = seg_edges(&layout.fwd, i, layout.edge_count);
             let mut payload = vec![0u8; entry.len as usize];
             src.read_at(entry.offset, &mut payload)?;
-            if segment_checksum(&payload) != entry.checksum {
+            if checksum(&payload) != entry.checksum {
                 return Err(PagerError::BadSegmentChecksum {
                     direction: "fwd",
                     segment: i as u32,
@@ -272,7 +271,7 @@ impl PagedGraphStore {
         banks_util::fault::maybe_fault("pager.page_in")?;
         let mut payload = vec![0u8; meta.len as usize];
         meta.src.read_at(meta.offset, &mut payload)?;
-        if segment_checksum(&payload) != meta.checksum {
+        if checksum(&payload) != meta.checksum {
             return Err(PagerError::BadSegmentChecksum {
                 direction: if dir == 0 { "fwd" } else { "rev" },
                 segment: seg,
@@ -381,7 +380,7 @@ impl PagedGraphStore {
                 let min_pos = encode_segment(&borrowed, &mut payload);
                 let edges: usize = lists.iter().map(|(ids, _)| ids.len()).sum();
                 metas.push(SegMeta {
-                    checksum: segment_checksum(&payload),
+                    checksum: checksum(&payload),
                     len: u32::try_from(payload.len()).ok()?,
                     src: ByteSource::Mem(payload.into()),
                     offset: 0,

@@ -59,8 +59,9 @@ impl PagedTupleStore {
         PagedTupleStore::open_source(ByteSource::File { file, base, len }, cache)
     }
 
-    /// Open an in-memory v3 DATA section (re-encoded epochs and tests).
-    pub fn open_mem(
+    /// Open an in-memory v3 DATA section.
+    #[cfg(test)]
+    pub(crate) fn open_mem(
         bytes: Arc<[u8]>,
         cache: Arc<PageCache>,
     ) -> Result<Arc<PagedTupleStore>, PagerError> {

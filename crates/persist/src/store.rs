@@ -59,9 +59,8 @@ pub struct PersistOptions {
     /// default — turning it off trades the crash guarantee for latency
     /// (data survives process death but not power loss).
     pub fsync: bool,
-    /// Roll a fresh snapshot once the WAL exceeds this many bytes.
-    pub compact_wal_bytes: u64,
-    /// … or this many batches, whichever comes first.
+    /// Roll a fresh snapshot once the WAL holds this many batches (or
+    /// 8 MiB, whichever comes first).
     pub compact_wal_batches: u64,
     /// Open snapshots *paged*: serve postings lazily off the bundle
     /// file and keep decoded graph segments under this many bytes
@@ -74,12 +73,14 @@ impl Default for PersistOptions {
     fn default() -> Self {
         PersistOptions {
             fsync: true,
-            compact_wal_bytes: 8 * 1024 * 1024,
             compact_wal_batches: 256,
             paged_budget: None,
         }
     }
 }
+
+/// Roll a fresh snapshot once the WAL exceeds this many bytes.
+const COMPACT_WAL_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Counters for `/stats`.
 #[derive(Debug, Clone, PartialEq)]
@@ -390,11 +391,6 @@ impl PersistentStore {
         Ok((store, recovery))
     }
 
-    /// The data directory.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
     /// Append one validated batch to the WAL (the durability point).
     /// Wakes any replication long-poll waiting on this epoch.
     pub fn append_wal(&self, epoch: u64, batch: &DeltaBatch) -> PersistResult<()> {
@@ -512,9 +508,7 @@ impl PersistentStore {
             let wal = self.inner.wal.lock().expect("wal lock");
             (wal.bytes(), wal.batches())
         };
-        if bytes < self.inner.options.compact_wal_bytes
-            && batches < self.inner.options.compact_wal_batches
-        {
+        if bytes < COMPACT_WAL_BYTES && batches < self.inner.options.compact_wal_batches {
             return false;
         }
         if self.inner.compacting.swap(true, Ordering::AcqRel) {

@@ -33,9 +33,8 @@
 
 use crate::error::{PersistError, PersistResult};
 use banks_ingest::DeltaBatch;
-use banks_util::fxhash::FxHasher;
+use banks_util::fxhash::checksum;
 use std::fs::{File, OpenOptions};
-use std::hash::Hasher;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -45,12 +44,6 @@ pub(crate) const WAL_FILE: &str = "wal.log";
 /// Sanity cap on one frame's payload. The HTTP layer caps ingest bodies
 /// at 8 MiB; anything bigger in a length prefix is corruption, not data.
 pub(crate) const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(payload);
-    h.finish()
-}
 
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq)]

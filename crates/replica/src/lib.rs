@@ -66,10 +66,6 @@ pub struct ReplicaConfig {
     /// parks the request until an epoch lands or the window expires, so
     /// this is the idle-traffic knob, not a latency one.
     pub poll_wait_ms: u64,
-    /// Slack added on top of the poll window for the request timeout.
-    pub request_slack: Duration,
-    /// Timeout for a snapshot download (bundles are big).
-    pub snapshot_timeout: Duration,
     /// Base backoff after a leader error; doubles per consecutive
     /// failure, capped at `MAX_BACKOFF`.
     pub retry_backoff: Duration,
@@ -86,14 +82,18 @@ impl Default for ReplicaConfig {
             leader: "127.0.0.1:7331".to_string(),
             data_dir: PathBuf::from("banks-follower"),
             poll_wait_ms: 10_000,
-            request_slack: Duration::from_secs(5),
-            snapshot_timeout: Duration::from_secs(30),
             retry_backoff: Duration::from_millis(200),
             bootstrap_attempts: 20,
             options: PersistOptions::default(),
         }
     }
 }
+
+/// Slack added on top of the poll window for the request timeout.
+const REQUEST_SLACK: Duration = Duration::from_secs(5);
+
+/// Timeout for a snapshot download (bundles are big).
+const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Ceiling for the doubling retry backoff.
 pub(crate) const MAX_BACKOFF: Duration = Duration::from_secs(5);
@@ -406,7 +406,7 @@ fn fetch_bundle(config: &ReplicaConfig) -> Result<(PathBuf, u64), String> {
         "GET",
         "/replication/snapshot",
         &[],
-        config.snapshot_timeout,
+        SNAPSHOT_TIMEOUT,
         &mut sink,
     )
     .map_err(|e| discard(format!("GET /replication/snapshot: {e}")))?;
@@ -641,7 +641,7 @@ fn tail_loop(
     mut publisher: SnapshotPublisher,
     shared: &Shared,
 ) {
-    let timeout = Duration::from_millis(config.poll_wait_ms) + config.request_slack;
+    let timeout = Duration::from_millis(config.poll_wait_ms) + REQUEST_SLACK;
     let mut backoff = TailBackoff::new(retry_policy(config));
     while !shared.is_shutdown() {
         let target = format!(

@@ -47,10 +47,10 @@ use banks_telemetry::{CollectedFamily, Kind, Registry, Sample};
 use banks_util::fxhash::FxHasher;
 use banks_util::http::{
     http_request, parse_query_string, query_param, ClientError, HttpResponse, HttpServer,
-    ListenConfig, Request, Response, HEADER_READ_TIMEOUT, MAX_BODY_BYTES,
+    ListenConfig, Request, Response,
 };
 use banks_util::json::Json;
-use banks_util::retry::Outcome;
+use banks_util::retry::{Outcome, RetryPolicy};
 use std::hash::Hasher;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,21 +72,8 @@ pub struct RouterConfig {
     pub backlog: usize,
     /// Cadence of `/health` probes against healthy backends.
     pub probe_interval: Duration,
-    /// Per-probe timeout.
-    pub probe_timeout: Duration,
-    /// Per-forwarded-request timeout (must exceed the backends'
-    /// `min_epoch` wait ceiling for pass-through waits to work).
-    pub request_timeout: Duration,
     /// Consecutive probe failures before a backend's breaker opens.
     pub eject_after: u32,
-    /// Ceiling for the doubling open-window of a tripped breaker.
-    pub max_probe_backoff: Duration,
-    /// Retry policy for forwarded requests that failed before any byte
-    /// reached the backend (connect errors — idempotent-safe).
-    pub retry: banks_util::retry::RetryPolicy,
-    /// Retry tokens shared across all forwarded requests; a dead
-    /// backend drains it and later calls fail fast (storm protection).
-    pub retry_budget_tokens: u64,
     /// Max epochs a follower may lag behind the newest known epoch and
     /// still serve reads.
     pub staleness_bound: u64,
@@ -101,21 +88,36 @@ impl Default for RouterConfig {
             workers: 4,
             backlog: 64,
             probe_interval: Duration::from_millis(500),
-            probe_timeout: Duration::from_secs(1),
-            request_timeout: Duration::from_secs(40),
             eject_after: 2,
-            max_probe_backoff: Duration::from_secs(5),
             staleness_bound: 8,
-            retry: banks_util::retry::RetryPolicy {
-                attempts: 3,
-                base: Duration::from_millis(50),
-                cap: Duration::from_millis(500),
-                ..banks_util::retry::RetryPolicy::default()
-            },
-            retry_budget_tokens: 64,
         }
     }
 }
+
+/// Per-probe timeout.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Per-forwarded-request timeout (must exceed the backends' `min_epoch`
+/// wait ceiling for pass-through waits to work).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(40);
+
+/// Ceiling for the doubling open-window of a tripped breaker.
+const MAX_PROBE_BACKOFF: Duration = Duration::from_secs(5);
+
+/// Retry policy for forwarded requests that failed before any byte
+/// reached the backend (connect errors — idempotent-safe).
+fn retry_policy() -> RetryPolicy {
+    RetryPolicy {
+        attempts: 3,
+        base: Duration::from_millis(50),
+        cap: Duration::from_millis(500),
+        ..RetryPolicy::default()
+    }
+}
+
+/// Retry tokens shared across all forwarded requests; a dead backend
+/// drains them and later calls fail fast (storm protection).
+const RETRY_BUDGET_TOKENS: u64 = 64;
 
 /// Breaker position of one backend.
 ///
@@ -289,7 +291,7 @@ impl Shared {
             backends: Mutex::new(backends),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
-            retry_budget: banks_util::retry::RetryBudget::new(config.retry_budget_tokens),
+            retry_budget: banks_util::retry::RetryBudget::new(RETRY_BUDGET_TOKENS),
             config,
             registry: Registry::new(),
             started: now,
@@ -317,11 +319,7 @@ impl Shared {
     /// before tripping open; a half-open breaker re-opens immediately
     /// with its backoff window doubled — probation admits no strikes.
     fn note_failure(&self, url: &str, immediate: bool) {
-        let (interval, max_backoff, eject_after) = (
-            self.config.probe_interval,
-            self.config.max_probe_backoff,
-            self.config.eject_after,
-        );
+        let (interval, eject_after) = (self.config.probe_interval, self.config.eject_after);
         self.with_backend(url, |b| {
             b.consecutive_failures = b.consecutive_failures.saturating_add(1);
             match b.breaker {
@@ -334,7 +332,7 @@ impl Shared {
                 }
                 BreakerState::HalfOpen | BreakerState::Open => {
                     b.breaker = BreakerState::Open;
-                    b.open_backoff = (b.open_backoff * 2).min(max_backoff).max(interval);
+                    b.open_backoff = (b.open_backoff * 2).min(MAX_PROBE_BACKOFF).max(interval);
                 }
             }
             b.next_probe = Instant::now()
@@ -481,8 +479,6 @@ impl Router {
             addr: config.addr.clone(),
             workers: config.workers,
             backlog: config.backlog,
-            max_body_bytes: MAX_BODY_BYTES,
-            header_read_timeout: HEADER_READ_TIMEOUT,
             name: "banks-router",
         };
         let shared = Shared::new(config);
@@ -545,7 +541,7 @@ fn prober_loop(shared: &Shared) {
         for url in due {
             shared.counters.probes.fetch_add(1, Ordering::Relaxed);
             let t0 = Instant::now();
-            match probe(&url, shared.config.probe_timeout) {
+            match probe(&url, PROBE_TIMEOUT) {
                 Some(epoch) => shared.note_success(&url, epoch, t0.elapsed()),
                 None => shared.note_failure(&url, false),
             }
@@ -626,9 +622,9 @@ fn forward_with_retry(
     target: &str,
     body: Option<&[u8]>,
 ) -> Result<HttpResponse, ClientError> {
-    shared.config.retry.run(
+    retry_policy().run(
         Some(&shared.retry_budget),
-        |_| http_request(url, method, target, body, shared.config.request_timeout),
+        |_| http_request(url, method, target, body, REQUEST_TIMEOUT),
         |e| match e {
             ClientError::Connect(_) => Outcome::Retryable,
             _ => Outcome::Fatal,
@@ -989,7 +985,6 @@ mod tests {
             leader: "l:1".to_string(),
             followers: vec!["f:1".to_string()],
             probe_interval: Duration::from_millis(10),
-            max_probe_backoff: Duration::from_millis(80),
             ..RouterConfig::default()
         });
         let breaker = |shared: &Shared| shared.stats().backends[1].breaker;

@@ -255,16 +255,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         &self.shards[idx]
     }
 
-    /// Look up a key, refreshing its recency. Counts a hit or miss.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let found = self.shard_of(key).lock().expect("cache lock").get(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
     /// Look up a key, letting `judge` decide what to do with a found
     /// entry (see [`Validity`]).
     ///
@@ -313,22 +303,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     }
 
     /// Insert (or overwrite) an entry, possibly evicting the shard's
-    /// least recently used entry.
-    pub fn insert(&self, key: K, value: V) {
-        let evicted = self
-            .shard_of(&key)
-            .lock()
-            .expect("cache lock")
-            .insert(key, value);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Insert unless an existing entry for the key makes `may_replace`
-    /// return `false` — checked and written under one shard lock, so a
-    /// racing writer cannot slip a fresher entry in between.
+    /// least recently used entry — unless an existing entry for the key
+    /// makes `may_replace` return `false`. Checked and written under one
+    /// shard lock, so a racing writer cannot slip a fresher entry in
+    /// between.
     ///
     /// This closes the laggard-writer race of epoch caching: a reader
     /// that pinned an old snapshot, missed, and computed slowly must not
@@ -369,11 +347,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         })
     }
 
-    /// Whether the cache currently holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -409,6 +382,27 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// The plain lookup and overwrite the tests drive the cache with:
+    /// a validated lookup that accepts every entry, and an insert that
+    /// may replace anything.
+    trait Plain<K, V> {
+        fn get(&self, key: &K) -> Option<V>;
+        fn insert(&self, key: K, value: V);
+    }
+
+    impl<K: Hash + Eq + Clone, V: Clone> Plain<K, V> for ShardedLruCache<K, V> {
+        fn get(&self, key: &K) -> Option<V> {
+            match self.get_validate(key, |_| Validity::Valid) {
+                CacheLookup::Hit(v) => Some(v),
+                _ => None,
+            }
+        }
+
+        fn insert(&self, key: K, value: V) {
+            self.insert_if(key, value, |_| true);
+        }
+    }
 
     #[test]
     fn evicts_least_recently_used_first() {

@@ -34,13 +34,12 @@ use crate::metrics::{
     install_queue_metrics, install_service_metrics, install_store_metrics, ServerMetrics,
 };
 use crate::service::{QueryOptions, QueryService};
-use banks_core::SearchStrategy;
+use banks_core::{SearchStrategy, StopReason};
 use banks_graph::NodeId;
 use banks_ingest::DeltaBatch;
 use banks_telemetry::Registry;
 use banks_util::http::{
     parse_query_string, query_param, HttpServer, ListenConfig, Request, Response,
-    HEADER_READ_TIMEOUT, MAX_BODY_BYTES,
 };
 use banks_util::json::Json;
 use std::net::SocketAddr;
@@ -60,10 +59,6 @@ pub struct ServerConfig {
     /// follower: surfaced as the `leader` redirect hint on `min_epoch`
     /// 409s and on rejected `POST /ingest`.
     pub leader_hint: Option<String>,
-    /// Hard cap on a request body (`--max-body-bytes`; only
-    /// `POST /ingest` uses one); larger declared bodies are rejected
-    /// with 413 before any read.
-    pub max_body_bytes: u64,
     /// Deadline budget granted to a request that does not carry an
     /// `X-Banks-Deadline-Ms` header (`--default-deadline-ms`). `None`
     /// disables deadlines for unannotated requests.
@@ -83,10 +78,6 @@ pub struct ServerConfig {
     /// default) disables rate limiting. `/health` and `/metrics` are
     /// exempt.
     pub rate_limit_rps: Option<f64>,
-    /// Budget for reading the request line + headers. A slowloris-style
-    /// client that trickles header bytes is cut off after this long
-    /// instead of pinning a worker for the full request timeout.
-    pub header_read_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -98,12 +89,10 @@ impl Default for ServerConfig {
                 .unwrap_or(4),
             backlog: 256,
             leader_hint: None,
-            max_body_bytes: MAX_BODY_BYTES,
             default_deadline_ms: None,
             max_deadline_ms: 60_000,
             shed_after: Duration::from_secs(5),
             rate_limit_rps: None,
-            header_read_timeout: HEADER_READ_TIMEOUT,
         }
     }
 }
@@ -143,8 +132,6 @@ impl BanksServer {
             addr: config.addr.clone(),
             workers: config.workers,
             backlog: config.backlog,
-            max_body_bytes: config.max_body_bytes,
-            header_read_timeout: config.header_read_timeout,
             name: "banks-http",
         };
         let shared = Shared {
@@ -520,18 +507,23 @@ fn handle_search(
         Err(e) => return Response::error(400, &e.to_string()),
     };
 
-    // Deadline semantics: an expired search that still produced answers
-    // returns them flagged `partial: true` (the prefix is correct, just
-    // incomplete); an expired search with nothing to show is a 504 —
-    // there is no useful body and the client should retry with a larger
-    // budget or against a less loaded node.
-    let partial = response.result.stats.deadline_expirations > 0;
-    if partial {
+    // A search cut short — by the deadline or by the pop cap — that
+    // still produced answers returns them flagged `partial: true` (the
+    // answers are real, the set may be incomplete); one with nothing to
+    // show is a 504. Only a deadline stop invites a retry (with a larger
+    // budget, or against a less loaded node): the pop cap is
+    // deterministic, so a retry would stop at it again.
+    let stop = response.result.stats.stop;
+    let partial = stop.truncated();
+    if stop == StopReason::Deadline {
         shared.metrics.deadline_exceeded_total.inc();
-        if response.result.answers.is_empty() {
-            return Response::error(504, "deadline exceeded during search")
-                .with_header("Retry-After", "1".to_string());
-        }
+    }
+    if partial && response.result.answers.is_empty() {
+        return match stop {
+            StopReason::Deadline => Response::error(504, "deadline exceeded during search")
+                .with_header("Retry-After", "1".to_string()),
+            _ => Response::error(504, "search stopped at its pop cap"),
+        };
     }
 
     // The heavy part of the body — rendered trees and search counters —
@@ -706,7 +698,10 @@ fn answers_fragment(banks: &banks_core::Banks, result: &crate::service::CachedRe
             ("pops", Json::Uint(stats.pops as u64)),
             ("trees_generated", Json::Uint(stats.trees_generated as u64)),
             ("trees_emitted", Json::Uint(stats.trees_emitted as u64)),
-            ("early_terminated", Json::Bool(stats.early_terminations > 0),),
+            (
+                "early_terminated",
+                Json::Bool(stats.stop == StopReason::TopK),
+            ),
         ])
         .compact(),
     )
@@ -1173,6 +1168,52 @@ mod tests {
         assert!(hit.contains(r#""name":"parse""#));
     }
 
+    /// A search the `max_pops` cap stops is reported like a deadline
+    /// stop: partial (504 when nothing was found) and never cached.
+    #[test]
+    fn a_search_stopped_at_the_pop_cap_is_partial_and_never_cached() {
+        let capped = |max_pops: usize| {
+            let mut config = banks_core::BanksConfig::default();
+            config.search.max_pops = max_pops;
+            let banks = Arc::new(Banks::with_config(dblp(), config).unwrap());
+            let service = Arc::new(crate::service::QueryService::new(
+                banks,
+                ServiceConfig::default(),
+            ));
+            BanksServer::bind(service, None, None, None, ServerConfig::default()).unwrap()
+        };
+        let full = server(1);
+        let uncapped = get(full.local_addr(), "/search?q=mohan+sudarshan").text();
+        assert!(uncapped.contains(r#""partial":false"#), "{uncapped}");
+        let pops = Json::parse(&uncapped).unwrap();
+        let pops = pops
+            .get("search_stats")
+            .and_then(|s| s.get("pops"))
+            .and_then(Json::as_u64)
+            .unwrap();
+
+        // Two pops short: the answer is found, the expansion is not done.
+        let server = capped(pops as usize - 2);
+        let addr = server.local_addr();
+        for _ in 0..2 {
+            let body = get(addr, "/search?q=mohan+sudarshan").text();
+            assert!(body.contains(r#""partial":true"#), "{body}");
+            assert!(body.contains(r#""cached":false"#), "{body}");
+            assert!(!body.contains(r#""count":0"#), "{body}");
+        }
+
+        // One pop: nothing to show, so a 504.
+        let server = capped(1);
+        let resp = get(server.local_addr(), "/search?q=mohan+sudarshan");
+        assert_eq!(resp.status, 504, "{}", resp.text());
+        assert!(resp.text().contains("pop cap"), "{}", resp.text());
+        assert_eq!(
+            resp.header("retry-after"),
+            None,
+            "a retry hits the cap again"
+        );
+    }
+
     #[test]
     fn debug_slow_lists_recorded_queries() {
         let server = server(1);
@@ -1264,24 +1305,22 @@ mod tests {
         assert!(body.contains("banks_rate_limited_total 3"), "{body}");
     }
 
-    /// A declared body over the cap is refused with 413 before any read;
-    /// the limit applies only to routes that consume a body.
+    /// A declared body over the 8 MiB cap is refused with 413 before
+    /// any read: none is sent, and the answer still comes at once.
     #[test]
     fn oversized_ingest_body_is_rejected_413() {
         let server = server_with(ServerConfig {
             workers: 1,
-            max_body_bytes: 64,
             ..ServerConfig::default()
         });
         let addr = server.local_addr();
-        let body = "x".repeat(256);
         let (status, response) = raw_request(
             addr,
             &format!(
                 "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n",
-                body.len()
+                banks_util::http::MAX_BODY_BYTES + 1
             ),
-            &body,
+            "",
         );
         assert_eq!(status, 413, "{response}");
         // A tiny body passes the size gate (and fails later, on parsing).

@@ -17,7 +17,7 @@
 use crate::cache::{CacheLookup, CacheStats, ShardedLruCache};
 use banks_core::{
     Answer, Banks, BanksResult, CombineMode, EdgeScoreMode, NodeScoreMode, SearchArena,
-    SearchStats, SearchStrategy,
+    SearchStats, SearchStrategy, StopReason,
 };
 use banks_graph::NodeId;
 use banks_telemetry::{Histogram, SlowLog, SlowQuery, Span};
@@ -39,7 +39,7 @@ thread_local! {
     static WORKER_ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::new());
 }
 
-/// Service construction options: the result cache's size and sharding.
+/// Service construction options: the result cache's size.
 /// Every cold query records its per-phase trace spans (a handful of
 /// clock reads per miss; hits never record), which feed the slow-query
 /// log and the `?trace=1` response section.
@@ -50,15 +50,12 @@ pub struct ServiceConfig {
     /// 10K corpus) and, once it has been hit, its rendered JSON (~6.5 KB
     /// more). `/stats` reports the live total as `cache.bytes`.
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards.
-    pub cache_shards: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache_capacity: 4096,
-            cache_shards: 8,
         }
     }
 }
@@ -74,8 +71,8 @@ pub struct QueryOptions {
     /// Absolute deadline for a cold search. The expansion loops poll it
     /// (arena [`banks_graph::DeadlineToken`]) and cut the search short
     /// when it lapses; the truncated result is flagged via
-    /// `SearchStats::deadline_expirations` and **never cached**. Not
-    /// part of the cache key — a hit ignores the deadline entirely.
+    /// `SearchStats::stop` and **never cached**. Not part of the cache
+    /// key — a hit ignores the deadline entirely.
     pub deadline: Option<Instant>,
 }
 
@@ -244,7 +241,7 @@ pub struct ServiceStats {
     /// while epoch `e` was current.
     pub invalidations_by_epoch: Vec<(u64, u64)>,
     /// Cold queries whose heap search stopped early once the result set
-    /// provably could not improve (Σ `SearchStats::early_terminations`).
+    /// provably could not improve (`SearchStats::stop` was `TopK`).
     pub early_terminations: u64,
     /// Largest `SearchStats::state_bytes` of any cold query since start.
     pub state_bytes_max: u64,
@@ -297,6 +294,9 @@ pub struct QueryService {
     last_publish_unix_ms: AtomicU64,
 }
 
+/// Independently locked shards of the result cache.
+const CACHE_SHARDS: usize = 8;
+
 /// How many epochs of invalidation counts `/stats` retains.
 const INVALIDATION_EPOCHS_KEPT: usize = 64;
 
@@ -322,7 +322,7 @@ impl QueryService {
                 epoch,
                 params_fingerprint,
             })),
-            cache: ShardedLruCache::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedLruCache::new(config.cache_capacity, CACHE_SHARDS),
             queries: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             started: Instant::now(),
@@ -497,8 +497,9 @@ impl QueryService {
             })?;
         let elapsed = t0.elapsed();
         self.cold_latency.record_duration(elapsed);
-        self.early_terminations
-            .fetch_add(outcome.stats.early_terminations as u64, Ordering::Relaxed);
+        if outcome.stats.stop == StopReason::TopK {
+            self.early_terminations.fetch_add(1, Ordering::Relaxed);
+        }
         let state_bytes = outcome.stats.state_bytes as u64;
         self.state_bytes_max
             .fetch_max(state_bytes, Ordering::Relaxed);
@@ -522,10 +523,10 @@ impl QueryService {
         // Conditional insert under the shard lock: a fresher-epoch entry
         // (cached by a racing reader after a publish we missed, whether
         // it was visible at lookup time or landed while we searched)
-        // must not be clobbered by this result. A deadline-truncated
-        // result is a prefix of the real answer set and must never be
-        // served to a later (unexpired) request, so it skips the cache.
-        if result.stats.deadline_expirations == 0 {
+        // must not be clobbered by this result. A result cut short by
+        // the deadline or the pop cap may miss answers and must never be
+        // served to a later request, so it skips the cache.
+        if !result.stats.stop.truncated() {
             self.cache
                 .insert_if(key.clone(), Arc::clone(&result), |existing| {
                     existing.epoch <= snapshot.epoch
@@ -551,13 +552,6 @@ impl QueryService {
         while by_epoch.len() > INVALIDATION_EPOCHS_KEPT {
             by_epoch.pop_first();
         }
-    }
-
-    /// Render an answer Figure-2 style against the **current** snapshot.
-    /// For answers out of a [`SearchResponse`], prefer rendering through
-    /// its own `banks` handle (node ids are snapshot-relative).
-    pub fn render_answer(&self, answer: &Answer) -> String {
-        self.current().banks.render_answer(answer)
     }
 
     /// Service counters.

@@ -33,7 +33,7 @@ use crate::catalog::{BackRef, Database};
 use crate::error::StorageResult;
 use crate::schema::schema_to_text;
 use crate::schema::ColumnType;
-use crate::table::{pk_map_link, PkIndex, Table};
+use crate::table::{pk_map_link, PkIndex};
 use crate::tuple::{RelationId, Rid};
 use crate::value::Value;
 
@@ -150,16 +150,18 @@ impl RowArena {
         Ok(arena)
     }
 
-    /// The live slot of `target` whose primary key equals `key`.
+    /// The live slot of `target` whose primary key equals `key` (whose
+    /// `Table::pk_hash` is `hash`).
     fn pk_slot<'v>(
         &self,
         target: RelationId,
+        hash: u64,
         key: impl Iterator<Item = &'v Value> + Clone,
     ) -> Option<u32> {
         let rel = &self.relations[target.index()];
         let pk = &self.catalog.table(target).schema().primary_key;
         rel.pk
-            .get(&Table::pk_hash(key.clone()))?
+            .get(&hash)?
             .candidates()
             .iter()
             .copied()
@@ -171,53 +173,21 @@ impl RowArena {
             })
     }
 
-    /// Stage one row of `relation`, enforcing what [`Database::insert`]
-    /// enforces — arity, foreign keys, then types, nullability and
-    /// primary-key uniqueness — with the same errors. Each foreign key is
-    /// resolved here, once, against the rows staged before it.
+    /// Stage one row of `relation` under the rules [`Database::insert`]
+    /// follows — the same function checks both — with the same errors.
+    /// Each foreign key is resolved here, once, against the rows staged
+    /// before it.
     pub fn insert(&mut self, relation: &str, values: &[Value]) -> StorageResult<Rid> {
         let id = self.catalog.relation_id(relation)?;
-        let table = self.catalog.table(id);
-        let schema = table.schema();
-        if values.len() != schema.arity() {
-            return Err(crate::StorageError::ArityMismatch {
-                relation: schema.name.clone(),
-                expected: schema.arity(),
-                actual: values.len(),
-            });
-        }
-        let mut resolved: Vec<(usize, Rid)> = Vec::with_capacity(schema.foreign_keys.len());
-        for (fk_index, fk) in schema.foreign_keys.iter().enumerate() {
-            let key = fk.columns.iter().map(|&c| &values[c]);
-            if key.clone().any(Value::is_null) {
-                if fk.nullable {
-                    continue;
-                }
-                return Err(self.catalog.null_fk(id, fk_index));
-            }
-            let target = self.catalog.fk_target_relation(id, fk_index);
-            match self.pk_slot(target, key) {
-                Some(slot) => resolved.push((fk_index, Rid::new(target, slot))),
-                None => return Err(self.catalog.dangling(id, fk_index, values)),
-            }
-        }
-        table.check_values(values)?;
-        let hash = if schema.has_primary_key() {
-            let key = schema.primary_key.iter().map(|&c| &values[c]);
-            if self.pk_slot(id, key).is_some() {
-                return Err(crate::StorageError::DuplicateKey {
-                    relation: schema.name.clone(),
-                    key: format!("{:?}", schema.key_of(values)),
-                });
-            }
-            Some(table.pk_hash_of_row(values))
-        } else {
-            None
-        };
-        let slot = self.relations[id.index()].push(Some(values), hash);
+        let checked = self
+            .catalog
+            .check_insert(id, values, |rel, hash, columns, row| {
+                self.pk_slot(rel, hash, columns.iter().map(|&c| &row[c]))
+            })?;
+        let slot = self.relations[id.index()].push(Some(values), checked.pk_hash);
         let rid = Rid::new(id, slot);
         self.links
-            .extend(resolved.into_iter().map(|(fk_index, target)| {
+            .extend(checked.links.into_iter().map(|(fk_index, target)| {
                 (
                     target,
                     BackRef {

@@ -69,14 +69,12 @@ pub struct Database {
     fk_targets: Vec<Vec<RelationId>>,
 }
 
-/// Where one foreign key of a row points.
-enum FkTarget {
-    /// A key column is NULL: no link.
-    Null,
-    /// The referenced tuple.
-    Found(Rid),
-    /// No tuple carries the key.
-    Dangling,
+/// What [`Database::check_insert`] resolved for a row it accepted.
+pub(crate) struct CheckedRow {
+    /// Each non-null foreign key's index and target.
+    pub(crate) links: Vec<(usize, Rid)>,
+    /// The row's primary-key hash, when its relation has a key.
+    pub(crate) pk_hash: Option<u64>,
 }
 
 impl Database {
@@ -151,7 +149,7 @@ impl Database {
     }
 
     /// The relation foreign key `fk_index` of `relation` references.
-    pub(crate) fn fk_target_relation(&self, relation: RelationId, fk_index: usize) -> RelationId {
+    fn fk_target_relation(&self, relation: RelationId, fk_index: usize) -> RelationId {
         self.fk_targets[relation.index()][fk_index]
     }
 
@@ -193,29 +191,56 @@ impl Database {
     }
 
     /// Resolve foreign key `fk_index` of a `relation` row holding
-    /// `values`. The key is read in place from `values` and probed
-    /// against the target relation fixed at schema time: no clone, no
-    /// allocation, no lookup by name.
-    fn fk_target(&self, relation: RelationId, fk_index: usize, values: &[Value]) -> FkTarget {
-        let fk = &self.tables[relation.index()].schema().foreign_keys[fk_index];
-        let key = fk.columns.iter().map(|&c| &values[c]);
-        if key.clone().any(Value::is_null) {
-            return FkTarget::Null;
-        }
-        let target = &self.tables[self.fk_targets[relation.index()][fk_index].index()];
-        match target.pk_slot_by(key) {
-            Some(slot) => FkTarget::Found(Rid::new(target.id(), slot)),
-            None => FkTarget::Dangling,
-        }
-    }
-
-    /// The error for a foreign key of a `relation` row that dangles.
-    pub(crate) fn dangling(
+    /// `values` under the rule every write follows: `Ok(None)` for a
+    /// NULL in a nullable key, an error for a NULL in a non-nullable key
+    /// or for a key no row carries. The key is read in place from
+    /// `values` and probed with `pk_slot` (see [`Database::check_insert`])
+    /// against the target relation fixed at schema time.
+    fn fk_link(
         &self,
         relation: RelationId,
         fk_index: usize,
         values: &[Value],
-    ) -> StorageError {
+        pk_slot: &impl Fn(RelationId, u64, &[usize], &[Value]) -> Option<u32>,
+    ) -> StorageResult<Option<Rid>> {
+        let fk = &self.tables[relation.index()].schema().foreign_keys[fk_index];
+        let key = fk.columns.iter().map(|&c| &values[c]);
+        if key.clone().any(Value::is_null) {
+            return match fk.nullable {
+                true => Ok(None),
+                false => Err(self.null_fk(relation, fk_index)),
+            };
+        }
+        let target = self.fk_target_relation(relation, fk_index);
+        match pk_slot(target, Table::pk_hash(key), &fk.columns, values) {
+            Some(slot) => Ok(Some(Rid::new(target, slot))),
+            None => Err(self.dangling(relation, fk_index, values)),
+        }
+    }
+
+    /// The primary-key probe of this database's own tables: in place,
+    /// no clone, no allocation.
+    fn pk_slot(
+        &self,
+        relation: RelationId,
+        hash: u64,
+        columns: &[usize],
+        row: &[Value],
+    ) -> Option<u32> {
+        self.tables[relation.index()].pk_slot_hashed(hash, columns.iter().map(|&c| &row[c]))
+    }
+
+    /// Where foreign key `fk_index` of a stored `relation` row points,
+    /// if anywhere.
+    fn fk_target(&self, relation: RelationId, fk_index: usize, values: &[Value]) -> Option<Rid> {
+        let pk_slot = |r, h, c: &[usize], v: &[Value]| self.pk_slot(r, h, c, v);
+        self.fk_link(relation, fk_index, values, &pk_slot)
+            .ok()
+            .flatten()
+    }
+
+    /// The error for a foreign key of a `relation` row that dangles.
+    fn dangling(&self, relation: RelationId, fk_index: usize, values: &[Value]) -> StorageError {
         let schema = self.tables[relation.index()].schema();
         let fk = &schema.foreign_keys[fk_index];
         let key: Vec<&Value> = fk.columns.iter().map(|&c| &values[c]).collect();
@@ -227,7 +252,7 @@ impl Database {
     }
 
     /// The error for a NULL in a non-nullable foreign key.
-    pub(crate) fn null_fk(&self, relation: RelationId, fk_index: usize) -> StorageError {
+    fn null_fk(&self, relation: RelationId, fk_index: usize) -> StorageError {
         let schema = self.tables[relation.index()].schema();
         StorageError::NullViolation {
             relation: schema.name.clone(),
@@ -237,7 +262,54 @@ impl Database {
         }
     }
 
-    /// Insert a tuple, enforcing schema, primary-key, and foreign-key
+    /// The rules every insert of a row of relation `id` follows, in this
+    /// order and with these errors: arity; each foreign key (a NULL in a
+    /// non-nullable key, then a key with no target); types and
+    /// nullability ([`Table::check_values`]); a duplicate primary key.
+    /// Nothing is mutated.
+    ///
+    /// `pk_slot(relation, hash, columns, row)` finds the live slot of
+    /// `relation` whose primary key is `columns` of `row` (`hash` is its
+    /// [`Table::pk_hash`]) — the one thing the two row stores, this
+    /// database and [`crate::RowArena`], answer differently.
+    pub(crate) fn check_insert(
+        &self,
+        id: RelationId,
+        values: &[Value],
+        pk_slot: impl Fn(RelationId, u64, &[usize], &[Value]) -> Option<u32>,
+    ) -> StorageResult<CheckedRow> {
+        let table = &self.tables[id.index()];
+        let schema = table.schema();
+        if values.len() != schema.arity() {
+            return Err(StorageError::ArityMismatch {
+                relation: schema.name.clone(),
+                expected: schema.arity(),
+                actual: values.len(),
+            });
+        }
+        let mut links = Vec::with_capacity(schema.foreign_keys.len());
+        for fk_index in 0..schema.foreign_keys.len() {
+            if let Some(target) = self.fk_link(id, fk_index, values, &pk_slot)? {
+                links.push((fk_index, target));
+            }
+        }
+        table.check_values(values)?;
+        let pk_hash = if schema.has_primary_key() {
+            let hash = table.pk_hash_of_row(values);
+            if pk_slot(id, hash, &schema.primary_key, values).is_some() {
+                return Err(StorageError::DuplicateKey {
+                    relation: schema.name.clone(),
+                    key: format!("{:?}", schema.key_of(values)),
+                });
+            }
+            Some(hash)
+        } else {
+            None
+        };
+        Ok(CheckedRow { links, pk_hash })
+    }
+
+    /// Insert a tuple, enforcing foreign-key, schema and primary-key
     /// constraints, and maintaining the reverse-reference index.
     ///
     /// This is where every foreign-key link is resolved, once: each key
@@ -247,26 +319,9 @@ impl Database {
     /// resolving the key again.
     pub fn insert(&mut self, relation: &str, values: Vec<Value>) -> StorageResult<Rid> {
         let id = self.relation_id(relation)?;
-        // Resolve every foreign key before mutating anything.
-        let schema = self.tables[id.index()].schema();
-        if values.len() != schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                relation: schema.name.clone(),
-                expected: schema.arity(),
-                actual: values.len(),
-            });
-        }
-        let mut resolved: Vec<(usize, Rid)> = Vec::with_capacity(schema.foreign_keys.len());
-        for (fk_index, fk) in schema.foreign_keys.iter().enumerate() {
-            match self.fk_target(id, fk_index, &values) {
-                FkTarget::Found(target) => resolved.push((fk_index, target)),
-                FkTarget::Null if fk.nullable => {}
-                FkTarget::Null => return Err(self.null_fk(id, fk_index)),
-                FkTarget::Dangling => return Err(self.dangling(id, fk_index, &values)),
-            }
-        }
-        let rid = self.tables[id.index()].insert(values)?;
-        for (fk_index, target) in resolved {
+        let checked = self.check_insert(id, &values, |r, h, c, v| self.pk_slot(r, h, c, v))?;
+        let rid = self.tables[id.index()].insert(values, checked.pk_hash);
+        for (fk_index, target) in checked.links {
             self.add_back_ref(
                 target,
                 BackRef {
@@ -326,7 +381,7 @@ impl Database {
         // Remove this tuple's own outgoing references from the reverse index.
         let values: Vec<Value> = self.tuple(rid)?.values().to_vec();
         for fk_index in 0..self.table(rid.relation).schema().foreign_keys.len() {
-            if let FkTarget::Found(target) = self.fk_target(rid.relation, fk_index, &values) {
+            if let Some(target) = self.fk_target(rid.relation, fk_index, &values) {
                 self.remove_back_ref(target, rid, fk_index);
             }
         }
@@ -405,18 +460,9 @@ impl Database {
             if !fk.columns.iter().any(|c| touched.contains(c)) {
                 continue;
             }
-            let old_target = match self.fk_target(rid.relation, fk_index, &old_values) {
-                FkTarget::Found(target) => Some(target),
-                FkTarget::Null | FkTarget::Dangling => None,
-            };
-            let new_target = match self.fk_target(rid.relation, fk_index, &new_values) {
-                FkTarget::Found(target) => Some(target),
-                FkTarget::Null if fk.nullable => None,
-                FkTarget::Null => return Err(self.null_fk(rid.relation, fk_index)),
-                FkTarget::Dangling => {
-                    return Err(self.dangling(rid.relation, fk_index, &new_values))
-                }
-            };
+            let old_target = self.fk_target(rid.relation, fk_index, &old_values);
+            let pk_slot = |r, h, c: &[usize], v: &[Value]| self.pk_slot(r, h, c, v);
+            let new_target = self.fk_link(rid.relation, fk_index, &new_values, &pk_slot)?;
             if old_target != new_target {
                 relink.push((fk_index, old_target, new_target));
             }
@@ -532,11 +578,7 @@ impl Database {
             )));
         }
         let tuple = self.tuple(rid)?;
-        let target = match self.fk_target(rid.relation, fk_index, tuple.values()) {
-            FkTarget::Found(target) => Some(target),
-            FkTarget::Null | FkTarget::Dangling => None,
-        };
-        Ok(target)
+        Ok(self.fk_target(rid.relation, fk_index, tuple.values()))
     }
 
     /// All tuples referencing `rid` (the backward direction of §4 browsing

@@ -282,7 +282,7 @@ impl Table {
     }
 
     /// [`Table::pk_slot_by`] with the key's hash already computed.
-    fn pk_slot_hashed<'v, K>(&self, hash: u64, key: K) -> Option<u32>
+    pub(crate) fn pk_slot_hashed<'v, K>(&self, hash: u64, key: K) -> Option<u32>
     where
         K: Iterator<Item = &'v Value> + Clone,
     {
@@ -359,26 +359,9 @@ impl Table {
         Ok(())
     }
 
-    /// Insert a tuple, enforcing schema and primary-key constraints.
-    ///
-    /// Foreign keys are enforced one level up, by
-    /// [`crate::Database::insert`], which can see the referenced tables.
-    pub(crate) fn insert(&mut self, values: Vec<Value>) -> StorageResult<Rid> {
-        self.check_values(&values)?;
-        let hash = if self.schema.has_primary_key() {
-            let hash = self.pk_hash_of_row(&values);
-            let key = self.schema.primary_key.iter().map(|&c| &values[c]);
-            if self.pk_slot_hashed(hash, key).is_some() {
-                let key: Vec<&Value> = self.schema.key_of(&values);
-                return Err(StorageError::DuplicateKey {
-                    relation: self.schema.name.clone(),
-                    key: format!("{key:?}"),
-                });
-            }
-            Some(hash)
-        } else {
-            None
-        };
+    /// Insert a tuple that [`crate::Database::check_insert`] accepted;
+    /// `hash` is the primary-key hash it returned.
+    pub(crate) fn insert(&mut self, values: Vec<Value>, hash: Option<u64>) -> Rid {
         match &mut self.repr {
             Repr::Eager {
                 slots,
@@ -391,7 +374,7 @@ impl Table {
                 if let Some(hash) = hash {
                     pk_map_link(pk_index, hash, slot);
                 }
-                Ok(Rid::new(self.id, slot))
+                Rid::new(self.id, slot)
             }
             Repr::Lazy {
                 slot_count,
@@ -407,7 +390,7 @@ impl Table {
                 if let Some(hash) = hash {
                     pk_map_link(pk_overlay, hash, slot);
                 }
-                Ok(Rid::new(self.id, slot))
+                Rid::new(self.id, slot)
             }
         }
     }
@@ -716,6 +699,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::ColumnType;
+    use crate::Database;
 
     fn author_table() -> Table {
         let schema = RelationSchema::builder("Author")
@@ -728,6 +712,17 @@ mod tests {
         Table::new(RelationId(0), schema)
     }
 
+    /// Insert under the rules every insert follows
+    /// ([`Database::check_insert`]), on a catalog of just this table.
+    fn insert(t: &mut Table, values: Vec<Value>) -> StorageResult<Rid> {
+        let mut catalog = Database::new("t");
+        catalog.create_relation(t.schema().clone()).unwrap();
+        let checked = catalog.check_insert(RelationId(0), &values, |_, hash, columns, row| {
+            t.pk_slot_hashed(hash, columns.iter().map(|&c| &row[c]))
+        })?;
+        Ok(t.insert(values, checked.pk_hash))
+    }
+
     fn row(id: &str, name: &str) -> Vec<Value> {
         vec![Value::text(id), Value::text(name), Value::Null]
     }
@@ -735,8 +730,8 @@ mod tests {
     #[test]
     fn insert_scan_roundtrip() {
         let mut t = author_table();
-        let r1 = t.insert(row("SoumenC", "Soumen Chakrabarti")).unwrap();
-        let r2 = t.insert(row("SunitaS", "Sunita Sarawagi")).unwrap();
+        let r1 = insert(&mut t, row("SoumenC", "Soumen Chakrabarti")).unwrap();
+        let r2 = insert(&mut t, row("SunitaS", "Sunita Sarawagi")).unwrap();
         assert_eq!(t.len(), 2);
         let scanned: Vec<Rid> = t.scan().map(|(rid, _)| rid).collect();
         assert_eq!(scanned, vec![r1, r2]);
@@ -745,7 +740,7 @@ mod tests {
     #[test]
     fn pk_lookup() {
         let mut t = author_table();
-        let rid = t.insert(row("ByronD", "Byron Dom")).unwrap();
+        let rid = insert(&mut t, row("ByronD", "Byron Dom")).unwrap();
         assert_eq!(t.lookup_pk(&[Value::text("ByronD")]), Some(rid));
         assert_eq!(t.lookup_pk(&[Value::text("nobody")]), None);
     }
@@ -753,8 +748,8 @@ mod tests {
     #[test]
     fn duplicate_pk_rejected() {
         let mut t = author_table();
-        t.insert(row("A", "First")).unwrap();
-        let err = t.insert(row("A", "Second")).unwrap_err();
+        insert(&mut t, row("A", "First")).unwrap();
+        let err = insert(&mut t, row("A", "Second")).unwrap_err();
         assert!(matches!(err, StorageError::DuplicateKey { .. }));
         assert_eq!(t.len(), 1);
     }
@@ -763,17 +758,15 @@ mod tests {
     fn arity_and_type_enforced() {
         let mut t = author_table();
         assert!(matches!(
-            t.insert(vec![Value::text("A")]).unwrap_err(),
+            insert(&mut t, vec![Value::text("A")]).unwrap_err(),
             StorageError::ArityMismatch { .. }
         ));
         assert!(matches!(
-            t.insert(vec![Value::Int(1), Value::text("x"), Value::Null])
-                .unwrap_err(),
+            insert(&mut t, vec![Value::Int(1), Value::text("x"), Value::Null]).unwrap_err(),
             StorageError::TypeMismatch { .. }
         ));
         assert!(matches!(
-            t.insert(vec![Value::Null, Value::text("x"), Value::Null])
-                .unwrap_err(),
+            insert(&mut t, vec![Value::Null, Value::text("x"), Value::Null]).unwrap_err(),
             StorageError::NullViolation { .. }
         ));
     }
@@ -781,14 +774,14 @@ mod tests {
     #[test]
     fn delete_keeps_rids_stable_and_frees_key() {
         let mut t = author_table();
-        let r1 = t.insert(row("A", "First")).unwrap();
-        let r2 = t.insert(row("B", "Second")).unwrap();
+        let r1 = insert(&mut t, row("A", "First")).unwrap();
+        let r2 = insert(&mut t, row("B", "Second")).unwrap();
         t.delete(r1.slot).unwrap();
         assert_eq!(t.len(), 1);
         assert!(t.get(r1.slot).is_none());
         assert!(t.get(r2.slot).is_some());
         // Key is free again and new insert gets a fresh slot.
-        let r3 = t.insert(row("A", "Third")).unwrap();
+        let r3 = insert(&mut t, row("A", "Third")).unwrap();
         assert_ne!(r3.slot, r1.slot);
         // Double delete errors.
         assert!(t.delete(r1.slot).is_err());
@@ -797,9 +790,12 @@ mod tests {
     #[test]
     fn update_non_key_column() {
         let mut t = author_table();
-        let r = t.insert(row("A", "First")).unwrap();
+        let r = insert(&mut t, row("A", "First")).unwrap();
         t.update(r.slot, 2, Value::Int(42)).unwrap();
-        assert_eq!(t.get(r.slot).unwrap().get(2), Some(&Value::Int(42)));
+        assert_eq!(
+            t.get(r.slot).unwrap().values().get(2),
+            Some(&Value::Int(42))
+        );
         // pk column update rejected
         assert!(t.update(r.slot, 0, Value::text("B")).is_err());
         // type still enforced
@@ -814,8 +810,8 @@ mod tests {
             .build()
             .unwrap();
         let mut t = Table::new(RelationId(1), schema);
-        t.insert(vec![Value::text("a"), Value::text("p")]).unwrap();
-        t.insert(vec![Value::text("a"), Value::text("p")]).unwrap();
+        insert(&mut t, vec![Value::text("a"), Value::text("p")]).unwrap();
+        insert(&mut t, vec![Value::text("a"), Value::text("p")]).unwrap();
         assert_eq!(t.len(), 2);
         assert!(t.lookup_pk(&[]).is_none());
     }
@@ -824,7 +820,7 @@ mod tests {
     fn live_slots_skips_tombstones() {
         let mut t = author_table();
         for (id, name) in [("A", "a"), ("B", "b"), ("C", "c")] {
-            t.insert(row(id, name)).unwrap();
+            insert(&mut t, row(id, name)).unwrap();
         }
         t.delete(1).unwrap();
         assert_eq!(t.live_slots().collect::<Vec<_>>(), vec![0, 2]);

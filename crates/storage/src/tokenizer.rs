@@ -1,8 +1,8 @@
 //! Text tokenization for the keyword index.
 //!
 //! BANKS matches query keywords against "tokens appearing in any textual
-//! attribute" (§2.3). We lowercase, split on non-alphanumeric boundaries,
-//! and optionally drop stopwords. The same tokenizer is applied to queries,
+//! attribute" (§2.3). We lowercase and split on non-alphanumeric
+//! boundaries; every token is kept. The same tokenizer is applied to queries,
 //! attribute values and metadata names so that matching is symmetric
 //! (e.g. the column name `AuthorName` yields tokens `author`, `name` and
 //! `authorname`, letting the keyword "author" match metadata).
@@ -13,44 +13,14 @@
 //! lowercased into one buffer the caller reuses. [`Tokenizer::tokenize`]
 //! collects the same tokens into owned strings.
 
-/// Tokenizer configuration.
-#[derive(Debug, Clone)]
-pub struct Tokenizer {
-    stopwords: Vec<String>,
-    min_len: usize,
-}
-
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Tokenizer {
-            stopwords: Vec::new(),
-            min_len: 1,
-        }
-    }
-}
+/// The tokenizer: no stopwords, no minimum length.
+#[derive(Debug, Clone, Default)]
+pub struct Tokenizer;
 
 impl Tokenizer {
-    /// Tokenizer with no stopwords and no minimum length.
+    /// The tokenizer.
     pub fn new() -> Tokenizer {
-        Tokenizer::default()
-    }
-
-    /// Use the given stopword list (compared lowercase).
-    pub fn with_stopwords(mut self, words: &[&str]) -> Tokenizer {
-        self.stopwords = words.iter().map(|w| w.to_lowercase()).collect();
-        self
-    }
-
-    /// Drop tokens shorter than `n` characters.
-    pub fn with_min_len(mut self, n: usize) -> Tokenizer {
-        self.min_len = n;
-        self
-    }
-
-    /// Whether a token survives filtering.
-    fn keep(&self, token: &str) -> bool {
-        (self.min_len <= 1 || token.chars().count() >= self.min_len)
-            && !self.stopwords.iter().any(|s| s == token)
+        Tokenizer
     }
 
     /// Tokenize arbitrary text into lowercase alphanumeric tokens.
@@ -85,9 +55,7 @@ impl Tokenizer {
                     buf.as_str()
                 }
             };
-            if self.keep(token) {
-                f(token);
-            }
+            f(token);
         };
         let mut i = 0;
         while i < text.len() {
@@ -147,7 +115,6 @@ impl Tokenizer {
         if !whole.is_empty() && !out.contains(&whole) {
             out.push(whole);
         }
-        out.retain(|t| self.keep(t));
         out.dedup();
         out
     }
@@ -198,17 +165,6 @@ mod tests {
             vec!["query", "optimization", "1998"]
         );
         assert!(t.tokenize("  \t ").is_empty());
-    }
-
-    #[test]
-    fn stopwords_and_min_len() {
-        let t = Tokenizer::new()
-            .with_stopwords(&["the", "of"])
-            .with_min_len(2);
-        assert_eq!(
-            t.tokenize("The anatomy of a search engine"),
-            vec!["anatomy", "search", "engine"]
-        );
     }
 
     #[test]

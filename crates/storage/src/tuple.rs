@@ -68,11 +68,6 @@ impl Tuple {
         &self.values
     }
 
-    /// Value of the column at `idx`.
-    pub fn get(&self, idx: usize) -> Option<&Value> {
-        self.values.get(idx)
-    }
-
     /// Mutable access for in-place updates (used by `Table::update`).
     pub(crate) fn get_mut(&mut self, idx: usize) -> Option<&mut Value> {
         self.values.get_mut(idx)
@@ -103,10 +98,10 @@ mod tests {
 
     #[test]
     fn tuple_accessors() {
-        let t = Tuple::new(vec![Value::int(1), Value::text("x")]);
+        let t = Tuple::new(vec![Value::Int(1), Value::text("x")]);
         assert_eq!(t.arity(), 2);
-        assert_eq!(t.get(1), Some(&Value::text("x")));
-        assert_eq!(t.get(2), None);
+        assert_eq!(t.values().get(1), Some(&Value::text("x")));
+        assert_eq!(t.values().get(2), None);
         assert_eq!(t.values().len(), 2);
     }
 }

@@ -35,16 +35,6 @@ impl Value {
         Value::Text(s.into())
     }
 
-    /// Convenience constructor for integer values.
-    pub fn int(v: i64) -> Value {
-        Value::Int(v)
-    }
-
-    /// Convenience constructor for float values.
-    pub fn float(v: f64) -> Value {
-        Value::Float(v)
-    }
-
     /// True if this value is NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -71,14 +61,6 @@ impl Value {
         match self {
             Value::Int(v) => Some(*v as f64),
             Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The boolean content of the value, if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -271,7 +253,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::text("x").as_int(), None);
     }

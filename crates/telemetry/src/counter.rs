@@ -1,4 +1,4 @@
-//! Lock-free sharded counters and plain gauges.
+//! Lock-free sharded counters.
 //!
 //! [`Counter`] spreads increments across a small fixed array of
 //! cache-line-padded atomic cells indexed by a per-thread shard id, so
@@ -7,7 +7,7 @@
 //! with respect to in-flight increments, which is exactly what a scrape
 //! needs and nothing more.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of padded cells per counter. A small power of two: enough to
 /// spread the worker pool, cheap enough to sum on every scrape.
@@ -40,11 +40,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A fresh counter at zero.
-    pub(crate) fn new() -> Counter {
-        Counter::default()
-    }
-
     /// Add one.
     #[inline]
     pub fn inc(&self) {
@@ -71,50 +66,6 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// A gauge: a value that can go up and down (queue depth, resident
-/// bytes, current epoch). Single atomic — gauges are written rarely
-/// compared to counters, so sharding would only complicate `set`.
-#[derive(Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A fresh gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Replace the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `n` (may be negative via [`Gauge::sub`]).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtract `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub(crate) fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gauge").field("value", &self.get()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +73,7 @@ mod tests {
 
     #[test]
     fn counter_sums_across_threads() {
-        let c = Arc::new(Counter::new());
+        let c = Arc::new(Counter::default());
         let mut handles = Vec::new();
         for _ in 0..8 {
             let c = Arc::clone(&c);
@@ -136,15 +87,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let g = Gauge::new();
-        g.add(5);
-        g.sub(2);
-        assert_eq!(g.get(), 3);
-        g.set(-7);
-        assert_eq!(g.get(), -7);
     }
 }

@@ -130,14 +130,9 @@ pub struct HistogramSnapshot {
     sum: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot::empty()
-    }
-}
-
 impl HistogramSnapshot {
-    /// An all-zero snapshot, useful as a merge accumulator.
+    /// An all-zero snapshot, a merge accumulator.
+    #[cfg(test)]
     pub(crate) fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: vec![0; BUCKET_COUNT],
@@ -156,7 +151,8 @@ impl HistogramSnapshot {
     }
 
     /// Bucket-wise addition; the layout is fixed so this is exact.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += *b;
         }
@@ -197,11 +193,6 @@ impl HistogramSnapshot {
             }
         }
         bucket_upper_bound(BUCKET_COUNT - 1)
-    }
-
-    /// Raw bucket counts (fixed layout, see `bucket_upper_bound`).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
     }
 }
 

@@ -1,9 +1,9 @@
 //! # banks-telemetry
 //!
 //! The unified telemetry layer for the BANKS workspace: a process-wide
-//! metric [`Registry`] with lock-free sharded [`Counter`]s, [`Gauge`]s,
-//! and log-linear HDR-style [`Histogram`]s, rendered as Prometheus text
-//! exposition; plus per-query trace [`SpanBuffer`]s and a bounded
+//! metric [`Registry`] with lock-free sharded [`Counter`]s, log-linear
+//! HDR-style [`Histogram`]s and scrape-time collectors (every gauge is
+//! one), rendered as Prometheus text exposition; plus per-query trace [`SpanBuffer`]s and a bounded
 //! [`SlowLog`] of the worst queries.
 //!
 //! Design constraints, in order:
@@ -27,7 +27,7 @@ pub mod registry;
 pub(crate) mod slowlog;
 pub mod span;
 
-pub use counter::{Counter, Gauge};
+pub use counter::Counter;
 pub use histogram::{latency_boundaries, Histogram};
 pub use registry::{CollectedFamily, Kind, Registry, Sample};
 pub use slowlog::{SlowLog, SlowQuery};

@@ -1,6 +1,6 @@
 //! The metric registry and Prometheus text-format exposition.
 //!
-//! A [`Registry`] owns labeled instrument families (counters, gauges,
+//! A [`Registry`] owns labeled instrument families (counters and
 //! histograms) and a list of *collectors* — closures that derive scalar
 //! families from existing stats snapshots at scrape time (the server's
 //! cache, epoch, pager, and WAL families all come from collectors, so
@@ -14,7 +14,7 @@
 //! label values escaped per the spec (`\\`, `\"`, `\n`), histograms as
 //! cumulative `_bucket{le="..."}` series plus `_sum` and `_count`.
 
-use crate::counter::{Counter, Gauge};
+use crate::counter::Counter;
 use crate::histogram::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -88,7 +88,6 @@ pub(crate) type Collector = Arc<dyn Fn() -> Vec<CollectedFamily> + Send + Sync>;
 
 enum Instrument {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -138,34 +137,11 @@ impl Registry {
         {
             return Arc::clone(c);
         }
-        let c = Arc::new(Counter::new());
+        let c = Arc::new(Counter::default());
         family
             .metrics
             .push((labels, Instrument::Counter(Arc::clone(&c))));
         c
-    }
-
-    /// Get or create a gauge.
-    ///
-    /// # Panics
-    /// If `name` is already registered with a different kind.
-    pub fn gauge(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let family = family_entry(&mut inner, name, help, Kind::Gauge, Vec::new(), 1.0);
-        let labels = own_labels(labels);
-        if let Some((_, Instrument::Gauge(g))) = family.metrics.iter().find(|(l, _)| *l == labels) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::new());
-        family
-            .metrics
-            .push((labels, Instrument::Gauge(Arc::clone(&g))));
-        g
     }
 
     /// Get or create a histogram exported over the `boundaries` ladder
@@ -256,9 +232,6 @@ impl Registry {
                         match instrument {
                             Instrument::Counter(c) => {
                                 snap.scalars.push((labels.clone(), c.get() as f64));
-                            }
-                            Instrument::Gauge(g) => {
-                                snap.scalars.push((labels.clone(), g.get() as f64));
                             }
                             Instrument::Histogram(h) => {
                                 snap.histograms.push((labels.clone(), h.snapshot()));
@@ -495,7 +468,14 @@ mod tests {
     fn renders_sorted_families_with_help_and_type() {
         let r = Registry::new();
         r.counter("zeta_total", "Last family.", &[]).add(3);
-        r.gauge("alpha_depth", "First family.", &[]).set(7);
+        r.register_collector(|| {
+            vec![CollectedFamily::scalar(
+                "alpha_depth",
+                "First family.",
+                Kind::Gauge,
+                7.0,
+            )]
+        });
         let text = r.render();
         let alpha = text.find("# HELP alpha_depth").unwrap();
         let zeta = text.find("# HELP zeta_total").unwrap();
@@ -541,11 +521,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registered as counter and gauge")]
+    #[should_panic(expected = "registered as counter and histogram")]
     fn kind_conflict_panics() {
         let r = Registry::new();
         r.counter("x_total", "x", &[]);
-        r.gauge("x_total", "x", &[]);
+        r.histogram("x_total", "x", &[], &latency_boundaries(), 1e-9);
     }
 
     #[test]

@@ -71,6 +71,14 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The [`FxHasher`] hash of `bytes`: the on-disk checksum of a WAL
+/// frame payload and of a paged-graph segment.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].

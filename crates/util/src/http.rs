@@ -329,11 +329,11 @@ fn read_response(
 /// Longest request head (request line, headers, blank line) a server
 /// reads; an unterminated head of this size is answered `431`.
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Default cap on a request body; a larger declared `Content-Length` is
+/// Cap on a request body; a larger declared `Content-Length` is
 /// answered `413` before any body byte is read.
 pub const MAX_BODY_BYTES: u64 = 8 * 1024 * 1024;
-/// Default budget for reading the request head: a slowloris-style
-/// client that trickles header bytes is disconnected after it.
+/// Budget for reading the request head: a slowloris-style client that
+/// trickles header bytes is disconnected after it.
 pub const HEADER_READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// Timeout for reading the body and for each write of the response.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
@@ -347,10 +347,6 @@ pub struct ListenConfig {
     pub workers: usize,
     /// Accepted connections that may wait for a worker before accepts block.
     pub backlog: usize,
-    /// Largest request body accepted.
-    pub max_body_bytes: u64,
-    /// Budget for reading the request head.
-    pub header_read_timeout: Duration,
     /// Thread-name prefix: `{name}-accept`, `{name}-0`, …
     pub name: &'static str,
 }
@@ -481,9 +477,9 @@ impl HttpServer {
     ///
     /// The handler sees well-framed requests only: a head over
     /// `MAX_HEAD_BYTES` is answered `431`, a malformed request line or
-    /// `Content-Length` `400`, a body over `max_body_bytes` `413`. A
-    /// client that has not sent its head within `header_read_timeout` is
-    /// disconnected. A handler that panics loses its connection, not its
+    /// `Content-Length` `400`, a body over [`MAX_BODY_BYTES`] `413`. A
+    /// client that has not sent its head within [`HEADER_READ_TIMEOUT`]
+    /// is disconnected. A handler that panics loses its connection, not its
     /// worker.
     pub fn bind<H>(config: &ListenConfig, handler: H) -> std::io::Result<HttpServer>
     where
@@ -501,7 +497,6 @@ impl HttpServer {
         let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
         for i in 0..config.workers.max(1) {
             let (rx, handler, queued) = (rx.clone(), handler.clone(), queued.clone());
-            let config = config.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{}-{i}", config.name))
@@ -515,7 +510,7 @@ impl HttpServer {
                         // requests that panic the handler would shrink the
                         // pool until nothing is served.
                         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            serve(stream, enqueued_at, &config, &*handler)
+                            serve(stream, enqueued_at, &*handler)
                         }));
                     })?,
             );
@@ -599,15 +594,10 @@ impl Drop for HttpServer {
     }
 }
 
-fn serve(
-    mut stream: TcpStream,
-    enqueued_at: Instant,
-    config: &ListenConfig,
-    handler: &Handler,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(config.header_read_timeout))?;
+fn serve(mut stream: TcpStream, enqueued_at: Instant, handler: &Handler) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(HEADER_READ_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let response = match read_request(&mut stream, enqueued_at, config.max_body_bytes)? {
+    let response = match read_request(&mut stream, enqueued_at)? {
         Ok(request) => handler(request),
         Err(rejection) => rejection,
     };
@@ -633,7 +623,6 @@ fn serve(
 fn read_request(
     stream: &mut TcpStream,
     enqueued_at: Instant,
-    max_body_bytes: u64,
 ) -> std::io::Result<Result<Request, Response>> {
     let mut buf = Vec::with_capacity(1024);
     let Some(end) = read_head(stream, &mut buf, MAX_HEAD_BYTES)? else {
@@ -663,7 +652,7 @@ fn read_request(
         Some(Ok(n)) => n,
         Some(Err(_)) => return Ok(Err(Response::error(400, "bad Content-Length header"))),
     };
-    if length > max_body_bytes {
+    if length > MAX_BODY_BYTES {
         return Ok(Err(Response::error(413, "request body too large")));
     }
     // Body bytes that came with the head first; the buffer grows with
@@ -811,8 +800,6 @@ mod tests {
             addr: "127.0.0.1:0".to_string(),
             workers,
             backlog: 8,
-            max_body_bytes: 64,
-            header_read_timeout: Duration::from_millis(300),
             name: "test-http",
         };
         HttpServer::bind(&config, handler).unwrap()
@@ -854,6 +841,49 @@ mod tests {
         assert_eq!(resp.text(), "POST /ingest ts=t0 true {}");
         assert_eq!(resp.header("x-banks-epoch"), Some("3"));
         assert_eq!(resp.header("connection"), Some("close"));
+    }
+
+    /// Send `head` raw and read until the server closes: the status
+    /// code (0 for a drop with no response) and the time it took.
+    fn raw(server: &HttpServer, head: &str) -> (u16, Duration) {
+        use std::io::{Read, Write};
+        let t0 = Instant::now();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        let status = response
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        (status, t0.elapsed())
+    }
+
+    #[test]
+    fn a_declared_body_over_the_cap_is_refused_before_it_is_sent() {
+        let server = serve(1, |_| Response::json(200, "{}".to_string()));
+        let head = format!(
+            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        let (status, elapsed) = raw(&server, &head);
+        assert_eq!(status, 413);
+        assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+    }
+
+    #[test]
+    fn a_client_that_stops_mid_head_is_dropped_after_the_head_timeout() {
+        let server = serve(1, |_| Response::json(200, "{}".to_string()));
+        let (status, elapsed) = raw(&server, "GET /health HTTP/1.1\r\nHost: x\r\n");
+        assert_eq!(status, 0, "dropped unanswered");
+        assert!(
+            elapsed >= HEADER_READ_TIMEOUT - Duration::from_millis(100)
+                && elapsed < HEADER_READ_TIMEOUT + Duration::from_secs(1),
+            "{elapsed:?}"
+        );
+        // The worker is free again.
+        assert_eq!(call(&server, "GET", "/ok", None).unwrap().status, 200);
     }
 
     #[test]

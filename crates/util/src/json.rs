@@ -107,24 +107,6 @@ impl Json {
         }
     }
 
-    /// Numeric content widened to `f64` (accepts `Int`/`Uint`/`Num`).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Uint(u) => Some(*u as f64),
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Boolean content, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     fn write(&self, out: &mut String, level: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
@@ -685,12 +667,10 @@ mod tests {
         assert_eq!(v.get("a").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("b").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("c").and_then(Json::as_arr).map(|a| a.len()), Some(1));
-        assert_eq!(v.get("d").and_then(Json::as_f64), Some(2.5));
+        assert_eq!(v.get("d"), Some(&Json::Num(2.5)));
         assert_eq!(
-            v.get("c")
-                .and_then(Json::as_arr)
-                .and_then(|a| a[0].as_bool()),
-            Some(true)
+            v.get("c").and_then(Json::as_arr).map(|a| &a[0]),
+            Some(&Json::Bool(true))
         );
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("a"), None);

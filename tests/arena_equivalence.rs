@@ -4,7 +4,7 @@
 //! epoch/graph-size change — and exact top-k early termination must never
 //! drop (or reorder) an answer the exhaustive run would have emitted.
 
-use banks_core::{Banks, BanksConfig, SearchArena, SearchOutcome, SearchStrategy};
+use banks_core::{Banks, BanksConfig, SearchArena, SearchOutcome, SearchStrategy, StopReason};
 use banks_datagen::dblp::{generate, DblpConfig};
 use banks_datagen::stream::{build_database, generate_to_dir, StreamConfig};
 use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
@@ -153,9 +153,9 @@ proptest! {
             let exhaustive = banks
                 .search_parsed_in(&query, SearchStrategy::Backward, &exhaustive_config, &mut arena)
                 .unwrap();
-            prop_assert_eq!(exhaustive.stats.early_terminations, 0);
+            prop_assert_ne!(exhaustive.stats.stop, StopReason::TopK);
             prop_assert!(early.stats.pops <= exhaustive.stats.pops);
-            fired += early.stats.early_terminations;
+            fired += usize::from(early.stats.stop == StopReason::TopK);
             // Answer-for-answer identical, ranking ties included.
             prop_assert_eq!(early.answers.len(), exhaustive.answers.len(), "count for `{}`", text);
             for (a, b) in early.answers.iter().zip(&exhaustive.answers) {
@@ -202,7 +202,7 @@ fn early_termination_fires_and_saves_pops_at_top1() {
             assert_eq!(a.tree.signature(), b.tree.signature());
             assert_eq!(a.relevance.to_bits(), b.relevance.to_bits());
         }
-        if early.stats.early_terminations > 0 {
+        if early.stats.stop == StopReason::TopK {
             fired += 1;
             assert!(
                 early.stats.pops < exhaustive.stats.pops,

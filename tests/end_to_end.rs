@@ -56,7 +56,7 @@ fn answers_are_valid_connection_trees() {
     let graph = banks.tuple_graph().graph();
     for query in &workload {
         let parsed = banks.parse(query.text).expect("parses");
-        let n_terms = parsed.len();
+        let n_terms = parsed.terms.len();
         for answer in banks.search(query.text).expect("runs") {
             let tree = &answer.tree;
             // One keyword node per term.

@@ -73,7 +73,7 @@ fn assert_search_equivalent(in_ram: &Banks, paged: &Banks) {
                     s.trees_emitted,
                     s.duplicates_discarded,
                     s.duplicates_replaced,
-                    s.early_terminations,
+                    s.stop,
                 )
             };
             assert_eq!(
