@@ -49,7 +49,8 @@ pub struct SearchStats {
     pub duplicates_discarded: usize,
     /// Duplicates that replaced a worse twin still in the buffer.
     pub duplicates_replaced: usize,
-    /// Cross products truncated by the per-node combination cap.
+    /// Cross products truncated by the per-node combination cap
+    /// (`max_cross_product`); any makes the result partial.
     pub cross_product_truncations: usize,
     /// Why the expansion loop ended.
     pub stop: StopReason,
@@ -81,10 +82,19 @@ pub enum StopReason {
     PopCap,
 }
 
+/// Every value [`SearchStats::stop_label`] takes, in a fixed order (the
+/// `reason` label set of the server's stop counter).
+pub const STOP_LABELS: [&str; 5] = [
+    "exhausted",
+    "top_k",
+    "deadline",
+    "pop_cap",
+    "cross_product_cap",
+];
+
 impl StopReason {
     /// Whether the answers may be incomplete: a deadline or the pop cap
-    /// cut the search short. Such a result is flagged partial and never
-    /// cached.
+    /// cut the expansion short.
     pub fn truncated(self) -> bool {
         matches!(self, StopReason::Deadline | StopReason::PopCap)
     }
@@ -95,6 +105,30 @@ impl StopReason {
         match self {
             StopReason::Deadline => StopReason::Exhausted,
             other => other,
+        }
+    }
+}
+
+impl SearchStats {
+    /// Whether the answers may be incomplete: the deadline or the pop
+    /// cap stopped the expansion, or the cross-product cap left
+    /// combinations of some root unenumerated. Such a result is flagged
+    /// partial and never cached.
+    pub fn truncated(&self) -> bool {
+        self.stop.truncated() || self.cross_product_truncations > 0
+    }
+
+    /// Why the search ended, as a metric and log label (one of
+    /// [`STOP_LABELS`]): the stop reason, except that a search the
+    /// cross-product cap cut reads `cross_product_cap` unless a deadline
+    /// or the pop cap also stopped it.
+    pub fn stop_label(&self) -> &'static str {
+        match self.stop {
+            StopReason::Deadline => "deadline",
+            StopReason::PopCap => "pop_cap",
+            _ if self.cross_product_truncations > 0 => "cross_product_cap",
+            StopReason::Exhausted => "exhausted",
+            StopReason::TopK => "top_k",
         }
     }
 }
@@ -248,7 +282,7 @@ impl<'a, 'g> EarlyStop<'a, 'g> {
 
 #[cfg(test)]
 mod tests {
-    use super::{SearchStats, StopReason};
+    use super::{SearchStats, StopReason, STOP_LABELS};
 
     #[test]
     fn stats_equality_ignores_environment_counters() {
@@ -269,5 +303,33 @@ mod tests {
         a.stop = StopReason::Exhausted;
         a.pops = 8;
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn a_cross_product_cut_truncates_and_labels_the_stop() {
+        let label = |stop, cut: usize| {
+            let stats = SearchStats {
+                stop,
+                cross_product_truncations: cut,
+                ..SearchStats::default()
+            };
+            (stats.truncated(), stats.stop_label())
+        };
+        assert_eq!(label(StopReason::Exhausted, 0), (false, "exhausted"));
+        assert_eq!(label(StopReason::TopK, 0), (false, "top_k"));
+        assert_eq!(label(StopReason::Exhausted, 1), (true, "cross_product_cap"));
+        assert_eq!(label(StopReason::TopK, 3), (true, "cross_product_cap"));
+        assert_eq!(label(StopReason::PopCap, 1), (true, "pop_cap"));
+        assert_eq!(label(StopReason::Deadline, 1), (true, "deadline"));
+        for stop in [
+            StopReason::Exhausted,
+            StopReason::TopK,
+            StopReason::Deadline,
+            StopReason::PopCap,
+        ] {
+            for cut in [0, 1] {
+                assert!(STOP_LABELS.contains(&label(stop, cut).1));
+            }
+        }
     }
 }

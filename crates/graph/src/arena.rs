@@ -89,6 +89,11 @@ pub struct DijkstraState {
     /// The distance queue (recycled allocation).
     pub(crate) heap: DistHeap,
     settled_count: usize,
+    /// Queue entries left behind by [`relax`](DijkstraState::relax)
+    /// improving a queued node: the older, larger-distance entry of that
+    /// node, which pops only after the node is settled. While this is
+    /// zero the queue's top is never stale and needs no table probe.
+    stale: usize,
 }
 
 impl DijkstraState {
@@ -102,6 +107,7 @@ impl DijkstraState {
         self.nodes.clear();
         self.heap.clear();
         self.settled_count = 0;
+        self.stale = 0;
     }
 
     /// Make `n` the unsettled origin at distance `dist`, with exactly one
@@ -109,6 +115,7 @@ impl DijkstraState {
     pub(crate) fn start(&mut self, n: u32, dist: f64) {
         self.nodes.insert(n, NodeSlot::unsettled(dist, NIL));
         self.heap.clear();
+        self.stale = 0;
         self.heap.push(dist, n);
     }
 
@@ -129,18 +136,77 @@ impl DijkstraState {
                 let better = cand < known.signed_dist;
                 if better {
                     *known = NodeSlot::unsettled(cand, parent);
+                    // Its earlier queue entry is now stale.
+                    self.stale += 1;
                 }
                 better
             }
         }
     }
 
-    /// Mark a touched node's distance final.
-    #[inline]
+    /// Mark a touched node's distance final (the kernel settles through
+    /// [`settle_next`](DijkstraState::settle_next)).
+    #[cfg(test)]
     pub(crate) fn settle(&mut self, n: u32) {
         let known = self.nodes.get_mut(&n).expect("settling an untouched node");
         known.signed_dist = -known.dist();
         self.settled_count += 1;
+    }
+
+    /// Settle the queue's nearest node and return it, leaving its entry
+    /// on top of the queue for the caller to pop or overwrite. Stale
+    /// entries on top are dropped first. Returns `None`, emptying the
+    /// queue, when it is exhausted or its nearest node lies past
+    /// `max_dist` or would exceed `max_settled` settled nodes. One table
+    /// probe per settled node.
+    #[inline]
+    pub(crate) fn settle_next(&mut self, max_dist: f64, max_settled: usize) -> Option<(f64, u32)> {
+        loop {
+            let (dist, node) = self.heap.peek()?;
+            let slot = self
+                .nodes
+                .get_mut(&node)
+                .expect("a queued node is in the table");
+            if { slot.signed_dist }.is_sign_negative() {
+                self.heap.pop();
+                self.stale -= 1;
+                continue;
+            }
+            if dist > max_dist || self.settled_count >= max_settled {
+                self.clear_queue();
+                return None;
+            }
+            slot.signed_dist = -slot.dist();
+            self.settled_count += 1;
+            return Some((dist, node));
+        }
+    }
+
+    /// Drop stale entries from the top of the queue, then empty it if its
+    /// nearest node lies past the bounds [`settle_next`] enforces. Probes
+    /// the table only while stale entries exist.
+    ///
+    /// [`settle_next`]: DijkstraState::settle_next
+    pub(crate) fn skim(&mut self, max_dist: f64, max_settled: usize) {
+        while self.stale > 0 {
+            match self.heap.peek() {
+                Some((_, node)) if self.settled(node).is_some() => {
+                    self.heap.pop();
+                    self.stale -= 1;
+                }
+                _ => break,
+            }
+        }
+        if let Some((dist, _)) = self.heap.peek() {
+            if dist > max_dist || self.settled_count >= max_settled {
+                self.clear_queue();
+            }
+        }
+    }
+
+    fn clear_queue(&mut self) {
+        self.heap.clear();
+        self.stale = 0;
     }
 
     /// The entry of `n` once its distance is final (`None` before).

@@ -11,13 +11,16 @@
 //! The iterator's working memory is a sparse [`DijkstraState`] — one
 //! table entry per node it has touched, so an iterator that settles one
 //! node costs one entry whatever the graph size — and the distance queue
-//! is a 4-ary heap. Relaxing an edge probes the table once. States come
+//! is a 4-ary heap. Relaxing an edge probes the table once, and so does
+//! settling a node; a settled node's queue slot is reused by its first
+//! relaxation. States come
 //! from a [`crate::SearchArena`] via [`Dijkstra::new_in`] so a long-lived
 //! worker reuses their allocations; the plain [`Dijkstra::new`]
 //! constructor starts from an empty state for callers that don't pool.
 
 use crate::arena::{DijkstraState, NIL};
 use crate::graph::{Graph, NodeId};
+use crate::store::Adjacency;
 
 /// Which way the iterator walks the graph's edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,25 +140,10 @@ impl<'g> Dijkstra<'g> {
         self.state.retained_bytes()
     }
 
-    /// Drop stale heap entries (already settled, or beyond the bounds).
-    fn skim(&mut self) {
-        while let Some((dist, node)) = self.state.heap.peek() {
-            if self.state.settled(node).is_some() {
-                self.state.heap.pop();
-                continue;
-            }
-            if dist > self.max_dist || self.state.settled_count() >= self.max_settled {
-                // Out of budget: the search is exhausted.
-                self.state.heap.clear();
-            }
-            break;
-        }
-    }
-
     /// Distance of the node the next `next()` call will yield, without
     /// consuming it. `None` when the iterator is exhausted.
     pub fn peek_dist(&mut self) -> Option<f64> {
-        self.skim();
+        self.state.skim(self.max_dist, self.max_settled);
         self.state.heap.peek().map(|(dist, _)| dist)
     }
 
@@ -213,21 +201,20 @@ impl<'g> Dijkstra<'g> {
     /// Weight of the first edge `prev → cur` (in the traversal
     /// direction) with `prev_dist + w == cur_dist`.
     fn hop_weight(&self, prev: u32, prev_dist: f64, cur: u32, cur_dist: f64) -> f64 {
-        let (neighbours, weights) = self.adjacency(prev);
+        let adjacency = self.adjacency(prev);
+        let neighbours = adjacency.ids();
         // Adjacency is sorted by neighbour id.
         let first = neighbours.partition_point(|&v| v < cur);
-        neighbours[first..]
-            .iter()
-            .zip(&weights[first..])
-            .take_while(|&(&v, _)| v == cur)
-            .map(|(_, &w)| w)
+        (first..neighbours.len())
+            .take_while(|&i| neighbours[i] == cur)
+            .map(|i| adjacency.weight(i))
             .find(|&w| prev_dist + w == cur_dist)
             .expect("the parent edge reaches the settled distance")
     }
 
     /// Adjacency of `node` in the traversal direction.
     #[inline]
-    fn adjacency(&self, node: u32) -> (&'g [u32], &'g [f64]) {
+    fn adjacency(&self, node: u32) -> Adjacency<'g> {
         match self.direction {
             Direction::Forward => self.graph.out_adjacency(NodeId(node)),
             Direction::Reverse => self.graph.in_adjacency(NodeId(node)),
@@ -239,16 +226,27 @@ impl Iterator for Dijkstra<'_> {
     type Item = Visit;
 
     fn next(&mut self) -> Option<Visit> {
-        self.skim();
-        let (dist, node) = self.state.heap.pop()?;
-        self.state.settle(node);
+        let (dist, node) = self.state.settle_next(self.max_dist, self.max_settled)?;
 
-        let (neighbours, weights) = self.adjacency(node);
-        for (&next, &w) in neighbours.iter().zip(weights) {
+        // The settled entry is still the queue's top: the first
+        // relaxation overwrites it, and it is popped only if none does.
+        let adjacency = self.adjacency(node);
+        let max_dist = self.max_dist;
+        let state = &mut self.state;
+        let mut top_taken = false;
+        adjacency.for_each(|next, w| {
             let cand = dist + w;
-            if cand <= self.max_dist && self.state.relax(next, cand, node) {
-                self.state.heap.push(cand, next);
+            if cand <= max_dist && state.relax(next, cand, node) {
+                if top_taken {
+                    state.heap.push(cand, next);
+                } else {
+                    state.heap.replace_top(cand, next);
+                    top_taken = true;
+                }
             }
+        });
+        if !top_taken {
+            state.heap.pop();
         }
         Some(Visit {
             node: NodeId(node),
@@ -491,8 +489,7 @@ mod tests {
             }
             settled[v as usize] = true;
             order.push(v);
-            let (neighbours, weights) = adjacency(v);
-            for (slot, (&u, &w)) in neighbours.iter().zip(weights).enumerate() {
+            for (slot, (u, w)) in adjacency(v).iter().enumerate() {
                 let cand = d + w;
                 if !settled[u as usize] && cand < dist[u as usize] {
                     dist[u as usize] = cand;
@@ -507,7 +504,7 @@ mod tests {
                 let mut edges = Vec::new();
                 let mut cur = node;
                 while let Some((prev, slot)) = via[cur as usize] {
-                    let w = adjacency(prev).1[slot];
+                    let w = adjacency(prev).weight(slot);
                     edges.push(match direction {
                         Direction::Forward => (NodeId(prev), NodeId(cur), w),
                         Direction::Reverse => (NodeId(cur), NodeId(prev), w),

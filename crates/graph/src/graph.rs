@@ -8,7 +8,7 @@
 //! store in `banks-pager`. The search kernel and every other caller see
 //! a single `Graph` type either way.
 
-use crate::store::{GraphStore, StorageStats};
+use crate::store::{edge_log_score, Adjacency, GraphStore, StorageStats};
 use std::fmt;
 use std::sync::Arc;
 
@@ -156,12 +156,9 @@ impl InRamGraph {
     /// scorer evaluates (`(1.0 + w / w_min).log2()`), so a lookup and a
     /// recomputation are bit-identical.
     fn log_scores(fwd_weights: &[f64], min_edge_weight: f64) -> Vec<f64> {
-        if !min_edge_weight.is_finite() || min_edge_weight <= 0.0 {
-            return vec![0.0; fwd_weights.len()];
-        }
         fwd_weights
             .iter()
-            .map(|&w| (1.0 + w / min_edge_weight).log2())
+            .map(|&w| edge_log_score(w, min_edge_weight))
             .collect()
     }
 
@@ -362,8 +359,9 @@ impl Edges<'_> {
         }
     }
 
-    fn owned(ids: &[u32], weights: &[f64]) -> Edges<'static> {
-        let pairs: Vec<(u32, f64)> = ids.iter().copied().zip(weights.iter().copied()).collect();
+    fn owned(adjacency: Adjacency<'_>) -> Edges<'static> {
+        let mut pairs = Vec::with_capacity(adjacency.len());
+        adjacency.for_each(|id, w| pairs.push((id, w)));
         Edges {
             inner: EdgesInner::Owned(pairs.into_iter()),
         }
@@ -475,10 +473,7 @@ impl Graph {
                 let (lo, hi) = g.out_range(node);
                 Edges::borrowed(&g.fwd_targets[lo..hi], &g.fwd_weights[lo..hi])
             }
-            Repr::Paged(s) => {
-                let (targets, weights) = s.out_adjacency(node.0);
-                Edges::owned(targets, weights)
-            }
+            Repr::Paged(s) => Edges::owned(s.out_adjacency(node.0)),
         }
     }
 
@@ -491,56 +486,43 @@ impl Graph {
                 let (lo, hi) = g.in_range(node);
                 Edges::borrowed(&g.rev_sources[lo..hi], &g.rev_weights[lo..hi])
             }
-            Repr::Paged(s) => {
-                let (sources, weights) = s.in_adjacency(node.0);
-                Edges::owned(sources, weights)
-            }
+            Repr::Paged(s) => Edges::owned(s.in_adjacency(node.0)),
         }
     }
 
-    /// Outgoing adjacency of `node` as raw `(targets, weights)` slices —
-    /// the allocation-free form the search kernel's relaxation loop uses.
+    /// Outgoing adjacency of `node`: targets, weights and log-mode edge
+    /// scores — the allocation-free view the search kernel's relaxation
+    /// loop and the scorer read.
     ///
-    /// For paged graphs the slices obey the bounded-lifetime contract in
-    /// [`crate::store`]: consume them before many further adjacency
+    /// For paged graphs the view obeys the bounded-lifetime contract in
+    /// [`crate::store`]: consume it before many further adjacency
     /// accesses on this thread.
     #[inline]
-    pub fn out_adjacency(&self, node: NodeId) -> (&[u32], &[f64]) {
+    pub fn out_adjacency(&self, node: NodeId) -> Adjacency<'_> {
         match &self.repr {
             Repr::InRam(g) => {
                 let (lo, hi) = g.out_range(node);
-                (&g.fwd_targets[lo..hi], &g.fwd_weights[lo..hi])
+                Adjacency::plain(
+                    &g.fwd_targets[lo..hi],
+                    &g.fwd_weights[lo..hi],
+                    &g.fwd_escores[lo..hi],
+                )
             }
             Repr::Paged(s) => s.out_adjacency(node.0),
         }
     }
 
-    /// Incoming adjacency of `node` as raw `(sources, weights)` slices.
+    /// Incoming adjacency of `node`: sources and weights.
     ///
     /// Same lifetime contract as [`Graph::out_adjacency`].
     #[inline]
-    pub fn in_adjacency(&self, node: NodeId) -> (&[u32], &[f64]) {
+    pub fn in_adjacency(&self, node: NodeId) -> Adjacency<'_> {
         match &self.repr {
             Repr::InRam(g) => {
                 let (lo, hi) = g.in_range(node);
-                (&g.rev_sources[lo..hi], &g.rev_weights[lo..hi])
+                Adjacency::plain(&g.rev_sources[lo..hi], &g.rev_weights[lo..hi], &[])
             }
             Repr::Paged(s) => s.in_adjacency(node.0),
-        }
-    }
-
-    /// Precomputed log-mode edge scores parallel to the forward
-    /// adjacency of `node` (same order as [`Graph::out_adjacency`]).
-    ///
-    /// Same lifetime contract as [`Graph::out_adjacency`].
-    #[inline]
-    pub fn out_escores(&self, node: NodeId) -> &[f64] {
-        match &self.repr {
-            Repr::InRam(g) => {
-                let (lo, hi) = g.out_range(node);
-                &g.fwd_escores[lo..hi]
-            }
-            Repr::Paged(s) => s.out_escores(node.0),
         }
     }
 
@@ -549,33 +531,35 @@ impl Graph {
     /// is bit-identical to `weight`. The weight check makes the lookup a
     /// drop-in for recomputation: a caller holding a weight that differs
     /// from the CSR's (e.g. a synthetic tree) falls back to computing,
-    /// so results never depend on whether the lookup hit.
+    /// so results never depend on whether the lookup hit. One adjacency
+    /// access answers it.
     #[inline]
     pub fn log_edge_score(&self, from: NodeId, to: NodeId, weight: f64) -> Option<f64> {
-        let (targets, weights) = self.out_adjacency(from);
-        let i = targets.binary_search(&to.0).ok()?;
-        if weights[i].to_bits() != weight.to_bits() {
+        let adjacency = self.out_adjacency(from);
+        let i = adjacency.ids().binary_search(&to.0).ok()?;
+        if adjacency.weight(i).to_bits() != weight.to_bits() {
             return None;
         }
-        Some(self.out_escores(from)[i])
+        Some(adjacency.escore(i))
     }
 
     /// Out-degree of `node`.
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_adjacency(node).0.len()
+        self.out_adjacency(node).len()
     }
 
     /// In-degree of `node`.
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_adjacency(node).0.len()
+        self.in_adjacency(node).len()
     }
 
     /// Weight of the directed edge `(from, to)`, if present.
     ///
     /// Binary search over the (sorted) forward adjacency of `from`.
     pub fn edge_weight(&self, from: NodeId, to: NodeId) -> Option<f64> {
-        let (targets, weights) = self.out_adjacency(from);
-        targets.binary_search(&to.0).ok().map(|i| weights[i])
+        let adjacency = self.out_adjacency(from);
+        let i = adjacency.ids().binary_search(&to.0).ok()?;
+        Some(adjacency.weight(i))
     }
 
     /// Smallest strictly-positive edge weight — the `w_min` normalizer of
@@ -703,12 +687,10 @@ mod tests {
     fn precomputed_log_scores_match_recomputation() {
         let (g, [a, b, _c, d]) = diamond();
         for v in g.nodes() {
-            let (targets, weights) = g.out_adjacency(v);
-            let escores = g.out_escores(v);
-            assert_eq!(targets.len(), escores.len());
-            for (i, (&t, &w)) in targets.iter().zip(weights).enumerate() {
+            let adjacency = g.out_adjacency(v);
+            for (i, (t, w)) in adjacency.iter().enumerate() {
                 let expect = (1.0 + w / g.min_edge_weight()).log2();
-                assert_eq!(escores[i].to_bits(), expect.to_bits());
+                assert_eq!(adjacency.escore(i).to_bits(), expect.to_bits());
                 assert_eq!(
                     g.log_edge_score(v, NodeId(t), w).map(f64::to_bits),
                     Some(expect.to_bits())
@@ -718,27 +700,25 @@ mod tests {
             }
         }
         assert_eq!(g.log_edge_score(d, a, 1.0), None, "absent edge");
-        // The slice views agree with the owned edge iterators.
+        // The views agree with the owned edge iterators.
         for v in [a, b, d] {
-            let (targets, weights) = g.out_adjacency(v);
-            let out: Vec<_> = targets
+            let out: Vec<_> = g
+                .out_adjacency(v)
                 .iter()
-                .map(|&t| NodeId(t))
-                .zip(weights.iter().copied())
+                .map(|(t, w)| (NodeId(t), w))
                 .collect();
             assert_eq!(out, g.out_edges(v).collect::<Vec<_>>());
-            let (sources, rweights) = g.in_adjacency(v);
-            let inc: Vec<_> = sources
+            let inc: Vec<_> = g
+                .in_adjacency(v)
                 .iter()
-                .map(|&t| NodeId(t))
-                .zip(rweights.iter().copied())
+                .map(|(s, w)| (NodeId(s), w))
                 .collect();
             assert_eq!(inc, g.in_edges(v).collect::<Vec<_>>());
         }
-        // Edgeless graphs degenerate to empty/zero scores.
+        // Edgeless graphs degenerate to empty views.
         let mut eb = GraphBuilder::new();
         let lone = eb.add_node(1.0);
-        assert_eq!(eb.build().out_escores(lone).len(), 0);
+        assert!(eb.build().out_adjacency(lone).is_empty());
     }
 
     #[test]

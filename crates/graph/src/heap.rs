@@ -12,7 +12,12 @@
 //!
 //! Ordering matches the old wrapper exactly — smallest distance first,
 //! ties broken by the smaller node id — so pop order (and therefore every
-//! downstream answer) is bit-identical to the `BinaryHeap` kernel.
+//! downstream answer) is bit-identical to the `BinaryHeap` kernel. The
+//! kernel never queues the same `(dist, node)` key twice (a node is
+//! re-queued only at a strictly smaller distance), so the keys are
+//! distinct and any correct heap over them pops one sequence: reusing
+//! the popped root for the next push ([`DistHeap::replace_top`]) does
+//! not change it.
 
 /// Arity of the heap. Four children share a 64-byte line at 12 bytes per
 /// entry.
@@ -26,20 +31,20 @@ struct Entry {
     node: u32,
 }
 
-/// A min-heap of `(dist, node)` keys ordered by `f64::total_cmp` on the
-/// distance, then ascending node id.
+/// A min-heap of `(dist, node)` keys ordered by distance, then ascending
+/// node id. Distances must not be negative (see [`less`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DistHeap {
     data: Vec<Entry>,
 }
 
+/// Key order. The bit patterns of non-negative floats (`+0.0` included)
+/// sort as their values, so comparing `to_bits()` gives `total_cmp`'s
+/// order on the distances the kernel queues, with integer compares.
 #[inline]
 fn less(a: Entry, b: Entry) -> bool {
-    match { a.dist }.total_cmp(&{ b.dist }) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.node < b.node,
-    }
+    debug_assert!({ a.dist }.is_sign_positive() && { b.dist }.is_sign_positive());
+    ({ a.dist }.to_bits(), a.node) < ({ b.dist }.to_bits(), b.node)
 }
 
 impl DistHeap {
@@ -86,6 +91,14 @@ impl DistHeap {
             self.sift_down(0);
         }
         top.map(|e| (e.dist, e.node))
+    }
+
+    /// Replace the smallest entry by `(dist, node)`: a pop and a push
+    /// with one sift instead of two. The heap must not be empty.
+    #[inline]
+    pub(crate) fn replace_top(&mut self, dist: f64, node: u32) {
+        self.data[0] = Entry { dist, node };
+        self.sift_down(0);
     }
 
     #[inline]
@@ -222,5 +235,58 @@ mod tests {
             got.push(e);
         }
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn replace_top_pops_like_pop_then_push() {
+        // Interleave pops with pushes, once as pop + push and once with
+        // the push folded into the popped slot: same sequence.
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut plain, mut folded) = (DistHeap::default(), DistHeap::default());
+        for n in 0..64u32 {
+            let d = (next() % 16) as f64 / 4.0;
+            plain.push(d, n);
+            folded.push(d, n);
+        }
+        let mut n = 64u32;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        while !plain.data.is_empty() {
+            let top = plain.pop().unwrap();
+            a.push(top);
+            b.push(folded.peek().unwrap());
+            let pushes = if n < 400 { next() % 3 } else { 0 };
+            if pushes == 0 {
+                folded.pop();
+            }
+            for k in 0..pushes {
+                let d = top.0 + (next() % 8) as f64 / 8.0;
+                plain.push(d, n);
+                if k == 0 {
+                    folded.replace_top(d, n);
+                } else {
+                    folded.push(d, n);
+                }
+                n += 1;
+            }
+        }
+        assert!(folded.data.is_empty());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bit_order_is_value_order_for_non_negative_distances() {
+        let keys = [0.0, 1e-300, 0.1, 0.5, 1.0, 1.5, 2.0, 1e10, f64::INFINITY];
+        for (i, &a) in keys.iter().enumerate() {
+            for (j, &b) in keys.iter().enumerate() {
+                let (ea, eb) = (Entry { dist: a, node: 0 }, Entry { dist: b, node: 1 });
+                assert_eq!(less(ea, eb), i <= j, "{a} vs {b}");
+            }
+        }
     }
 }

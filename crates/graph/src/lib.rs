@@ -55,4 +55,4 @@ pub use arena::{CrossScratch, DeadlineToken, DijkstraState, OriginListPool, Sear
 pub use dijkstra::{Dijkstra, Direction, Visit};
 pub use graph::{Edges, Graph, GraphBuilder, NodeId};
 pub use patch::GraphPatch;
-pub use store::{GraphStore, StorageStats};
+pub use store::{edge_log_score, Adjacency, Codes, GraphStore, StorageStats};

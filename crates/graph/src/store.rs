@@ -5,70 +5,272 @@
 //! (the `banks-pager` crate's segment-paged CSR) that decodes adjacency
 //! on demand. This module defines the seam between the two worlds: the
 //! [`GraphStore`] trait is everything a backend must answer for the
-//! search kernel to run unchanged, and [`StorageStats`] is the paging
-//! telemetry a backend exposes to `/stats`.
+//! search kernel to run unchanged, [`Adjacency`] is the one view of a
+//! node's adjacency list both backends hand out, and [`StorageStats`]
+//! is the paging telemetry a backend exposes to `/stats`.
 //!
-//! The trait deliberately mirrors the slice-returning accessors of the
-//! in-RAM CSR (`out_adjacency` and friends) rather than an iterator
-//! protocol: the `DijkstraState` relaxation loop is written against raw
-//! `(&[u32], &[f64])` slices and must not grow an allocation or a
-//! virtual call per *edge* — one virtual call per *node expansion* is
-//! the entire dispatch cost of a paged backend.
+//! # The adjacency view
 //!
-//! # Slice lifetime contract
+//! An [`Adjacency`] is a node's neighbour ids plus, per position, the
+//! edge weight and (forward lists only) the precomputed log-mode edge
+//! score `log2(1 + w/w_min)`. The in-RAM CSR serves it from per-edge
+//! `f64` lanes. A paged segment keeps one small weight *code* per edge
+//! and a per-segment dictionary of distinct weights with one log score
+//! per entry, so the resident page is a fraction of the `f64` lanes'
+//! size. [`Adjacency::for_each`] matches the representation once and
+//! then runs a loop specialised to it, so the relaxation loop of the
+//! search kernel pays no branch per *edge* — one virtual call per
+//! *node expansion* is the entire dispatch cost of a paged backend.
 //!
-//! A paged backend cannot hand out slices borrowed from a cache entry
+//! # Lifetime contract
+//!
+//! A paged backend cannot hand out views borrowed from a cache entry
 //! that a later access might evict. Backends therefore guarantee, and
-//! callers rely on, the following contract for every slice-returning
-//! method ([`GraphStore::out_adjacency`], [`GraphStore::in_adjacency`],
-//! [`GraphStore::out_escores`]):
+//! callers rely on, the following contract for every view
+//! ([`GraphStore::out_adjacency`], [`GraphStore::in_adjacency`]):
 //!
-//! > The returned slices stay valid until the same thread performs
+//! > The returned view stays valid until the same thread performs
 //! > **63 further** adjacency accesses on *any* paged store, or the
 //! > store is dropped, whichever comes first.
 //!
 //! (The pager implements this with a per-thread keep-alive ring of the
-//! last 64 *distinct* decoded segments — consecutive accesses to one
+//! last 64 *distinct* resident segments — consecutive accesses to one
 //! segment do not advance it, which only lengthens the guarantee; the
 //! in-RAM backend trivially satisfies it
 //! since its arrays live as long as the graph.) The contract is exactly
 //! what the search kernel needs: the relaxation loop consumes each
-//! adjacency slice before requesting the next node's, and path
-//! reconstruction looks up one hop's weight in the parent's adjacency
-//! and drops the slice before the next hop. Code that must hold many
-//! adjacency lists at once should copy the slices or use the owned
-//! [`Graph::out_edges`] iterator.
+//! view before requesting the next node's, and path reconstruction
+//! and edge scoring look up one edge in a view and drop it before the
+//! next access. Code that must hold many adjacency lists at once should
+//! copy them or use the owned [`Graph::out_edges`] iterator.
 //!
 //! [`Graph`]: crate::Graph
 //! [`Graph::out_edges`]: crate::Graph::out_edges
 
 use crate::graph::Graph;
 use crate::patch::GraphPatch;
+use std::fmt;
 use std::sync::Arc;
+
+/// Per-edge indexes into a segment's weight dictionary, in the
+/// narrowest width the dictionary's size allows.
+#[derive(Debug, Clone, Copy)]
+pub enum Codes<'a> {
+    /// Dictionaries of at most 256 entries.
+    U8(&'a [u8]),
+    /// Dictionaries of at most 65 536 entries.
+    U16(&'a [u16]),
+    /// Larger dictionaries.
+    U32(&'a [u32]),
+}
+
+impl Codes<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Codes::U8(c) => c.len(),
+            Codes::U16(c) => c.len(),
+            Codes::U32(c) => c.len(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> usize {
+        match self {
+            Codes::U8(c) => usize::from(c[i]),
+            Codes::U16(c) => usize::from(c[i]),
+            Codes::U32(c) => c[i] as usize,
+        }
+    }
+}
+
+/// Where an [`Adjacency`] reads its weights and edge scores from.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    /// One weight and one edge score per edge (the in-RAM CSR).
+    Plain {
+        weights: &'a [f64],
+        escores: &'a [f64],
+    },
+    /// One dictionary code per edge; weights and edge scores are
+    /// dictionary entries (a paged segment).
+    Coded {
+        codes: Codes<'a>,
+        dict: &'a [f64],
+        escores: &'a [f64],
+    },
+}
+
+/// One node's adjacency list: neighbour ids sorted ascending without
+/// duplicates, a weight for each position, and — on forward lists — the
+/// log-mode edge score for each position. See the [module docs](self)
+/// for the representations behind it and its lifetime contract.
+#[derive(Clone, Copy)]
+pub struct Adjacency<'a> {
+    ids: &'a [u32],
+    lane: Lane<'a>,
+}
+
+/// Call `f` on each `(id, weight)` pair: the one loop every
+/// representation is specialised into.
+#[inline(always)]
+fn zip_each(ids: &[u32], weights: impl Iterator<Item = f64>, f: &mut impl FnMut(u32, f64)) {
+    for (&id, w) in ids.iter().zip(weights) {
+        f(id, w);
+    }
+}
+
+impl<'a> Adjacency<'a> {
+    /// A view over per-edge lanes: `weights[i]` and `escores[i]` belong
+    /// to `ids[i]`. `escores` is empty for reverse lists, which are
+    /// never scored.
+    pub fn plain(ids: &'a [u32], weights: &'a [f64], escores: &'a [f64]) -> Adjacency<'a> {
+        debug_assert_eq!(ids.len(), weights.len());
+        debug_assert!(escores.is_empty() || escores.len() == ids.len());
+        Adjacency {
+            ids,
+            lane: Lane::Plain { weights, escores },
+        }
+    }
+
+    /// A view over dictionary codes: position `i` weighs
+    /// `dict[codes[i]]` and scores `escores[codes[i]]`. `escores` holds
+    /// one score per dictionary entry, or nothing for reverse lists.
+    /// Every code must index `dict`.
+    pub fn coded(
+        ids: &'a [u32],
+        codes: Codes<'a>,
+        dict: &'a [f64],
+        escores: &'a [f64],
+    ) -> Adjacency<'a> {
+        debug_assert_eq!(ids.len(), codes.len());
+        debug_assert!(escores.is_empty() || escores.len() == dict.len());
+        Adjacency {
+            ids,
+            lane: Lane::Coded {
+                codes,
+                dict,
+                escores,
+            },
+        }
+    }
+
+    /// The neighbour ids, ascending.
+    #[inline]
+    pub fn ids(&self) -> &'a [u32] {
+        self.ids
+    }
+
+    /// Number of edges.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the node has no edges in this direction.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Weight of the edge at position `i`.
+    #[inline]
+    pub fn weight(&self, i: usize) -> f64 {
+        match self.lane {
+            Lane::Plain { weights, .. } => weights[i],
+            Lane::Coded { codes, dict, .. } => dict[codes.get(i)],
+        }
+    }
+
+    /// Log-mode edge score of the edge at position `i`, bit-identical to
+    /// `log2(1 + w/w_min)` of its weight (0 when the graph has no
+    /// positive weight).
+    ///
+    /// # Panics
+    ///
+    /// On a reverse list, which carries no scores.
+    #[inline]
+    pub fn escore(&self, i: usize) -> f64 {
+        match self.lane {
+            Lane::Plain { escores, .. } => escores[i],
+            Lane::Coded { codes, escores, .. } => escores[codes.get(i)],
+        }
+    }
+
+    /// Call `f(id, weight)` for every edge, in id order. The
+    /// representation is matched once; each arm is its own loop.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(u32, f64)) {
+        let ids = self.ids;
+        match self.lane {
+            Lane::Plain { weights, .. } => zip_each(ids, weights.iter().copied(), &mut f),
+            Lane::Coded { codes, dict, .. } => match codes {
+                Codes::U8(c) => zip_each(ids, c.iter().map(|&c| dict[usize::from(c)]), &mut f),
+                Codes::U16(c) => zip_each(ids, c.iter().map(|&c| dict[usize::from(c)]), &mut f),
+                Codes::U32(c) => zip_each(ids, c.iter().map(|&c| dict[c as usize]), &mut f),
+            },
+        }
+    }
+
+    /// The edges as `(id, weight)` pairs, for callers off the hot path
+    /// (this iterator matches the representation per edge; the kernel
+    /// uses [`Adjacency::for_each`]).
+    pub fn iter(self) -> impl Iterator<Item = (u32, f64)> + 'a {
+        (0..self.len()).map(move |i| (self.ids[i], self.weight(i)))
+    }
+}
+
+/// Two views are equal when they list the same ids with equal weights,
+/// whatever their representations.
+impl PartialEq for Adjacency<'_> {
+    fn eq(&self, other: &Adjacency<'_>) -> bool {
+        self.ids == other.ids && self.iter().zip(other.iter()).all(|(a, b)| a.1 == b.1)
+    }
+}
+
+impl fmt::Debug for Adjacency<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The log-mode edge score of weight `w` under the normalizer `w_min`:
+/// `log2(1 + w/w_min)`, or 0 when the graph has no positive weight
+/// (`w_min` infinite). Both backends evaluate this one expression, the
+/// in-RAM CSR per edge and a paged segment per dictionary entry, so
+/// their scores are bit-identical.
+#[inline]
+pub fn edge_log_score(w: f64, w_min: f64) -> f64 {
+    if !w_min.is_finite() || w_min <= 0.0 {
+        return 0.0;
+    }
+    (1.0 + w / w_min).log2()
+}
 
 /// Paging telemetry for a [`GraphStore`] backend, surfaced through the
 /// server's `/stats` endpoint as the `storage` object.
 ///
-/// All byte figures count *decoded* (resident) data, not on-disk
-/// compressed bytes; `resident_bytes` is what the `--memory-budget`
-/// bound constrains.
+/// Byte figures count *resident* segments — ids, weight codes, the
+/// weight dictionary and its edge scores — not on-disk compressed
+/// bytes; `resident_bytes` is what the `--memory-budget` bound
+/// constrains.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
-    /// Bytes of decoded segment data currently held in memory.
+    /// Bytes of resident segment data currently held in memory.
     pub resident_bytes: usize,
     /// The configured memory budget the cache evicts against, in bytes
     /// (shared with the snapshot's tuple blocks).
     pub budget_bytes: usize,
     /// Total segments in the store (forward + backward directions).
     pub segment_count: usize,
-    /// Segments currently decoded and resident.
+    /// Segments currently resident.
     pub resident_segments: usize,
     /// Cumulative count of segment decodes (cold page-ins; a re-decode
     /// after eviction counts again).
     pub page_ins: u64,
     /// Cumulative count of segments evicted from the cache.
     pub evictions: u64,
-    /// Cumulative wall-clock time spent decoding segments, in
+    /// Cumulative wall-clock time spent paging segments in — the read,
+    /// the checksum and the decode into the resident form — in
     /// nanoseconds.
     pub decode_nanos: u64,
 }
@@ -83,8 +285,8 @@ pub struct StorageStats {
 /// budget-bounded). Node arguments are raw dense indexes (`NodeId.0`);
 /// passing an out-of-range node may panic, as with the in-RAM arrays.
 ///
-/// See the [module docs](self) for the slice lifetime contract that
-/// all slice-returning methods share.
+/// See the [module docs](self) for the lifetime contract that all
+/// view-returning methods share.
 pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Number of nodes.
     fn node_count(&self) -> usize;
@@ -102,22 +304,15 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Largest node weight (`w_max`); zero for an empty graph.
     fn max_node_weight(&self) -> f64;
 
-    /// Forward adjacency of `node` as `(targets, weights)`, targets
-    /// sorted ascending without duplicates — the shape
-    /// `Graph::out_adjacency` promises the kernel.
-    fn out_adjacency(&self, node: u32) -> (&[u32], &[f64]);
+    /// Forward adjacency of `node`: targets, weights, and log-mode edge
+    /// scores bit-identical to recomputing `log2(1 + w/w_min)` from this
+    /// store's weights and [`min_edge_weight`](GraphStore::min_edge_weight).
+    fn out_adjacency(&self, node: u32) -> Adjacency<'_>;
 
-    /// Reverse adjacency of `node` as `(sources, weights)`, sources
-    /// sorted ascending without duplicates.
-    fn in_adjacency(&self, node: u32) -> (&[u32], &[f64]);
+    /// Reverse adjacency of `node`: sources and weights (no scores).
+    fn in_adjacency(&self, node: u32) -> Adjacency<'_>;
 
-    /// Precomputed log-mode edge scores parallel to the forward
-    /// adjacency of `node` — bit-identical to recomputing
-    /// `log2(1 + w/w_min)` from this store's weights and
-    /// [`min_edge_weight`](GraphStore::min_edge_weight).
-    fn out_escores(&self, node: u32) -> &[f64];
-
-    /// Current in-memory footprint in bytes (resident decoded data plus
+    /// Current in-memory footprint in bytes (resident pages plus
     /// directories/bookkeeping), i.e. what this backend actually costs
     /// in RAM right now — not the full decoded size of the graph.
     fn memory_bytes(&self) -> usize;

@@ -179,19 +179,18 @@ pub fn encode_paged_blob(graph: &Graph, seg_span: u32) -> Vec<u8> {
         let mut slot_start = 0u32;
         for seg in 0..seg_count {
             let (first, end) = seg_range(seg, seg_span, n);
-            let mut lists: Vec<(&[u32], &[f64])> = Vec::with_capacity((end - first) as usize);
             let mut edges = 0u32;
-            for node in first..end {
-                let (ids, weights) = if dir == 0 {
+            let lists = (first..end).map(|node| {
+                let adjacency = if dir == 0 {
                     graph.out_adjacency(NodeId(node))
                 } else {
                     graph.in_adjacency(NodeId(node))
                 };
-                edges += ids.len() as u32;
-                lists.push((ids, weights));
-            }
+                edges += adjacency.len() as u32;
+                adjacency
+            });
             let mut payload = Vec::new();
-            let min_pos = encode_segment(&lists, &mut payload);
+            let min_pos = encode_segment(lists, &mut payload);
             entries.push(SegEntry {
                 offset: 0, // patched below once the directory size is known
                 len: payload.len() as u32,

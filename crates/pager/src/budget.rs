@@ -1,8 +1,10 @@
 //! [`PageCache`]: the one memory budget, and the one cache, behind
 //! every paged store of a snapshot.
 //!
-//! `--memory-budget` bounds *decoded resident bytes* across graph
-//! segments and tuple blocks together. Both stores of a snapshot (and
+//! `--memory-budget` bounds *resident bytes* across graph segments and
+//! tuple blocks together: a segment's ids, weight codes, dictionary and
+//! scores, a block's encoded payload and slot index — what a page costs
+//! while it is cached, not what reading it decodes. Both stores of a snapshot (and
 //! the stores of every later ingest epoch) register with one cache and
 //! keep their pages in it, keyed `(store id, page key)`, so there is
 //! one recency order: rendering an answer set competes with backward
@@ -33,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// A decoded page of either paged store.
+/// A resident page of either paged store.
 #[derive(Debug, Clone)]
 pub enum Page {
     /// A graph adjacency segment.
@@ -43,11 +45,11 @@ pub enum Page {
 }
 
 impl Page {
-    /// Decoded heap footprint — what the budget counts.
+    /// Resident heap footprint — what the budget counts.
     pub fn bytes(&self) -> usize {
         match self {
             Page::Segment(seg) => seg.bytes(),
-            Page::Block(block) => block.bytes,
+            Page::Block(block) => block.bytes(),
         }
     }
 }
@@ -149,7 +151,7 @@ impl Inner {
     }
 }
 
-/// A budget-bounded cache of decoded pages shared by every paged store
+/// A budget-bounded cache of resident pages shared by every paged store
 /// of a snapshot (see the module docs).
 #[derive(Debug)]
 pub struct PageCache {
@@ -161,7 +163,7 @@ pub struct PageCache {
 const POISONED: &str = "page cache lock poisoned";
 
 impl PageCache {
-    /// A cache bounded to `budget` decoded bytes, to be shared via `Arc`.
+    /// A cache bounded to `budget` resident bytes, to be shared via `Arc`.
     pub fn new(budget: usize) -> Arc<PageCache> {
         Arc::new(PageCache {
             budget,

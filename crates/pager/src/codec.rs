@@ -1,5 +1,5 @@
 //! The segment codec: delta-varint adjacency with dictionary-coded
-//! weights.
+//! weights, and the compact form a segment keeps while resident.
 //!
 //! A segment covers a fixed range of node ids and stores their
 //! adjacency lists (forward targets or reverse sources — the codec is
@@ -19,120 +19,195 @@
 //! similarity values (plus fanin-scaled backward weights), so a small
 //! dictionary plus per-edge indexes beats raw f64s by ~4–6×.
 //!
-//! Decoding recomputes the forward log-score lane (`log2(1 + w/w_min)`)
-//! from the store-level `w_min`, reproducing the in-RAM lane
-//! bit-for-bit — the expression and operand bits are identical.
+//! # The resident form
+//!
+//! A [`DecodedSegment`] keeps the weights coded: per edge a `u32` id and
+//! one dictionary code in the narrowest width the dictionary allows
+//! (`u8` up to 256 entries — a 100K-tuple DBLP graph has 82 distinct
+//! weights in all, and no segment more than 64 — then `u16`, then
+//! `u32`), per node a local offset (`u16` while the segment has fewer
+//! than 65 536 edges), plus the dictionary itself and, for forward
+//! segments, one log score per dictionary entry. That is about 6 bytes
+//! per edge, offsets and dictionary included, where `f64` weight and
+//! score lanes took 12–20: a 256-node segment of the 100K-tuple corpus
+//! averages 4.4 KB resident instead of 13.1 KB, so the budget holds
+//! three times the segments. The log score of each entry
+//! is [`edge_log_score`] of the entry under the store-level `w_min`,
+//! the expression the in-RAM CSR evaluates per edge, on the same bits,
+//! so the two backends score every edge identically.
 
 use crate::error::PagerError;
 use crate::varint;
+use banks_graph::{edge_log_score, Adjacency, Codes};
 use banks_util::fxhash::FxFoldHashMap;
+use std::mem::size_of;
 
-/// A fully decoded segment: a window of CSR arrays covering the nodes
-/// `[first_node, first_node + span)`.
+/// Local edge offsets of a segment's nodes, `span + 1` entries.
+#[derive(Debug)]
+enum Offsets {
+    U16(Box<[u16]>),
+    U32(Box<[u32]>),
+}
+
+impl Offsets {
+    fn new(offsets: Vec<u32>) -> Offsets {
+        match offsets.last() {
+            Some(&total) if total <= u32::from(u16::MAX) => {
+                Offsets::U16(offsets.iter().map(|&o| o as u16).collect())
+            }
+            _ => Offsets::U32(offsets.into_boxed_slice()),
+        }
+    }
+
+    /// The edge range of local node `local`.
+    #[inline]
+    fn range(&self, local: usize) -> (usize, usize) {
+        match self {
+            Offsets::U16(o) => (usize::from(o[local]), usize::from(o[local + 1])),
+            Offsets::U32(o) => (o[local] as usize, o[local + 1] as usize),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Offsets::U16(o) => o.len() * size_of::<u16>(),
+            Offsets::U32(o) => o.len() * size_of::<u32>(),
+        }
+    }
+}
+
+/// One dictionary code per edge.
+#[derive(Debug)]
+enum CodeLane {
+    U8(Box<[u8]>),
+    U16(Box<[u16]>),
+    U32(Box<[u32]>),
+}
+
+impl CodeLane {
+    /// Narrow `codes` (each `< dict_len`) to the width `dict_len` needs.
+    fn new(codes: Vec<u32>, dict_len: usize) -> CodeLane {
+        if dict_len <= 1 << 8 {
+            CodeLane::U8(codes.iter().map(|&c| c as u8).collect())
+        } else if dict_len <= 1 << 16 {
+            CodeLane::U16(codes.iter().map(|&c| c as u16).collect())
+        } else {
+            CodeLane::U32(codes.into_boxed_slice())
+        }
+    }
+
+    #[inline]
+    fn slice(&self, lo: usize, hi: usize) -> Codes<'_> {
+        match self {
+            CodeLane::U8(c) => Codes::U8(&c[lo..hi]),
+            CodeLane::U16(c) => Codes::U16(&c[lo..hi]),
+            CodeLane::U32(c) => Codes::U32(&c[lo..hi]),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            CodeLane::U8(c) => c.len(),
+            CodeLane::U16(c) => c.len() * size_of::<u16>(),
+            CodeLane::U32(c) => c.len() * size_of::<u32>(),
+        }
+    }
+}
+
+/// A resident segment: the adjacency of the nodes `[first_node,
+/// first_node + span)` in the compact form the module docs describe.
 #[derive(Debug)]
 pub struct DecodedSegment {
-    /// First node id covered by this segment.
-    pub first_node: u32,
-    /// Local prefix offsets, `span + 1` entries.
-    pub offsets: Box<[u32]>,
+    first_node: u32,
+    offsets: Offsets,
     /// Neighbor ids (targets for forward segments, sources for reverse).
-    pub ids: Box<[u32]>,
-    /// Edge weights parallel to `ids`.
-    pub weights: Box<[f64]>,
-    /// Precomputed log-mode edge scores parallel to `ids`; empty for
-    /// reverse segments (only the forward lane is scored).
-    pub escores: Box<[f64]>,
+    ids: Box<[u32]>,
+    codes: CodeLane,
+    /// Distinct weights, in first-seen order.
+    dict: Box<[f64]>,
+    /// Log-mode edge score of each dictionary entry; empty for reverse
+    /// segments (only the forward direction is scored).
+    escores: Box<[f64]>,
 }
 
 impl DecodedSegment {
-    /// Decoded heap footprint in bytes (what the memory budget counts).
+    /// Resident heap footprint in bytes: every array above (what the
+    /// memory budget counts).
     pub(crate) fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.offsets.len() * size_of::<u32>()
+        self.offsets.bytes()
             + self.ids.len() * size_of::<u32>()
-            + self.weights.len() * size_of::<f64>()
-            + self.escores.len() * size_of::<f64>()
+            + self.codes.bytes()
+            + (self.dict.len() + self.escores.len()) * size_of::<f64>()
     }
 
-    /// Adjacency of `node` (which must be in this segment's range) as
-    /// `(ids, weights)`.
+    /// Adjacency of `node`, which must be in this segment's range.
     #[inline]
-    pub(crate) fn adjacency(&self, node: u32) -> (&[u32], &[f64]) {
-        let local = (node - self.first_node) as usize;
-        let lo = self.offsets[local] as usize;
-        let hi = self.offsets[local + 1] as usize;
-        (&self.ids[lo..hi], &self.weights[lo..hi])
-    }
-
-    /// Log-score lane of `node`'s adjacency (forward segments only).
-    #[inline]
-    pub(crate) fn escores_of(&self, node: u32) -> &[f64] {
-        let local = (node - self.first_node) as usize;
-        let lo = self.offsets[local] as usize;
-        let hi = self.offsets[local + 1] as usize;
-        &self.escores[lo..hi]
+    pub(crate) fn adjacency(&self, node: u32) -> Adjacency<'_> {
+        let (lo, hi) = self.offsets.range((node - self.first_node) as usize);
+        Adjacency::coded(
+            &self.ids[lo..hi],
+            self.codes.slice(lo, hi),
+            &self.dict,
+            &self.escores,
+        )
     }
 }
 
-/// Encode the adjacency lists of one segment (`lists[i]` belongs to the
-/// segment's `i`-th node) onto `out`. Returns the smallest
+/// Encode the adjacency lists of one segment (the `i`-th list belongs
+/// to the segment's `i`-th node) onto `out`. Returns the smallest
 /// strictly-positive weight in the segment (infinity if none) — the
 /// per-segment minimum the directory records so the store-level `w_min`
 /// is an O(segments) fold.
-pub(crate) fn encode_segment(lists: &[(&[u32], &[f64])], out: &mut Vec<u8>) -> f64 {
-    for (ids, _) in lists {
-        varint::write_u64(out, ids.len() as u64);
-    }
-
+///
+/// Each list is read once, in order, before the next is requested, so
+/// views of a paged graph stay within their lifetime contract.
+pub(crate) fn encode_segment<'a>(
+    lists: impl IntoIterator<Item = Adjacency<'a>>,
+    out: &mut Vec<u8>,
+) -> f64 {
+    let mut degrees = Vec::new();
+    let mut ids = Vec::new();
+    let mut codes = Vec::new();
     // Weight dictionary in first-seen order (deterministic). The keys are
     // f64 bits, whose low bits are all zero for the small integers most
     // weights are; plain Fx would put every key in one bucket.
     let mut dict: Vec<u64> = Vec::new();
     let mut index: FxFoldHashMap<u64, u32> = FxFoldHashMap::default();
     let mut min_pos = f64::INFINITY;
-    for (_, weights) in lists {
-        for &w in *weights {
+    for list in lists {
+        varint::write_u64(&mut degrees, list.len() as u64);
+        let mut prev = None;
+        list.for_each(|id, w| {
+            varint::write_u64(&mut ids, u64::from(id - prev.unwrap_or(0)));
+            prev = Some(id);
             let bits = w.to_bits();
-            index.entry(bits).or_insert_with(|| {
+            let code = *index.entry(bits).or_insert_with(|| {
                 dict.push(bits);
                 (dict.len() - 1) as u32
             });
+            varint::write_u64(&mut codes, u64::from(code));
             if w > 0.0 {
                 min_pos = min_pos.min(w);
             }
-        }
+        });
     }
+    out.extend_from_slice(&degrees);
     varint::write_u64(out, dict.len() as u64);
     for &bits in &dict {
         out.extend_from_slice(&bits.to_le_bytes());
     }
-
-    for (ids, _) in lists {
-        let mut prev = 0u32;
-        for (i, &id) in ids.iter().enumerate() {
-            if i == 0 {
-                varint::write_u64(out, u64::from(id));
-            } else {
-                varint::write_u64(out, u64::from(id - prev));
-            }
-            prev = id;
-        }
-    }
-    for (_, weights) in lists {
-        for &w in *weights {
-            varint::write_u64(out, u64::from(index[&w.to_bits()]));
-        }
-    }
+    out.extend_from_slice(&ids);
+    out.extend_from_slice(&codes);
     min_pos
 }
 
-/// Decode one segment payload.
+/// Decode one segment payload into its resident form.
 ///
 /// `span` is the number of nodes the segment covers, `expected_edges`
 /// the edge count the directory claims (`next.slot_start − slot_start`),
 /// `id_bound` the exclusive upper bound for neighbor ids
 /// (`node_count`), and `w_min` the store-level normalizer used to
-/// compute the forward log-score lane when `with_escores` is set.
+/// score the dictionary entries when `with_escores` is set.
 pub(crate) fn decode_segment(
     bytes: &[u8],
     span: u32,
@@ -170,7 +245,7 @@ pub(crate) fn decode_segment(
         .checked_add(dict_bytes)
         .filter(|&e| e <= bytes.len())
         .ok_or_else(|| malformed("weight dictionary truncated"))?;
-    let dict: Vec<f64> = bytes[pos..dict_end]
+    let dict: Box<[f64]> = bytes[pos..dict_end]
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect();
@@ -200,41 +275,74 @@ pub(crate) fn decode_segment(
         }
     }
 
-    let mut weights = Vec::with_capacity(m);
+    let mut codes = Vec::with_capacity(m);
     for _ in 0..m {
-        let idx =
+        let code =
             varint::read_u64(bytes, &mut pos).ok_or_else(|| malformed("weight index varint"))?;
-        let w = *dict
-            .get(idx as usize)
-            .ok_or_else(|| malformed("weight index out of dictionary"))?;
-        weights.push(w);
+        if code >= dict_len {
+            return Err(malformed("weight index out of dictionary"));
+        }
+        codes.push(code as u32);
     }
     if pos != bytes.len() {
         return Err(malformed("trailing bytes after segment payload"));
     }
 
-    let escores: Vec<f64> = if with_escores {
-        if !w_min.is_finite() || w_min <= 0.0 {
-            vec![0.0; m]
-        } else {
-            weights.iter().map(|&w| (1.0 + w / w_min).log2()).collect()
-        }
+    let escores: Box<[f64]> = if with_escores {
+        dict.iter().map(|&w| edge_log_score(w, w_min)).collect()
     } else {
-        Vec::new()
+        Box::default()
     };
 
     Ok(DecodedSegment {
         first_node,
-        offsets: offsets.into_boxed_slice(),
+        offsets: Offsets::new(offsets),
         ids: ids.into_boxed_slice(),
-        weights: weights.into_boxed_slice(),
-        escores: escores.into_boxed_slice(),
+        codes: CodeLane::new(codes, dict.len()),
+        dict,
+        escores,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encode plain `(ids, weights)` lists as one segment payload.
+    fn encode(lists: &[(&[u32], &[f64])]) -> (Vec<u8>, f64) {
+        let mut buf = Vec::new();
+        let min_pos = encode_segment(
+            lists.iter().map(|(ids, ws)| Adjacency::plain(ids, ws, &[])),
+            &mut buf,
+        );
+        (buf, min_pos)
+    }
+
+    fn pairs(adjacency: Adjacency<'_>) -> Vec<(u32, u64)> {
+        adjacency.iter().map(|(id, w)| (id, w.to_bits())).collect()
+    }
+
+    /// Every list of `seg` equals its input, bit for bit, and (forward)
+    /// every edge's score equals the recomputed `log2(1 + w/w_min)`.
+    fn assert_decodes_to(seg: &DecodedSegment, first: u32, lists: &[(&[u32], &[f64])], w_min: f64) {
+        for (i, (ids, ws)) in lists.iter().enumerate() {
+            let adjacency = seg.adjacency(first + i as u32);
+            let want: Vec<(u32, u64)> = ids
+                .iter()
+                .zip(*ws)
+                .map(|(&id, w)| (id, w.to_bits()))
+                .collect();
+            assert_eq!(pairs(adjacency), want, "list {i}");
+            for (e, &w) in ws.iter().enumerate() {
+                let recomputed = (1.0 + w / w_min).log2();
+                assert_eq!(
+                    adjacency.escore(e).to_bits(),
+                    recomputed.to_bits(),
+                    "list {i} edge {e}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_mixed_lists() {
@@ -243,23 +351,78 @@ mod tests {
             (&[][..], &[][..]),
             (&[0][..], &[2.0][..]),
         ];
-        let mut buf = Vec::new();
-        let min_pos = encode_segment(&lists, &mut buf);
+        let (buf, min_pos) = encode(&lists);
         assert_eq!(min_pos, 0.5);
         let seg = decode_segment(&buf, 3, 4, 10, 20, 0.5, true).unwrap();
-        assert_eq!(seg.adjacency(10), (&[1u32, 5, 6][..], &[0.5, 2.0, 0.5][..]));
-        assert_eq!(seg.adjacency(11), (&[][..], &[][..]));
-        assert_eq!(seg.adjacency(12), (&[0u32][..], &[2.0][..]));
-        let expect = (1.0f64 + 0.5 / 0.5).log2();
-        assert_eq!(seg.escores_of(10)[0].to_bits(), expect.to_bits());
-        assert_eq!(seg.bytes(), 4 * 4 + 4 * 4 + 4 * 8 + 4 * 8);
+        assert_decodes_to(&seg, 10, &lists, 0.5);
+        assert!(matches!(seg.codes, CodeLane::U8(_)));
+        assert!(matches!(seg.offsets, Offsets::U16(_)));
+        // u16 offsets, u32 ids, u8 codes, two dictionary entries and
+        // their two scores.
+        assert_eq!(seg.bytes(), 4 * 2 + 4 * 4 + 4 + 2 * 8 + 2 * 8);
+        // A reverse segment carries no scores.
+        let rev = decode_segment(&buf, 3, 4, 10, 20, 0.5, false).unwrap();
+        assert_eq!(rev.bytes(), seg.bytes() - 2 * 8);
+        assert_eq!(pairs(rev.adjacency(10)), pairs(seg.adjacency(10)));
+    }
+
+    #[test]
+    fn wide_dictionary_and_hub_node_widen_their_lanes() {
+        // A hub with more edges than u16 offsets address, whose 300
+        // distinct weights need u16 codes, between two small lists.
+        let hub_ids: Vec<u32> = (0..70_000).collect();
+        let hub_ws: Vec<f64> = (0..70_000).map(|i| 0.25 + f64::from(i % 300)).collect();
+        let lists: Vec<(&[u32], &[f64])> = vec![
+            (&[3][..], &[7.25][..]),
+            (&hub_ids, &hub_ws),
+            (&[1, 2][..], &[0.25, 7.25][..]),
+        ];
+        let (buf, min_pos) = encode(&lists);
+        assert_eq!(min_pos, 0.25);
+        let seg = decode_segment(&buf, 3, 70_003, 0, 70_000, 0.25, true).unwrap();
+        assert!(matches!(seg.codes, CodeLane::U16(_)));
+        assert!(matches!(seg.offsets, Offsets::U32(_)));
+        assert_eq!((seg.dict.len(), seg.escores.len()), (300, 300));
+        assert_decodes_to(&seg, 0, &lists, 0.25);
+
+        // Beyond 65 536 distinct weights the codes are u32.
+        let ids: Vec<u32> = (0..70_000).collect();
+        let ws: Vec<f64> = (0..70_000).map(f64::from).collect();
+        let lists: Vec<(&[u32], &[f64])> = vec![(&ids, &ws)];
+        let (buf, _) = encode(&lists);
+        let seg = decode_segment(&buf, 1, 70_000, 0, 70_000, 1.0, false).unwrap();
+        assert!(matches!(seg.codes, CodeLane::U32(_)));
+        assert_eq!(
+            pairs(seg.adjacency(0)),
+            pairs(Adjacency::plain(&ids, &ws, &[]))
+        );
+    }
+
+    #[test]
+    fn dictionary_scores_match_the_per_edge_lane() {
+        // Scores per dictionary entry equal a per-edge f64 lane computed
+        // the way the in-RAM CSR computes it, for awkward weights too.
+        let ws = [0.1, 1.0 / 3.0, 2.0, 1e-9, 0.1, 7.25, 2.0, 1e9];
+        let ids: Vec<u32> = (0..ws.len() as u32).collect();
+        let lists: Vec<(&[u32], &[f64])> = vec![(&ids, &ws)];
+        let (buf, w_min) = encode(&lists);
+        let seg = decode_segment(&buf, 1, ws.len() as u32, 0, 100, w_min, true).unwrap();
+        assert_eq!(seg.dict.len(), 6, "repeats share an entry");
+        let lane: Vec<u64> = ws
+            .iter()
+            .map(|&w| (1.0 + w / w_min).log2().to_bits())
+            .collect();
+        let adjacency = seg.adjacency(0);
+        let got: Vec<u64> = (0..ws.len())
+            .map(|i| adjacency.escore(i).to_bits())
+            .collect();
+        assert_eq!(got, lane);
     }
 
     #[test]
     fn corrupt_payloads_rejected() {
         let lists: Vec<(&[u32], &[f64])> = vec![(&[2, 4][..], &[1.0, 3.0][..])];
-        let mut buf = Vec::new();
-        encode_segment(&lists, &mut buf);
+        let (buf, _) = encode(&lists);
         // Wrong edge count vs directory.
         assert!(decode_segment(&buf, 1, 3, 0, 10, 1.0, false).is_err());
         // Truncated payload.
@@ -270,15 +433,18 @@ mod tests {
         let mut extended = buf.clone();
         extended.push(0);
         assert!(decode_segment(&extended, 1, 2, 0, 10, 1.0, false).is_err());
+        // A code past the dictionary (the last byte is the last code).
+        let mut bad_code = buf.clone();
+        *bad_code.last_mut().unwrap() = 2;
+        assert!(decode_segment(&bad_code, 1, 2, 0, 10, 1.0, false).is_err());
     }
 
     #[test]
     fn degenerate_w_min_zeroes_escores() {
         let lists: Vec<(&[u32], &[f64])> = vec![(&[1][..], &[0.0][..])];
-        let mut buf = Vec::new();
-        let min_pos = encode_segment(&lists, &mut buf);
+        let (buf, min_pos) = encode(&lists);
         assert!(min_pos.is_infinite());
         let seg = decode_segment(&buf, 1, 1, 0, 10, f64::INFINITY, true).unwrap();
-        assert_eq!(seg.escores[0], 0.0);
+        assert_eq!(seg.adjacency(0).escore(0), 0.0);
     }
 }

@@ -4,15 +4,18 @@
 //! BANKS): the CSR graph is serialized as an mmap-able *paged blob* —
 //! delta-varint–compressed adjacency segments behind a checksummed
 //! segment directory — and served through [`PagedGraphStore`], a
-//! [`banks_graph::GraphStore`] backend that decodes segments lazily on
-//! first touch into a [`PageCache`] that holds the decoded-resident total
-//! under a hard memory budget.
+//! [`banks_graph::GraphStore`] backend that pages segments in lazily on
+//! first touch into a [`PageCache`] that holds the resident total under
+//! a hard memory budget. A resident segment keeps its weights
+//! dictionary-coded (see [`codec`]) and answers adjacency requests with
+//! a coded [`banks_graph::Adjacency`] view.
 //!
 //! A cold open reads only the directory (O(segments), independent of
 //! corpus size); bit-identical search answers to the in-RAM backend are
-//! a format invariant (weights round-trip as raw bits, the log-score
-//! lane is recomputed from the identical `w_min`), proptest-verified in
-//! the workspace test suite.
+//! a format invariant (weights round-trip as raw bits, each dictionary
+//! entry's log score is computed from the identical `w_min` by the
+//! in-RAM CSR's expression), proptest-verified in the workspace test
+//! suite.
 //!
 //! ```
 //! use banks_graph::{Graph, GraphBuilder, NodeId};
@@ -38,10 +41,12 @@
 //! same [`PageCache`], so `--memory-budget` bounds graph segments and
 //! tuple blocks *together*, in one recency order, and neither store can
 //! starve the other (see [`budget`]). Both page sizes are fitted to
-//! what a query reads: a graph segment spans [`DEFAULT_SEG_SPAN`] nodes
-//! (~12 KB decoded) and a tuple block `banks_storage::BLOCK_SPAN` slots
-//! (~20 KB), so an 8 MiB budget holds several hundred pages rather than
-//! a dozen.
+//! what a query reads, and both pages stay compact while resident: a
+//! graph segment spans [`DEFAULT_SEG_SPAN`] nodes (~4.4 KB resident, its
+//! weights coded) and a tuple block `banks_storage::BLOCK_SPAN` slots
+//! (~5 KB: the encoded payload and a slot index, decoded one slot per
+//! read), so an 8 MiB budget holds the ~1 600 pages of a 100K-tuple
+//! corpus.
 
 pub mod blob;
 pub mod budget;

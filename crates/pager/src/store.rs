@@ -3,19 +3,22 @@
 //! The store keeps only the blob *directory* (32 bytes per segment) and
 //! the node-weight lane (8 bytes per node) in memory. Adjacency
 //! requests page the owning segment in on first touch — one positioned
-//! read, a checksum, and a varint decode — into the snapshot's
-//! [`PageCache`], which holds decoded segments and tuple blocks under
-//! one hard memory budget (see [`crate::budget`]).
+//! read, a checksum, and a varint decode into the compact resident form
+//! of [`crate::codec`] (weights stay dictionary-coded) — into the
+//! snapshot's [`PageCache`], which holds resident segments and tuple
+//! blocks under one hard memory budget (see [`crate::budget`]).
+//! Adjacency requests answer with a coded [`Adjacency`] view, so a
+//! search reads weights and edge scores straight from the codes.
 //!
-//! # Why the adjacency slices are sound
+//! # Why the adjacency views are sound
 //!
-//! [`GraphStore`] methods hand out `&[u32]`/`&[f64]` borrowed, morally,
-//! from a cache entry that eviction could free. The store prevents that
+//! [`GraphStore`] methods hand out views borrowed, morally, from a
+//! cache entry that eviction could free. The store prevents that
 //! with a per-thread **keep-alive ring**: every adjacency access parks
-//! an `Arc` of the decoded segment in a 64-slot thread-local ring
+//! an `Arc` of the resident segment in a 64-slot thread-local ring
 //! before returning, unless that segment is the one parked last. The
 //! ring therefore holds the 64 most recent *distinct* segments, and a
-//! segment's arrays outlive the returned slices for at least the next
+//! segment's arrays outlive the returned views for at least the next
 //! 63 adjacency accesses on that thread (longer when consecutive
 //! accesses share a segment, which never advances the ring) regardless
 //! of what the shared cache does. This is the bounded lifetime contract
@@ -23,8 +26,7 @@
 //! the lifetime extension that contract licenses.
 //!
 //! The ring is outside the budget: in the worst case each thread holds
-//! 64 evicted segments alive, ~12 KB each at the default span (~100 KB
-//! each at the 2048-node span older blobs were written with).
+//! 64 evicted segments alive, ~5 KB each at the default span.
 
 use crate::blob::{
     encode_paged_blob, read_layout, seg_count_for, seg_edges, seg_range, ByteSource,
@@ -33,7 +35,7 @@ use crate::budget::{Page, PageCache};
 use crate::codec::{decode_segment, encode_segment, DecodedSegment};
 use crate::error::PagerError;
 use banks_graph::store::{GraphStore, StorageStats};
-use banks_graph::{Graph, GraphPatch};
+use banks_graph::{Adjacency, Graph, GraphPatch};
 use banks_util::fxhash::{checksum, FxHashSet};
 use std::cell::RefCell;
 use std::fs::File;
@@ -63,15 +65,15 @@ fn keep_alive(seg: &Arc<DecodedSegment>) {
     });
 }
 
-/// Extend a slice's lifetime to the caller's choosing.
+/// Extend a view's lifetime to the caller's choosing.
 ///
 /// # Safety
 ///
-/// The slice's backing storage must be kept alive by an external
+/// The view's backing storage must be kept alive by an external
 /// mechanism for as long as the caller is permitted (by the documented
 /// contract) to use it — here, the keep-alive ring.
-unsafe fn extend_slice<'a, T>(s: &[T]) -> &'a [T] {
-    std::slice::from_raw_parts(s.as_ptr(), s.len())
+unsafe fn extend_view<'a>(view: Adjacency<'_>) -> Adjacency<'a> {
+    std::mem::transmute::<Adjacency<'_>, Adjacency<'a>>(view)
 }
 
 /// Where one segment's encoded bytes live, plus its directory row.
@@ -107,7 +109,7 @@ pub struct PagedGraphStore {
 
 impl PagedGraphStore {
     /// Open a paged blob living at `[base, base + len)` of `file`,
-    /// keeping decoded segments in `cache`.
+    /// keeping resident segments in `cache`.
     ///
     /// Reads and verifies the header, node-weight lane, and segment
     /// directories (rejecting torn or corrupt directories with a typed
@@ -220,9 +222,10 @@ impl PagedGraphStore {
             }
             let seg = decode_segment(&payload, end - first, edges, first, n, f64::NAN, false)?;
             for node in first..end {
-                let (ids, weights) = seg.adjacency(node);
-                fwd_targets.extend_from_slice(ids);
-                fwd_weights.extend_from_slice(weights);
+                seg.adjacency(node).for_each(|id, w| {
+                    fwd_targets.push(id);
+                    fwd_weights.push(w);
+                });
                 fwd_offsets.push(fwd_targets.len() as u32);
             }
         }
@@ -239,7 +242,7 @@ impl PagedGraphStore {
         ))
     }
 
-    /// Fetch (paging in if needed) the decoded segment `seg` of
+    /// Fetch (paging in if needed) the resident segment `seg` of
     /// direction `dir` (0 = forward, 1 = reverse).
     ///
     /// # Panics
@@ -302,16 +305,15 @@ impl PagedGraphStore {
 
     /// Adjacency of `node` in direction `dir`, with the keep-alive
     /// lifetime extension the module docs describe.
-    fn adjacency(&self, dir: u32, node: u32) -> (&[u32], &[f64]) {
+    fn adjacency(&self, dir: u32, node: u32) -> Adjacency<'_> {
         assert!(node < self.node_count, "node out of range");
         let seg = self.segment(dir, node / self.seg_span);
         keep_alive(&seg);
-        let (ids, weights) = seg.adjacency(node);
         // SAFETY: `seg` was just parked in this thread's keep-alive
-        // ring, so its arrays outlive the returned slices for the next
+        // ring, so its arrays outlive the returned view for the next
         // RING_SLOTS − 1 adjacency accesses on this thread — the
         // documented contract of `banks_graph::store`.
-        unsafe { (extend_slice(ids), extend_slice(weights)) }
+        unsafe { extend_view(seg.adjacency(node)) }
     }
 
     /// Copy-on-write patch application: see [`GraphStore::apply_patch`].
@@ -372,12 +374,11 @@ impl PagedGraphStore {
                 for node in first..end {
                     lists.push(self.merge_node(dir, node, old_n, patch, repl, &rev_repl));
                 }
-                let borrowed: Vec<(&[u32], &[f64])> = lists
-                    .iter()
-                    .map(|(ids, ws)| (ids.as_slice(), ws.as_slice()))
-                    .collect();
                 let mut payload = Vec::new();
-                let min_pos = encode_segment(&borrowed, &mut payload);
+                let min_pos = encode_segment(
+                    lists.iter().map(|(ids, ws)| Adjacency::plain(ids, ws, &[])),
+                    &mut payload,
+                );
                 let edges: usize = lists.iter().map(|(ids, _)| ids.len()).sum();
                 metas.push(SegMeta {
                     checksum: checksum(&payload),
@@ -436,8 +437,7 @@ impl PagedGraphStore {
         let mut r = 0usize;
         if node < old_n {
             let seg = self.segment(dir, node / self.seg_span);
-            let (old_ids, old_ws) = seg.adjacency(node);
-            for (&other, &w) in old_ids.iter().zip(old_ws) {
+            for (other, w) in seg.adjacency(node).iter() {
                 let live = if dir == 0 {
                     !patch.is_dirty(node, other)
                 } else {
@@ -489,22 +489,12 @@ impl GraphStore for PagedGraphStore {
         self.max_node_weight
     }
 
-    fn out_adjacency(&self, node: u32) -> (&[u32], &[f64]) {
+    fn out_adjacency(&self, node: u32) -> Adjacency<'_> {
         self.adjacency(0, node)
     }
 
-    fn in_adjacency(&self, node: u32) -> (&[u32], &[f64]) {
+    fn in_adjacency(&self, node: u32) -> Adjacency<'_> {
         self.adjacency(1, node)
-    }
-
-    fn out_escores(&self, node: u32) -> &[f64] {
-        assert!(node < self.node_count, "node out of range");
-        let seg = self.segment(0, node / self.seg_span);
-        keep_alive(&seg);
-        let escores = seg.escores_of(node);
-        // SAFETY: as in `adjacency` — the segment was just parked in
-        // the keep-alive ring.
-        unsafe { extend_slice(escores) }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -590,31 +580,28 @@ mod tests {
         assert_eq!(a.edge_count(), b.edge_count());
         assert_eq!(a.min_edge_weight().to_bits(), b.min_edge_weight().to_bits());
         assert_eq!(a.max_node_weight().to_bits(), b.max_node_weight().to_bits());
+        // Ids, weight bits and (forward) edge-score bits per position.
+        let bits = |adjacency: Adjacency<'_>, scored: bool| -> Vec<(u32, u64, u64)> {
+            (0..adjacency.len())
+                .map(|i| {
+                    let escore = if scored {
+                        adjacency.escore(i).to_bits()
+                    } else {
+                        0
+                    };
+                    (adjacency.ids()[i], adjacency.weight(i).to_bits(), escore)
+                })
+                .collect()
+        };
         for v in a.nodes() {
             assert_eq!(a.node_weight(v).to_bits(), b.node_weight(v).to_bits());
-            let (at, aw) = a.out_adjacency(v);
-            let (bt, bw) = b.out_adjacency(v);
-            assert_eq!(at, bt);
             assert_eq!(
-                aw.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-                bw.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+                bits(a.out_adjacency(v), true),
+                bits(b.out_adjacency(v), true)
             );
             assert_eq!(
-                a.out_escores(v)
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect::<Vec<_>>(),
-                b.out_escores(v)
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect::<Vec<_>>()
-            );
-            let (rs, rw) = a.in_adjacency(v);
-            let (bs, bw2) = b.in_adjacency(v);
-            assert_eq!(rs, bs);
-            assert_eq!(
-                rw.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-                bw2.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+                bits(a.in_adjacency(v), false),
+                bits(b.in_adjacency(v), false)
             );
         }
     }
@@ -738,8 +725,7 @@ mod tests {
             p.set_edge(NodeId(old_n as u32), NodeId(0), 1.5);
             p.set_edge(NodeId(17), NodeId(old_n as u32 + 1), 2.5);
             // Touch an existing pair too: replace whatever 40→? had.
-            let (targets, _) = g.out_adjacency(NodeId(40));
-            if let Some(&t) = targets.first() {
+            if let Some(&t) = g.out_adjacency(NodeId(40)).ids().first() {
                 p.set_edge(NodeId(40), NodeId(t), 0.125);
             }
             p

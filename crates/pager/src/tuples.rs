@@ -5,21 +5,25 @@
 //! store reads and verifies only the directory and the per-relation
 //! PK→slot lanes — O(blocks) work — while tuple blocks stay on disk
 //! until an answer rendering, `/node` browse, or PK confirmation first
-//! touches them: one positioned read, a checksum, and a varint decode.
+//! touches them: one positioned read, a checksum, and one validating
+//! pass that records where each slot starts.
 //!
-//! Decoded blocks live in the [`PageCache`] the paged *graph* store of
-//! the same snapshot uses too, so `--memory-budget` caps graph segments
-//! and tuple blocks together and both age in one recency order.
+//! A resident block is its encoded payload plus that slot index
+//! (`banks_storage::TupleBlock`), ~5 KB at the default span; the lazy
+//! `Database` decodes only the slots it reads. Resident blocks live in
+//! the [`PageCache`] the paged *graph* store of the same snapshot uses
+//! too, so `--memory-budget` caps graph segments and tuple blocks
+//! together and both age in one recency order.
 //!
-//! The borrow-soundness story is identical to the graph store's: lazy
-//! `Database` accessors park the decoded block `Arc` in a per-thread
-//! keep-alive ring (owned by `banks_storage::blocks`) before handing
-//! out `&Tuple` / `&[BackRef]` borrows.
+//! The borrow-soundness story matches the graph store's: lazy
+//! `Database` accessors park each decoded tuple or back-reference list
+//! in a per-thread keep-alive ring (owned by `banks_storage::blocks`)
+//! before handing out `&Tuple` / `&[BackRef]` borrows.
 
 use crate::blob::ByteSource;
 use crate::budget::{Page, PageCache};
 use crate::error::PagerError;
-use banks_storage::blocks::{checksum64, decode_block, lane_candidates, DataLayout};
+use banks_storage::blocks::{checksum64, lane_candidates, DataLayout};
 use banks_storage::schema::schema_from_text;
 use banks_storage::{StorageError, TupleBlock, TupleStore, TupleStoreStats};
 use std::sync::Arc;
@@ -49,7 +53,7 @@ fn malformed(e: StorageError) -> PagerError {
 
 impl PagedTupleStore {
     /// Open a v3 DATA section living at `[base, base + len)` of `file`,
-    /// keeping decoded blocks in `cache`.
+    /// keeping resident blocks in `cache`.
     pub fn open_file(
         file: Arc<std::fs::File>,
         base: u64,
@@ -128,7 +132,7 @@ impl PagedTupleStore {
         &self.layout
     }
 
-    /// Read, verify and decode one block from the byte source.
+    /// Read, verify and index one block from the byte source.
     fn load_block(&self, rel: u32, block: u32) -> Result<TupleBlock, PagerError> {
         let layout = &self.layout.relations[rel as usize];
         let meta = layout.blocks[block as usize];
@@ -141,7 +145,7 @@ impl PagedTupleStore {
         let span = self.layout.block_span;
         let first = block * span;
         let slots = layout.slot_count.min(first.saturating_add(span)) - first;
-        decode_block(&payload, first, slots, self.arities[rel as usize]).map_err(malformed)
+        TupleBlock::new(payload, first, slots, self.arities[rel as usize]).map_err(malformed)
     }
 }
 
@@ -170,7 +174,8 @@ impl TupleStore for PagedTupleStore {
         self.layout.relations[rel as usize].is_live(slot)
     }
 
-    /// Fetch (paging in if needed) block `block` of relation `rel`.
+    /// Fetch (paging in if needed) the resident block `block` of
+    /// relation `rel`.
     ///
     /// # Panics
     ///

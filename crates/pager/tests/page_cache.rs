@@ -8,14 +8,18 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-/// A page accounted at `bytes` (the cache never looks inside one).
+/// A page accounted at `bytes` (the cache never looks inside one): a
+/// block of arity-0 slots, each costing its payload plus a 2-byte index
+/// entry — 3 bytes for a tombstone, 4 for a live slot (presence byte and
+/// an empty back-reference count). `bytes` must be at least 8.
 fn page(bytes: usize) -> Page {
-    Page::Block(Arc::new(TupleBlock {
-        first_slot: 0,
-        tuples: Vec::new(),
-        back_refs: Vec::new(),
-        bytes,
-    }))
+    let live = bytes % 3;
+    let tombstones = (bytes - 4 * live) / 3;
+    let mut payload = [1u8, 0].repeat(live);
+    payload.resize(payload.len() + tombstones, 0);
+    let block = TupleBlock::new(payload, 0, (live + tombstones) as u32, 0).unwrap();
+    assert_eq!(block.bytes(), bytes);
+    Page::Block(Arc::new(block))
 }
 
 fn load(cache: &PageCache, store: u32, key: u64, bytes: usize) {

@@ -507,22 +507,24 @@ fn handle_search(
         Err(e) => return Response::error(400, &e.to_string()),
     };
 
-    // A search cut short — by the deadline or by the pop cap — that
-    // still produced answers returns them flagged `partial: true` (the
-    // answers are real, the set may be incomplete); one with nothing to
-    // show is a 504. Only a deadline stop invites a retry (with a larger
-    // budget, or against a less loaded node): the pop cap is
-    // deterministic, so a retry would stop at it again.
-    let stop = response.result.stats.stop;
-    let partial = stop.truncated();
-    if stop == StopReason::Deadline {
+    // A search cut short — by the deadline, the pop cap or the
+    // cross-product cap — that still produced answers returns them
+    // flagged `partial: true` (the answers are real, the set may be
+    // incomplete); one with nothing to show is a 504. Only a deadline
+    // stop invites a retry (with a larger budget, or against a less
+    // loaded node): the caps are deterministic, so a retry would stop
+    // at them again.
+    let stats = &response.result.stats;
+    let partial = stats.truncated();
+    if stats.stop == StopReason::Deadline {
         shared.metrics.deadline_exceeded_total.inc();
     }
     if partial && response.result.answers.is_empty() {
-        return match stop {
+        return match stats.stop {
             StopReason::Deadline => Response::error(504, "deadline exceeded during search")
                 .with_header("Retry-After", "1".to_string()),
-            _ => Response::error(504, "search stopped at its pop cap"),
+            StopReason::PopCap => Response::error(504, "search stopped at its pop cap"),
+            _ => Response::error(504, "search cut short by its cross-product cap"),
         };
     }
 
@@ -635,6 +637,7 @@ fn handle_slow(params: &[(String, String)], service: &QueryService) -> Response 
                             ("epoch", Json::Uint(e.epoch)),
                             ("unix_ms", Json::Uint(e.unix_ms)),
                             ("state_bytes", Json::Uint(e.state_bytes)),
+                            ("stop", Json::Str(e.stop.to_string())),
                             ("spans", spans_json(&e.spans)),
                         ])
                     })
@@ -1073,6 +1076,7 @@ mod tests {
             "banks_graph_edges",
             "banks_memory_bytes",
             "banks_search_early_terminations_total",
+            "banks_search_stopped_total",
             "banks_search_state_bytes_max",
             "banks_uptime_seconds",
             "banks_pager_budget_bytes",
@@ -1215,6 +1219,50 @@ mod tests {
     }
 
     #[test]
+    fn a_search_cut_by_the_cross_product_cap_is_partial_and_never_cached() {
+        // `p1` matches the paper and both `Writes` rows that cite it, so
+        // roots near them combine several `p1` origins with `mohan`'s.
+        let with_cap = |max_cross_product: usize| {
+            let mut config = banks_core::BanksConfig::default();
+            config.search.max_cross_product = max_cross_product;
+            let banks = Arc::new(Banks::with_config(dblp(), config).unwrap());
+            let service = Arc::new(crate::service::QueryService::new(
+                banks,
+                ServiceConfig::default(),
+            ));
+            BanksServer::bind(service, None, None, None, ServerConfig::default()).unwrap()
+        };
+        let metric = |addr, reason: &str| {
+            let line = format!(r#"banks_search_stopped_total{{reason="{reason}"}} "#);
+            let body = get(addr, "/metrics").text();
+            body.lines()
+                .find_map(|l| l.strip_prefix(&line).map(str::to_string))
+                .unwrap_or_else(|| panic!("no {line}in:\n{body}"))
+        };
+
+        let full = with_cap(100_000);
+        let addr = full.local_addr();
+        let body = get(addr, "/search?q=p1+mohan").text();
+        assert!(body.contains(r#""partial":false"#), "{body}");
+        let body = get(addr, "/search?q=p1+mohan").text();
+        assert!(body.contains(r#""cached":true"#), "{body}");
+        assert_eq!(metric(addr, "cross_product_cap"), "0");
+
+        let capped = with_cap(1);
+        let addr = capped.local_addr();
+        for _ in 0..2 {
+            let body = get(addr, "/search?q=p1+mohan").text();
+            assert!(body.contains(r#""partial":true"#), "{body}");
+            assert!(body.contains(r#""cached":false"#), "{body}");
+            assert!(!body.contains(r#""count":0"#), "{body}");
+        }
+        // Both runs were cold and both were cut.
+        assert_eq!(metric(addr, "cross_product_cap"), "2");
+        let slow = get(addr, "/debug/slow").text();
+        assert!(slow.contains(r#""stop":"cross_product_cap""#), "{slow}");
+    }
+
+    #[test]
     fn debug_slow_lists_recorded_queries() {
         let server = server(1);
         let addr = server.local_addr();
@@ -1226,6 +1274,7 @@ mod tests {
         assert!(body.contains(r#""query":"mohan sudarshan""#));
         assert!(body.contains(r#""spans""#));
         assert!(body.contains(r#""state_bytes":"#), "{body}");
+        assert!(body.contains(r#""stop":"exhausted""#), "{body}");
         // `limit` trims the list to the slowest entries.
         let trimmed = get(addr, "/debug/slow?limit=1").text();
         assert!(trimmed.contains(r#""count":1"#), "{trimmed}");

@@ -11,7 +11,10 @@
 //! subsystems.
 
 use crate::service::QueryService;
-use banks_telemetry::{latency_boundaries, CollectedFamily, Counter, Histogram, Kind, Registry};
+use banks_core::STOP_LABELS;
+use banks_telemetry::{
+    latency_boundaries, CollectedFamily, Counter, Histogram, Kind, Registry, Sample,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -247,6 +250,19 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
             c,
             stats.early_terminations as f64,
         ),
+        CollectedFamily {
+            name: "banks_search_stopped_total",
+            help: "Cold queries by why their search ended; cross_product_cap and the pop cap and deadline mark partial answers.",
+            kind: c,
+            samples: STOP_LABELS
+                .iter()
+                .zip(stats.stopped)
+                .map(|(&reason, n)| Sample {
+                    labels: vec![("reason", reason.to_string())],
+                    value: n as f64,
+                })
+                .collect(),
+        },
         CollectedFamily::scalar(
             "banks_search_state_bytes_max",
             "Largest search state (node tables, queues, origin lists) a cold query held since start.",
@@ -298,13 +314,13 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
     ));
     fams.push(CollectedFamily::scalar(
         "banks_pager_resident_bytes",
-        "Decoded segment bytes currently resident.",
+        "Resident graph-segment bytes (ids, weight codes, dictionaries).",
         g,
         pick(|s| s.resident_bytes as f64),
     ));
     fams.push(CollectedFamily::scalar(
         "banks_pager_page_ins_total",
-        "Segments decoded into residency.",
+        "Graph segments paged into residency.",
         c,
         pick(|s| s.page_ins as f64),
     ));
@@ -323,13 +339,13 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
         |f: fn(&banks_storage::TupleStoreStats) -> f64| tuples.as_ref().map(f).unwrap_or(0.0);
     fams.push(CollectedFamily::scalar(
         "banks_tuple_resident_bytes",
-        "Decoded tuple-block bytes currently resident.",
+        "Resident tuple-block bytes (encoded payloads and slot indexes).",
         g,
         tpick(|s| s.resident_bytes as f64),
     ));
     fams.push(CollectedFamily::scalar(
         "banks_tuple_page_ins_total",
-        "Tuple blocks decoded into residency.",
+        "Tuple blocks paged into residency.",
         c,
         tpick(|s| s.page_ins as f64),
     ));

@@ -17,7 +17,7 @@
 use crate::cache::{CacheLookup, CacheStats, ShardedLruCache};
 use banks_core::{
     Answer, Banks, BanksResult, CombineMode, EdgeScoreMode, NodeScoreMode, SearchArena,
-    SearchStats, SearchStrategy, StopReason,
+    SearchStats, SearchStrategy, StopReason, STOP_LABELS,
 };
 use banks_graph::NodeId;
 use banks_telemetry::{Histogram, SlowLog, SlowQuery, Span};
@@ -243,6 +243,9 @@ pub struct ServiceStats {
     /// Cold queries whose heap search stopped early once the result set
     /// provably could not improve (`SearchStats::stop` was `TopK`).
     pub early_terminations: u64,
+    /// Cold queries by why their search ended
+    /// (`SearchStats::stop_label`), in `STOP_LABELS` order.
+    pub stopped: [u64; STOP_LABELS.len()],
     /// Largest `SearchStats::state_bytes` of any cold query since start.
     pub state_bytes_max: u64,
 }
@@ -273,6 +276,8 @@ pub struct QueryService {
     invalidations_by_epoch: Mutex<BTreeMap<u64, u64>>,
     /// Σ early heap terminations across cold queries.
     early_terminations: AtomicU64,
+    /// Cold queries per `STOP_LABELS` entry.
+    stopped: [AtomicU64; STOP_LABELS.len()],
     /// High-water of `SearchStats::state_bytes` across cold queries.
     state_bytes_max: AtomicU64,
     /// Worst cold queries with span breakdowns (`GET /debug/slow`).
@@ -329,6 +334,7 @@ impl QueryService {
             last_publish: Mutex::new(None),
             invalidations_by_epoch: Mutex::new(BTreeMap::new()),
             early_terminations: AtomicU64::new(0),
+            stopped: Default::default(),
             state_bytes_max: AtomicU64::new(0),
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
             cold_latency: Arc::new(Histogram::new()),
@@ -500,6 +506,12 @@ impl QueryService {
         if outcome.stats.stop == StopReason::TopK {
             self.early_terminations.fetch_add(1, Ordering::Relaxed);
         }
+        let stop = outcome.stats.stop_label();
+        let reason = STOP_LABELS
+            .iter()
+            .position(|&label| label == stop)
+            .expect("stop_label returns one of STOP_LABELS");
+        self.stopped[reason].fetch_add(1, Ordering::Relaxed);
         let state_bytes = outcome.stats.state_bytes as u64;
         self.state_bytes_max
             .fetch_max(state_bytes, Ordering::Relaxed);
@@ -510,6 +522,7 @@ impl QueryService {
                 epoch: snapshot.epoch,
                 unix_ms: unix_millis_now(),
                 state_bytes,
+                stop,
                 spans: spans.clone(),
             });
         let result = Arc::new(CachedResult {
@@ -524,9 +537,10 @@ impl QueryService {
         // (cached by a racing reader after a publish we missed, whether
         // it was visible at lookup time or landed while we searched)
         // must not be clobbered by this result. A result cut short by
-        // the deadline or the pop cap may miss answers and must never be
-        // served to a later request, so it skips the cache.
-        if !result.stats.stop.truncated() {
+        // the deadline, the pop cap or the cross-product cap may miss
+        // answers and must never be served to a later request, so it
+        // skips the cache.
+        if !result.stats.truncated() {
             self.cache
                 .insert_if(key.clone(), Arc::clone(&result), |existing| {
                     existing.epoch <= snapshot.epoch
@@ -595,6 +609,7 @@ impl QueryService {
                 .map(|(&e, &n)| (e, n))
                 .collect(),
             early_terminations: self.early_terminations.load(Ordering::Relaxed),
+            stopped: std::array::from_fn(|i| self.stopped[i].load(Ordering::Relaxed)),
             state_bytes_max: self.state_bytes_max.load(Ordering::Relaxed),
         };
         (stats, Arc::clone(&snapshot.banks))

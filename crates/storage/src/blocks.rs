@@ -4,7 +4,7 @@
 //! same for the tuples themselves. The DATA payload is reframed per
 //! relation and per fixed-span **slot block**, behind a self-describing
 //! checksummed header, so a paged open can verify the directory only
-//! (O(blocks)) and decode tuple blocks lazily on first touch:
+//! (O(blocks)) and page tuple blocks in lazily on first touch:
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -37,11 +37,14 @@
 //! [`TupleStore`] is where a lazy `Database` (see
 //! [`crate::Database::open_lazy`]) gets its blocks from; its one
 //! implementor is `banks-pager`'s `PagedTupleStore`, which pages them
-//! from disk under a memory budget. The lazy `Database` hands out
-//! `&Tuple`/`&[BackRef]` borrows licensed by the same per-thread
-//! keep-alive ring contract the paged graph store uses. An eager
-//! `Database` needs no store: it encodes its slot vectors directly
-//! ([`encode_database_v3`]).
+//! from disk under a memory budget. A resident [`TupleBlock`] is the
+//! block's encoded payload plus the offset of each slot in it, validated
+//! once at page-in; a read decodes only the slot it asks for. The lazy
+//! `Database` parks each decoded tuple or reference list in a per-thread
+//! keep-alive ring and hands out `&Tuple`/`&[BackRef]` borrows the ring
+//! licenses, the same bounded contract the paged graph store's
+//! adjacency views follow. An eager `Database` needs no store: it
+//! encodes its slot vectors directly ([`encode_database_v3`]).
 
 use crate::catalog::{BackRef, Database};
 use crate::error::{StorageError, StorageResult};
@@ -49,21 +52,22 @@ use crate::schema::{schema_from_text, schema_to_text};
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
 use banks_util::fxhash::FxHasher;
+use std::any::Any;
 use std::cell::RefCell;
 use std::hash::Hasher;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Magic prefix of a v3 DATA section.
 pub(crate) const DATA_V3_MAGIC: &[u8; 8] = b"BNKSDT03";
 
-/// Slots per tuple block. A DBLP-shaped tuple decodes to ~150 bytes
-/// (values, heap headers, back-references), so 128 slots are ~20 KB
-/// decoded — still one positioned read, and small enough that rendering
-/// an answer set (a few dozen tuples scattered over as many blocks)
-/// decodes about a megabyte rather than sweeping an 8 MiB
-/// `--memory-budget` several times over, as 4096-slot (~600 KB) blocks
-/// did. Readers take the span from the section header, so sections
-/// written at another span stay readable.
+/// Slots per tuple block. A DBLP-shaped slot encodes to ~37 bytes, so a
+/// resident 128-slot block is ~5 KB (payload plus slot index) — one
+/// positioned read, and small enough that rendering an answer set (a few
+/// dozen tuples scattered over as many blocks) pages in a few hundred
+/// kilobytes rather than sweeping an 8 MiB `--memory-budget`, as
+/// 4096-slot blocks did. Readers take the span from the section header,
+/// so sections written at another span stay readable.
 pub const BLOCK_SPAN: u32 = 128;
 
 /// Bytes before the header payload: magic + `u64` payload length.
@@ -141,98 +145,170 @@ fn corrupt(msg: impl Into<String>) -> StorageError {
 
 /// Slots in the per-thread keep-alive ring; a `&Tuple` or `&[BackRef]`
 /// handed out of a lazy table stays valid for at least `RING_SLOTS − 1`
-/// further block accesses on its thread. Re-accessing the block parked
-/// last does not advance the ring, so it holds the `RING_SLOTS` most
-/// recent *distinct* blocks and the guarantee only gets longer. The
-/// ring is outside the memory budget: at worst each thread keeps 64
-/// evicted blocks alive, ~20 KB each at [`BLOCK_SPAN`].
+/// further reads of a lazy table on its thread. Every read decodes one
+/// slot of a resident block and parks the decoded value here, so the
+/// ring holds the 64 values read last — a few KB, outside the memory
+/// budget.
 const RING_SLOTS: usize = 64;
 
+/// The ring: the next slot to fill, and the parked values.
+type Ring = (usize, Vec<Option<Rc<dyn Any>>>);
+
 thread_local! {
-    static KEEPALIVE: RefCell<(usize, Vec<Option<Arc<TupleBlock>>>)> =
-        RefCell::new((0, vec![None; RING_SLOTS]));
+    static KEEPALIVE: RefCell<Ring> = RefCell::new((0, vec![None; RING_SLOTS]));
 }
 
-/// Park `block` in this thread's keep-alive ring, unless it is the
-/// block parked last.
-pub(crate) fn keep_alive(block: &Arc<TupleBlock>) {
+/// Park `value` in this thread's keep-alive ring and lend it out for as
+/// long as the ring keeps it: the next `RING_SLOTS − 1` parks on this
+/// thread.
+fn park<'a, T: 'static>(value: T) -> &'a T {
+    let parked = Rc::new(value);
+    let ptr = Rc::as_ptr(&parked);
     KEEPALIVE.with(|cell| {
         let (next, ring) = &mut *cell.borrow_mut();
-        let last = &ring[(*next + RING_SLOTS - 1) % RING_SLOTS];
-        if last
-            .as_ref()
-            .is_some_and(|parked| Arc::ptr_eq(parked, block))
-        {
-            return;
-        }
-        ring[*next] = Some(Arc::clone(block));
+        ring[*next] = Some(parked);
         *next = (*next + 1) % RING_SLOTS;
     });
+    // SAFETY: the ring owns the `Rc` until `RING_SLOTS − 1` further
+    // parks on this thread, which is the borrow contract lazy tables
+    // document; moving an `Rc` does not move its heap value.
+    unsafe { &*ptr }
 }
 
-/// Extend a reference's lifetime to the caller's choosing.
-///
-/// # Safety
-///
-/// The referent must be kept alive by an external mechanism for as long
-/// as the caller is permitted (by the documented contract) to use it —
-/// here, the keep-alive ring.
-pub(crate) unsafe fn extend_ref<'a, T: ?Sized>(r: &T) -> &'a T {
-    &*(r as *const T)
+/// Lend out a tuple decoded by a lazy read (see [`park`]).
+pub(crate) fn park_tuple<'a>(tuple: Tuple) -> &'a Tuple {
+    park(tuple)
+}
+
+/// Lend out a reverse-reference list decoded by a lazy read (see
+/// [`park`]; an empty list is not parked).
+pub(crate) fn park_refs<'a>(refs: Vec<BackRef>) -> &'a [BackRef] {
+    if refs.is_empty() {
+        return &[];
+    }
+    park(refs).as_slice()
 }
 
 // ---------------------------------------------------------------------
-// Decoded blocks + the TupleStore trait
+// Resident blocks + the TupleStore trait
 // ---------------------------------------------------------------------
 
-/// One decoded tuple block: `block_span` consecutive slots of a
-/// relation, with each live slot's tuple and reverse-reference list.
+/// Byte offset of each slot's presence byte within a block payload.
+#[derive(Debug)]
+enum SlotIndex {
+    U16(Box<[u16]>),
+    U32(Box<[u32]>),
+}
+
+impl SlotIndex {
+    fn new(offsets: Vec<u32>, payload_len: usize) -> SlotIndex {
+        if payload_len <= usize::from(u16::MAX) {
+            SlotIndex::U16(offsets.iter().map(|&o| o as u16).collect())
+        } else {
+            SlotIndex::U32(offsets.into_boxed_slice())
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            SlotIndex::U16(o) => o.len(),
+            SlotIndex::U32(o) => o.len(),
+        }
+    }
+
+    fn get(&self, local: usize) -> usize {
+        match self {
+            SlotIndex::U16(o) => usize::from(o[local]),
+            SlotIndex::U32(o) => o[local] as usize,
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            SlotIndex::U16(o) => o.len() * std::mem::size_of::<u16>(),
+            SlotIndex::U32(o) => o.len() * std::mem::size_of::<u32>(),
+        }
+    }
+}
+
+/// One resident tuple block: the checksum-verified encoded payload of
+/// `block_span` consecutive slots of a relation, plus the offset of each
+/// slot within it. Nothing is decoded while the block sits in the cache:
+/// a read through a lazy table decodes the one slot it asks for, so a
+/// block costs its encoded size (~5 KB at [`BLOCK_SPAN`] on DBLP-shaped
+/// data) rather than the ~24 KB of every tuple and back-reference list
+/// decoded.
 #[derive(Debug)]
 pub struct TupleBlock {
-    /// First slot covered by this block.
-    pub first_slot: u32,
-    /// Per-slot tuples (`None` = tombstone), `slots_in_block` long.
-    pub tuples: Vec<Option<Tuple>>,
-    /// Per-slot reverse references, aligned with `tuples`.
-    pub back_refs: Vec<Vec<BackRef>>,
-    /// Estimated decoded heap footprint, for cache accounting.
-    pub bytes: usize,
+    first_slot: u32,
+    arity: usize,
+    payload: Box<[u8]>,
+    index: SlotIndex,
 }
 
 impl TupleBlock {
-    /// The tuple at absolute `slot`, if live and in range.
-    pub(crate) fn tuple(&self, slot: u32) -> Option<&Tuple> {
-        self.tuples
-            .get(slot.checked_sub(self.first_slot)? as usize)?
-            .as_ref()
+    /// Index `payload`, the encoded slots `[first_slot, first_slot +
+    /// slots)` of a relation with the given tuple arity. Every presence
+    /// byte, value and back-reference of the payload is validated here,
+    /// so reading a slot later cannot fail.
+    pub fn new(
+        payload: Vec<u8>,
+        first_slot: u32,
+        slots: u32,
+        arity: usize,
+    ) -> StorageResult<TupleBlock> {
+        let index = index_slots(&payload, slots, arity)?;
+        Ok(TupleBlock {
+            first_slot,
+            arity,
+            payload: payload.into_boxed_slice(),
+            index,
+        })
     }
 
-    /// The reverse references of absolute `slot` (empty if out of range).
-    pub(crate) fn refs(&self, slot: u32) -> &[BackRef] {
-        slot.checked_sub(self.first_slot)
-            .and_then(|i| self.back_refs.get(i as usize))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// Resident heap footprint: the payload plus the slot index — what
+    /// the memory budget counts.
+    pub fn bytes(&self) -> usize {
+        self.payload.len() + self.index.bytes()
+    }
+
+    /// Payload offset of absolute `slot`, if it is in this block.
+    fn offset(&self, slot: u32) -> Option<usize> {
+        let local = slot.checked_sub(self.first_slot)? as usize;
+        (local < self.index.len()).then(|| self.index.get(local))
+    }
+
+    /// Decode the tuple at absolute `slot`, if live and in range.
+    pub(crate) fn tuple(&self, slot: u32) -> Option<Tuple> {
+        decode_tuple_at(&self.payload, self.offset(slot)?, self.arity)
+    }
+
+    /// Decode the reverse references of absolute `slot` (empty for a
+    /// tombstone or a slot out of range).
+    pub(crate) fn refs(&self, slot: u32) -> Vec<BackRef> {
+        self.offset(slot)
+            .map(|at| decode_refs_at(&self.payload, at, self.arity))
+            .unwrap_or_default()
     }
 }
-
 /// Cache counters of a [`TupleStore`] (zeros for stores that never
 /// page).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TupleStoreStats {
-    /// Decoded tuple-block bytes currently resident.
+    /// Resident tuple-block bytes (payloads plus slot indexes).
     pub resident_bytes: usize,
     /// Memory budget shared with the graph store (0 = unbounded).
     pub budget_bytes: usize,
     /// Total blocks across all relations.
     pub block_count: usize,
-    /// Blocks currently decoded.
+    /// Blocks currently resident.
     pub resident_blocks: usize,
-    /// Blocks decoded into residency since open.
+    /// Blocks paged into residency since open.
     pub page_ins: u64,
     /// Blocks evicted under budget pressure since open.
     pub evictions: u64,
-    /// Nanoseconds spent decoding blocks.
+    /// Nanoseconds spent paging blocks in: the read, the checksum and
+    /// the validating index pass (slots decode later, when read).
     pub decode_nanos: u64,
 }
 
@@ -256,7 +332,7 @@ pub trait TupleStore: std::fmt::Debug + Send + Sync {
     /// Is `slot` of relation `rel` live? Answered from the presence
     /// bitmap — never decodes a block.
     fn is_live(&self, rel: u32, slot: u32) -> bool;
-    /// The decoded block `block` of relation `rel`
+    /// The resident block `block` of relation `rel`
     /// (`block = slot / block_span()`).
     fn block(&self, rel: u32, block: u32) -> Arc<TupleBlock>;
     /// Slots of relation `rel` whose primary-key hash is `hash`, from
@@ -565,11 +641,14 @@ pub(crate) fn take_value_ref<'a>(
     }))
 }
 
-fn take_value(bytes: &[u8], pos: &mut usize) -> StorageResult<Value> {
-    Ok(match take_value_ref(bytes, pos)? {
-        EncodedValue::Text(s) => Value::Text(s.to_owned()),
-        EncodedValue::Other(v) => v,
-    })
+impl EncodedValue<'_> {
+    /// The owned value.
+    fn into_value(self) -> Value {
+        match self {
+            EncodedValue::Text(s) => Value::Text(s.to_owned()),
+            EncodedValue::Other(v) => v,
+        }
+    }
 }
 
 /// Append `values` in the block value encoding — what a live slot of a
@@ -627,79 +706,95 @@ pub(crate) fn encode_block<'a, V: SlotValues>(
     out
 }
 
-/// Decode one block covering absolute slots `[first_slot, first_slot +
-/// slots_in_block)` of a relation with the given tuple arity.
-pub fn decode_block(
-    bytes: &[u8],
-    first_slot: u32,
-    slots_in_block: u32,
-    arity: usize,
-) -> StorageResult<TupleBlock> {
-    let mut pos = 0usize;
-    let mut tuples = Vec::with_capacity(slots_in_block as usize);
-    let mut back_refs = Vec::with_capacity(slots_in_block as usize);
-    let mut bytes_est = 0usize;
-    for _ in 0..slots_in_block {
-        let presence = *bytes
-            .get(pos)
-            .ok_or_else(|| corrupt("tuple block ends inside a presence byte"))?;
-        pos += 1;
-        match presence {
-            0 => {
-                tuples.push(None);
-                back_refs.push(Vec::new());
-            }
-            1 => {
-                let mut values = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    values.push(take_value(bytes, &mut pos)?);
-                }
-                bytes_est += 48
-                    + arity * 32
-                    + values
-                        .iter()
-                        .map(|v| match v {
-                            Value::Text(s) => s.len(),
-                            _ => 0,
-                        })
-                        .sum::<usize>();
-                let count = read_varint(bytes, &mut pos)
-                    .ok_or_else(|| corrupt("bad back-reference count in tuple block"))?;
-                if count > MAX_DECODE_LEN {
-                    return Err(corrupt("back-reference count is implausible"));
-                }
-                let mut refs = Vec::with_capacity((count as usize).min(bytes.len() - pos));
-                for _ in 0..count {
-                    let rel = read_varint(bytes, &mut pos)
-                        .ok_or_else(|| corrupt("bad back-reference relation"))?;
-                    let slot = read_varint(bytes, &mut pos)
-                        .ok_or_else(|| corrupt("bad back-reference slot"))?;
-                    let fk = read_varint(bytes, &mut pos)
-                        .ok_or_else(|| corrupt("bad back-reference fk index"))?;
-                    if rel > u64::from(u32::MAX) || slot > u64::from(u32::MAX) {
-                        return Err(corrupt("back-reference rid out of range"));
-                    }
-                    refs.push(BackRef {
-                        from: Rid::new(RelationId(rel as u32), slot as u32),
-                        fk_index: fk as usize,
-                    });
-                }
-                bytes_est += 24 + refs.len() * std::mem::size_of::<BackRef>();
-                tuples.push(Some(Tuple::new(values)));
-                back_refs.push(refs);
-            }
-            other => return Err(corrupt(format!("bad slot presence byte {other}"))),
+/// Call `f` on each back-reference of the sublane at `*pos`.
+fn each_ref(bytes: &[u8], pos: &mut usize, mut f: impl FnMut(BackRef)) -> StorageResult<()> {
+    let count = read_varint(bytes, pos)
+        .ok_or_else(|| corrupt("bad back-reference count in tuple block"))?;
+    if count > MAX_DECODE_LEN {
+        return Err(corrupt("back-reference count is implausible"));
+    }
+    for _ in 0..count {
+        let rel = read_varint(bytes, pos).ok_or_else(|| corrupt("bad back-reference relation"))?;
+        let slot = read_varint(bytes, pos).ok_or_else(|| corrupt("bad back-reference slot"))?;
+        let fk = read_varint(bytes, pos).ok_or_else(|| corrupt("bad back-reference fk index"))?;
+        if rel > u64::from(u32::MAX) || slot > u64::from(u32::MAX) {
+            return Err(corrupt("back-reference rid out of range"));
         }
+        f(BackRef {
+            from: Rid::new(RelationId(rel as u32), slot as u32),
+            fk_index: fk as usize,
+        });
+    }
+    Ok(())
+}
+
+/// Read the slot at `*pos`: its presence byte and, when it is live, its
+/// values (each handed to `value`) and back-references (each handed to
+/// `back_ref`). Returns whether the slot is live. The one reader behind
+/// indexing a block, decoding one slot of it, and the eager load.
+fn read_slot(
+    bytes: &[u8],
+    pos: &mut usize,
+    arity: usize,
+    mut value: impl FnMut(EncodedValue<'_>),
+    back_ref: impl FnMut(BackRef),
+) -> StorageResult<bool> {
+    let presence = *bytes
+        .get(*pos)
+        .ok_or_else(|| corrupt("tuple block ends inside a presence byte"))?;
+    *pos += 1;
+    match presence {
+        0 => Ok(false),
+        1 => {
+            for _ in 0..arity {
+                value(take_value_ref(bytes, pos)?);
+            }
+            each_ref(bytes, pos, back_ref)?;
+            Ok(true)
+        }
+        other => Err(corrupt(format!("bad slot presence byte {other}"))),
+    }
+}
+
+/// Validate an encoded block of `slots` slots at the given arity and
+/// return the offset of each slot's presence byte.
+fn index_slots(bytes: &[u8], slots: u32, arity: usize) -> StorageResult<SlotIndex> {
+    let mut offsets = Vec::with_capacity(slots as usize);
+    let mut pos = 0usize;
+    for _ in 0..slots {
+        offsets.push(pos as u32);
+        read_slot(bytes, &mut pos, arity, |_| {}, |_| {})?;
     }
     if pos != bytes.len() {
         return Err(corrupt("trailing bytes after tuple block"));
     }
-    Ok(TupleBlock {
-        first_slot,
-        tuples,
-        back_refs,
-        bytes: bytes_est + 64,
-    })
+    Ok(SlotIndex::new(offsets, bytes.len()))
+}
+
+const VALIDATED: &str = "tuple block validated when it was indexed";
+
+/// Decode the tuple of the slot at payload offset `at` (`None` for a
+/// tombstone). The payload must have passed [`index_slots`].
+fn decode_tuple_at(bytes: &[u8], mut at: usize, arity: usize) -> Option<Tuple> {
+    let mut values = Vec::with_capacity(arity);
+    let live = read_slot(
+        bytes,
+        &mut at,
+        arity,
+        |v| values.push(v.into_value()),
+        |_| {},
+    )
+    .expect(VALIDATED);
+    live.then(|| Tuple::new(values))
+}
+
+/// Decode the back-reference list of the slot at payload offset `at`
+/// (empty for a tombstone). The payload must have passed
+/// [`index_slots`].
+fn decode_refs_at(bytes: &[u8], mut at: usize, arity: usize) -> Vec<BackRef> {
+    let mut refs = Vec::new();
+    read_slot(bytes, &mut at, arity, |_| {}, |r| refs.push(r)).expect(VALIDATED);
+    refs
 }
 
 /// Candidate slots for `hash` in an encoded PK lane (sorted 12-byte
@@ -921,22 +1016,32 @@ pub fn decode_database_v3(bytes: &[u8]) -> StorageResult<Database> {
             }
             let first = b as u32 * layout.block_span;
             let in_block = rel.slot_count.min(first + layout.block_span) - first;
-            let decoded = decode_block(raw, first, in_block, arity)?;
-            for (i, (tuple, refs)) in decoded
-                .tuples
-                .into_iter()
-                .zip(decoded.back_refs)
-                .enumerate()
-            {
-                if tuple.is_some() != rel.is_live(first + i as u32) {
+            let mut pos = 0usize;
+            for i in 0..in_block {
+                let mut values = Vec::with_capacity(arity);
+                let mut refs = Vec::new();
+                let live = read_slot(
+                    raw,
+                    &mut pos,
+                    arity,
+                    |v| values.push(v.into_value()),
+                    |r| refs.push(r),
+                )?;
+                let tuple = live.then(|| Tuple::new(values));
+                if live != rel.is_live(first + i) {
                     return Err(corrupt(format!(
                         "presence bitmap disagrees with block {b} of relation {id}"
                     )));
                 }
                 if !refs.is_empty() {
-                    links.push((Rid::new(id, first + i as u32), refs));
+                    links.push((Rid::new(id, first + i), refs));
                 }
                 slots.push(tuple);
+            }
+            if pos != raw.len() {
+                return Err(corrupt(format!(
+                    "trailing bytes after block {b} of relation {id}"
+                )));
             }
         }
         db.restore_relation_slots(id, slots)?;
@@ -1094,6 +1199,60 @@ mod tests {
         assert!(layout.relations[0].blocks.len() > 3, "multiple blocks");
         let restored = decode_database_v3(&bytes).unwrap();
         assert_same(&db, &restored);
+    }
+
+    #[test]
+    fn per_slot_decode_equals_the_full_decode() {
+        // Tombstones (deleted Writes and Authors), back-references
+        // (Authors and Papers are referenced), nulls, floats and bools,
+        // over blocks of 7 slots.
+        let db = sample_db();
+        let bytes = encode_database_v3_with_span(&db, 7).unwrap();
+        let full = decode_database_v3(&bytes).unwrap();
+        let layout = DataLayout::parse(&bytes).unwrap();
+        let (mut tombstones, mut refs_seen) = (0, 0);
+        for (table, rel) in full.relations().zip(&layout.relations) {
+            let arity = table.schema().arity();
+            for (b, blk) in rel.blocks.iter().enumerate() {
+                let first = b as u32 * layout.block_span;
+                let in_block = rel.slot_count.min(first + layout.block_span) - first;
+                let payload = bytes[blk.offset as usize..(blk.offset + blk.len) as usize].to_vec();
+                let block = TupleBlock::new(payload, first, in_block, arity).unwrap();
+                assert_eq!(block.bytes(), blk.len as usize + 2 * in_block as usize);
+                for slot in first..first + in_block {
+                    let rid = Rid::new(table.id(), slot);
+                    assert_eq!(block.tuple(slot).as_ref(), table.get(slot), "{rid}");
+                    assert_eq!(block.refs(slot), full.referencing(rid), "{rid}");
+                    tombstones += usize::from(table.get(slot).is_none());
+                    refs_seen += full.referencing(rid).len();
+                }
+                // Slots outside the block read as absent.
+                assert_eq!(block.tuple(first + in_block), None);
+                assert!(block.refs(first + in_block).is_empty());
+            }
+        }
+        assert_eq!(tombstones, 4);
+        assert_eq!(refs_seen, full.link_count());
+    }
+
+    #[test]
+    fn a_corrupt_block_is_refused_when_indexed() {
+        let db = sample_db();
+        let bytes = encode_database_v3_with_span(&db, 8).unwrap();
+        let layout = DataLayout::parse(&bytes).unwrap();
+        let blk = layout.relations[1].blocks[0];
+        let payload = &bytes[blk.offset as usize..(blk.offset + blk.len) as usize];
+        assert!(TupleBlock::new(payload.to_vec(), 0, 8, 4).is_ok());
+        // A bad presence byte, a truncated payload, trailing bytes, and
+        // a payload read at the wrong arity.
+        let mut bad = payload.to_vec();
+        bad[0] = 7;
+        assert!(TupleBlock::new(bad, 0, 8, 4).is_err());
+        assert!(TupleBlock::new(payload[..payload.len() - 1].to_vec(), 0, 8, 4).is_err());
+        let mut long = payload.to_vec();
+        long.push(0);
+        assert!(TupleBlock::new(long, 0, 8, 4).is_err());
+        assert!(TupleBlock::new(payload.to_vec(), 0, 8, 3).is_err());
     }
 
     #[test]

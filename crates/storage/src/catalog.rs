@@ -835,7 +835,6 @@ fn base_refs_of(store: &dyn TupleStore, target: Rid) -> Vec<BackRef> {
     store
         .block(rel, target.slot / store.block_span())
         .refs(target.slot)
-        .to_vec()
 }
 
 #[cfg(test)]

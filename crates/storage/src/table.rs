@@ -1,6 +1,6 @@
 //! A single relation's stored tuples plus its primary-key index.
 
-use crate::blocks::{extend_ref, keep_alive, TupleStore};
+use crate::blocks::{park_refs, park_tuple, TupleStore};
 use crate::error::{StorageError, StorageResult};
 use crate::schema::RelationSchema;
 use crate::tuple::{RelationId, Rid, Tuple};
@@ -72,10 +72,10 @@ fn pk_map_unlink(map: &mut PkIndex, hash: u64, slot: u32) {
 /// [`TupleStore`] (typically `banks-pager`'s block-paged store): base
 /// slots page in on demand, and all mutation goes to an overlay keyed by
 /// slot, so an ingest epoch touches only the blocks it changes. Reads
-/// merge overlay-over-base; borrows handed out of the base are licensed
-/// by the per-thread keep-alive ring (valid for the next 63 block
-/// accesses on the thread), exactly like the paged graph store's
-/// adjacency slices.
+/// merge overlay-over-base; a base read decodes the one slot it needs
+/// out of the resident block, and the borrow it hands out is licensed
+/// by the per-thread keep-alive ring (valid for the next 63 lazy reads
+/// on the thread), like the paged graph store's adjacency views.
 #[derive(Debug, Clone)]
 enum Repr {
     Eager {
@@ -397,9 +397,10 @@ impl Table {
 
     /// Fetch the tuple at `slot`, if live.
     ///
-    /// On a lazy table the borrow is licensed by the keep-alive ring:
-    /// it stays valid for the next 63 block accesses on this thread.
-    /// Every in-tree caller consumes the tuple before the next access.
+    /// On a lazy table the slot is decoded out of its resident block and
+    /// the borrow is licensed by the keep-alive ring: it stays valid for
+    /// the next 63 lazy reads on this thread. Every in-tree caller
+    /// consumes the tuple before the next read.
     pub fn get(&self, slot: u32) -> Option<&Tuple> {
         match &self.repr {
             Repr::Eager { slots, .. } => slots.get(slot as usize).and_then(|t| t.as_ref()),
@@ -417,12 +418,7 @@ impl Table {
                     return None;
                 }
                 let block = store.block(*rel, slot / store.block_span());
-                let tuple = block.tuple(slot)?;
-                // SAFETY: the ring keeps `block` alive per the documented
-                // borrow contract.
-                let tuple = unsafe { extend_ref(tuple) };
-                keep_alive(&block);
-                Some(tuple)
+                Some(park_tuple(block.tuple(slot)?))
             }
         }
     }
@@ -460,10 +456,7 @@ impl Table {
                     return Some(&[]);
                 }
                 let block = store.block(*rel, slot / store.block_span());
-                // SAFETY: ring-licensed, as in `get`.
-                let refs = unsafe { extend_ref(block.refs(slot)) };
-                keep_alive(&block);
-                Some(refs)
+                Some(park_refs(block.refs(slot)))
             }
         }
     }

@@ -21,6 +21,9 @@ pub struct SlowQuery {
     pub unix_ms: u64,
     /// Heap bytes of the query's search state at its end.
     pub state_bytes: u64,
+    /// Why the search ended (`exhausted`, `top_k`, `deadline`,
+    /// `pop_cap`, or `cross_product_cap` when that cap cut it).
+    pub stop: &'static str,
     /// Phase breakdown (empty when span recording was off).
     pub spans: Vec<Span>,
 }
@@ -96,6 +99,7 @@ mod tests {
             epoch: 1,
             unix_ms: 0,
             state_bytes: 0,
+            stop: "exhausted",
             spans: Vec::new(),
         }
     }

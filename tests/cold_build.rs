@@ -19,7 +19,7 @@
 use banks_core::{Banks, BanksConfig, GraphConfig, NodeWeightMode, TupleGraph};
 use banks_datagen::stream::{build_database, generate_to_dir, stage_rows, StreamConfig};
 use banks_datagen::{dblp, thesis, tpcd, DblpConfig, ThesisConfig, TpcdConfig};
-use banks_graph::{Graph, GraphBuilder, NodeId};
+use banks_graph::{Adjacency, Graph, GraphBuilder, NodeId};
 use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
 use banks_persist::{open_bundle_paged, save_bundle, write_corpus_bundle};
 use banks_storage::{ColumnType, Database, Rid, RowArena, TextIndex, Tokenizer, Value};
@@ -67,9 +67,9 @@ fn graph_digest(graph: &Graph) -> u64 {
         h = h.u64(graph.node_weight(node).to_bits());
     }
     for node in graph.nodes() {
-        let (targets, weights) = graph.out_adjacency(node);
-        h = h.u64(targets.len() as u64);
-        for (&t, &w) in targets.iter().zip(weights) {
+        let adjacency = graph.out_adjacency(node);
+        h = h.u64(adjacency.len() as u64);
+        for (t, w) in adjacency.iter() {
             h = h.u64(u64::from(t)).u64(w.to_bits());
         }
     }
@@ -302,12 +302,8 @@ fn reference_graph(db: &Database, config: &GraphConfig) -> Graph {
 fn assert_same_graph(got: &Graph, want: &Graph, what: &str) {
     assert_eq!(got.node_count(), want.node_count(), "{what}: nodes");
     assert_eq!(got.edge_count(), want.edge_count(), "{what}: edges");
-    let bits = |(targets, weights): (&[u32], &[f64])| -> Vec<(u32, u64)> {
-        targets
-            .iter()
-            .zip(weights)
-            .map(|(&t, w)| (t, w.to_bits()))
-            .collect()
+    let bits = |adjacency: Adjacency<'_>| -> Vec<(u32, u64)> {
+        adjacency.iter().map(|(t, w)| (t, w.to_bits())).collect()
     };
     for node in want.nodes() {
         assert_eq!(

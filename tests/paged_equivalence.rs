@@ -408,6 +408,89 @@ fn serial_replay_pages_each_graph_segment_in_a_few_times_at_most() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Resident pages stay compact — graph segments keep their weights
+/// dictionary-coded, tuple blocks stay encoded until a slot is read — so
+/// on the 10K corpus a 1 MiB budget holds every page 20 `pp`-style
+/// queries touch (decoded in full, the graph alone is ~1.03 MB and the
+/// tuple blocks ~1.84 MB). Replaying the queries through a fresh
+/// service (cold searches, nothing cached) pages nothing in, and every
+/// response is byte-identical to the in-RAM server's from `count` on.
+#[test]
+fn a_repeated_replay_under_a_1_mib_budget_pages_nothing_in() {
+    const TUPLES: u64 = 10_000;
+    const BUDGET: usize = 1 << 20;
+    let dir = tmp_dir("compact_replay");
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let manifest = generate_to_dir(&StreamConfig::new(42, TUPLES), &corpus).unwrap();
+    let in_ram = Arc::new(Banks::new(build_database(&corpus).unwrap()).unwrap());
+    let path = dir.join("bundle.banks");
+    save_bundle(&in_ram, 0, &path).unwrap();
+    let (paged, _) = open_bundle_paged(&path, BUDGET, &BanksConfig::default()).unwrap();
+    let paged = Arc::new(paged);
+
+    let serve = |banks: &Arc<Banks>| {
+        let service = Arc::new(QueryService::new(
+            Arc::clone(banks),
+            ServiceConfig::default(),
+        ));
+        BanksServer::bind(service, None, None, None, ServerConfig::default())
+            .expect("bind loopback")
+    };
+    let mut state = 3u64;
+    let mut paper = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        1 + (state >> 33) % (manifest.counts.papers - 1)
+    };
+    let targets: Vec<String> = (0..20)
+        .map(|_| format!("/search?q=p{:07}+p{:07}", paper(), paper()))
+        .collect();
+    let ram_server = serve(&in_ram);
+    let expected: Vec<String> = targets
+        .iter()
+        .map(|target| {
+            let (status, body) = http_get(ram_server.local_addr(), target);
+            assert_eq!(status, 200, "{target}");
+            body[body.find(r#""count""#).expect("fragment")..].to_string()
+        })
+        .collect();
+    let page_ins = || {
+        let graph = paged.tuple_graph().graph().storage_stats().unwrap();
+        let tuples = paged.db().tuple_store_stats().unwrap();
+        (graph.page_ins, tuples.page_ins)
+    };
+
+    let mut passes = Vec::new();
+    for _ in 0..2 {
+        let server = serve(&paged);
+        let before = page_ins();
+        for (target, want) in targets.iter().zip(&expected) {
+            let (status, body) = http_get(server.local_addr(), target);
+            assert_eq!(status, 200, "{target}");
+            assert!(body.contains(r#""cached":false"#), "{target}: {body}");
+            assert!(body.contains(r#""count":"#) && !body.contains(r#""count":0"#));
+            assert_eq!(&body[body.find(r#""count""#).unwrap()..], want, "{target}");
+        }
+        let after = page_ins();
+        passes.push((after.0 - before.0, after.1 - before.1));
+        server.shutdown();
+    }
+    assert!(
+        passes[0].0 > 0 && passes[0].1 > 0,
+        "the first pass pages in"
+    );
+    assert_eq!(
+        passes[1],
+        (0, 0),
+        "graph and tuple page-ins of the second pass"
+    );
+    assert_budget_respected(&paged);
+    ram_server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Locate the GRPH section payload inside a bundle file by walking
 /// the 4-entry directory at offset 16 (32 bytes per entry: 8 magic,
 /// 8 offset, 8 len, 8 checksum; GRPH is the fourth).
