@@ -79,7 +79,7 @@ pub struct BackRefSummary {
 /// `(referencing relation, foreign key)`.
 pub(crate) fn backref_summaries(db: &Database, target: Rid) -> Vec<BackRefSummary> {
     let mut out: Vec<BackRefSummary> = Vec::new();
-    for backref in db.referencing(target) {
+    for backref in db.referencing(target).iter() {
         let rel = backref.from.relation;
         match out
             .iter_mut()

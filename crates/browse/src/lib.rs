@@ -33,6 +33,8 @@
 //! assert!(page.contains("banks://group/"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod html;
 pub mod hyperlink;
 pub mod session;

@@ -7,7 +7,10 @@
 //! database into a [`RenderedView`] whose cells carry [`Hyperlink`]s.
 
 use crate::hyperlink::Hyperlink;
-use banks_storage::{Database, Predicate, RelationId, Rid, StorageError, StorageResult, Value};
+use banks_storage::{
+    Database, Predicate, RelationId, Rid, StorageError, StorageResult, Tuple, Value,
+};
+use std::borrow::Cow;
 
 /// A forward join: pull in the relation referenced by the base relation's
 /// foreign key `fk_index` ("clicking on 'join' results in the referenced
@@ -122,7 +125,7 @@ pub fn render(db: &Database, spec: &ViewSpec) -> StorageResult<RenderedView> {
     }
 
     // Base row set after selections.
-    let base: Vec<(Rid, &banks_storage::Tuple)> = table
+    let base: Vec<(Rid, Cow<'_, Tuple>)> = table
         .scan()
         .filter(|(_, tuple)| {
             spec.selections
@@ -170,7 +173,8 @@ pub fn render(db: &Database, spec: &ViewSpec) -> StorageResult<RenderedView> {
 
     // Row assembly.
     let mut rows: Vec<Vec<Cell>> = Vec::new();
-    for &(rid, tuple) in &base {
+    for (rid, tuple) in &base {
+        let rid = *rid;
         let mut row: Vec<Cell> = Vec::with_capacity(columns.len());
         for &i in &kept {
             row.push(cell_for(db, spec.relation, rid, tuple.values(), i));
@@ -255,7 +259,7 @@ fn render_grouped(
     db: &Database,
     spec: &ViewSpec,
     group_col: u32,
-    base: &[(Rid, &banks_storage::Tuple)],
+    base: &[(Rid, Cow<'_, Tuple>)],
 ) -> StorageResult<RenderedView> {
     let schema = db.table(spec.relation).schema();
     if group_col as usize >= schema.arity() {

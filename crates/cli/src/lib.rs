@@ -13,6 +13,8 @@
 //! assert!(out.contains("ChakrabartiSD98"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod corpus;
 pub mod datagen;
 pub mod ingest;

@@ -16,6 +16,8 @@
 //! streaming corpus generation: `banks datagen --tuples N --out DIR`,
 //! and snapshot bundles: `banks snapshot save|load|inspect …`.
 
+#![forbid(unsafe_code)]
+
 use banks_cli::Shell;
 use banks_util::log_error;
 use std::io::{BufRead, Write};

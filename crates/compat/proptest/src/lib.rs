@@ -22,6 +22,8 @@
 //!
 //! [`proptest`]: https://crates.io/crates/proptest
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod strategy;

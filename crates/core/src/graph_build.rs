@@ -213,11 +213,11 @@ impl TupleGraph {
 /// its node. Nodes keep that order, and the builder's sort and
 /// min-coalescing make the CSR independent of the order edges are
 /// added in.
-pub fn derive_graph<'r>(
+pub fn derive_graph(
     catalog: &Database,
     node_count: usize,
     link_count: usize,
-    refs: impl Iterator<Item = &'r [BackRef]>,
+    refs: impl Iterator<Item = impl AsRef<[BackRef]>>,
     node_of: impl Fn(Rid) -> NodeId,
     config: &GraphConfig,
 ) -> Graph {
@@ -246,6 +246,7 @@ pub fn derive_graph<'r>(
     // `fanin[r]` = IN_r(t) for the current target `t`.
     let mut fanin = vec![0usize; catalog.relation_count()];
     for (to, refs) in refs.enumerate() {
+        let refs = refs.as_ref();
         let to = NodeId(to as u32);
         if !uniform {
             builder.set_node_weight(to, refs.len() as f64);

@@ -105,6 +105,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod answer;
 pub mod config;
 pub mod error;

@@ -23,6 +23,8 @@
 //! Everything is seeded ([`rng::Rng`] is a local SplitMix64) so evaluation
 //! results are reproducible bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod dblp;
 pub mod names;
 pub mod rng;

@@ -5,6 +5,8 @@
 //! cargo run -p banks-eval --release --bin anecdotes -- [--seed N] [--json PATH]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use banks_eval::anecdotes::{format_outcomes, run_anecdotes};
 
 fn main() {

@@ -7,6 +7,8 @@
 //!     [--seed N] [--full] [--heap-sweep] [--json PATH]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use banks_datagen::dblp::{generate, DblpConfig};
 use banks_eval::fig5::{cell, format_table, run_fig5, run_heap_sweep, LAMBDAS};
 

@@ -8,6 +8,8 @@
 //! Default factors stop at 0.5× (≈50K nodes) for a quick run; `--full`
 //! sweeps up to 1× (the paper's scale).
 
+#![forbid(unsafe_code)]
+
 use banks_eval::scale::{format_sweep, run_scale_sweep};
 
 fn main() {

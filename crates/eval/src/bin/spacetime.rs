@@ -9,6 +9,8 @@
 //! At `--scale paper` the corpus matches the paper's ~100K nodes / ~300K
 //! edges.
 
+#![forbid(unsafe_code)]
+
 use banks_datagen::dblp::DblpConfig;
 use banks_eval::spacetime::{format_report, run_spacetime};
 

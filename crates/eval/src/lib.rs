@@ -16,6 +16,8 @@
 //! classes against the synthetic corpora of `banks-datagen`; the error
 //! metric (`error_score`) is the paper's scaled rank-difference score.
 
+#![forbid(unsafe_code)]
+
 pub mod anecdotes;
 pub(crate) mod error_score;
 pub mod fig5;

@@ -20,7 +20,6 @@
 
 use crate::arena::{DijkstraState, NIL};
 use crate::graph::{Graph, NodeId};
-use crate::store::Adjacency;
 
 /// Which way the iterator walks the graph's edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,24 +200,21 @@ impl<'g> Dijkstra<'g> {
     /// Weight of the first edge `prev → cur` (in the traversal
     /// direction) with `prev_dist + w == cur_dist`.
     fn hop_weight(&self, prev: u32, prev_dist: f64, cur: u32, cur_dist: f64) -> f64 {
-        let adjacency = self.adjacency(prev);
-        let neighbours = adjacency.ids();
-        // Adjacency is sorted by neighbour id.
-        let first = neighbours.partition_point(|&v| v < cur);
-        (first..neighbours.len())
-            .take_while(|&i| neighbours[i] == cur)
-            .map(|i| adjacency.weight(i))
-            .find(|&w| prev_dist + w == cur_dist)
+        self.graph
+            .with_adjacency(
+                self.direction == Direction::Forward,
+                NodeId(prev),
+                |adjacency| {
+                    let neighbours = adjacency.ids();
+                    // Adjacency is sorted by neighbour id.
+                    let first = neighbours.partition_point(|&v| v < cur);
+                    (first..neighbours.len())
+                        .take_while(|&i| neighbours[i] == cur)
+                        .map(|i| adjacency.weight(i))
+                        .find(|&w| prev_dist + w == cur_dist)
+                },
+            )
             .expect("the parent edge reaches the settled distance")
-    }
-
-    /// Adjacency of `node` in the traversal direction.
-    #[inline]
-    fn adjacency(&self, node: u32) -> Adjacency<'g> {
-        match self.direction {
-            Direction::Forward => self.graph.out_adjacency(NodeId(node)),
-            Direction::Reverse => self.graph.in_adjacency(NodeId(node)),
-        }
     }
 }
 
@@ -230,20 +226,23 @@ impl Iterator for Dijkstra<'_> {
 
         // The settled entry is still the queue's top: the first
         // relaxation overwrites it, and it is popped only if none does.
-        let adjacency = self.adjacency(node);
-        let max_dist = self.max_dist;
+        let (graph, max_dist) = (self.graph, self.max_dist);
+        let forward = self.direction == Direction::Forward;
         let state = &mut self.state;
-        let mut top_taken = false;
-        adjacency.for_each(|next, w| {
-            let cand = dist + w;
-            if cand <= max_dist && state.relax(next, cand, node) {
-                if top_taken {
-                    state.heap.push(cand, next);
-                } else {
-                    state.heap.replace_top(cand, next);
-                    top_taken = true;
+        let top_taken = graph.with_adjacency(forward, NodeId(node), |adjacency| {
+            let mut top_taken = false;
+            adjacency.for_each(|next, w| {
+                let cand = dist + w;
+                if cand <= max_dist && state.relax(next, cand, node) {
+                    if top_taken {
+                        state.heap.push(cand, next);
+                    } else {
+                        state.heap.replace_top(cand, next);
+                        top_taken = true;
+                    }
                 }
-            }
+            });
+            top_taken
         });
         if !top_taken {
             state.heap.pop();
@@ -459,9 +458,10 @@ mod tests {
         direction: Direction,
         initial: f64,
     ) -> Vec<(NodeId, Vec<Edge>)> {
-        let adjacency = |v: u32| match direction {
-            Direction::Forward => g.out_adjacency(NodeId(v)),
-            Direction::Reverse => g.in_adjacency(NodeId(v)),
+        let list = |v: u32| -> Vec<(u32, f64)> {
+            g.with_adjacency(direction == Direction::Forward, NodeId(v), |adjacency| {
+                adjacency.iter().collect()
+            })
         };
         let n = g.node_count();
         let mut dist = vec![f64::INFINITY; n];
@@ -489,7 +489,7 @@ mod tests {
             }
             settled[v as usize] = true;
             order.push(v);
-            for (slot, (u, w)) in adjacency(v).iter().enumerate() {
+            for (slot, (u, w)) in list(v).into_iter().enumerate() {
                 let cand = d + w;
                 if !settled[u as usize] && cand < dist[u as usize] {
                     dist[u as usize] = cand;
@@ -504,7 +504,7 @@ mod tests {
                 let mut edges = Vec::new();
                 let mut cur = node;
                 while let Some((prev, slot)) = via[cur as usize] {
-                    let w = adjacency(prev).weight(slot);
+                    let w = list(prev)[slot].1;
                     edges.push(match direction {
                         Direction::Forward => (NodeId(prev), NodeId(cur), w),
                         Direction::Reverse => (NodeId(cur), NodeId(prev), w),

@@ -129,10 +129,10 @@ enum Repr {
 /// adjacency so the backward expanding search can traverse edges in reverse
 /// at the same cost as forward.
 ///
-/// Backed either by in-RAM arrays or by a paged [`GraphStore`]; see the
-/// [`crate::store`] module docs for the slice lifetime contract that the
-/// adjacency accessors inherit from paged backends (in-RAM graphs
-/// trivially satisfy it).
+/// Backed either by in-RAM arrays or by a paged [`GraphStore`]. An
+/// adjacency list is read inside a closure
+/// ([`Graph::with_out_adjacency`], [`Graph::with_in_adjacency`]), so a
+/// view never outlives the page it borrows from (see [`crate::store`]).
 #[derive(Debug, Clone)]
 pub struct Graph {
     repr: Repr,
@@ -286,20 +286,25 @@ impl InRamGraph {
         }
     }
 
+    /// The view of `node`'s forward (`forward`) or reverse adjacency,
+    /// straight over the CSR lanes.
     #[inline]
-    fn out_range(&self, node: NodeId) -> (usize, usize) {
-        (
-            self.fwd_offsets[node.index()] as usize,
-            self.fwd_offsets[node.index() + 1] as usize,
-        )
-    }
-
-    #[inline]
-    fn in_range(&self, node: NodeId) -> (usize, usize) {
-        (
-            self.rev_offsets[node.index()] as usize,
-            self.rev_offsets[node.index() + 1] as usize,
-        )
+    fn adjacency(&self, forward: bool, node: NodeId) -> Adjacency<'_> {
+        let (offsets, ids, weights) = if forward {
+            (&self.fwd_offsets, &self.fwd_targets, &self.fwd_weights)
+        } else {
+            (&self.rev_offsets, &self.rev_sources, &self.rev_weights)
+        };
+        let (lo, hi) = (
+            offsets[node.index()] as usize,
+            offsets[node.index() + 1] as usize,
+        );
+        let escores = if forward {
+            &self.fwd_escores[lo..hi]
+        } else {
+            &[]
+        };
+        Adjacency::plain(&ids[lo..hi], &weights[lo..hi], escores)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -315,57 +320,9 @@ impl InRamGraph {
     }
 }
 
-/// Iterator over one adjacency list as `(neighbor, weight)` pairs.
-///
-/// For in-RAM graphs this borrows the CSR arrays directly (no
-/// allocation, exactly as before); for paged graphs the list is copied
-/// out at construction so the iterator stays valid however long it is
-/// held — paged slices themselves only survive a bounded number of
-/// further accesses (see [`crate::store`]).
-pub struct Edges<'g> {
-    inner: EdgesInner<'g>,
-}
-
-enum EdgesInner<'g> {
-    Borrowed(std::iter::Zip<std::slice::Iter<'g, u32>, std::slice::Iter<'g, f64>>),
-    Owned(std::vec::IntoIter<(u32, f64)>),
-}
-
-impl Iterator for Edges<'_> {
-    type Item = (NodeId, f64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, f64)> {
-        match &mut self.inner {
-            EdgesInner::Borrowed(it) => it.next().map(|(&id, &w)| (NodeId(id), w)),
-            EdgesInner::Owned(it) => it.next().map(|(id, w)| (NodeId(id), w)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            EdgesInner::Borrowed(it) => it.size_hint(),
-            EdgesInner::Owned(it) => it.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for Edges<'_> {}
-
-impl Edges<'_> {
-    fn borrowed<'g>(ids: &'g [u32], weights: &'g [f64]) -> Edges<'g> {
-        Edges {
-            inner: EdgesInner::Borrowed(ids.iter().zip(weights.iter())),
-        }
-    }
-
-    fn owned(adjacency: Adjacency<'_>) -> Edges<'static> {
-        let mut pairs = Vec::with_capacity(adjacency.len());
-        adjacency.for_each(|id, w| pairs.push((id, w)));
-        Edges {
-            inner: EdgesInner::Owned(pairs.into_iter()),
-        }
-    }
+/// The edges of a view as `(neighbour, weight)` pairs.
+fn edge_list(adjacency: Adjacency<'_>) -> Vec<(NodeId, f64)> {
+    adjacency.iter().map(|(id, w)| (NodeId(id), w)).collect()
 }
 
 impl Graph {
@@ -465,64 +422,58 @@ impl Graph {
         (0..self.node_count() as u32).map(NodeId)
     }
 
-    /// Outgoing edges of `node` as `(target, weight)`.
-    #[inline]
-    pub fn out_edges(&self, node: NodeId) -> Edges<'_> {
-        match &self.repr {
-            Repr::InRam(g) => {
-                let (lo, hi) = g.out_range(node);
-                Edges::borrowed(&g.fwd_targets[lo..hi], &g.fwd_weights[lo..hi])
-            }
-            Repr::Paged(s) => Edges::owned(s.out_adjacency(node.0)),
-        }
+    /// Outgoing edges of `node` as `(target, weight)`, copied out of
+    /// the adjacency view so they may be held across further reads.
+    pub fn out_edges(&self, node: NodeId) -> impl ExactSizeIterator<Item = (NodeId, f64)> {
+        self.with_out_adjacency(node, edge_list).into_iter()
     }
 
     /// Incoming edges of `node` as `(source, weight)`.
-    #[inline]
     #[cfg(test)]
-    pub(crate) fn in_edges(&self, node: NodeId) -> Edges<'_> {
-        match &self.repr {
-            Repr::InRam(g) => {
-                let (lo, hi) = g.in_range(node);
-                Edges::borrowed(&g.rev_sources[lo..hi], &g.rev_weights[lo..hi])
-            }
-            Repr::Paged(s) => Edges::owned(s.in_adjacency(node.0)),
-        }
+    pub(crate) fn in_edges(&self, node: NodeId) -> impl ExactSizeIterator<Item = (NodeId, f64)> {
+        self.with_in_adjacency(node, edge_list).into_iter()
     }
 
-    /// Outgoing adjacency of `node`: targets, weights and log-mode edge
-    /// scores — the allocation-free view the search kernel's relaxation
-    /// loop and the scorer read.
+    /// Call `f` on the outgoing adjacency of `node`: targets, weights
+    /// and log-mode edge scores — the allocation-free view the search
+    /// kernel's relaxation loop and the scorer read — and return what
+    /// `f` returns.
     ///
-    /// For paged graphs the view obeys the bounded-lifetime contract in
-    /// [`crate::store`]: consume it before many further adjacency
-    /// accesses on this thread.
+    /// The view lives only as long as the call: a paged graph holds the
+    /// node's segment for exactly that long, whatever other reads `f`
+    /// makes or the cache evicts meanwhile. On an in-RAM graph `f` runs
+    /// directly on the CSR lanes, with no dynamic dispatch.
     #[inline]
-    pub fn out_adjacency(&self, node: NodeId) -> Adjacency<'_> {
-        match &self.repr {
-            Repr::InRam(g) => {
-                let (lo, hi) = g.out_range(node);
-                Adjacency::plain(
-                    &g.fwd_targets[lo..hi],
-                    &g.fwd_weights[lo..hi],
-                    &g.fwd_escores[lo..hi],
-                )
-            }
-            Repr::Paged(s) => s.out_adjacency(node.0),
-        }
+    pub fn with_out_adjacency<R>(&self, node: NodeId, f: impl FnOnce(Adjacency<'_>) -> R) -> R {
+        self.with_adjacency(true, node, f)
     }
 
-    /// Incoming adjacency of `node`: sources and weights.
-    ///
-    /// Same lifetime contract as [`Graph::out_adjacency`].
+    /// Call `f` on the incoming adjacency of `node`: sources and
+    /// weights. See [`Graph::with_out_adjacency`].
     #[inline]
-    pub fn in_adjacency(&self, node: NodeId) -> Adjacency<'_> {
+    pub fn with_in_adjacency<R>(&self, node: NodeId, f: impl FnOnce(Adjacency<'_>) -> R) -> R {
+        self.with_adjacency(false, node, f)
+    }
+
+    /// [`Graph::with_out_adjacency`] (`forward`) or
+    /// [`Graph::with_in_adjacency`].
+    #[inline]
+    pub(crate) fn with_adjacency<R>(
+        &self,
+        forward: bool,
+        node: NodeId,
+        f: impl FnOnce(Adjacency<'_>) -> R,
+    ) -> R {
         match &self.repr {
-            Repr::InRam(g) => {
-                let (lo, hi) = g.in_range(node);
-                Adjacency::plain(&g.rev_sources[lo..hi], &g.rev_weights[lo..hi], &[])
+            Repr::InRam(g) => f(g.adjacency(forward, node)),
+            Repr::Paged(s) => {
+                let mut f = Some(f);
+                let mut out = None;
+                s.with_adjacency(forward, node.0, &mut |adjacency| {
+                    out = f.take().map(|f| f(adjacency));
+                });
+                out.expect("a graph store calls `f` once")
             }
-            Repr::Paged(s) => s.in_adjacency(node.0),
         }
     }
 
@@ -535,31 +486,30 @@ impl Graph {
     /// access answers it.
     #[inline]
     pub fn log_edge_score(&self, from: NodeId, to: NodeId, weight: f64) -> Option<f64> {
-        let adjacency = self.out_adjacency(from);
-        let i = adjacency.ids().binary_search(&to.0).ok()?;
-        if adjacency.weight(i).to_bits() != weight.to_bits() {
-            return None;
-        }
-        Some(adjacency.escore(i))
+        self.with_out_adjacency(from, |adjacency| {
+            let i = adjacency.ids().binary_search(&to.0).ok()?;
+            (adjacency.weight(i).to_bits() == weight.to_bits()).then(|| adjacency.escore(i))
+        })
     }
 
     /// Out-degree of `node`.
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_adjacency(node).len()
+        self.with_out_adjacency(node, |adjacency| adjacency.len())
     }
 
     /// In-degree of `node`.
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_adjacency(node).len()
+        self.with_in_adjacency(node, |adjacency| adjacency.len())
     }
 
     /// Weight of the directed edge `(from, to)`, if present.
     ///
     /// Binary search over the (sorted) forward adjacency of `from`.
     pub fn edge_weight(&self, from: NodeId, to: NodeId) -> Option<f64> {
-        let adjacency = self.out_adjacency(from);
-        let i = adjacency.ids().binary_search(&to.0).ok()?;
-        Some(adjacency.weight(i))
+        self.with_out_adjacency(from, |adjacency| {
+            let i = adjacency.ids().binary_search(&to.0).ok()?;
+            Some(adjacency.weight(i))
+        })
     }
 
     /// Smallest strictly-positive edge weight — the `w_min` normalizer of
@@ -687,10 +637,14 @@ mod tests {
     fn precomputed_log_scores_match_recomputation() {
         let (g, [a, b, _c, d]) = diamond();
         for v in g.nodes() {
-            let adjacency = g.out_adjacency(v);
-            for (i, (t, w)) in adjacency.iter().enumerate() {
+            let edges = g.with_out_adjacency(v, |adjacency| {
+                (0..adjacency.len())
+                    .map(|i| (adjacency.ids()[i], adjacency.weight(i), adjacency.escore(i)))
+                    .collect::<Vec<_>>()
+            });
+            for (t, w, escore) in edges {
                 let expect = (1.0 + w / g.min_edge_weight()).log2();
-                assert_eq!(adjacency.escore(i).to_bits(), expect.to_bits());
+                assert_eq!(escore.to_bits(), expect.to_bits());
                 assert_eq!(
                     g.log_edge_score(v, NodeId(t), w).map(f64::to_bits),
                     Some(expect.to_bits())
@@ -702,23 +656,17 @@ mod tests {
         assert_eq!(g.log_edge_score(d, a, 1.0), None, "absent edge");
         // The views agree with the owned edge iterators.
         for v in [a, b, d] {
-            let out: Vec<_> = g
-                .out_adjacency(v)
-                .iter()
-                .map(|(t, w)| (NodeId(t), w))
-                .collect();
+            let out = g.with_out_adjacency(v, edge_list);
             assert_eq!(out, g.out_edges(v).collect::<Vec<_>>());
-            let inc: Vec<_> = g
-                .in_adjacency(v)
-                .iter()
-                .map(|(s, w)| (NodeId(s), w))
-                .collect();
+            let inc = g.with_in_adjacency(v, edge_list);
             assert_eq!(inc, g.in_edges(v).collect::<Vec<_>>());
         }
         // Edgeless graphs degenerate to empty views.
         let mut eb = GraphBuilder::new();
         let lone = eb.add_node(1.0);
-        assert!(eb.build().out_adjacency(lone).is_empty());
+        assert!(eb
+            .build()
+            .with_out_adjacency(lone, |adjacency| adjacency.is_empty()));
     }
 
     #[test]

@@ -44,6 +44,8 @@
 //! assert_eq!(visits, vec![(d, 0.0), (c, 2.0), (a, 3.0)]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod dijkstra;
 pub mod graph;
@@ -53,6 +55,6 @@ pub mod store;
 
 pub use arena::{CrossScratch, DeadlineToken, DijkstraState, OriginListPool, SearchArena, NIL};
 pub use dijkstra::{Dijkstra, Direction, Visit};
-pub use graph::{Edges, Graph, GraphBuilder, NodeId};
+pub use graph::{Graph, GraphBuilder, NodeId};
 pub use patch::GraphPatch;
 pub use store::{edge_log_score, Adjacency, Codes, GraphStore, StorageStats};

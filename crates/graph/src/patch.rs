@@ -182,27 +182,29 @@ impl GraphPatch {
             let Some(from_new) = self.remap[from_old.index()] else {
                 continue;
             };
-            for (to_old, w) in old.out_edges(from_old) {
-                let Some(to_new) = self.remap[to_old.index()] else {
-                    continue;
-                };
-                if self.dirty.contains(&(from_new, to_new)) {
-                    continue;
-                }
-                // Splice in any replacement edges ordered before this one.
-                while repl
-                    .peek()
-                    .is_some_and(|&(f, t, _)| (f, t) < (from_new, to_new))
-                {
-                    merged.push(repl.next().expect("peeked"));
-                }
-                debug_assert!(
-                    repl.peek()
-                        .is_none_or(|&(f, t, _)| (f, t) != (from_new, to_new)),
-                    "replacement edges must target dirty pairs only"
-                );
-                merged.push((from_new, to_new, w));
-            }
+            old.with_out_adjacency(from_old, |adjacency| {
+                adjacency.for_each(|to_old, w| {
+                    let Some(to_new) = self.remap[to_old as usize] else {
+                        return;
+                    };
+                    if self.dirty.contains(&(from_new, to_new)) {
+                        return;
+                    }
+                    // Splice in any replacement edges ordered before this one.
+                    while repl
+                        .peek()
+                        .is_some_and(|&(f, t, _)| (f, t) < (from_new, to_new))
+                    {
+                        merged.push(repl.next().expect("peeked"));
+                    }
+                    debug_assert!(
+                        repl.peek()
+                            .is_none_or(|&(f, t, _)| (f, t) != (from_new, to_new)),
+                        "replacement edges must target dirty pairs only"
+                    );
+                    merged.push((from_new, to_new, w));
+                });
+            });
         }
         merged.extend(repl);
         Graph::from_sorted_edges(self.new_node_weights, merged)

@@ -22,27 +22,17 @@
 //! search kernel pays no branch per *edge* — one virtual call per
 //! *node expansion* is the entire dispatch cost of a paged backend.
 //!
-//! # Lifetime contract
+//! # Reading a view
 //!
-//! A paged backend cannot hand out views borrowed from a cache entry
-//! that a later access might evict. Backends therefore guarantee, and
-//! callers rely on, the following contract for every view
-//! ([`GraphStore::out_adjacency`], [`GraphStore::in_adjacency`]):
-//!
-//! > The returned view stays valid until the same thread performs
-//! > **63 further** adjacency accesses on *any* paged store, or the
-//! > store is dropped, whichever comes first.
-//!
-//! (The pager implements this with a per-thread keep-alive ring of the
-//! last 64 *distinct* resident segments — consecutive accesses to one
-//! segment do not advance it, which only lengthens the guarantee; the
-//! in-RAM backend trivially satisfies it
-//! since its arrays live as long as the graph.) The contract is exactly
-//! what the search kernel needs: the relaxation loop consumes each
-//! view before requesting the next node's, and path reconstruction
-//! and edge scoring look up one edge in a view and drop it before the
-//! next access. Code that must hold many adjacency lists at once should
-//! copy them or use the owned [`Graph::out_edges`] iterator.
+//! A view is lent to a closure, never returned:
+//! [`GraphStore::with_adjacency`] calls `f` with the view and returns
+//! when `f` does. A paged backend holds the node's resident segment (an
+//! `Arc` on its own stack) for exactly that call, and no cache lock, so
+//! `f` may read other nodes, and the cache may evict the segment
+//! meanwhile, without invalidating the view. The borrow checker proves
+//! the rest: a view cannot escape the closure. Code that must hold a
+//! list past the call copies it, as the owned [`Graph::out_edges`]
+//! iterator does on a paged graph.
 //!
 //! [`Graph`]: crate::Graph
 //! [`Graph::out_edges`]: crate::Graph::out_edges
@@ -103,7 +93,7 @@ enum Lane<'a> {
 /// One node's adjacency list: neighbour ids sorted ascending without
 /// duplicates, a weight for each position, and — on forward lists — the
 /// log-mode edge score for each position. See the [module docs](self)
-/// for the representations behind it and its lifetime contract.
+/// for the representations behind it and how a view is lent out.
 #[derive(Clone, Copy)]
 pub struct Adjacency<'a> {
     ids: &'a [u32],
@@ -252,7 +242,8 @@ pub fn edge_log_score(w: f64, w_min: f64) -> f64 {
 /// Byte figures count *resident* segments — ids, weight codes, the
 /// weight dictionary and its edge scores — not on-disk compressed
 /// bytes; `resident_bytes` is what the `--memory-budget` bound
-/// constrains.
+/// constrains. A segment that a running read still holds after the
+/// cache evicted it is not counted: it is freed when that read returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
     /// Bytes of resident segment data currently held in memory.
@@ -285,8 +276,7 @@ pub struct StorageStats {
 /// budget-bounded). Node arguments are raw dense indexes (`NodeId.0`);
 /// passing an out-of-range node may panic, as with the in-RAM arrays.
 ///
-/// See the [module docs](self) for the lifetime contract that all
-/// view-returning methods share.
+/// See the [module docs](self) for how an adjacency view is lent out.
 pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Number of nodes.
     fn node_count(&self) -> usize;
@@ -304,13 +294,14 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Largest node weight (`w_max`); zero for an empty graph.
     fn max_node_weight(&self) -> f64;
 
-    /// Forward adjacency of `node`: targets, weights, and log-mode edge
-    /// scores bit-identical to recomputing `log2(1 + w/w_min)` from this
+    /// Call `f` once on the adjacency of `node`, then return. Forward
+    /// (`forward`): targets, weights, and log-mode edge scores
+    /// bit-identical to recomputing `log2(1 + w/w_min)` from this
     /// store's weights and [`min_edge_weight`](GraphStore::min_edge_weight).
-    fn out_adjacency(&self, node: u32) -> Adjacency<'_>;
-
-    /// Reverse adjacency of `node`: sources and weights (no scores).
-    fn in_adjacency(&self, node: u32) -> Adjacency<'_>;
+    /// Reverse: sources and weights (no scores). The view's page stays
+    /// alive until `f` returns, and no lock is held while `f` runs, so
+    /// `f` may read other nodes.
+    fn with_adjacency(&self, forward: bool, node: u32, f: &mut dyn FnMut(Adjacency<'_>));
 
     /// Current in-memory footprint in bytes (resident pages plus
     /// directories/bookkeeping), i.e. what this backend actually costs

@@ -376,7 +376,7 @@ pub fn apply_batch(
         if !alive(&t) {
             continue;
         }
-        for backref in db.referencing(t) {
+        for backref in db.referencing(t).iter() {
             if relations.contains(&backref.from.relation.0) && alive(&backref.from) {
                 dirty.insert((t, backref.from));
             }

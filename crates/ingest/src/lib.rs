@@ -62,6 +62,8 @@
 //! assert_eq!(published.banks.search("recovery").unwrap().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apply;
 pub mod delta;
 pub mod error;

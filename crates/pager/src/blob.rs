@@ -31,9 +31,9 @@
 //! also what lets copy-on-write patching recompute `w_min` without
 //! decoding clean segments.
 
-use crate::codec::encode_segment;
+use crate::codec::SegmentEncoder;
 use crate::error::PagerError;
-use banks_graph::{Graph, NodeId};
+use banks_graph::{Adjacency, Graph, NodeId};
 use banks_util::fxhash::{checksum, FxHasher};
 use std::fs::File;
 use std::hash::Hasher;
@@ -179,18 +179,18 @@ pub fn encode_paged_blob(graph: &Graph, seg_span: u32) -> Vec<u8> {
         let mut slot_start = 0u32;
         for seg in 0..seg_count {
             let (first, end) = seg_range(seg, seg_span, n);
-            let mut edges = 0u32;
-            let lists = (first..end).map(|node| {
-                let adjacency = if dir == 0 {
-                    graph.out_adjacency(NodeId(node))
+            let mut encoder = SegmentEncoder::default();
+            for node in first..end {
+                let push = |adjacency: Adjacency<'_>| encoder.push(adjacency);
+                if dir == 0 {
+                    graph.with_out_adjacency(NodeId(node), push);
                 } else {
-                    graph.in_adjacency(NodeId(node))
-                };
-                edges += adjacency.len() as u32;
-                adjacency
-            });
+                    graph.with_in_adjacency(NodeId(node), push);
+                }
+            }
+            let edges = encoder.edges();
             let mut payload = Vec::new();
-            let min_pos = encode_segment(lists, &mut payload);
+            let min_pos = encoder.finish(&mut payload);
             entries.push(SegEntry {
                 offset: 0, // patched below once the directory size is known
                 len: payload.len() as u32,

@@ -153,52 +153,63 @@ impl DecodedSegment {
     }
 }
 
-/// Encode the adjacency lists of one segment (the `i`-th list belongs
-/// to the segment's `i`-th node) onto `out`. Returns the smallest
-/// strictly-positive weight in the segment (infinity if none) — the
-/// per-segment minimum the directory records so the store-level `w_min`
-/// is an O(segments) fold.
-///
-/// Each list is read once, in order, before the next is requested, so
-/// views of a paged graph stay within their lifetime contract.
-pub(crate) fn encode_segment<'a>(
-    lists: impl IntoIterator<Item = Adjacency<'a>>,
-    out: &mut Vec<u8>,
-) -> f64 {
-    let mut degrees = Vec::new();
-    let mut ids = Vec::new();
-    let mut codes = Vec::new();
-    // Weight dictionary in first-seen order (deterministic). The keys are
-    // f64 bits, whose low bits are all zero for the small integers most
-    // weights are; plain Fx would put every key in one bucket.
-    let mut dict: Vec<u64> = Vec::new();
-    let mut index: FxFoldHashMap<u64, u32> = FxFoldHashMap::default();
-    let mut min_pos = f64::INFINITY;
-    for list in lists {
-        varint::write_u64(&mut degrees, list.len() as u64);
+/// Encodes the adjacency lists of one segment, pushed one at a time:
+/// the `i`-th list pushed belongs to the segment's `i`-th node. Each
+/// list is read during its [`SegmentEncoder::push`] and not kept, so a
+/// caller can lend it views that live only for that call.
+#[derive(Default)]
+pub(crate) struct SegmentEncoder {
+    degrees: Vec<u8>,
+    ids: Vec<u8>,
+    codes: Vec<u8>,
+    /// Weight dictionary in first-seen order (deterministic).
+    dict: Vec<u64>,
+    /// The dictionary's index. The keys are f64 bits, whose low bits
+    /// are all zero for the small integers most weights are; plain Fx
+    /// would put every key in one bucket.
+    index: FxFoldHashMap<u64, u32>,
+    edges: u32,
+}
+
+impl SegmentEncoder {
+    /// Append the next node's list.
+    pub(crate) fn push(&mut self, list: Adjacency<'_>) {
+        varint::write_u64(&mut self.degrees, list.len() as u64);
+        self.edges += list.len() as u32;
         let mut prev = None;
         list.for_each(|id, w| {
-            varint::write_u64(&mut ids, u64::from(id - prev.unwrap_or(0)));
+            varint::write_u64(&mut self.ids, u64::from(id - prev.unwrap_or(0)));
             prev = Some(id);
             let bits = w.to_bits();
-            let code = *index.entry(bits).or_insert_with(|| {
+            let dict = &mut self.dict;
+            let code = *self.index.entry(bits).or_insert_with(|| {
                 dict.push(bits);
                 (dict.len() - 1) as u32
             });
-            varint::write_u64(&mut codes, u64::from(code));
-            if w > 0.0 {
-                min_pos = min_pos.min(w);
-            }
+            varint::write_u64(&mut self.codes, u64::from(code));
         });
     }
-    out.extend_from_slice(&degrees);
-    varint::write_u64(out, dict.len() as u64);
-    for &bits in &dict {
-        out.extend_from_slice(&bits.to_le_bytes());
+
+    /// Edges pushed so far.
+    pub(crate) fn edges(&self) -> u32 {
+        self.edges
     }
-    out.extend_from_slice(&ids);
-    out.extend_from_slice(&codes);
-    min_pos
+
+    /// Write the payload onto `out`. Returns the smallest
+    /// strictly-positive weight in the segment (infinity if none) — the
+    /// per-segment minimum the directory records so the store-level
+    /// `w_min` is an O(segments) fold.
+    pub(crate) fn finish(self, out: &mut Vec<u8>) -> f64 {
+        out.extend_from_slice(&self.degrees);
+        varint::write_u64(out, self.dict.len() as u64);
+        for &bits in &self.dict {
+            out.extend_from_slice(&bits.to_le_bytes());
+        }
+        out.extend_from_slice(&self.ids);
+        out.extend_from_slice(&self.codes);
+        let weights = self.dict.iter().map(|&bits| f64::from_bits(bits));
+        weights.filter(|&w| w > 0.0).fold(f64::INFINITY, f64::min)
+    }
 }
 
 /// Decode one segment payload into its resident form.
@@ -310,11 +321,12 @@ mod tests {
 
     /// Encode plain `(ids, weights)` lists as one segment payload.
     fn encode(lists: &[(&[u32], &[f64])]) -> (Vec<u8>, f64) {
+        let mut encoder = SegmentEncoder::default();
+        for (ids, ws) in lists {
+            encoder.push(Adjacency::plain(ids, ws, &[]));
+        }
         let mut buf = Vec::new();
-        let min_pos = encode_segment(
-            lists.iter().map(|(ids, ws)| Adjacency::plain(ids, ws, &[])),
-            &mut buf,
-        );
+        let min_pos = encoder.finish(&mut buf);
         (buf, min_pos)
     }
 

@@ -32,7 +32,7 @@
 //! let store = PagedGraphStore::open_mem(blob.into(), PageCache::new(1 << 16)).unwrap();
 //! let paged = Graph::from_store(store);
 //! assert_eq!(paged.edge_weight(x, y), Some(0.5));
-//! assert_eq!(paged.out_adjacency(x), g.out_adjacency(x));
+//! paged.with_out_adjacency(x, |view| g.with_out_adjacency(x, |want| assert_eq!(view, want)));
 //! ```
 
 //! The same machinery pages the relational side: [`PagedTupleStore`]
@@ -47,6 +47,8 @@
 //! (~5 KB: the encoded payload and a slot index, decoded one slot per
 //! read), so an 8 MiB budget holds the ~1 600 pages of a 100K-tuple
 //! corpus.
+
+#![forbid(unsafe_code)]
 
 pub mod blob;
 pub mod budget;

@@ -10,71 +10,27 @@
 //! Adjacency requests answer with a coded [`Adjacency`] view, so a
 //! search reads weights and edge scores straight from the codes.
 //!
-//! # Why the adjacency views are sound
+//! # How a view stays valid
 //!
-//! [`GraphStore`] methods hand out views borrowed, morally, from a
-//! cache entry that eviction could free. The store prevents that
-//! with a per-thread **keep-alive ring**: every adjacency access parks
-//! an `Arc` of the resident segment in a 64-slot thread-local ring
-//! before returning, unless that segment is the one parked last. The
-//! ring therefore holds the 64 most recent *distinct* segments, and a
-//! segment's arrays outlive the returned views for at least the next
-//! 63 adjacency accesses on that thread (longer when consecutive
-//! accesses share a segment, which never advances the ring) regardless
-//! of what the shared cache does. This is the bounded lifetime contract
-//! documented in `banks_graph::store`; the `unsafe` below is exactly
-//! the lifetime extension that contract licenses.
-//!
-//! The ring is outside the budget: in the worst case each thread holds
-//! 64 evicted segments alive, ~5 KB each at the default span.
+//! [`GraphStore::with_adjacency`] clones the resident segment's `Arc`
+//! out of the cache, releases the cache lock, and calls the reader's
+//! closure with a view borrowed from that local `Arc`. The segment
+//! therefore lives until the closure returns, even if the cache evicts
+//! it meanwhile, and the borrow checker keeps the view from escaping
+//! the call. Outside the budget, a running read holds only its current
+//! segment (one per nested read).
 
 use crate::blob::{
     encode_paged_blob, read_layout, seg_count_for, seg_edges, seg_range, ByteSource,
 };
 use crate::budget::{Page, PageCache};
-use crate::codec::{decode_segment, encode_segment, DecodedSegment};
+use crate::codec::{decode_segment, DecodedSegment, SegmentEncoder};
 use crate::error::PagerError;
 use banks_graph::store::{GraphStore, StorageStats};
 use banks_graph::{Adjacency, Graph, GraphPatch};
 use banks_util::fxhash::{checksum, FxHashSet};
-use std::cell::RefCell;
 use std::fs::File;
 use std::sync::Arc;
-
-/// Slots in the per-thread keep-alive ring; a returned adjacency slice
-/// stays valid for at least `RING_SLOTS − 1` further accesses on its
-/// thread.
-const RING_SLOTS: usize = 64;
-
-thread_local! {
-    static KEEPALIVE: RefCell<(usize, Vec<Option<Arc<DecodedSegment>>>)> =
-        RefCell::new((0, vec![None; RING_SLOTS]));
-}
-
-/// Park `seg` in this thread's keep-alive ring, unless it is the
-/// segment parked last (consecutive pops mostly share a segment).
-fn keep_alive(seg: &Arc<DecodedSegment>) {
-    KEEPALIVE.with(|cell| {
-        let (next, ring) = &mut *cell.borrow_mut();
-        let last = &ring[(*next + RING_SLOTS - 1) % RING_SLOTS];
-        if last.as_ref().is_some_and(|parked| Arc::ptr_eq(parked, seg)) {
-            return;
-        }
-        ring[*next] = Some(Arc::clone(seg));
-        *next = (*next + 1) % RING_SLOTS;
-    });
-}
-
-/// Extend a view's lifetime to the caller's choosing.
-///
-/// # Safety
-///
-/// The view's backing storage must be kept alive by an external
-/// mechanism for as long as the caller is permitted (by the documented
-/// contract) to use it — here, the keep-alive ring.
-unsafe fn extend_view<'a>(view: Adjacency<'_>) -> Adjacency<'a> {
-    std::mem::transmute::<Adjacency<'_>, Adjacency<'a>>(view)
-}
 
 /// Where one segment's encoded bytes live, plus its directory row.
 #[derive(Debug, Clone)]
@@ -303,19 +259,6 @@ impl PagedGraphStore {
         next - entries[seg as usize].slot_start
     }
 
-    /// Adjacency of `node` in direction `dir`, with the keep-alive
-    /// lifetime extension the module docs describe.
-    fn adjacency(&self, dir: u32, node: u32) -> Adjacency<'_> {
-        assert!(node < self.node_count, "node out of range");
-        let seg = self.segment(dir, node / self.seg_span);
-        keep_alive(&seg);
-        // SAFETY: `seg` was just parked in this thread's keep-alive
-        // ring, so its arrays outlive the returned view for the next
-        // RING_SLOTS − 1 adjacency accesses on this thread — the
-        // documented contract of `banks_graph::store`.
-        unsafe { extend_view(seg.adjacency(node)) }
-    }
-
     /// Copy-on-write patch application: see [`GraphStore::apply_patch`].
     fn apply_patch_cow(&self, patch: &GraphPatch) -> Option<Graph> {
         if !patch.remap_is_identity_extend() {
@@ -369,17 +312,14 @@ impl PagedGraphStore {
                     continue;
                 }
                 let (first, end) = seg_range(s, span, new_n);
-                let mut lists: Vec<(Vec<u32>, Vec<f64>)> =
-                    Vec::with_capacity((end - first) as usize);
+                let mut encoder = SegmentEncoder::default();
                 for node in first..end {
-                    lists.push(self.merge_node(dir, node, old_n, patch, repl, &rev_repl));
+                    let (ids, ws) = self.merge_node(dir, node, old_n, patch, repl, &rev_repl);
+                    encoder.push(Adjacency::plain(&ids, &ws, &[]));
                 }
+                let edges = encoder.edges();
                 let mut payload = Vec::new();
-                let min_pos = encode_segment(
-                    lists.iter().map(|(ids, ws)| Adjacency::plain(ids, ws, &[])),
-                    &mut payload,
-                );
-                let edges: usize = lists.iter().map(|(ids, _)| ids.len()).sum();
+                let min_pos = encoder.finish(&mut payload);
                 metas.push(SegMeta {
                     checksum: checksum(&payload),
                     len: u32::try_from(payload.len()).ok()?,
@@ -388,7 +328,7 @@ impl PagedGraphStore {
                     slot_start: u32::try_from(slot_start).ok()?,
                     min_pos_weight: min_pos,
                 });
-                slot_start += edges as u64;
+                slot_start += u64::from(edges);
             }
             totals[dir as usize] = slot_start;
         }
@@ -489,12 +429,10 @@ impl GraphStore for PagedGraphStore {
         self.max_node_weight
     }
 
-    fn out_adjacency(&self, node: u32) -> Adjacency<'_> {
-        self.adjacency(0, node)
-    }
-
-    fn in_adjacency(&self, node: u32) -> Adjacency<'_> {
-        self.adjacency(1, node)
+    fn with_adjacency(&self, forward: bool, node: u32, f: &mut dyn FnMut(Adjacency<'_>)) {
+        assert!(node < self.node_count, "node out of range");
+        let seg = self.segment(u32::from(!forward), node / self.seg_span);
+        f(seg.adjacency(node));
     }
 
     fn memory_bytes(&self) -> usize {
@@ -596,12 +534,12 @@ mod tests {
         for v in a.nodes() {
             assert_eq!(a.node_weight(v).to_bits(), b.node_weight(v).to_bits());
             assert_eq!(
-                bits(a.out_adjacency(v), true),
-                bits(b.out_adjacency(v), true)
+                a.with_out_adjacency(v, |adj| bits(adj, true)),
+                b.with_out_adjacency(v, |adj| bits(adj, true))
             );
             assert_eq!(
-                bits(a.in_adjacency(v), false),
-                bits(b.in_adjacency(v), false)
+                a.with_in_adjacency(v, |adj| bits(adj, false)),
+                b.with_in_adjacency(v, |adj| bits(adj, false))
             );
         }
     }
@@ -627,6 +565,33 @@ mod tests {
             stats.resident_bytes,
             stats.budget_bytes
         );
+    }
+
+    #[test]
+    fn a_view_outlives_the_eviction_of_its_segment() {
+        // 2 000 nodes at span 8 is 250 segments per direction. The
+        // budget holds a few of them, so the 100 segment reads inside
+        // the closure evict `v`'s segment while its view is in use; the
+        // view must still read exactly what the in-RAM graph holds.
+        let g = scrambled_graph(2_000, 3, 5);
+        let store = page_graph(&g, Some(8), 1 << 10).unwrap();
+        let paged = Graph::from_store(store.clone());
+        let v = NodeId(3);
+        let expect: Vec<(u32, u64)> =
+            g.with_out_adjacency(v, |adj| adj.iter().map(|(t, w)| (t, w.to_bits())).collect());
+        let got: Vec<(u32, u64)> = paged.with_out_adjacency(v, |adj| {
+            for other in (0..100).map(|i| NodeId(16 + i * 8 * 2)) {
+                let in_ram = g.out_edges(other).collect::<Vec<_>>();
+                assert_eq!(paged.out_edges(other).collect::<Vec<_>>(), in_ram);
+            }
+            adj.iter().map(|(t, w)| (t, w.to_bits())).collect()
+        });
+        assert_eq!(got, expect);
+        // The nested reads evicted `v`'s segment: reading it again
+        // pages it back in.
+        let page_ins = store.storage_stats().page_ins;
+        assert_eq!(paged.out_degree(v), expect.len());
+        assert_eq!(store.storage_stats().page_ins, page_ins + 1);
     }
 
     #[test]
@@ -725,7 +690,7 @@ mod tests {
             p.set_edge(NodeId(old_n as u32), NodeId(0), 1.5);
             p.set_edge(NodeId(17), NodeId(old_n as u32 + 1), 2.5);
             // Touch an existing pair too: replace whatever 40→? had.
-            if let Some(&t) = g.out_adjacency(NodeId(40)).ids().first() {
+            if let Some(t) = g.with_out_adjacency(NodeId(40), |adj| adj.ids().first().copied()) {
                 p.set_edge(NodeId(40), NodeId(t), 0.125);
             }
             p

@@ -15,10 +15,9 @@
 //! too, so `--memory-budget` caps graph segments and tuple blocks
 //! together and both age in one recency order.
 //!
-//! The borrow-soundness story matches the graph store's: lazy
-//! `Database` accessors park each decoded tuple or back-reference list
-//! in a per-thread keep-alive ring (owned by `banks_storage::blocks`)
-//! before handing out `&Tuple` / `&[BackRef]` borrows.
+//! A lazy `Database` read decodes the slot out of the block it fetched
+//! and hands the caller the decoded tuple or back-reference list to own,
+//! so nothing a reader holds borrows from a page the cache may evict.
 
 use crate::blob::ByteSource;
 use crate::budget::{Page, PageCache};
@@ -324,8 +323,8 @@ mod tests {
             assert_eq!(ta.len(), tb.len());
             for slot in 0..ta.slot_count() as u32 {
                 assert_eq!(
-                    ta.get(slot).cloned(),
-                    tb.get(slot).cloned(),
+                    ta.get(slot),
+                    tb.get(slot),
                     "slot {slot} of {}",
                     ta.schema().name
                 );
@@ -432,7 +431,7 @@ mod tests {
             let lazy = Database::open_lazy(&schema_text, store.clone()).unwrap();
             for table in lazy.relations() {
                 for slot in 0..table.slot_count() as u32 {
-                    let _ = table.get(slot).cloned();
+                    let _ = table.get(slot);
                 }
             }
         };
@@ -498,7 +497,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for table in lazy.relations() {
                 for slot in 0..table.slot_count() as u32 {
-                    let _ = table.get(slot).cloned();
+                    let _ = table.get(slot);
                 }
             }
         }));

@@ -40,6 +40,8 @@
 //! wires a directory in via `serve --data-dir` and exposes bundles
 //! directly through `banks snapshot save|load|inspect`.
 
+#![forbid(unsafe_code)]
+
 pub mod bundle;
 pub mod corpus;
 pub mod error;

@@ -40,6 +40,8 @@
 //! [`banks_server::QueryService::note_leader_epoch`] so `/stats`
 //! reports `epoch_lag` even while the log is idle.
 
+#![forbid(unsafe_code)]
+
 use banks_core::{Banks, BanksConfig};
 use banks_ingest::SnapshotPublisher;
 use banks_persist::{

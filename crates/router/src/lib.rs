@@ -42,6 +42,8 @@
 //! the core `banks serve` runs, under the server's default head and body
 //! limits (`431` over 16 KiB of head, `413` over 8 MiB of body).
 
+#![forbid(unsafe_code)]
+
 use banks_server::{QueryKey, QueryOptions};
 use banks_telemetry::{CollectedFamily, Kind, Registry, Sample};
 use banks_util::fxhash::FxHasher;

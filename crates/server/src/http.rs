@@ -228,7 +228,7 @@ impl RateLimiter {
 }
 
 /// Longest a long-polling route (`/replication/wal`, `min_epoch` search)
-/// may park before answering with whatever state exists.
+/// may wait before answering with whatever state exists.
 const MAX_WAIT_MS: u64 = 30_000;
 
 /// Raw bytes stamped with the epoch they represent — even an empty WAL
@@ -410,7 +410,7 @@ fn handle_replication_wal(
         .min(MAX_WAIT_MS);
     let mut range = store.wal_since(from_epoch);
     if wait_ms > 0 && matches!(&range, Ok(Some(bytes)) if bytes.is_empty()) {
-        // Caught up: park until a write lands (or the window closes),
+        // Caught up: wait until a write lands (or the window closes),
         // then re-read — the long-poll half of the protocol.
         store.wait_past_epoch(from_epoch, Duration::from_millis(wait_ms));
         range = store.wal_since(from_epoch);

@@ -40,6 +40,8 @@
 //! server.join(); // serve until shutdown
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod http;
 pub mod ingest;

@@ -288,7 +288,7 @@ pub struct QueryService {
     /// Cache-hit lookup latency, nanosecond ticks.
     hit_latency: Arc<Histogram>,
     /// Mirror of the current epoch for blocking waits: `min_epoch`
-    /// readers park on the condvar; every install notifies it. (The
+    /// readers wait on the condvar; every install notifies it. (The
     /// `RwLock` snapshot itself cannot carry a condvar wait.)
     epoch_sync: Mutex<u64>,
     epoch_advanced: Condvar,

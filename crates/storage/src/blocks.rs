@@ -39,12 +39,11 @@
 //! implementor is `banks-pager`'s `PagedTupleStore`, which pages them
 //! from disk under a memory budget. A resident [`TupleBlock`] is the
 //! block's encoded payload plus the offset of each slot in it, validated
-//! once at page-in; a read decodes only the slot it asks for. The lazy
-//! `Database` parks each decoded tuple or reference list in a per-thread
-//! keep-alive ring and hands out `&Tuple`/`&[BackRef]` borrows the ring
-//! licenses, the same bounded contract the paged graph store's
-//! adjacency views follow. An eager `Database` needs no store: it
-//! encodes its slot vectors directly ([`encode_database_v3`]).
+//! once at page-in; a read decodes only the slot it asks for and hands
+//! the caller the decoded tuple or reference list to own, so nothing a
+//! reader holds depends on the block staying resident. An eager
+//! `Database` needs no store: it encodes its slot vectors directly
+//! ([`encode_database_v3`]).
 
 use crate::catalog::{BackRef, Database};
 use crate::error::{StorageError, StorageResult};
@@ -52,10 +51,8 @@ use crate::schema::{schema_from_text, schema_to_text};
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
 use banks_util::fxhash::FxHasher;
-use std::any::Any;
-use std::cell::RefCell;
+use std::borrow::Cow;
 use std::hash::Hasher;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Magic prefix of a v3 DATA section.
@@ -137,56 +134,6 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 
 fn corrupt(msg: impl Into<String>) -> StorageError {
     StorageError::Corrupt(msg.into())
-}
-
-// ---------------------------------------------------------------------
-// Keep-alive ring
-// ---------------------------------------------------------------------
-
-/// Slots in the per-thread keep-alive ring; a `&Tuple` or `&[BackRef]`
-/// handed out of a lazy table stays valid for at least `RING_SLOTS − 1`
-/// further reads of a lazy table on its thread. Every read decodes one
-/// slot of a resident block and parks the decoded value here, so the
-/// ring holds the 64 values read last — a few KB, outside the memory
-/// budget.
-const RING_SLOTS: usize = 64;
-
-/// The ring: the next slot to fill, and the parked values.
-type Ring = (usize, Vec<Option<Rc<dyn Any>>>);
-
-thread_local! {
-    static KEEPALIVE: RefCell<Ring> = RefCell::new((0, vec![None; RING_SLOTS]));
-}
-
-/// Park `value` in this thread's keep-alive ring and lend it out for as
-/// long as the ring keeps it: the next `RING_SLOTS − 1` parks on this
-/// thread.
-fn park<'a, T: 'static>(value: T) -> &'a T {
-    let parked = Rc::new(value);
-    let ptr = Rc::as_ptr(&parked);
-    KEEPALIVE.with(|cell| {
-        let (next, ring) = &mut *cell.borrow_mut();
-        ring[*next] = Some(parked);
-        *next = (*next + 1) % RING_SLOTS;
-    });
-    // SAFETY: the ring owns the `Rc` until `RING_SLOTS − 1` further
-    // parks on this thread, which is the borrow contract lazy tables
-    // document; moving an `Rc` does not move its heap value.
-    unsafe { &*ptr }
-}
-
-/// Lend out a tuple decoded by a lazy read (see [`park`]).
-pub(crate) fn park_tuple<'a>(tuple: Tuple) -> &'a Tuple {
-    park(tuple)
-}
-
-/// Lend out a reverse-reference list decoded by a lazy read (see
-/// [`park`]; an empty list is not parked).
-pub(crate) fn park_refs<'a>(refs: Vec<BackRef>) -> &'a [BackRef] {
-    if refs.is_empty() {
-        return &[];
-    }
-    park(refs).as_slice()
 }
 
 // ---------------------------------------------------------------------
@@ -314,9 +261,9 @@ pub struct TupleStoreStats {
 
 /// Where a lazy [`Database`]'s tuples live: a paged backend.
 ///
-/// `block` has no error channel (callers are deep inside borrow-handing
-/// accessors); paged implementations panic on I/O or checksum failure,
-/// exactly like the paged graph store. Directory-level corruption is
+/// `block` has no error channel (callers are infallible accessors such
+/// as [`crate::Table::get`]); paged implementations panic on I/O or
+/// checksum failure, exactly like the paged graph store. Directory-level corruption is
 /// caught (typed) at open instead.
 pub trait TupleStore: std::fmt::Debug + Send + Sync {
     /// Number of relations.
@@ -667,7 +614,7 @@ pub(crate) trait SlotValues {
     fn put(&self, out: &mut Vec<u8>);
 }
 
-impl SlotValues for &Tuple {
+impl SlotValues for Cow<'_, Tuple> {
     fn put(&self, out: &mut Vec<u8>) {
         encode_values(self.values(), out);
     }
@@ -684,8 +631,8 @@ impl SlotValues for &[u8] {
 ///
 /// `rows` yields `(values, refs)` per slot in `[first, end)` — `None`
 /// for tombstones.
-pub(crate) fn encode_block<'a, V: SlotValues>(
-    rows: impl Iterator<Item = Option<(V, &'a [BackRef])>>,
+pub(crate) fn encode_block<V: SlotValues, R: AsRef<[BackRef]>>(
+    rows: impl Iterator<Item = Option<(V, R)>>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     for row in rows {
@@ -694,6 +641,7 @@ pub(crate) fn encode_block<'a, V: SlotValues>(
             Some((values, refs)) => {
                 out.push(1);
                 values.put(&mut out);
+                let refs = refs.as_ref();
                 write_varint(&mut out, refs.len() as u64);
                 for r in refs {
                     write_varint(&mut out, u64::from(r.from.relation.0));
@@ -1221,8 +1169,12 @@ mod tests {
                 assert_eq!(block.bytes(), blk.len as usize + 2 * in_block as usize);
                 for slot in first..first + in_block {
                     let rid = Rid::new(table.id(), slot);
-                    assert_eq!(block.tuple(slot).as_ref(), table.get(slot), "{rid}");
-                    assert_eq!(block.refs(slot), full.referencing(rid), "{rid}");
+                    assert_eq!(
+                        block.tuple(slot).as_ref(),
+                        table.get(slot).as_deref(),
+                        "{rid}"
+                    );
+                    assert_eq!(block.refs(slot), *full.referencing(rid), "{rid}");
                     tombstones += usize::from(table.get(slot).is_none());
                     refs_seen += full.referencing(rid).len();
                 }

@@ -16,6 +16,7 @@ use crate::table::Table;
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
 use banks_util::fxhash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A recorded reverse reference: tuple `from` references the indexed tuple
@@ -182,8 +183,8 @@ impl Database {
         &self.tables[id.index()]
     }
 
-    /// Fetch a tuple by rid.
-    pub fn tuple(&self, rid: Rid) -> StorageResult<&Tuple> {
+    /// Fetch a tuple by rid (see [`Table::get`]).
+    pub fn tuple(&self, rid: Rid) -> StorageResult<Cow<'_, Tuple>> {
         self.tables
             .get(rid.relation.index())
             .and_then(|t| t.get(rid.slot))
@@ -337,10 +338,10 @@ impl Database {
     fn add_back_ref(&mut self, target: Rid, br: BackRef) {
         match &mut self.back_refs {
             BackRefsRepr::Eager(map) => map.entry(target).or_default().push(br),
-            BackRefsRepr::Lazy { store, overlay } => {
+            BackRefsRepr::Lazy { overlay, .. } => {
                 overlay
                     .entry(target)
-                    .or_insert_with(|| base_refs_of(&**store, target))
+                    .or_insert_with(|| self.tables[target.relation.index()].base_refs(target.slot))
                     .push(br);
             }
         }
@@ -355,9 +356,9 @@ impl Database {
                 Some(refs) => refs,
                 None => return,
             },
-            BackRefsRepr::Lazy { store, overlay } => overlay
+            BackRefsRepr::Lazy { overlay, .. } => overlay
                 .entry(target)
-                .or_insert_with(|| base_refs_of(&**store, target)),
+                .or_insert_with(|| self.tables[target.relation.index()].base_refs(target.slot)),
         };
         if let Some(pos) = refs
             .iter()
@@ -584,22 +585,19 @@ impl Database {
     /// All tuples referencing `rid` (the backward direction of §4 browsing
     /// and the indegree of §2.2).
     ///
-    /// On a lazy database an untouched target's list is read out of its
-    /// tuple block, so the borrow is keep-alive-ring licensed (valid for
-    /// the next 63 block accesses on this thread); every in-tree caller
-    /// consumes it before the next access.
-    pub fn referencing(&self, rid: Rid) -> &[BackRef] {
+    /// Borrowed from an eager database or a lazy one's overlay; on a
+    /// lazy database an untouched target's list is decoded out of its
+    /// tuple block and owned by the caller.
+    pub fn referencing(&self, rid: Rid) -> Cow<'_, [BackRef]> {
         match &self.back_refs {
-            BackRefsRepr::Eager(map) => map.get(&rid).map(|v| v.as_slice()).unwrap_or(&[]),
-            BackRefsRepr::Lazy { overlay, .. } => {
-                if let Some(refs) = overlay.get(&rid) {
-                    return refs;
-                }
-                self.tables
-                    .get(rid.relation.index())
-                    .and_then(|t| t.base_refs(rid.slot))
-                    .unwrap_or(&[])
-            }
+            BackRefsRepr::Eager(map) => Cow::Borrowed(map.get(&rid).map_or(&[], Vec::as_slice)),
+            BackRefsRepr::Lazy { overlay, .. } => match overlay.get(&rid) {
+                Some(refs) => Cow::Borrowed(refs),
+                None => Cow::Owned(
+                    (self.tables.get(rid.relation.index()))
+                        .map_or_else(Vec::new, |t| t.base_refs(rid.slot)),
+                ),
+            },
         }
     }
 
@@ -823,18 +821,6 @@ impl Database {
                 .map(|tuple| (tuple, self.referencing(Rid::new(id, slot))))
         }))
     }
-}
-
-/// A target's base reverse-reference list, cloned out of its tuple
-/// block (empty for appended slots, which have no base block).
-fn base_refs_of(store: &dyn TupleStore, target: Rid) -> Vec<BackRef> {
-    let rel = target.relation.0;
-    if target.slot >= store.slot_count(rel) {
-        return Vec::new();
-    }
-    store
-        .block(rel, target.slot / store.block_span())
-        .refs(target.slot)
 }
 
 #[cfg(test)]

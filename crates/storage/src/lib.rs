@@ -50,6 +50,8 @@
 //! assert_eq!(db.tuple(rid).unwrap().values()[1], Value::text("Soumen Chakrabarti"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod blocks;
 pub mod catalog;

@@ -39,7 +39,7 @@ use crate::text_index::{Posting, TextIndex};
 use crate::tuple::{RelationId, Rid};
 use banks_util::fxhash::FxHashMap;
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Magic leading a packed postings payload.
 pub(crate) const POSTINGS_MAGIC: &[u8; 8] = b"BNKSPST1";
@@ -70,7 +70,7 @@ pub trait PostingSource: Send + Sync + std::fmt::Debug {
 
 /// A [`PostingSource`] over an in-memory buffer.
 #[derive(Debug, Clone)]
-pub(crate) struct MemSource(pub std::sync::Arc<[u8]>);
+pub(crate) struct MemSource(pub Arc<[u8]>);
 
 impl PostingSource for MemSource {
     fn len(&self) -> u64 {
@@ -130,7 +130,7 @@ pub fn write_packed_postings(index: &TextIndex, w: &mut impl Write) -> StorageRe
         w.write_all(token.as_bytes()).map_err(io)?;
     }
     for token in &tokens {
-        for p in index.lookup(token) {
+        for p in index.lookup(token).iter() {
             w.write_all(&p.rid.relation.0.to_le_bytes()).map_err(io)?;
             w.write_all(&p.rid.slot.to_le_bytes()).map_err(io)?;
             w.write_all(&p.column.to_le_bytes()).map_err(io)?;
@@ -141,16 +141,16 @@ pub fn write_packed_postings(index: &TextIndex, w: &mut impl Write) -> StorageRe
 
 /// The lazy half of [`TextIndex`]: term table and string heap resident,
 /// posting lists fetched from the [`PostingSource`] on first lookup and
-/// cached forever after (the cache is append-only — entries are boxed
-/// slices whose addresses are stable, which is what lets
-/// `LazyTextIndex::lookup` hand out `&[Posting]` borrows of `&self`).
+/// cached after. A lookup shares the cached `Arc` with the caller, so a
+/// list a reader holds stays valid whether or not the cache keeps it;
+/// the cache never evicts today.
 pub struct LazyTextIndex {
-    source: std::sync::Arc<dyn PostingSource>,
+    source: Arc<dyn PostingSource>,
     table: Box<[TermEntry]>,
     heap: Box<[u8]>,
     triples_base: u64,
     total_postings: u64,
-    cache: Mutex<FxHashMap<u32, Box<[Posting]>>>,
+    cache: Mutex<FxHashMap<u32, Arc<[Posting]>>>,
 }
 
 impl std::fmt::Debug for LazyTextIndex {
@@ -169,7 +169,7 @@ impl std::fmt::Debug for LazyTextIndex {
 impl LazyTextIndex {
     /// Open a packed postings payload, validating its entire skeleton
     /// (everything except the triples area, which stays on the source).
-    pub fn open(source: std::sync::Arc<dyn PostingSource>) -> StorageResult<LazyTextIndex> {
+    pub fn open(source: Arc<dyn PostingSource>) -> StorageResult<LazyTextIndex> {
         let corrupt = |m: String| StorageError::Corrupt(m);
         let len = source.len();
         if len < HEADER_LEN as u64 {
@@ -277,7 +277,7 @@ impl LazyTextIndex {
     /// source failure here is a panic: lookups have no error channel,
     /// and the skeleton was validated at open, so a failure means the
     /// underlying file was truncated or torn *after* open.
-    fn fetch(&self, idx: u32) -> Box<[Posting]> {
+    fn fetch(&self, idx: u32) -> Arc<[Posting]> {
         let e = &self.table[idx as usize];
         let mut raw = vec![0u8; e.post_count as usize * TRIPLE_LEN];
         self.source
@@ -288,23 +288,17 @@ impl LazyTextIndex {
                     self.token_at(idx as usize)
                 )
             });
-        decode_triples(&raw)
+        decode_triples(&raw).collect()
     }
 
-    /// Postings for `token`, fetched on first touch and cached.
-    pub(crate) fn lookup(&self, token: &str) -> &[Posting] {
-        let Some(idx) = self.find(token) else {
-            return &[];
-        };
-        let idx = idx as u32;
+    /// Postings for `token`, fetched on first touch and cached; `None`
+    /// for a token the index does not hold.
+    pub(crate) fn lookup(&self, token: &str) -> Option<Arc<[Posting]>> {
+        let idx = self.find(token)? as u32;
         let mut cache = self.cache.lock().expect("postings cache");
-        let boxed = cache.entry(idx).or_insert_with(|| self.fetch(idx));
-        let (ptr, len) = (boxed.as_ptr(), boxed.len());
-        drop(cache);
-        // SAFETY: cache entries are inserted once and never removed or
-        // replaced, so the boxed slice's heap allocation lives as long
-        // as `self`; rehashing moves the Box, not its pointee.
-        unsafe { std::slice::from_raw_parts(ptr, len) }
+        Some(Arc::clone(
+            cache.entry(idx).or_insert_with(|| self.fetch(idx)),
+        ))
     }
 
     /// All tokens, in lexicographic order.
@@ -325,13 +319,7 @@ impl LazyTextIndex {
     /// Resident bytes: table + heap + currently cached posting lists.
     /// (The triples area on the source is *not* resident.)
     pub(crate) fn memory_bytes(&self) -> usize {
-        let cached: usize = self
-            .cache
-            .lock()
-            .expect("postings cache")
-            .values()
-            .map(|v| v.len() * std::mem::size_of::<Posting>())
-            .sum();
+        let (_, _, cached) = self.cache_stats();
         self.table.len() * std::mem::size_of::<TermEntry>() + self.heap.len() + cached
     }
 
@@ -363,29 +351,27 @@ impl LazyTextIndex {
                 let hi = lo + e.post_count as usize * TRIPLE_LEN;
                 (
                     self.token_at(i).to_owned(),
-                    decode_triples(&raw[lo..hi]).into_vec(),
+                    decode_triples(&raw[lo..hi]).collect(),
                 )
             })
             .collect())
     }
 }
 
-fn decode_triples(raw: &[u8]) -> Box<[Posting]> {
-    raw.chunks_exact(TRIPLE_LEN)
-        .map(|c| Posting {
-            rid: Rid::new(
-                RelationId(u32::from_le_bytes(c[0..4].try_into().expect("4 bytes"))),
-                u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-            ),
-            column: u32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-        })
-        .collect()
+fn decode_triples(raw: &[u8]) -> impl Iterator<Item = Posting> + '_ {
+    raw.chunks_exact(TRIPLE_LEN).map(|c| Posting {
+        rid: Rid::new(
+            RelationId(u32::from_le_bytes(c[0..4].try_into().expect("4 bytes"))),
+            u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
+        ),
+        column: u32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
+    })
 }
 
 /// Eagerly decode a packed postings payload into a [`TextIndex`] — the
 /// full-load counterpart of [`write_packed_postings`].
 pub fn read_packed_postings(bytes: &[u8]) -> StorageResult<TextIndex> {
-    let lazy = LazyTextIndex::open(std::sync::Arc::new(MemSource(bytes.into())))?;
+    let lazy = LazyTextIndex::open(Arc::new(MemSource(bytes.into())))?;
     Ok(TextIndex::from_postings(lazy.materialize()?))
 }
 
@@ -396,7 +382,6 @@ mod tests {
     use crate::schema::{ColumnType, RelationSchema};
     use crate::tokenizer::Tokenizer;
     use crate::value::Value;
-    use std::sync::Arc;
 
     fn sample_index() -> TextIndex {
         let mut db = Database::new("t");
@@ -434,13 +419,17 @@ mod tests {
         assert_eq!(lazy.distinct_tokens(), index.distinct_tokens());
         assert_eq!(lazy.posting_count(), index.posting_count());
         for token in index.tokens() {
-            assert_eq!(lazy.lookup(token), index.lookup(token), "{token}");
+            assert_eq!(
+                lazy.lookup(token).unwrap()[..],
+                index.lookup(token)[..],
+                "{token}"
+            );
         }
-        assert!(lazy.lookup("absent-token").is_empty());
-        // Cached lookups return the same slice.
-        let a = lazy.lookup("mining").as_ptr();
-        let b = lazy.lookup("mining").as_ptr();
-        assert_eq!(a, b);
+        assert!(lazy.lookup("absent-token").is_none());
+        // A second lookup is a cache hit: the same shared list.
+        let a = lazy.lookup("mining").unwrap();
+        let b = lazy.lookup("mining").unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
         let (cached, total, bytes) = lazy.cache_stats();
         assert!(cached >= 1 && cached <= total);
         assert!(bytes > 0);
@@ -464,7 +453,7 @@ mod tests {
         let lazy = LazyTextIndex::open(Arc::new(MemSource(buf.into()))).unwrap();
         assert_eq!(lazy.distinct_tokens(), 0);
         assert_eq!(lazy.posting_count(), 0);
-        assert!(lazy.lookup("anything").is_empty());
+        assert!(lazy.lookup("anything").is_none());
     }
 
     #[test]

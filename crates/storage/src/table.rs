@@ -1,11 +1,12 @@
 //! A single relation's stored tuples plus its primary-key index.
 
-use crate::blocks::{park_refs, park_tuple, TupleStore};
+use crate::blocks::TupleStore;
 use crate::error::{StorageError, StorageResult};
 use crate::schema::RelationSchema;
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
 use banks_util::fxhash::{FxFoldHashMap, FxHashMap, FxHashSet, FxHasher};
+use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -73,9 +74,8 @@ fn pk_map_unlink(map: &mut PkIndex, hash: u64, slot: u32) {
 /// slots page in on demand, and all mutation goes to an overlay keyed by
 /// slot, so an ingest epoch touches only the blocks it changes. Reads
 /// merge overlay-over-base; a base read decodes the one slot it needs
-/// out of the resident block, and the borrow it hands out is licensed
-/// by the per-thread keep-alive ring (valid for the next 63 lazy reads
-/// on the thread), like the paged graph store's adjacency views.
+/// out of the resident block and hands the decoded value to the caller
+/// to own (`Cow::Owned`), so it stays valid whatever the cache evicts.
 #[derive(Debug, Clone)]
 enum Repr {
     Eager {
@@ -395,15 +395,15 @@ impl Table {
         }
     }
 
-    /// Fetch the tuple at `slot`, if live.
-    ///
-    /// On a lazy table the slot is decoded out of its resident block and
-    /// the borrow is licensed by the keep-alive ring: it stays valid for
-    /// the next 63 lazy reads on this thread. Every in-tree caller
-    /// consumes the tuple before the next read.
-    pub fn get(&self, slot: u32) -> Option<&Tuple> {
+    /// Fetch the tuple at `slot`, if live: borrowed from an eager table
+    /// or a lazy table's overlay, owned when a lazy table decodes it out
+    /// of its resident block.
+    pub fn get(&self, slot: u32) -> Option<Cow<'_, Tuple>> {
         match &self.repr {
-            Repr::Eager { slots, .. } => slots.get(slot as usize).and_then(|t| t.as_ref()),
+            Repr::Eager { slots, .. } => slots
+                .get(slot as usize)
+                .and_then(|t| t.as_ref())
+                .map(Cow::Borrowed),
             Repr::Lazy {
                 store,
                 rel,
@@ -412,13 +412,13 @@ impl Table {
                 ..
             } => {
                 if let Some(entry) = overlay.get(&slot) {
-                    return entry.as_ref();
+                    return entry.as_ref().map(Cow::Borrowed);
                 }
                 if slot >= *base_slots || !store.is_live(*rel, slot) {
                     return None;
                 }
                 let block = store.block(*rel, slot / store.block_span());
-                Some(park_tuple(block.tuple(slot)?))
+                block.tuple(slot).map(Cow::Owned)
             }
         }
     }
@@ -441,23 +441,18 @@ impl Table {
     }
 
     /// Reverse references of the tuple at `slot` recorded in the backing
-    /// store, if this table is lazy (ring-licensed borrow; overlay
-    /// handling lives in [`crate::Database::referencing`]).
-    pub(crate) fn base_refs(&self, slot: u32) -> Option<&[crate::catalog::BackRef]> {
+    /// store of a lazy table, decoded out of its block (empty for an
+    /// eager table or an appended slot; overlay handling lives in
+    /// [`crate::Database::referencing`]).
+    pub(crate) fn base_refs(&self, slot: u32) -> Vec<crate::catalog::BackRef> {
         match &self.repr {
-            Repr::Eager { .. } => None,
             Repr::Lazy {
                 store,
                 rel,
                 base_slots,
                 ..
-            } => {
-                if slot >= *base_slots {
-                    return Some(&[]);
-                }
-                let block = store.block(*rel, slot / store.block_span());
-                Some(park_refs(block.refs(slot)))
-            }
+            } if slot < *base_slots => store.block(*rel, slot / store.block_span()).refs(slot),
+            _ => Vec::new(),
         }
     }
 
@@ -481,7 +476,7 @@ impl Table {
         }
         let tuple = self
             .get(slot)
-            .cloned()
+            .map(Cow::into_owned)
             .ok_or_else(|| StorageError::InvalidRid(format!("slot {slot} already deleted")))?;
         let hash = self
             .schema
@@ -570,7 +565,7 @@ impl Table {
             Repr::Lazy { .. } => {
                 let mut tuple = self
                     .get(slot)
-                    .cloned()
+                    .map(Cow::into_owned)
                     .ok_or_else(|| StorageError::InvalidRid(format!("slot {slot} not live")))?;
                 *tuple.get_mut(column).expect("arity checked at insert") = value;
                 let Repr::Lazy { overlay, .. } = &mut self.repr else {
@@ -680,8 +675,8 @@ impl Table {
         (0..self.slot_count() as u32).filter(move |&slot| self.is_live(slot))
     }
 
-    /// Iterate over live tuples as `(Rid, &Tuple)`.
-    pub fn scan(&self) -> impl Iterator<Item = (Rid, &Tuple)> + '_ {
+    /// Iterate over live tuples, each as [`Table::get`] returns it.
+    pub fn scan(&self) -> impl Iterator<Item = (Rid, Cow<'_, Tuple>)> + '_ {
         let id = self.id;
         (0..self.slot_count() as u32)
             .filter_map(move |slot| self.get(slot).map(|t| (Rid::new(id, slot), t)))

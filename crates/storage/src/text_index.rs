@@ -7,9 +7,12 @@
 //! `attribute:keyword` query extension of §2.3/§7.
 
 use crate::catalog::Database;
+use crate::schema::ColumnType;
 use crate::tokenizer::Tokenizer;
 use crate::tuple::Rid;
 use banks_util::fxhash::FxFoldHashMap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// One posting: a tuple and the column in which the token occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,6 +21,35 @@ pub struct Posting {
     pub rid: Rid,
     /// Column index within the tuple's relation.
     pub column: u32,
+}
+
+/// One token's posting list, as [`TextIndex::lookup`] lends it:
+/// borrowed from an eager index, or shared with a lazy index's cache.
+/// Either way no list is copied, and the list stays valid for as long
+/// as the caller holds it.
+#[derive(Debug, Clone)]
+pub enum Postings<'a> {
+    /// A list of an eager index.
+    Borrowed(&'a [Posting]),
+    /// A list of a lazy index's cache.
+    Shared(Arc<[Posting]>),
+}
+
+impl Deref for Postings<'_> {
+    type Target = [Posting];
+
+    fn deref(&self) -> &[Posting] {
+        match self {
+            Postings::Borrowed(list) => list,
+            Postings::Shared(list) => list,
+        }
+    }
+}
+
+impl PartialEq for Postings<'_> {
+    fn eq(&self, other: &Postings<'_>) -> bool {
+        **self == **other
+    }
 }
 
 /// An inverted index over every text column of a database.
@@ -48,7 +80,7 @@ enum Repr {
     Eager(TermMap),
     /// Shared lazy view of a packed payload (Arc: clones share the
     /// posting cache).
-    Lazy(std::sync::Arc<crate::postings::LazyTextIndex>),
+    Lazy(Arc<crate::postings::LazyTextIndex>),
 }
 
 impl Default for Repr {
@@ -59,45 +91,55 @@ impl Default for Repr {
 
 impl TextIndex {
     /// Build the index by scanning every relation of `db`: its text
-    /// values, fed to [`TextIndex::from_texts`].
+    /// values, fed in the order [`TextIndex::from_texts`] takes them.
     pub fn build(db: &Database, tokenizer: &Tokenizer) -> TextIndex {
-        fn is_text(c: &crate::schema::ColumnDef) -> bool {
-            matches!(c.ty, crate::schema::ColumnType::Text)
-        }
-        let texts = db
-            .relations()
-            .filter(|table| table.schema().columns.iter().any(is_text))
-            .flat_map(|table| {
+        TextIndex::index(tokenizer, |add| {
+            for table in db.relations() {
                 let columns = &table.schema().columns;
-                table.scan().flat_map(move |(rid, tuple)| {
-                    columns
-                        .iter()
-                        .zip(tuple.values())
-                        .enumerate()
-                        .filter(|(_, (c, _))| is_text(c))
-                        .filter_map(move |(col, (_, value))| {
-                            value.as_text().map(|text| (rid, col as u32, text))
-                        })
-                })
-            });
-        TextIndex::from_texts(texts, tokenizer)
+                let text: Vec<usize> = (0..columns.len())
+                    .filter(|&col| columns[col].ty == ColumnType::Text)
+                    .collect();
+                if text.is_empty() {
+                    continue;
+                }
+                for (rid, tuple) in table.scan() {
+                    for &col in &text {
+                        if let Some(value) = tuple.values()[col].as_text() {
+                            add(rid, col as u32, value);
+                        }
+                    }
+                }
+            }
+        })
     }
 
     /// Index a stream of `(rid, column, text)` values — the text
     /// columns of every tuple — the one tokenizing derivation behind
     /// [`TextIndex::build`] and the staged-corpus bundle writer.
+    pub fn from_texts<'t>(
+        texts: impl IntoIterator<Item = (Rid, u32, &'t str)>,
+        tokenizer: &Tokenizer,
+    ) -> TextIndex {
+        TextIndex::index(tokenizer, |add| {
+            for (rid, column, text) in texts {
+                add(rid, column, text);
+            }
+        })
+    }
+
+    /// Index every `(rid, column, text)` value `feed` hands its `add`.
     ///
     /// Tokens are borrowed from the tokenizer (see
     /// [`Tokenizer::for_each_token`]) and looked up by `&str`; the only
     /// per-token allocation left is the key of a term seen for the first
     /// time.
-    pub fn from_texts<'t>(
-        texts: impl IntoIterator<Item = (Rid, u32, &'t str)>,
+    fn index(
         tokenizer: &Tokenizer,
+        feed: impl FnOnce(&mut dyn FnMut(Rid, u32, &str)),
     ) -> TextIndex {
         let mut map = TermMap::default();
         let mut buf = String::new();
-        for (rid, column, text) in texts {
+        feed(&mut |rid, column, text| {
             let posting = Posting { rid, column };
             tokenizer.for_each_token(text, &mut buf, |token| match map.get_mut(token) {
                 Some(list) => list.push(posting),
@@ -105,7 +147,7 @@ impl TextIndex {
                     map.insert(token.to_owned(), vec![posting]);
                 }
             });
-        }
+        });
         let mut index = TextIndex {
             repr: Repr::Eager(map),
         };
@@ -114,7 +156,7 @@ impl TextIndex {
     }
 
     /// Wrap a lazily-decoded packed payload (see [`crate::postings`]).
-    pub fn from_lazy(lazy: std::sync::Arc<crate::postings::LazyTextIndex>) -> TextIndex {
+    pub fn from_lazy(lazy: Arc<crate::postings::LazyTextIndex>) -> TextIndex {
         TextIndex {
             repr: Repr::Lazy(lazy),
         }
@@ -234,10 +276,12 @@ impl TextIndex {
     }
 
     /// Postings for `token` (already lowercased by the tokenizer).
-    pub fn lookup(&self, token: &str) -> &[Posting] {
+    pub fn lookup(&self, token: &str) -> Postings<'_> {
         match &self.repr {
-            Repr::Eager(map) => map.get(token).map(|v| v.as_slice()).unwrap_or(&[]),
-            Repr::Lazy(lazy) => lazy.lookup(token),
+            Repr::Eager(map) => Postings::Borrowed(map.get(token).map_or(&[], Vec::as_slice)),
+            Repr::Lazy(lazy) => lazy
+                .lookup(token)
+                .map_or(Postings::Borrowed(&[]), Postings::Shared),
         }
     }
 

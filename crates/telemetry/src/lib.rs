@@ -21,6 +21,8 @@
 //!    quantiles are exact with respect to the layout — properties the
 //!    test suite checks directly.
 
+#![forbid(unsafe_code)]
+
 pub mod counter;
 pub mod histogram;
 pub mod registry;

@@ -5,3 +5,5 @@
 //! them with `cargo test -p banks-testsuite`. The example sources live
 //! in `examples/`; run one with
 //! `cargo run -p banks-testsuite --example quickstart`.
+
+#![forbid(unsafe_code)]

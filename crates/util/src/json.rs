@@ -61,14 +61,11 @@ impl Json {
     /// [`Json::Int`]/[`Json::Uint`], everything else to [`Json::Num`].
     /// Trailing non-whitespace after the value is an error.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
@@ -166,7 +163,7 @@ impl std::error::Error for JsonParseError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -179,7 +176,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -198,7 +195,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -340,11 +337,10 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().expect("non-empty");
+                    // Copy one UTF-8 scalar. Every byte consumed so far
+                    // ends a scalar, so `pos` is a char boundary (slicing
+                    // would panic, not misread, if it were not).
+                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -368,7 +364,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));

@@ -24,6 +24,8 @@
 //! * [`process`] — this process's resident and peak memory, for
 //!   `/stats` and `/metrics`.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod fault;
 pub mod fs;

@@ -384,7 +384,7 @@ fn tuple_block_faults_are_loud_never_corrupt() {
     // to the exact same tuple despite the stalls.
     for (ft, pt) in in_ram.db().relations().zip(paged.db().relations()) {
         for slot in 0..ft.slot_count() as u32 {
-            assert_eq!(ft.get(slot).cloned(), pt.get(slot).cloned());
+            assert_eq!(ft.get(slot), pt.get(slot));
         }
     }
     assert!(fault::fired("data.block.read") > 0, "block delays fired");

@@ -18,7 +18,7 @@ use banks_persist::{
 };
 use banks_server::{BanksServer, QueryService, ServerConfig, ServiceConfig};
 use banks_storage::blocks::encode_database_v3_with_span;
-use banks_storage::Value;
+use banks_storage::{Rid, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -113,18 +113,29 @@ fn assert_budget_respected(paged: &Banks) {
     );
 }
 
-/// Every slot of every relation must decode to the same tuple through
-/// both backends — the raw read path of the lazy DATA section, below
-/// rendering.
+/// Every slot of every relation must decode to the same tuple and the
+/// same reverse references through both backends — the raw read path
+/// of the lazy DATA section, below rendering. Each relation's paged
+/// reads are all collected before any is compared, so every value read
+/// early must still be intact after the reads (and evictions) that
+/// followed it.
 fn assert_tuples_equivalent(in_ram: &Banks, paged: &Banks) {
     for (ft, pt) in in_ram.db().relations().zip(paged.db().relations()) {
-        assert_eq!(ft.slot_count(), pt.slot_count(), "{}", ft.schema().name);
-        for slot in 0..ft.slot_count() as u32 {
+        let name = &ft.schema().name;
+        assert_eq!(ft.slot_count(), pt.slot_count(), "{name}");
+        let slots = 0..ft.slot_count() as u32;
+        let rid = |slot| Rid::new(pt.id(), slot);
+        let tuples: Vec<_> = slots.clone().map(|slot| pt.get(slot)).collect();
+        let refs: Vec<_> = slots
+            .clone()
+            .map(|slot| paged.db().referencing(rid(slot)))
+            .collect();
+        for ((slot, tuple), refs) in slots.zip(tuples).zip(refs) {
+            assert_eq!(tuple, ft.get(slot), "{name} slot {slot}");
             assert_eq!(
-                ft.get(slot).cloned(),
-                pt.get(slot).cloned(),
-                "{} slot {slot}",
-                ft.schema().name
+                refs,
+                in_ram.db().referencing(rid(slot)),
+                "{name} slot {slot} references"
             );
         }
     }
@@ -311,6 +322,57 @@ fn paged_server_serves_bit_identical_node_and_answer_json() {
 
     ram_server.shutdown();
     paged_server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Four threads search one paged `Banks` at once, under a budget so
+/// small that every query evicts pages other threads are reading, and
+/// every rendered answer (with its relevance bits) is byte-identical to
+/// the in-RAM backend's. A barrier starts the threads together; each
+/// starts at another query, so different queries page at once.
+#[test]
+fn concurrent_paged_searches_match_in_ram_under_eviction() {
+    const THREADS: usize = 4;
+    let dir = tmp_dir("concurrent");
+    std::fs::create_dir_all(&dir).unwrap();
+    let in_ram = Banks::new(generate(DblpConfig::tiny(13)).unwrap().db).unwrap();
+    let path = dir.join("bundle.banks");
+    save_bundle(&in_ram, 0, &path).unwrap();
+    let (paged, _) = open_bundle_paged(&path, 2 << 10, &BanksConfig::default()).unwrap();
+    let rendered = |banks: &Banks, query: &str| -> Vec<(String, u64)> {
+        let answers = banks.search(query).unwrap();
+        assert!(!answers.is_empty(), "{query} answers nothing");
+        let render = |a: &banks_core::Answer| (banks.render_answer(a), a.relevance.to_bits());
+        answers.iter().map(render).collect()
+    };
+    let expected: Vec<_> = QUERIES.iter().map(|q| rendered(&in_ram, q)).collect();
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (paged, expected, barrier) = (&paged, &expected, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for i in (thread..)
+                    .take(3 * QUERIES.len())
+                    .map(|i| i % QUERIES.len())
+                {
+                    let query = QUERIES[i];
+                    assert_eq!(
+                        rendered(paged, query),
+                        expected[i],
+                        "thread {thread}: {query}"
+                    );
+                }
+            });
+        }
+    });
+    let graph = paged.tuple_graph().graph().storage_stats().unwrap();
+    let tuples = paged.db().tuple_store_stats().unwrap();
+    assert!(
+        graph.evictions > 0 && tuples.evictions > 0,
+        "{graph:?} {tuples:?}"
+    );
+    assert_budget_respected(&paged);
     std::fs::remove_dir_all(&dir).ok();
 }
 

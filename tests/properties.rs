@@ -105,7 +105,7 @@ proptest! {
         // Invariant 4: back-references point at live tuples that really
         // reference the target.
         for (rid, _) in db.relation("Parent").unwrap().scan() {
-            for backref in db.referencing(rid) {
+            for backref in db.referencing(rid).iter() {
                 let resolved = db.resolve_fk(backref.from, backref.fk_index).unwrap();
                 prop_assert_eq!(resolved, Some(rid));
             }
