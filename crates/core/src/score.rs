@@ -13,12 +13,12 @@
 
 use crate::answer::ConnectionTree;
 use crate::config::{CombineMode, EdgeScoreMode, NodeScoreMode, ScoreParams};
-use banks_graph::{Graph, NodeId};
+use banks_graph::{Graph, GraphReader, NodeId};
 
 /// A relevance scorer bound to one graph (for its normalizers).
 #[derive(Debug, Clone)]
 pub(crate) struct Scorer<'g> {
-    graph: &'g Graph,
+    graph: GraphReader<'g>,
     params: ScoreParams,
     w_min_edge: f64,
     w_max_node: f64,
@@ -28,10 +28,22 @@ impl<'g> Scorer<'g> {
     /// Create a scorer over `graph` with the given parameters.
     pub(crate) fn new(graph: &'g Graph, params: ScoreParams) -> Scorer<'g> {
         Scorer {
-            graph,
+            graph: GraphReader::from(graph),
             params,
             w_min_edge: graph.min_edge_weight(),
             w_max_node: graph.max_node_weight(),
+        }
+    }
+
+    /// This scorer reading its graph through a query's `reader`, so the
+    /// edge scores of the query's trees share its page table.
+    pub(crate) fn reading<'q>(&self, reader: GraphReader<'q>) -> Scorer<'q> {
+        debug_assert!(std::ptr::eq(reader.graph(), self.graph.graph()));
+        Scorer {
+            graph: reader,
+            params: self.params,
+            w_min_edge: self.w_min_edge,
+            w_max_node: self.w_max_node,
         }
     }
 
@@ -50,7 +62,7 @@ impl<'g> Scorer<'g> {
     /// Overall edge score of a tree: `1/(1+Σ)`; 1.0 for edgeless trees.
     ///
     /// In log mode the per-edge term is read from the graph's
-    /// precomputed score array ([`Graph::log_edge_score`]) instead of
+    /// precomputed score array ([`GraphReader::log_edge_score`]) instead of
     /// recomputing the `log2` — the hot path of cross-product-heavy
     /// queries, where every generated tree re-scores its edges. The
     /// lookup validates the weight bits and falls back to computing, so
@@ -77,7 +89,7 @@ impl<'g> Scorer<'g> {
         if self.w_max_node <= 0.0 {
             return 0.0;
         }
-        let w = self.graph.node_weight(node);
+        let w = self.graph.graph().node_weight(node);
         match self.params.node_score {
             NodeScoreMode::Linear => (w / self.w_max_node).clamp(0.0, 1.0),
             NodeScoreMode::Log => {

@@ -21,38 +21,10 @@ use crate::graph_build::TupleGraph;
 use crate::score::Scorer;
 use crate::search::output_heap::OutputHeap;
 use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats, StopReason};
-use banks_graph::{CrossScratch, Dijkstra, Direction, NodeId, OriginListPool, SearchArena};
+use banks_graph::{
+    CrossScratch, Dijkstra, Direction, DistHeap, GraphReader, NodeId, OriginListPool, SearchArena,
+};
 use banks_util::fxhash::{FxHashMap, FxHashSet};
-use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
-
-/// Iterator-heap entry: min-heap on the distance of the iterator's next
-/// output ("ordered on the distance of the first node it will output").
-#[derive(Debug, Clone, Copy)]
-struct IterEntry {
-    dist: f64,
-    idx: usize,
-}
-
-impl PartialEq for IterEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.idx == other.idx
-    }
-}
-impl Eq for IterEntry {}
-impl PartialOrd for IterEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for IterEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.idx.cmp(&self.idx))
-    }
-}
 
 /// Duplicate-tracking state per tree signature.
 pub(super) enum DupState {
@@ -89,14 +61,17 @@ pub(crate) fn backward_search_in(
         let policy = RootPolicy::new(tuple_graph, excluded_roots, config);
         single_term_search(scorer, &keyword_sets[0], config, &policy)
     } else {
-        multi_term_search(
-            arena,
-            tuple_graph,
-            scorer,
-            keyword_sets,
-            config,
-            excluded_roots,
-        )
+        arena.with_reader(tuple_graph.graph(), |arena, reader| {
+            multi_term_search(
+                arena,
+                reader,
+                tuple_graph,
+                &scorer.reading(reader),
+                keyword_sets,
+                config,
+                excluded_roots,
+            )
+        })
     };
     arena.spans.end("expand", 0, span);
     arena.trim();
@@ -105,16 +80,18 @@ pub(crate) fn backward_search_in(
 }
 
 /// The multi-term kernel (PR-4 shape): all iterators multiplexed on one
-/// heap, visits processed inline by the [`AnswerSink`].
+/// heap, visits processed inline by the [`AnswerSink`]. Every graph
+/// read goes through `graph`, the query's reader of
+/// `tuple_graph.graph()`.
 fn multi_term_search(
     arena: &mut SearchArena,
+    graph: GraphReader<'_>,
     tuple_graph: &TupleGraph,
     scorer: &Scorer<'_>,
     keyword_sets: &[Vec<NodeId>],
     config: &SearchConfig,
     excluded_roots: &FxHashSet<u32>,
 ) -> SearchOutcome {
-    let graph = tuple_graph.graph();
     let n_terms = keyword_sets.len();
 
     // One reverse-direction Dijkstra per keyword node, each running on a
@@ -124,7 +101,7 @@ fn multi_term_search(
     let mut infos: Vec<(usize, NodeId)> = Vec::with_capacity(total_origins);
     let mut iter_index: FxHashMap<(u32, u32), usize> =
         FxHashMap::with_capacity_and_hasher(total_origins, Default::default());
-    let prestige_handicap = graph.min_edge_weight().min(1.0);
+    let prestige_handicap = graph.graph().min_edge_weight().min(1.0);
     let mut max_handicap = 0.0f64;
     for (term, set) in keyword_sets.iter().enumerate() {
         for &origin in set {
@@ -145,10 +122,12 @@ fn multi_term_search(
         }
     }
 
-    let mut iter_heap: BinaryHeap<IterEntry> = BinaryHeap::with_capacity(iterators.len());
+    // The iterator heap ("ordered on the distance of the first node it
+    // will output"): `(dist, iterator index)` keys, least first.
+    let mut iter_heap = DistHeap::default();
     for (idx, it) in iterators.iter_mut().enumerate() {
         if let Some(dist) = it.peek_dist() {
-            iter_heap.push(IterEntry { dist, idx });
+            iter_heap.push(dist, idx as u32);
         }
     }
 
@@ -169,7 +148,7 @@ fn multi_term_search(
         if sink.emitted.len() >= config.max_results {
             break StopReason::Exhausted;
         }
-        let Some(mut frontier) = iter_heap.peek_mut() else {
+        let Some((frontier, idx)) = iter_heap.peek() else {
             break StopReason::Exhausted;
         };
         if sink.stats.pops >= config.max_pops {
@@ -181,25 +160,24 @@ fn multi_term_search(
         if arena.deadline.expired() {
             break StopReason::Deadline;
         }
-        if early_stop.should_stop(frontier.dist, sink.emitted.len(), &sink.output) {
+        if early_stop.should_stop(frontier, sink.emitted.len(), &sink.output) {
             break StopReason::TopK;
         }
         // The iterator's next key replaces its entry in place; the
         // `(dist, idx)` order is total, so the pop sequence is the one a
         // pop and re-push would give.
-        let idx = frontier.idx;
-        let Some(visit) = iterators[idx].next() else {
-            PeekMut::pop(frontier);
+        let Some(visit) = iterators[idx as usize].next() else {
+            iter_heap.pop();
             continue;
         };
-        match iterators[idx].peek_dist() {
-            Some(dist) => frontier.dist = dist,
+        match iterators[idx as usize].peek_dist() {
+            Some(dist) => iter_heap.replace_top(dist, idx),
             None => {
-                PeekMut::pop(frontier);
+                iter_heap.pop();
             }
         }
         sink.stats.pops += 1;
-        let (term, origin) = infos[idx];
+        let (term, origin) = infos[idx as usize];
         sink.process_visit(visit.node, term, origin, &iterators);
     };
 

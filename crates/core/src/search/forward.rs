@@ -28,39 +28,11 @@ use crate::score::Scorer;
 use crate::search::backward::{self, DupState};
 use crate::search::output_heap::OutputHeap;
 use crate::search::{EarlyStop, RootPolicy, SearchOutcome, SearchStats, StopReason};
-use banks_graph::{Dijkstra, Direction, NodeId, SearchArena};
+use banks_graph::{Dijkstra, Direction, DistHeap, GraphReader, NodeId, SearchArena};
 use banks_util::fxhash::{FxHashMap, FxHashSet};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// How many nearest members of each keyword set a forward probe gathers.
 const MAX_HITS_PER_TERM: usize = 4;
-
-#[derive(Debug, Clone, Copy)]
-struct IterEntry {
-    dist: f64,
-    idx: usize,
-}
-
-impl PartialEq for IterEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.idx == other.idx
-    }
-}
-impl Eq for IterEntry {}
-impl PartialOrd for IterEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for IterEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.idx.cmp(&self.idx))
-    }
-}
 
 /// Run forward search on a caller-owned [`SearchArena`]. Same contract
 /// as [`backward::backward_search_in`].
@@ -72,11 +44,10 @@ pub(crate) fn forward_search_in(
     config: &SearchConfig,
     excluded_roots: &FxHashSet<u32>,
 ) -> SearchOutcome {
-    let mut stats = SearchStats::default();
     if keyword_sets.is_empty() || keyword_sets.iter().any(|s| s.is_empty()) {
         return SearchOutcome {
             answers: Vec::new(),
-            stats,
+            stats: SearchStats::default(),
         };
     }
     if keyword_sets.len() == 1 {
@@ -91,7 +62,31 @@ pub(crate) fn forward_search_in(
         );
     }
 
-    let graph = tuple_graph.graph();
+    arena.with_reader(tuple_graph.graph(), |arena, reader| {
+        forward_multi_term(
+            arena,
+            reader,
+            tuple_graph,
+            &scorer.reading(reader),
+            keyword_sets,
+            config,
+            excluded_roots,
+        )
+    })
+}
+
+/// Forward search over two or more terms. Every graph read goes
+/// through `graph`, the query's reader of `tuple_graph.graph()`.
+fn forward_multi_term(
+    arena: &mut SearchArena,
+    graph: GraphReader<'_>,
+    tuple_graph: &TupleGraph,
+    scorer: &Scorer<'_>,
+    keyword_sets: &[Vec<NodeId>],
+    config: &SearchConfig,
+    excluded_roots: &FxHashSet<u32>,
+) -> SearchOutcome {
+    let mut stats = SearchStats::default();
     let n_terms = keyword_sets.len();
     let policy = RootPolicy::new(tuple_graph, excluded_roots, config);
     let selective = keyword_sets
@@ -118,10 +113,11 @@ pub(crate) fn forward_search_in(
         origins.push(origin);
     }
     stats.iterators = iterators.len();
-    let mut iter_heap: BinaryHeap<IterEntry> = BinaryHeap::with_capacity(iterators.len());
+    // `(dist, iterator index)` keys, least first.
+    let mut iter_heap = DistHeap::default();
     for (idx, it) in iterators.iter_mut().enumerate() {
         if let Some(dist) = it.peek_dist() {
-            iter_heap.push(IterEntry { dist, idx });
+            iter_heap.push(dist, idx as u32);
         }
     }
 
@@ -145,7 +141,7 @@ pub(crate) fn forward_search_in(
         if emitted.len() >= config.max_results {
             break StopReason::Exhausted;
         }
-        let Some(&frontier) = iter_heap.peek() else {
+        let Some((frontier, idx)) = iter_heap.peek() else {
             break StopReason::Exhausted;
         };
         if stats.pops >= config.max_pops {
@@ -155,19 +151,17 @@ pub(crate) fn forward_search_in(
         if arena.deadline.expired() {
             break StopReason::Deadline;
         }
-        if early_stop.should_stop(frontier.dist, emitted.len(), &output) {
+        if early_stop.should_stop(frontier, emitted.len(), &output) {
             break StopReason::TopK;
         }
-        let entry = iter_heap.pop().expect("peeked entry");
-        let Some(visit) = iterators[entry.idx].next() else {
+        iter_heap.pop();
+        let idx = idx as usize;
+        let Some(visit) = iterators[idx].next() else {
             continue;
         };
         stats.pops += 1;
-        if let Some(dist) = iterators[entry.idx].peek_dist() {
-            iter_heap.push(IterEntry {
-                dist,
-                idx: entry.idx,
-            });
+        if let Some(dist) = iterators[idx].peek_dist() {
+            iter_heap.push(dist, idx as u32);
         }
         let u = visit.node;
         // Each candidate root is probed once, by the nearest selective
@@ -196,7 +190,7 @@ pub(crate) fn forward_search_in(
         for h in &mut hits {
             h.clear();
         }
-        hits[selective].push(origins[entry.idx]);
+        hits[selective].push(origins[idx]);
         let mut satisfied = 1usize; // terms with ≥ 1 hit
         let mut saturated = 1usize; // terms with MAX_HITS_PER_TERM hits
         while saturated < n_terms {
@@ -228,7 +222,7 @@ pub(crate) fn forward_search_in(
         // each the tree: backward path root→selective origin plus forward
         // probe paths root→each chosen keyword node.
         backward_path.clear();
-        let ok = iterators[entry.idx].path_edges_into(u, &mut backward_path);
+        let ok = iterators[idx].path_edges_into(u, &mut backward_path);
         debug_assert!(ok, "just settled u");
         let total: usize = hits
             .iter()

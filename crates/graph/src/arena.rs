@@ -17,17 +17,24 @@
 //!   visiting a node allocates nothing.
 //! * [`CrossScratch`] — the mixed-radix counter, cursor, origin and edge
 //!   buffers the cross-product enumerator reuses across connection trees.
+//! * A page table — on a paged graph, the segments the running query
+//!   has read, one slot per segment and direction, so that each is
+//!   looked up in the page cache once per query
+//!   ([`SearchArena::with_reader`]).
 //!
 //! A server worker keeps one arena for its lifetime; `checkout`/`recycle`
 //! hand states to iterators and take them back when a query ends. A
 //! state has no notion of graph size, so one arena safely outlives
 //! live-ingestion publishes that grow or shrink the graph.
 
-use crate::graph::NodeId;
+use crate::graph::{Graph, GraphReader, NodeId};
 use crate::heap::DistHeap;
+use crate::store::Segment;
 use banks_util::fxhash::FxHashMap;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// Sentinel for "no parent" / "no list entry" — the terminator
 /// [`OriginListPool::head`] and [`OriginListPool::next`] return.
@@ -153,14 +160,19 @@ impl DijkstraState {
         self.settled_count += 1;
     }
 
-    /// Settle the queue's nearest node and return it, leaving its entry
-    /// on top of the queue for the caller to pop or overwrite. Stale
-    /// entries on top are dropped first. Returns `None`, emptying the
-    /// queue, when it is exhausted or its nearest node lies past
-    /// `max_dist` or would exceed `max_settled` settled nodes. One table
-    /// probe per settled node.
+    /// Settle the queue's nearest node and return it with its parent
+    /// ([`NIL`] for the origin), leaving its entry on top of the queue
+    /// for the caller to pop or overwrite. Stale entries on top are
+    /// dropped first. Returns `None`, emptying the queue, when it is
+    /// exhausted or its nearest node lies past `max_dist` or would
+    /// exceed `max_settled` settled nodes. One table probe per settled
+    /// node.
     #[inline]
-    pub(crate) fn settle_next(&mut self, max_dist: f64, max_settled: usize) -> Option<(f64, u32)> {
+    pub(crate) fn settle_next(
+        &mut self,
+        max_dist: f64,
+        max_settled: usize,
+    ) -> Option<(f64, u32, u32)> {
         loop {
             let (dist, node) = self.heap.peek()?;
             let slot = self
@@ -178,7 +190,7 @@ impl DijkstraState {
             }
             slot.signed_dist = -slot.dist();
             self.settled_count += 1;
-            return Some((dist, node));
+            return Some((dist, node, slot.parent));
         }
     }
 
@@ -238,19 +250,34 @@ impl DijkstraState {
     }
 }
 
+/// One origin list's ends and length ([`NIL`] ends when empty).
+#[derive(Debug, Clone, Copy)]
+struct ListEnds {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl ListEnds {
+    const EMPTY: ListEnds = ListEnds {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
 /// The paper's per-node origin lists `u.Lᵢ`, flattened: one shared entry
 /// pool of forward-linked lists plus a per-node block of `n_terms`
-/// (head, tail, len) triples. Appends and whole-pool resets never free
-/// memory, so a reused pool allocates only while it is still growing
-/// toward the high-water mark of its workload.
+/// (head, tail, len) triples, stored side by side so that a visit reads
+/// one cache line. Appends and whole-pool resets never free memory, so
+/// a reused pool allocates only while it is still growing toward the
+/// high-water mark of its workload.
 #[derive(Debug, Clone, Default)]
 pub struct OriginListPool {
     n_terms: usize,
     /// node id → base slot of its `n_terms`-wide block.
     node_base: FxHashMap<u32, u32>,
-    heads: Vec<u32>,
-    tails: Vec<u32>,
-    lens: Vec<u32>,
+    lists: Vec<ListEnds>,
     /// `(origin, next-entry)` cells; [`NIL`] terminates a list.
     entries: Vec<(u32, u32)>,
 }
@@ -260,51 +287,46 @@ impl OriginListPool {
     pub fn reset(&mut self, n_terms: usize) {
         self.n_terms = n_terms;
         self.node_base.clear();
-        self.heads.clear();
-        self.tails.clear();
-        self.lens.clear();
+        self.lists.clear();
         self.entries.clear();
     }
 
     /// Base slot of `node`'s list block, allocating an empty block on
     /// first visit.
     pub fn ensure(&mut self, node: u32) -> u32 {
-        if let Some(&base) = self.node_base.get(&node) {
-            return base;
-        }
-        let base = self.heads.len() as u32;
-        self.heads.resize(self.heads.len() + self.n_terms, NIL);
-        self.tails.resize(self.tails.len() + self.n_terms, NIL);
-        self.lens.resize(self.lens.len() + self.n_terms, 0);
-        self.node_base.insert(node, base);
-        base
+        let lists = &mut self.lists;
+        *self.node_base.entry(node).or_insert_with(|| {
+            let base = lists.len() as u32;
+            lists.resize(lists.len() + self.n_terms, ListEnds::EMPTY);
+            base
+        })
     }
 
     /// Append `origin` to the `term` list of the block at `base`,
     /// preserving insertion order.
     pub fn push(&mut self, base: u32, term: usize, origin: u32) {
-        let slot = base as usize + term;
         let entry = self.entries.len() as u32;
         self.entries.push((origin, NIL));
-        if self.tails[slot] == NIL {
-            self.heads[slot] = entry;
+        let list = &mut self.lists[base as usize + term];
+        if list.tail == NIL {
+            list.head = entry;
         } else {
-            self.entries[self.tails[slot] as usize].1 = entry;
+            self.entries[list.tail as usize].1 = entry;
         }
-        self.tails[slot] = entry;
-        self.lens[slot] += 1;
+        list.tail = entry;
+        list.len += 1;
     }
 
     /// Length of the `term` list at `base`.
     #[inline]
     pub fn len(&self, base: u32, term: usize) -> usize {
-        self.lens[base as usize + term] as usize
+        self.lists[base as usize + term].len as usize
     }
 
     /// First entry index of the `term` list at `base` ([`NIL`] if empty).
     #[inline]
     pub fn head(&self, base: u32, term: usize) -> u32 {
-        self.heads[base as usize + term]
+        self.lists[base as usize + term].head
     }
 
     /// The origin stored at `entry`.
@@ -334,33 +356,29 @@ impl OriginListPool {
     }
 
     /// Shrink policy: drop this query's content and clamp every backing
-    /// buffer to at most `max_entries` entries, so one broad query does
-    /// not pin its high-water mark in a long-lived worker arena forever.
-    /// Called at the end of a search — the next query `reset`s anyway.
-    pub(crate) fn shrink(&mut self, max_entries: usize) {
+    /// buffer to at most `max_entries` entries, and the node table to
+    /// `max_nodes`, so one broad query does not pin its high-water mark
+    /// in a long-lived worker arena forever. Called at the end of a
+    /// search — the next query `reset`s anyway.
+    pub(crate) fn shrink(&mut self, max_entries: usize, max_nodes: usize) {
         self.node_base.clear();
-        self.heads.clear();
-        self.tails.clear();
-        self.lens.clear();
+        self.lists.clear();
         self.entries.clear();
         if self.entries.capacity() > max_entries {
             self.entries.shrink_to(max_entries);
         }
-        if self.heads.capacity() > max_entries {
-            self.heads.shrink_to(max_entries);
-            self.tails.shrink_to(max_entries);
-            self.lens.shrink_to(max_entries);
+        if self.lists.capacity() > max_entries {
+            self.lists.shrink_to(max_entries);
         }
-        if self.node_base.capacity() > max_entries {
-            self.node_base.shrink_to(max_entries);
+        if self.node_base.capacity() > max_nodes {
+            self.node_base.shrink_to(max_nodes);
         }
     }
 
     /// Bytes retained by the pool's backing buffers.
     pub fn retained_bytes(&self) -> usize {
         self.entries.capacity() * size_of::<(u32, u32)>()
-            + (self.heads.capacity() + self.tails.capacity() + self.lens.capacity())
-                * size_of::<u32>()
+            + self.lists.capacity() * size_of::<ListEnds>()
             + table_bytes::<(u32, u32)>(self.node_base.capacity())
     }
 }
@@ -409,6 +427,39 @@ impl CrossScratch {
             + self.lens.capacity() * size_of::<usize>()
             + self.origins.capacity() * size_of::<NodeId>()
             + self.edges.capacity() * size_of::<(NodeId, NodeId, f64)>()
+    }
+}
+
+/// A query's page table: one slot per segment and direction of a paged
+/// graph, filled with the segment's `Arc` on the query's first read of
+/// it ([`GraphReader`]) and emptied when the query ends. That first
+/// fill is the query's one page-cache lookup of the segment, and its
+/// page-in when the segment is not cached. Segments the table holds
+/// stay alive while the cache may evict them; they are not part of a
+/// query's `state_bytes`.
+#[derive(Debug, Default)]
+pub(crate) struct PageTable {
+    slots: Vec<OnceCell<Arc<Segment>>>,
+}
+
+impl PageTable {
+    /// Size the (empty) table for `graph` and return a reader that
+    /// fills it.
+    pub(crate) fn bind<'q>(&'q mut self, graph: &'q Graph) -> GraphReader<'q> {
+        self.slots.clear();
+        self.slots.resize_with(graph.page_slots(), OnceCell::new);
+        GraphReader::new(graph, self)
+    }
+
+    /// The segment in `slot`, from `load` on the slot's first use.
+    #[inline]
+    pub(crate) fn segment(&self, slot: usize, load: impl FnOnce() -> Arc<Segment>) -> &Segment {
+        self.slots[slot].get_or_init(load)
+    }
+
+    /// Drop every segment the table holds, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
     }
 }
 
@@ -547,6 +598,8 @@ pub struct SearchArena {
     pub cross: CrossScratch,
     /// Cooperative-cancellation token polled by the expansion loops.
     pub deadline: DeadlineToken,
+    /// The running query's segments (see [`SearchArena::with_reader`]).
+    pages: PageTable,
 }
 
 impl SearchArena {
@@ -567,9 +620,16 @@ impl SearchArena {
     pub(crate) const RETAINED_STATE_ENTRIES: usize = 1 << 11;
 
     /// Origin-list pool entries retained between queries: 512 KiB of
-    /// list cells, 768 KiB of per-node head/tail/length lanes and a
-    /// node table of up to 128 K 8-byte buckets (~1.1 MiB).
+    /// list cells and 768 KiB of per-node head/tail/length lanes.
     pub(crate) const RETAINED_LIST_ENTRIES: usize = 1 << 16;
+
+    /// Nodes the origin-list node table keeps room for between queries:
+    /// 8 K 8-byte buckets (~72 KiB). Every visit probes this table, so
+    /// it is kept small: sized for a broad query (128 K buckets,
+    /// ~1.1 MiB) it spread the next query's few thousand nodes over a
+    /// megabyte and missed the cache on nearly every probe. It regrows
+    /// to what a query needs.
+    pub(crate) const RETAINED_LIST_NODES: usize = 1 << 12;
 
     /// Take a state block from [`SearchArena::states`].
     pub fn checkout(&mut self) -> DijkstraState {
@@ -581,11 +641,28 @@ impl SearchArena {
         self.states.recycle(state);
     }
 
+    /// Run `f` with this arena and a reader of `graph` that fills the
+    /// arena's page table, then empty the table: on a paged graph every
+    /// segment the query reads is looked up in the page cache once, on
+    /// its first read, and held until `f` returns.
+    pub fn with_reader<R>(
+        &mut self,
+        graph: &Graph,
+        f: impl FnOnce(&mut SearchArena, GraphReader<'_>) -> R,
+    ) -> R {
+        let mut pages = std::mem::take(&mut self.pages);
+        let out = f(self, pages.bind(graph));
+        pages.clear();
+        self.pages = pages;
+        out
+    }
+
     /// End-of-query shrink policy: drop per-query content and clamp
     /// every pooled buffer to its retention cap, so one pathological
     /// query cannot pin its worst-case footprint in a worker forever.
     pub fn trim(&mut self) {
-        self.lists.shrink(Self::RETAINED_LIST_ENTRIES);
+        self.lists
+            .shrink(Self::RETAINED_LIST_ENTRIES, Self::RETAINED_LIST_NODES);
     }
 
     /// Bytes currently pinned by the arena's pooled memory (idle state

@@ -19,7 +19,7 @@
 //! constructor starts from an empty state for callers that don't pool.
 
 use crate::arena::{DijkstraState, NIL};
-use crate::graph::{Graph, NodeId};
+use crate::graph::{GraphReader, NodeId};
 
 /// Which way the iterator walks the graph's edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub struct Visit {
 /// A lazy Dijkstra iterator with parent tracking for path reconstruction.
 #[derive(Debug, Clone)]
 pub struct Dijkstra<'g> {
-    graph: &'g Graph,
+    graph: GraphReader<'g>,
     origin: NodeId,
     direction: Direction,
     state: DijkstraState,
@@ -58,15 +58,20 @@ pub struct Dijkstra<'g> {
 impl<'g> Dijkstra<'g> {
     /// Start a shortest-path iteration from `origin` with a fresh state.
     /// Pooling callers use [`Dijkstra::new_in`].
-    pub fn new(graph: &'g Graph, origin: NodeId, direction: Direction) -> Dijkstra<'g> {
+    pub fn new(
+        graph: impl Into<GraphReader<'g>>,
+        origin: NodeId,
+        direction: Direction,
+    ) -> Dijkstra<'g> {
         Dijkstra::new_in(graph, origin, direction, DijkstraState::new())
     }
 
     /// Start a shortest-path iteration reusing `state` (typically checked
     /// out of a [`crate::SearchArena`]). The state is cleared first, so
-    /// any block can serve any graph.
+    /// any block can serve any graph. `graph` is a `&Graph` or, in a
+    /// search, the query's [`GraphReader`].
     pub fn new_in(
-        graph: &'g Graph,
+        graph: impl Into<GraphReader<'g>>,
         origin: NodeId,
         direction: Direction,
         mut state: DijkstraState,
@@ -74,7 +79,7 @@ impl<'g> Dijkstra<'g> {
         state.reset();
         state.start(origin.0, 0.0);
         Dijkstra {
-            graph,
+            graph: graph.into(),
             origin,
             direction,
             state,
@@ -222,10 +227,12 @@ impl Iterator for Dijkstra<'_> {
     type Item = Visit;
 
     fn next(&mut self) -> Option<Visit> {
-        let (dist, node) = self.state.settle_next(self.max_dist, self.max_settled)?;
+        let (dist, node, parent) = self.state.settle_next(self.max_dist, self.max_settled)?;
 
         // The settled entry is still the queue's top: the first
         // relaxation overwrites it, and it is popped only if none does.
+        // The parent is settled, so no edge to it can relax; skipping it
+        // saves the probe that would say so.
         let (graph, max_dist) = (self.graph, self.max_dist);
         let forward = self.direction == Direction::Forward;
         let state = &mut self.state;
@@ -233,7 +240,7 @@ impl Iterator for Dijkstra<'_> {
             let mut top_taken = false;
             adjacency.for_each(|next, w| {
                 let cand = dist + w;
-                if cand <= max_dist && state.relax(next, cand, node) {
+                if next != parent && cand <= max_dist && state.relax(next, cand, node) {
                     if top_taken {
                         state.heap.push(cand, next);
                     } else {
@@ -258,7 +265,7 @@ impl Iterator for Dijkstra<'_> {
 mod tests {
     use super::*;
     use crate::arena::SearchArena;
-    use crate::graph::GraphBuilder;
+    use crate::graph::{Graph, GraphBuilder};
     use proptest::prelude::*;
 
     /// a →1 b →1 c →1 d, plus shortcut a →2.5 c

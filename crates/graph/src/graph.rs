@@ -8,6 +8,7 @@
 //! store in `banks-pager`. The search kernel and every other caller see
 //! a single `Graph` type either way.
 
+use crate::arena::PageTable;
 use crate::store::{edge_log_score, Adjacency, GraphStore, StorageStats};
 use std::fmt;
 use std::sync::Arc;
@@ -116,13 +117,38 @@ struct InRamGraph {
     max_node_weight: f64,
 }
 
+/// A paged backend plus the segment geometry a read needs, read once
+/// from the store so that mapping a node to its segment costs no
+/// virtual call.
+#[derive(Debug, Clone)]
+struct PagedGraph {
+    store: Arc<dyn GraphStore>,
+    nodes: u32,
+    /// Nodes per segment.
+    span: u32,
+    /// Segments per direction.
+    segs: u32,
+}
+
+impl PagedGraph {
+    /// The segment holding `node`'s lists, and its [`PageTable`] slot in
+    /// direction `forward` (forward segments first, then reverse).
+    #[inline]
+    fn locate(&self, forward: bool, node: u32) -> (u32, usize) {
+        assert!(node < self.nodes, "node out of range");
+        let seg = node / self.span;
+        let slot = if forward { seg } else { self.segs + seg };
+        (seg, slot as usize)
+    }
+}
+
 /// Which backend a [`Graph`] dispatches to.
 #[derive(Debug, Clone)]
 enum Repr {
     /// Fully decoded CSR arrays in RAM (the default).
     InRam(InRamGraph),
     /// A pluggable out-of-core backend (see `banks-pager`).
-    Paged(Arc<dyn GraphStore>),
+    Paged(PagedGraph),
 }
 
 /// An immutable directed graph in CSR form, with both forward and reverse
@@ -368,8 +394,25 @@ impl Graph {
     /// dispatches to `store`; the search kernel runs against it
     /// unchanged.
     pub fn from_store(store: Arc<dyn GraphStore>) -> Graph {
+        let nodes = u32::try_from(store.node_count()).expect("more than u32::MAX nodes");
+        let span = store.seg_span();
+        assert!(span > 0, "a paged store has a positive segment span");
         Graph {
-            repr: Repr::Paged(store),
+            repr: Repr::Paged(PagedGraph {
+                nodes,
+                span,
+                segs: nodes.div_ceil(span),
+                store,
+            }),
+        }
+    }
+
+    /// Slots a [`PageTable`] needs for this graph: one per segment and
+    /// direction (none in RAM).
+    pub(crate) fn page_slots(&self) -> usize {
+        match &self.repr {
+            Repr::InRam(_) => 0,
+            Repr::Paged(p) => 2 * p.segs as usize,
         }
     }
 
@@ -379,7 +422,7 @@ impl Graph {
     pub fn store(&self) -> Option<&Arc<dyn GraphStore>> {
         match &self.repr {
             Repr::InRam(_) => None,
-            Repr::Paged(s) => Some(s),
+            Repr::Paged(p) => Some(&p.store),
         }
     }
 
@@ -388,7 +431,7 @@ impl Graph {
     pub fn storage_stats(&self) -> Option<StorageStats> {
         match &self.repr {
             Repr::InRam(_) => None,
-            Repr::Paged(s) => Some(s.storage_stats()),
+            Repr::Paged(p) => Some(p.store.storage_stats()),
         }
     }
 
@@ -396,7 +439,7 @@ impl Graph {
     pub fn node_count(&self) -> usize {
         match &self.repr {
             Repr::InRam(g) => g.node_weights.len(),
-            Repr::Paged(s) => s.node_count(),
+            Repr::Paged(p) => p.store.node_count(),
         }
     }
 
@@ -404,7 +447,7 @@ impl Graph {
     pub fn edge_count(&self) -> usize {
         match &self.repr {
             Repr::InRam(g) => g.fwd_targets.len(),
-            Repr::Paged(s) => s.edge_count(),
+            Repr::Paged(p) => p.store.edge_count(),
         }
     }
 
@@ -413,7 +456,7 @@ impl Graph {
     pub fn node_weight(&self, node: NodeId) -> f64 {
         match &self.repr {
             Repr::InRam(g) => g.node_weights[node.index()],
-            Repr::Paged(s) => s.node_weight(node.0),
+            Repr::Paged(p) => p.store.node_weight(node.0),
         }
     }
 
@@ -436,13 +479,14 @@ impl Graph {
 
     /// Call `f` on the outgoing adjacency of `node`: targets, weights
     /// and log-mode edge scores — the allocation-free view the search
-    /// kernel's relaxation loop and the scorer read — and return what
-    /// `f` returns.
+    /// kernel's relaxation loop and the scorer read (through a query's
+    /// [`GraphReader`]) — and return what `f` returns.
     ///
-    /// The view lives only as long as the call: a paged graph holds the
-    /// node's segment for exactly that long, whatever other reads `f`
-    /// makes or the cache evicts meanwhile. On an in-RAM graph `f` runs
-    /// directly on the CSR lanes, with no dynamic dispatch.
+    /// The view lives only as long as the call: a paged graph looks the
+    /// node's segment up in the page cache and holds it for exactly that
+    /// long, whatever other reads `f` makes or the cache evicts
+    /// meanwhile. On either backend `f` runs on the lanes directly, with
+    /// no dynamic dispatch.
     #[inline]
     pub fn with_out_adjacency<R>(&self, node: NodeId, f: impl FnOnce(Adjacency<'_>) -> R) -> R {
         self.with_adjacency(true, node, f)
@@ -464,32 +508,7 @@ impl Graph {
         node: NodeId,
         f: impl FnOnce(Adjacency<'_>) -> R,
     ) -> R {
-        match &self.repr {
-            Repr::InRam(g) => f(g.adjacency(forward, node)),
-            Repr::Paged(s) => {
-                let mut f = Some(f);
-                let mut out = None;
-                s.with_adjacency(forward, node.0, &mut |adjacency| {
-                    out = f.take().map(|f| f(adjacency));
-                });
-                out.expect("a graph store calls `f` once")
-            }
-        }
-    }
-
-    /// Precomputed log-mode score (`log2(1 + w/w_min)`) of the directed
-    /// edge `(from, to)`, provided the edge exists and its stored weight
-    /// is bit-identical to `weight`. The weight check makes the lookup a
-    /// drop-in for recomputation: a caller holding a weight that differs
-    /// from the CSR's (e.g. a synthetic tree) falls back to computing,
-    /// so results never depend on whether the lookup hit. One adjacency
-    /// access answers it.
-    #[inline]
-    pub fn log_edge_score(&self, from: NodeId, to: NodeId, weight: f64) -> Option<f64> {
-        self.with_out_adjacency(from, |adjacency| {
-            let i = adjacency.ids().binary_search(&to.0).ok()?;
-            (adjacency.weight(i).to_bits() == weight.to_bits()).then(|| adjacency.escore(i))
-        })
+        GraphReader::from(self).with_adjacency(forward, node, f)
     }
 
     /// Out-degree of `node`.
@@ -517,7 +536,7 @@ impl Graph {
     pub fn min_edge_weight(&self) -> f64 {
         match &self.repr {
             Repr::InRam(g) => g.min_edge_weight,
-            Repr::Paged(s) => s.min_edge_weight(),
+            Repr::Paged(p) => p.store.min_edge_weight(),
         }
     }
 
@@ -526,7 +545,7 @@ impl Graph {
     pub fn max_node_weight(&self) -> f64 {
         match &self.repr {
             Repr::InRam(g) => g.max_node_weight,
-            Repr::Paged(s) => s.max_node_weight(),
+            Repr::Paged(p) => p.store.max_node_weight(),
         }
     }
 
@@ -538,8 +557,84 @@ impl Graph {
     pub fn memory_bytes(&self) -> usize {
         match &self.repr {
             Repr::InRam(g) => g.memory_bytes(),
-            Repr::Paged(s) => s.memory_bytes(),
+            Repr::Paged(p) => p.store.memory_bytes(),
         }
+    }
+}
+
+/// A [`Graph`] read on behalf of one query: its paged reads go through
+/// the query's page table, so each segment is looked up in the page
+/// cache once per query and every later read of it is a slot load with
+/// no lock, hash, atomic read-modify-write or virtual call. The view
+/// is then lent to the closure monomorphically, as on an in-RAM graph.
+///
+/// [`SearchArena::with_reader`](crate::SearchArena::with_reader) makes
+/// one; a reader made `from` a bare `&Graph` has no table and reads like
+/// [`Graph::with_out_adjacency`], one lookup per read. On an in-RAM
+/// graph both read the CSR lanes.
+#[derive(Debug, Clone, Copy)]
+pub struct GraphReader<'q> {
+    graph: &'q Graph,
+    pages: Option<&'q PageTable>,
+}
+
+impl<'q> From<&'q Graph> for GraphReader<'q> {
+    fn from(graph: &'q Graph) -> GraphReader<'q> {
+        GraphReader { graph, pages: None }
+    }
+}
+
+impl<'q> GraphReader<'q> {
+    /// A reader filling `pages`, which must be sized for `graph`.
+    pub(crate) fn new(graph: &'q Graph, pages: &'q PageTable) -> GraphReader<'q> {
+        GraphReader {
+            graph,
+            pages: Some(pages),
+        }
+    }
+
+    /// The graph read.
+    #[inline]
+    pub fn graph(&self) -> &'q Graph {
+        self.graph
+    }
+
+    /// Call `f` on the forward (`forward`) or reverse adjacency of
+    /// `node` and return what it returns (see
+    /// [`Graph::with_out_adjacency`]).
+    #[inline]
+    pub fn with_adjacency<R>(
+        &self,
+        forward: bool,
+        node: NodeId,
+        f: impl FnOnce(Adjacency<'_>) -> R,
+    ) -> R {
+        match &self.graph.repr {
+            Repr::InRam(g) => f(g.adjacency(forward, node)),
+            Repr::Paged(p) => {
+                let (seg, slot) = p.locate(forward, node.0);
+                let load = || p.store.segment(forward, seg);
+                match self.pages {
+                    Some(pages) => f(pages.segment(slot, load).adjacency(node.0)),
+                    None => f(load().adjacency(node.0)),
+                }
+            }
+        }
+    }
+
+    /// Precomputed log-mode score (`log2(1 + w/w_min)`) of the directed
+    /// edge `(from, to)`, provided the edge exists and its stored weight
+    /// is bit-identical to `weight`. The weight check makes the lookup a
+    /// drop-in for recomputation: a caller holding a weight that differs
+    /// from the CSR's (e.g. a synthetic tree) falls back to computing,
+    /// so results never depend on whether the lookup hit. One adjacency
+    /// access answers it.
+    #[inline]
+    pub fn log_edge_score(&self, from: NodeId, to: NodeId, weight: f64) -> Option<f64> {
+        self.with_adjacency(true, from, |adjacency| {
+            let i = adjacency.ids().binary_search(&to.0).ok()?;
+            (adjacency.weight(i).to_bits() == weight.to_bits()).then(|| adjacency.escore(i))
+        })
     }
 }
 
@@ -646,14 +741,23 @@ mod tests {
                 let expect = (1.0 + w / g.min_edge_weight()).log2();
                 assert_eq!(escore.to_bits(), expect.to_bits());
                 assert_eq!(
-                    g.log_edge_score(v, NodeId(t), w).map(f64::to_bits),
+                    GraphReader::from(&g)
+                        .log_edge_score(v, NodeId(t), w)
+                        .map(f64::to_bits),
                     Some(expect.to_bits())
                 );
                 // A weight that differs even in the last bit misses.
-                assert_eq!(g.log_edge_score(v, NodeId(t), w + 1e-9), None);
+                assert_eq!(
+                    GraphReader::from(&g).log_edge_score(v, NodeId(t), w + 1e-9),
+                    None
+                );
             }
         }
-        assert_eq!(g.log_edge_score(d, a, 1.0), None, "absent edge");
+        assert_eq!(
+            GraphReader::from(&g).log_edge_score(d, a, 1.0),
+            None,
+            "absent edge"
+        );
         // The views agree with the owned edge iterators.
         for v in [a, b, d] {
             let out = g.with_out_adjacency(v, edge_list);

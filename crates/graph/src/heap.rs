@@ -1,4 +1,6 @@
-//! A 4-ary min-heap specialized for the Dijkstra distance queue.
+//! A 4-ary min-heap of `(dist, id)` keys: the Dijkstra distance queue,
+//! and the search kernels' iterator heap (keyed by each iterator's next
+//! distance and its index).
 //!
 //! `std::collections::BinaryHeap` is binary and max-ordered, which the old
 //! kernel worked around with a reversed `Ord` wrapper. A 4-ary layout
@@ -12,7 +14,10 @@
 //!
 //! Ordering matches the old wrapper exactly — smallest distance first,
 //! ties broken by the smaller node id — so pop order (and therefore every
-//! downstream answer) is bit-identical to the `BinaryHeap` kernel. The
+//! downstream answer) is bit-identical to the `BinaryHeap` kernel. An
+//! entry compares as one integer key, `dist.to_bits() << 32 | node`
+//! (see [`key`]), and a sift-down picks the least of four children with
+//! masks instead of branches. The
 //! kernel never queues the same `(dist, node)` key twice (a node is
 //! re-queued only at a strictly smaller distance), so the keys are
 //! distinct and any correct heap over them pops one sequence: reusing
@@ -31,20 +36,38 @@ struct Entry {
     node: u32,
 }
 
-/// A min-heap of `(dist, node)` keys ordered by distance, then ascending
-/// node id. Distances must not be negative (see [`less`]).
+/// A 4-ary min-heap of `(dist, node)` keys ordered by distance, then
+/// ascending node id (or any other `u32` id: the search kernels key
+/// their iterator heap by iterator index). Distances must not be
+/// negative: a key compares the distance's bit pattern as an integer.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct DistHeap {
+pub struct DistHeap {
     data: Vec<Entry>,
 }
 
-/// Key order. The bit patterns of non-negative floats (`+0.0` included)
-/// sort as their values, so comparing `to_bits()` gives `total_cmp`'s
-/// order on the distances the kernel queues, with integer compares.
-#[inline]
-fn less(a: Entry, b: Entry) -> bool {
-    debug_assert!({ a.dist }.is_sign_positive() && { b.dist }.is_sign_positive());
-    ({ a.dist }.to_bits(), a.node) < ({ b.dist }.to_bits(), b.node)
+/// The entry's sort key as one integer: the distance's bits above the
+/// node id. The bit patterns of non-negative floats (`+0.0` included)
+/// sort as their values, so comparing keys gives `total_cmp`'s order on
+/// the distances the kernel queues, ties broken by node id — the order
+/// of the `(dist, node)` tuple, with one integer compare.
+#[inline(always)]
+fn key(e: Entry) -> u128 {
+    debug_assert!({ e.dist }.is_sign_positive());
+    (u128::from({ e.dist }.to_bits()) << 32) | u128::from(e.node)
+}
+
+/// The smaller of two `(key, index)` pairs, picked with masks rather
+/// than a branch: which child is least is a coin toss the branch
+/// predictor cannot learn.
+#[inline(always)]
+fn min_pair(a: (u128, usize), b: (u128, usize)) -> (u128, usize) {
+    let take_b = b.0 < a.0;
+    let wide = 0u128.wrapping_sub(u128::from(take_b));
+    let narrow = 0usize.wrapping_sub(usize::from(take_b));
+    (
+        (b.0 & wide) | (a.0 & !wide),
+        (b.1 & narrow) | (a.1 & !narrow),
+    )
 }
 
 impl DistHeap {
@@ -70,20 +93,20 @@ impl DistHeap {
 
     /// The smallest entry, if any.
     #[inline]
-    pub(crate) fn peek(&self) -> Option<(f64, u32)> {
+    pub fn peek(&self) -> Option<(f64, u32)> {
         self.data.first().map(|e| (e.dist, e.node))
     }
 
     /// Insert an entry.
     #[inline]
-    pub(crate) fn push(&mut self, dist: f64, node: u32) {
+    pub fn push(&mut self, dist: f64, node: u32) {
         self.data.push(Entry { dist, node });
         self.sift_up(self.data.len() - 1);
     }
 
     /// Remove and return the smallest entry.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(f64, u32)> {
+    pub fn pop(&mut self) -> Option<(f64, u32)> {
         let last = self.data.len().checked_sub(1)?;
         self.data.swap(0, last);
         let top = self.data.pop();
@@ -96,7 +119,7 @@ impl DistHeap {
     /// Replace the smallest entry by `(dist, node)`: a pop and a push
     /// with one sift instead of two. The heap must not be empty.
     #[inline]
-    pub(crate) fn replace_top(&mut self, dist: f64, node: u32) {
+    pub fn replace_top(&mut self, dist: f64, node: u32) {
         self.data[0] = Entry { dist, node };
         self.sift_down(0);
     }
@@ -104,9 +127,10 @@ impl DistHeap {
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
         let entry = self.data[i];
+        let k = key(entry);
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if less(entry, self.data[parent]) {
+            if k < key(self.data[parent]) {
                 self.data[i] = self.data[parent];
                 i = parent;
             } else {
@@ -116,25 +140,33 @@ impl DistHeap {
         self.data[i] = entry;
     }
 
+    /// Move the entry at `i` down to its place. A full family of four
+    /// children is reduced to its least member without branches; a
+    /// partial family is the last level (its children have none), so
+    /// it is scanned once and the sift ends there.
     fn sift_down(&mut self, mut i: usize) {
         let len = self.data.len();
         let entry = self.data[i];
+        let k = key(entry);
         loop {
-            let first_child = i * ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut best = first_child;
-            let end = (first_child + ARITY).min(len);
-            for c in first_child + 1..end {
-                if less(self.data[c], self.data[best]) {
-                    best = c;
+            let first = i * ARITY + 1;
+            if let Some(family) = self.data.get(first..first + ARITY) {
+                let pair = |c: usize| (key(family[c]), c);
+                let least = min_pair(min_pair(pair(0), pair(1)), min_pair(pair(2), pair(3)));
+                if least.0 >= k {
+                    break;
                 }
-            }
-            if less(self.data[best], entry) {
-                self.data[i] = self.data[best];
-                i = best;
+                self.data[i] = family[least.1];
+                i = first + least.1;
             } else {
+                let mut least = (k, usize::MAX);
+                for c in first..len {
+                    least = min_pair(least, (key(self.data[c]), c));
+                }
+                if least.1 != usize::MAX {
+                    self.data[i] = self.data[least.1];
+                    i = least.1;
+                }
                 break;
             }
         }
@@ -145,6 +177,75 @@ impl DistHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference queue: a plain list whose least `(dist, node)`
+    /// pair, by `total_cmp` then node id, is found by a scan.
+    fn take_least(reference: &mut Vec<(f64, u32)>) -> Option<(f64, u32)> {
+        let least = (0..reference.len()).min_by(|&a, &b| {
+            let (a, b) = (reference[a], reference[b]);
+            a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+        })?;
+        Some(reference.swap_remove(least))
+    }
+
+    proptest! {
+        /// Interleaved pushes, pops and top replacements pop exactly the
+        /// reference order. Six distances over forty ids repeat keys'
+        /// distances (ties broken by id) and, now and then, whole keys;
+        /// the queue passes through every length modulo four, so sifts
+        /// meet partial last families at every depth.
+        #[test]
+        fn branch_free_sifts_pop_the_sorted_reference_order(
+            ops in proptest::collection::vec((0u32..4, 0u32..6, 0u32..40), 1..400)
+        ) {
+            let mut heap = DistHeap::default();
+            let mut reference = Vec::new();
+            for (op, d, node) in ops {
+                let dist = f64::from(d) / 4.0;
+                match op {
+                    0 | 1 => {
+                        heap.push(dist, node);
+                        reference.push((dist, node));
+                    }
+                    2 => prop_assert_eq!(heap.pop(), take_least(&mut reference)),
+                    _ => {
+                        prop_assert_eq!(heap.peek(), {
+                            let least = take_least(&mut reference);
+                            reference.extend(least);
+                            least
+                        });
+                        if heap.peek().is_some() {
+                            take_least(&mut reference);
+                            heap.replace_top(dist, node);
+                            reference.push((dist, node));
+                        }
+                    }
+                }
+                prop_assert_eq!(heap.data.len(), reference.len());
+            }
+            while let Some(top) = heap.pop() {
+                prop_assert_eq!(Some(top), take_least(&mut reference));
+            }
+            prop_assert!(reference.is_empty());
+        }
+    }
+
+    #[test]
+    fn every_length_drains_in_order() {
+        // Lengths 1..=85 end the heap with 0..=3 children in the last
+        // family at depths one to three.
+        for n in 1..=85u32 {
+            let mut heap = DistHeap::default();
+            for i in 0..n {
+                heap.push(f64::from((n - i) % 3), n - i);
+            }
+            let mut expect: Vec<(f64, u32)> = (1..=n).map(|v| (f64::from(v % 3), v)).collect();
+            expect.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let got: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+            assert_eq!(got, expect, "length {n}");
+        }
+    }
 
     #[test]
     fn entries_are_twelve_bytes() {
@@ -285,7 +386,7 @@ mod tests {
         for (i, &a) in keys.iter().enumerate() {
             for (j, &b) in keys.iter().enumerate() {
                 let (ea, eb) = (Entry { dist: a, node: 0 }, Entry { dist: b, node: 1 });
-                assert_eq!(less(ea, eb), i <= j, "{a} vs {b}");
+                assert_eq!(key(ea) < key(eb), i <= j, "{a} vs {b}");
             }
         }
     }

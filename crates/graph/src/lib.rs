@@ -55,6 +55,7 @@ pub mod store;
 
 pub use arena::{CrossScratch, DeadlineToken, DijkstraState, OriginListPool, SearchArena, NIL};
 pub use dijkstra::{Dijkstra, Direction, Visit};
-pub use graph::{Graph, GraphBuilder, NodeId};
+pub use graph::{Graph, GraphBuilder, GraphReader, NodeId};
+pub use heap::DistHeap;
 pub use patch::GraphPatch;
-pub use store::{edge_log_score, Adjacency, Codes, GraphStore, StorageStats};
+pub use store::{edge_log_score, Adjacency, Codes, GraphStore, Segment, StorageStats};

@@ -14,32 +14,42 @@
 //! An [`Adjacency`] is a node's neighbour ids plus, per position, the
 //! edge weight and (forward lists only) the precomputed log-mode edge
 //! score `log2(1 + w/w_min)`. The in-RAM CSR serves it from per-edge
-//! `f64` lanes. A paged segment keeps one small weight *code* per edge
-//! and a per-segment dictionary of distinct weights with one log score
-//! per entry, so the resident page is a fraction of the `f64` lanes'
-//! size. [`Adjacency::for_each`] matches the representation once and
-//! then runs a loop specialised to it, so the relaxation loop of the
-//! search kernel pays no branch per *edge* — one virtual call per
-//! *node expansion* is the entire dispatch cost of a paged backend.
+//! `f64` lanes. A paged [`Segment`] keeps one small weight *code* per
+//! edge and a per-segment dictionary of distinct weights with one log
+//! score per entry, so the resident page is a fraction of the `f64`
+//! lanes' size. [`Adjacency::for_each`] matches the representation once
+//! and then runs a loop specialised to it, so the relaxation loop of the
+//! search kernel pays no branch per *edge*.
 //!
 //! # Reading a view
 //!
 //! A view is lent to a closure, never returned:
-//! [`GraphStore::with_adjacency`] calls `f` with the view and returns
-//! when `f` does. A paged backend holds the node's resident segment (an
-//! `Arc` on its own stack) for exactly that call, and no cache lock, so
-//! `f` may read other nodes, and the cache may evict the segment
-//! meanwhile, without invalidating the view. The borrow checker proves
-//! the rest: a view cannot escape the closure. Code that must hold a
-//! list past the call copies it, as the owned [`Graph::out_edges`]
-//! iterator does on a paged graph.
+//! [`Graph::with_out_adjacency`] calls `f` with the view and returns
+//! when `f` does. A paged graph maps the node to its segment
+//! (`node / seg_span`), takes the segment's `Arc` from the store
+//! ([`GraphStore::segment`], one page-cache lookup) and holds it for
+//! exactly that call, with no cache lock, so `f` may read other nodes,
+//! and the cache may evict the segment meanwhile, without invalidating
+//! the view. The borrow checker proves the rest: a view cannot escape
+//! the closure. Code that must hold a list past the call copies it, as
+//! the owned [`Graph::out_edges`] iterator does on a paged graph.
+//!
+//! A search reads through a [`GraphReader`] bound to its arena's page
+//! table instead ([`SearchArena::with_reader`]): the first read of a
+//! segment looks it up, and the table holds its `Arc` until the query
+//! ends, so every later read of that segment is a slot load — no lock,
+//! no hash, no atomic read-modify-write and no virtual call.
 //!
 //! [`Graph`]: crate::Graph
+//! [`Graph::with_out_adjacency`]: crate::Graph::with_out_adjacency
 //! [`Graph::out_edges`]: crate::Graph::out_edges
+//! [`GraphReader`]: crate::GraphReader
+//! [`SearchArena::with_reader`]: crate::SearchArena::with_reader
 
 use crate::graph::Graph;
 use crate::patch::GraphPatch;
 use std::fmt;
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// Per-edge indexes into a segment's weight dictionary, in the
@@ -236,6 +246,149 @@ pub fn edge_log_score(w: f64, w_min: f64) -> f64 {
     (1.0 + w / w_min).log2()
 }
 
+/// Local edge offsets of a segment's nodes, `span + 1` entries.
+#[derive(Debug)]
+enum Offsets {
+    U16(Box<[u16]>),
+    U32(Box<[u32]>),
+}
+
+impl Offsets {
+    fn new(offsets: Vec<u32>) -> Offsets {
+        match offsets.last() {
+            Some(&total) if total <= u32::from(u16::MAX) => {
+                Offsets::U16(offsets.iter().map(|&o| o as u16).collect())
+            }
+            _ => Offsets::U32(offsets.into_boxed_slice()),
+        }
+    }
+
+    /// The edge range of local node `local`.
+    #[inline]
+    fn range(&self, local: usize) -> (usize, usize) {
+        match self {
+            Offsets::U16(o) => (usize::from(o[local]), usize::from(o[local + 1])),
+            Offsets::U32(o) => (o[local] as usize, o[local + 1] as usize),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Offsets::U16(o) => o.len() * size_of::<u16>(),
+            Offsets::U32(o) => o.len() * size_of::<u32>(),
+        }
+    }
+}
+
+/// One dictionary code per edge.
+#[derive(Debug)]
+enum CodeLane {
+    U8(Box<[u8]>),
+    U16(Box<[u16]>),
+    U32(Box<[u32]>),
+}
+
+impl CodeLane {
+    /// Narrow `codes` (each `< dict_len`) to the width `dict_len` needs.
+    fn new(codes: Vec<u32>, dict_len: usize) -> CodeLane {
+        if dict_len <= 1 << 8 {
+            CodeLane::U8(codes.iter().map(|&c| c as u8).collect())
+        } else if dict_len <= 1 << 16 {
+            CodeLane::U16(codes.iter().map(|&c| c as u16).collect())
+        } else {
+            CodeLane::U32(codes.into_boxed_slice())
+        }
+    }
+
+    #[inline]
+    fn slice(&self, lo: usize, hi: usize) -> Codes<'_> {
+        match self {
+            CodeLane::U8(c) => Codes::U8(&c[lo..hi]),
+            CodeLane::U16(c) => Codes::U16(&c[lo..hi]),
+            CodeLane::U32(c) => Codes::U32(&c[lo..hi]),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            CodeLane::U8(c) => c.len(),
+            CodeLane::U16(c) => c.len() * size_of::<u16>(),
+            CodeLane::U32(c) => c.len() * size_of::<u32>(),
+        }
+    }
+}
+
+/// A resident segment of a paged store: the adjacency lists of the
+/// nodes `[first_node, first_node + span)` in one direction, weights
+/// dictionary-coded. Per edge it keeps a `u32` id and one code in the
+/// narrowest width the dictionary allows (`u8` up to 256 entries, then
+/// `u16`, then `u32`); per node a local offset (`u16` while the segment
+/// has at most 65 535 edges); plus the dictionary and, for forward
+/// segments, one log score per entry. Both the store's cache and a
+/// query's page table hold it by `Arc`, and it lends
+/// [`Adjacency::coded`] views.
+#[derive(Debug)]
+pub struct Segment {
+    first_node: u32,
+    offsets: Offsets,
+    /// Neighbor ids (targets for forward segments, sources for reverse).
+    ids: Box<[u32]>,
+    codes: CodeLane,
+    /// Distinct weights.
+    dict: Box<[f64]>,
+    /// Log-mode edge score of each dictionary entry; empty for reverse
+    /// segments (only the forward direction is scored).
+    escores: Box<[f64]>,
+}
+
+impl Segment {
+    /// A segment from decoded lanes: node `first_node + i` owns the
+    /// edges `offsets[i]..offsets[i + 1]` of `ids` and `codes`, and
+    /// `codes[e]` indexes `dict` (and `escores`, when not empty). The
+    /// offset and code lanes are narrowed here.
+    pub fn new(
+        first_node: u32,
+        offsets: Vec<u32>,
+        ids: Vec<u32>,
+        codes: Vec<u32>,
+        dict: Box<[f64]>,
+        escores: Box<[f64]>,
+    ) -> Segment {
+        debug_assert_eq!(offsets.last().map_or(0, |&o| o as usize), ids.len());
+        debug_assert_eq!(ids.len(), codes.len());
+        debug_assert!(escores.is_empty() || escores.len() == dict.len());
+        Segment {
+            first_node,
+            offsets: Offsets::new(offsets),
+            ids: ids.into_boxed_slice(),
+            codes: CodeLane::new(codes, dict.len()),
+            dict,
+            escores,
+        }
+    }
+
+    /// Resident heap footprint in bytes: every lane above (what a
+    /// store's memory budget counts).
+    pub fn bytes(&self) -> usize {
+        self.offsets.bytes()
+            + self.ids.len() * size_of::<u32>()
+            + self.codes.bytes()
+            + (self.dict.len() + self.escores.len()) * size_of::<f64>()
+    }
+
+    /// Adjacency of `node`, which must be in this segment's range.
+    #[inline]
+    pub fn adjacency(&self, node: u32) -> Adjacency<'_> {
+        let (lo, hi) = self.offsets.range((node - self.first_node) as usize);
+        Adjacency::coded(
+            &self.ids[lo..hi],
+            self.codes.slice(lo, hi),
+            &self.dict,
+            &self.escores,
+        )
+    }
+}
+
 /// Paging telemetry for a [`GraphStore`] backend, surfaced through the
 /// server's `/stats` endpoint as the `storage` object.
 ///
@@ -255,6 +408,11 @@ pub struct StorageStats {
     pub segment_count: usize,
     /// Segments currently resident.
     pub resident_segments: usize,
+    /// Cumulative count of segment lookups in the page cache, hits and
+    /// misses: one per segment a search reads (on its first read, see
+    /// [`SearchArena::with_reader`](crate::SearchArena::with_reader)),
+    /// one per read outside a search.
+    pub lookups: u64,
     /// Cumulative count of segment decodes (cold page-ins; a re-decode
     /// after eviction counts again).
     pub page_ins: u64,
@@ -294,14 +452,18 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Largest node weight (`w_max`); zero for an empty graph.
     fn max_node_weight(&self) -> f64;
 
-    /// Call `f` once on the adjacency of `node`, then return. Forward
-    /// (`forward`): targets, weights, and log-mode edge scores
+    /// Nodes per segment: the lists of node `v` live in segment
+    /// `v / seg_span()` of each direction.
+    fn seg_span(&self) -> u32;
+
+    /// The resident segment `seg` of the forward (`forward`) or reverse
+    /// lists, paged in if it is not cached: one page-cache lookup.
+    /// Forward views carry targets, weights, and log-mode edge scores
     /// bit-identical to recomputing `log2(1 + w/w_min)` from this
-    /// store's weights and [`min_edge_weight`](GraphStore::min_edge_weight).
-    /// Reverse: sources and weights (no scores). The view's page stays
-    /// alive until `f` returns, and no lock is held while `f` runs, so
-    /// `f` may read other nodes.
-    fn with_adjacency(&self, forward: bool, node: u32, f: &mut dyn FnMut(Adjacency<'_>));
+    /// store's weights and [`min_edge_weight`](GraphStore::min_edge_weight);
+    /// reverse views carry sources and weights (no scores). The caller's
+    /// `Arc` keeps the segment alive whatever the cache evicts.
+    fn segment(&self, forward: bool, seg: u32) -> Arc<Segment>;
 
     /// Current in-memory footprint in bytes (resident pages plus
     /// directories/bookkeeping), i.e. what this backend actually costs

@@ -28,10 +28,10 @@
 //! * **Epoch turnover.** A store calls [`PageCache::release`] when it
 //!   drops, returning its residency to the pool.
 
-use crate::codec::DecodedSegment;
+use banks_graph::Segment;
 use banks_storage::TupleBlock;
 use banks_util::fxhash::FxHashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -39,7 +39,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub enum Page {
     /// A graph adjacency segment.
-    Segment(Arc<DecodedSegment>),
+    Segment(Arc<Segment>),
     /// A tuple block.
     Block(Arc<TupleBlock>),
 }
@@ -61,6 +61,9 @@ pub struct CacheStats {
     pub resident_bytes: usize,
     /// This store's resident pages.
     pub resident_pages: usize,
+    /// Calls to [`PageCache::get_or_load`] for this store's pages, hits
+    /// and misses.
+    pub lookups: u64,
     /// Pages this store decoded (a re-decode after eviction counts
     /// again, as does a decode that lost a race and was dropped).
     pub page_ins: u64,
@@ -81,6 +84,14 @@ struct Slot {
     referenced: AtomicBool,
 }
 
+/// One store's counters. `lookups` is counted apart, atomically, so a
+/// hit can count itself under the shared lock.
+#[derive(Debug, Default)]
+struct Counters {
+    stats: CacheStats,
+    lookups: AtomicU64,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     map: FxHashMap<Key, usize>,
@@ -89,7 +100,7 @@ struct Inner {
     free: Vec<usize>,
     hand: usize,
     used: usize,
-    stores: FxHashMap<u32, CacheStats>,
+    stores: FxHashMap<u32, Counters>,
 }
 
 impl Inner {
@@ -116,7 +127,7 @@ impl Inner {
         };
         self.map.insert(key, index);
         self.used += bytes;
-        let stats = self.stores.entry(key.0).or_default();
+        let stats = &mut self.stores.entry(key.0).or_default().stats;
         stats.resident_bytes += bytes;
         stats.resident_pages += 1;
     }
@@ -127,7 +138,7 @@ impl Inner {
         self.map.remove(&slot.key);
         self.free.push(index);
         self.used -= bytes;
-        let stats = self.stores.entry(slot.key.0).or_default();
+        let stats = &mut self.stores.entry(slot.key.0).or_default().stats;
         stats.resident_bytes -= bytes;
         stats.resident_pages -= 1;
         slot
@@ -144,7 +155,7 @@ impl Inner {
             };
             if !spared {
                 let slot = self.remove(self.hand);
-                self.stores.entry(slot.key.0).or_default().evictions += 1;
+                self.stores.entry(slot.key.0).or_default().stats.evictions += 1;
                 return;
             }
         }
@@ -191,7 +202,14 @@ impl PageCache {
     /// Residency and counters of `store`.
     pub fn stats(&self, store: u32) -> CacheStats {
         let inner = self.inner.read().expect(POISONED);
-        inner.stores.get(&store).copied().unwrap_or_default()
+        inner
+            .stores
+            .get(&store)
+            .map(|c| CacheStats {
+                lookups: c.lookups.load(Ordering::Relaxed),
+                ..c.stats
+            })
+            .unwrap_or_default()
     }
 
     /// Page `key` of `store`, calling `load` to read and decode it on a
@@ -215,6 +233,10 @@ impl PageCache {
                 if !slot.referenced.load(Ordering::Relaxed) {
                     slot.referenced.store(true, Ordering::Relaxed);
                 }
+                // A resident page's store has counters.
+                if let Some(counters) = inner.stores.get(&store) {
+                    counters.lookups.fetch_add(1, Ordering::Relaxed);
+                }
                 return Ok(slot.page.clone());
             }
         }
@@ -225,9 +247,10 @@ impl PageCache {
         let bytes = page.bytes();
 
         let mut inner = self.inner.write().expect(POISONED);
-        let stats = inner.stores.entry(store).or_default();
-        stats.page_ins += 1;
-        stats.decode_nanos += nanos;
+        let counters = inner.stores.entry(store).or_default();
+        *counters.lookups.get_mut() += 1;
+        counters.stats.page_ins += 1;
+        counters.stats.decode_nanos += nanos;
         if let Some(&index) = inner.map.get(&key) {
             // Another thread decoded this page while we did; keep theirs.
             let slot = inner.slots[index]

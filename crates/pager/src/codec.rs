@@ -21,137 +21,26 @@
 //!
 //! # The resident form
 //!
-//! A [`DecodedSegment`] keeps the weights coded: per edge a `u32` id and
-//! one dictionary code in the narrowest width the dictionary allows
-//! (`u8` up to 256 entries — a 100K-tuple DBLP graph has 82 distinct
-//! weights in all, and no segment more than 64 — then `u16`, then
-//! `u32`), per node a local offset (`u16` while the segment has fewer
-//! than 65 536 edges), plus the dictionary itself and, for forward
-//! segments, one log score per dictionary entry. That is about 6 bytes
-//! per edge, offsets and dictionary included, where `f64` weight and
-//! score lanes took 12–20: a 256-node segment of the 100K-tuple corpus
-//! averages 4.4 KB resident instead of 13.1 KB, so the budget holds
-//! three times the segments. The log score of each entry
-//! is [`edge_log_score`] of the entry under the store-level `w_min`,
-//! the expression the in-RAM CSR evaluates per edge, on the same bits,
-//! so the two backends score every edge identically.
+//! A decoded segment is a [`banks_graph::Segment`], the type the graph
+//! crate reads views from without a virtual call. It keeps the weights
+//! coded: per edge a `u32` id and one dictionary code in the narrowest
+//! width the dictionary allows (`u8` up to 256 entries — a 100K-tuple
+//! DBLP graph has 82 distinct weights in all, and no segment more than
+//! 64 — then `u16`, then `u32`), per node a local offset (`u16` while
+//! the segment has fewer than 65 536 edges), plus the dictionary itself
+//! and, for forward segments, one log score per dictionary entry. That
+//! is about 6 bytes per edge, offsets and dictionary included, where
+//! `f64` weight and score lanes took 12–20: a 256-node segment of the
+//! 100K-tuple corpus averages 4.4 KB resident instead of 13.1 KB, so
+//! the budget holds three times the segments. The log score of each
+//! entry is [`edge_log_score`] of the entry under the store-level
+//! `w_min`, the expression the in-RAM CSR evaluates per edge, on the
+//! same bits, so the two backends score every edge identically.
 
 use crate::error::PagerError;
 use crate::varint;
-use banks_graph::{edge_log_score, Adjacency, Codes};
+use banks_graph::{edge_log_score, Adjacency, Segment};
 use banks_util::fxhash::FxFoldHashMap;
-use std::mem::size_of;
-
-/// Local edge offsets of a segment's nodes, `span + 1` entries.
-#[derive(Debug)]
-enum Offsets {
-    U16(Box<[u16]>),
-    U32(Box<[u32]>),
-}
-
-impl Offsets {
-    fn new(offsets: Vec<u32>) -> Offsets {
-        match offsets.last() {
-            Some(&total) if total <= u32::from(u16::MAX) => {
-                Offsets::U16(offsets.iter().map(|&o| o as u16).collect())
-            }
-            _ => Offsets::U32(offsets.into_boxed_slice()),
-        }
-    }
-
-    /// The edge range of local node `local`.
-    #[inline]
-    fn range(&self, local: usize) -> (usize, usize) {
-        match self {
-            Offsets::U16(o) => (usize::from(o[local]), usize::from(o[local + 1])),
-            Offsets::U32(o) => (o[local] as usize, o[local + 1] as usize),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            Offsets::U16(o) => o.len() * size_of::<u16>(),
-            Offsets::U32(o) => o.len() * size_of::<u32>(),
-        }
-    }
-}
-
-/// One dictionary code per edge.
-#[derive(Debug)]
-enum CodeLane {
-    U8(Box<[u8]>),
-    U16(Box<[u16]>),
-    U32(Box<[u32]>),
-}
-
-impl CodeLane {
-    /// Narrow `codes` (each `< dict_len`) to the width `dict_len` needs.
-    fn new(codes: Vec<u32>, dict_len: usize) -> CodeLane {
-        if dict_len <= 1 << 8 {
-            CodeLane::U8(codes.iter().map(|&c| c as u8).collect())
-        } else if dict_len <= 1 << 16 {
-            CodeLane::U16(codes.iter().map(|&c| c as u16).collect())
-        } else {
-            CodeLane::U32(codes.into_boxed_slice())
-        }
-    }
-
-    #[inline]
-    fn slice(&self, lo: usize, hi: usize) -> Codes<'_> {
-        match self {
-            CodeLane::U8(c) => Codes::U8(&c[lo..hi]),
-            CodeLane::U16(c) => Codes::U16(&c[lo..hi]),
-            CodeLane::U32(c) => Codes::U32(&c[lo..hi]),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            CodeLane::U8(c) => c.len(),
-            CodeLane::U16(c) => c.len() * size_of::<u16>(),
-            CodeLane::U32(c) => c.len() * size_of::<u32>(),
-        }
-    }
-}
-
-/// A resident segment: the adjacency of the nodes `[first_node,
-/// first_node + span)` in the compact form the module docs describe.
-#[derive(Debug)]
-pub struct DecodedSegment {
-    first_node: u32,
-    offsets: Offsets,
-    /// Neighbor ids (targets for forward segments, sources for reverse).
-    ids: Box<[u32]>,
-    codes: CodeLane,
-    /// Distinct weights, in first-seen order.
-    dict: Box<[f64]>,
-    /// Log-mode edge score of each dictionary entry; empty for reverse
-    /// segments (only the forward direction is scored).
-    escores: Box<[f64]>,
-}
-
-impl DecodedSegment {
-    /// Resident heap footprint in bytes: every array above (what the
-    /// memory budget counts).
-    pub(crate) fn bytes(&self) -> usize {
-        self.offsets.bytes()
-            + self.ids.len() * size_of::<u32>()
-            + self.codes.bytes()
-            + (self.dict.len() + self.escores.len()) * size_of::<f64>()
-    }
-
-    /// Adjacency of `node`, which must be in this segment's range.
-    #[inline]
-    pub(crate) fn adjacency(&self, node: u32) -> Adjacency<'_> {
-        let (lo, hi) = self.offsets.range((node - self.first_node) as usize);
-        Adjacency::coded(
-            &self.ids[lo..hi],
-            self.codes.slice(lo, hi),
-            &self.dict,
-            &self.escores,
-        )
-    }
-}
 
 /// Encodes the adjacency lists of one segment, pushed one at a time:
 /// the `i`-th list pushed belongs to the segment's `i`-th node. Each
@@ -227,7 +116,7 @@ pub(crate) fn decode_segment(
     id_bound: u32,
     w_min: f64,
     with_escores: bool,
-) -> Result<DecodedSegment, PagerError> {
+) -> Result<Segment, PagerError> {
     let malformed = |m: &str| PagerError::Malformed(m.to_string());
     let mut pos = 0usize;
 
@@ -305,14 +194,7 @@ pub(crate) fn decode_segment(
         Box::default()
     };
 
-    Ok(DecodedSegment {
-        first_node,
-        offsets: Offsets::new(offsets),
-        ids: ids.into_boxed_slice(),
-        codes: CodeLane::new(codes, dict.len()),
-        dict,
-        escores,
-    })
+    Ok(Segment::new(first_node, offsets, ids, codes, dict, escores))
 }
 
 #[cfg(test)]
@@ -336,7 +218,7 @@ mod tests {
 
     /// Every list of `seg` equals its input, bit for bit, and (forward)
     /// every edge's score equals the recomputed `log2(1 + w/w_min)`.
-    fn assert_decodes_to(seg: &DecodedSegment, first: u32, lists: &[(&[u32], &[f64])], w_min: f64) {
+    fn assert_decodes_to(seg: &Segment, first: u32, lists: &[(&[u32], &[f64])], w_min: f64) {
         for (i, (ids, ws)) in lists.iter().enumerate() {
             let adjacency = seg.adjacency(first + i as u32);
             let want: Vec<(u32, u64)> = ids
@@ -367,10 +249,8 @@ mod tests {
         assert_eq!(min_pos, 0.5);
         let seg = decode_segment(&buf, 3, 4, 10, 20, 0.5, true).unwrap();
         assert_decodes_to(&seg, 10, &lists, 0.5);
-        assert!(matches!(seg.codes, CodeLane::U8(_)));
-        assert!(matches!(seg.offsets, Offsets::U16(_)));
         // u16 offsets, u32 ids, u8 codes, two dictionary entries and
-        // their two scores.
+        // their two scores (any wider lane would count more bytes).
         assert_eq!(seg.bytes(), 4 * 2 + 4 * 4 + 4 + 2 * 8 + 2 * 8);
         // A reverse segment carries no scores.
         let rev = decode_segment(&buf, 3, 4, 10, 20, 0.5, false).unwrap();
@@ -392,9 +272,12 @@ mod tests {
         let (buf, min_pos) = encode(&lists);
         assert_eq!(min_pos, 0.25);
         let seg = decode_segment(&buf, 3, 70_003, 0, 70_000, 0.25, true).unwrap();
-        assert!(matches!(seg.codes, CodeLane::U16(_)));
-        assert!(matches!(seg.offsets, Offsets::U32(_)));
-        assert_eq!((seg.dict.len(), seg.escores.len()), (300, 300));
+        // u32 offsets, u32 ids, u16 codes, 300 dictionary entries and
+        // their 300 scores.
+        assert_eq!(
+            seg.bytes(),
+            4 * 4 + 70_003 * 4 + 70_003 * 2 + 300 * 8 + 300 * 8
+        );
         assert_decodes_to(&seg, 0, &lists, 0.25);
 
         // Beyond 65 536 distinct weights the codes are u32.
@@ -403,7 +286,8 @@ mod tests {
         let lists: Vec<(&[u32], &[f64])> = vec![(&ids, &ws)];
         let (buf, _) = encode(&lists);
         let seg = decode_segment(&buf, 1, 70_000, 0, 70_000, 1.0, false).unwrap();
-        assert!(matches!(seg.codes, CodeLane::U32(_)));
+        // u32 offsets, ids and codes, 70 000 entries, no scores.
+        assert_eq!(seg.bytes(), 2 * 4 + 70_000 * 4 + 70_000 * 4 + 70_000 * 8);
         assert_eq!(
             pairs(seg.adjacency(0)),
             pairs(Adjacency::plain(&ids, &ws, &[]))
@@ -419,7 +303,9 @@ mod tests {
         let lists: Vec<(&[u32], &[f64])> = vec![(&ids, &ws)];
         let (buf, w_min) = encode(&lists);
         let seg = decode_segment(&buf, 1, ws.len() as u32, 0, 100, w_min, true).unwrap();
-        assert_eq!(seg.dict.len(), 6, "repeats share an entry");
+        // Repeats share an entry: 6 dictionary entries and 6 scores
+        // beside u16 offsets, u32 ids and u8 codes.
+        assert_eq!(seg.bytes(), 2 * 2 + 8 * 4 + 8 + 6 * 8 + 6 * 8);
         let lane: Vec<u64> = ws
             .iter()
             .map(|&w| (1.0 + w / w_min).log2().to_bits())

@@ -12,22 +12,24 @@
 //!
 //! # How a view stays valid
 //!
-//! [`GraphStore::with_adjacency`] clones the resident segment's `Arc`
-//! out of the cache, releases the cache lock, and calls the reader's
-//! closure with a view borrowed from that local `Arc`. The segment
-//! therefore lives until the closure returns, even if the cache evicts
-//! it meanwhile, and the borrow checker keeps the view from escaping
-//! the call. Outside the budget, a running read holds only its current
-//! segment (one per nested read).
+//! [`GraphStore::segment`] clones the resident segment's `Arc` out of
+//! the cache and releases the cache lock; the caller reads views from
+//! that `Arc`. A plain [`Graph`] read holds it on its own stack for the
+//! one call, and a search's page table holds it until the query ends
+//! (see `banks_graph::SearchArena::with_reader`). The segment therefore lives while it
+//! is read, even if the cache evicts it meanwhile, and the borrow
+//! checker keeps a view from outliving its holder. Outside the budget,
+//! a running query holds every segment it touched, shared with the
+//! cache while they stay resident.
 
 use crate::blob::{
     encode_paged_blob, read_layout, seg_count_for, seg_edges, seg_range, ByteSource,
 };
 use crate::budget::{Page, PageCache};
-use crate::codec::{decode_segment, DecodedSegment, SegmentEncoder};
+use crate::codec::{decode_segment, SegmentEncoder};
 use crate::error::PagerError;
 use banks_graph::store::{GraphStore, StorageStats};
-use banks_graph::{Adjacency, Graph, GraphPatch};
+use banks_graph::{Adjacency, Graph, GraphPatch, Segment};
 use banks_util::fxhash::{checksum, FxHashSet};
 use std::fs::File;
 use std::sync::Arc;
@@ -206,7 +208,7 @@ impl PagedGraphStore {
     /// On I/O failure or a payload checksum/structure failure — the
     /// adjacency accessors have no error channel. Directory-level
     /// corruption is caught (typed) at open instead.
-    fn segment(&self, dir: u32, seg: u32) -> Arc<DecodedSegment> {
+    fn fetch_segment(&self, dir: u32, seg: u32) -> Arc<Segment> {
         let key = dir * self.seg_count + seg;
         let page = self
             .cache
@@ -225,7 +227,7 @@ impl PagedGraphStore {
     }
 
     /// Read, verify and decode one segment from its byte source.
-    fn load_segment(&self, dir: u32, seg: u32) -> Result<DecodedSegment, PagerError> {
+    fn load_segment(&self, dir: u32, seg: u32) -> Result<Segment, PagerError> {
         let meta = &self.metas[(dir * self.seg_count + seg) as usize];
         banks_util::fault::maybe_fault("pager.page_in")?;
         let mut payload = vec![0u8; meta.len as usize];
@@ -376,7 +378,7 @@ impl PagedGraphStore {
         let mut weights = Vec::new();
         let mut r = 0usize;
         if node < old_n {
-            let seg = self.segment(dir, node / self.seg_span);
+            let seg = self.fetch_segment(dir, node / self.seg_span);
             for (other, w) in seg.adjacency(node).iter() {
                 let live = if dir == 0 {
                     !patch.is_dirty(node, other)
@@ -429,10 +431,13 @@ impl GraphStore for PagedGraphStore {
         self.max_node_weight
     }
 
-    fn with_adjacency(&self, forward: bool, node: u32, f: &mut dyn FnMut(Adjacency<'_>)) {
-        assert!(node < self.node_count, "node out of range");
-        let seg = self.segment(u32::from(!forward), node / self.seg_span);
-        f(seg.adjacency(node));
+    fn seg_span(&self) -> u32 {
+        self.seg_span
+    }
+
+    fn segment(&self, forward: bool, seg: u32) -> Arc<Segment> {
+        assert!(seg < self.seg_count, "segment out of range");
+        self.fetch_segment(u32::from(!forward), seg)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -448,6 +453,7 @@ impl GraphStore for PagedGraphStore {
             budget_bytes: self.cache.budget(),
             segment_count: self.metas.len(),
             resident_segments: stats.resident_pages,
+            lookups: stats.lookups,
             page_ins: stats.page_ins,
             evictions: stats.evictions,
             decode_nanos: stats.decode_nanos,
@@ -478,7 +484,8 @@ impl Drop for PagedGraphStore {
 mod tests {
     use super::*;
     use crate::blob::DEFAULT_SEG_SPAN;
-    use banks_graph::{GraphBuilder, NodeId};
+    use banks_graph::{Dijkstra, Direction, GraphBuilder, NodeId, SearchArena};
+    use std::collections::BTreeSet;
 
     /// Encode `graph` and reopen it as a paged store with the given budget.
     fn page_graph(
@@ -592,6 +599,73 @@ mod tests {
         let page_ins = store.storage_stats().page_ins;
         assert_eq!(paged.out_degree(v), expect.len());
         assert_eq!(store.storage_stats().page_ins, page_ins + 1);
+
+        // A query's page table holds `v`'s segment while the cache
+        // evicts it: the query's later reads of `v` still see the same
+        // list and page nothing in, and only a read after the query
+        // ends pages the segment in again.
+        let mut arena = SearchArena::new();
+        arena.with_reader(&paged, |_, reader| {
+            let read_v = || {
+                reader.with_adjacency(true, v, |adj| {
+                    adj.iter()
+                        .map(|(t, w)| (t, w.to_bits()))
+                        .collect::<Vec<_>>()
+                })
+            };
+            assert_eq!(read_v(), expect);
+            for other in (0..100).map(|i| NodeId(16 + i * 8 * 2)) {
+                assert_eq!(paged.out_degree(other), g.out_degree(other));
+            }
+            let page_ins = store.storage_stats().page_ins;
+            assert_eq!(read_v(), expect);
+            assert_eq!(store.storage_stats().page_ins, page_ins, "held, not paged");
+        });
+        let page_ins = store.storage_stats().page_ins;
+        assert_eq!(paged.out_degree(v), expect.len());
+        assert_eq!(
+            store.storage_stats().page_ins,
+            page_ins + 1,
+            "evicted meanwhile"
+        );
+    }
+
+    #[test]
+    fn a_query_looks_each_segment_up_once_and_holds_it_until_it_ends() {
+        // 2 000 nodes at span 16 is 125 segments per direction, all of
+        // which fit the budget.
+        let g = scrambled_graph(2_000, 3, 13);
+        let store = page_graph(&g, Some(16), 1 << 20).unwrap();
+        let paged = Graph::from_store(store.clone());
+        let before = store.storage_stats().lookups;
+        let mut arena = SearchArena::new();
+        let mut touched = BTreeSet::new();
+        let reads = arena.with_reader(&paged, |arena, reader| {
+            let mut reads = 0;
+            for origin in [0, 777, 1_500] {
+                let state = arena.checkout();
+                let mut it = Dijkstra::new_in(reader, NodeId(origin), Direction::Reverse, state);
+                // Each settled node reads its reverse list once.
+                for visit in it.by_ref() {
+                    touched.insert(visit.node.0 / 16);
+                    reads += 1;
+                }
+                arena.recycle(it.into_state());
+            }
+            // While the query runs, its table shares every segment it
+            // touched with the cache.
+            for &seg in &touched {
+                assert_eq!(Arc::strong_count(&store.fetch_segment(1, seg)), 3);
+            }
+            reads
+        });
+        let lookups = store.storage_stats().lookups - before - touched.len() as u64;
+        assert!(reads > 4 * touched.len(), "{reads} reads, {touched:?}");
+        assert_eq!(lookups, touched.len() as u64, "one lookup per segment");
+        // After the query only the cache (and the probe) hold them.
+        for &seg in &touched {
+            assert_eq!(Arc::strong_count(&store.fetch_segment(1, seg)), 2);
+        }
     }
 
     #[test]

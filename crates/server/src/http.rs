@@ -844,6 +844,7 @@ fn stats_json(
                             ("resident", Json::Uint(s.resident_segments as u64)),
                         ]),
                     ),
+                    ("lookups".to_string(), Json::Uint(s.lookups)),
                     ("page_ins".to_string(), Json::Uint(s.page_ins)),
                     ("evictions".to_string(), Json::Uint(s.evictions)),
                     (

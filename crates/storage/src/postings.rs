@@ -292,13 +292,18 @@ impl LazyTextIndex {
     }
 
     /// Postings for `token`, fetched on first touch and cached; `None`
-    /// for a token the index does not hold.
+    /// for a token the index does not hold. A miss reads and decodes
+    /// the list with no lock held, so a slow read stalls no lookup of
+    /// another term; if two threads miss on one term, the list cached
+    /// first is kept.
     pub(crate) fn lookup(&self, token: &str) -> Option<Arc<[Posting]>> {
         let idx = self.find(token)? as u32;
+        if let Some(list) = self.cache.lock().expect("postings cache").get(&idx) {
+            return Some(Arc::clone(list));
+        }
+        let list = self.fetch(idx);
         let mut cache = self.cache.lock().expect("postings cache");
-        Some(Arc::clone(
-            cache.entry(idx).or_insert_with(|| self.fetch(idx)),
-        ))
+        Some(Arc::clone(cache.entry(idx).or_insert(list)))
     }
 
     /// All tokens, in lexicographic order.
@@ -433,6 +438,65 @@ mod tests {
         let (cached, total, bytes) = lazy.cache_stats();
         assert!(cached >= 1 && cached <= total);
         assert!(bytes > 0);
+    }
+
+    /// A source whose reads of one byte range wait until released,
+    /// announcing each such read first.
+    #[derive(Debug)]
+    struct GatedSource {
+        bytes: Arc<[u8]>,
+        gated_offset: u64,
+        entered: std::sync::mpsc::SyncSender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl PostingSource for GatedSource {
+        fn len(&self) -> u64 {
+            self.bytes.len() as u64
+        }
+
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            if offset == self.gated_offset {
+                self.entered.send(()).expect("test listens");
+                self.release.lock().unwrap().recv().expect("test releases");
+            }
+            MemSource(Arc::clone(&self.bytes)).read_at(offset, buf)
+        }
+    }
+
+    #[test]
+    fn a_blocked_fetch_does_not_stall_a_cached_lookup() {
+        let index = sample_index();
+        let bytes: Arc<[u8]> = packed(&index).into();
+        let probe = LazyTextIndex::open(Arc::new(MemSource(Arc::clone(&bytes)))).unwrap();
+        let mining = &probe.table[probe.find("mining").unwrap()];
+        let gated_offset = probe.triples_base + mining.post_off * TRIPLE_LEN as u64;
+        let (entered_tx, entered) = std::sync::mpsc::sync_channel(1);
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let lazy = LazyTextIndex::open(Arc::new(GatedSource {
+            bytes,
+            gated_offset,
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        }))
+        .unwrap();
+        let query = lazy.lookup("query").unwrap();
+        let lazy = &lazy;
+        std::thread::scope(|s| {
+            let blocked = s.spawn(move || lazy.lookup("mining").unwrap());
+            entered.recv().unwrap();
+            // The fetch of "mining" is parked inside its read; a lookup
+            // of the cached "query" must still answer.
+            let (done_tx, done) = std::sync::mpsc::channel();
+            s.spawn(move || done_tx.send(lazy.lookup("query").unwrap()).unwrap());
+            let again = done.recv_timeout(std::time::Duration::from_secs(10));
+            release.send(()).unwrap();
+            assert!(
+                Arc::ptr_eq(&again.expect("cached lookup stalled"), &query),
+                "the cached list"
+            );
+            assert_eq!(blocked.join().unwrap()[..], index.lookup("mining")[..]);
+        });
     }
 
     #[test]
