@@ -21,7 +21,7 @@
 //! target by target, which yields every link `r → t` of `t` together, so
 //! `IN_{R(r)}(t)` is one count per target rather than a rescan of `t`'s
 //! list per link. Nodes keep their scan order, and the builder's sort
-//! and min-coalescing make the CSR independent of the order edges are
+//! and min-coalescing make the graph independent of the order edges are
 //! added in.
 
 use crate::config::{GraphConfig, NodeWeightMode};
@@ -211,7 +211,7 @@ impl TupleGraph {
 /// to that node's tuple, each naming the referencing tuple and foreign
 /// key of `catalog`'s relations. `node_of` maps a referencing tuple to
 /// its node. Nodes keep that order, and the builder's sort and
-/// min-coalescing make the CSR independent of the order edges are
+/// min-coalescing make the graph independent of the order edges are
 /// added in.
 pub fn derive_graph(
     catalog: &Database,

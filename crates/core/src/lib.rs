@@ -34,7 +34,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | `banks-graph` | CSR graph, lazy Dijkstra iterators on sparse per-iterator state, the pooled [`SearchArena`], incremental `GraphPatch` |
+//! | `banks-graph` | segment-coded graph, lazy Dijkstra iterators on sparse per-iterator state, the pooled [`SearchArena`], incremental `GraphPatch` |
 //! | `banks-storage` | in-memory relational engine + text/metadata indexes |
 //! | `banks-ingest` | live tuple ingestion: delta log, incremental graph/index appliers, epoch-versioned snapshot publisher |
 //! | `banks-server` | concurrent query service: epoch-versioned `Arc`-shared [`Banks`] snapshot, sharded LRU result cache, std-only HTTP/1.1 JSON endpoint (incl. `POST /ingest`) |
@@ -48,7 +48,7 @@
 //! tokenizes, indexes, and materializes the graph once, after which any
 //! number of threads may call [`Banks::search`] concurrently (this is
 //! what `banks-server` relies on). For fast restarts a `banks-persist`
-//! snapshot bundle carries the CSR graph, which is re-attached with
+//! snapshot bundle carries the graph, which is re-attached with
 //! [`TupleGraph::rebind`], skipping edge derivation. Mutation happens by *replacement*: `banks-ingest`
 //! patches the database, graph, and text index incrementally and
 //! re-assembles a successor instance via [`Banks::from_parts`], which

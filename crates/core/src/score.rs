@@ -62,12 +62,12 @@ impl<'g> Scorer<'g> {
     /// Overall edge score of a tree: `1/(1+Σ)`; 1.0 for edgeless trees.
     ///
     /// In log mode the per-edge term is read from the graph's
-    /// precomputed score array ([`GraphReader::log_edge_score`]) instead of
+    /// precomputed scores ([`GraphReader::log_edge_score`]) instead of
     /// recomputing the `log2` — the hot path of cross-product-heavy
     /// queries, where every generated tree re-scores its edges. The
     /// lookup validates the weight bits and falls back to computing, so
     /// the result is bit-identical either way (trees whose edges came
-    /// from the search kernel carry exact CSR weights and always hit).
+    /// from the search kernel carry exact graph weights and always hit).
     pub(crate) fn tree_edge_score(&self, tree: &ConnectionTree) -> f64 {
         let sum: f64 = match self.params.edge_score {
             EdgeScoreMode::Log => tree

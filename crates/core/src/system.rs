@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn snapshot_rebind_reproduces_search_results() {
-        // Rebind a copy of the live CSR graph to the database and get
+        // Rebind a copy of the live graph to the database and get
         // identical ranked answers without re-deriving edges (the
         // bundle round-trip tests in `banks-persist` cover the same
         // after a save and load).

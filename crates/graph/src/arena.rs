@@ -17,9 +17,9 @@
 //!   visiting a node allocates nothing.
 //! * [`CrossScratch`] — the mixed-radix counter, cursor, origin and edge
 //!   buffers the cross-product enumerator reuses across connection trees.
-//! * A page table — on a paged graph, the segments the running query
-//!   has read, one slot per segment and direction, so that each is
-//!   looked up in the page cache once per query
+//! * A page table — the segments the running query has read, one slot
+//!   per segment and direction, so that each is taken from the graph's
+//!   store (looked up in the page cache, when paged) once per query
 //!   ([`SearchArena::with_reader`]).
 //!
 //! A server worker keeps one arena for its lifetime; `checkout`/`recycle`
@@ -430,7 +430,7 @@ impl CrossScratch {
     }
 }
 
-/// A query's page table: one slot per segment and direction of a paged
+/// A query's page table: one slot per segment and direction of the
 /// graph, filled with the segment's `Arc` on the query's first read of
 /// it ([`GraphReader`]) and emptied when the query ends. That first
 /// fill is the query's one page-cache lookup of the segment, and its
@@ -642,9 +642,9 @@ impl SearchArena {
     }
 
     /// Run `f` with this arena and a reader of `graph` that fills the
-    /// arena's page table, then empty the table: on a paged graph every
-    /// segment the query reads is looked up in the page cache once, on
-    /// its first read, and held until `f` returns.
+    /// arena's page table, then empty the table: every segment the query
+    /// reads is taken from the graph's store once (one page-cache lookup
+    /// when paged), on its first read, and held until `f` returns.
     pub fn with_reader<R>(
         &mut self,
         graph: &Graph,

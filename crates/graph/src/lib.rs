@@ -10,13 +10,15 @@
 //!
 //! This crate provides the two pieces that algorithm needs:
 //!
-//! * [`Graph`]: a compact CSR (compressed sparse row) directed graph with
-//!   `u32` node ids, `f64` node weights (prestige) and edge weights
-//!   (proximity), plus a reverse CSR so edges can be walked either way.
-//!   The representation is deliberately lean — the paper stores nothing per
-//!   node but the RID, and notes a "properly tuned" implementation should
-//!   use far less than their 120 MB for a 100K-node graph; see
-//!   [`Graph::memory_bytes`].
+//! * [`Graph`]: a compact directed graph with `u32` node ids, `f64` node
+//!   weights (prestige) and edge weights (proximity), with forward and
+//!   reverse adjacency so edges can be walked either way. Its lists live
+//!   in [`Segment`]s of 256 consecutive nodes with dictionary-coded
+//!   weights, held for the graph's life by a [`ResidentStore`] or paged
+//!   by an out-of-core [`GraphStore`]. The representation is deliberately
+//!   lean — the paper stores nothing per node but the RID, and notes a
+//!   "properly tuned" implementation should use far less than their
+//!   120 MB for a 100K-node graph; see [`Graph::memory_bytes`].
 //! * [`Dijkstra`]: a *lazy* shortest-path iterator: each call to
 //!   [`Dijkstra::next`] settles and returns the next nearest node. The
 //!   iterator exposes [`Dijkstra::peek_dist`] so that many iterators can be
@@ -58,4 +60,7 @@ pub use dijkstra::{Dijkstra, Direction, Visit};
 pub use graph::{Graph, GraphBuilder, GraphReader, NodeId};
 pub use heap::DistHeap;
 pub use patch::GraphPatch;
-pub use store::{edge_log_score, Adjacency, Codes, GraphStore, Segment, StorageStats};
+pub use store::{
+    edge_log_score, Adjacency, Codes, GraphStore, ResidentStore, Segment, SegmentBuilder,
+    StorageStats, DEFAULT_SEG_SPAN,
+};

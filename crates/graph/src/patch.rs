@@ -1,4 +1,4 @@
-//! Incremental patching of an immutable CSR [`Graph`] — the mutable
+//! Incremental patching of an immutable [`Graph`] — the mutable
 //! counterpart of [`GraphBuilder`](crate::GraphBuilder) for graphs that
 //! evolve under live ingestion.
 //!
@@ -14,17 +14,20 @@
 //!    pairs whose edge (weight) may have changed. Edges of the old graph
 //!    on clean pairs are copied through untouched.
 //!
-//! [`GraphPatch::apply`] exploits the monotone remap: the old CSR's
+//! [`GraphPatch::apply`] exploits the monotone remap: the old graph's
 //! edges stream out already sorted by `(from, to)` after remapping, the
 //! (small) replacement set is sorted on its own, and a linear merge
-//! feeds `Graph::from_sorted_edges` — so a patch costs O(m + r log r)
-//! with no per-edge hashing of tuples and **no global re-sort**, where
-//! `r` is the number of replacement edges. That is the asymptotic edge a
+//! fills the new graph's resident segments of both directions straight
+//! from the merged list — so a patch costs O(m + r log r) with no
+//! per-edge hashing of tuples and **no global re-sort**, where `r` is
+//! the number of replacement edges. That is the asymptotic edge a
 //! delta-apply has over a from-scratch rebuild, which pays foreign-key
 //! resolution (hash lookups on composite keys) per edge plus an
-//! O(m log m) sort.
+//! O(m log m) sort. A paged graph is first offered the patch
+//! copy-on-write (see [`GraphPatch::apply`]).
 
 use crate::graph::{Graph, NodeId};
+use crate::store::DEFAULT_SEG_SPAN;
 use banks_util::fxhash::FxHashSet;
 
 /// A pending incremental update of a [`Graph`]. See the module docs.
@@ -140,11 +143,11 @@ impl GraphPatch {
 
     /// Produce the patched graph.
     ///
-    /// When `old` is backed by a storage backend, the patch is first
-    /// offered to [`GraphStore::apply_patch`] (the copy-on-write fast
-    /// path); if the backend declines, the merge runs in RAM as usual
-    /// and the result is handed back to [`GraphStore::reencode`] so the
-    /// published graph stays paged.
+    /// The patch is first offered to `old`'s [`GraphStore::apply_patch`]
+    /// (a paged backend's copy-on-write fast path); if the backend
+    /// declines, the merge runs in RAM and the result is handed to
+    /// [`GraphStore::reencode`], so a paged graph's successor stays paged
+    /// and a resident graph's successor is the resident merge.
     ///
     /// [`GraphStore::apply_patch`]: crate::store::GraphStore::apply_patch
     /// [`GraphStore::reencode`]: crate::store::GraphStore::reencode
@@ -155,23 +158,21 @@ impl GraphPatch {
             "remap must cover every old node"
         );
         self.normalize();
-        if let Some(store) = old.store() {
-            if let Some(patched) = store.apply_patch(&self) {
-                return patched;
-            }
-            let patched = self.apply_in_ram(old);
-            return match store.reencode(&patched) {
-                Some(reencoded) => Graph::from_store(reencoded),
-                None => patched,
-            };
+        let store = old.store();
+        if let Some(patched) = store.apply_patch(&self) {
+            return patched;
         }
-        self.apply_in_ram(old)
+        let patched = self.apply_in_ram(old);
+        match store.reencode(&patched) {
+            Some(reencoded) => Graph::from_store(reencoded),
+            None => patched,
+        }
     }
 
     /// The in-RAM merge: stream the old graph's edges against the
     /// (normalized) replacement set. Works on any backend — a paged
     /// `old` decodes each node's adjacency on the fly — but always
-    /// produces an in-RAM graph.
+    /// produces a resident graph.
     fn apply_in_ram(self, old: &Graph) -> Graph {
         // Copy-through stream: old edges remapped, dead endpoints and
         // dirty pairs dropped. Monotone remap ⇒ still sorted.
@@ -207,7 +208,7 @@ impl GraphPatch {
             });
         }
         merged.extend(repl);
-        Graph::from_sorted_edges(self.new_node_weights, merged)
+        Graph::from_sorted_edges(self.new_node_weights, &merged, DEFAULT_SEG_SPAN)
     }
 }
 

@@ -1,44 +1,46 @@
-//! Pluggable graph storage backends.
+//! Graph storage: the coded segment, the view it lends, and the stores
+//! that hold segments.
 //!
-//! [`Graph`] began life as a plain in-RAM CSR. To serve corpora larger
-//! than memory, the graph can instead be backed by an out-of-core store
-//! (the `banks-pager` crate's segment-paged CSR) that decodes adjacency
-//! on demand. This module defines the seam between the two worlds: the
+//! A [`Graph`] is its nodes' adjacency lists in both directions, cut
+//! into [`Segment`]s of `seg_span` consecutive nodes. The
 //! [`GraphStore`] trait is everything a backend must answer for the
-//! search kernel to run unchanged, [`Adjacency`] is the one view of a
-//! node's adjacency list both backends hand out, and [`StorageStats`]
-//! is the paging telemetry a backend exposes to `/stats`.
+//! search kernel to run unchanged: [`ResidentStore`] holds every segment
+//! for the graph's life (the in-RAM graph), and the `banks-pager`
+//! crate's segment-paged store decodes segments on demand under a memory
+//! budget. [`Adjacency`] is the one view of a node's list both hand out,
+//! and [`StorageStats`] is the paging telemetry a paged backend exposes
+//! to `/stats`.
 //!
 //! # The adjacency view
 //!
-//! An [`Adjacency`] is a node's neighbour ids plus, per position, the
-//! edge weight and (forward lists only) the precomputed log-mode edge
-//! score `log2(1 + w/w_min)`. The in-RAM CSR serves it from per-edge
-//! `f64` lanes. A paged [`Segment`] keeps one small weight *code* per
-//! edge and a per-segment dictionary of distinct weights with one log
-//! score per entry, so the resident page is a fraction of the `f64`
-//! lanes' size. [`Adjacency::for_each`] matches the representation once
-//! and then runs a loop specialised to it, so the relaxation loop of the
-//! search kernel pays no branch per *edge*.
+//! An [`Adjacency`] is a node's neighbour ids plus, per position, a
+//! small weight *code* into its segment's dictionary of distinct
+//! weights; forward segments also keep one log-mode edge score
+//! `log2(1 + w/w_min)` per dictionary entry. That is about 6 bytes per
+//! edge where per-edge `f64` weight and score lanes took 12–20.
+//! [`Adjacency::for_each`] matches the code width once and then runs a
+//! loop specialised to it, so the relaxation loop of the search kernel
+//! pays no branch per *edge*.
 //!
 //! # Reading a view
 //!
 //! A view is lent to a closure, never returned:
 //! [`Graph::with_out_adjacency`] calls `f` with the view and returns
-//! when `f` does. A paged graph maps the node to its segment
+//! when `f` does. The graph maps the node to its segment
 //! (`node / seg_span`), takes the segment's `Arc` from the store
-//! ([`GraphStore::segment`], one page-cache lookup) and holds it for
-//! exactly that call, with no cache lock, so `f` may read other nodes,
-//! and the cache may evict the segment meanwhile, without invalidating
-//! the view. The borrow checker proves the rest: a view cannot escape
-//! the closure. Code that must hold a list past the call copies it, as
-//! the owned [`Graph::out_edges`] iterator does on a paged graph.
+//! ([`GraphStore::segment`], one page-cache lookup when paged) and holds
+//! it for exactly that call, with no cache lock, so `f` may read other
+//! nodes, and a paged cache may evict the segment meanwhile, without
+//! invalidating the view. The borrow checker proves the rest: a view
+//! cannot escape the closure. Code that must hold a list past the call
+//! copies it, as the owned [`Graph::out_edges`] iterator does.
 //!
 //! A search reads through a [`GraphReader`] bound to its arena's page
 //! table instead ([`SearchArena::with_reader`]): the first read of a
-//! segment looks it up, and the table holds its `Arc` until the query
-//! ends, so every later read of that segment is a slot load — no lock,
-//! no hash, no atomic read-modify-write and no virtual call.
+//! segment takes it from the store, and the table holds its `Arc` until
+//! the query ends, so every later read of that segment is a slot load —
+//! no lock, no hash, no atomic read-modify-write and no virtual call.
+//! Resident and paged graphs share this one read path.
 //!
 //! [`Graph`]: crate::Graph
 //! [`Graph::with_out_adjacency`]: crate::Graph::with_out_adjacency
@@ -48,6 +50,7 @@
 
 use crate::graph::Graph;
 use crate::patch::GraphPatch;
+use banks_util::fxhash::FxFoldHashMap;
 use std::fmt;
 use std::mem::size_of;
 use std::sync::Arc;
@@ -83,35 +86,21 @@ impl Codes<'_> {
     }
 }
 
-/// Where an [`Adjacency`] reads its weights and edge scores from.
-#[derive(Clone, Copy)]
-enum Lane<'a> {
-    /// One weight and one edge score per edge (the in-RAM CSR).
-    Plain {
-        weights: &'a [f64],
-        escores: &'a [f64],
-    },
-    /// One dictionary code per edge; weights and edge scores are
-    /// dictionary entries (a paged segment).
-    Coded {
-        codes: Codes<'a>,
-        dict: &'a [f64],
-        escores: &'a [f64],
-    },
-}
-
 /// One node's adjacency list: neighbour ids sorted ascending without
-/// duplicates, a weight for each position, and — on forward lists — the
-/// log-mode edge score for each position. See the [module docs](self)
-/// for the representations behind it and how a view is lent out.
+/// duplicates, one weight-dictionary code per position, the segment's
+/// dictionary and — on forward lists — one log-mode edge score per
+/// dictionary entry. See the [module docs](self) for how a view is lent
+/// out.
 #[derive(Clone, Copy)]
 pub struct Adjacency<'a> {
     ids: &'a [u32],
-    lane: Lane<'a>,
+    codes: Codes<'a>,
+    dict: &'a [f64],
+    escores: &'a [f64],
 }
 
-/// Call `f` on each `(id, weight)` pair: the one loop every
-/// representation is specialised into.
+/// Call `f` on each `(id, weight)` pair: the one loop every code width
+/// is specialised into.
 #[inline(always)]
 fn zip_each(ids: &[u32], weights: impl Iterator<Item = f64>, f: &mut impl FnMut(u32, f64)) {
     for (&id, w) in ids.iter().zip(weights) {
@@ -120,18 +109,6 @@ fn zip_each(ids: &[u32], weights: impl Iterator<Item = f64>, f: &mut impl FnMut(
 }
 
 impl<'a> Adjacency<'a> {
-    /// A view over per-edge lanes: `weights[i]` and `escores[i]` belong
-    /// to `ids[i]`. `escores` is empty for reverse lists, which are
-    /// never scored.
-    pub fn plain(ids: &'a [u32], weights: &'a [f64], escores: &'a [f64]) -> Adjacency<'a> {
-        debug_assert_eq!(ids.len(), weights.len());
-        debug_assert!(escores.is_empty() || escores.len() == ids.len());
-        Adjacency {
-            ids,
-            lane: Lane::Plain { weights, escores },
-        }
-    }
-
     /// A view over dictionary codes: position `i` weighs
     /// `dict[codes[i]]` and scores `escores[codes[i]]`. `escores` holds
     /// one score per dictionary entry, or nothing for reverse lists.
@@ -146,11 +123,9 @@ impl<'a> Adjacency<'a> {
         debug_assert!(escores.is_empty() || escores.len() == dict.len());
         Adjacency {
             ids,
-            lane: Lane::Coded {
-                codes,
-                dict,
-                escores,
-            },
+            codes,
+            dict,
+            escores,
         }
     }
 
@@ -172,13 +147,16 @@ impl<'a> Adjacency<'a> {
         self.ids.is_empty()
     }
 
+    /// Dictionary code of the edge at position `i`.
+    #[inline]
+    pub fn code(&self, i: usize) -> usize {
+        self.codes.get(i)
+    }
+
     /// Weight of the edge at position `i`.
     #[inline]
     pub fn weight(&self, i: usize) -> f64 {
-        match self.lane {
-            Lane::Plain { weights, .. } => weights[i],
-            Lane::Coded { codes, dict, .. } => dict[codes.get(i)],
-        }
+        self.dict[self.codes.get(i)]
     }
 
     /// Log-mode edge score of the edge at position `i`, bit-identical to
@@ -190,37 +168,31 @@ impl<'a> Adjacency<'a> {
     /// On a reverse list, which carries no scores.
     #[inline]
     pub fn escore(&self, i: usize) -> f64 {
-        match self.lane {
-            Lane::Plain { escores, .. } => escores[i],
-            Lane::Coded { codes, escores, .. } => escores[codes.get(i)],
-        }
+        self.escores[self.codes.get(i)]
     }
 
-    /// Call `f(id, weight)` for every edge, in id order. The
-    /// representation is matched once; each arm is its own loop.
+    /// Call `f(id, weight)` for every edge, in id order. The code width
+    /// is matched once; each arm is its own loop.
     #[inline]
     pub fn for_each(self, mut f: impl FnMut(u32, f64)) {
-        let ids = self.ids;
-        match self.lane {
-            Lane::Plain { weights, .. } => zip_each(ids, weights.iter().copied(), &mut f),
-            Lane::Coded { codes, dict, .. } => match codes {
-                Codes::U8(c) => zip_each(ids, c.iter().map(|&c| dict[usize::from(c)]), &mut f),
-                Codes::U16(c) => zip_each(ids, c.iter().map(|&c| dict[usize::from(c)]), &mut f),
-                Codes::U32(c) => zip_each(ids, c.iter().map(|&c| dict[c as usize]), &mut f),
-            },
+        let (ids, dict) = (self.ids, self.dict);
+        match self.codes {
+            Codes::U8(c) => zip_each(ids, c.iter().map(|&c| dict[usize::from(c)]), &mut f),
+            Codes::U16(c) => zip_each(ids, c.iter().map(|&c| dict[usize::from(c)]), &mut f),
+            Codes::U32(c) => zip_each(ids, c.iter().map(|&c| dict[c as usize]), &mut f),
         }
     }
 
     /// The edges as `(id, weight)` pairs, for callers off the hot path
-    /// (this iterator matches the representation per edge; the kernel
-    /// uses [`Adjacency::for_each`]).
+    /// (this iterator matches the code width per edge; the kernel uses
+    /// [`Adjacency::for_each`]).
     pub fn iter(self) -> impl Iterator<Item = (u32, f64)> + 'a {
         (0..self.len()).map(move |i| (self.ids[i], self.weight(i)))
     }
 }
 
 /// Two views are equal when they list the same ids with equal weights,
-/// whatever their representations.
+/// whatever their dictionaries.
 impl PartialEq for Adjacency<'_> {
     fn eq(&self, other: &Adjacency<'_>) -> bool {
         self.ids == other.ids && self.iter().zip(other.iter()).all(|(a, b)| a.1 == b.1)
@@ -235,9 +207,9 @@ impl fmt::Debug for Adjacency<'_> {
 
 /// The log-mode edge score of weight `w` under the normalizer `w_min`:
 /// `log2(1 + w/w_min)`, or 0 when the graph has no positive weight
-/// (`w_min` infinite). Both backends evaluate this one expression, the
-/// in-RAM CSR per edge and a paged segment per dictionary entry, so
-/// their scores are bit-identical.
+/// (`w_min` infinite). Every segment scores its dictionary entries with
+/// this one expression, whether it was built in RAM or decoded from a
+/// paged blob, so both score every edge bit-identically.
 #[inline]
 pub fn edge_log_score(w: f64, w_min: f64) -> f64 {
     if !w_min.is_finite() || w_min <= 0.0 {
@@ -254,12 +226,12 @@ enum Offsets {
 }
 
 impl Offsets {
-    fn new(offsets: Vec<u32>) -> Offsets {
+    fn new(offsets: &[u32]) -> Offsets {
         match offsets.last() {
             Some(&total) if total <= u32::from(u16::MAX) => {
                 Offsets::U16(offsets.iter().map(|&o| o as u16).collect())
             }
-            _ => Offsets::U32(offsets.into_boxed_slice()),
+            _ => Offsets::U32(offsets.into()),
         }
     }
 
@@ -290,13 +262,13 @@ enum CodeLane {
 
 impl CodeLane {
     /// Narrow `codes` (each `< dict_len`) to the width `dict_len` needs.
-    fn new(codes: Vec<u32>, dict_len: usize) -> CodeLane {
+    fn new(codes: &[u32], dict_len: usize) -> CodeLane {
         if dict_len <= 1 << 8 {
             CodeLane::U8(codes.iter().map(|&c| c as u8).collect())
         } else if dict_len <= 1 << 16 {
             CodeLane::U16(codes.iter().map(|&c| c as u16).collect())
         } else {
-            CodeLane::U32(codes.into_boxed_slice())
+            CodeLane::U32(codes.into())
         }
     }
 
@@ -318,15 +290,15 @@ impl CodeLane {
     }
 }
 
-/// A resident segment of a paged store: the adjacency lists of the
-/// nodes `[first_node, first_node + span)` in one direction, weights
+/// A resident segment: the adjacency lists of the nodes
+/// `[first_node, first_node + span)` in one direction, weights
 /// dictionary-coded. Per edge it keeps a `u32` id and one code in the
 /// narrowest width the dictionary allows (`u8` up to 256 entries, then
 /// `u16`, then `u32`); per node a local offset (`u16` while the segment
 /// has at most 65 535 edges); plus the dictionary and, for forward
-/// segments, one log score per entry. Both the store's cache and a
-/// query's page table hold it by `Arc`, and it lends
-/// [`Adjacency::coded`] views.
+/// segments, one log score per entry. Its store (a [`ResidentStore`]
+/// or a paged store's cache) and a query's page table hold it by `Arc`,
+/// and it lends [`Adjacency::coded`] views.
 #[derive(Debug)]
 pub struct Segment {
     first_node: u32,
@@ -342,15 +314,15 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// A segment from decoded lanes: node `first_node + i` owns the
-    /// edges `offsets[i]..offsets[i + 1]` of `ids` and `codes`, and
-    /// `codes[e]` indexes `dict` (and `escores`, when not empty). The
-    /// offset and code lanes are narrowed here.
+    /// A segment from its lanes: node `first_node + i` owns the edges
+    /// `offsets[i]..offsets[i + 1]` of `ids` and `codes`, and `codes[e]`
+    /// indexes `dict` (and `escores`, when not empty). The offset and
+    /// code lanes are narrowed into copies here.
     pub fn new(
         first_node: u32,
-        offsets: Vec<u32>,
+        offsets: &[u32],
         ids: Vec<u32>,
-        codes: Vec<u32>,
+        codes: &[u32],
         dict: Box<[f64]>,
         escores: Box<[f64]>,
     ) -> Segment {
@@ -365,6 +337,16 @@ impl Segment {
             dict,
             escores,
         }
+    }
+
+    /// Number of edges.
+    pub fn edges(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The distinct weights, in the order the codes index them.
+    pub fn dict(&self) -> &[f64] {
+        &self.dict
     }
 
     /// Resident heap footprint in bytes: every lane above (what a
@@ -425,14 +407,13 @@ pub struct StorageStats {
 }
 
 /// A storage backend for [`Graph`]: everything the search kernel, the
-/// scorer, and the ingest pipeline need to answer about a CSR graph,
-/// with the freedom to keep the underlying data out of core.
+/// scorer, and the ingest pipeline need to answer about the data graph,
+/// with the freedom to keep its segments out of core.
 ///
-/// Two implementations exist: the built-in in-RAM CSR (the `InRam`
-/// variant inside [`Graph`], which does not go through this trait on
-/// its hot path) and `banks_pager::PagedGraphStore` (segment-paged,
-/// budget-bounded). Node arguments are raw dense indexes (`NodeId.0`);
-/// passing an out-of-range node may panic, as with the in-RAM arrays.
+/// Two implementations exist: [`ResidentStore`] (every segment held for
+/// the graph's life: the in-RAM graph) and `banks_pager::PagedGraphStore`
+/// (segment-paged, budget-bounded). Node arguments are raw dense indexes
+/// (`NodeId.0`); passing an out-of-range node may panic.
 ///
 /// See the [module docs](self) for how an adjacency view is lent out.
 pub trait GraphStore: Send + Sync + std::fmt::Debug {
@@ -465,20 +446,20 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// `Arc` keeps the segment alive whatever the cache evicts.
     fn segment(&self, forward: bool, seg: u32) -> Arc<Segment>;
 
-    /// Current in-memory footprint in bytes (resident pages plus
-    /// directories/bookkeeping), i.e. what this backend actually costs
-    /// in RAM right now — not the full decoded size of the graph.
+    /// Current in-memory footprint in bytes (resident segments plus
+    /// node weights and directories), i.e. what this backend actually
+    /// costs in RAM right now.
     fn memory_bytes(&self) -> usize;
 
-    /// Paging telemetry snapshot.
-    fn storage_stats(&self) -> StorageStats;
+    /// Paging telemetry snapshot; `None` for a store that pages nothing.
+    fn storage_stats(&self) -> Option<StorageStats>;
 
     /// Copy-on-write fast path for ingest: produce a new [`Graph`]
     /// equal to this store patched by `patch`, sharing unchanged
     /// segments with `self`. Returns `None` when the backend cannot
-    /// apply this patch structurally (e.g. the patch renumbers nodes),
-    /// in which case the caller falls back to an in-RAM merge followed
-    /// by [`reencode`](GraphStore::reencode).
+    /// apply this patch structurally (e.g. the patch renumbers nodes)
+    /// or has no such path, in which case the caller falls back to an
+    /// in-RAM merge followed by [`reencode`](GraphStore::reencode).
     ///
     /// `patch` is pre-normalized by the caller: replacements sorted by
     /// `(from, to)` and deduplicated keeping the minimum weight.
@@ -489,10 +470,260 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
 
     /// Re-encode an in-RAM `graph` into a fresh store of this backend's
     /// kind, so a fallback in-RAM patch application can return to paged
-    /// form. Returns `None` if the backend does not support re-encoding
-    /// (the caller then publishes the in-RAM graph as-is).
+    /// form. Returns `None` when the in-RAM graph is already this
+    /// backend's kind (the caller then publishes it as-is).
     fn reencode(&self, graph: &Graph) -> Option<Arc<dyn GraphStore>> {
         let _ = graph;
         None
+    }
+}
+
+/// Nodes per segment of a graph built in RAM and of the paged blob a
+/// bundle stores: with DBLP-shaped degrees (~3 edges per node) a
+/// segment holds ~4.4 KB resident, and a backward expansion that
+/// touches a few nodes of a paged segment decodes a few kilobytes for
+/// them (2048-node segments spent most of a page-in on neighbours
+/// nobody asked for). Readers take the span from the store, so blobs
+/// written at another span stay readable.
+pub const DEFAULT_SEG_SPAN: u32 = 256;
+
+/// The graph held in RAM: every forward and reverse [`Segment`] for the
+/// graph's life, plus the node-weight lane. It is what
+/// [`GraphBuilder::build`](crate::GraphBuilder::build),
+/// [`GraphPatch::apply`]'s in-RAM merge and a non-paged bundle load
+/// produce. A read takes the segment's `Arc` like a paged read does, so
+/// a search reads both stores through one path; nothing is ever paged,
+/// and [`GraphStore::storage_stats`] is `None`.
+#[derive(Debug)]
+pub struct ResidentStore {
+    node_weights: Box<[f64]>,
+    span: u32,
+    edge_count: usize,
+    /// Forward segments, then reverse.
+    segments: Box<[Arc<Segment>]>,
+    min_edge_weight: f64,
+    max_node_weight: f64,
+}
+
+impl ResidentStore {
+    /// Hold `forward` and `reverse`, the segments of `node_weights.len()`
+    /// nodes at `span` nodes per segment in each direction. The forward
+    /// segments' scores must be [`edge_log_score`] of their entries under
+    /// the smallest positive forward weight.
+    pub fn new(
+        node_weights: Vec<f64>,
+        span: u32,
+        forward: Vec<Arc<Segment>>,
+        reverse: Vec<Arc<Segment>>,
+    ) -> ResidentStore {
+        let nodes = u32::try_from(node_weights.len()).expect("more than u32::MAX nodes");
+        assert!(span > 0, "segment span must be positive");
+        let segs = nodes.div_ceil(span) as usize;
+        assert!(
+            forward.len() == segs && reverse.len() == segs,
+            "one segment per span"
+        );
+        let edge_count = forward.iter().map(|s| s.edges()).sum();
+        debug_assert_eq!(edge_count, reverse.iter().map(|s| s.edges()).sum::<usize>());
+        let min_edge_weight = forward
+            .iter()
+            .flat_map(|s| s.dict.iter().copied())
+            .filter(|&w| w > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        let max_node_weight = node_weights.iter().copied().fold(0.0f64, f64::max);
+        ResidentStore {
+            node_weights: node_weights.into_boxed_slice(),
+            span,
+            edge_count,
+            segments: forward.into_iter().chain(reverse).collect(),
+            min_edge_weight,
+            max_node_weight,
+        }
+    }
+
+    /// Build the segments of both directions straight from `edges`,
+    /// which are sorted by `(from, to)` without duplicate pairs.
+    pub(crate) fn from_sorted_edges(
+        node_weights: Vec<f64>,
+        edges: &[(u32, u32, f64)],
+        span: u32,
+    ) -> ResidentStore {
+        let n = u32::try_from(node_weights.len()).expect("more than u32::MAX nodes");
+        debug_assert!(
+            edges
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "edges must be sorted by (from, to) and duplicate-free"
+        );
+        debug_assert!(edges.iter().all(|&(f, t, _)| f < n && t < n));
+        let w_min = edges
+            .iter()
+            .map(|e| e.2)
+            .filter(|&w| w > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        let segs = n.div_ceil(span);
+        let mut builder = SegmentBuilder::default();
+
+        // Forward lists are runs of the (from, to) order.
+        let mut forward = Vec::with_capacity(segs as usize);
+        let mut next = 0;
+        for seg in 0..segs {
+            let first = seg * span;
+            for node in first..(first + span).min(n) {
+                while let Some(&(_, to, w)) = edges.get(next).filter(|e| e.0 == node) {
+                    builder.edge(to, w);
+                    next += 1;
+                }
+                builder.end_list();
+            }
+            forward.push(Arc::new(builder.finish(first, Some(w_min))));
+        }
+
+        // Reverse lists: a stable counting sort of edge indexes by
+        // target keeps each list sorted by source.
+        let mut starts = vec![0u32; n as usize + 1];
+        for &(_, to, _) in edges {
+            starts[to as usize + 1] += 1;
+        }
+        for i in 0..n as usize {
+            starts[i + 1] += starts[i];
+        }
+        let mut order = vec![0u32; edges.len()];
+        let mut cursor = starts.clone();
+        for (e, &(_, to, _)) in edges.iter().enumerate() {
+            order[cursor[to as usize] as usize] = e as u32;
+            cursor[to as usize] += 1;
+        }
+        let mut reverse = Vec::with_capacity(segs as usize);
+        for seg in 0..segs {
+            let first = seg * span;
+            for node in first..(first + span).min(n) {
+                let (lo, hi) = (starts[node as usize], starts[node as usize + 1]);
+                for &e in &order[lo as usize..hi as usize] {
+                    let (from, _, w) = edges[e as usize];
+                    builder.edge(from, w);
+                }
+                builder.end_list();
+            }
+            reverse.push(Arc::new(builder.finish(first, None)));
+        }
+        ResidentStore::new(node_weights, span, forward, reverse)
+    }
+}
+
+impl GraphStore for ResidentStore {
+    fn node_count(&self) -> usize {
+        self.node_weights.len()
+    }
+
+    fn edge_count(&self) -> usize {
+        self.edge_count
+    }
+
+    #[inline]
+    fn node_weight(&self, node: u32) -> f64 {
+        self.node_weights[node as usize]
+    }
+
+    fn min_edge_weight(&self) -> f64 {
+        self.min_edge_weight
+    }
+
+    fn max_node_weight(&self) -> f64 {
+        self.max_node_weight
+    }
+
+    fn seg_span(&self) -> u32 {
+        self.span
+    }
+
+    #[inline]
+    fn segment(&self, forward: bool, seg: u32) -> Arc<Segment> {
+        let segs = self.segments.len() / 2;
+        assert!((seg as usize) < segs, "segment out of range");
+        let slot = if forward {
+            seg as usize
+        } else {
+            segs + seg as usize
+        };
+        Arc::clone(&self.segments[slot])
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.node_weights.len() * size_of::<f64>()
+            + self
+                .segments
+                .iter()
+                .map(|s| size_of::<Arc<Segment>>() + s.bytes())
+                .sum::<usize>()
+    }
+
+    fn storage_stats(&self) -> Option<StorageStats> {
+        None
+    }
+}
+
+/// Collects one segment's lists edge by edge into a [`Segment`],
+/// dictionary-coding the weights in first-seen order — the order the
+/// paged blob stores a dictionary in. Its buffers are reused from
+/// segment to segment.
+#[derive(Default)]
+pub struct SegmentBuilder {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+    codes: Vec<u32>,
+    dict: Vec<f64>,
+    /// The dictionary's index, keyed by weight bits (whose low bits are
+    /// all zero for the small integers most weights are; plain Fx would
+    /// put every key in one bucket).
+    index: FxFoldHashMap<u64, u32>,
+}
+
+impl SegmentBuilder {
+    /// Append an edge to the current node's list; ids ascend within a
+    /// list.
+    #[inline]
+    pub fn edge(&mut self, id: u32, w: f64) {
+        let dict = &mut self.dict;
+        let code = *self.index.entry(w.to_bits()).or_insert_with(|| {
+            dict.push(w);
+            (dict.len() - 1) as u32
+        });
+        self.ids.push(id);
+        self.codes.push(code);
+    }
+
+    /// Close the current node's list.
+    pub fn end_list(&mut self) {
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
+        self.offsets.push(self.ids.len() as u32);
+    }
+
+    /// The segment of the lists closed so far, which start at node
+    /// `first`; a forward segment is scored under the graph's `w_min`.
+    /// The builder is left empty.
+    pub fn finish(&mut self, first: u32, w_min: Option<f64>) -> Segment {
+        let escores = match w_min {
+            Some(w_min) => self
+                .dict
+                .iter()
+                .map(|&w| edge_log_score(w, w_min))
+                .collect(),
+            None => Box::default(),
+        };
+        let segment = Segment::new(
+            first,
+            &self.offsets,
+            self.ids.drain(..).collect(),
+            &self.codes,
+            std::mem::take(&mut self.dict).into_boxed_slice(),
+            escores,
+        );
+        self.offsets.clear();
+        self.codes.clear();
+        self.index.clear();
+        segment
     }
 }

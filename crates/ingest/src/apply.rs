@@ -3,13 +3,13 @@
 //!
 //! The expensive artifacts of `Banks` construction are the data graph
 //! (per-link foreign-key resolution — hash lookups on composite keys —
-//! followed by an O(m log m) CSR sort) and the text index (re-tokenizing
+//! followed by an O(m log m) edge sort) and the text index (re-tokenizing
 //! every attribute of every tuple). A delta batch touches a tiny
 //! fraction of either, so [`apply_batch`] re-derives only the **touched
 //! neighborhood** and copies everything else through:
 //!
 //! * the mutated database yields a *monotone* node remap (tuple scan
-//!   order is append-only per relation), letting the old CSR stream
+//!   order is append-only per relation), letting the old graph stream
 //!   straight into [`banks_graph::GraphPatch`];
 //! * node prestige (indegree) is recomputed only for nodes whose
 //!   indegree changed; other weights are copied;

@@ -1,4 +1,5 @@
-//! The paged graph blob: an mmap-able on-disk layout for a CSR graph.
+//! The paged graph blob: an mmap-able on-disk layout for a [`Graph`]'s
+//! segments.
 //!
 //! ```text
 //! magic        "BNKSPGR1"                      8 bytes
@@ -31,9 +32,9 @@
 //! also what lets copy-on-write patching recompute `w_min` without
 //! decoding clean segments.
 
-use crate::codec::SegmentEncoder;
+use crate::codec::encode_segment;
 use crate::error::PagerError;
-use banks_graph::{Adjacency, Graph, NodeId};
+use banks_graph::{Adjacency, Graph, NodeId, SegmentBuilder};
 use banks_util::fxhash::{checksum, FxHasher};
 use std::fs::File;
 use std::hash::Hasher;
@@ -41,15 +42,6 @@ use std::sync::Arc;
 
 /// File format magic (the trailing `1` is the version).
 pub(crate) const MAGIC: &[u8; 8] = b"BNKSPGR1";
-
-/// Default nodes-per-segment span: with DBLP-shaped degrees (~3 edges
-/// per node) a segment decodes to roughly 8–16 KB — still one
-/// positioned read, while a backward expansion that touches a few
-/// nodes of a segment decodes a few kilobytes for them instead of
-/// ~100 KB (2048-node segments spent most of a page-in on neighbours
-/// nobody asked for). Readers take the span from the blob header, so
-/// blobs written at another span stay readable.
-pub const DEFAULT_SEG_SPAN: u32 = 256;
 
 /// Alignment of each segment payload within the blob.
 pub(crate) const SEG_ALIGN: usize = 64;
@@ -64,7 +56,7 @@ pub struct SegEntry {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u32,
-    /// Global CSR slot of the segment's first edge.
+    /// Global edge slot of the segment's first edge.
     pub slot_start: u32,
     /// Smallest strictly-positive weight in the segment (∞ if none).
     pub min_pos_weight: f64,
@@ -157,13 +149,15 @@ pub(crate) fn seg_range(seg: u32, seg_span: u32, node_count: u32) -> (u32, u32) 
 }
 
 /// Encode `graph` into a paged blob. Works against any backend (a paged
-/// `graph` decodes while re-encoding), but is typically fed the in-RAM
-/// graph at bundle-write time.
+/// `graph` pages its segments in while they are encoded), but is
+/// typically fed the resident graph at bundle-write time. A graph whose
+/// segments span `seg_span` nodes has them encoded as they are; at
+/// another span they are rebuilt from its lists first.
 ///
 /// # Panics
 ///
-/// If the graph has more than `u32::MAX` edges (the CSR itself already
-/// guarantees this) or `seg_span` is zero.
+/// If the graph has more than `u32::MAX` edges (its segments already
+/// guarantee this) or `seg_span` is zero.
 pub fn encode_paged_blob(graph: &Graph, seg_span: u32) -> Vec<u8> {
     assert!(seg_span > 0, "segment span must be positive");
     let n = u32::try_from(graph.node_count()).expect("more than u32::MAX nodes");
@@ -175,22 +169,31 @@ pub fn encode_paged_blob(graph: &Graph, seg_span: u32) -> Vec<u8> {
     // the directory size, which depends only on seg_count.
     let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(seg_count as usize * 2);
     let mut entries: Vec<SegEntry> = Vec::with_capacity(seg_count as usize * 2);
+    let mut builder = SegmentBuilder::default();
     for dir in 0..2u8 {
         let mut slot_start = 0u32;
         for seg in 0..seg_count {
             let (first, end) = seg_range(seg, seg_span, n);
-            let mut encoder = SegmentEncoder::default();
-            for node in first..end {
-                let push = |adjacency: Adjacency<'_>| encoder.push(adjacency);
-                if dir == 0 {
-                    graph.with_out_adjacency(NodeId(node), push);
-                } else {
-                    graph.with_in_adjacency(NodeId(node), push);
+            // Every segment keeps its dictionary in first-seen order, so
+            // the graph's own segments encode to the bytes a rebuild at
+            // their span would.
+            let segment = if graph.store().seg_span() == seg_span {
+                graph.store().segment(dir == 0, seg)
+            } else {
+                for node in first..end {
+                    let push = |adjacency: Adjacency<'_>| {
+                        adjacency.for_each(|id, w| builder.edge(id, w));
+                    };
+                    if dir == 0 {
+                        graph.with_out_adjacency(NodeId(node), push);
+                    } else {
+                        graph.with_in_adjacency(NodeId(node), push);
+                    }
+                    builder.end_list();
                 }
-            }
-            let edges = encoder.edges();
-            let mut payload = Vec::new();
-            let min_pos = encoder.finish(&mut payload);
+                Arc::new(builder.finish(first, None))
+            };
+            let (payload, min_pos) = encode_segment(&segment, first, end);
             entries.push(SegEntry {
                 offset: 0, // patched below once the directory size is known
                 len: payload.len() as u32,
@@ -199,7 +202,7 @@ pub fn encode_paged_blob(graph: &Graph, seg_span: u32) -> Vec<u8> {
                 checksum: checksum(&payload),
             });
             payloads.push(payload);
-            slot_start += edges;
+            slot_start += segment.edges() as u32;
         }
     }
 
@@ -373,14 +376,4 @@ pub(crate) fn read_layout(src: &ByteSource) -> Result<Layout, PagerError> {
         rev,
         node_weights,
     })
-}
-
-/// Edge count of segment `seg` according to a directory (the difference
-/// of consecutive `slot_start`s, closed by the global edge count).
-pub(crate) fn seg_edges(entries: &[SegEntry], seg: usize, edge_count: u64) -> u32 {
-    let next = entries
-        .get(seg + 1)
-        .map(|e| u64::from(e.slot_start))
-        .unwrap_or(edge_count);
-    (next - u64::from(entries[seg].slot_start)) as u32
 }

@@ -13,7 +13,7 @@
 //! weights    varint dict index per edge
 //! ```
 //!
-//! Ids within one list are strictly ascending (the CSR sorts adjacency
+//! Ids within one list are strictly ascending (the graph sorts adjacency
 //! and coalesces duplicates), so deltas are always ≥ 1 and mostly tiny.
 //! Edge weights in a BANKS graph come from a handful of schema-derived
 //! similarity values (plus fanin-scaled backward weights), so a small
@@ -21,8 +21,8 @@
 //!
 //! # The resident form
 //!
-//! A decoded segment is a [`banks_graph::Segment`], the type the graph
-//! crate reads views from without a virtual call. It keeps the weights
+//! A decoded segment is a [`banks_graph::Segment`], the one form every
+//! graph holds its lists in, resident or paged. It keeps the weights
 //! coded: per edge a `u32` id and one dictionary code in the narrowest
 //! width the dictionary allows (`u8` up to 256 entries — a 100K-tuple
 //! DBLP graph has 82 distinct weights in all, and no segment more than
@@ -34,71 +34,48 @@
 //! 100K-tuple corpus averages 4.4 KB resident instead of 13.1 KB, so
 //! the budget holds three times the segments. The log score of each
 //! entry is [`edge_log_score`] of the entry under the store-level
-//! `w_min`, the expression the in-RAM CSR evaluates per edge, on the
-//! same bits, so the two backends score every edge identically.
+//! `w_min`, the expression a segment built in RAM evaluates too, so a
+//! decoded graph scores every edge like the graph it was encoded from.
 
 use crate::error::PagerError;
 use crate::varint;
-use banks_graph::{edge_log_score, Adjacency, Segment};
-use banks_util::fxhash::FxFoldHashMap;
+use banks_graph::{edge_log_score, Segment};
 
-/// Encodes the adjacency lists of one segment, pushed one at a time:
-/// the `i`-th list pushed belongs to the segment's `i`-th node. Each
-/// list is read during its [`SegmentEncoder::push`] and not kept, so a
-/// caller can lend it views that live only for that call.
-#[derive(Default)]
-pub(crate) struct SegmentEncoder {
-    degrees: Vec<u8>,
-    ids: Vec<u8>,
-    codes: Vec<u8>,
-    /// Weight dictionary in first-seen order (deterministic).
-    dict: Vec<u64>,
-    /// The dictionary's index. The keys are f64 bits, whose low bits
-    /// are all zero for the small integers most weights are; plain Fx
-    /// would put every key in one bucket.
-    index: FxFoldHashMap<u64, u32>,
-    edges: u32,
-}
-
-impl SegmentEncoder {
-    /// Append the next node's list.
-    pub(crate) fn push(&mut self, list: Adjacency<'_>) {
-        varint::write_u64(&mut self.degrees, list.len() as u64);
-        self.edges += list.len() as u32;
-        let mut prev = None;
-        list.for_each(|id, w| {
-            varint::write_u64(&mut self.ids, u64::from(id - prev.unwrap_or(0)));
-            prev = Some(id);
-            let bits = w.to_bits();
-            let dict = &mut self.dict;
-            let code = *self.index.entry(bits).or_insert_with(|| {
-                dict.push(bits);
-                (dict.len() - 1) as u32
-            });
-            varint::write_u64(&mut self.codes, u64::from(code));
-        });
+/// Encode `seg`, which holds the lists of the nodes `first..end`, as one
+/// payload. Its dictionary is written in the segment's own order:
+/// first-seen, as a [`banks_graph::SegmentBuilder`] makes it and a
+/// decode keeps it, so the bytes are deterministic.
+/// Also returns the smallest strictly-positive weight in the segment
+/// (infinity if none) — the per-segment minimum the directory records
+/// so the store-level `w_min` is an O(segments) fold.
+pub(crate) fn encode_segment(seg: &Segment, first: u32, end: u32) -> (Vec<u8>, f64) {
+    // Degrees, ids and codes take a byte or two each.
+    let mut out =
+        Vec::with_capacity(2 * (end - first) as usize + 8 * seg.dict().len() + 3 * seg.edges());
+    let lists = || (first..end).map(|node| seg.adjacency(node));
+    for list in lists() {
+        varint::write_u64(&mut out, list.len() as u64);
     }
-
-    /// Edges pushed so far.
-    pub(crate) fn edges(&self) -> u32 {
-        self.edges
+    varint::write_u64(&mut out, seg.dict().len() as u64);
+    for w in seg.dict() {
+        out.extend_from_slice(&w.to_bits().to_le_bytes());
     }
-
-    /// Write the payload onto `out`. Returns the smallest
-    /// strictly-positive weight in the segment (infinity if none) — the
-    /// per-segment minimum the directory records so the store-level
-    /// `w_min` is an O(segments) fold.
-    pub(crate) fn finish(self, out: &mut Vec<u8>) -> f64 {
-        out.extend_from_slice(&self.degrees);
-        varint::write_u64(out, self.dict.len() as u64);
-        for &bits in &self.dict {
-            out.extend_from_slice(&bits.to_le_bytes());
+    for list in lists() {
+        // The first id is absolute (a delta from 0), the rest deltas.
+        let mut prev = 0;
+        for &id in list.ids() {
+            varint::write_u64(&mut out, u64::from(id - prev));
+            prev = id;
         }
-        out.extend_from_slice(&self.ids);
-        out.extend_from_slice(&self.codes);
-        let weights = self.dict.iter().map(|&bits| f64::from_bits(bits));
-        weights.filter(|&w| w > 0.0).fold(f64::INFINITY, f64::min)
     }
+    for list in lists() {
+        for i in 0..list.len() {
+            varint::write_u64(&mut out, list.code(i) as u64);
+        }
+    }
+    let weights = seg.dict().iter().copied();
+    let min_pos = weights.filter(|&w| w > 0.0).fold(f64::INFINITY, f64::min);
+    (out, min_pos)
 }
 
 /// Decode one segment payload into its resident form.
@@ -194,22 +171,26 @@ pub(crate) fn decode_segment(
         Box::default()
     };
 
-    Ok(Segment::new(first_node, offsets, ids, codes, dict, escores))
+    Ok(Segment::new(
+        first_node, &offsets, ids, &codes, dict, escores,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use banks_graph::{Adjacency, SegmentBuilder};
 
     /// Encode plain `(ids, weights)` lists as one segment payload.
     fn encode(lists: &[(&[u32], &[f64])]) -> (Vec<u8>, f64) {
-        let mut encoder = SegmentEncoder::default();
+        let mut builder = SegmentBuilder::default();
         for (ids, ws) in lists {
-            encoder.push(Adjacency::plain(ids, ws, &[]));
+            for (&id, &w) in ids.iter().zip(*ws) {
+                builder.edge(id, w);
+            }
+            builder.end_list();
         }
-        let mut buf = Vec::new();
-        let min_pos = encoder.finish(&mut buf);
-        (buf, min_pos)
+        encode_segment(&builder.finish(0, None), 0, lists.len() as u32)
     }
 
     fn pairs(adjacency: Adjacency<'_>) -> Vec<(u32, u64)> {
@@ -288,16 +269,18 @@ mod tests {
         let seg = decode_segment(&buf, 1, 70_000, 0, 70_000, 1.0, false).unwrap();
         // u32 offsets, ids and codes, 70 000 entries, no scores.
         assert_eq!(seg.bytes(), 2 * 4 + 70_000 * 4 + 70_000 * 4 + 70_000 * 8);
-        assert_eq!(
-            pairs(seg.adjacency(0)),
-            pairs(Adjacency::plain(&ids, &ws, &[]))
-        );
+        let want: Vec<(u32, u64)> = ids
+            .iter()
+            .zip(&ws)
+            .map(|(&id, w)| (id, w.to_bits()))
+            .collect();
+        assert_eq!(pairs(seg.adjacency(0)), want);
     }
 
     #[test]
     fn dictionary_scores_match_the_per_edge_lane() {
-        // Scores per dictionary entry equal a per-edge f64 lane computed
-        // the way the in-RAM CSR computes it, for awkward weights too.
+        // Scores per dictionary entry equal a per-edge f64 lane of
+        // recomputed `log2(1 + w/w_min)`, for awkward weights too.
         let ws = [0.1, 1.0 / 3.0, 2.0, 1e-9, 0.1, 7.25, 2.0, 1e9];
         let ids: Vec<u32> = (0..ws.len() as u32).collect();
         let lists: Vec<(&[u32], &[f64])> = vec![(&ids, &ws)];

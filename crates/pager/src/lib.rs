@@ -1,21 +1,23 @@
 //! # banks-pager
 //!
 //! Out-of-core graph storage for BANKS, following EMBANKS (disk-based
-//! BANKS): the CSR graph is serialized as an mmap-able *paged blob* —
-//! delta-varint–compressed adjacency segments behind a checksummed
-//! segment directory — and served through [`PagedGraphStore`], a
-//! [`banks_graph::GraphStore`] backend that pages segments in lazily on
-//! first touch into a [`PageCache`] that holds the resident total under
-//! a hard memory budget. A resident segment keeps its weights
-//! dictionary-coded (see [`codec`]) and answers adjacency requests with
-//! a coded [`banks_graph::Adjacency`] view.
+//! BANKS): the graph's segments are serialized as an mmap-able *paged
+//! blob* — delta-varint–compressed adjacency segments behind a
+//! checksummed segment directory — and served through
+//! [`PagedGraphStore`], a [`banks_graph::GraphStore`] backend that pages
+//! segments in lazily on first touch into a [`PageCache`] that holds the
+//! resident total under a hard memory budget, or decoded whole into a
+//! resident graph by [`decode_paged_blob`]. A decoded segment is the
+//! [`banks_graph::Segment`] an in-RAM graph holds too: weights stay
+//! dictionary-coded (see [`codec`]) and adjacency requests are answered
+//! with a coded [`banks_graph::Adjacency`] view.
 //!
 //! A cold open reads only the directory (O(segments), independent of
 //! corpus size); bit-identical search answers to the in-RAM backend are
 //! a format invariant (weights round-trip as raw bits, each dictionary
-//! entry's log score is computed from the identical `w_min` by the
-//! in-RAM CSR's expression), proptest-verified in the workspace test
-//! suite.
+//! entry's log score is computed from the identical `w_min` by the one
+//! expression every segment uses), proptest-verified in the workspace
+//! test suite.
 //!
 //! ```
 //! use banks_graph::{Graph, GraphBuilder, NodeId};
@@ -58,8 +60,9 @@ pub mod store;
 pub mod tuples;
 pub(crate) mod varint;
 
-pub use blob::{encode_paged_blob, ByteSource, Layout, DEFAULT_SEG_SPAN};
+pub use banks_graph::DEFAULT_SEG_SPAN;
+pub use blob::{encode_paged_blob, ByteSource, Layout};
 pub use budget::{CacheStats, Page, PageCache};
 pub use error::PagerError;
-pub use store::PagedGraphStore;
+pub use store::{decode_paged_blob, PagedGraphStore};
 pub use tuples::PagedTupleStore;

@@ -1,4 +1,6 @@
-//! [`PagedGraphStore`]: the out-of-core [`GraphStore`] backend.
+//! [`PagedGraphStore`]: the out-of-core [`GraphStore`] backend, and
+//! [`decode_paged_blob`], which decodes a whole blob into a resident
+//! graph instead.
 //!
 //! The store keeps only the blob *directory* (32 bytes per segment) and
 //! the node-weight lane (8 bytes per node) in memory. Adjacency
@@ -6,9 +8,9 @@
 //! read, a checksum, and a varint decode into the compact resident form
 //! of [`crate::codec`] (weights stay dictionary-coded) — into the
 //! snapshot's [`PageCache`], which holds resident segments and tuple
-//! blocks under one hard memory budget (see [`crate::budget`]).
-//! Adjacency requests answer with a coded [`Adjacency`] view, so a
-//! search reads weights and edge scores straight from the codes.
+//! blocks under one hard memory budget (see [`crate::budget`]). A
+//! resident graph holds the very same [`Segment`]s, every one of them
+//! for its life, so both answer with the same coded views.
 //!
 //! # How a view stays valid
 //!
@@ -22,14 +24,12 @@
 //! a running query holds every segment it touched, shared with the
 //! cache while they stay resident.
 
-use crate::blob::{
-    encode_paged_blob, read_layout, seg_count_for, seg_edges, seg_range, ByteSource,
-};
+use crate::blob::{encode_paged_blob, read_layout, seg_count_for, seg_range, ByteSource};
 use crate::budget::{Page, PageCache};
-use crate::codec::{decode_segment, SegmentEncoder};
+use crate::codec::{decode_segment, encode_segment};
 use crate::error::PagerError;
-use banks_graph::store::{GraphStore, StorageStats};
-use banks_graph::{Adjacency, Graph, GraphPatch, Segment};
+use banks_graph::store::{GraphStore, ResidentStore, StorageStats};
+use banks_graph::{Graph, GraphPatch, Segment, SegmentBuilder};
 use banks_util::fxhash::{checksum, FxHashSet};
 use std::fs::File;
 use std::sync::Arc;
@@ -78,7 +78,7 @@ impl PagedGraphStore {
         len: u64,
         cache: Arc<PageCache>,
     ) -> Result<Arc<PagedGraphStore>, PagerError> {
-        PagedGraphStore::open_source(ByteSource::File { file, base, len }, cache)
+        PagedGraphStore::open_source(ByteSource::File { file, base, len }, cache).map(Arc::new)
     }
 
     /// Open an in-memory paged blob (used for re-encoded epochs and
@@ -88,14 +88,11 @@ impl PagedGraphStore {
         bytes: Arc<[u8]>,
         cache: Arc<PageCache>,
     ) -> Result<Arc<PagedGraphStore>, PagerError> {
-        PagedGraphStore::open_source(ByteSource::Mem(bytes), cache)
+        PagedGraphStore::open_source(ByteSource::Mem(bytes), cache).map(Arc::new)
     }
 
     /// Open a blob from any [`ByteSource`].
-    pub(crate) fn open_source(
-        src: ByteSource,
-        cache: Arc<PageCache>,
-    ) -> Result<Arc<PagedGraphStore>, PagerError> {
+    fn open_source(src: ByteSource, cache: Arc<PageCache>) -> Result<PagedGraphStore, PagerError> {
         let layout = read_layout(&src)?;
         let seg_count = seg_count_for(layout.node_count, layout.seg_span);
         let mut metas = Vec::with_capacity(seg_count as usize * 2);
@@ -115,7 +112,7 @@ impl PagedGraphStore {
             .map(|e| e.min_pos_weight)
             .fold(f64::INFINITY, f64::min);
         let max_node_weight = layout.node_weights.iter().copied().fold(0.0f64, f64::max);
-        Ok(Arc::new(PagedGraphStore::assemble(
+        Ok(PagedGraphStore::assemble(
             layout.node_count,
             layout.edge_count as u32,
             layout.seg_span,
@@ -124,7 +121,7 @@ impl PagedGraphStore {
             max_node_weight,
             metas,
             cache,
-        )))
+        ))
     }
 
     /// Shared constructor: registers the store with `cache`.
@@ -155,51 +152,6 @@ impl PagedGraphStore {
         }
     }
 
-    /// Fully decode the blob behind `src` into an in-RAM [`Graph`] —
-    /// the non-paged bundle load path. Only forward segments are
-    /// decoded; the reverse CSR (and the escore lane) are re-derived by
-    /// [`Graph::from_csr`].
-    pub fn decode_full(src: &ByteSource) -> Result<Graph, PagerError> {
-        let layout = read_layout(src)?;
-        let n = layout.node_count;
-        let m = layout.edge_count as usize;
-        let mut fwd_offsets = Vec::with_capacity(n as usize + 1);
-        fwd_offsets.push(0u32);
-        let mut fwd_targets: Vec<u32> = Vec::with_capacity(m);
-        let mut fwd_weights: Vec<f64> = Vec::with_capacity(m);
-        for (i, entry) in layout.fwd.iter().enumerate() {
-            let (first, end) = seg_range(i as u32, layout.seg_span, n);
-            let edges = seg_edges(&layout.fwd, i, layout.edge_count);
-            let mut payload = vec![0u8; entry.len as usize];
-            src.read_at(entry.offset, &mut payload)?;
-            if checksum(&payload) != entry.checksum {
-                return Err(PagerError::BadSegmentChecksum {
-                    direction: "fwd",
-                    segment: i as u32,
-                });
-            }
-            let seg = decode_segment(&payload, end - first, edges, first, n, f64::NAN, false)?;
-            for node in first..end {
-                seg.adjacency(node).for_each(|id, w| {
-                    fwd_targets.push(id);
-                    fwd_weights.push(w);
-                });
-                fwd_offsets.push(fwd_targets.len() as u32);
-            }
-        }
-        if fwd_targets.len() != m {
-            return Err(PagerError::Malformed(
-                "segments disagree with edge count".to_string(),
-            ));
-        }
-        Ok(Graph::from_csr(
-            layout.node_weights,
-            fwd_offsets,
-            fwd_targets,
-            fwd_weights,
-        ))
-    }
-
     /// Fetch (paging in if needed) the resident segment `seg` of
     /// direction `dir` (0 = forward, 1 = reverse).
     ///
@@ -213,6 +165,7 @@ impl PagedGraphStore {
         let page = self
             .cache
             .get_or_load(self.cache_id, u64::from(key), || {
+                banks_util::fault::maybe_fault("pager.page_in")?;
                 self.load_segment(dir, seg)
                     .map(|s| Page::Segment(Arc::new(s)))
             })
@@ -229,7 +182,6 @@ impl PagedGraphStore {
     /// Read, verify and decode one segment from its byte source.
     fn load_segment(&self, dir: u32, seg: u32) -> Result<Segment, PagerError> {
         let meta = &self.metas[(dir * self.seg_count + seg) as usize];
-        banks_util::fault::maybe_fault("pager.page_in")?;
         let mut payload = vec![0u8; meta.len as usize];
         meta.src.read_at(meta.offset, &mut payload)?;
         if checksum(&payload) != meta.checksum {
@@ -297,6 +249,7 @@ impl PagedGraphStore {
 
         let mut metas = Vec::with_capacity(new_seg_count as usize * 2);
         let mut totals = [0u64; 2];
+        let mut builder = SegmentBuilder::default();
         for dir in 0..2u32 {
             let dirty = if dir == 0 { &fwd_dirty } else { &rev_dirty };
             let mut slot_start = 0u64;
@@ -314,14 +267,11 @@ impl PagedGraphStore {
                     continue;
                 }
                 let (first, end) = seg_range(s, span, new_n);
-                let mut encoder = SegmentEncoder::default();
                 for node in first..end {
-                    let (ids, ws) = self.merge_node(dir, node, old_n, patch, repl, &rev_repl);
-                    encoder.push(Adjacency::plain(&ids, &ws, &[]));
+                    self.merge_node(&mut builder, dir, node, old_n, patch, repl, &rev_repl);
                 }
-                let edges = encoder.edges();
-                let mut payload = Vec::new();
-                let min_pos = encoder.finish(&mut payload);
+                let segment = builder.finish(first, None);
+                let (payload, min_pos) = encode_segment(&segment, first, end);
                 metas.push(SegMeta {
                     checksum: checksum(&payload),
                     len: u32::try_from(payload.len()).ok()?,
@@ -330,7 +280,7 @@ impl PagedGraphStore {
                     slot_start: u32::try_from(slot_start).ok()?,
                     min_pos_weight: min_pos,
                 });
-                slot_start += u64::from(edges);
+                slot_start += segment.edges() as u64;
             }
             totals[dir as usize] = slot_start;
         }
@@ -356,26 +306,27 @@ impl PagedGraphStore {
         ))))
     }
 
-    /// The patched adjacency list of one node: the old list minus dirty
-    /// pairs, merged (by neighbor id) with the replacement edges aimed
-    /// at this node. `repl` is sorted by `(from, to)` and `rev_repl` by
-    /// `(to, from)`, so each node's replacements are a contiguous run.
+    /// Append to `builder` the patched adjacency list of one node: the
+    /// old list minus dirty pairs, merged (by neighbor id) with the
+    /// replacement edges aimed at this node. `repl` is sorted by
+    /// `(from, to)` and `rev_repl` by `(to, from)`, so each node's
+    /// replacements are a contiguous run.
+    #[allow(clippy::too_many_arguments)]
     fn merge_node(
         &self,
+        builder: &mut SegmentBuilder,
         dir: u32,
         node: u32,
         old_n: u32,
         patch: &GraphPatch,
         repl: &[(u32, u32, f64)],
         rev_repl: &[(u32, u32, f64)],
-    ) -> (Vec<u32>, Vec<f64>) {
+    ) {
         let keyed = if dir == 0 { repl } else { rev_repl };
         let lo = keyed.partition_point(|&(a, _, _)| a < node);
         let hi = keyed.partition_point(|&(a, _, _)| a <= node);
         let mine = &keyed[lo..hi];
 
-        let mut ids = Vec::new();
-        let mut weights = Vec::new();
         let mut r = 0usize;
         if node < old_n {
             let seg = self.fetch_segment(dir, node / self.seg_span);
@@ -389,24 +340,38 @@ impl PagedGraphStore {
                     continue;
                 }
                 while r < mine.len() && mine[r].1 < other {
-                    ids.push(mine[r].1);
-                    weights.push(mine[r].2);
+                    builder.edge(mine[r].1, mine[r].2);
                     r += 1;
                 }
                 debug_assert!(
                     r >= mine.len() || mine[r].1 != other,
                     "replacement edges must target dirty pairs only"
                 );
-                ids.push(other);
-                weights.push(w);
+                builder.edge(other, w);
             }
         }
         for &(_, other, w) in &mine[r..] {
-            ids.push(other);
-            weights.push(w);
+            builder.edge(other, w);
         }
-        (ids, weights)
+        builder.end_list();
     }
+}
+
+/// Decode every segment of both directions of the blob behind `src`
+/// into a resident graph (a [`ResidentStore`]) — the non-paged bundle
+/// load. Each payload is checksummed and validated like a page-in.
+pub fn decode_paged_blob(src: ByteSource) -> Result<Graph, PagerError> {
+    let mut store = PagedGraphStore::open_source(src, PageCache::new(0))?;
+    let mut segments = [Vec::new(), Vec::new()];
+    for (dir, segments) in (0..).zip(&mut segments) {
+        for seg in 0..store.seg_count {
+            segments.push(Arc::new(store.load_segment(dir, seg)?));
+        }
+    }
+    let [forward, reverse] = segments;
+    let node_weights = std::mem::take(&mut store.node_weights).into_vec();
+    let resident = ResidentStore::new(node_weights, store.seg_span, forward, reverse);
+    Ok(Graph::from_store(Arc::new(resident)))
 }
 
 impl GraphStore for PagedGraphStore {
@@ -446,9 +411,9 @@ impl GraphStore for PagedGraphStore {
             + self.cache.stats(self.cache_id).resident_bytes
     }
 
-    fn storage_stats(&self) -> StorageStats {
+    fn storage_stats(&self) -> Option<StorageStats> {
         let stats = self.cache.stats(self.cache_id);
-        StorageStats {
+        Some(StorageStats {
             resident_bytes: stats.resident_bytes,
             budget_bytes: self.cache.budget(),
             segment_count: self.metas.len(),
@@ -457,7 +422,7 @@ impl GraphStore for PagedGraphStore {
             page_ins: stats.page_ins,
             evictions: stats.evictions,
             decode_nanos: stats.decode_nanos,
-        }
+        })
     }
 
     fn apply_patch(&self, patch: &GraphPatch) -> Option<Graph> {
@@ -483,9 +448,9 @@ impl Drop for PagedGraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blob::DEFAULT_SEG_SPAN;
-    use banks_graph::{Dijkstra, Direction, GraphBuilder, NodeId, SearchArena};
-    use std::collections::BTreeSet;
+    use banks_graph::DEFAULT_SEG_SPAN;
+    use banks_graph::{Adjacency, Dijkstra, Direction, GraphBuilder, NodeId, SearchArena};
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Encode `graph` and reopen it as a paged store with the given budget.
     fn page_graph(
@@ -497,10 +462,10 @@ mod tests {
         PagedGraphStore::open_mem(blob.into(), PageCache::new(budget))
     }
 
-    /// A deterministic pseudo-random graph with a few distinct weights
-    /// (dictionary-friendly, like real schema-derived weights).
-    fn scrambled_graph(n: u32, edges_per_node: u32, seed: u64) -> Graph {
-        let mut b = GraphBuilder::with_capacity(n as usize, (n * edges_per_node) as usize);
+    /// The edges of a deterministic pseudo-random graph with a few
+    /// distinct weights (dictionary-friendly, like real schema-derived
+    /// weights), parallel pairs included.
+    fn scrambled_edges(n: u32, edges_per_node: u32, seed: u64) -> Vec<(u32, u32, f64)> {
         let mut state = seed | 1;
         let mut next = || {
             state = state
@@ -508,16 +473,79 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        let ids: Vec<NodeId> = (0..n).map(|i| b.add_node(1.0 + (i % 7) as f64)).collect();
         let weights = [0.5, 1.0, 2.0, 3.5];
+        let mut edges = Vec::new();
         for i in 0..n {
             for _ in 0..edges_per_node {
                 let to = next() % n;
-                let w = weights[(next() % 4) as usize];
-                b.add_edge(ids[i as usize], ids[to as usize], w);
+                edges.push((i, to, weights[(next() % 4) as usize]));
             }
         }
+        edges
+    }
+
+    /// The graph of [`scrambled_edges`], node `i` weighing `1 + i % 7`.
+    fn scrambled_graph(n: u32, edges_per_node: u32, seed: u64) -> Graph {
+        let mut b = GraphBuilder::with_capacity(n as usize, (n * edges_per_node) as usize);
+        let ids: Vec<NodeId> = (0..n).map(|i| b.add_node(1.0 + (i % 7) as f64)).collect();
+        for (from, to, w) in scrambled_edges(n, edges_per_node, seed) {
+            b.add_edge(ids[from as usize], ids[to as usize], w);
+        }
         b.build()
+    }
+
+    /// Ids, weight bits and (forward) edge-score bits per position.
+    fn bits(adjacency: Adjacency<'_>, scored: bool) -> Vec<(u32, u64, u64)> {
+        (0..adjacency.len())
+            .map(|i| {
+                let escore = if scored {
+                    adjacency.escore(i).to_bits()
+                } else {
+                    0
+                };
+                (adjacency.ids()[i], adjacency.weight(i).to_bits(), escore)
+            })
+            .collect()
+    }
+
+    /// `graph` holds exactly `edges` (parallel pairs at their minimum
+    /// weight), read off a `BTreeMap` rather than another graph: every
+    /// node's forward and reverse lists, degrees, weights and node
+    /// weight, and each forward edge scores `(1 + w/w_min).log2()`.
+    fn assert_matches_oracle(graph: &Graph, n: u32, edges: &[(u32, u32, f64)]) {
+        let mut oracle: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        for &(from, to, w) in edges {
+            let e = oracle.entry((from, to)).or_insert(f64::INFINITY);
+            *e = e.min(w);
+        }
+        let w_min = oracle.values().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(graph.node_count(), n as usize);
+        assert_eq!(graph.edge_count(), oracle.len());
+        assert_eq!(graph.min_edge_weight(), w_min);
+        for v in graph.nodes() {
+            assert_eq!(graph.node_weight(v), 1.0 + (v.0 % 7) as f64);
+            let out: Vec<(u32, u64, u64)> = oracle
+                .range((v.0, 0)..=(v.0, u32::MAX))
+                .map(|(&(_, to), &w)| (to, w.to_bits(), (1.0 + w / w_min).log2().to_bits()))
+                .collect();
+            let inc: Vec<(u32, u64, u64)> = oracle
+                .iter()
+                .filter(|(&(_, to), _)| to == v.0)
+                .map(|(&(from, _), &w)| (from, w.to_bits(), 0))
+                .collect();
+            assert_eq!(graph.out_degree(v), out.len(), "{v}");
+            assert_eq!(graph.in_degree(v), inc.len(), "{v}");
+            assert_eq!(
+                graph.with_out_adjacency(v, |adj| bits(adj, true)),
+                out,
+                "{v}"
+            );
+            assert_eq!(
+                graph.with_in_adjacency(v, |adj| bits(adj, false)),
+                inc,
+                "{v}"
+            );
+        }
     }
 
     fn assert_graphs_identical(a: &Graph, b: &Graph) {
@@ -525,19 +553,6 @@ mod tests {
         assert_eq!(a.edge_count(), b.edge_count());
         assert_eq!(a.min_edge_weight().to_bits(), b.min_edge_weight().to_bits());
         assert_eq!(a.max_node_weight().to_bits(), b.max_node_weight().to_bits());
-        // Ids, weight bits and (forward) edge-score bits per position.
-        let bits = |adjacency: Adjacency<'_>, scored: bool| -> Vec<(u32, u64, u64)> {
-            (0..adjacency.len())
-                .map(|i| {
-                    let escore = if scored {
-                        adjacency.escore(i).to_bits()
-                    } else {
-                        0
-                    };
-                    (adjacency.ids()[i], adjacency.weight(i).to_bits(), escore)
-                })
-                .collect()
-        };
         for v in a.nodes() {
             assert_eq!(a.node_weight(v).to_bits(), b.node_weight(v).to_bits());
             assert_eq!(
@@ -555,11 +570,16 @@ mod tests {
     fn paged_accessors_match_in_ram_under_tiny_budget() {
         let g = scrambled_graph(500, 3, 42);
         // Span 16 → ~32 segments per direction; a 16 KB budget forces
-        // constant eviction while the comparison sweeps every node.
+        // constant eviction while the comparisons sweep every node. The
+        // resident and the paged graph read the same segment code, so
+        // each is also checked against the edges themselves.
         let store = page_graph(&g, Some(16), 16 << 10).unwrap();
         let paged = Graph::from_store(store.clone());
+        let edges = scrambled_edges(500, 3, 42);
+        assert_matches_oracle(&g, 500, &edges);
+        assert_matches_oracle(&paged, 500, &edges);
         assert_graphs_identical(&g, &paged);
-        let stats = store.storage_stats();
+        let stats = store.storage_stats().unwrap();
         assert!(stats.page_ins > 0, "no page-ins recorded");
         assert!(stats.evictions > 0, "tiny budget must evict");
         assert!(stats.decode_nanos > 0);
@@ -596,9 +616,9 @@ mod tests {
         assert_eq!(got, expect);
         // The nested reads evicted `v`'s segment: reading it again
         // pages it back in.
-        let page_ins = store.storage_stats().page_ins;
+        let page_ins = store.storage_stats().unwrap().page_ins;
         assert_eq!(paged.out_degree(v), expect.len());
-        assert_eq!(store.storage_stats().page_ins, page_ins + 1);
+        assert_eq!(store.storage_stats().unwrap().page_ins, page_ins + 1);
 
         // A query's page table holds `v`'s segment while the cache
         // evicts it: the query's later reads of `v` still see the same
@@ -617,14 +637,18 @@ mod tests {
             for other in (0..100).map(|i| NodeId(16 + i * 8 * 2)) {
                 assert_eq!(paged.out_degree(other), g.out_degree(other));
             }
-            let page_ins = store.storage_stats().page_ins;
+            let page_ins = store.storage_stats().unwrap().page_ins;
             assert_eq!(read_v(), expect);
-            assert_eq!(store.storage_stats().page_ins, page_ins, "held, not paged");
+            assert_eq!(
+                store.storage_stats().unwrap().page_ins,
+                page_ins,
+                "held, not paged"
+            );
         });
-        let page_ins = store.storage_stats().page_ins;
+        let page_ins = store.storage_stats().unwrap().page_ins;
         assert_eq!(paged.out_degree(v), expect.len());
         assert_eq!(
-            store.storage_stats().page_ins,
+            store.storage_stats().unwrap().page_ins,
             page_ins + 1,
             "evicted meanwhile"
         );
@@ -637,7 +661,7 @@ mod tests {
         let g = scrambled_graph(2_000, 3, 13);
         let store = page_graph(&g, Some(16), 1 << 20).unwrap();
         let paged = Graph::from_store(store.clone());
-        let before = store.storage_stats().lookups;
+        let before = store.storage_stats().unwrap().lookups;
         let mut arena = SearchArena::new();
         let mut touched = BTreeSet::new();
         let reads = arena.with_reader(&paged, |arena, reader| {
@@ -659,7 +683,7 @@ mod tests {
             }
             reads
         });
-        let lookups = store.storage_stats().lookups - before - touched.len() as u64;
+        let lookups = store.storage_stats().unwrap().lookups - before - touched.len() as u64;
         assert!(reads > 4 * touched.len(), "{reads} reads, {touched:?}");
         assert_eq!(lookups, touched.len() as u64, "one lookup per segment");
         // After the query only the cache (and the probe) hold them.
@@ -669,13 +693,14 @@ mod tests {
     }
 
     #[test]
-    fn decode_full_round_trips() {
+    fn decode_paged_blob_round_trips() {
         let g = scrambled_graph(200, 4, 7);
         let blob = encode_paged_blob(&g, 32);
-        let src = ByteSource::Mem(blob.into());
-        let back = PagedGraphStore::decode_full(&src).unwrap();
+        let back = decode_paged_blob(ByteSource::Mem(blob.into())).unwrap();
         assert_graphs_identical(&g, &back);
-        assert!(back.store().is_none(), "decode_full yields in-RAM");
+        assert_matches_oracle(&back, 200, &scrambled_edges(200, 4, 7));
+        assert!(back.storage_stats().is_none(), "decoded resident");
+        assert_eq!(back.store().seg_span(), 32, "at the blob's span");
     }
 
     #[test]
@@ -732,16 +757,18 @@ mod tests {
     #[test]
     fn corrupt_segment_payload_detected_on_full_decode() {
         let g = scrambled_graph(100, 3, 11);
-        let mut blob = encode_paged_blob(&g, 16);
-        // Flip a byte provably inside a forward segment payload (the
-        // ones decode_full actually reads) by consulting the directory.
+        let blob = encode_paged_blob(&g, 16);
+        // Flip a byte provably inside a forward segment payload, then
+        // one inside a reverse one, by consulting the directory: the
+        // full decode reads both directions.
         let layout = crate::blob::read_layout(&ByteSource::Mem(blob.clone().into())).unwrap();
-        let target = layout.fwd[0].offset as usize + 2;
-        blob[target] ^= 0x40;
-        let src = ByteSource::Mem(blob.into());
-        match PagedGraphStore::decode_full(&src) {
-            Err(PagerError::BadSegmentChecksum { .. }) => {}
-            other => panic!("expected BadSegmentChecksum, got {other:?}"),
+        for entry in [layout.fwd[0], layout.rev[2]] {
+            let mut bad = blob.clone();
+            bad[entry.offset as usize + 2] ^= 0x40;
+            match decode_paged_blob(ByteSource::Mem(bad.into())) {
+                Err(PagerError::BadSegmentChecksum { .. }) => {}
+                other => panic!("expected BadSegmentChecksum, got {other:?}"),
+            }
         }
     }
 
@@ -771,7 +798,7 @@ mod tests {
         };
         let expect = build_patch().apply(&g);
         let got = build_patch().apply(&paged);
-        assert!(got.store().is_some(), "COW result must stay paged");
+        assert!(got.storage_stats().is_some(), "COW result must stay paged");
         assert_graphs_identical(&expect, &got);
     }
 
@@ -794,7 +821,10 @@ mod tests {
             .collect();
         let expect = GraphPatch::new(remap.clone(), weights.clone()).apply(&g);
         let got = GraphPatch::new(remap, weights).apply(&paged);
-        assert!(got.store().is_some(), "fallback must re-encode to paged");
+        assert!(
+            got.storage_stats().is_some(),
+            "fallback must re-encode to paged"
+        );
         assert_graphs_identical(&expect, &got);
     }
 

@@ -1,7 +1,7 @@
 //! Full-system snapshot bundles: one file holding everything a server
 //! needs to answer queries — catalog + schemas, table tuples, text-index
-//! postings, the CSR graph, ranking parameters, and the publication
-//! epoch. Version 3 lays the file out for *out-of-core* serving: every
+//! postings, the graph's coded segments, ranking parameters, and the
+//! publication epoch. Version 3 lays the file out for *out-of-core* serving: every
 //! section sits at a directory-recorded offset, and the three bulky
 //! sections (tuples, postings, graph) use formats that can be served
 //! straight off the file — [`open_bundle_paged`] — instead of decoded
@@ -109,7 +109,7 @@ pub struct BundleMeta {
     pub epoch: u64,
     /// Ranking parameters active when the bundle was written.
     pub score: ScoreParams,
-    /// Graph-construction parameters the CSR section was derived under.
+    /// Graph-construction parameters the graph section was derived under.
     pub graph: GraphConfig,
 }
 
@@ -614,7 +614,7 @@ fn decode_bundle(bytes: &[u8], base_config: &BanksConfig) -> PersistResult<(Bank
     };
     let decode_graph = || -> PersistResult<Graph> {
         let payload = verify_section(bytes, &dir.grph)?;
-        Ok(PagedGraphStore::decode_full(&ByteSource::Mem(
+        Ok(banks_pager::decode_paged_blob(ByteSource::Mem(
             payload.into(),
         ))?)
     };

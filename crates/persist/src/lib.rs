@@ -15,8 +15,8 @@
 //!
 //! * [`bundle`] — **full-system snapshot bundles**: a single versioned,
 //!   checksummed file carrying catalog + schemas, table tuples (slot
-//!   layout preserved so rids stay valid), text-index postings, the CSR
-//!   graph, ranking parameters, and the publication epoch. Version 3,
+//!   layout preserved so rids stay valid), text-index postings, the
+//!   graph's segments, ranking parameters, and the publication epoch. Version 3,
 //!   the one format read and written, lays sections out behind a
 //!   verified directory, stores tuples in slot blocks, the graph in the
 //!   `banks-pager` segment format and the postings packed, so a bundle

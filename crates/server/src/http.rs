@@ -33,9 +33,9 @@ use crate::ingest::{epoch_info_json, IngestEndpoint};
 use crate::metrics::{
     install_queue_metrics, install_service_metrics, install_store_metrics, ServerMetrics,
 };
-use crate::service::{QueryOptions, QueryService};
+use crate::service::{with_worker_reader, QueryOptions, QueryService};
 use banks_core::{SearchStrategy, StopReason};
-use banks_graph::NodeId;
+use banks_graph::{GraphReader, NodeId};
 use banks_ingest::DeltaBatch;
 use banks_telemetry::Registry;
 use banks_util::http::{
@@ -652,45 +652,16 @@ fn handle_slow(params: &[(String, String)], service: &QueryService) -> Response 
 /// `"count":…,"answers":[…],"search_stats":{…}` (no braces), against
 /// the snapshot that computed it.
 fn answers_fragment(banks: &banks_core::Banks, result: &crate::service::CachedResult) -> String {
-    let answers: Vec<Json> = result
-        .answers
-        .iter()
-        .enumerate()
-        .map(|(rank, answer)| {
-            let tree = &answer.tree;
-            Json::obj([
-                ("rank", Json::Uint(rank as u64 + 1)),
-                ("relevance", Json::Num(answer.relevance)),
-                ("root", node_json(banks, tree.root)),
-                ("weight", Json::Num(tree.weight)),
-                (
-                    "keyword_nodes",
-                    Json::Arr(
-                        tree.keyword_nodes
-                            .iter()
-                            .map(|n| Json::Uint(n.0 as u64))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "edges",
-                    Json::Arr(
-                        tree.edges
-                            .iter()
-                            .map(|&(f, t, w)| {
-                                Json::Arr(vec![
-                                    Json::Uint(f.0 as u64),
-                                    Json::Uint(t.0 as u64),
-                                    Json::Num(w),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("rendered", Json::Str(banks.render_answer(answer))),
-            ])
-        })
-        .collect();
+    // One reader for the whole answer set: the roots' degree reads take
+    // each (direction, segment) from the graph's store once.
+    let answers: Vec<Json> = with_worker_reader(banks.tuple_graph().graph(), |graph| {
+        result
+            .answers
+            .iter()
+            .enumerate()
+            .map(|(rank, answer)| answer_json(banks, graph, rank, answer))
+            .collect()
+    });
     let stats = &result.stats;
     format!(
         r#""count":{},"answers":{},"search_stats":{}"#,
@@ -710,6 +681,48 @@ fn answers_fragment(banks: &banks_core::Banks, result: &crate::service::CachedRe
     )
 }
 
+/// One ranked answer of a search response, its root read through
+/// `graph`.
+fn answer_json(
+    banks: &banks_core::Banks,
+    graph: GraphReader<'_>,
+    rank: usize,
+    answer: &banks_core::Answer,
+) -> Json {
+    let tree = &answer.tree;
+    Json::obj([
+        ("rank", Json::Uint(rank as u64 + 1)),
+        ("relevance", Json::Num(answer.relevance)),
+        ("root", node_json(banks, graph, tree.root)),
+        ("weight", Json::Num(tree.weight)),
+        (
+            "keyword_nodes",
+            Json::Arr(
+                tree.keyword_nodes
+                    .iter()
+                    .map(|n| Json::Uint(n.0 as u64))
+                    .collect(),
+            ),
+        ),
+        (
+            "edges",
+            Json::Arr(
+                tree.edges
+                    .iter()
+                    .map(|&(f, t, w)| {
+                        Json::Arr(vec![
+                            Json::Uint(f.0 as u64),
+                            Json::Uint(t.0 as u64),
+                            Json::Num(w),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("rendered", Json::Str(banks.render_answer(answer))),
+    ])
+}
+
 fn handle_node(params: &[(String, String)], service: &QueryService) -> Response {
     let Some(raw) = query_param(params, "id") else {
         return Response::error(400, "missing required parameter `id`");
@@ -722,14 +735,16 @@ fn handle_node(params: &[(String, String)], service: &QueryService) -> Response 
     if (id as usize) >= banks.tuple_graph().node_count() {
         return Response::error(404, "no such node");
     }
-    Response::json(200, node_json(&banks, NodeId(id)).compact())
+    let graph = GraphReader::from(banks.tuple_graph().graph());
+    Response::json(200, node_json(&banks, graph, NodeId(id)).compact())
 }
 
 /// JSON description of one graph node: its tuple, relation, prestige,
 /// and connectivity — enough for a client to browse the neighbourhood.
-fn node_json(banks: &banks_core::Banks, node: NodeId) -> Json {
+/// The degrees are read through `graph`, a reader of the snapshot's
+/// graph.
+fn node_json(banks: &banks_core::Banks, graph: GraphReader<'_>, node: NodeId) -> Json {
     let tg = banks.tuple_graph();
-    let graph = tg.graph();
     let rid = tg.rid(node);
     let table = banks.db().table(rid.relation);
     let values: Vec<Json> = match banks.db().tuple(rid) {
@@ -745,9 +760,15 @@ fn node_json(banks: &banks_core::Banks, node: NodeId) -> Json {
         ("relation", Json::Str(table.schema().name.clone())),
         ("slot", Json::Uint(rid.slot as u64)),
         ("values", Json::Arr(values)),
-        ("prestige", Json::Num(graph.node_weight(node))),
-        ("in_degree", Json::Uint(graph.in_degree(node) as u64)),
-        ("out_degree", Json::Uint(graph.out_degree(node) as u64)),
+        ("prestige", Json::Num(graph.graph().node_weight(node))),
+        (
+            "in_degree",
+            Json::Uint(graph.with_adjacency(false, node, |adj| adj.len()) as u64),
+        ),
+        (
+            "out_degree",
+            Json::Uint(graph.with_adjacency(true, node, |adj| adj.len()) as u64),
+        ),
     ])
 }
 
@@ -1433,5 +1454,56 @@ mod tests {
             "observability endpoints stalled {elapsed:?} behind a parked query"
         );
         assert_eq!(parked.join().unwrap().status, 409);
+    }
+
+    #[test]
+    fn a_render_looks_each_root_segment_up_once_per_direction() {
+        // A paged server over a ~10K-tuple corpus (40 segments per
+        // direction), under a budget that holds all of it.
+        let dir = std::env::temp_dir().join(format!("banks_render_lookups_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bundle.banks");
+        let dataset = banks_datagen::dblp::generate(banks_datagen::dblp::DblpConfig::small(1));
+        let in_ram = Banks::new(dataset.unwrap().db).unwrap();
+        banks_persist::save_bundle(&in_ram, 0, &path).unwrap();
+        let config = banks_core::BanksConfig::default();
+        let (paged, _) = banks_persist::open_bundle_paged(&path, 64 << 20, &config).unwrap();
+        let service = Arc::new(QueryService::new(Arc::new(paged), ServiceConfig::default()));
+        let server = BanksServer::bind(service, None, None, None, ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let lookups = || {
+            let stats = String::from_utf8(get(addr, "/stats").body).unwrap();
+            let field = &stats[stats.find(r#""lookups":"#).expect("paged stats") + 10..];
+            field[..field.find(',').unwrap()].parse::<u64>().unwrap()
+        };
+
+        // The miss searches and renders; the first hit only renders.
+        let target = "/search?q=transaction&limit=20";
+        assert_eq!(get(addr, target).status, 200);
+        let before = lookups();
+        let body = String::from_utf8(get(addr, target).body).unwrap();
+        let rendered = lookups() - before;
+        assert!(body.contains(r#""cached":true"#), "{body}");
+
+        let roots: Vec<u32> = body
+            .match_indices(r#""root":{"id":"#)
+            .map(|(at, tag)| {
+                let id = &body[at + tag.len()..];
+                id[..id.find(',').unwrap()].parse().unwrap()
+            })
+            .collect();
+        let segments: std::collections::BTreeSet<u32> = roots
+            .iter()
+            .map(|root| root / banks_graph::DEFAULT_SEG_SPAN)
+            .collect();
+        assert!(
+            roots.len() > segments.len(),
+            "roots {roots:?} share segments"
+        );
+        // One lookup per distinct segment in each direction (in- and
+        // out-degree), however many roots a segment holds.
+        assert_eq!(rendered, 2 * segments.len() as u64, "roots {roots:?}");
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,7 +19,7 @@ use banks_core::{
     Answer, Banks, BanksResult, CombineMode, EdgeScoreMode, NodeScoreMode, SearchArena,
     SearchStats, SearchStrategy, StopReason, STOP_LABELS,
 };
-use banks_graph::NodeId;
+use banks_graph::{Graph, GraphReader, NodeId};
 use banks_telemetry::{Histogram, SlowLog, SlowQuery, Span};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -37,6 +37,15 @@ thread_local! {
     /// hook into [`QueryService::install_snapshot`] — which could not
     /// reach other threads' locals anyway.
     static WORKER_ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::new());
+}
+
+/// Run `f` with a reader of `graph` bound to this thread's worker arena
+/// (see [`SearchArena::with_reader`]): each segment `f` reads is taken
+/// from the graph's store once — one page-cache lookup per distinct
+/// (direction, segment) on a paged graph — and held until `f` returns.
+/// `f` must not search on this thread.
+pub(crate) fn with_worker_reader<R>(graph: &Graph, f: impl FnOnce(GraphReader<'_>) -> R) -> R {
+    WORKER_ARENA.with(|arena| arena.borrow_mut().with_reader(graph, |_, reader| f(reader)))
 }
 
 /// Service construction options: the result cache's size.

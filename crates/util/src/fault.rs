@@ -28,7 +28,7 @@
 //! | `wal.append.write`     | WAL frame write (supports `torn`)         |
 //! | `wal.append.fsync`     | WAL fsync after append                    |
 //! | `bundle.section.read`  | bundle section fetch                      |
-//! | `pager.page_in`        | paged-CSR segment decode                  |
+//! | `pager.page_in`        | paged graph segment decode                |
 //! | `data.block.read`      | paged tuple-block read + decode           |
 //! | `http.connect`         | client TCP connect                        |
 //! | `http.read`            | client response read                      |

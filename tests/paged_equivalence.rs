@@ -410,17 +410,17 @@ fn bundle_written_at_the_old_spans_still_opens_paged() {
 }
 
 /// The regression the split budgets had, as an exact count: with the
-/// budget at ~70 % of the decoded graph and ~30 % of graph + tuples
-/// (the proportions of the 100K-tuple / 8 MiB benchmark workload), a
-/// serial replay of `pp`-style queries (two paper-id tokens, answers
-/// rendered) must not decode the graph's segments over and over. Before
-/// the one cache, tuple blocks pinned the whole budget, the graph kept
-/// a single segment, and each query decoded every segment ~35 times;
-/// now the worst of these queries decodes 2.6 segments per segment.
+/// budget below the bytes the resident graph holds (its segments and
+/// node weights), so that the replay must evict, a serial replay of `pp`-style queries (two paper-id
+/// tokens, answers rendered) must not decode the graph's segments over
+/// and over. Before the one cache, tuple blocks pinned the whole budget,
+/// the graph kept a single segment, and each query decoded every
+/// segment ~35 times; now the worst of these queries pages in 75 of the
+/// graph's 80 segments under a budget of ~70 % of them.
 #[test]
 fn serial_replay_pages_each_graph_segment_in_a_few_times_at_most() {
     const TUPLES: u64 = 10_000;
-    const BUDGET: usize = 800 << 10;
+    const BUDGET: usize = 300 << 10;
     let dir = tmp_dir("serial_replay");
     let corpus = dir.join("corpus");
     std::fs::create_dir_all(&corpus).unwrap();
@@ -435,7 +435,7 @@ fn serial_replay_pages_each_graph_segment_in_a_few_times_at_most() {
         let segments = stats().segment_count as u64;
         assert!(
             in_ram.tuple_graph().graph().memory_bytes() > BUDGET,
-            "the budget must sit below the decoded graph alone"
+            "the budget must sit below the resident graph's bytes"
         );
         let mut per_query = Vec::new();
         let mut state = 1u64;
@@ -462,6 +462,7 @@ fn serial_replay_pages_each_graph_segment_in_a_few_times_at_most() {
             per_query.push(page_ins);
         }
         assert_budget_respected(&paged);
+        assert!(stats().evictions > 0, "the replay must evict");
         per_query
     };
     let first = replay();
@@ -473,10 +474,11 @@ fn serial_replay_pages_each_graph_segment_in_a_few_times_at_most() {
 /// Resident pages stay compact — graph segments keep their weights
 /// dictionary-coded, tuple blocks stay encoded until a slot is read — so
 /// on the 10K corpus a 1 MiB budget holds every page 20 `pp`-style
-/// queries touch (decoded in full, the graph alone is ~1.03 MB and the
-/// tuple blocks ~1.84 MB). Replaying the queries through a fresh
-/// service (cold searches, nothing cached) pages nothing in, and every
-/// response is byte-identical to the in-RAM server's from `count` on.
+/// queries touch (held resident, the graph takes ~0.43 MB; decoded in
+/// full, the tuple blocks take ~1.84 MB). Replaying the queries through
+/// a fresh service (cold searches, nothing cached) pages nothing in, and
+/// every response is byte-identical to the in-RAM server's from `count`
+/// on.
 #[test]
 fn a_repeated_replay_under_a_1_mib_budget_pages_nothing_in() {
     const TUPLES: u64 = 10_000;
