@@ -63,3 +63,14 @@ impl FlagNumber for usize {
 impl FlagNumber for f64 {
     const KIND: &'static str = "a number";
 }
+
+/// Arm the fault sites `BANKS_FAULTS` names, once at startup. A spec
+/// with a bad entry refuses to start rather than silently arming less.
+fn arm_faults_from_env(component: &str) -> Result<(), String> {
+    let spec = std::env::var("BANKS_FAULTS").unwrap_or_default();
+    let armed = banks_util::fault::arm_spec(&spec)?;
+    if !armed.is_empty() {
+        banks_util::log_warn!(component, "BANKS_FAULTS armed: {}", armed.join(", "));
+    }
+    Ok(())
+}

@@ -14,7 +14,7 @@
 //! the router's own registry. See `banks-router` for the routing,
 //! ejection, and staleness rules.
 
-use crate::{flag_number, flag_value};
+use crate::{arm_faults_from_env, flag_number, flag_value};
 use banks_router::{Router, RouterConfig};
 use banks_util::log_info;
 use std::time::Duration;
@@ -126,6 +126,7 @@ pub(crate) fn start(args: &RouteArgs) -> Result<Router, String> {
 /// Foreground entry point for `banks route`: route until killed.
 pub fn run(args: &[String]) -> Result<(), String> {
     let args = RouteArgs::parse(args)?;
+    arm_faults_from_env("route")?;
     let router = start(&args)?;
     router.join();
     Ok(())

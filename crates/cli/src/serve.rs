@@ -33,7 +33,7 @@
 //! leader's address; `/search?min_epoch=…` waits for replication and
 //! answers `409` (plus the leader hint) past its deadline.
 
-use crate::{flag_number, flag_value};
+use crate::{arm_faults_from_env, flag_number, flag_value};
 use banks_core::{Banks, BanksConfig, TupleGraph};
 use banks_ingest::SnapshotPublisher;
 use banks_persist::{PersistOptions, PersistentStore};
@@ -500,6 +500,7 @@ fn start_follower(
 /// killed.
 pub fn run(args: &[String]) -> Result<(), String> {
     let args = ServeArgs::parse(args)?;
+    arm_faults_from_env("serve")?;
     let (_service, server, replica) = start(&args)?;
     server.join();
     drop(replica); // stop tailing only after the server is down

@@ -30,6 +30,7 @@ use crate::codec::{decode_segment, encode_segment};
 use crate::error::PagerError;
 use banks_graph::store::{GraphStore, ResidentStore, StorageStats};
 use banks_graph::{Graph, GraphPatch, Segment, SegmentBuilder};
+use banks_util::fault::{self, Site};
 use banks_util::fxhash::{checksum, FxHashSet};
 use std::fs::File;
 use std::sync::Arc;
@@ -165,7 +166,7 @@ impl PagedGraphStore {
         let page = self
             .cache
             .get_or_load(self.cache_id, u64::from(key), || {
-                banks_util::fault::maybe_fault("pager.page_in")?;
+                fault::maybe_fault(Site::PagerPageIn)?;
                 self.load_segment(dir, seg)
                     .map(|s| Page::Segment(Arc::new(s)))
             })

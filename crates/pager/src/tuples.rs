@@ -25,6 +25,7 @@ use crate::error::PagerError;
 use banks_storage::blocks::{checksum64, lane_candidates, DataLayout};
 use banks_storage::schema::schema_from_text;
 use banks_storage::{StorageError, TupleBlock, TupleStore, TupleStoreStats};
+use banks_util::fault::{self, Site};
 use std::sync::Arc;
 
 /// Cache key of block `block` of relation `rel`.
@@ -135,7 +136,7 @@ impl PagedTupleStore {
     fn load_block(&self, rel: u32, block: u32) -> Result<TupleBlock, PagerError> {
         let layout = &self.layout.relations[rel as usize];
         let meta = layout.blocks[block as usize];
-        banks_util::fault::maybe_fault("data.block.read")?;
+        fault::maybe_fault(Site::DataBlockRead)?;
         let mut payload = vec![0u8; meta.len as usize];
         self.src.read_at(meta.offset, &mut payload)?;
         if checksum64(&payload) != meta.checksum {

@@ -70,6 +70,7 @@ use banks_graph::Graph;
 use banks_pager::{ByteSource, PageCache, PagedGraphStore, PagedTupleStore};
 use banks_storage::postings::{self, LazyTextIndex, PostingSource};
 use banks_storage::{blocks, Database, TextIndex};
+use banks_util::fault::{self, Site};
 use banks_util::fxhash::FxHasher;
 use std::fs::File;
 use std::hash::Hasher;
@@ -569,7 +570,7 @@ fn open_header(path: &Path) -> PersistResult<(File, Directory)> {
 }
 
 fn verify_section<'a>(bytes: &'a [u8], entry: &SectionEntry) -> PersistResult<&'a [u8]> {
-    banks_util::fault::maybe_fault("bundle.section.read")?;
+    fault::maybe_fault(Site::BundleSectionRead)?;
     let payload = &bytes[entry.offset as usize..(entry.offset + entry.len) as usize];
     if stream_checksum(payload) != entry.checksum {
         return Err(PersistError::BadChecksum);
@@ -707,7 +708,7 @@ pub fn open_bundle_paged(
 ) -> PersistResult<(Banks, BundleMeta)> {
     let (file, dir) = open_header(path)?;
     let file = Arc::new(file);
-    banks_util::fault::maybe_fault("bundle.section.read")?;
+    fault::maybe_fault(Site::BundleSectionRead)?;
     let meta = read_meta(&file, &dir.meta)?;
     let lazy = LazyTextIndex::open(Arc::new(FileRange {
         file: Arc::clone(&file),
@@ -721,7 +722,7 @@ pub fn open_bundle_paged(
         dir.grph.len,
         Arc::clone(&cache),
     )?;
-    banks_util::fault::maybe_fault("bundle.section.read")?;
+    fault::maybe_fault(Site::BundleSectionRead)?;
     let tuples =
         PagedTupleStore::open_file(Arc::clone(&file), dir.data.offset, dir.data.len, cache)?;
     let schema_text = tuples.layout().schema_text.clone();

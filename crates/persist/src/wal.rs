@@ -33,6 +33,7 @@
 
 use crate::error::{PersistError, PersistResult};
 use banks_ingest::DeltaBatch;
+use banks_util::fault::{self, Site};
 use banks_util::fxhash::checksum;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -243,7 +244,7 @@ impl WalWriter {
         let frame = encode_frame(epoch, batch);
         let mut fsync_elapsed = None;
         let result = (|| -> PersistResult<()> {
-            if let Some(cut) = banks_util::fault::torn_write("wal.append.write", frame.len())? {
+            if let Some(cut) = fault::torn_write(Site::WalAppendWrite, frame.len())? {
                 // Simulated crash mid-write: a prefix of the frame hits
                 // the file, then the append fails. The rollback below
                 // (or, post-crash, the recovery scan) must erase it.
@@ -256,7 +257,7 @@ impl WalWriter {
             self.file.write_all(&frame)?;
             self.file.flush()?;
             if self.fsync {
-                banks_util::fault::maybe_fault("wal.append.fsync")?;
+                fault::maybe_fault(Site::WalAppendFsync)?;
                 let t0 = std::time::Instant::now();
                 self.file.sync_data()?;
                 fsync_elapsed = Some(t0.elapsed());

@@ -1,40 +1,67 @@
 //! Deterministic, seed-driven fault injection.
 //!
-//! A *fault point* is a named site in production code — a WAL fsync, a
-//! bundle section read, an HTTP connect — that consults this registry
-//! before doing its real work. When the `fault-injection` cargo feature
-//! is **off** (the default), every hook in this module is an
-//! `#[inline(always)]` empty function: release binaries contain no
-//! registry, no branches, no strings. When the feature is **on**, each
-//! armed point fires with a configured probability driven by its own
-//! xorshift64 stream, so a given `(rate, seed)` pair produces the exact
-//! same fire/no-fire sequence on every run — chaos tests are
-//! reproducible, not flaky.
+//! A fault point is a [`Site`] in production code — a WAL fsync, a
+//! bundle section read, an HTTP connect — whose hook consults this
+//! registry before doing its real work. An armed site fires with its
+//! configured probability, driven by its own xorshift64 stream, so a
+//! given `(rate, seed)` pair produces the exact same fire/no-fire
+//! sequence on every run — chaos tests are reproducible, not flaky. A
+//! hook whose site is not armed does one relaxed atomic load: it takes
+//! no lock and allocates nothing.
 //!
-//! Faults are armed two ways:
+//! Sites are armed two ways:
 //!
-//! * programmatically, via `arm` / `clear` (in-process tests; both
-//!   exist only with the `fault-injection` feature);
-//! * from the environment, via `BANKS_FAULTS` (real-process runs):
-//!   a comma-separated list of `point:kind:rate:seed[:millis]` entries,
+//! * in-process, via [`arm`] / [`clear`] (the chaos suite);
+//! * in a real process, from `BANKS_FAULTS`, which `banks serve` and
+//!   `banks route` pass to [`arm_spec`] once at startup: a
+//!   comma-separated list of `site:kind:rate:seed[:millis]` entries,
 //!   e.g. `BANKS_FAULTS=wal.append.fsync:err:0.3:42,http.read:delay:1:7:250`.
 //!   Kinds are `err`, `delay` (with a trailing millisecond field), and
-//!   `torn` (partial write then error).
-//!
-//! ## Registered point names
-//!
-//! | point                  | site                                      |
-//! |------------------------|-------------------------------------------|
-//! | `wal.append.write`     | WAL frame write (supports `torn`)         |
-//! | `wal.append.fsync`     | WAL fsync after append                    |
-//! | `bundle.section.read`  | bundle section fetch                      |
-//! | `pager.page_in`        | paged graph segment decode                |
-//! | `data.block.read`      | paged tuple-block read + decode           |
-//! | `http.connect`         | client TCP connect                        |
-//! | `http.read`            | client response read                      |
+//!   `torn` (partial write then error, `wal.append.write` only). A spec
+//!   with one bad entry arms nothing and is refused.
 
-#[cfg(feature = "fault-injection")]
-pub use imp::{arm, clear, fired, maybe_fault, torn_write};
+use std::io;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
+
+/// A hooked site in production code. Each is named, in `BANKS_FAULTS`
+/// and in injected errors, by [`Site::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// `wal.append.write`: WAL frame write (the one site for `torn`).
+    WalAppendWrite,
+    /// `wal.append.fsync`: WAL fsync after an append.
+    WalAppendFsync,
+    /// `bundle.section.read`: bundle section fetch.
+    BundleSectionRead,
+    /// `pager.page_in`: paged graph segment decode.
+    PagerPageIn,
+    /// `data.block.read`: paged tuple-block read + decode.
+    DataBlockRead,
+    /// `http.connect`: client TCP connect.
+    HttpConnect,
+    /// `http.read`: client response read.
+    HttpRead,
+}
+
+/// Site names, indexed by `site as usize`.
+const NAMES: [&str; 7] = [
+    "wal.append.write",
+    "wal.append.fsync",
+    "bundle.section.read",
+    "pager.page_in",
+    "data.block.read",
+    "http.connect",
+    "http.read",
+];
+
+impl Site {
+    /// The site's dotted name.
+    pub fn name(self) -> &'static str {
+        NAMES[self as usize]
+    }
+}
 
 /// What an armed fault point does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,291 +69,262 @@ pub enum FaultPoint {
     /// Return `io::ErrorKind::Other` ("injected fault") from the hook.
     ReturnErr,
     /// Sleep for the given duration, then proceed normally.
-    Delay(std::time::Duration),
+    Delay(Duration),
     /// Truncate the write to a deterministic prefix, then error — the
-    /// on-disk state looks like a crash mid-write. Only meaningful at
-    /// points that pass a length to [`torn_write`].
+    /// on-disk state looks like a crash mid-write. Only [`torn_write`]
+    /// sites fire it; [`maybe_fault`] leaves a torn-armed site alone.
     TornWrite,
 }
 
-#[cfg(feature = "fault-injection")]
-mod imp {
-    use super::FaultPoint;
-    use std::collections::HashMap;
-    use std::io;
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Duration;
+/// One armed site: a plain value, so its stream is testable without
+/// the process-global registry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Point {
+    fault: FaultPoint,
+    /// Firing probability in [0, 1].
+    rate: f64,
+    /// xorshift64 state: the fire sequence is a pure function of the seed.
+    rng: u64,
+    fires: u64,
+}
 
-    struct PointState {
-        fault: FaultPoint,
-        /// Firing probability in [0, 1].
-        rate: f64,
-        /// Private xorshift64 stream — each point's fire sequence is a
-        /// pure function of its seed, independent of every other point.
-        rng: u64,
-        /// Times this point has fired (for test assertions).
-        fires: u64,
-    }
+/// What a hook does on a call where its point fires.
+#[derive(Debug, PartialEq, Eq)]
+enum Fired {
+    Err,
+    Delay(Duration),
+    /// Write this many bytes of the payload, then fail.
+    Torn(usize),
+}
 
-    fn registry() -> &'static Mutex<HashMap<String, PointState>> {
-        static REGISTRY: OnceLock<Mutex<HashMap<String, PointState>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(parse_env(std::env::var("BANKS_FAULTS").ok())))
-    }
-
-    fn parse_env(spec: Option<String>) -> HashMap<String, PointState> {
-        let mut map = HashMap::new();
-        let Some(spec) = spec else { return map };
-        for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-            let fields: Vec<&str> = entry.trim().split(':').collect();
-            let parsed = (|| -> Option<(String, PointState)> {
-                let [name, kind, rate, seed, rest @ ..] = fields.as_slice() else {
-                    return None;
-                };
-                let rate: f64 = rate.parse().ok()?;
-                let seed: u64 = seed.parse().ok()?;
-                let fault = match *kind {
-                    "err" => FaultPoint::ReturnErr,
-                    "torn" => FaultPoint::TornWrite,
-                    "delay" => {
-                        let ms: u64 = rest.first()?.parse().ok()?;
-                        FaultPoint::Delay(Duration::from_millis(ms))
-                    }
-                    _ => return None,
-                };
-                Some((name.to_string(), new_state(fault, rate, seed)))
-            })();
-            match parsed {
-                Some((name, state)) => {
-                    map.insert(name, state);
-                }
-                None => eprintln!("BANKS_FAULTS: ignoring malformed entry `{entry}`"),
-            }
-        }
-        map
-    }
-
-    fn new_state(fault: FaultPoint, rate: f64, seed: u64) -> PointState {
-        PointState {
+impl Point {
+    fn new(fault: FaultPoint, rate: f64, seed: u64) -> Point {
+        assert!((0.0..=1.0).contains(&rate), "fault rate {rate}");
+        // xorshift64 cannot hold state 0.
+        let rng = seed | 1;
+        Point {
             fault,
-            rate: rate.clamp(0.0, 1.0),
-            // xorshift64 cannot hold state 0.
-            rng: seed | 1,
+            rate,
+            rng,
             fires: 0,
         }
     }
 
-    fn xorshift64(x: &mut u64) -> u64 {
-        *x ^= *x << 13;
-        *x ^= *x >> 7;
-        *x ^= *x << 17;
-        *x
+    fn next(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
     }
 
-    /// Arm (or re-arm, resetting the stream) a named fault point.
-    pub(crate) fn arm(point: &str, fault: FaultPoint, rate: f64, seed: u64) {
-        registry()
-            .lock()
-            .unwrap()
-            .insert(point.to_string(), new_state(fault, rate, seed));
-    }
-
-    /// Disarm every fault point (tests call this between scenarios).
-    pub(crate) fn clear() {
-        registry().lock().unwrap().clear();
-    }
-
-    /// Times the named point has fired since it was armed.
-    pub(crate) fn fired(point: &str) -> u64 {
-        registry().lock().unwrap().get(point).map_or(0, |s| s.fires)
-    }
-
-    /// Roll the point's stream; `Some(fault)` when it fires this call.
-    fn roll(point: &str) -> Option<FaultPoint> {
-        let mut map = registry().lock().unwrap();
-        let state = map.get_mut(point)?;
-        let draw = xorshift64(&mut state.rng) as f64 / u64::MAX as f64;
-        if draw < state.rate {
-            state.fires += 1;
-            Some(state.fault)
-        } else {
-            None
+    /// Roll the stream once. `len` is the payload length at a
+    /// [`torn_write`] site and `None` at a [`maybe_fault`] site, where
+    /// a `TornWrite` point neither rolls nor fires.
+    fn roll(&mut self, len: Option<usize>) -> Option<Fired> {
+        if self.fault == FaultPoint::TornWrite && len.is_none() {
+            return None;
         }
-    }
-
-    fn injected_err(point: &str) -> io::Error {
-        io::Error::other(format!("injected fault: {point}"))
-    }
-
-    /// The general hook: errors on `ReturnErr`, sleeps on `Delay`.
-    /// `TornWrite` does not fire here — only [`torn_write`] sites
-    /// understand partial writes.
-    pub(crate) fn maybe_fault(point: &str) -> io::Result<()> {
-        match roll(point) {
-            Some(FaultPoint::ReturnErr) => Err(injected_err(point)),
-            Some(FaultPoint::Delay(d)) => {
-                std::thread::sleep(d);
-                Ok(())
-            }
-            Some(FaultPoint::TornWrite) | None => Ok(()),
+        if self.next() as f64 / u64::MAX as f64 >= self.rate {
+            return None;
         }
-    }
-
-    /// Hook for write sites that can be torn. `Some(prefix_len)` means
-    /// the caller must write only the first `prefix_len` bytes of its
-    /// `len`-byte payload and then fail, as if the process died
-    /// mid-write. The prefix length is drawn from the same stream, so
-    /// it is deterministic too. `ReturnErr`/`Delay` armed on the same
-    /// point behave as in [`maybe_fault`] (reported via the `Err` arm).
-    pub(crate) fn torn_write(point: &str, len: usize) -> io::Result<Option<usize>> {
-        match roll(point) {
-            Some(FaultPoint::TornWrite) => {
-                let cut = registry()
-                    .lock()
-                    .unwrap()
-                    .get_mut(point)
-                    .map_or(0, |s| xorshift64(&mut s.rng) as usize);
-                Ok(Some(if len == 0 { 0 } else { cut % len }))
-            }
-            Some(FaultPoint::ReturnErr) => Err(injected_err(point)),
-            Some(FaultPoint::Delay(d)) => {
-                std::thread::sleep(d);
-                Ok(None)
-            }
-            None => Ok(None),
-        }
-    }
-
-    #[cfg(test)]
-    mod parse_tests {
-        use super::*;
-
-        #[test]
-        fn parses_the_env_grammar() {
-            let map = parse_env(Some(
-                "wal.append.fsync:err:0.3:42, http.read:delay:1:7:250,bundle.section.read:torn:0.5:9"
-                    .to_string(),
-            ));
-            assert_eq!(map.len(), 3);
-            let fsync = &map["wal.append.fsync"];
-            assert_eq!(fsync.fault, FaultPoint::ReturnErr);
-            assert!((fsync.rate - 0.3).abs() < 1e-9);
-            assert_eq!(
-                map["http.read"].fault,
-                FaultPoint::Delay(Duration::from_millis(250))
-            );
-            assert_eq!(map["bundle.section.read"].fault, FaultPoint::TornWrite);
-        }
-
-        #[test]
-        fn malformed_entries_are_dropped_not_fatal() {
-            let map = parse_env(Some(
-                "good:err:1:1,missing-fields:err,bad-kind:boom:1:1,delay-no-ms:delay:1:1".into(),
-            ));
-            assert_eq!(map.len(), 1);
-            assert!(map.contains_key("good"));
-        }
-
-        #[test]
-        fn empty_and_absent_specs_arm_nothing() {
-            assert!(parse_env(None).is_empty());
-            assert!(parse_env(Some("  ".into())).is_empty());
-        }
+        self.fires += 1;
+        Some(match (self.fault, len) {
+            (FaultPoint::ReturnErr, _) => Fired::Err,
+            (FaultPoint::Delay(d), _) => Fired::Delay(d),
+            // The cut comes from the same stream, so it repeats too.
+            (FaultPoint::TornWrite, Some(0) | None) => Fired::Torn(0),
+            (FaultPoint::TornWrite, Some(len)) => Fired::Torn(self.next() as usize % len),
+        })
     }
 }
 
-/// No-op hook: compiles away entirely without `fault-injection`.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub fn maybe_fault(_point: &str) -> std::io::Result<()> {
+/// Bit `site as usize` is set while that site is armed.
+static ARMED: AtomicU32 = AtomicU32::new(0);
+static POINTS: Mutex<[Option<Point>; NAMES.len()]> = Mutex::new([None; NAMES.len()]);
+
+fn points() -> MutexGuard<'static, [Option<Point>; NAMES.len()]> {
+    POINTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn arm_point(points: &mut [Option<Point>], site: usize, point: Point) {
+    points[site] = Some(point);
+    ARMED.fetch_or(1 << site, Ordering::Relaxed);
+}
+
+/// Arm (or re-arm, restarting its stream) a site. Panics if `rate` is
+/// not in [0, 1].
+pub fn arm(site: Site, fault: FaultPoint, rate: f64, seed: u64) {
+    arm_point(&mut *points(), site as usize, Point::new(fault, rate, seed));
+}
+
+/// Disarm every site.
+pub fn clear() {
+    *points() = [None; NAMES.len()];
+    ARMED.store(0, Ordering::Relaxed);
+}
+
+/// Times the site has fired since it was armed.
+pub fn fired(site: Site) -> u64 {
+    points()[site as usize].map_or(0, |p| p.fires)
+}
+
+/// Arm every entry of a `BANKS_FAULTS` spec and return the armed sites'
+/// names. An entry that is malformed, names an unknown site, has a rate
+/// outside [0, 1], or asks for `torn` anywhere but `wal.append.write`
+/// refuses the whole spec, arming nothing; the error names the entry.
+pub fn arm_spec(spec: &str) -> Result<Vec<&'static str>, String> {
+    let parsed = parse_spec(spec)?;
+    let mut points = points();
+    for &(site, point) in &parsed {
+        arm_point(&mut *points, site, point);
+    }
+    Ok(parsed.iter().map(|&(site, _)| NAMES[site]).collect())
+}
+
+fn parse_spec(spec: &str) -> Result<Vec<(usize, Point)>, String> {
+    let entries = spec.split(',').map(str::trim).filter(|e| !e.is_empty());
+    entries
+        .map(|entry| {
+            parse_entry(entry).map_err(|why| format!("BANKS_FAULTS entry `{entry}`: {why}"))
+        })
+        .collect()
+}
+
+fn parse_entry(entry: &str) -> Result<(usize, Point), &'static str> {
+    let fields: Vec<&str> = entry.split(':').collect();
+    let [name, kind, rate, seed, rest @ ..] = fields.as_slice() else {
+        return Err("expected site:kind:rate:seed[:millis]");
+    };
+    let site = NAMES.iter().position(|n| n == name).ok_or("unknown site")?;
+    let rate: f64 = rate.parse().map_err(|_| "rate is not a number")?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err("rate is not in [0, 1]");
+    }
+    let seed = seed.parse().map_err(|_| "seed is not an integer")?;
+    let fault = match (*kind, rest) {
+        ("err", []) => FaultPoint::ReturnErr,
+        ("torn", []) if site == Site::WalAppendWrite as usize => FaultPoint::TornWrite,
+        ("torn", []) => return Err("`torn` applies only to wal.append.write"),
+        ("delay", [ms]) => {
+            FaultPoint::Delay(Duration::from_millis(ms.parse().map_err(|_| "bad millis")?))
+        }
+        _ => return Err("kind must be err, torn, or delay:millis"),
+    };
+    Ok((site, Point::new(fault, rate, seed)))
+}
+
+/// The hooks' test: one relaxed load, no lock, no allocation.
+#[inline]
+fn armed(site: Site) -> bool {
+    ARMED.load(Ordering::Relaxed) & (1 << site as usize) != 0
+}
+
+/// The general hook: errors on `ReturnErr`, sleeps on `Delay`.
+#[inline]
+pub fn maybe_fault(site: Site) -> io::Result<()> {
+    if armed(site) {
+        fire(site, None)?;
+    }
     Ok(())
 }
 
-/// No-op hook: compiles away entirely without `fault-injection`.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub fn torn_write(_point: &str, _len: usize) -> std::io::Result<Option<usize>> {
-    Ok(None)
+/// Hook for write sites that can be torn. `Some(prefix_len)` means the
+/// caller must write only the first `prefix_len` bytes of its
+/// `len`-byte payload and then fail, as if the process died mid-write.
+/// `ReturnErr`/`Delay` armed here behave as in [`maybe_fault`].
+#[inline]
+pub fn torn_write(site: Site, len: usize) -> io::Result<Option<usize>> {
+    if !armed(site) {
+        return Ok(None);
+    }
+    fire(site, Some(len))
 }
 
-#[cfg(all(test, feature = "fault-injection"))]
+/// An armed site's hook: roll under the lock, act after releasing it.
+#[cold]
+fn fire(site: Site, len: Option<usize>) -> io::Result<Option<usize>> {
+    let fired = points()[site as usize].as_mut().and_then(|p| p.roll(len));
+    match fired {
+        None => Ok(None),
+        Some(Fired::Err) => Err(io::Error::other(format!("injected fault: {}", site.name()))),
+        Some(Fired::Delay(d)) => {
+            std::thread::sleep(d);
+            Ok(None)
+        }
+        Some(Fired::Torn(cut)) => Ok(Some(cut)),
+    }
+}
+
+// Only the stream and the parser are tested here: arming the global
+// registry would fault this crate's own HTTP client tests running
+// alongside. `tests/chaos.rs` tests the registry under one lock.
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    // The registry is process-global, so every test in this module runs
-    // under one lock to avoid cross-test interference.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn unarmed_points_never_fire() {
-        let _g = serial();
-        clear();
-        for _ in 0..100 {
-            assert!(maybe_fault("nothing.armed").is_ok());
-        }
-        assert_eq!(fired("nothing.armed"), 0);
-    }
-
-    #[test]
-    fn rate_one_always_fires_rate_zero_never() {
-        let _g = serial();
-        clear();
-        arm("t.always", FaultPoint::ReturnErr, 1.0, 9);
-        arm("t.never", FaultPoint::ReturnErr, 0.0, 9);
-        for _ in 0..50 {
-            assert!(maybe_fault("t.always").is_err());
-            assert!(maybe_fault("t.never").is_ok());
-        }
-        assert_eq!(fired("t.always"), 50);
-        assert_eq!(fired("t.never"), 0);
+    fn rolls(mut point: Point, len: Option<usize>, n: usize) -> Vec<Option<Fired>> {
+        (0..n).map(|_| point.roll(len)).collect()
     }
 
     #[test]
     fn same_seed_same_sequence() {
-        let _g = serial();
-        clear();
-        let run = |seed: u64| -> Vec<bool> {
-            arm("t.seq", FaultPoint::ReturnErr, 0.5, seed);
-            (0..64).map(|_| maybe_fault("t.seq").is_err()).collect()
-        };
-        let a = run(1234);
-        let b = run(1234);
-        let c = run(99);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a.iter().any(|&f| f) && a.iter().any(|&f| !f));
+        let seq = |seed| rolls(Point::new(FaultPoint::ReturnErr, 0.5, seed), None, 64);
+        assert_eq!(seq(1234), seq(1234));
+        assert_ne!(seq(1234), seq(99));
+        assert!(seq(1234).contains(&None) && seq(1234).contains(&Some(Fired::Err)));
     }
 
     #[test]
-    fn torn_write_truncates_deterministically() {
-        let _g = serial();
-        clear();
-        arm("t.torn", FaultPoint::TornWrite, 1.0, 77);
-        let cut = torn_write("t.torn", 1000).unwrap().unwrap();
-        assert!(cut < 1000);
-        arm("t.torn", FaultPoint::TornWrite, 1.0, 77);
-        assert_eq!(torn_write("t.torn", 1000).unwrap(), Some(cut));
-        // A torn-armed point does not disturb plain hooks.
-        assert!(maybe_fault("t.torn").is_ok());
-        clear();
+    fn rate_one_always_fires_rate_zero_never() {
+        let always = rolls(Point::new(FaultPoint::ReturnErr, 1.0, 9), None, 50);
+        let never = rolls(Point::new(FaultPoint::ReturnErr, 0.0, 9), None, 50);
+        assert!(always.iter().all(|r| *r == Some(Fired::Err)));
+        assert!(never.iter().all(Option::is_none));
     }
 
     #[test]
-    fn delay_faults_sleep_then_succeed() {
-        let _g = serial();
-        clear();
-        arm(
-            "t.delay",
-            FaultPoint::Delay(Duration::from_millis(120)),
-            1.0,
-            7,
-        );
-        let before = std::time::Instant::now();
-        assert!(maybe_fault("t.delay").is_ok());
-        assert!(before.elapsed() >= Duration::from_millis(120));
-        clear();
+    fn torn_cut_is_below_len_and_repeats() {
+        let torn = Point::new(FaultPoint::TornWrite, 1.0, 77);
+        let cuts = rolls(torn, Some(1000), 8);
+        assert!(cuts.iter().all(|c| matches!(c, Some(Fired::Torn(0..1000)))));
+        assert_eq!(cuts, rolls(torn, Some(1000), 8));
+        assert_ne!(cuts[0], cuts[1]);
+        assert_eq!(rolls(torn, Some(0), 1), [Some(Fired::Torn(0))]);
+        // A torn-armed site leaves plain hooks alone.
+        let mut plain = torn;
+        assert_eq!(plain.roll(None), None);
+        assert_eq!((plain.fires, plain.rng), (0, torn.rng));
+    }
+
+    #[test]
+    fn parses_the_env_grammar() {
+        let spec = "wal.append.fsync:err:0.3:42, http.read:delay:1:7:250,wal.append.write:torn:0:9";
+        let (err, torn) = (FaultPoint::ReturnErr, FaultPoint::TornWrite);
+        let delay = FaultPoint::Delay(Duration::from_millis(250));
+        let want = [
+            (Site::WalAppendFsync as usize, Point::new(err, 0.3, 42)),
+            (Site::HttpRead as usize, Point::new(delay, 1.0, 7)),
+            (Site::WalAppendWrite as usize, Point::new(torn, 0.0, 9)),
+        ];
+        assert_eq!(parse_spec(spec).unwrap(), want);
+        assert!(parse_spec("  ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_bad_entry_refuses_the_whole_spec() {
+        for bad in [
+            "wal.apend.fsync:err:0.2:7",
+            "http.read:err",
+            "http.read:boom:1:1",
+            "http.read:delay:1:1",
+            "http.read:err:1:1:5",
+            "http.read:err:NaN:1",
+            "http.read:err:1.5:1",
+            "http.read:err:1:-1",
+            "wal.append.fsync:torn:1:1",
+        ] {
+            let err = parse_spec(&format!("http.connect:err:1:1,{bad}")).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 }

@@ -16,6 +16,7 @@
 //!   and contains handler panics; admission control and routing belong
 //!   to the handler each role passes in.
 
+use crate::fault::{self, Site};
 use crate::json::Json;
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -211,7 +212,7 @@ pub fn http_request_to_writer(
     sink: &mut dyn Write,
 ) -> Result<HttpResponse<u64>, ClientError> {
     let addr = host_port(addr);
-    crate::fault::maybe_fault("http.connect").map_err(ClientError::Connect)?;
+    fault::maybe_fault(Site::HttpConnect).map_err(ClientError::Connect)?;
     let sock = addr
         .to_socket_addrs()
         .map_err(ClientError::Connect)?
@@ -234,7 +235,7 @@ pub fn http_request_to_writer(
     stream.write_all(&request).map_err(ClientError::Io)?;
     stream.flush().map_err(ClientError::Io)?;
 
-    crate::fault::maybe_fault("http.read").map_err(ClientError::Io)?;
+    fault::maybe_fault(Site::HttpRead).map_err(ClientError::Io)?;
     read_response(&mut stream, sink)
 }
 

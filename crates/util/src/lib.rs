@@ -19,8 +19,8 @@
 //! * [`retry`] — the shared retry policy (capped exponential backoff,
 //!   full jitter, retry budget) used by every HTTP client in the
 //!   workspace;
-//! * [`fault`] — deterministic fault injection behind the
-//!   `fault-injection` cargo feature (zero-cost no-ops otherwise);
+//! * [`fault`] — deterministic fault injection at named I/O sites; an
+//!   unarmed site costs its hook one relaxed atomic load;
 //! * [`process`] — this process's resident and peak memory, for
 //!   `/stats` and `/metrics`.
 

@@ -1,20 +1,16 @@
 //! Chaos suite: the whole stack under deterministic injected faults.
 //!
-//! Compiled against the real fault registry only with the
-//! `fault-injection` feature:
-//!
-//! ```text
-//! cargo test -p banks-testsuite --test chaos --features fault-injection
-//! ```
-//!
-//! Three scenarios, mirroring the failure modes the serving stack
-//! promises to absorb:
+//! The fault registry (`banks_util::fault`) is process-global, so every
+//! test that arms a site lives in this binary and runs under
+//! [`serial`]. Three scenarios, mirroring the failure modes the serving
+//! stack promises to absorb:
 //!
 //! 1. **Durability under WAL faults** — a live HTTP server acks ingest
 //!    batches while `wal.append.fsync` errors and `wal.append.write`
 //!    torn writes fire; after an ungraceful death, recovery must hold
 //!    the ack contract exactly: every acked batch survives, every
-//!    failed ack is absent, answers are byte-identical.
+//!    failed ack is absent, answers are byte-identical. The same
+//!    contract holds at the store level, one fault at a time.
 //! 2. **Paged storage faults** — bundle section reads fail loudly at
 //!    open (typed error, not corruption); page-in delays never change
 //!    answers; page-in I/O errors panic (loud) instead of serving
@@ -27,26 +23,30 @@
 //!    answers once the network heals.
 //!
 //! Every fault stream is seeded, so a failure reproduces exactly.
-#![cfg(feature = "fault-injection")]
 
-use banks_core::{Banks, BanksConfig};
+use banks_core::answer::TreeSignature;
+use banks_core::{Answer, Banks, BanksConfig};
 use banks_datagen::dblp::{generate, DblpConfig};
-use banks_ingest::SnapshotPublisher;
+use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
 use banks_persist::{PersistOptions, PersistentStore};
 use banks_replica::{Replica, ReplicaConfig};
 use banks_router::{Router, RouterConfig};
 use banks_server::{BanksServer, IngestEndpoint, QueryService, ServerConfig, ServiceConfig};
-use banks_util::fault::{self, FaultPoint};
+use banks_storage::Value;
+use banks_util::fault::{self, FaultPoint, Site};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The fault registry is process-global; scenarios must not overlap.
+/// The fault registry is process-global; tests must not overlap. Each
+/// starts disarmed, even after one that panicked with a site armed.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+    guard
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -119,8 +119,8 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// A durable leader over `dir`, mirroring `banks serve --data-dir`.
-fn durable_server(dir: &Path) -> (Arc<QueryService>, BanksServer, Arc<PersistentStore>) {
+/// A store + publisher pair over `dir`, seeded with the tiny corpus.
+fn durable_publisher(dir: &Path) -> (Arc<PersistentStore>, SnapshotPublisher) {
     let config = BanksConfig::default();
     let (store, recovery) =
         PersistentStore::open(dir, &config, PersistOptions::default()).expect("open store");
@@ -133,13 +133,19 @@ fn durable_server(dir: &Path) -> (Arc<QueryService>, BanksServer, Arc<Persistent
             (banks, 0)
         }
     };
-    let service = Arc::new(QueryService::with_epoch(
-        Arc::clone(&banks),
-        epoch,
-        ServiceConfig::default(),
-    ));
     let mut publisher = SnapshotPublisher::with_epoch(banks, epoch);
     publisher.set_durability_hook(store.wal_hook());
+    (store, publisher)
+}
+
+/// A durable leader over `dir`, mirroring `banks serve --data-dir`.
+fn durable_server(dir: &Path) -> (Arc<QueryService>, BanksServer, Arc<PersistentStore>) {
+    let (store, publisher) = durable_publisher(dir);
+    let service = Arc::new(QueryService::with_epoch(
+        publisher.current(),
+        publisher.epoch(),
+        ServiceConfig::default(),
+    ));
     let ingest =
         IngestEndpoint::with_publisher(Arc::clone(&service), publisher, Some(Arc::clone(&store)));
     let server = BanksServer::bind(
@@ -156,36 +162,44 @@ fn durable_server(dir: &Path) -> (Arc<QueryService>, BanksServer, Arc<Persistent
     (service, server, store)
 }
 
-/// Ranked answers must be fingerprint-identical across two services.
+/// Ranked answers' tree signatures and relevance bits, in rank order.
+fn fingerprint(answers: &[Answer]) -> Vec<(TreeSignature, u64)> {
+    let print = |p: &Answer| (p.tree.signature(), p.relevance.to_bits());
+    answers.iter().map(print).collect()
+}
+
+/// Ranked answers must be bit-identical across two services.
 fn assert_same_answers(a: &QueryService, b: &QueryService, q: &str) {
-    let x = a.search(q, Default::default()).expect("search a");
-    let y = b.search(q, Default::default()).expect("search b");
-    if x.result.answers.len() != y.result.answers.len() {
-        // Enough context to diagnose a flake from the CI log alone.
-        eprintln!(
-            "MISMATCH {q}: a cached={} epoch={} {:?} vs b cached={} epoch={} {:?}",
-            x.cached,
-            x.epoch,
-            x.result
-                .answers
-                .iter()
-                .map(|p| (p.tree.signature(), p.relevance))
-                .collect::<Vec<_>>(),
-            y.cached,
-            y.epoch,
-            y.result
-                .answers
-                .iter()
-                .map(|p| (p.tree.signature(), p.relevance))
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(x.result.answers.len(), y.result.answers.len(), "{q}");
-    for (p, r) in x.result.answers.iter().zip(&y.result.answers) {
-        assert_eq!(p.tree.signature(), r.tree.signature(), "{q}");
-        assert_eq!(p.relevance.to_bits(), r.relevance.to_bits(), "{q}");
+    let [x, y] = [a, b].map(|s| s.search(q, Default::default()).expect("search"));
+    let at = [&x, &y].map(|r| (r.cached, r.epoch));
+    let [x, y] = [x, y].map(|r| fingerprint(&r.result.answers));
+    assert_eq!(x, y, "{q}: (cached, epoch) {at:?}");
+}
+
+/// Ranked answers must be bit-identical across two systems.
+fn assert_same_search(a: &Banks, b: &Banks, queries: &[&str]) {
+    for q in queries {
+        let [x, y] = [a, b].map(|s| fingerprint(&s.search(q).expect("search")));
+        assert_eq!(x, y, "{q}");
     }
 }
+
+/// A snapshot bundle of the tiny corpus under a fresh `dir`, and the
+/// same corpus in RAM to compare against: `(dir, bundle, in_ram)`.
+fn bundle_fixture(tag: &str) -> (PathBuf, PathBuf, Banks) {
+    let dir = tmp_dir(tag);
+    let dataset = generate(DblpConfig::tiny(5)).expect("datagen");
+    let in_ram = Banks::new(dataset.db.clone()).expect("banks");
+    let options = PersistOptions::default();
+    let (store, _) = PersistentStore::open(&dir, &BanksConfig::default(), options).expect("open");
+    let banks = Arc::new(Banks::new(dataset.db).expect("banks"));
+    store.save_snapshot(&banks, 0).expect("snapshot");
+    let bundle = dir.join(banks_persist::snapshot_file(0));
+    (dir, bundle, in_ram)
+}
+
+/// Multi-keyword queries whose answers page the tiny corpus back in.
+const PAGED_QUERIES: [&str; 3] = ["soumen sunita", "author sunita", "transaction"];
 
 /// Scenario 1: WAL fsync errors + torn frame writes under live HTTP
 /// ingest, then an ungraceful death. The ack contract must hold exactly
@@ -198,8 +212,8 @@ fn wal_faults_never_lose_an_acked_write_or_apply_a_failed_one() {
     let (acked, nacked, walled_before) = {
         let (_service, server, _store) = durable_server(&dir);
         let addr = server.local_addr();
-        fault::arm("wal.append.fsync", FaultPoint::ReturnErr, 0.35, 42);
-        fault::arm("wal.append.write", FaultPoint::TornWrite, 0.25, 7);
+        fault::arm(Site::WalAppendFsync, FaultPoint::ReturnErr, 0.35, 42);
+        fault::arm(Site::WalAppendWrite, FaultPoint::TornWrite, 0.25, 7);
 
         let mut acked = Vec::new();
         let mut nacked = Vec::new();
@@ -224,8 +238,8 @@ fn wal_faults_never_lose_an_acked_write_or_apply_a_failed_one() {
             }
         }
         // The seeded streams must actually exercise both branches.
-        assert!(fault::fired("wal.append.fsync") > 0, "fsync faults fired");
-        assert!(fault::fired("wal.append.write") > 0, "torn writes fired");
+        assert!(fault::fired(Site::WalAppendFsync) > 0, "fsync faults fired");
+        assert!(fault::fired(Site::WalAppendWrite) > 0, "torn writes fired");
         assert!(acked.len() >= 4, "some acks: {acked:?}");
         assert!(nacked.len() >= 4, "some failures: {nacked:?}");
 
@@ -265,54 +279,26 @@ fn wal_faults_never_lose_an_acked_write_or_apply_a_failed_one() {
 #[test]
 fn paged_read_faults_are_loud_never_corrupt() {
     let _guard = serial();
-    fault::clear();
-    let dir = tmp_dir("paged");
+    let (dir, bundle, in_ram) = bundle_fixture("paged");
     let config = BanksConfig::default();
-    let dataset = generate(DblpConfig::tiny(5)).expect("datagen");
-    let in_ram = Banks::new(dataset.db.clone()).expect("banks");
-    {
-        let (store, _) =
-            PersistentStore::open(&dir, &config, PersistOptions::default()).expect("open");
-        store
-            .save_snapshot(&Arc::new(Banks::new(dataset.db.clone()).expect("banks")), 0)
-            .expect("snapshot");
-    }
-    let bundle = dir.join(banks_persist::snapshot_file(0));
 
     // Injected section-read errors surface as a typed open error.
-    fault::arm("bundle.section.read", FaultPoint::ReturnErr, 1.0, 21);
-    let err = banks_persist::open_bundle_paged(&bundle, 1 << 20, &config);
-    assert!(err.is_err(), "section faults must fail the open");
-    assert!(
-        err.err()
-            .map(|e| e.to_string())
-            .unwrap_or_default()
-            .contains("injected fault"),
-        "the injected fault must be visible in the error chain"
-    );
+    fault::arm(Site::BundleSectionRead, FaultPoint::ReturnErr, 1.0, 21);
+    let err = banks_persist::open_bundle_paged(&bundle, 1 << 20, &config).err();
+    let err = err.expect("section faults must fail the open").to_string();
+    // The injected fault must be visible in the error chain.
+    assert!(err.contains("injected fault: bundle.section.read"), "{err}");
     fault::clear();
 
     // Page-in delays: slower, never different. Answers stay bit-equal
     // to the in-RAM backend under a 50%-rate injected stall. The tiny
     // budget forces evictions, so multi-keyword tree expansions must
     // page segments back in mid-search.
-    fault::arm(
-        "pager.page_in",
-        FaultPoint::Delay(Duration::from_millis(2)),
-        0.5,
-        33,
-    );
+    let stall = FaultPoint::Delay(Duration::from_millis(2));
+    fault::arm(Site::PagerPageIn, stall, 0.5, 33);
     let (paged, _) = banks_persist::open_bundle_paged(&bundle, 1024, &config).expect("paged open");
-    for q in ["soumen sunita", "author sunita", "transaction"] {
-        let a = in_ram.search(q).expect("in-ram search");
-        let b = paged.search(q).expect("paged search");
-        assert_eq!(a.len(), b.len(), "{q}");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.tree.signature(), y.tree.signature(), "{q}");
-            assert_eq!(x.relevance.to_bits(), y.relevance.to_bits(), "{q}");
-        }
-    }
-    assert!(fault::fired("pager.page_in") > 0, "delays fired");
+    assert_same_search(&in_ram, &paged, &PAGED_QUERIES);
+    assert!(fault::fired(Site::PagerPageIn) > 0, "delays fired");
     fault::clear();
 
     // Page-in I/O errors panic (the adjacency accessors have no error
@@ -320,16 +306,15 @@ fn paged_read_faults_are_loud_never_corrupt() {
     // paged instance, so the poisoned cache cannot leak into other
     // assertions.
     let (doomed, _) = banks_persist::open_bundle_paged(&bundle, 1024, &config).expect("paged open");
-    fault::arm("pager.page_in", FaultPoint::ReturnErr, 1.0, 9);
+    fault::arm(Site::PagerPageIn, FaultPoint::ReturnErr, 1.0, 9);
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // A tiny budget forces page-ins even if open warmed some
         // segments; the first fault then panics the search.
-        for q in ["soumen sunita", "author sunita", "transaction"] {
+        for q in PAGED_QUERIES {
             let _ = doomed.search(q);
         }
     }));
     assert!(panicked.is_err(), "page-in faults must panic, not corrupt");
-    fault::clear();
     drop(doomed);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -341,36 +326,21 @@ fn paged_read_faults_are_loud_never_corrupt() {
 #[test]
 fn tuple_block_faults_are_loud_never_corrupt() {
     let _guard = serial();
-    fault::clear();
-    let dir = tmp_dir("tuple_blocks");
+    let (dir, bundle, in_ram) = bundle_fixture("tuple_blocks");
     let config = BanksConfig::default();
-    let dataset = generate(DblpConfig::tiny(5)).expect("datagen");
-    let in_ram = Banks::new(dataset.db.clone()).expect("banks");
-    {
-        let (store, _) =
-            PersistentStore::open(&dir, &config, PersistOptions::default()).expect("open");
-        store
-            .save_snapshot(&Arc::new(Banks::new(dataset.db.clone()).expect("banks")), 0)
-            .expect("snapshot");
-    }
-    let bundle = dir.join(banks_persist::snapshot_file(0));
 
     // Block-read delays: slower, never different. The 1 KiB budget
     // keeps almost nothing resident, so every rendered answer and
     // every raw value read must page tuple blocks back in through the
     // armed fault point.
-    fault::arm(
-        "data.block.read",
-        FaultPoint::Delay(Duration::from_millis(2)),
-        0.5,
-        51,
-    );
+    let stall = FaultPoint::Delay(Duration::from_millis(2));
+    fault::arm(Site::DataBlockRead, stall, 0.5, 51);
     let (paged, _) = banks_persist::open_bundle_paged(&bundle, 1024, &config).expect("paged open");
     assert!(
         paged.db().tuple_store_stats().is_some(),
         "a v3 bundle must open with a lazy tuple store"
     );
-    for q in ["soumen sunita", "author sunita", "transaction"] {
+    for q in PAGED_QUERIES {
         let a = in_ram.search(q).expect("in-ram search");
         let b = paged.search(q).expect("paged search");
         assert_eq!(a.len(), b.len(), "{q}");
@@ -387,7 +357,7 @@ fn tuple_block_faults_are_loud_never_corrupt() {
             assert_eq!(ft.get(slot), pt.get(slot));
         }
     }
-    assert!(fault::fired("data.block.read") > 0, "block delays fired");
+    assert!(fault::fired(Site::DataBlockRead) > 0, "block delays fired");
     fault::clear();
     drop(paged);
 
@@ -395,7 +365,7 @@ fn tuple_block_faults_are_loud_never_corrupt() {
     // channel) — loud refusal, never a fabricated tuple. Fresh
     // instance so nothing warm survives from the delay phase.
     let (doomed, _) = banks_persist::open_bundle_paged(&bundle, 1024, &config).expect("paged open");
-    fault::arm("data.block.read", FaultPoint::ReturnErr, 1.0, 13);
+    fault::arm(Site::DataBlockRead, FaultPoint::ReturnErr, 1.0, 13);
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         for table in doomed.db().relations() {
             for slot in 0..table.slot_count() as u32 {
@@ -404,7 +374,6 @@ fn tuple_block_faults_are_loud_never_corrupt() {
         }
     }));
     assert!(panicked.is_err(), "block faults must panic, not corrupt");
-    fault::clear();
     drop(doomed);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -416,7 +385,6 @@ fn tuple_block_faults_are_loud_never_corrupt() {
 #[test]
 fn network_chaos_through_router_keeps_errors_bounded_and_writes_safe() {
     let _guard = serial();
-    fault::clear();
     let leader_dir = tmp_dir("net_leader");
     let follower_dir = tmp_dir("net_follower");
 
@@ -463,8 +431,8 @@ fn network_chaos_through_router_keeps_errors_bounded_and_writes_safe() {
 
     // The storm: every internal banks_util::http hop — router→backend
     // forwards, router probes, replica tailing — rolls these streams.
-    fault::arm("http.connect", FaultPoint::ReturnErr, 0.15, 11);
-    fault::arm("http.read", FaultPoint::ReturnErr, 0.10, 13);
+    fault::arm(Site::HttpConnect, FaultPoint::ReturnErr, 0.15, 11);
+    fault::arm(Site::HttpRead, FaultPoint::ReturnErr, 0.10, 13);
 
     let mut reads = 0u32;
     let mut read_errors = 0u32;
@@ -485,7 +453,7 @@ fn network_chaos_through_router_keeps_errors_bounded_and_writes_safe() {
         }
     }
     assert!(
-        fault::fired("http.connect") > 0 || fault::fired("http.read") > 0,
+        fault::fired(Site::HttpConnect) > 0 || fault::fired(Site::HttpRead) > 0,
         "the storm must have fired"
     );
     // Bounded client error rate: the router's retries + plan-walk
@@ -545,4 +513,145 @@ fn network_chaos_through_router_keeps_errors_bounded_and_writes_safe() {
     leader_server.shutdown();
     std::fs::remove_dir_all(&leader_dir).ok();
     std::fs::remove_dir_all(&follower_dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// WAL append faults at the store level, one site at a time. An ack is
+// never lost; a failed ack is never applied — not in memory, not on
+// disk, not after recovery.
+// ---------------------------------------------------------------------------
+
+/// Publish one `Author` insert through the durable path; true if acked.
+fn publish_author(publisher: &mut SnapshotPublisher, id: &str) -> bool {
+    let values = vec![Value::text(id), Value::text(format!("Faulted Author {id}"))];
+    let ops = vec![TupleOp::Insert {
+        relation: "Author".into(),
+        values,
+    }];
+    publisher.publish(&DeltaBatch { ops }, None).is_ok()
+}
+
+fn hits(banks: &Banks, q: &str) -> usize {
+    banks.search(q).expect("search").len()
+}
+
+/// The store `dir` recovers to: its epoch and its system.
+fn reopen(dir: &Path) -> (u64, Arc<Banks>) {
+    let (_store, recovery) =
+        PersistentStore::open(dir, &BanksConfig::default(), PersistOptions::default())
+            .expect("reopen");
+    (recovery.epoch, recovery.banks.expect("recovered"))
+}
+
+#[test]
+fn fsync_fault_fails_the_ack_and_leaves_no_trace() {
+    let _guard = serial();
+    let dir = tmp_dir("fsync_fault");
+    {
+        let (_store, mut publisher) = durable_publisher(&dir);
+        assert!(publish_author(&mut publisher, "kept"));
+
+        fault::arm(Site::WalAppendFsync, FaultPoint::ReturnErr, 1.0, 5);
+        assert!(
+            !publish_author(&mut publisher, "lost"),
+            "a failed fsync fails the ack"
+        );
+        // The failed publish is invisible in memory: epoch untouched,
+        // the author absent from the serving snapshot.
+        assert_eq!(publisher.epoch(), 1);
+        assert_eq!(hits(&publisher.current(), "lost"), 0);
+        fault::clear();
+
+        // The writer rolled the partial frame back — the very next
+        // append lands on a clean boundary and succeeds.
+        assert!(publish_author(&mut publisher, "after"));
+        assert_eq!(publisher.epoch(), 2);
+    }
+    // Recovery agrees: the failed ack never happened.
+    let (epoch, recovered) = reopen(&dir);
+    assert_eq!(epoch, 2);
+    let found = ["kept", "after", "lost"].map(|id| hits(&recovered, id));
+    assert_eq!(found, [1, 1, 0]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn torn_append_rolls_back_to_the_acked_boundary() {
+    let _guard = serial();
+    let dir = tmp_dir("torn_fault");
+    let wal_len = || std::fs::metadata(dir.join("wal.log")).expect("wal").len();
+    let live = {
+        let (_store, mut publisher) = durable_publisher(&dir);
+        assert!(publish_author(&mut publisher, "first"));
+        let acked_len = wal_len();
+
+        // Every append tears mid-frame until cleared: each attempt must
+        // fail the ack AND truncate back to the acked prefix, byte for
+        // byte.
+        fault::arm(Site::WalAppendWrite, FaultPoint::TornWrite, 1.0, 17);
+        for attempt in 0..3 {
+            assert!(!publish_author(&mut publisher, "torn"), "attempt {attempt}");
+            assert_eq!(wal_len(), acked_len, "attempt {attempt} left partial bytes");
+        }
+        assert_eq!(fault::fired(Site::WalAppendWrite), 3);
+        fault::clear();
+
+        assert!(publish_author(&mut publisher, "second"));
+        assert_eq!(publisher.epoch(), 2);
+        publisher.current()
+    };
+    // Recovery replays exactly the two acked frames, bit-identical.
+    let (epoch, recovered) = reopen(&dir);
+    assert_eq!(epoch, 2);
+    assert_eq!(hits(&recovered, "torn"), 0);
+    for (a, b) in live.db().relations().zip(recovered.db().relations()) {
+        assert_eq!(a.scan().collect::<Vec<_>>(), b.scan().collect::<Vec<_>>());
+    }
+    assert_same_search(&live, &recovered, &["faulted", "first second", "mohan"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// The registry itself: `arm`, `clear`, `fired` and the hooks they drive.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn registry_arms_clears_and_counts_fires() {
+    let _guard = serial();
+    let read = || fault::maybe_fault(Site::HttpRead);
+    assert!((0..100).all(|_| read().is_ok()), "unarmed sites never fire");
+
+    let stall = FaultPoint::Delay(Duration::from_millis(120));
+    fault::arm(Site::HttpRead, FaultPoint::ReturnErr, 1.0, 9);
+    fault::arm(Site::HttpConnect, stall, 1.0, 7);
+    for _ in 0..50 {
+        assert_eq!(read().unwrap_err().to_string(), "injected fault: http.read");
+    }
+    let before = Instant::now();
+    assert!(fault::maybe_fault(Site::HttpConnect).is_ok());
+    assert!(
+        before.elapsed() >= Duration::from_millis(120),
+        "delays sleep"
+    );
+    let fires = (
+        fault::fired(Site::HttpRead),
+        fault::fired(Site::HttpConnect),
+    );
+    assert_eq!(fires, (50, 1));
+
+    // Re-arming restarts the stream, so a torn cut repeats.
+    let torn = || {
+        fault::arm(Site::WalAppendWrite, FaultPoint::TornWrite, 1.0, 77);
+        fault::torn_write(Site::WalAppendWrite, 1000).unwrap()
+    };
+    assert_eq!(torn(), torn());
+    assert!(torn().is_some_and(|cut| cut < 1000));
+
+    // `clear` disarms every site, and a refused spec arms none.
+    fault::clear();
+    let err = fault::arm_spec("http.read:err:1:1,wal.apend.fsync:err:0.2:7").unwrap_err();
+    assert!(err.contains("`wal.apend.fsync:err:0.2:7`"), "{err}");
+    assert!(read().is_ok());
+    assert_eq!(fault::arm_spec("http.read:err:1:1").unwrap(), ["http.read"]);
+    assert!(read().is_err());
 }

@@ -391,142 +391,6 @@ fn acked_ingest_survives_ungraceful_death() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// ---------------------------------------------------------------------------
-// WAL append faults (only with `--features fault-injection`): the ack
-// contract at the store level. An ack is never lost; a failed ack is
-// never applied — not in memory, not on disk, not after recovery.
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "fault-injection")]
-mod wal_faults {
-    use super::*;
-    use banks_util::fault::{self, FaultPoint};
-
-    /// The fault registry is process-global; these tests must not overlap.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn author_batch(id: &str) -> DeltaBatch {
-        DeltaBatch {
-            ops: vec![TupleOp::Insert {
-                relation: "Author".into(),
-                values: vec![Value::text(id), Value::text(format!("Faulted Author {id}"))],
-            }],
-        }
-    }
-
-    /// A store + publisher pair over `dir`, seeded with the tiny corpus.
-    fn durable_publisher(dir: &std::path::Path) -> (Arc<PersistentStore>, SnapshotPublisher) {
-        let config = BanksConfig::default();
-        let (store, recovery) =
-            PersistentStore::open(dir, &config, PersistOptions::default()).expect("open store");
-        let (banks, epoch) = match recovery.banks {
-            Some(banks) => (banks, recovery.epoch),
-            None => {
-                let dataset = generate(DblpConfig::tiny(1)).expect("datagen");
-                let banks = Arc::new(Banks::new(dataset.db.clone()).expect("banks"));
-                store.save_snapshot(&banks, 0).expect("initial snapshot");
-                (banks, 0)
-            }
-        };
-        let mut publisher = SnapshotPublisher::with_epoch(banks, epoch);
-        publisher.set_durability_hook(store.wal_hook());
-        (store, publisher)
-    }
-
-    #[test]
-    fn fsync_fault_fails_the_ack_and_leaves_no_trace() {
-        let _guard = serial();
-        fault::clear();
-        let dir = tmp_dir("fsync_fault");
-        {
-            let (_store, mut publisher) = durable_publisher(&dir);
-            publisher
-                .publish(&author_batch("kept"), None)
-                .expect("clean publish");
-
-            fault::arm("wal.append.fsync", FaultPoint::ReturnErr, 1.0, 5);
-            let err = publisher.publish(&author_batch("lost"), None);
-            assert!(err.is_err(), "a failed fsync must fail the ack");
-            // The failed publish is invisible in memory: epoch untouched,
-            // the author absent from the serving snapshot.
-            assert_eq!(publisher.epoch(), 1);
-            assert!(publisher
-                .current()
-                .search("lost")
-                .expect("search")
-                .is_empty());
-            fault::clear();
-
-            // The writer rolled the partial frame back — the very next
-            // append lands on a clean boundary and succeeds.
-            publisher
-                .publish(&author_batch("after"), None)
-                .expect("post-fault publish");
-            assert_eq!(publisher.epoch(), 2);
-        }
-        // Recovery agrees: the failed ack never happened.
-        let (_store, recovery) =
-            PersistentStore::open(&dir, &BanksConfig::default(), PersistOptions::default())
-                .expect("reopen");
-        assert_eq!(recovery.epoch, 2);
-        let recovered = recovery.banks.expect("recovered");
-        assert_eq!(recovered.search("kept").expect("search").len(), 1);
-        assert_eq!(recovered.search("after").expect("search").len(), 1);
-        assert!(recovered.search("lost").expect("search").is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_append_rolls_back_to_the_acked_boundary() {
-        let _guard = serial();
-        fault::clear();
-        let dir = tmp_dir("torn_fault");
-        let live = {
-            let (_store, mut publisher) = durable_publisher(&dir);
-            publisher
-                .publish(&author_batch("first"), None)
-                .expect("clean publish");
-            let acked_len = std::fs::metadata(dir.join("wal.log")).expect("wal").len();
-
-            // Every append tears mid-frame until cleared: each attempt
-            // must fail the ack AND truncate back to the acked prefix,
-            // byte for byte.
-            fault::arm("wal.append.write", FaultPoint::TornWrite, 1.0, 17);
-            for attempt in 0..3 {
-                assert!(
-                    publisher.publish(&author_batch("torn"), None).is_err(),
-                    "attempt {attempt}"
-                );
-                assert_eq!(
-                    std::fs::metadata(dir.join("wal.log")).expect("wal").len(),
-                    acked_len,
-                    "attempt {attempt} left partial bytes past the acked frame"
-                );
-            }
-            assert_eq!(fault::fired("wal.append.write"), 3);
-            fault::clear();
-
-            publisher
-                .publish(&author_batch("second"), None)
-                .expect("post-fault publish");
-            assert_eq!(publisher.epoch(), 2);
-            publisher.current()
-        };
-        // Recovery replays exactly the two acked frames, bit-identical.
-        let (_store, recovery) =
-            PersistentStore::open(&dir, &BanksConfig::default(), PersistOptions::default())
-                .expect("reopen");
-        assert_eq!(recovery.epoch, 2);
-        let recovered = recovery.banks.expect("recovered");
-        assert!(recovered.search("torn").expect("search").is_empty());
-        assert_identical(&live, &recovered, &["faulted", "first second", "mohan"]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
 #[test]
 fn torn_wal_tail_past_acked_frames_is_dropped() {
     let dir = tmp_dir("torn_store");
