@@ -67,7 +67,13 @@ impl FlagNumber for f64 {
 /// Arm the fault sites `BANKS_FAULTS` names, once at startup. A spec
 /// with a bad entry refuses to start rather than silently arming less.
 fn arm_faults_from_env(component: &str) -> Result<(), String> {
-    let spec = std::env::var("BANKS_FAULTS").unwrap_or_default();
+    let spec = match std::env::var("BANKS_FAULTS") {
+        Ok(spec) => spec,
+        Err(std::env::VarError::NotPresent) => return Ok(()),
+        Err(std::env::VarError::NotUnicode(_)) => {
+            return Err("BANKS_FAULTS is not valid UTF-8".to_string())
+        }
+    };
     let armed = banks_util::fault::arm_spec(&spec)?;
     if !armed.is_empty() {
         banks_util::log_warn!(component, "BANKS_FAULTS armed: {}", armed.join(", "));

@@ -9,16 +9,13 @@
 //! hook whose site is not armed does one relaxed atomic load: it takes
 //! no lock and allocates nothing.
 //!
-//! Sites are armed two ways:
-//!
-//! * in-process, via [`arm`] / [`clear`] (the chaos suite);
-//! * in a real process, from `BANKS_FAULTS`, which `banks serve` and
-//!   `banks route` pass to [`arm_spec`] once at startup: a
-//!   comma-separated list of `site:kind:rate:seed[:millis]` entries,
-//!   e.g. `BANKS_FAULTS=wal.append.fsync:err:0.3:42,http.read:delay:1:7:250`.
-//!   Kinds are `err`, `delay` (with a trailing millisecond field), and
-//!   `torn` (partial write then error, `wal.append.write` only). A spec
-//!   with one bad entry arms nothing and is refused.
+//! Sites are armed in-process via [`arm`] / [`clear`] (the chaos
+//! suite), and in a real process from `BANKS_FAULTS`, which `banks
+//! serve` and `banks route` pass to [`arm_spec`] once at startup: a
+//! comma-separated list of `site:kind:rate:seed[:millis]` entries, e.g.
+//! `BANKS_FAULTS=wal.append.fsync:err:0.3:42,http.read:delay:1:7:250`.
+//! Kinds are `err`, `delay` (with a trailing millisecond field), and
+//! `torn` (partial write then error, `wal.append.write` only).
 
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -88,26 +85,22 @@ struct Point {
     fires: u64,
 }
 
-/// What a hook does on a call where its point fires.
-#[derive(Debug, PartialEq, Eq)]
-enum Fired {
-    Err,
-    Delay(Duration),
-    /// Write this many bytes of the payload, then fail.
-    Torn(usize),
-}
-
 impl Point {
-    fn new(fault: FaultPoint, rate: f64, seed: u64) -> Point {
-        assert!((0.0..=1.0).contains(&rate), "fault rate {rate}");
-        // xorshift64 cannot hold state 0.
-        let rng = seed | 1;
-        Point {
+    /// The one rule for arming a site, in-process or from a spec: the
+    /// rate is in [0, 1] (not NaN), and only `wal.append.write` tears.
+    fn new(site: usize, fault: FaultPoint, rate: f64, seed: u64) -> Result<Point, &'static str> {
+        if !(0.0..=1.0).contains(&rate) {
+            return Err("rate is not in [0, 1]");
+        }
+        if fault == FaultPoint::TornWrite && site != Site::WalAppendWrite as usize {
+            return Err("`torn` applies only to wal.append.write");
+        }
+        Ok(Point {
             fault,
             rate,
-            rng,
+            rng: seed | 1, // xorshift64 cannot hold state 0.
             fires: 0,
-        }
+        })
     }
 
     fn next(&mut self) -> u64 {
@@ -117,24 +110,22 @@ impl Point {
         self.rng
     }
 
-    /// Roll the stream once. `len` is the payload length at a
-    /// [`torn_write`] site and `None` at a [`maybe_fault`] site, where
-    /// a `TornWrite` point neither rolls nor fires.
-    fn roll(&mut self, len: Option<usize>) -> Option<Fired> {
-        if self.fault == FaultPoint::TornWrite && len.is_none() {
-            return None;
+    /// Roll the stream once: true if the point fires. A `TornWrite`
+    /// point fires only at a [`torn_write`] site; at a [`maybe_fault`]
+    /// site it neither rolls nor fires.
+    fn roll(&mut self, torn_site: bool) -> bool {
+        if self.fault == FaultPoint::TornWrite && !torn_site {
+            return false;
         }
-        if self.next() as f64 / u64::MAX as f64 >= self.rate {
-            return None;
-        }
-        self.fires += 1;
-        Some(match (self.fault, len) {
-            (FaultPoint::ReturnErr, _) => Fired::Err,
-            (FaultPoint::Delay(d), _) => Fired::Delay(d),
-            // The cut comes from the same stream, so it repeats too.
-            (FaultPoint::TornWrite, Some(0) | None) => Fired::Torn(0),
-            (FaultPoint::TornWrite, Some(len)) => Fired::Torn(self.next() as usize % len),
-        })
+        let fires = (self.next() as f64 / u64::MAX as f64) < self.rate;
+        self.fires += u64::from(fires);
+        fires
+    }
+
+    /// A torn write's cut of a `len`-byte payload: `< len` (0 if empty),
+    /// drawn from the same stream, so it repeats too.
+    fn cut(&mut self, len: usize) -> usize {
+        (self.next() as usize).checked_rem(len).unwrap_or(0)
     }
 }
 
@@ -152,9 +143,11 @@ fn arm_point(points: &mut [Option<Point>], site: usize, point: Point) {
 }
 
 /// Arm (or re-arm, restarting its stream) a site. Panics if `rate` is
-/// not in [0, 1].
+/// not in [0, 1] or `fault` is `TornWrite` anywhere but
+/// [`Site::WalAppendWrite`].
 pub fn arm(site: Site, fault: FaultPoint, rate: f64, seed: u64) {
-    arm_point(&mut *points(), site as usize, Point::new(fault, rate, seed));
+    let point = Point::new(site as usize, fault, rate, seed).unwrap_or_else(|why| panic!("{why}"));
+    arm_point(&mut *points(), site as usize, point);
 }
 
 /// Disarm every site.
@@ -182,11 +175,10 @@ pub fn arm_spec(spec: &str) -> Result<Vec<&'static str>, String> {
 }
 
 fn parse_spec(spec: &str) -> Result<Vec<(usize, Point)>, String> {
+    let refuse = |entry, why| format!("BANKS_FAULTS entry `{entry}`: {why}");
     let entries = spec.split(',').map(str::trim).filter(|e| !e.is_empty());
     entries
-        .map(|entry| {
-            parse_entry(entry).map_err(|why| format!("BANKS_FAULTS entry `{entry}`: {why}"))
-        })
+        .map(|e| parse_entry(e).map_err(|why| refuse(e, why)))
         .collect()
 }
 
@@ -197,20 +189,16 @@ fn parse_entry(entry: &str) -> Result<(usize, Point), &'static str> {
     };
     let site = NAMES.iter().position(|n| n == name).ok_or("unknown site")?;
     let rate: f64 = rate.parse().map_err(|_| "rate is not a number")?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err("rate is not in [0, 1]");
-    }
     let seed = seed.parse().map_err(|_| "seed is not an integer")?;
     let fault = match (*kind, rest) {
         ("err", []) => FaultPoint::ReturnErr,
-        ("torn", []) if site == Site::WalAppendWrite as usize => FaultPoint::TornWrite,
-        ("torn", []) => return Err("`torn` applies only to wal.append.write"),
+        ("torn", []) => FaultPoint::TornWrite,
         ("delay", [ms]) => {
             FaultPoint::Delay(Duration::from_millis(ms.parse().map_err(|_| "bad millis")?))
         }
         _ => return Err("kind must be err, torn, or delay:millis"),
     };
-    Ok((site, Point::new(fault, rate, seed)))
+    Ok((site, Point::new(site, fault, rate, seed)?))
 }
 
 /// The hooks' test: one relaxed load, no lock, no allocation.
@@ -240,18 +228,22 @@ pub fn torn_write(site: Site, len: usize) -> io::Result<Option<usize>> {
     fire(site, Some(len))
 }
 
-/// An armed site's hook: roll under the lock, act after releasing it.
+/// An armed site's hook: roll under the lock, sleep after releasing it.
 #[cold]
 fn fire(site: Site, len: Option<usize>) -> io::Result<Option<usize>> {
-    let fired = points()[site as usize].as_mut().and_then(|p| p.roll(len));
-    match fired {
-        None => Ok(None),
-        Some(Fired::Err) => Err(io::Error::other(format!("injected fault: {}", site.name()))),
-        Some(Fired::Delay(d)) => {
+    let mut points = points();
+    let point = points[site as usize].as_mut();
+    let Some(point) = point.and_then(|p| p.roll(len.is_some()).then_some(p)) else {
+        return Ok(None);
+    };
+    match point.fault {
+        FaultPoint::ReturnErr => Err(io::Error::other(format!("injected fault: {}", site.name()))),
+        FaultPoint::Delay(d) => {
+            drop(points);
             std::thread::sleep(d);
             Ok(None)
         }
-        Some(Fired::Torn(cut)) => Ok(Some(cut)),
+        FaultPoint::TornWrite => Ok(len.map(|len| point.cut(len))),
     }
 }
 
@@ -262,67 +254,74 @@ fn fire(site: Site, len: Option<usize>) -> io::Result<Option<usize>> {
 mod tests {
     use super::*;
 
-    fn rolls(mut point: Point, len: Option<usize>, n: usize) -> Vec<Option<Fired>> {
-        (0..n).map(|_| point.roll(len)).collect()
+    fn point(site: Site, fault: FaultPoint, rate: f64, seed: u64) -> Point {
+        Point::new(site as usize, fault, rate, seed).unwrap()
+    }
+
+    /// `n` rolls at a plain hook; the point counts the fires.
+    fn rolls(mut point: Point, n: usize) -> Vec<bool> {
+        let seq: Vec<bool> = (0..n).map(|_| point.roll(false)).collect();
+        assert_eq!(point.fires, seq.iter().filter(|&&f| f).count() as u64);
+        seq
+    }
+
+    /// 8 rolls at a torn hook, with the cut of each fire.
+    fn cuts(mut p: Point, len: usize) -> Vec<Option<usize>> {
+        (0..8).map(|_| p.roll(true).then(|| p.cut(len))).collect()
     }
 
     #[test]
     fn same_seed_same_sequence() {
-        let seq = |seed| rolls(Point::new(FaultPoint::ReturnErr, 0.5, seed), None, 64);
+        let seq = |seed| rolls(point(Site::HttpRead, FaultPoint::ReturnErr, 0.5, seed), 64);
         assert_eq!(seq(1234), seq(1234));
         assert_ne!(seq(1234), seq(99));
-        assert!(seq(1234).contains(&None) && seq(1234).contains(&Some(Fired::Err)));
+        assert!(seq(1234).contains(&true) && seq(1234).contains(&false));
     }
 
     #[test]
     fn rate_one_always_fires_rate_zero_never() {
-        let always = rolls(Point::new(FaultPoint::ReturnErr, 1.0, 9), None, 50);
-        let never = rolls(Point::new(FaultPoint::ReturnErr, 0.0, 9), None, 50);
-        assert!(always.iter().all(|r| *r == Some(Fired::Err)));
-        assert!(never.iter().all(Option::is_none));
+        let seq = |rate| rolls(point(Site::HttpRead, FaultPoint::ReturnErr, rate, 9), 50);
+        assert_eq!((seq(1.0), seq(0.0)), (vec![true; 50], vec![false; 50]));
     }
 
     #[test]
     fn torn_cut_is_below_len_and_repeats() {
-        let torn = Point::new(FaultPoint::TornWrite, 1.0, 77);
-        let cuts = rolls(torn, Some(1000), 8);
-        assert!(cuts.iter().all(|c| matches!(c, Some(Fired::Torn(0..1000)))));
-        assert_eq!(cuts, rolls(torn, Some(1000), 8));
-        assert_ne!(cuts[0], cuts[1]);
-        assert_eq!(rolls(torn, Some(0), 1), [Some(Fired::Torn(0))]);
+        let torn = point(Site::WalAppendWrite, FaultPoint::TornWrite, 1.0, 77);
+        let first = cuts(torn, 1000);
+        assert!(first.iter().all(|c| c.is_some_and(|c| c < 1000)));
+        assert_eq!(first, cuts(torn, 1000));
+        assert_ne!(first[0], first[1]);
+        assert_eq!(cuts(torn, 0), [Some(0); 8]);
         // A torn-armed site leaves plain hooks alone.
         let mut plain = torn;
-        assert_eq!(plain.roll(None), None);
-        assert_eq!((plain.fires, plain.rng), (0, torn.rng));
+        assert!(!plain.roll(false));
+        assert_eq!(plain, torn);
     }
 
     #[test]
     fn parses_the_env_grammar() {
         let spec = "wal.append.fsync:err:0.3:42, http.read:delay:1:7:250,wal.append.write:torn:0:9";
-        let (err, torn) = (FaultPoint::ReturnErr, FaultPoint::TornWrite);
-        let delay = FaultPoint::Delay(Duration::from_millis(250));
         let want = [
-            (Site::WalAppendFsync as usize, Point::new(err, 0.3, 42)),
-            (Site::HttpRead as usize, Point::new(delay, 1.0, 7)),
-            (Site::WalAppendWrite as usize, Point::new(torn, 0.0, 9)),
+            (Site::WalAppendFsync, FaultPoint::ReturnErr, 0.3, 42),
+            (
+                Site::HttpRead,
+                FaultPoint::Delay(Duration::from_millis(250)),
+                1.0,
+                7,
+            ),
+            (Site::WalAppendWrite, FaultPoint::TornWrite, 0.0, 9),
         ];
+        let want = want.map(|(site, f, rate, seed)| (site as usize, point(site, f, rate, seed)));
         assert_eq!(parse_spec(spec).unwrap(), want);
         assert!(parse_spec("  ").unwrap().is_empty());
     }
 
     #[test]
     fn a_bad_entry_refuses_the_whole_spec() {
-        for bad in [
-            "wal.apend.fsync:err:0.2:7",
-            "http.read:err",
-            "http.read:boom:1:1",
-            "http.read:delay:1:1",
-            "http.read:err:1:1:5",
-            "http.read:err:NaN:1",
-            "http.read:err:1.5:1",
-            "http.read:err:1:-1",
-            "wal.append.fsync:torn:1:1",
-        ] {
+        let bad = "wal.apend.fsync:err:0.2:7; http.read:err; http.read:boom:1:1; \
+            http.read:delay:1:1; http.read:err:1:1:5; http.read:err:NaN:1; \
+            http.read:err:1.5:1; http.read:err:1:-1; wal.append.fsync:torn:1:1";
+        for bad in bad.split("; ") {
             let err = parse_spec(&format!("http.connect:err:1:1,{bad}")).unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
