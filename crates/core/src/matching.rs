@@ -13,7 +13,7 @@ use crate::error::{BanksError, BanksResult};
 use crate::graph_build::TupleGraph;
 use crate::query::{Query, Term};
 use banks_graph::NodeId;
-use banks_storage::{ColumnType, Database, MetadataIndex, MetadataTarget, TextIndex};
+use banks_storage::{ColumnType, Database, MetadataIndex, MetadataTarget, Rid, TextIndex};
 use banks_util::fxhash::{FxHashMap, FxHashSet};
 
 /// Where a term's matches came from — reported for diagnostics and used by
@@ -172,8 +172,8 @@ fn add_metadata_matches(
     for target in metadata_index.lookup(word) {
         match *target {
             MetadataTarget::Relation(rel) => {
-                for (rid, _) in db.table(rel).scan() {
-                    if let Some(n) = tuple_graph.node(rid) {
+                for slot in db.table(rel).live_slots() {
+                    if let Some(n) = tuple_graph.node(Rid::new(rel, slot)) {
                         nodes.insert(n);
                         hits += 1;
                     }

@@ -107,6 +107,17 @@ impl ByteSource {
         }
     }
 
+    /// Read the `len` bytes at `offset` into a new buffer, refusing a
+    /// range past the region end before allocating.
+    pub(crate) fn read_vec(&self, offset: u64, len: u64) -> Result<Vec<u8>, PagerError> {
+        if offset.checked_add(len).is_none_or(|end| end > self.len()) {
+            return Err(PagerError::Truncated);
+        }
+        let mut buf = vec![0u8; len as usize];
+        self.read_at(offset, &mut buf)?;
+        Ok(buf)
+    }
+
     /// Read `buf.len()` bytes at `offset` (relative to the region
     /// start). Errors on short reads past the region end.
     pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), PagerError> {

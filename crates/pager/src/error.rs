@@ -52,6 +52,14 @@ impl std::fmt::Display for PagerError {
 
 impl std::error::Error for PagerError {}
 
+/// A storage-layer refusal (a bad v3 DATA directory or block) is
+/// malformed content.
+impl From<banks_storage::StorageError> for PagerError {
+    fn from(e: banks_storage::StorageError) -> Self {
+        PagerError::Malformed(e.to_string())
+    }
+}
+
 impl From<io::Error> for PagerError {
     fn from(e: io::Error) -> Self {
         PagerError::Io(e)

@@ -2,29 +2,30 @@
 //!
 //! The v3 DATA section (see `banks_storage::blocks`) keeps tuples in
 //! fixed-span slot blocks behind a checksummed directory. Opening the
-//! store reads and verifies only the directory and the per-relation
-//! PK→slot lanes — O(blocks) work — while tuple blocks stay on disk
-//! until an answer rendering, `/node` browse, or PK confirmation first
-//! touches them: one positioned read, a checksum, and one validating
-//! pass that records where each slot starts.
+//! store reads the directory and the per-relation PK→slot lanes through
+//! the same [`DataDirectory::open`] the resident store uses — which
+//! checks every lane and block range against the section length — while
+//! tuple blocks stay on disk until an answer rendering, `/node` browse,
+//! or PK confirmation first touches them: one positioned read, a
+//! checksum, and one validating pass that records where each slot
+//! starts.
 //!
 //! A resident block is its encoded payload plus that slot index
-//! (`banks_storage::TupleBlock`), ~5 KB at the default span; the lazy
+//! (`banks_storage::TupleBlock`), ~5 KB at the default span; the
 //! `Database` decodes only the slots it reads. Resident blocks live in
 //! the [`PageCache`] the paged *graph* store of the same snapshot uses
 //! too, so `--memory-budget` caps graph segments and tuple blocks
 //! together and both age in one recency order.
 //!
-//! A lazy `Database` read decodes the slot out of the block it fetched
-//! and hands the caller the decoded tuple or back-reference list to own,
-//! so nothing a reader holds borrows from a page the cache may evict.
+//! A `Database` read decodes the slot out of the block it fetched and
+//! hands the caller the decoded tuple or back-reference list to own, so
+//! nothing a reader holds borrows from a page the cache may evict.
 
 use crate::blob::ByteSource;
 use crate::budget::{Page, PageCache};
 use crate::error::PagerError;
-use banks_storage::blocks::{checksum64, lane_candidates, DataLayout};
-use banks_storage::schema::schema_from_text;
-use banks_storage::{StorageError, TupleBlock, TupleStore, TupleStoreStats};
+use banks_storage::blocks::checksum64;
+use banks_storage::{DataDirectory, StorageError, TupleBlock, TupleStore, TupleStoreStats};
 use banks_util::fault::{self, Site};
 use std::sync::Arc;
 
@@ -37,18 +38,11 @@ fn cache_key(rel: u32, block: u32) -> u64 {
 #[derive(Debug)]
 pub struct PagedTupleStore {
     src: ByteSource,
-    layout: DataLayout,
-    /// Resident PK lanes, one per relation (12 bytes per live keyed
+    /// The directory and the resident PK lanes (12 bytes per live keyed
     /// tuple — the lane is the point-lookup index, it stays hot).
-    lanes: Vec<Arc<[u8]>>,
-    /// Tuple arity per relation, from the recorded schema.
-    arities: Vec<usize>,
+    dir: DataDirectory,
     cache: Arc<PageCache>,
     cache_id: u32,
-}
-
-fn malformed(e: StorageError) -> PagerError {
-    PagerError::Malformed(e.to_string())
 }
 
 impl PagedTupleStore {
@@ -79,99 +73,37 @@ impl PagedTupleStore {
         src: ByteSource,
         cache: Arc<PageCache>,
     ) -> Result<Arc<PagedTupleStore>, PagerError> {
-        let mut prefix = [0u8; banks_storage::blocks::HEADER_PREFIX];
-        if src.len() < prefix.len() as u64 {
-            return Err(PagerError::Truncated);
-        }
-        src.read_at(0, &mut prefix)?;
-        let span = DataLayout::header_span(&prefix).map_err(malformed)?;
-        if src.len() < (prefix.len() + span) as u64 {
-            return Err(PagerError::Truncated);
-        }
-        let mut header = vec![0u8; prefix.len() + span];
-        src.read_at(0, &mut header)?;
-        let layout = DataLayout::parse(&header).map_err(malformed)?;
-        let arities: Vec<usize> = {
-            let db = schema_from_text(&layout.schema_text).map_err(malformed)?;
-            db.relations().map(|t| t.schema().arity()).collect()
-        };
-        if arities.len() != layout.relations.len() {
-            return Err(PagerError::Malformed(format!(
-                "schema declares {} relations, directory {}",
-                arities.len(),
-                layout.relations.len()
-            )));
-        }
-        let mut lanes = Vec::with_capacity(layout.relations.len());
-        for (i, rel) in layout.relations.iter().enumerate() {
-            if rel.pk_lane.offset + rel.pk_lane.len > src.len() {
-                return Err(PagerError::Truncated);
-            }
-            let mut lane = vec![0u8; rel.pk_lane.len as usize];
-            src.read_at(rel.pk_lane.offset, &mut lane)?;
-            if checksum64(&lane) != rel.pk_lane.checksum {
-                return Err(PagerError::Malformed(format!(
-                    "pk lane checksum mismatch in relation #{i}"
-                )));
-            }
-            lanes.push(lane.into());
-        }
+        let dir = DataDirectory::open(src.len(), |offset, len| src.read_vec(offset, len))?;
         Ok(Arc::new(PagedTupleStore {
             src,
-            layout,
-            lanes,
-            arities,
+            dir,
             cache_id: cache.register(),
             cache,
         }))
     }
 
-    /// The parsed directory (replica bootstrap and `snapshot inspect`
-    /// read per-relation live counts straight from it).
-    pub fn layout(&self) -> &DataLayout {
-        &self.layout
-    }
-
     /// Read, verify and index one block from the byte source.
     fn load_block(&self, rel: u32, block: u32) -> Result<TupleBlock, PagerError> {
-        let layout = &self.layout.relations[rel as usize];
-        let meta = layout.blocks[block as usize];
         fault::maybe_fault(Site::DataBlockRead)?;
-        let mut payload = vec![0u8; meta.len as usize];
-        self.src.read_at(meta.offset, &mut payload)?;
-        if checksum64(&payload) != meta.checksum {
+        let (payload, checksum) = self.read_block(rel, block)?;
+        if checksum64(&payload) != checksum {
             return Err(PagerError::Malformed("block checksum mismatch".into()));
         }
-        let span = self.layout.block_span;
-        let first = block * span;
-        let slots = layout.slot_count.min(first.saturating_add(span)) - first;
-        TupleBlock::new(payload, first, slots, self.arities[rel as usize]).map_err(malformed)
+        let (first, slots) = self.dir.block_slots(rel, block);
+        let arity = self.dir.schemas[rel as usize].arity();
+        Ok(TupleBlock::new(payload, first, slots, arity)?)
+    }
+
+    /// The encoded bytes of one block and its recorded checksum.
+    fn read_block(&self, rel: u32, block: u32) -> Result<(Vec<u8>, u64), PagerError> {
+        let meta = self.dir.relation(rel).blocks[block as usize];
+        Ok((self.src.read_vec(meta.offset, meta.len)?, meta.checksum))
     }
 }
 
 impl TupleStore for PagedTupleStore {
-    fn relation_count(&self) -> usize {
-        self.layout.relations.len()
-    }
-
-    fn block_span(&self) -> u32 {
-        self.layout.block_span
-    }
-
-    fn slot_count(&self, rel: u32) -> u32 {
-        self.layout.relations[rel as usize].slot_count
-    }
-
-    fn live_count(&self, rel: u32) -> usize {
-        self.layout.relations[rel as usize].live_count as usize
-    }
-
-    fn link_count(&self) -> u64 {
-        self.layout.link_count
-    }
-
-    fn is_live(&self, rel: u32, slot: u32) -> bool {
-        self.layout.relations[rel as usize].is_live(slot)
+    fn directory(&self) -> &DataDirectory {
+        &self.dir
     }
 
     /// Fetch (paging in if needed) the resident block `block` of
@@ -197,39 +129,29 @@ impl TupleStore for PagedTupleStore {
         }
     }
 
-    fn pk_candidates(&self, rel: u32, hash: u64) -> Vec<u32> {
-        lane_candidates(&self.lanes[rel as usize], hash)
-    }
-
     fn raw_block(&self, rel: u32, block: u32) -> banks_storage::StorageResult<(Vec<u8>, u64)> {
-        let meta = self.layout.relations[rel as usize].blocks[block as usize];
-        let mut payload = vec![0u8; meta.len as usize];
-        self.src.read_at(meta.offset, &mut payload).map_err(|e| {
+        self.read_block(rel, block).map_err(|e| {
             StorageError::Corrupt(format!("tuple block {block} of relation #{rel}: {e}"))
-        })?;
-        Ok((payload, meta.checksum))
+        })
     }
 
-    fn raw_pk_lane(&self, rel: u32) -> banks_storage::StorageResult<(Vec<u8>, u64, u64)> {
-        let lane = &self.layout.relations[rel as usize].pk_lane;
-        Ok((
-            self.lanes[rel as usize].to_vec(),
-            lane.checksum,
-            lane.entries,
-        ))
-    }
-
-    fn stats(&self) -> TupleStoreStats {
+    fn stats(&self) -> Option<TupleStoreStats> {
         let stats = self.cache.stats(self.cache_id);
-        TupleStoreStats {
+        Some(TupleStoreStats {
             resident_bytes: stats.resident_bytes,
             budget_bytes: self.cache.budget(),
-            block_count: self.layout.relations.iter().map(|r| r.blocks.len()).sum(),
+            block_count: self
+                .dir
+                .layout
+                .relations
+                .iter()
+                .map(|r| r.blocks.len())
+                .sum(),
             resident_blocks: stats.resident_pages,
             page_ins: stats.page_ins,
             evictions: stats.evictions,
             decode_nanos: stats.decode_nanos,
-        }
+        })
     }
 }
 
@@ -245,7 +167,9 @@ impl Drop for PagedTupleStore {
 mod tests {
     use super::*;
     use banks_storage::blocks::encode_database_v3_with_span;
-    use banks_storage::{ColumnType, Database, RelationSchema, Rid, Value};
+    use banks_storage::{
+        ColumnType, DataLayout, Database, RelationSchema, ResidentTupleStore, Rid, Value,
+    };
 
     fn sample_db(rows: i64) -> Database {
         let mut db = Database::new("paged-tuples");
@@ -341,7 +265,7 @@ mod tests {
         let bytes = encode_database_v3_with_span(&db, 8).unwrap();
         // ~1 KB budget with 8-slot blocks: constant eviction.
         let store = PagedTupleStore::open_mem(bytes.into(), PageCache::new(1 << 10)).unwrap();
-        let layout_schema = store.layout().schema_text.clone();
+        let layout_schema = store.directory().layout.schema_text.clone();
         let lazy = Database::open_lazy(&layout_schema, store.clone()).unwrap();
         assert_eq!(lazy.name(), db.name());
         assert_dbs_equal(&db, &lazy);
@@ -356,7 +280,7 @@ mod tests {
                     .lookup_pk(&[Value::text(probe)]),
             );
         }
-        let stats = store.stats();
+        let stats = store.stats().unwrap();
         assert!(stats.page_ins > 0);
         assert!(stats.evictions > 0, "tiny budget must evict");
         assert!(
@@ -373,7 +297,7 @@ mod tests {
         let bytes = encode_database_v3_with_span(&eager, 8).unwrap();
         let store =
             PagedTupleStore::open_mem(bytes.clone().into(), PageCache::new(1 << 20)).unwrap();
-        let schema_text = store.layout().schema_text.clone();
+        let schema_text = store.directory().layout.schema_text.clone();
         let mut lazy = Database::open_lazy(&schema_text, store).unwrap();
 
         // Apply the same epoch to both: delete, update, insert.
@@ -414,7 +338,7 @@ mod tests {
         let bytes = encode_database_v3_with_span(&db, 8).unwrap();
         let store =
             PagedTupleStore::open_mem(bytes.clone().into(), PageCache::new(1 << 20)).unwrap();
-        let schema_text = store.layout().schema_text.clone();
+        let schema_text = store.directory().layout.schema_text.clone();
         let lazy = Database::open_lazy(&schema_text, store).unwrap();
         // No mutations → byte-identical re-encode, zero block decodes.
         let reencoded = encode_database_v3_with_span(&lazy, 8).unwrap();
@@ -428,7 +352,7 @@ mod tests {
         let bytes = encode_database_v3_with_span(&db, 8).unwrap();
         let cache = PageCache::new(4 << 10);
         let sweep = |store: &Arc<PagedTupleStore>| {
-            let schema_text = store.layout().schema_text.clone();
+            let schema_text = store.directory().layout.schema_text.clone();
             let lazy = Database::open_lazy(&schema_text, store.clone()).unwrap();
             for table in lazy.relations() {
                 for slot in 0..table.slot_count() as u32 {
@@ -441,20 +365,20 @@ mod tests {
         let first = PagedTupleStore::open_mem(bytes.clone().into(), Arc::clone(&cache)).unwrap();
         let second = PagedTupleStore::open_mem(bytes.into(), Arc::clone(&cache)).unwrap();
         sweep(&first);
-        let filled = first.stats().resident_bytes;
+        let filled = first.stats().unwrap().resident_bytes;
         assert!(filled > 2 << 10, "first sweep fills the cache ({filled})");
         assert_eq!(cache.used(), filled);
-        let evicted_before = first.stats().evictions;
+        let evicted_before = first.stats().unwrap().evictions;
         sweep(&second);
-        assert!(first.stats().evictions > evicted_before);
-        assert!(first.stats().resident_bytes < filled);
+        assert!(first.stats().unwrap().evictions > evicted_before);
+        assert!(first.stats().unwrap().resident_bytes < filled);
         assert_eq!(
             cache.used(),
-            first.stats().resident_bytes + second.stats().resident_bytes
+            first.stats().unwrap().resident_bytes + second.stats().unwrap().resident_bytes
         );
         assert!(cache.used() <= cache.budget());
         // A dropped store returns exactly its residency.
-        let held = second.stats().resident_bytes;
+        let held = second.stats().unwrap().resident_bytes;
         let used = cache.used();
         drop(second);
         assert_eq!(cache.used(), used - held);
@@ -486,6 +410,53 @@ mod tests {
         ));
     }
 
+    /// `bytes` with relation 0's PK lane length (`lane`) or its first
+    /// block's length set to `len`, the header checksum re-sealed.
+    fn forge_len(bytes: &[u8], lane: bool, len: u64) -> Vec<u8> {
+        use banks_storage::blocks::HEADER_PREFIX;
+        let layout = DataLayout::parse(bytes).unwrap();
+        // Relation 0's row follows the schema text, the link count, the
+        // span and the relation count; its lane length follows its slot
+        // and live counts, presence bitmap and lane offset, and its first
+        // block's length follows the rest of the lane row, the block
+        // count and that block's offset.
+        let schema_len = layout.schema_text.len();
+        let row = HEADER_PREFIX + 8 + schema_len + 8 + 4 + 4;
+        let lane_len = row + 4 + 8 + layout.relations[0].presence.len() + 8;
+        let at = if lane {
+            lane_len
+        } else {
+            lane_len + 8 + 8 + 8 + 4 + 8
+        };
+        let mut out = bytes.to_vec();
+        out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        let sum_at = HEADER_PREFIX + DataLayout::header_span(bytes).unwrap() - 8;
+        let sum = checksum64(&out[HEADER_PREFIX..sum_at]);
+        out[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn out_of_range_directory_lengths_are_refused_by_both_stores() {
+        let db = sample_db(20);
+        let bytes = encode_database_v3_with_span(&db, 8).unwrap();
+        for (lane, len) in [(true, u64::MAX), (false, (1 << 63) - 1)] {
+            let forged = forge_len(&bytes, lane, len);
+            assert!(
+                DataLayout::parse(&forged).is_ok(),
+                "the header itself is sound"
+            );
+            match PagedTupleStore::open_mem(forged.clone().into(), PageCache::new(1 << 20)) {
+                Err(PagerError::Malformed(m)) => assert!(m.contains("escapes"), "{m}"),
+                other => panic!("paged open of length {len} must be refused: {other:?}"),
+            }
+            match ResidentTupleStore::open(&forged).map(drop) {
+                Err(StorageError::Corrupt(m)) => assert!(m.contains("escapes"), "{m}"),
+                other => panic!("resident open of length {len} must be refused: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn corrupt_block_payload_panics_at_decode() {
         let db = sample_db(20);
@@ -493,7 +464,7 @@ mod tests {
         let last = bytes.len() - 2;
         bytes[last] ^= 0x08;
         let store = PagedTupleStore::open_mem(bytes.into(), PageCache::new(1 << 20)).unwrap();
-        let schema_text = store.layout().schema_text.clone();
+        let schema_text = store.directory().layout.schema_text.clone();
         let lazy = Database::open_lazy(&schema_text, store).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for table in lazy.relations() {

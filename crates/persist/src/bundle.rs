@@ -35,8 +35,10 @@
 //! section of `banks_storage::blocks`: catalog text, liveness bitmaps,
 //! and PK→slot lanes behind a checksummed directory, with tuples in
 //! fixed-span slot blocks that [`banks_pager::PagedTupleStore`] pages in
-//! on first touch. A *full* load still verifies every section's
-//! whole-payload checksum; a *paged* open verifies the bundle header,
+//! on first touch. A *full* (in-RAM) load verifies every section's
+//! whole-payload checksum and keeps the tuple blocks resident, still
+//! encoded ([`banks_storage::ResidentTupleStore`], which checks every
+//! block at open); a *paged* open verifies the bundle header,
 //! the (few-dozen-byte) meta payload, and the internal checksummed
 //! directories of the data, postings, and graph sections, trading
 //! whole-payload verification of the lazy sections for not reading
@@ -69,7 +71,7 @@ use banks_core::{
 use banks_graph::Graph;
 use banks_pager::{ByteSource, PageCache, PagedGraphStore, PagedTupleStore};
 use banks_storage::postings::{self, LazyTextIndex, PostingSource};
-use banks_storage::{blocks, Database, TextIndex};
+use banks_storage::{blocks, Database, ResidentTupleStore, TextIndex, TupleStore};
 use banks_util::fault::{self, Site};
 use banks_util::fxhash::FxHasher;
 use std::fs::File;
@@ -390,10 +392,10 @@ fn decode_meta(bytes: &[u8]) -> PersistResult<BundleMeta> {
 /// Serialize `banks` (stamped as `epoch`) into `out` — always version 3.
 ///
 /// The DATA section goes through [`blocks::encode_database_v3`], which
-/// is copy-on-write for a lazily-opened database: tuple blocks and PK
-/// lanes untouched since the snapshot was opened are copied raw from
-/// the backing store, so publishing an ingest epoch rewrites only the
-/// blocks that epoch touched.
+/// is copy-on-write for a database opened over a bundle, in RAM or
+/// paged: tuple blocks and PK lanes untouched since the snapshot was
+/// opened are copied raw from its tuple store, so publishing an ingest
+/// epoch rewrites only the blocks that epoch touched.
 pub(crate) fn write_bundle(banks: &Banks, epoch: u64, out: impl Write + Seek) -> PersistResult<()> {
     let data = blocks::encode_database_v3(banks.db())?;
     let grph =
@@ -597,16 +599,18 @@ fn decode_bundle(bytes: &[u8], base_config: &BanksConfig) -> PersistResult<(Bank
     }
     let meta = decode_meta(verify_section(bytes, &dir.meta)?)?;
 
-    // Checksum + decode the payloads. The three sections are
+    // Checksum + open the payloads: the DATA section's blocks are
+    // verified and indexed in place of a decode (they stay encoded), the
+    // text index and graph are decoded. The three sections are
     // independent until the graph rebinds to the database, so on a
     // multi-core host the text index and graph decode on their own
     // threads while this one takes the database — restore wall-clock is
     // the *max* of the section costs, not their sum. A single-core host
     // decodes sequentially (spawning would only add overhead).
     let decode_data = || -> PersistResult<_> {
-        Ok(blocks::decode_database_v3(verify_section(
-            bytes, &dir.data,
-        )?)?)
+        let tuples = ResidentTupleStore::open(verify_section(bytes, &dir.data)?)?;
+        let schema_text = tuples.directory().layout.schema_text.clone();
+        Ok(Database::open_lazy(&schema_text, tuples)?)
     };
     let decode_tidx = || -> PersistResult<_> {
         Ok(postings::read_packed_postings(verify_section(
@@ -651,8 +655,10 @@ fn assemble(
     Ok((banks, meta))
 }
 
-/// Load a bundle from `path`: one sequential whole-file read, then an
-/// in-memory zero-copy decode into a query-ready [`Banks`].
+/// Load a bundle from `path` in RAM: one sequential whole-file read,
+/// every section checksummed, then a query-ready [`Banks`] whose tuples
+/// stay encoded in resident blocks ([`ResidentTupleStore`]) and whose
+/// text index and graph are decoded.
 /// `base_config`'s score/graph sections are replaced by the bundle's
 /// (see the module docs); everything else is kept.
 pub fn load_bundle(path: &Path, base_config: &BanksConfig) -> PersistResult<(Banks, BundleMeta)> {
@@ -725,7 +731,7 @@ pub fn open_bundle_paged(
     fault::maybe_fault(Site::BundleSectionRead)?;
     let tuples =
         PagedTupleStore::open_file(Arc::clone(&file), dir.data.offset, dir.data.len, cache)?;
-    let schema_text = tuples.layout().schema_text.clone();
+    let schema_text = tuples.directory().layout.schema_text.clone();
     let db = Database::open_lazy(&schema_text, tuples)?;
     let text_index = TextIndex::from_lazy(Arc::new(lazy));
     assemble(db, text_index, Graph::from_store(store), meta, base_config)
@@ -1044,6 +1050,48 @@ mod tests {
             g.with_out_adjacency(v, |a| h.with_out_adjacency(v, |b| assert_eq!(a, b)));
             g.with_in_adjacency(v, |a| h.with_in_adjacency(v, |b| assert_eq!(a, b)));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_in_ram_load_shares_its_tuple_blocks_with_publish_and_save() {
+        let banks = Banks::new(dblp()).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "banks_bundle_resident_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, again) = (dir.join("snap.banks"), dir.join("again.banks"));
+        save_bundle(&banks, 8, &path).unwrap();
+        let (loaded, _) = load_bundle(&path, &BanksConfig::default()).unwrap();
+        let store = loaded
+            .db()
+            .tuple_store()
+            .expect("tuples stay in encoded blocks");
+        assert!(
+            store.stats().is_none(),
+            "a resident store reports no paging"
+        );
+        // Untouched, every block and lane is copied raw: the same bytes.
+        save_bundle(&loaded, 8, &again).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&again).unwrap()
+        );
+        // A publish clones the overlay, not the tuples.
+        let loaded = Arc::new(loaded);
+        let mut publisher = banks_ingest::SnapshotPublisher::new(Arc::clone(&loaded));
+        let batch = banks_ingest::DeltaBatch::from_json(
+            r#"{"ops":[{"op":"insert","relation":"Author","values":["GraefeG","Goetz Graefe"]}]}"#,
+        )
+        .unwrap();
+        let published = publisher.publish(&batch, None).unwrap();
+        assert_eq!(published.banks.db().total_tuples(), 6);
+        assert!(Arc::ptr_eq(
+            loaded.db().tuple_store().unwrap(),
+            published.banks.db().tuple_store().unwrap()
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

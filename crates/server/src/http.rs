@@ -843,8 +843,9 @@ fn stats_json(
         ("uptime_secs", Json::Num(stats.uptime_secs)),
     ]);
     // Storage backend: how the stats snapshot holds its graph and
-    // text index. In-RAM is the classic fully-decoded backend; a paged
-    // backend (serve --paged) reports its budget and paging counters.
+    // text index. In RAM, every graph segment and tuple block is held
+    // resident, still encoded, and nothing pages; a paged backend
+    // (serve --paged) reports its budget and paging counters.
     {
         let storage = match banks.tuple_graph().graph().storage_stats() {
             Some(s) => {
@@ -883,8 +884,8 @@ fn stats_json(
                         ]),
                     ));
                 }
-                // Lazy tuple store (v3 bundles): block residency in the
-                // same page cache (and budget) as the graph segments.
+                // Paged tuple store: block residency in the same page
+                // cache (and budget) as the graph segments.
                 if let Some(t) = banks.db().tuple_store_stats() {
                     pairs.push((
                         "tuples".to_string(),

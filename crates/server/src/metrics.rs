@@ -330,9 +330,10 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
         c,
         pick(|s| s.evictions as f64),
     ));
-    // Tuple-store families mirror the pager's: zeros for an eager
-    // database, live counters when `--paged` serves tuples lazily off
-    // the v3 DATA section. Tuple blocks and graph segments share one
+    // Tuple-store families mirror the pager's: zeros when every tuple
+    // block is resident (an in-RAM load, or a database built by
+    // inserts), live counters when `--paged` pages blocks in off the v3
+    // DATA section. Tuple blocks and graph segments share one
     // page cache, so `banks_pager_budget_bytes` is the combined cap.
     let tuples = banks.db().tuple_store_stats();
     let tpick =

@@ -34,25 +34,30 @@
 //! * The **presence bitmap** answers liveness questions (graph/catalog
 //!   verification, `total_tuples`) with zero block decodes.
 //!
-//! [`TupleStore`] is where a lazy `Database` (see
-//! [`crate::Database::open_lazy`]) gets its blocks from; its one
-//! implementor is `banks-pager`'s `PagedTupleStore`, which pages them
-//! from disk under a memory budget. A resident [`TupleBlock`] is the
-//! block's encoded payload plus the offset of each slot in it, validated
-//! once at page-in; a read decodes only the slot it asks for and hands
-//! the caller the decoded tuple or reference list to own, so nothing a
-//! reader holds depends on the block staying resident. An eager
-//! `Database` needs no store: it encodes its slot vectors directly
+//! [`TupleStore`] is where a `Database` opened over a section (see
+//! [`crate::Database::open_lazy`]) gets its blocks from. Both stores
+//! open the directory and the PK lanes through one function,
+//! [`DataDirectory::open`], which checks every lane and block range
+//! against the section length. [`ResidentTupleStore`] holds every block
+//! resident — the in-RAM bundle load — and verifies the whole section at
+//! open; `banks-pager`'s `PagedTupleStore` pages blocks from disk under
+//! a memory budget. A resident [`TupleBlock`] is the block's encoded
+//! payload plus the offset of each slot in it, validated once when it is
+//! indexed; a read decodes only the slot it asks for and hands the
+//! caller the decoded tuple or reference list to own, so nothing a
+//! reader holds depends on the block staying resident. A database built
+//! by inserts has no store: its appended slots encode directly
 //! ([`encode_database_v3`]).
 
 use crate::catalog::{BackRef, Database};
 use crate::error::{StorageError, StorageResult};
-use crate::schema::{schema_from_text, schema_to_text};
+use crate::schema::{schema_from_text, schema_to_text, RelationSchema};
+use crate::table::Table;
 use crate::tuple::{RelationId, Rid, Tuple};
 use crate::value::Value;
 use banks_util::fxhash::FxHasher;
 use std::borrow::Cow;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Magic prefix of a v3 DATA section.
@@ -204,7 +209,21 @@ impl TupleBlock {
         slots: u32,
         arity: usize,
     ) -> StorageResult<TupleBlock> {
-        let index = index_slots(&payload, slots, arity)?;
+        TupleBlock::visiting(payload, first_slot, slots, arity, |_, _, _| Ok(()))
+    }
+
+    /// [`TupleBlock::new`], handing each slot to `visit` as it is
+    /// validated: its absolute number, its values (`None` for a
+    /// tombstone) and its back-references. An error from `visit` refuses
+    /// the block.
+    fn visiting(
+        payload: Vec<u8>,
+        first_slot: u32,
+        slots: u32,
+        arity: usize,
+        visit: impl FnMut(u32, Option<&[EncodedValue<'_>]>, &[BackRef]) -> StorageResult<()>,
+    ) -> StorageResult<TupleBlock> {
+        let index = index_slots(&payload, first_slot, slots, arity, visit)?;
         Ok(TupleBlock {
             first_slot,
             arity,
@@ -238,8 +257,9 @@ impl TupleBlock {
             .unwrap_or_default()
     }
 }
-/// Cache counters of a [`TupleStore`] (zeros for stores that never
-/// page).
+
+/// Cache counters of a paging [`TupleStore`] (a store that holds every
+/// block resident reports none, see [`TupleStore::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TupleStoreStats {
     /// Resident tuple-block bytes (payloads plus slot indexes).
@@ -259,39 +279,323 @@ pub struct TupleStoreStats {
     pub decode_nanos: u64,
 }
 
-/// Where a lazy [`Database`]'s tuples live: a paged backend.
+/// Where the tuples of a [`Database`] opened over a v3 DATA section live:
+/// every block resident ([`ResidentTupleStore`]) or paged from disk.
 ///
 /// `block` has no error channel (callers are infallible accessors such
-/// as [`crate::Table::get`]); paged implementations panic on I/O or
-/// checksum failure, exactly like the paged graph store. Directory-level corruption is
-/// caught (typed) at open instead.
+/// as [`crate::Table::get`]). The resident store verifies every block at
+/// open; a paged store panics on an I/O or checksum failure at page-in,
+/// exactly like the paged graph store. Directory-level corruption is
+/// caught (typed) at open by both.
 pub trait TupleStore: std::fmt::Debug + Send + Sync {
-    /// Number of relations.
-    fn relation_count(&self) -> usize;
-    /// Slots per block this store was encoded with.
-    fn block_span(&self) -> u32;
-    /// Slots ever allocated in relation `rel` (live + tombstoned).
-    fn slot_count(&self, rel: u32) -> u32;
-    /// Live tuples in relation `rel`.
-    fn live_count(&self, rel: u32) -> usize;
-    /// Total resolved foreign-key links.
-    fn link_count(&self) -> u64;
-    /// Is `slot` of relation `rel` live? Answered from the presence
-    /// bitmap — never decodes a block.
-    fn is_live(&self, rel: u32, slot: u32) -> bool;
+    /// The verified directory and PK lanes.
+    fn directory(&self) -> &DataDirectory;
     /// The resident block `block` of relation `rel`
     /// (`block = slot / block_span()`).
     fn block(&self, rel: u32, block: u32) -> Arc<TupleBlock>;
-    /// Slots of relation `rel` whose primary-key hash is `hash`, from
-    /// the PK lane — candidates only; callers confirm by value.
-    fn pk_candidates(&self, rel: u32, hash: u64) -> Vec<u32>;
     /// Encoded bytes + recorded checksum of a block — the COW snapshot
     /// writer's clean-block fast path.
     fn raw_block(&self, rel: u32, block: u32) -> StorageResult<(Vec<u8>, u64)>;
-    /// Encoded PK lane bytes + checksum + entry count of a relation.
-    fn raw_pk_lane(&self, rel: u32) -> StorageResult<(Vec<u8>, u64, u64)>;
-    /// Cache counters (zeros when nothing is paged).
-    fn stats(&self) -> TupleStoreStats;
+    /// Cache counters of a paging store; `None` for a store that holds
+    /// every block resident, so an in-RAM server reports no paging.
+    fn stats(&self) -> Option<TupleStoreStats>;
+    /// Slots per block this store was encoded with.
+    fn block_span(&self) -> u32 {
+        self.directory().layout.block_span
+    }
+}
+
+/// A v3 DATA section's parsed header, its relation schemas and its
+/// checksum-verified PK lanes: what a [`TupleStore`] holds before it
+/// reads a single block.
+#[derive(Debug)]
+pub struct DataDirectory {
+    /// The parsed header.
+    pub layout: DataLayout,
+    /// Relation schemas in catalog order, from the recorded schema text.
+    pub schemas: Vec<RelationSchema>,
+    /// The encoded PK lane of each relation.
+    lanes: Vec<Box<[u8]>>,
+}
+
+impl DataDirectory {
+    /// Open the directory of a `len`-byte section. `read(offset, n)`
+    /// returns the `n` bytes at `offset` of the section, refusing a range
+    /// outside it before allocating. Reads and verifies the header,
+    /// checks that every PK lane and block lies inside the section, and
+    /// reads and checksums every lane; no block is read. A range that
+    /// escapes the section is [`StorageError::Corrupt`].
+    pub fn open<E: From<StorageError>>(
+        len: u64,
+        mut read: impl FnMut(u64, u64) -> Result<Vec<u8>, E>,
+    ) -> Result<DataDirectory, E> {
+        let span = DataLayout::header_span(&read(0, HEADER_PREFIX as u64)?)?;
+        let layout = DataLayout::parse(&read(0, (HEADER_PREFIX + span) as u64)?)?;
+        let catalog = schema_from_text(&layout.schema_text)?;
+        if catalog.relation_count() != layout.relations.len() {
+            return Err(corrupt(format!(
+                "schema declares {} relations but the v3 directory carries {}",
+                catalog.relation_count(),
+                layout.relations.len()
+            ))
+            .into());
+        }
+        let escapes = |what: String, offset: u64, n: u64| -> Option<StorageError> {
+            match offset.checked_add(n) {
+                Some(end) if end <= len => None,
+                _ => Some(corrupt(format!(
+                    "{what} at {offset}..+{n} escapes the {len}-byte v3 DATA section"
+                ))),
+            }
+        };
+        let mut lanes = Vec::with_capacity(layout.relations.len());
+        for (i, rel) in layout.relations.iter().enumerate() {
+            let lane = rel.pk_lane;
+            let bad_range = escapes(format!("pk lane of relation #{i}"), lane.offset, lane.len)
+                .or_else(|| {
+                    (rel.blocks.iter().enumerate()).find_map(|(b, blk)| {
+                        escapes(
+                            format!("tuple block {b} of relation #{i}"),
+                            blk.offset,
+                            blk.len,
+                        )
+                    })
+                });
+            if let Some(e) = bad_range {
+                return Err(e.into());
+            }
+            let bytes = read(lane.offset, lane.len)?;
+            if checksum64(&bytes) != lane.checksum {
+                return Err(corrupt(format!("pk lane checksum mismatch in relation #{i}")).into());
+            }
+            lanes.push(bytes.into_boxed_slice());
+        }
+        let schemas = catalog.relations().map(|t| t.schema().clone()).collect();
+        Ok(DataDirectory {
+            layout,
+            schemas,
+            lanes,
+        })
+    }
+
+    /// Directory row of relation `rel`.
+    pub fn relation(&self, rel: u32) -> &RelationLayout {
+        &self.layout.relations[rel as usize]
+    }
+
+    /// The encoded PK lane of relation `rel`.
+    pub fn pk_lane(&self, rel: u32) -> &[u8] {
+        &self.lanes[rel as usize]
+    }
+
+    /// The first slot of block `block` of relation `rel` and how many
+    /// slots the block holds.
+    pub fn block_slots(&self, rel: u32, block: u32) -> (u32, u32) {
+        let span = self.layout.block_span;
+        let first = block * span;
+        let end = self
+            .relation(rel)
+            .slot_count
+            .min(first.saturating_add(span));
+        (first, end - first)
+    }
+}
+
+/// The [`TupleStore`] of an in-RAM bundle load: every block of a v3 DATA
+/// section indexed and held resident — the tuple twin of the graph's
+/// resident segment store. No tuple is decoded up front; a read decodes
+/// the one slot it asks for, as through a paged store.
+///
+/// [`ResidentTupleStore::open`] verifies the whole section, so a bad
+/// section is [`StorageError::Corrupt`] at open and reads never fail.
+#[derive(Debug)]
+pub struct ResidentTupleStore {
+    dir: DataDirectory,
+    /// `blocks[rel][block]`.
+    blocks: Vec<Vec<Arc<TupleBlock>>>,
+}
+
+impl ResidentTupleStore {
+    /// Open a v3 DATA section held in memory. Every block is copied out
+    /// and indexed, and the section must pass every check a full decode
+    /// of it would make:
+    ///
+    /// * every lane and block checksum, and every block's encoding;
+    /// * the presence bitmap agrees with each block, and each relation's
+    ///   live count and the total link count match the directory;
+    /// * no two live tuples share a primary key, and each PK lane is
+    ///   exactly the lane of its relation's live tuples;
+    /// * every back-reference comes from a live tuple, through a foreign
+    ///   key of that tuple's relation that references the target's.
+    pub fn open(section: &[u8]) -> StorageResult<Arc<ResidentTupleStore>> {
+        let range = |offset: u64, n: u64| -> StorageResult<&[u8]> {
+            let end = offset.checked_add(n).and_then(|e| usize::try_from(e).ok());
+            let start = usize::try_from(offset).ok();
+            start
+                .zip(end)
+                .and_then(|(a, b)| section.get(a..b))
+                .ok_or_else(|| corrupt(format!("{offset}..+{n} extends past the v3 DATA section")))
+        };
+        let dir = DataDirectory::open(section.len() as u64, |offset, n| {
+            range(offset, n).map(<[u8]>::to_vec)
+        })?;
+        // The relation each foreign key references (resolved when the
+        // schema text was parsed, so every name is present).
+        let fk_targets: Vec<Vec<u32>> = (dir.schemas.iter())
+            .map(|s| {
+                (s.foreign_keys.iter())
+                    .map(|fk| {
+                        let target = dir.schemas.iter().position(|t| t.name == fk.ref_relation);
+                        target.expect("schema text resolves every foreign key") as u32
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut links = 0u64;
+        let mut blocks = Vec::with_capacity(dir.layout.relations.len());
+        for (r, rel) in dir.layout.relations.iter().enumerate() {
+            let r = r as u32;
+            let schema = &dir.schemas[r as usize];
+            // The primary-key hash of each live slot, checked against the
+            // PK lane once every block is read.
+            let mut hashes = vec![0u64; rel.slot_count as usize];
+            let mut live = 0u64;
+            let mut rel_blocks = Vec::with_capacity(rel.blocks.len());
+            for (b, meta) in rel.blocks.iter().enumerate() {
+                let payload = range(meta.offset, meta.len)?;
+                if checksum64(payload) != meta.checksum {
+                    return Err(corrupt(format!(
+                        "tuple block {b} checksum mismatch in relation #{r}"
+                    )));
+                }
+                let (first, slots) = dir.block_slots(r, b as u32);
+                let visit = |slot: u32, values: Option<&[EncodedValue<'_>]>, refs: &[BackRef]| {
+                    if values.is_some() != rel.is_live(slot) {
+                        return Err(corrupt(format!(
+                            "presence bitmap disagrees with block {b} of relation #{r}"
+                        )));
+                    }
+                    for br in refs {
+                        let source = dir.layout.relations.get(br.from.relation.index());
+                        let fk = (fk_targets.get(br.from.relation.index()))
+                            .and_then(|fks| fks.get(br.fk_index));
+                        let fault = if !source.is_some_and(|s| s.is_live(br.from.slot)) {
+                            "whose source is not a live tuple"
+                        } else if fk != Some(&r) {
+                            "through no foreign key into its target's relation"
+                        } else {
+                            continue;
+                        };
+                        return Err(corrupt(format!(
+                            "back-reference to {} from {} (foreign key #{}) {fault}",
+                            Rid::new(RelationId(r), slot),
+                            br.from,
+                            br.fk_index
+                        )));
+                    }
+                    links += refs.len() as u64;
+                    if let Some(values) = values {
+                        live += 1;
+                        let key = schema.primary_key.iter().map(|&c| &values[c]);
+                        hashes[slot as usize] = Table::pk_hash(key);
+                    }
+                    Ok(())
+                };
+                let payload = payload.to_vec();
+                let block = TupleBlock::visiting(payload, first, slots, schema.arity(), visit)?;
+                rel_blocks.push(Arc::new(block));
+            }
+            if live != rel.live_count {
+                return Err(corrupt(format!(
+                    "relation #{r} holds {live} live tuples, directory says {}",
+                    rel.live_count
+                )));
+            }
+            let span = dir.layout.block_span;
+            let key_of = |slot: u32| {
+                let tuple = rel_blocks[(slot / span) as usize].tuple(slot);
+                tuple.map(|t| {
+                    schema
+                        .key_of(t.values())
+                        .into_iter()
+                        .cloned()
+                        .collect::<Vec<_>>()
+                })
+            };
+            check_pk_lane(schema, rel, dir.pk_lane(r), &hashes, key_of)?;
+            blocks.push(rel_blocks);
+        }
+        if links != dir.layout.link_count {
+            return Err(corrupt(format!(
+                "v3 DATA holds {links} links, directory says {}",
+                dir.layout.link_count
+            )));
+        }
+        Ok(Arc::new(ResidentTupleStore { dir, blocks }))
+    }
+}
+
+/// Check one relation's PK lane at a resident open. `hashes[slot]` is
+/// the primary-key hash of each live slot, and `key_of(slot)` decodes
+/// its key. The lane must hold exactly one `(hash, slot)` entry per live
+/// tuple of a keyed relation, strictly ascending, and no two live tuples
+/// may carry the same key: equal hashes sit side by side in the lane, so
+/// only those runs are decoded and compared.
+fn check_pk_lane<K: PartialEq>(
+    schema: &RelationSchema,
+    rel: &RelationLayout,
+    lane: &[u8],
+    hashes: &[u64],
+    key_of: impl Fn(u32) -> K,
+) -> StorageResult<()> {
+    let keyed = if schema.has_primary_key() {
+        rel.live_count
+    } else {
+        0
+    };
+    let entries = decode_lane(lane)?;
+    let exact = rel.pk_lane.entries == keyed
+        && entries.len() as u64 == keyed
+        && entries.windows(2).all(|w| w[0] < w[1])
+        && (entries.iter()).all(|&(hash, slot)| rel.is_live(slot) && hashes[slot as usize] == hash);
+    if !exact {
+        return Err(corrupt(format!(
+            "pk lane disagrees with the live tuples of relation `{}`",
+            schema.name
+        )));
+    }
+    for run in entries
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|run| run.len() > 1)
+    {
+        let keys: Vec<K> = run.iter().map(|&(_, slot)| key_of(slot)).collect();
+        if (1..keys.len()).any(|i| keys[..i].contains(&keys[i])) {
+            return Err(corrupt(format!(
+                "duplicate primary key in relation `{}`",
+                schema.name
+            )));
+        }
+    }
+    Ok(())
+}
+
+impl TupleStore for ResidentTupleStore {
+    fn directory(&self) -> &DataDirectory {
+        &self.dir
+    }
+
+    fn block(&self, rel: u32, block: u32) -> Arc<TupleBlock> {
+        Arc::clone(&self.blocks[rel as usize][block as usize])
+    }
+
+    fn raw_block(&self, rel: u32, block: u32) -> StorageResult<(Vec<u8>, u64)> {
+        let checksum = self.dir.relation(rel).blocks[block as usize].checksum;
+        Ok((self.block(rel, block).payload.to_vec(), checksum))
+    }
+
+    fn stats(&self) -> Option<TupleStoreStats> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -588,6 +892,21 @@ pub(crate) fn take_value_ref<'a>(
     }))
 }
 
+/// Hashes exactly as the [`Value`] it encodes, so a primary-key hash
+/// computed in place equals the one [`Table::pk_hash`] gives the decoded
+/// key.
+impl Hash for EncodedValue<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            EncodedValue::Text(s) => {
+                state.write_u8(3);
+                s.hash(state);
+            }
+            EncodedValue::Other(v) => v.hash(state),
+        }
+    }
+}
+
 impl EncodedValue<'_> {
     /// The owned value.
     fn into_value(self) -> Value {
@@ -679,12 +998,13 @@ fn each_ref(bytes: &[u8], pos: &mut usize, mut f: impl FnMut(BackRef)) -> Storag
 /// Read the slot at `*pos`: its presence byte and, when it is live, its
 /// values (each handed to `value`) and back-references (each handed to
 /// `back_ref`). Returns whether the slot is live. The one reader behind
-/// indexing a block, decoding one slot of it, and the eager load.
-fn read_slot(
-    bytes: &[u8],
+/// indexing a block, decoding one slot of it, and verifying a resident
+/// open.
+fn read_slot<'a>(
+    bytes: &'a [u8],
     pos: &mut usize,
     arity: usize,
-    mut value: impl FnMut(EncodedValue<'_>),
+    mut value: impl FnMut(EncodedValue<'a>),
     back_ref: impl FnMut(BackRef),
 ) -> StorageResult<bool> {
     let presence = *bytes
@@ -704,14 +1024,26 @@ fn read_slot(
     }
 }
 
-/// Validate an encoded block of `slots` slots at the given arity and
-/// return the offset of each slot's presence byte.
-fn index_slots(bytes: &[u8], slots: u32, arity: usize) -> StorageResult<SlotIndex> {
+/// Validate an encoded block of slots `[first, first + slots)` at the
+/// given arity, handing each slot to `visit` (see
+/// [`TupleBlock::visiting`]), and return the offset of each slot's
+/// presence byte.
+fn index_slots(
+    bytes: &[u8],
+    first: u32,
+    slots: u32,
+    arity: usize,
+    mut visit: impl FnMut(u32, Option<&[EncodedValue<'_>]>, &[BackRef]) -> StorageResult<()>,
+) -> StorageResult<SlotIndex> {
     let mut offsets = Vec::with_capacity(slots as usize);
+    let (mut values, mut refs) = (Vec::with_capacity(arity), Vec::new());
     let mut pos = 0usize;
-    for _ in 0..slots {
+    for slot in first..first + slots {
         offsets.push(pos as u32);
-        read_slot(bytes, &mut pos, arity, |_| {}, |_| {})?;
+        values.clear();
+        refs.clear();
+        let live = read_slot(bytes, &mut pos, arity, |v| values.push(v), |r| refs.push(r))?;
+        visit(slot, live.then_some(&values[..]), &refs)?;
     }
     if pos != bytes.len() {
         return Err(corrupt("trailing bytes after tuple block"));
@@ -924,98 +1256,60 @@ fn write_fixed_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Fully decode a v3 DATA section into an eager [`Database`] — the
-/// non-paged bundle load path. Every block and lane checksum is
-/// verified; any inconsistency is [`StorageError::Corrupt`].
-pub fn decode_database_v3(bytes: &[u8]) -> StorageResult<Database> {
-    let layout = DataLayout::parse(bytes)?;
-    let mut db = schema_from_text(&layout.schema_text)?;
-    if db.relation_count() != layout.relations.len() {
-        return Err(corrupt(format!(
-            "schema declares {} relations but the v3 directory carries {}",
-            db.relation_count(),
-            layout.relations.len()
-        )));
-    }
-    let section = |offset: u64, len: u64, what: &str| -> StorageResult<&[u8]> {
-        bytes
-            .get(offset as usize..(offset + len) as usize)
-            .ok_or_else(|| corrupt(format!("{what} extends past the v3 DATA section")))
-    };
-    let meta: Vec<(RelationId, usize)> = db
-        .relations()
-        .map(|t| (t.id(), t.schema().arity()))
-        .collect();
-    let mut links: Vec<(Rid, Vec<BackRef>)> = Vec::new();
-    for ((id, arity), rel) in meta.into_iter().zip(&layout.relations) {
-        let lane = section(rel.pk_lane.offset, rel.pk_lane.len, "pk lane")?;
-        if checksum64(lane) != rel.pk_lane.checksum {
-            return Err(corrupt(format!(
-                "pk lane checksum mismatch in relation {id}"
-            )));
-        }
-        let mut slots: Vec<Option<Tuple>> = Vec::with_capacity(rel.slot_count as usize);
-        for (b, blk) in rel.blocks.iter().enumerate() {
-            let raw = section(blk.offset, blk.len, "tuple block")?;
-            if checksum64(raw) != blk.checksum {
-                return Err(corrupt(format!(
-                    "tuple block {b} checksum mismatch in relation {id}"
-                )));
-            }
-            let first = b as u32 * layout.block_span;
-            let in_block = rel.slot_count.min(first + layout.block_span) - first;
-            let mut pos = 0usize;
-            for i in 0..in_block {
-                let mut values = Vec::with_capacity(arity);
-                let mut refs = Vec::new();
-                let live = read_slot(
-                    raw,
-                    &mut pos,
-                    arity,
-                    |v| values.push(v.into_value()),
-                    |r| refs.push(r),
-                )?;
-                let tuple = live.then(|| Tuple::new(values));
-                if live != rel.is_live(first + i) {
-                    return Err(corrupt(format!(
-                        "presence bitmap disagrees with block {b} of relation {id}"
-                    )));
-                }
-                if !refs.is_empty() {
-                    links.push((Rid::new(id, first + i), refs));
-                }
-                slots.push(tuple);
-            }
-            if pos != raw.len() {
-                return Err(corrupt(format!(
-                    "trailing bytes after block {b} of relation {id}"
-                )));
-            }
-        }
-        db.restore_relation_slots(id, slots)?;
-        if db.table(id).len() as u64 != rel.live_count {
-            return Err(corrupt(format!(
-                "relation {id} restored {} live tuples, directory says {}",
-                db.table(id).len(),
-                rel.live_count
-            )));
-        }
-    }
-    db.install_links(links)?;
-    if db.link_count() as u64 != layout.link_count {
-        return Err(corrupt(format!(
-            "v3 DATA restored {} links, directory says {}",
-            db.link_count(),
-            layout.link_count
-        )));
-    }
-    Ok(db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnType, RelationSchema};
+    use crate::schema::ColumnType;
+
+    /// Open `bytes` the way an in-RAM bundle load does.
+    fn open_resident(bytes: &[u8]) -> StorageResult<Database> {
+        let store = ResidentTupleStore::open(bytes)?;
+        let schema_text = store.directory().layout.schema_text.clone();
+        Database::open_lazy(&schema_text, store)
+    }
+
+    /// The message of the `Corrupt` a resident open refuses `bytes` with.
+    fn refusal(bytes: &[u8]) -> String {
+        match ResidentTupleStore::open(bytes).map(drop) {
+            Err(StorageError::Corrupt(m)) => m,
+            other => panic!("a resident open must refuse with Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A section of `db` at span 8 whose relation payloads and link
+    /// count `edit` changes before assembly.
+    fn forged(db: &Database, edit: impl FnOnce(&mut [RelationPayload], &mut u64)) -> Vec<u8> {
+        let mut payloads: Vec<_> = (db.relations())
+            .map(|t| db.v3_relation_payload(t.id(), 8).unwrap())
+            .collect();
+        let mut links = db.link_count() as u64;
+        edit(&mut payloads, &mut links);
+        let mut out = Vec::new();
+        write_data_section(&mut out, &schema_to_text(db), links, 8, &payloads).unwrap();
+        out
+    }
+
+    /// Block 0 (span 8) of relation `rel` of `db`, re-encoded after
+    /// `edit` changed its rows.
+    fn edited_block(
+        db: &Database,
+        rel: u32,
+        edit: impl FnOnce(&mut [Option<(Tuple, Vec<BackRef>)>]),
+    ) -> (Vec<u8>, u64) {
+        let table = db.table(RelationId(rel));
+        let mut rows: Vec<_> = (0..8)
+            .map(|slot| {
+                let refs = db.referencing(Rid::new(table.id(), slot)).into_owned();
+                table.get(slot).map(|t| (t.into_owned(), refs))
+            })
+            .collect();
+        edit(&mut rows);
+        let bytes = encode_block(
+            (rows.into_iter()).map(|row| row.map(|(t, refs)| (Cow::<Tuple>::Owned(t), refs))),
+        );
+        let checksum = checksum64(&bytes);
+        (bytes, checksum)
+    }
 
     fn sample_db() -> Database {
         let mut db = Database::new("blocks-test");
@@ -1133,10 +1427,15 @@ mod tests {
     fn v3_roundtrip_default_span() {
         let db = sample_db();
         let bytes = encode_database_v3(&db).unwrap();
-        let restored = decode_database_v3(&bytes).unwrap();
+        let restored = open_resident(&bytes).unwrap();
         assert_same(&db, &restored);
-        // Deterministic.
+        // Deterministic, and an untouched reopened database copies its
+        // blocks raw.
         assert_eq!(bytes, encode_database_v3(&restored).unwrap());
+        assert!(
+            restored.tuple_store_stats().is_none(),
+            "resident: no paging"
+        );
     }
 
     #[test]
@@ -1145,27 +1444,27 @@ mod tests {
         let bytes = encode_database_v3_with_span(&db, 7).unwrap();
         let layout = DataLayout::parse(&bytes).unwrap();
         assert!(layout.relations[0].blocks.len() > 3, "multiple blocks");
-        let restored = decode_database_v3(&bytes).unwrap();
+        let restored = open_resident(&bytes).unwrap();
         assert_same(&db, &restored);
+        assert_eq!(bytes, encode_database_v3_with_span(&restored, 7).unwrap());
     }
 
     #[test]
     fn per_slot_decode_equals_the_full_decode() {
         // Tombstones (deleted Writes and Authors), back-references
         // (Authors and Papers are referenced), nulls, floats and bools,
-        // over blocks of 7 slots.
-        let db = sample_db();
-        let bytes = encode_database_v3_with_span(&db, 7).unwrap();
-        let full = decode_database_v3(&bytes).unwrap();
-        let layout = DataLayout::parse(&bytes).unwrap();
+        // over blocks of 7 slots: every slot a resident store decodes
+        // equals the database built by inserts ("full": every tuple and
+        // list held decoded).
+        let full = sample_db();
+        let bytes = encode_database_v3_with_span(&full, 7).unwrap();
+        let store = ResidentTupleStore::open(&bytes).unwrap();
+        let layout = &store.directory().layout;
         let (mut tombstones, mut refs_seen) = (0, 0);
         for (table, rel) in full.relations().zip(&layout.relations) {
-            let arity = table.schema().arity();
             for (b, blk) in rel.blocks.iter().enumerate() {
-                let first = b as u32 * layout.block_span;
-                let in_block = rel.slot_count.min(first + layout.block_span) - first;
-                let payload = bytes[blk.offset as usize..(blk.offset + blk.len) as usize].to_vec();
-                let block = TupleBlock::new(payload, first, in_block, arity).unwrap();
+                let (first, in_block) = store.directory().block_slots(table.id().0, b as u32);
+                let block = store.block(table.id().0, b as u32);
                 assert_eq!(block.bytes(), blk.len as usize + 2 * in_block as usize);
                 for slot in first..first + in_block {
                     let rid = Rid::new(table.id(), slot);
@@ -1233,21 +1532,104 @@ mod tests {
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert!(decode_database_v3(&bad).is_err());
+        assert!(open_resident(&bad).is_err());
         // Flipped header byte → checksum mismatch.
         let mut torn = bytes.clone();
         torn[HEADER_PREFIX + 4] ^= 0x01;
-        assert!(matches!(
-            decode_database_v3(&torn),
-            Err(StorageError::Corrupt(_))
-        ));
+        refusal(&torn);
+        // Truncated anywhere → refused, never a panic.
+        for cut in [4, HEADER_PREFIX + 3, bytes.len() / 2, bytes.len() - 1] {
+            refusal(&bytes[..cut]);
+        }
         // Flipped payload byte → block or lane checksum mismatch.
         let last = bytes.len() - 2;
         bytes[last] ^= 0x20;
-        assert!(matches!(
-            decode_database_v3(&bytes),
-            Err(StorageError::Corrupt(_))
-        ));
+        assert!(refusal(&bytes).contains("checksum"));
+    }
+
+    #[test]
+    fn resident_open_rejects_inconsistent_back_references() {
+        let db = sample_db();
+        // Paper 0 (relation 1) is referenced through foreign key #1 of
+        // Writes (relation 2); Writes slot 3 is a tombstone.
+        let with_ref = |from: Rid, fk_index: usize| {
+            forged(&db, |payloads, _| {
+                payloads[1].blocks[0] = edited_block(&db, 1, |rows| {
+                    let (_, refs) = rows[0].as_mut().unwrap();
+                    refs[0] = BackRef { from, fk_index };
+                });
+            })
+        };
+        let writes = |slot| Rid::new(RelationId(2), slot);
+        assert!(ResidentTupleStore::open(&with_ref(writes(5), 1)).is_ok());
+        let m = refusal(&with_ref(writes(3), 1));
+        assert!(m.contains("not a live tuple"), "dead source: {m}");
+        let m = refusal(&with_ref(writes(999), 1));
+        assert!(
+            m.contains("not a live tuple"),
+            "slot past the relation: {m}"
+        );
+        let m = refusal(&with_ref(Rid::new(RelationId(9), 0), 1));
+        assert!(m.contains("not a live tuple"), "no such relation: {m}");
+        let m = refusal(&with_ref(writes(5), 7));
+        assert!(
+            m.contains("foreign key"),
+            "fk #7 of Writes does not exist: {m}"
+        );
+        let m = refusal(&with_ref(writes(5), 0));
+        assert!(m.contains("foreign key"), "fk #0 references Author: {m}");
+    }
+
+    #[test]
+    fn resident_open_rejects_what_a_full_decode_refused() {
+        let db = sample_db();
+        // Author lane entries edited by `edit`, count and checksum kept
+        // consistent.
+        type LaneEntries = Vec<(u64, u32)>;
+        let relane = |payload: &mut RelationPayload, edit: fn(&mut LaneEntries)| {
+            let mut entries = decode_lane(&payload.pk_lane).unwrap();
+            edit(&mut entries);
+            let lane = encode_lane(entries);
+            payload.pk_checksum = checksum64(&lane);
+            payload.pk_entries = (lane.len() / 12) as u64;
+            payload.pk_lane = lane;
+        };
+        // Two live Authors with one primary key, the lane listing both.
+        let m = refusal(&forged(&db, |payloads, _| {
+            payloads[0].blocks[0] = edited_block(&db, 0, |rows| rows[1] = rows[0].clone());
+            relane(&mut payloads[0], |entries| {
+                let first = entries.iter().find(|e| e.1 == 0).unwrap().0;
+                entries.iter_mut().find(|e| e.1 == 1).unwrap().0 = first;
+            });
+        }));
+        assert!(m.contains("duplicate primary key"), "{m}");
+        // A presence bitmap that says Author 0 is dead while its block
+        // holds it.
+        let m = refusal(&forged(&db, |payloads, _| payloads[0].presence[0] ^= 1));
+        assert!(m.contains("presence bitmap"), "{m}");
+        // A PK lane that points a key at the wrong slot, one that lost
+        // an entry, and one that lists an entry twice.
+        let edits: [fn(&mut LaneEntries); 3] = [
+            |e| e[0].1 ^= 1,
+            |e| {
+                e.pop();
+            },
+            |e| {
+                e.pop();
+                e.push(e[0]);
+            },
+        ];
+        for edit in edits {
+            let m = refusal(&forged(&db, |payloads, _| relane(&mut payloads[0], edit)));
+            assert!(m.contains("pk lane disagrees"), "{m}");
+        }
+        // Directory live and link counts that disagree with the blocks.
+        let m = refusal(&forged(&db, |payloads, _| payloads[2].live_count += 1));
+        assert!(m.contains("live tuples, directory says"), "{m}");
+        let m = refusal(&forged(&db, |_, links| *links -= 1));
+        assert!(m.contains("links, directory says"), "{m}");
+        // Untouched, the same assembly opens.
+        assert!(ResidentTupleStore::open(&forged(&db, |_, _| {})).is_ok());
     }
 
     #[test]

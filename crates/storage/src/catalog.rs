@@ -5,11 +5,16 @@
 //! core pieces of BANKS: the backward-edge weights / node prestige of §2.2
 //! (both derived from indegree) and the "browse a primary key backwards"
 //! feature of §4.
+//!
+//! A database has one representation. It is built by inserts, or opened
+//! over a bundle's DATA section ([`Database::open_lazy`]); then each table
+//! reads its base slots from the section's [`TupleStore`] and keeps the
+//! slots changed or appended since open in an overlay, and the
+//! reverse-reference index reads base lists out of the tuple blocks
+//! under an overlay of the lists changed since open. A database built by
+//! inserts fills only the overlays.
 
-use crate::blocks::{
-    checksum64, decode_lane, encode_block, encode_lane, RelationPayload, TupleStore,
-    TupleStoreStats,
-};
+use crate::blocks::{checksum64, encode_block, RelationPayload, TupleStore, TupleStoreStats};
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{schema_from_text, RelationSchema};
 use crate::table::Table;
@@ -29,40 +34,21 @@ pub struct BackRef {
     pub fk_index: usize,
 }
 
-/// The reverse-reference index: fully resident, or a view over a
-/// [`TupleStore`]'s per-block back-reference sublanes.
-///
-/// In the lazy representation a target's list is read straight out of
-/// its tuple block until the first mutation touches it, at which point
-/// the full list materializes into the overlay (lists are short — a
-/// tuple's indegree — so full-replacement is cheap) and stays
-/// authoritative from then on.
-#[derive(Debug, Clone)]
-enum BackRefsRepr {
-    Eager(FxHashMap<Rid, Vec<BackRef>>),
-    Lazy {
-        store: Arc<dyn TupleStore>,
-        overlay: FxHashMap<Rid, Vec<BackRef>>,
-    },
-}
-
-impl Default for BackRefsRepr {
-    fn default() -> BackRefsRepr {
-        BackRefsRepr::Eager(FxHashMap::default())
-    }
-}
-
-/// An in-memory relational database.
+/// An in-memory relational database, optionally over a block store.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     name: String,
     tables: Vec<Table>,
     by_name: FxHashMap<String, RelationId>,
-    /// rid → tuples referencing it. Maintained on insert/delete;
-    /// Fx-hashed — touched on every insert/delete/update and rebuilt
-    /// wholesale on a full bundle load. Lazy databases read base
-    /// lists out of tuple blocks instead (see [`BackRefsRepr`]).
-    back_refs: BackRefsRepr,
+    /// The block store this database was opened over, if any.
+    store: Option<Arc<dyn TupleStore>>,
+    /// rid → tuples referencing it, for every target whose list was
+    /// recorded or changed since open; Fx-hashed, touched on every
+    /// insert/delete/update. A target absent here reads its list out of
+    /// its base tuple block (none for a database built by inserts). A
+    /// list materializes whole on its first change — lists are short, a
+    /// tuple's indegree — and stays authoritative from then on.
+    back_refs: FxHashMap<Rid, Vec<BackRef>>,
     /// Total number of resolved foreign-key links.
     link_count: usize,
     /// `fk_targets[r][i]`: the relation foreign key `i` of relation `r`
@@ -334,32 +320,23 @@ impl Database {
         Ok(rid)
     }
 
+    /// `target`'s reverse-reference list in the overlay, materialized
+    /// from its base block on first touch.
+    fn back_refs_mut(&mut self, target: Rid) -> &mut Vec<BackRef> {
+        let table = &self.tables[target.relation.index()];
+        (self.back_refs.entry(target)).or_insert_with(|| table.base_refs(target.slot))
+    }
+
     /// Record that `br.from` references `target`.
     fn add_back_ref(&mut self, target: Rid, br: BackRef) {
-        match &mut self.back_refs {
-            BackRefsRepr::Eager(map) => map.entry(target).or_default().push(br),
-            BackRefsRepr::Lazy { overlay, .. } => {
-                overlay
-                    .entry(target)
-                    .or_insert_with(|| self.tables[target.relation.index()].base_refs(target.slot))
-                    .push(br);
-            }
-        }
+        self.back_refs_mut(target).push(br);
         self.link_count += 1;
     }
 
     /// Drop the reverse reference `(from, fk_index)` from `target`'s
     /// list, if present.
     fn remove_back_ref(&mut self, target: Rid, from: Rid, fk_index: usize) {
-        let refs = match &mut self.back_refs {
-            BackRefsRepr::Eager(map) => match map.get_mut(&target) {
-                Some(refs) => refs,
-                None => return,
-            },
-            BackRefsRepr::Lazy { overlay, .. } => overlay
-                .entry(target)
-                .or_insert_with(|| self.tables[target.relation.index()].base_refs(target.slot)),
-        };
+        let refs = self.back_refs_mut(target);
         if let Some(pos) = refs
             .iter()
             .position(|b| b.from == from && b.fk_index == fk_index)
@@ -494,78 +471,6 @@ impl Database {
             .collect())
     }
 
-    /// Restore the deserialized slot vector of `relation` (see
-    /// [`Table::restore_slots`]) without touching the link bookkeeping —
-    /// callers restore every relation first, then run
-    /// [`Database::rebuild_links`] once.
-    pub(crate) fn restore_relation_slots(
-        &mut self,
-        relation: RelationId,
-        slots: Vec<Option<Tuple>>,
-    ) -> StorageResult<()> {
-        self.tables[relation.index()].restore_slots(slots)
-    }
-
-    /// Install a deserialized reverse-reference index wholesale — the
-    /// full bundle load path. The v3 DATA section serializes the index
-    /// instead of re-resolving every foreign key (15K `Vec<Value>` hash
-    /// lookups on the small corpus), and thereby preserves the live
-    /// system's exact per-target reference order.
-    ///
-    /// Every rid is bounds/liveness-checked (O(1) each); the tuples
-    /// themselves were validated by the slot restore. Each `(from,
-    /// fk_index)` must name a real foreign key of `from`'s relation.
-    pub(crate) fn install_links(&mut self, links: Vec<(Rid, Vec<BackRef>)>) -> StorageResult<()> {
-        let live = |rid: Rid| -> bool {
-            self.tables
-                .get(rid.relation.index())
-                .is_some_and(|t| t.get(rid.slot).is_some())
-        };
-        let mut total = 0usize;
-        for (target, refs) in &links {
-            if !live(*target) {
-                return Err(StorageError::Corrupt(format!(
-                    "restored back-reference target {target} is not a live tuple"
-                )));
-            }
-            for backref in refs {
-                if !live(backref.from) {
-                    return Err(StorageError::Corrupt(format!(
-                        "restored back-reference source {} is not a live tuple",
-                        backref.from
-                    )));
-                }
-                let fks = self.tables[backref.from.relation.index()]
-                    .schema()
-                    .foreign_keys
-                    .len();
-                if backref.fk_index >= fks {
-                    return Err(StorageError::Corrupt(format!(
-                        "restored back-reference names foreign key #{} of {}, which has {fks}",
-                        backref.fk_index, backref.from
-                    )));
-                }
-                total += 1;
-            }
-        }
-        let mut back_refs = FxHashMap::default();
-        back_refs.reserve(links.len());
-        for (target, refs) in links {
-            if back_refs.insert(target, refs).is_some() {
-                // A later duplicate entry would silently shadow the
-                // earlier one while `total` counted both — reject the
-                // stream instead of installing an index that disagrees
-                // with its own link count.
-                return Err(StorageError::Corrupt(format!(
-                    "restored back-reference target {target} listed twice"
-                )));
-            }
-        }
-        self.back_refs = BackRefsRepr::Eager(back_refs);
-        self.link_count = total;
-        Ok(())
-    }
-
     /// Resolve foreign key `fk_index` of the tuple at `rid`.
     ///
     /// Returns `Ok(None)` when the key is NULL (no link).
@@ -585,19 +490,16 @@ impl Database {
     /// All tuples referencing `rid` (the backward direction of §4 browsing
     /// and the indegree of §2.2).
     ///
-    /// Borrowed from an eager database or a lazy one's overlay; on a
-    /// lazy database an untouched target's list is decoded out of its
-    /// tuple block and owned by the caller.
+    /// Borrowed from the overlay when the list was recorded or changed
+    /// since open; otherwise decoded out of the target's base tuple block
+    /// and owned by the caller.
     pub fn referencing(&self, rid: Rid) -> Cow<'_, [BackRef]> {
-        match &self.back_refs {
-            BackRefsRepr::Eager(map) => Cow::Borrowed(map.get(&rid).map_or(&[], Vec::as_slice)),
-            BackRefsRepr::Lazy { overlay, .. } => match overlay.get(&rid) {
-                Some(refs) => Cow::Borrowed(refs),
-                None => Cow::Owned(
-                    (self.tables.get(rid.relation.index()))
-                        .map_or_else(Vec::new, |t| t.base_refs(rid.slot)),
-                ),
-            },
+        match self.back_refs.get(&rid) {
+            Some(refs) => Cow::Borrowed(refs),
+            None => Cow::Owned(
+                (self.tables.get(rid.relation.index()))
+                    .map_or_else(Vec::new, |t| t.base_refs(rid.slot)),
+            ),
         }
     }
 
@@ -661,59 +563,57 @@ impl Database {
     }
 
     /// Is `rid` a live tuple? Answered from presence information alone —
-    /// no block decodes on a lazy database.
+    /// no block decodes.
     pub fn is_live(&self, rid: Rid) -> bool {
         self.tables
             .get(rid.relation.index())
             .is_some_and(|t| t.is_live(rid.slot))
     }
 
-    /// Open a lazy database over `store` (in practice `banks-pager`'s
-    /// `PagedTupleStore` over a bundle's DATA section): the catalog
-    /// comes from `schema_text` (the store's recorded schema text, see
-    /// [`crate::schema::schema_from_text`]), tuples and reverse
-    /// references page in from the store on demand, and mutations land
-    /// in per-table overlays so a later snapshot rewrites only touched
-    /// blocks.
+    /// Open a database over `store` — a bundle's DATA section, every
+    /// block resident (`ResidentTupleStore`) or paged from disk
+    /// (`banks-pager`'s `PagedTupleStore`). The catalog comes from
+    /// `schema_text` (the store's recorded schema text, see
+    /// [`crate::schema::schema_from_text`]); tuples and reverse
+    /// references are read from the store's blocks, and mutations land
+    /// in per-table overlays, so a later snapshot rewrites only the
+    /// blocks they touch.
     pub fn open_lazy(schema_text: &str, store: Arc<dyn TupleStore>) -> StorageResult<Database> {
         let mut db = schema_from_text(schema_text)?;
-        if db.relation_count() != store.relation_count() {
+        let layout = &store.directory().layout;
+        if db.relation_count() != layout.relations.len() {
             return Err(StorageError::Corrupt(format!(
                 "schema declares {} relations but the tuple store carries {}",
                 db.relation_count(),
-                store.relation_count()
+                layout.relations.len()
             )));
         }
-        for (rel, table) in db.tables.iter_mut().enumerate() {
-            table.make_lazy(Arc::clone(&store), rel as u32)?;
-        }
-        db.link_count = usize::try_from(store.link_count())
+        db.link_count = usize::try_from(layout.link_count)
             .map_err(|_| StorageError::Corrupt("tuple store link count overflows usize".into()))?;
-        db.back_refs = BackRefsRepr::Lazy {
-            store,
-            overlay: FxHashMap::default(),
-        };
+        for (rel, table) in db.tables.iter_mut().enumerate() {
+            table.set_base(Arc::clone(&store), rel as u32);
+        }
+        db.store = Some(store);
         Ok(db)
     }
 
-    /// The backing tuple store, if this database is lazy.
+    /// The tuple store this database was opened over, if any.
     pub fn tuple_store(&self) -> Option<&Arc<dyn TupleStore>> {
-        match &self.back_refs {
-            BackRefsRepr::Eager(_) => None,
-            BackRefsRepr::Lazy { store, .. } => Some(store),
-        }
+        self.store.as_ref()
     }
 
-    /// Cache counters of the backing tuple store (`None` when fully
-    /// resident).
+    /// Cache counters of the tuple store, when it pages (`None` for a
+    /// database built by inserts or over a resident store).
     pub fn tuple_store_stats(&self) -> Option<TupleStoreStats> {
-        self.tuple_store().map(|s| s.stats())
+        self.store.as_ref().and_then(|s| s.stats())
     }
 
     /// Build one relation's v3 section payloads (see
-    /// [`crate::blocks::encode_database_v3`]). On a lazy database this
-    /// is copy-on-write: blocks and lanes untouched since open are
-    /// copied raw from the backing store, checksums and all.
+    /// [`crate::blocks::encode_database_v3`]). Copy-on-write: a base
+    /// block whose tuples and back-reference lists are untouched since
+    /// open is copied raw from the store, checksum and all; blocks with
+    /// a changed slot or list, and blocks holding appended slots (every
+    /// block of a database built by inserts), are encoded.
     pub(crate) fn v3_relation_payload(
         &self,
         id: RelationId,
@@ -727,71 +627,25 @@ impl Database {
             presence[(slot / 8) as usize] |= 1 << (slot % 8);
         }
 
-        // Which blocks must be re-encoded? All of them on an eager
-        // database; on a lazy one, only blocks whose tuples or
-        // back-reference lists changed, plus any block whose covered
-        // range grew with appends.
-        let parts = table.lazy_parts();
+        // Base blocks with a changed slot or reference list (without a
+        // base, every block is encoded and nothing is dirty-tracked).
         let mut dirty: FxHashSet<u32> = FxHashSet::default();
-        let (clean_source, lane) = match &parts {
-            None => (None, None),
-            Some(p) => {
-                for &slot in &p.overlay_slots {
-                    dirty.insert(slot / span);
-                }
-                if let BackRefsRepr::Lazy { overlay, .. } = &self.back_refs {
-                    for target in overlay.keys().filter(|r| r.relation == id) {
-                        dirty.insert(target.slot / span);
-                    }
-                }
-                if p.slot_count != p.base_slots {
-                    // Blocks ending past the old slot count now cover
-                    // more slots than the stored bytes do.
-                    let first_grown = p.base_slots / span;
-                    for b in first_grown..block_count {
-                        dirty.insert(b);
-                    }
-                }
-                let lane = if p.pk_dirty() {
-                    let (raw, _, _) = p.store.raw_pk_lane(p.rel)?;
-                    let mut entries = decode_lane(&raw)?;
-                    entries.retain(|e| !p.pk_deleted.contains(e));
-                    entries.extend_from_slice(&p.pk_added);
-                    Some(encode_lane(entries))
-                } else {
-                    None
-                };
-                (Some((Arc::clone(p.store), p.rel)), lane)
-            }
+        if table.base_store().is_some() {
+            dirty.extend(table.changed_slots().map(|slot| slot / span));
+            let touched = self.back_refs.keys().filter(|r| r.relation == id);
+            dirty.extend(touched.map(|target| target.slot / span));
+        }
+        let holds_appended = |b: u32| {
+            u64::from(slot_count).min(u64::from(b + 1) * u64::from(span))
+                > u64::from(table.base_slots())
         };
-
-        let pk_lane = match lane {
-            Some(bytes) => bytes,
-            None => match &clean_source {
-                Some((store, rel)) => store.raw_pk_lane(*rel)?.0,
-                None => {
-                    let entries = if table.schema().has_primary_key() {
-                        table
-                            .scan()
-                            .map(|(rid, t)| (table.pk_hash_of_row(t.values()), rid.slot))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    encode_lane(entries)
-                }
-            },
-        };
-
         let mut blocks = Vec::with_capacity(block_count as usize);
         for b in 0..block_count {
-            let reuse = match &clean_source {
-                Some((store, rel)) if !dirty.contains(&b) => Some(store.raw_block(*rel, b)?),
-                _ => None,
-            };
-            blocks.push(match reuse {
-                Some(raw) => raw,
-                None => {
+            blocks.push(match table.base_store() {
+                Some((store, rel)) if !holds_appended(b) && !dirty.contains(&b) => {
+                    store.raw_block(rel, b)?
+                }
+                _ => {
                     let first = b * span;
                     let end = slot_count.min(first.saturating_add(span));
                     let bytes = self.encode_block_range(id, first, end);
@@ -801,6 +655,7 @@ impl Database {
             });
         }
 
+        let pk_lane = table.pk_lane()?;
         Ok(RelationPayload {
             slot_count,
             live_count: table.len() as u64,
@@ -904,32 +759,6 @@ mod tests {
             writes.push(w);
         }
         (paper, authors, writes)
-    }
-
-    #[test]
-    fn install_links_rejects_inconsistent_back_references() {
-        let mut db = bib_db();
-        let (paper, _, writes) = seed_fig1(&mut db);
-        let links = |from: Rid, fk_index: usize| vec![(paper, vec![BackRef { from, fk_index }])];
-        // Writes has two foreign keys: #1 is valid, #7 names none.
-        db.install_links(links(writes[0], 1)).unwrap();
-        match db.install_links(links(writes[0], 7)) {
-            Err(StorageError::Corrupt(m)) => assert!(m.contains("foreign key"), "{m}"),
-            other => panic!("wild fk_index must be Corrupt, got {other:?}"),
-        }
-        // A reference from a slot that holds no live tuple.
-        let dead = Rid::new(writes[0].relation, 999);
-        match db.install_links(links(dead, 1)) {
-            Err(StorageError::Corrupt(m)) => assert!(m.contains("live"), "{m}"),
-            other => panic!("dead source rid must be Corrupt, got {other:?}"),
-        }
-        // A target listed twice would shadow its first entry.
-        let mut twice = links(writes[0], 1);
-        twice.extend(links(writes[1], 1));
-        assert!(matches!(
-            db.install_links(twice),
-            Err(StorageError::Corrupt(_))
-        ));
     }
 
     #[test]

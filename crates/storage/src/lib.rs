@@ -28,8 +28,10 @@
 //! `banks-persist` writes and reads. This crate supplies two of its
 //! sections — the DATA section ([`blocks`]) with the catalog's
 //! [schema text](schema) in its header, and the packed
-//! postings ([`postings`]) — and, for a bundle opened out of core, the
-//! lazy [`Database`] and [`LazyTextIndex`] that page them in.
+//! postings ([`postings`]). A loaded bundle's [`Database`] reads its
+//! tuples out of the DATA section's encoded blocks, held resident
+//! ([`ResidentTupleStore`]) or paged in; for a bundle opened out of core,
+//! [`LazyTextIndex`] pages postings in too.
 //!
 //! ## Quick example
 //!
@@ -67,7 +69,10 @@ pub mod tuple;
 pub mod value;
 
 pub use arena::{RowArena, StagedRows};
-pub use blocks::{DataLayout, TupleBlock, TupleStore, TupleStoreStats, BLOCK_SPAN};
+pub use blocks::{
+    DataDirectory, DataLayout, ResidentTupleStore, TupleBlock, TupleStore, TupleStoreStats,
+    BLOCK_SPAN,
+};
 pub use catalog::{BackRef, Database};
 pub use error::{StorageError, StorageResult};
 pub use metadata::{MetadataIndex, MetadataTarget};

@@ -1,6 +1,8 @@
-//! A single relation's stored tuples plus its primary-key index.
+//! A single relation's stored tuples plus its primary-key index: one
+//! representation, an optional block store (a bundle's DATA section)
+//! under an overlay of the slots changed or appended since open.
 
-use crate::blocks::TupleStore;
+use crate::blocks::{decode_lane, encode_lane, lane_candidates, RelationLayout, TupleStore};
 use crate::error::{StorageError, StorageResult};
 use crate::schema::RelationSchema;
 use crate::tuple::{RelationId, Rid, Tuple};
@@ -67,82 +69,55 @@ fn pk_map_unlink(map: &mut PkIndex, hash: u64, slot: u32) {
     }
 }
 
-/// Where a table's tuples live.
-///
-/// `Eager` is the classic fully-resident slot vector. `Lazy` fronts a
-/// [`TupleStore`] (typically `banks-pager`'s block-paged store): base
-/// slots page in on demand, and all mutation goes to an overlay keyed by
-/// slot, so an ingest epoch touches only the blocks it changes. Reads
-/// merge overlay-over-base; a base read decodes the one slot it needs
-/// out of the resident block and hands the decoded value to the caller
-/// to own (`Cow::Owned`), so it stays valid whatever the cache evicts.
+/// Relation `rel` of the block store a table was opened over.
 #[derive(Debug, Clone)]
-enum Repr {
-    Eager {
-        slots: Vec<Option<Tuple>>,
-        live: usize,
-        pk_index: PkIndex,
-    },
-    Lazy {
-        store: Arc<dyn TupleStore>,
-        rel: u32,
-        /// Slots present in the backing store; slots at or above this
-        /// are overlay appends.
-        base_slots: u32,
-        /// Current slot count (base + appends).
-        slot_count: u32,
-        live: usize,
-        /// Slot → current tuple (`None` = tombstoned). Appended slots
-        /// are always here; base slots appear once touched.
-        overlay: FxHashMap<u32, Option<Tuple>>,
-        /// PK index over overlay-appended rows only.
-        pk_overlay: PkIndex,
-        /// Base PK-lane entries masked out by deletes.
-        pk_deleted: FxHashSet<(u64, u32)>,
-    },
+struct Base {
+    store: Arc<dyn TupleStore>,
+    rel: u32,
 }
 
-/// Borrowed view of a lazy table's internals, for the copy-on-write
-/// v3 snapshot writer (see [`crate::blocks::encode_database_v3`]).
-pub(crate) struct LazyParts<'a> {
-    pub store: &'a Arc<dyn TupleStore>,
-    pub rel: u32,
-    pub base_slots: u32,
-    pub slot_count: u32,
-    /// Slots with overlay entries (touched base slots + all appends).
-    pub overlay_slots: Vec<u32>,
-    /// PK entries added since open (appended rows).
-    pub pk_added: Vec<(u64, u32)>,
-    /// Base PK-lane entries deleted since open.
-    pub pk_deleted: &'a FxHashSet<(u64, u32)>,
-}
-
-impl LazyParts<'_> {
-    /// Has the PK lane changed since open?
-    pub(crate) fn pk_dirty(&self) -> bool {
-        !self.pk_added.is_empty() || !self.pk_deleted.is_empty()
+impl Base {
+    fn layout(&self) -> &RelationLayout {
+        self.store.directory().relation(self.rel)
     }
 }
 
-/// Storage for one relation: a slot vector of tuples (deleted slots become
-/// `None`, so rids stay stable) and a hash index on the primary key.
+/// Storage for one relation: a block store plus an overlay. Deleted
+/// slots become tombstones, so rids stay stable.
 ///
-/// The index maps the Fx hash of a key to its slot(s) — the key values
-/// themselves are **not** duplicated out of the tuples. Lookups hash the
-/// probe key and confirm candidates against the stored tuple, so inserts
-/// and bundle restores never clone key values, and the index
-/// costs 12 bytes per tuple instead of a cloned `Vec<Value>`.
+/// * Slots below `base_slots` live in an optional base [`TupleStore`]
+///   (a bundle's DATA section, resident or paged). A base read decodes
+///   the one slot it needs out of its block and hands the caller the
+///   decoded value to own (`Cow::Owned`), so it stays valid whatever a
+///   paging store evicts. Base slots changed since open are kept in an
+///   overlay map.
+/// * Slots from `base_slots` on are appended: a dense slot vector. A
+///   table built by inserts has no base (`base_slots` is 0) and uses
+///   only this.
 ///
-/// A table opened from a paged bundle is *lazy*: the slot vector stays
-/// on disk as fixed-span blocks and pages in on first touch, the PK
-/// index is a sorted on-disk lane probed by hash, and mutations land in
-/// an overlay (see the private `Repr` enum). Every public accessor
-/// behaves identically in both representations.
+/// The primary-key index maps the Fx hash of a key to its slot(s) — the
+/// key values themselves are **not** duplicated out of the tuples.
+/// Lookups hash the probe key and confirm candidates against the stored
+/// tuple, so inserts never clone key values and the index costs 12
+/// bytes per tuple instead of a cloned `Vec<Value>`. Base rows are
+/// indexed by the store's sorted PK lane, with the entries of deleted
+/// base rows masked out; the hash index holds appended rows only.
 #[derive(Debug, Clone)]
 pub struct Table {
     id: RelationId,
     schema: RelationSchema,
-    repr: Repr,
+    base: Option<Base>,
+    /// Slots held by the base store; slots at or above this are appended.
+    base_slots: u32,
+    /// Slot `base_slots + i` is `appended[i]` (`None` = tombstoned).
+    appended: Vec<Option<Tuple>>,
+    /// Base slots changed since open (`None` = tombstoned).
+    changed: FxHashMap<u32, Option<Tuple>>,
+    live: usize,
+    /// PK index over appended rows.
+    pk_index: PkIndex,
+    /// Base PK-lane entries masked out by deletes.
+    pk_deleted: FxHashSet<(u64, u32)>,
 }
 
 impl Table {
@@ -151,72 +126,67 @@ impl Table {
         Table {
             id,
             schema,
-            repr: Repr::Eager {
-                slots: Vec::new(),
-                live: 0,
-                pk_index: PkIndex::default(),
-            },
-        }
-    }
-
-    /// Switch a fresh, empty table to the lazy representation over
-    /// `store`, which carries this relation at index `rel`.
-    pub(crate) fn make_lazy(&mut self, store: Arc<dyn TupleStore>, rel: u32) -> StorageResult<()> {
-        match &self.repr {
-            Repr::Eager { slots, .. } if slots.is_empty() => {}
-            _ => {
-                return Err(StorageError::Corrupt(format!(
-                    "relation `{}` must be empty to attach a tuple store",
-                    self.schema.name
-                )))
-            }
-        }
-        let base_slots = store.slot_count(rel);
-        let live = store.live_count(rel);
-        self.repr = Repr::Lazy {
-            store,
-            rel,
-            base_slots,
-            slot_count: base_slots,
-            live,
-            overlay: FxHashMap::default(),
-            pk_overlay: PkIndex::default(),
+            base: None,
+            base_slots: 0,
+            appended: Vec::new(),
+            changed: FxHashMap::default(),
+            live: 0,
+            pk_index: PkIndex::default(),
             pk_deleted: FxHashSet::default(),
-        };
-        Ok(())
+        }
     }
 
-    /// The lazy internals, if this table fronts a tuple store.
-    pub(crate) fn lazy_parts(&self) -> Option<LazyParts<'_>> {
-        match &self.repr {
-            Repr::Eager { .. } => None,
-            Repr::Lazy {
-                store,
-                rel,
-                base_slots,
-                slot_count,
-                overlay,
-                pk_overlay,
-                pk_deleted,
-                ..
-            } => Some(LazyParts {
-                store,
-                rel: *rel,
-                base_slots: *base_slots,
-                slot_count: *slot_count,
-                overlay_slots: overlay.keys().copied().collect(),
-                pk_added: pk_overlay
-                    .iter()
-                    .flat_map(|(&hash, e)| e.candidates().iter().map(move |&s| (hash, s)))
-                    .collect(),
-                pk_deleted,
-            }),
+    /// Put relation `rel` of `store` under this fresh table as its base.
+    pub(crate) fn set_base(&mut self, store: Arc<dyn TupleStore>, rel: u32) {
+        let base = Base { store, rel };
+        self.base_slots = base.layout().slot_count;
+        self.live = base.layout().live_count as usize;
+        self.base = Some(base);
+    }
+
+    /// Slots held by the base store.
+    pub(crate) fn base_slots(&self) -> u32 {
+        self.base_slots
+    }
+
+    /// Base slots whose tuple changed since open.
+    pub(crate) fn changed_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.changed.keys().copied()
+    }
+
+    /// The base store and this relation's index in it.
+    pub(crate) fn base_store(&self) -> Option<(&Arc<dyn TupleStore>, u32)> {
+        self.base.as_ref().map(|b| (&b.store, b.rel))
+    }
+
+    /// The encoded PK lane of the current rows: the base lane copied as
+    /// it is when no keyed row was added or deleted since open, else
+    /// rebuilt from its surviving entries plus the appended rows'.
+    pub(crate) fn pk_lane(&self) -> StorageResult<Vec<u8>> {
+        let base_lane = self
+            .base
+            .as_ref()
+            .map(|b| b.store.directory().pk_lane(b.rel));
+        if let Some(lane) =
+            base_lane.filter(|_| self.pk_index.is_empty() && self.pk_deleted.is_empty())
+        {
+            return Ok(lane.to_vec());
         }
+        let mut entries = match base_lane {
+            Some(lane) => decode_lane(lane)?,
+            None => Vec::new(),
+        };
+        entries.retain(|e| !self.pk_deleted.contains(e));
+        for (&hash, slots) in &self.pk_index {
+            entries.extend(slots.candidates().iter().map(|&slot| (hash, slot)));
+        }
+        Ok(encode_lane(entries))
     }
 
     /// Fx hash of a primary-key value sequence — also the hash stored in
-    /// the v3 PK lane, so lane probes and index probes agree.
-    pub(crate) fn pk_hash<'v>(key: impl Iterator<Item = &'v Value>) -> u64 {
+    /// the v3 PK lane, so lane probes and index probes agree. Values
+    /// encoded in a block hash alike ([`crate::blocks`]).
+    pub(crate) fn pk_hash<T: Hash>(key: impl Iterator<Item = T>) -> u64 {
         let mut h = FxHasher::default();
         for v in key {
             v.hash(&mut h);
@@ -241,39 +211,12 @@ impl Table {
             .all(|(&c, k)| &tuple.values()[c] == k)
     }
 
-    /// All slots whose primary-key hash is `hash` (unconfirmed
-    /// candidates, overlay-aware).
-    pub(crate) fn pk_candidates_by_hash(&self, hash: u64) -> Vec<u32> {
-        match &self.repr {
-            Repr::Eager { pk_index, .. } => pk_index
-                .get(&hash)
-                .map(|e| e.candidates().to_vec())
-                .unwrap_or_default(),
-            Repr::Lazy {
-                store,
-                rel,
-                pk_overlay,
-                pk_deleted,
-                ..
-            } => {
-                let mut c = store.pk_candidates(*rel, hash);
-                if !pk_deleted.is_empty() {
-                    c.retain(|&s| !pk_deleted.contains(&(hash, s)));
-                }
-                if let Some(e) = pk_overlay.get(&hash) {
-                    c.extend_from_slice(e.candidates());
-                }
-                c
-            }
-        }
-    }
-
     /// Find the live slot whose primary key equals `key` (hash →
     /// candidate confirmation). The key is borrowed — a foreign key's
-    /// columns of the referencing row, say — and on a resident table the
-    /// candidates are read in place, so a probe neither clones nor
-    /// allocates. The caller guarantees `key` yields one value per
-    /// primary-key column.
+    /// columns of the referencing row, say — and appended rows' candidates
+    /// are read in place, so a probe of a table built by inserts neither
+    /// clones nor allocates. The caller guarantees `key` yields one value
+    /// per primary-key column.
     pub(crate) fn pk_slot_by<'v, K>(&self, key: K) -> Option<u32>
     where
         K: Iterator<Item = &'v Value> + Clone,
@@ -287,15 +230,18 @@ impl Table {
         K: Iterator<Item = &'v Value> + Clone,
     {
         let matches = |&slot: &u32| self.slot_key_matches(slot, key.clone());
-        match &self.repr {
-            Repr::Eager { pk_index, .. } => pk_index
-                .get(&hash)?
-                .candidates()
-                .iter()
-                .copied()
-                .find(matches),
-            Repr::Lazy { .. } => self.pk_candidates_by_hash(hash).into_iter().find(matches),
+        let appended = self
+            .pk_index
+            .get(&hash)
+            .map_or(&[][..], PkSlots::candidates);
+        if let Some(slot) = appended.iter().copied().find(matches) {
+            return Some(slot);
         }
+        let base = self.base.as_ref()?;
+        lane_candidates(base.store.directory().pk_lane(base.rel), hash)
+            .into_iter()
+            .filter(|&slot| !self.pk_deleted.contains(&(hash, slot)))
+            .find(matches)
     }
 
     /// The catalog id of this relation.
@@ -310,9 +256,7 @@ impl Table {
 
     /// Number of live (non-deleted) tuples.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Eager { live, .. } | Repr::Lazy { live, .. } => *live,
-        }
+        self.live
     }
 
     /// Whether the table holds no live tuples.
@@ -322,10 +266,7 @@ impl Table {
 
     /// Number of slots ever allocated (live + deleted).
     pub fn slot_count(&self) -> usize {
-        match &self.repr {
-            Repr::Eager { slots, .. } => slots.len(),
-            Repr::Lazy { slot_count, .. } => *slot_count as usize,
-        }
+        self.base_slots as usize + self.appended.len()
     }
 
     /// Type/arity/nullability-check `values` against the schema.
@@ -362,98 +303,70 @@ impl Table {
     /// Insert a tuple that [`crate::Database::check_insert`] accepted;
     /// `hash` is the primary-key hash it returned.
     pub(crate) fn insert(&mut self, values: Vec<Value>, hash: Option<u64>) -> Rid {
-        match &mut self.repr {
-            Repr::Eager {
-                slots,
-                live,
-                pk_index,
-            } => {
-                let slot = u32::try_from(slots.len()).expect("more than u32::MAX tuples");
-                slots.push(Some(Tuple::new(values)));
-                *live += 1;
-                if let Some(hash) = hash {
-                    pk_map_link(pk_index, hash, slot);
-                }
-                Rid::new(self.id, slot)
-            }
-            Repr::Lazy {
-                slot_count,
-                live,
-                overlay,
-                pk_overlay,
-                ..
-            } => {
-                let slot = *slot_count;
-                *slot_count = slot.checked_add(1).expect("more than u32::MAX tuples");
-                overlay.insert(slot, Some(Tuple::new(values)));
-                *live += 1;
-                if let Some(hash) = hash {
-                    pk_map_link(pk_overlay, hash, slot);
-                }
-                Rid::new(self.id, slot)
-            }
+        let slot = u32::try_from(self.slot_count()).expect("more than u32::MAX tuples");
+        self.appended.push(Some(Tuple::new(values)));
+        self.live += 1;
+        if let Some(hash) = hash {
+            pk_map_link(&mut self.pk_index, hash, slot);
         }
+        Rid::new(self.id, slot)
     }
 
-    /// Fetch the tuple at `slot`, if live: borrowed from an eager table
-    /// or a lazy table's overlay, owned when a lazy table decodes it out
-    /// of its resident block.
+    /// Fetch the tuple at `slot`, if live: borrowed when appended or
+    /// changed since open, owned when decoded out of its base block.
     pub fn get(&self, slot: u32) -> Option<Cow<'_, Tuple>> {
-        match &self.repr {
-            Repr::Eager { slots, .. } => slots
-                .get(slot as usize)
-                .and_then(|t| t.as_ref())
-                .map(Cow::Borrowed),
-            Repr::Lazy {
-                store,
-                rel,
-                base_slots,
-                overlay,
-                ..
-            } => {
-                if let Some(entry) = overlay.get(&slot) {
-                    return entry.as_ref().map(Cow::Borrowed);
-                }
-                if slot >= *base_slots || !store.is_live(*rel, slot) {
-                    return None;
-                }
-                let block = store.block(*rel, slot / store.block_span());
-                block.tuple(slot).map(Cow::Owned)
-            }
+        if slot >= self.base_slots {
+            let appended = self.appended.get((slot - self.base_slots) as usize)?;
+            return appended.as_ref().map(Cow::Borrowed);
         }
+        if let Some(entry) = self.changed.get(&slot) {
+            return entry.as_ref().map(Cow::Borrowed);
+        }
+        let base = self.base.as_ref()?;
+        if !base.layout().is_live(slot) {
+            return None;
+        }
+        let block = base.store.block(base.rel, slot / base.store.block_span());
+        block.tuple(slot).map(Cow::Owned)
     }
 
     /// Is the slot live? Answered without decoding any block.
     pub(crate) fn is_live(&self, slot: u32) -> bool {
-        match &self.repr {
-            Repr::Eager { slots, .. } => slots.get(slot as usize).is_some_and(|t| t.is_some()),
-            Repr::Lazy {
-                store,
-                rel,
-                base_slots,
-                overlay,
-                ..
-            } => match overlay.get(&slot) {
-                Some(entry) => entry.is_some(),
-                None => slot < *base_slots && store.is_live(*rel, slot),
-            },
+        if slot >= self.base_slots {
+            let appended = self.appended.get((slot - self.base_slots) as usize);
+            return appended.is_some_and(Option::is_some);
+        }
+        match self.changed.get(&slot) {
+            Some(entry) => entry.is_some(),
+            None => self.base.as_ref().is_some_and(|b| b.layout().is_live(slot)),
         }
     }
 
-    /// Reverse references of the tuple at `slot` recorded in the backing
-    /// store of a lazy table, decoded out of its block (empty for an
-    /// eager table or an appended slot; overlay handling lives in
-    /// [`crate::Database::referencing`]).
+    /// Reverse references of the tuple at `slot` recorded in the base
+    /// store, decoded out of its block (empty for an appended slot;
+    /// references recorded since open live in
+    /// [`crate::Database::referencing`]'s overlay).
     pub(crate) fn base_refs(&self, slot: u32) -> Vec<crate::catalog::BackRef> {
-        match &self.repr {
-            Repr::Lazy {
-                store,
-                rel,
-                base_slots,
-                ..
-            } if slot < *base_slots => store.block(*rel, slot / store.block_span()).refs(slot),
+        match &self.base {
+            Some(b) if slot < self.base_slots => {
+                b.store.block(b.rel, slot / b.store.block_span()).refs(slot)
+            }
             _ => Vec::new(),
         }
+    }
+
+    /// The live tuple at `slot`, for mutation: an appended slot in place,
+    /// a base slot copied into the overlay of changed slots first.
+    fn get_mut(&mut self, slot: u32) -> Option<&mut Tuple> {
+        if slot >= self.base_slots {
+            let appended = self.appended.get_mut((slot - self.base_slots) as usize)?;
+            return appended.as_mut();
+        }
+        if !self.changed.contains_key(&slot) {
+            let tuple = self.get(slot)?.into_owned();
+            self.changed.insert(slot, Some(tuple));
+        }
+        self.changed.get_mut(&slot)?.as_mut()
     }
 
     /// Look up a tuple by its full primary-key value.
@@ -482,38 +395,18 @@ impl Table {
             .schema
             .has_primary_key()
             .then(|| self.pk_hash_of_row(tuple.values()));
-        match &mut self.repr {
-            Repr::Eager {
-                slots,
-                live,
-                pk_index,
-            } => {
-                slots[slot as usize] = None;
-                *live -= 1;
-                if let Some(hash) = hash {
-                    pk_map_unlink(pk_index, hash, slot);
-                }
+        self.live -= 1;
+        if slot >= self.base_slots {
+            self.appended[(slot - self.base_slots) as usize] = None;
+            if let Some(hash) = hash {
+                pk_map_unlink(&mut self.pk_index, hash, slot);
             }
-            Repr::Lazy {
-                base_slots,
-                live,
-                overlay,
-                pk_overlay,
-                pk_deleted,
-                ..
-            } => {
-                overlay.insert(slot, None);
-                *live -= 1;
-                if let Some(hash) = hash {
-                    if slot >= *base_slots {
-                        pk_map_unlink(pk_overlay, hash, slot);
-                    } else {
-                        // Base rows never enter the overlay PK index
-                        // (PK columns are immutable), so masking the
-                        // lane entry suffices.
-                        pk_deleted.insert((hash, slot));
-                    }
-                }
+        } else {
+            self.changed.insert(slot, None);
+            if let Some(hash) = hash {
+                // Base rows never enter the hash index (PK columns are
+                // immutable), so masking the lane entry suffices.
+                self.pk_deleted.insert((hash, slot));
             }
         }
         Ok(tuple)
@@ -553,124 +446,15 @@ impl Table {
                 actual: value.to_string(),
             });
         }
-        match &mut self.repr {
-            Repr::Eager { slots, .. } => {
-                let tuple = slots
-                    .get_mut(slot as usize)
-                    .and_then(|t| t.as_mut())
-                    .ok_or_else(|| StorageError::InvalidRid(format!("slot {slot} not live")))?;
-                *tuple.get_mut(column).expect("arity checked at insert") = value;
-                Ok(())
-            }
-            Repr::Lazy { .. } => {
-                let mut tuple = self
-                    .get(slot)
-                    .map(Cow::into_owned)
-                    .ok_or_else(|| StorageError::InvalidRid(format!("slot {slot} not live")))?;
-                *tuple.get_mut(column).expect("arity checked at insert") = value;
-                let Repr::Lazy { overlay, .. } = &mut self.repr else {
-                    unreachable!("matched above")
-                };
-                overlay.insert(slot, Some(tuple));
-                Ok(())
-            }
-        }
-    }
-
-    /// Restore a deserialized slot vector wholesale, **preserving slot
-    /// numbers** (deleted slots stay `None`), and rebuild the live count
-    /// and primary-key index. This is the full bundle load path: rids
-    /// recorded in the bundle's graph and text-index sections stay
-    /// valid only if every tuple lands in its original slot, so the
-    /// normal [`Table::insert`] (which compacts) cannot be used.
-    ///
-    /// Tuples are arity-checked (a short tuple would make later column
-    /// access panic) and the primary-key index must come out
-    /// collision-free; a violation means the serialized bytes were not
-    /// produced from a consistent table and is reported as
-    /// [`StorageError::Corrupt`]. Deep per-value type checks are skipped
-    /// on this path (debug builds still run them): the v3 DATA section is
-    /// checksummed and written by [`crate::blocks::encode_database_v3`]
-    /// from an already-validated table, and restore latency is the whole
-    /// point of snapshot bundles.
-    pub(crate) fn restore_slots(&mut self, slots: Vec<Option<Tuple>>) -> StorageResult<()> {
-        debug_assert!(
-            matches!(&self.repr, Repr::Eager { slots, .. } if slots.is_empty()),
-            "restore into a fresh table only"
-        );
-        let mut live = 0usize;
-        let mut pk_index = PkIndex::default();
-        pk_index.reserve(if self.schema.has_primary_key() {
-            slots.len()
-        } else {
-            0
-        });
-        for (slot, tuple) in slots.iter().enumerate() {
-            let Some(tuple) = tuple else { continue };
-            if tuple.arity() != self.schema.arity() {
-                return Err(StorageError::Corrupt(format!(
-                    "restored tuple in `{}` has arity {}, schema says {}",
-                    self.schema.name,
-                    tuple.arity(),
-                    self.schema.arity()
-                )));
-            }
-            #[cfg(debug_assertions)]
-            self.check_values(tuple.values())
-                .map_err(|e| StorageError::Corrupt(format!("restored tuple invalid: {e}")))?;
-            live += 1;
-            if self.schema.has_primary_key() {
-                let hash =
-                    Self::pk_hash(self.schema.primary_key.iter().map(|&c| &tuple.values()[c]));
-                let clash = match pk_index.entry(hash) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(PkSlots::One(slot as u32));
-                        false
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        // Same hash: a true duplicate key is corruption;
-                        // a mere collision between distinct keys widens
-                        // the entry. Confirm against the earlier tuples.
-                        let duplicate = e.get().candidates().iter().any(|&earlier| {
-                            let other = slots[earlier as usize]
-                                .as_ref()
-                                .expect("indexed slots are live");
-                            self.schema
-                                .primary_key
-                                .iter()
-                                .all(|&c| other.values()[c] == tuple.values()[c])
-                        });
-                        if !duplicate {
-                            match e.get_mut() {
-                                PkSlots::One(existing) => {
-                                    let existing = *existing;
-                                    e.insert(PkSlots::Many(vec![existing, slot as u32]));
-                                }
-                                PkSlots::Many(list) => list.push(slot as u32),
-                            }
-                        }
-                        duplicate
-                    }
-                };
-                if clash {
-                    return Err(StorageError::Corrupt(format!(
-                        "duplicate primary key in restored relation `{}`",
-                        self.schema.name
-                    )));
-                }
-            }
-        }
-        self.repr = Repr::Eager {
-            slots,
-            live,
-            pk_index,
-        };
+        let tuple = self
+            .get_mut(slot)
+            .ok_or_else(|| StorageError::InvalidRid(format!("slot {slot} not live")))?;
+        *tuple.get_mut(column).expect("arity checked at insert") = value;
         Ok(())
     }
 
     /// Iterate over the slot numbers of live tuples, in slot order —
-    /// answered from presence information alone, with no block decodes
-    /// on a lazy table.
+    /// answered from presence information alone, with no block decodes.
     pub fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.slot_count() as u32).filter(move |&slot| self.is_live(slot))
     }

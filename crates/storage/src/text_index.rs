@@ -77,7 +77,7 @@ type TermMap = FxFoldHashMap<String, Vec<Posting>>;
 enum Repr {
     /// Looked up per query term; built from the database or
     /// materialized from packed postings.
-    Eager(TermMap),
+    Map(TermMap),
     /// Shared lazy view of a packed payload (Arc: clones share the
     /// posting cache).
     Lazy(Arc<crate::postings::LazyTextIndex>),
@@ -85,7 +85,7 @@ enum Repr {
 
 impl Default for Repr {
     fn default() -> Self {
-        Repr::Eager(TermMap::default())
+        Repr::Map(TermMap::default())
     }
 }
 
@@ -149,7 +149,7 @@ impl TextIndex {
             });
         });
         let mut index = TextIndex {
-            repr: Repr::Eager(map),
+            repr: Repr::Map(map),
         };
         index.finish();
         index
@@ -171,7 +171,7 @@ impl TextIndex {
     pub fn lazy_cache_stats(&self) -> Option<(usize, usize, usize)> {
         match &self.repr {
             Repr::Lazy(l) => Some(l.cache_stats()),
-            Repr::Eager(_) => None,
+            Repr::Map(_) => None,
         }
     }
 
@@ -183,10 +183,10 @@ impl TextIndex {
             let entries = lazy
                 .materialize()
                 .expect("packed postings source torn after open");
-            self.repr = Repr::Eager(entries.into_iter().collect());
+            self.repr = Repr::Map(entries.into_iter().collect());
         }
         match &mut self.repr {
-            Repr::Eager(map) => map,
+            Repr::Map(map) => map,
             Repr::Lazy(_) => unreachable!("materialized above"),
         }
     }
@@ -256,7 +256,7 @@ impl TextIndex {
         I: IntoIterator<Item = (String, Vec<Posting>)>,
     {
         TextIndex {
-            repr: Repr::Eager(
+            repr: Repr::Map(
                 entries
                     .into_iter()
                     .filter(|(_, list)| !list.is_empty())
@@ -278,7 +278,7 @@ impl TextIndex {
     /// Postings for `token` (already lowercased by the tokenizer).
     pub fn lookup(&self, token: &str) -> Postings<'_> {
         match &self.repr {
-            Repr::Eager(map) => Postings::Borrowed(map.get(token).map_or(&[], Vec::as_slice)),
+            Repr::Map(map) => Postings::Borrowed(map.get(token).map_or(&[], Vec::as_slice)),
             Repr::Lazy(lazy) => lazy
                 .lookup(token)
                 .map_or(Postings::Borrowed(&[]), Postings::Shared),
@@ -310,7 +310,7 @@ impl TextIndex {
     /// Number of distinct tokens.
     pub fn distinct_tokens(&self) -> usize {
         match &self.repr {
-            Repr::Eager(map) => map.len(),
+            Repr::Map(map) => map.len(),
             Repr::Lazy(lazy) => lazy.distinct_tokens(),
         }
     }
@@ -318,7 +318,7 @@ impl TextIndex {
     /// Total number of postings across all tokens.
     pub fn posting_count(&self) -> usize {
         match &self.repr {
-            Repr::Eager(map) => map.values().map(|v| v.len()).sum(),
+            Repr::Map(map) => map.values().map(|v| v.len()).sum(),
             Repr::Lazy(lazy) => lazy.posting_count(),
         }
     }
@@ -326,7 +326,7 @@ impl TextIndex {
     /// Iterate over all distinct tokens (used by approximate matching).
     pub fn tokens(&self) -> impl Iterator<Item = &str> + '_ {
         let iter: Box<dyn Iterator<Item = &str> + '_> = match &self.repr {
-            Repr::Eager(map) => Box::new(map.keys().map(|s| s.as_str())),
+            Repr::Map(map) => Box::new(map.keys().map(|s| s.as_str())),
             Repr::Lazy(lazy) => Box::new(lazy.tokens()),
         };
         iter
@@ -337,7 +337,7 @@ impl TextIndex {
     /// supporting the paper's §5.2 space accounting.
     pub fn memory_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Eager(map) => {
+            Repr::Map(map) => {
                 let mut bytes = 0usize;
                 for (k, v) in map {
                     bytes += k.len() + std::mem::size_of::<String>();

@@ -6,8 +6,10 @@
 use banks_core::{Banks, ConnectionTree};
 use banks_datagen::dblp::{generate, DblpConfig};
 use banks_graph::NodeId;
-use banks_storage::blocks::{decode_database_v3, encode_database_v3};
-use banks_storage::{ColumnType, Database, RelationSchema, Tokenizer, Value};
+use banks_storage::blocks::encode_database_v3;
+use banks_storage::{
+    ColumnType, Database, RelationSchema, ResidentTupleStore, Tokenizer, TupleStore, Value,
+};
 use proptest::prelude::*;
 
 // ---------- storage mutation fuzzing -------------------------------------
@@ -143,7 +145,9 @@ proptest! {
             )
             .unwrap();
         }
-        let reloaded = decode_database_v3(&encode_database_v3(&db).unwrap()).unwrap();
+        let store = ResidentTupleStore::open(&encode_database_v3(&db).unwrap()).unwrap();
+        let schema_text = store.directory().layout.schema_text.clone();
+        let reloaded = Database::open_lazy(&schema_text, store).unwrap();
         prop_assert_eq!(reloaded.relation("T").unwrap().len(), rows.len());
         for (rid, tuple) in db.relation("T").unwrap().scan() {
             let key = vec![tuple.values()[0].clone()];
