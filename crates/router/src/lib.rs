@@ -445,7 +445,7 @@ fn search_affinity(params: &[(String, String)]) -> u64 {
     let q = query_param(params, "q").unwrap_or("");
     let key = QueryKey::normalize(q, QueryOptions::default(), 0, 0);
     let mut h = FxHasher::default();
-    for term in &key.terms {
+    for term in key.terms() {
         h.write(term.as_bytes());
         h.write_u8(0xff);
     }

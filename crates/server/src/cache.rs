@@ -5,19 +5,27 @@
 //! and over), so a small cache absorbs most of the load. The cache is
 //! split into independently locked shards — a query only contends with
 //! queries hashing to the same shard — and every shard keeps an exact
-//! LRU order via an intrusive doubly-linked list over a slab, so both
-//! `get` and `insert` are O(1).
+//! LRU order via an intrusive doubly-linked list over a dense slot
+//! vector, so both `get` and `insert` are O(1).
+//!
+//! A shard stores each key once, in its slot: the lookup index is an
+//! open-addressing table of slot numbers, not a `HashMap` holding a
+//! second copy of every key. Slots are reserved as entries arrive, never
+//! past a shard's capacity. [`ShardedLruCache::table_bytes`] counts the
+//! shards, slots and buckets; with what each entry owns beyond its slot
+//! (summed by [`ShardedLruCache::fold`], O(1) an entry for the service's
+//! results) that is `/stats` `cache.bytes`, an upper bound on what the
+//! cache holds.
 //!
 //! Counters (hits, misses, insertions, evictions) are lock-free atomics
 //! observable while the cache is under load; `/stats` reports them.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Sentinel for "no slot" in the intrusive list.
-const NIL: usize = usize::MAX;
+/// Sentinel for "no slot" in the intrusive list and the index.
+const NIL: u32 = u32::MAX;
 
 /// Snapshot of cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,56 +60,138 @@ impl CacheStats {
     }
 }
 
+/// One live entry. The key lives here and nowhere else: the shard's
+/// index holds slot numbers, not keys.
 struct Slot<K, V> {
     key: K,
     value: V,
-    prev: usize,
-    next: usize,
+    /// The key's hash: its home bucket in the index, and a cheap
+    /// pre-check before `==`.
+    hash: u64,
+    prev: u32,
+    next: u32,
 }
 
 /// One shard: an exact-LRU map guarded by its own mutex.
+///
+/// `slots` is dense — slot `i` is the `i`-th live entry, and removing
+/// one moves the last slot into its place — so a removed entry's key and
+/// value are dropped at once and the shard holds no free list.
+/// `buckets` is an open-addressing index over the slots (linear probing,
+/// a power-of-two length kept at most 7/8 full, backward-shift
+/// deletion).
 struct Shard<K, V> {
-    map: HashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
-    free: Vec<usize>,
+    buckets: Box<[u32]>,
     /// Most recently used.
-    head: usize,
+    head: u32,
     /// Least recently used (eviction end).
-    tail: usize,
+    tail: u32,
     capacity: usize,
 }
+
+/// Buckets of an empty shard; the index doubles as entries arrive.
+const MIN_BUCKETS: usize = 8;
 
 impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     fn new(capacity: usize) -> Self {
         Shard {
-            map: HashMap::with_capacity(capacity.min(1024)),
-            slots: Vec::with_capacity(capacity.min(1024)),
-            free: Vec::new(),
+            slots: Vec::new(),
+            buckets: vec![NIL; MIN_BUCKETS].into_boxed_slice(),
             head: NIL,
             tail: NIL,
             capacity,
         }
     }
 
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
+    }
+
+    /// The bucket holding the entry for `key`, if any.
+    fn find(&self, hash: u64, key: &K) -> Option<usize> {
+        let mask = self.mask();
+        let mut pos = hash as usize & mask;
+        loop {
+            let idx = self.buckets[pos];
+            if idx == NIL {
+                return None;
+            }
+            let slot = &self.slots[idx as usize];
+            if slot.hash == hash && slot.key == *key {
+                return Some(pos);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// The bucket holding slot `idx` (which must be live).
+    fn bucket_of(&self, idx: u32) -> usize {
+        let mask = self.mask();
+        let mut pos = self.slots[idx as usize].hash as usize & mask;
+        while self.buckets[pos] != idx {
+            pos = (pos + 1) & mask;
+        }
+        pos
+    }
+
+    /// Point the first free bucket of `hash`'s probe run at `idx`.
+    fn place(&mut self, hash: u64, idx: u32) {
+        let mask = self.mask();
+        let mut pos = hash as usize & mask;
+        while self.buckets[pos] != NIL {
+            pos = (pos + 1) & mask;
+        }
+        self.buckets[pos] = idx;
+    }
+
+    /// Empty bucket `pos`, shifting later members of its probe run back
+    /// so every lookup still reaches its entry without tombstones.
+    fn erase_bucket(&mut self, pos: usize) {
+        let mask = self.mask();
+        let mut hole = pos;
+        let mut next = (pos + 1) & mask;
+        loop {
+            let idx = self.buckets[next];
+            if idx == NIL {
+                break;
+            }
+            let home = self.slots[idx as usize].hash as usize & mask;
+            // The entry may fill the hole if the hole lies on its probe
+            // path, i.e. no farther from its home than its own bucket.
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.buckets[hole] = idx;
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.buckets[hole] = NIL;
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next) = {
+            let slot = &self.slots[idx as usize];
+            (slot.prev, slot.next)
+        };
         if prev == NIL {
             self.head = next;
         } else {
-            self.slots[prev].next = next;
+            self.slots[prev as usize].next = next;
         }
         if next == NIL {
             self.tail = prev;
         } else {
-            self.slots[next].prev = prev;
+            self.slots[next as usize].prev = prev;
         }
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = idx;
+    fn push_front(&mut self, idx: u32) {
+        let head = self.head;
+        let slot = &mut self.slots[idx as usize];
+        slot.prev = NIL;
+        slot.next = head;
+        if head != NIL {
+            self.slots[head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -109,76 +199,112 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<V> {
-        let idx = *self.map.get(key)?;
+    fn get(&mut self, hash: u64, key: &K) -> Option<V> {
+        let idx = self.buckets[self.find(hash, key)?];
         self.unlink(idx);
         self.push_front(idx);
-        Some(self.slots[idx].value.clone())
+        Some(self.slots[idx as usize].value.clone())
     }
 
     /// Borrow the entry for `key` without touching its recency.
-    fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.slots[idx].value)
+    fn peek(&self, hash: u64, key: &K) -> Option<&V> {
+        let pos = self.find(hash, key)?;
+        Some(&self.slots[self.buckets[pos] as usize].value)
+    }
+
+    /// Drop the entry in bucket `pos`, moving the last slot into its
+    /// place.
+    fn remove_at(&mut self, pos: usize) {
+        let idx = self.buckets[pos];
+        self.unlink(idx);
+        self.erase_bucket(pos);
+        let last = (self.slots.len() - 1) as u32;
+        if idx != last {
+            let bucket = self.bucket_of(last);
+            self.buckets[bucket] = idx;
+            let (prev, next) = {
+                let moved = &self.slots[last as usize];
+                (moved.prev, moved.next)
+            };
+            if prev == NIL {
+                self.head = idx;
+            } else {
+                self.slots[prev as usize].next = idx;
+            }
+            if next == NIL {
+                self.tail = idx;
+            } else {
+                self.slots[next as usize].prev = idx;
+            }
+        }
+        self.slots.swap_remove(idx as usize);
     }
 
     /// Drop the entry for `key`, if present.
-    fn remove(&mut self, key: &K) {
-        if let Some(idx) = self.map.remove(key) {
-            self.unlink(idx);
-            self.free.push(idx);
+    fn remove(&mut self, hash: u64, key: &K) {
+        if let Some(pos) = self.find(hash, key) {
+            self.remove_at(pos);
         }
     }
 
     /// Insert or overwrite; returns whether an entry was evicted.
-    fn insert(&mut self, key: K, value: V) -> bool {
-        if let Some(&idx) = self.map.get(&key) {
-            self.slots[idx].value = value;
+    fn insert(&mut self, hash: u64, key: K, value: V) -> bool {
+        if let Some(pos) = self.find(hash, &key) {
+            let idx = self.buckets[pos];
+            self.slots[idx as usize].value = value;
             self.unlink(idx);
             self.push_front(idx);
             return false;
         }
         let mut evicted = false;
-        if self.map.len() >= self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
-            self.free.push(victim);
+        if self.slots.len() >= self.capacity {
+            debug_assert_ne!(self.tail, NIL);
+            let pos = self.bucket_of(self.tail);
+            self.remove_at(pos);
             evicted = true;
         }
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
-                idx
+        if self.slots.len() == self.slots.capacity() {
+            // Double, but never past the shard's capacity.
+            let more = self
+                .slots
+                .len()
+                .max(4)
+                .min(self.capacity - self.slots.len());
+            self.slots.reserve_exact(more);
+        }
+        if (self.slots.len() + 1) * 8 > self.buckets.len() * 7 {
+            self.buckets = vec![NIL; self.buckets.len() * 2].into_boxed_slice();
+            for i in 0..self.slots.len() {
+                self.place(self.slots[i].hash, i as u32);
             }
-            None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, idx);
+        }
+        let idx = self.slots.len() as u32;
+        self.slots.push(Slot {
+            key,
+            value,
+            hash,
+            prev: NIL,
+            next: NIL,
+        });
+        self.place(hash, idx);
         self.push_front(idx);
         evicted
+    }
+
+    /// Bytes of the shard's own tables: every reserved slot (keys and
+    /// values inline) and every bucket.
+    fn table_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<Slot<K, V>>() + self.buckets.len() * size_of::<u32>()
     }
 
     /// Keys from most to least recently used (test/debug aid).
     #[cfg(test)]
     fn lru_order(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.slots.len());
         let mut idx = self.head;
         while idx != NIL {
-            out.push(self.slots[idx].key.clone());
-            idx = self.slots[idx].next;
+            out.push(self.slots[idx as usize].key.clone());
+            idx = self.slots[idx as usize].next;
         }
         out
     }
@@ -233,7 +359,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// exceed the requested `capacity` by up to `shards - 1` entries.
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shard_count = shards.max(1).next_power_of_two();
-        let per_shard = capacity.max(1).div_ceil(shard_count);
+        // Slot numbers are `u32`, one value short of the sentinel.
+        let per_shard = capacity.max(1).div_ceil(shard_count).min(NIL as usize - 1);
         ShardedLruCache {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(Shard::new(per_shard)))
@@ -248,11 +375,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         }
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        // High bits pick the shard so the map's low-bit bucketing inside
-        // a shard stays independent of shard selection.
-        let idx = (self.hasher.hash_one(key) >> 32) as usize & (self.shards.len() - 1);
-        &self.shards[idx]
+    /// The key's hash and its shard. High bits pick the shard so the
+    /// index's low-bit bucketing inside a shard stays independent of
+    /// shard selection.
+    fn shard_of(&self, key: &K) -> (u64, &Mutex<Shard<K, V>>) {
+        let hash = self.hasher.hash_one(key);
+        let idx = (hash >> 32) as usize & (self.shards.len() - 1);
+        (hash, &self.shards[idx])
     }
 
     /// Look up a key, letting `judge` decide what to do with a found
@@ -270,12 +399,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// current readers.
     pub fn get_validate(&self, key: &K, judge: impl FnOnce(&V) -> Validity) -> CacheLookup<V> {
         let outcome = {
-            let mut shard = self.shard_of(key).lock().expect("cache lock");
-            match shard.get(key) {
+            let (hash, shard) = self.shard_of(key);
+            let mut shard = shard.lock().expect("cache lock");
+            match shard.get(hash, key) {
                 Some(v) => match judge(&v) {
                     Validity::Valid => CacheLookup::Hit(v),
                     Validity::Stale => {
-                        shard.remove(key);
+                        shard.remove(hash, key);
                         CacheLookup::Stale
                     }
                     Validity::Newer => CacheLookup::Newer,
@@ -312,13 +442,14 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// that pinned an old snapshot, missed, and computed slowly must not
     /// clobber the newer-epoch result another reader cached meanwhile.
     pub fn insert_if(&self, key: K, value: V, may_replace: impl FnOnce(&V) -> bool) {
-        let mut shard = self.shard_of(&key).lock().expect("cache lock");
-        if let Some(existing) = shard.peek(&key) {
+        let (hash, shard) = self.shard_of(&key);
+        let mut shard = shard.lock().expect("cache lock");
+        if let Some(existing) = shard.peek(hash, &key) {
             if !may_replace(existing) {
                 return;
             }
         }
-        let evicted = shard.insert(key, value);
+        let evicted = shard.insert(hash, key, value);
         drop(shard);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted {
@@ -330,7 +461,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache lock").map.len())
+            .map(|s| s.lock().expect("cache lock").slots.len())
             .sum()
     }
 
@@ -340,11 +471,26 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &K, &V) -> A) -> A {
         self.shards.iter().fold(init, |acc, shard| {
             let shard = shard.lock().expect("cache lock");
-            shard.map.values().fold(acc, |acc, &idx| {
-                let slot = &shard.slots[idx];
-                f(acc, &slot.key, &slot.value)
-            })
+            shard
+                .slots
+                .iter()
+                .fold(acc, |acc, slot| f(acc, &slot.key, &slot.value))
         })
+    }
+
+    /// Bytes of the cache's own tables: the shards, every reserved slot
+    /// (each key and value inline, once) and every index bucket. Add
+    /// what each live entry owns beyond its slot (via [`Self::fold`])
+    /// for all the cache holds; reserved-but-empty slots and buckets
+    /// count too, so that sum bounds the cache's heap from above,
+    /// allocator headers aside.
+    pub fn table_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                size_of::<Mutex<Shard<K, V>>>() + shard.lock().expect("cache lock").table_bytes()
+            })
+            .sum()
     }
 
     /// Total capacity in entries.
@@ -574,6 +720,74 @@ mod tests {
         assert_eq!(cache.fold(0, |sum, &k, _| sum + k), 2 + 3 + 4);
         assert_eq!(cache.stats(), before);
         assert_eq!(cache.lru_order_of_shard(0), order);
+    }
+
+    #[test]
+    fn table_bytes_count_reserved_slots_and_buckets() {
+        // A slot is the key, the value, the hash and two links.
+        let slot = size_of::<Slot<u32, u32>>();
+        assert_eq!(slot, 4 + 4 + 8 + 4 + 4);
+        let shard = size_of::<Mutex<Shard<u32, u32>>>();
+        let cache: ShardedLruCache<u32, u32> = ShardedLruCache::new(6, 1);
+        // Empty: no slots, eight buckets.
+        assert_eq!(cache.table_bytes(), shard + 8 * 4);
+        for k in 0..5 {
+            cache.insert(k, k);
+        }
+        // Five entries: slots reserved 4 then 6 (the shard's capacity),
+        // still eight buckets (at most 7/8 full).
+        assert_eq!(cache.table_bytes(), shard + 6 * slot + 8 * 4);
+        // The sixth fills the shard.
+        cache.insert(5, 5);
+        assert_eq!(cache.table_bytes(), shard + 6 * slot + 8 * 4);
+        // Evictions reuse what is reserved.
+        for k in 6..40 {
+            cache.insert(k, k);
+        }
+        assert_eq!(cache.table_bytes(), shard + 6 * slot + 8 * 4);
+    }
+
+    /// A model check of the index and the dense slots: random inserts,
+    /// overwrites, lookups and invalidations against a plain map with
+    /// an explicit recency list, on a shard small enough to evict and
+    /// to collide often.
+    #[test]
+    fn random_operations_match_a_model_lru() {
+        let mut rng = proptest::test_rng("cache::random_operations_match_a_model_lru", 0);
+        for capacity in [1usize, 2, 5, 13, 40] {
+            let cache: ShardedLruCache<u64, u64> = ShardedLruCache::new(capacity, 1);
+            // Most recent first.
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            for step in 0..4000u64 {
+                let key = rng.below(capacity as u64 * 3);
+                match rng.below(4) {
+                    0 | 1 => {
+                        cache.insert(key, step);
+                        model.retain(|&(k, _)| k != key);
+                        model.insert(0, (key, step));
+                        model.truncate(capacity);
+                    }
+                    2 => {
+                        let want = model.iter().position(|&(k, _)| k == key);
+                        assert_eq!(cache.get(&key), want.map(|i| model[i].1));
+                        if let Some(i) = want {
+                            let entry = model.remove(i);
+                            model.insert(0, entry);
+                        }
+                    }
+                    _ => {
+                        let _ = cache.get_validate(&key, |_| Validity::Stale);
+                        model.retain(|&(k, _)| k != key);
+                    }
+                }
+                let keys: Vec<u64> = model.iter().map(|&(k, _)| k).collect();
+                assert_eq!(
+                    cache.lru_order_of_shard(0),
+                    keys,
+                    "capacity {capacity}, step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::metrics::{
     install_queue_metrics, install_service_metrics, install_store_metrics, ServerMetrics,
 };
 use crate::service::{with_worker_reader, QueryOptions, QueryService};
-use banks_core::{SearchStrategy, StopReason};
+use banks_core::{Answer, Banks, SearchStats, SearchStrategy, StopReason};
 use banks_graph::{GraphReader, NodeId};
 use banks_ingest::DeltaBatch;
 use banks_telemetry::Registry;
@@ -539,13 +539,15 @@ fn handle_search(
     // snapshot may already be a newer epoch by the time this executes.
     let render_t0 = Instant::now();
     let rendered;
+    let result = &response.result;
     let fragment: &str = if response.cached {
-        response
-            .result
-            .http_fragment
-            .get_or_init(|| answers_fragment(&response.banks, &response.result).into())
+        // The first hit decodes the entry's record into this response
+        // and renders it; later hits read the memoized fragment.
+        result.http_fragment.get_or_init(|| {
+            answers_fragment(&response.banks, &result.answers, &result.stats).into()
+        })
     } else {
-        rendered = answers_fragment(&response.banks, &response.result);
+        rendered = answers_fragment(&response.banks, &result.answers, &result.stats);
         &rendered
     };
     let render_ns = render_t0.elapsed().as_nanos() as u64;
@@ -557,9 +559,8 @@ fn handle_search(
             Json::Arr(
                 response
                     .key
-                    .terms
-                    .iter()
-                    .map(|t| Json::Str(t.clone()))
+                    .terms()
+                    .map(|t| Json::Str(t.to_string()))
                     .collect(),
             ),
         ),
@@ -651,18 +652,16 @@ fn handle_slow(params: &[(String, String)], service: &QueryService) -> Response 
 /// Serialize the cacheable part of a search response:
 /// `"count":…,"answers":[…],"search_stats":{…}` (no braces), against
 /// the snapshot that computed it.
-fn answers_fragment(banks: &banks_core::Banks, result: &crate::service::CachedResult) -> String {
+fn answers_fragment(banks: &Banks, answers: &[Answer], stats: &SearchStats) -> String {
     // One reader for the whole answer set: the roots' degree reads take
     // each (direction, segment) from the graph's store once.
     let answers: Vec<Json> = with_worker_reader(banks.tuple_graph().graph(), |graph| {
-        result
-            .answers
+        answers
             .iter()
             .enumerate()
             .map(|(rank, answer)| answer_json(banks, graph, rank, answer))
             .collect()
     });
-    let stats = &result.stats;
     format!(
         r#""count":{},"answers":{},"search_stats":{}"#,
         answers.len(),
@@ -683,12 +682,7 @@ fn answers_fragment(banks: &banks_core::Banks, result: &crate::service::CachedRe
 
 /// One ranked answer of a search response, its root read through
 /// `graph`.
-fn answer_json(
-    banks: &banks_core::Banks,
-    graph: GraphReader<'_>,
-    rank: usize,
-    answer: &banks_core::Answer,
-) -> Json {
+fn answer_json(banks: &Banks, graph: GraphReader<'_>, rank: usize, answer: &Answer) -> Json {
     let tree = &answer.tree;
     Json::obj([
         ("rank", Json::Uint(rank as u64 + 1)),
@@ -743,7 +737,7 @@ fn handle_node(params: &[(String, String)], service: &QueryService) -> Response 
 /// and connectivity — enough for a client to browse the neighbourhood.
 /// The degrees are read through `graph`, a reader of the snapshot's
 /// graph.
-fn node_json(banks: &banks_core::Banks, graph: GraphReader<'_>, node: NodeId) -> Json {
+fn node_json(banks: &Banks, graph: GraphReader<'_>, node: NodeId) -> Json {
     let tg = banks.tuple_graph();
     let rid = tg.rid(node);
     let table = banks.db().table(rid.relation);

@@ -46,6 +46,7 @@ pub mod cache;
 pub mod http;
 pub mod ingest;
 pub mod metrics;
+mod record;
 pub mod service;
 
 pub use cache::{CacheStats, ShardedLruCache};

@@ -210,7 +210,7 @@ fn service_families(service: &QueryService) -> Vec<CollectedFamily> {
         ),
         CollectedFamily::scalar(
             "banks_cache_bytes",
-            "Heap bytes held by resident result-cache entries.",
+            "Bytes the result cache holds: slots, index buckets, keys, entries, answer records, spans and memoized JSON.",
             g,
             stats.cache_bytes as f64,
         ),

@@ -13,13 +13,27 @@
 //! entries are stamped with their snapshot's epoch and invalidated
 //! lazily on lookup after a publish, entry by entry, instead of being
 //! flushed wholesale.
+//!
+//! A cache entry ([`CachedResult`]) is one compact record: the ranked
+//! answers varint-coded in one exact-size byte string (~0.5 KiB for ten
+//! answers on a `datagen` 10K corpus), beside the run's counters and
+//! spans. A miss renders its response from the kernel's answers and
+//! encodes the record once, for the insert; the first hit decodes the
+//! record into its own response ([`Answers`]) and the HTTP layer
+//! memoizes the rendered JSON; a memoized hit decodes nothing. The key
+//! ([`QueryKey`]) keeps its normalized terms in one allocation and is
+//! stored once, in its cache slot. `/stats` `cache.bytes` counts the
+//! cache's slots and index buckets plus each entry's terms, `Arc`
+//! allocation, record, spans and memoized JSON — every allocation the
+//! cache owns — in O(1) an entry.
 
 use crate::cache::{CacheLookup, CacheStats, ShardedLruCache};
+use crate::record;
 use banks_core::{
     Answer, Banks, BanksResult, CombineMode, EdgeScoreMode, NodeScoreMode, SearchArena,
     SearchStats, SearchStrategy, StopReason, STOP_LABELS,
 };
-use banks_graph::{Graph, GraphReader, NodeId};
+use banks_graph::{Graph, GraphReader};
 use banks_telemetry::{Histogram, SlowLog, SlowQuery, Span};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -54,10 +68,11 @@ pub(crate) fn with_worker_reader<R>(graph: &Graph, f: impl FnOnce(GraphReader<'_
 /// log and the `?trace=1` response section.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Maximum cached results (entries, not bytes). An entry holds the
-    /// ranked answers (~2.2 KiB for the default 10 answers on a `datagen`
-    /// 10K corpus) and, once it has been hit, its rendered JSON (~6.5 KB
-    /// more). `/stats` reports the live total as `cache.bytes`.
+    /// Maximum cached results (entries, not bytes). An entry — slot,
+    /// key, counters, spans and the coded answers — takes ~0.9 KiB for
+    /// the default 10 answers on a `datagen` 10K corpus and, once it has
+    /// been hit, its rendered JSON (~6.5 KB more). `/stats` reports the
+    /// live total as `cache.bytes`.
     pub cache_capacity: usize,
 }
 
@@ -93,11 +108,9 @@ pub struct QueryOptions {
 /// repeated keyword is kept (term multiplicity changes the answer trees).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryKey {
-    /// Sorted whitespace-separated terms; plain keywords are lowercased,
-    /// qualified `Attr:keyword` terms keep their case (attribute
-    /// resolution in the matcher is case-sensitive, so two spellings can
-    /// legitimately produce different answers).
-    pub terms: Vec<String>,
+    /// The sorted terms joined by single spaces, in one allocation
+    /// (see [`QueryKey::terms`]).
+    terms: Box<str>,
     /// Search strategy tag.
     pub strategy: SearchStrategy,
     /// Effective result limit.
@@ -132,25 +145,39 @@ impl QueryKey {
             .collect();
         terms.sort_unstable();
         QueryKey {
-            terms,
+            terms: terms.join(" ").into_boxed_str(),
             strategy: options.strategy,
             limit,
             params_fingerprint: params,
         }
     }
 
-    /// Heap bytes the key's terms own.
+    /// The sorted terms. Plain keywords are lowercased; qualified
+    /// `Attr:keyword` terms keep their case (attribute resolution in the
+    /// matcher is case-sensitive, so two spellings can legitimately
+    /// produce different answers).
+    pub fn terms(&self) -> impl Iterator<Item = &str> {
+        // A term never holds whitespace, so a space separates terms
+        // unambiguously; an empty query has no terms.
+        self.terms.split_terminator(' ')
+    }
+
+    /// Heap bytes the key owns: its joined terms.
     pub fn heap_bytes(&self) -> usize {
-        self.terms.capacity() * size_of::<String>()
-            + self.terms.iter().map(String::capacity).sum::<usize>()
+        self.terms.len()
     }
 }
 
 /// An immutable, shareable search result (what the cache stores).
+///
+/// The ranked answers are held as one compact record (see
+/// `crate::record`), not in the kernel's working form: a cache entry
+/// never holds decoded answers. A response reads them through
+/// [`ServedResult::answers`].
 #[derive(Debug)]
 pub struct CachedResult {
-    /// Ranked answers.
-    pub answers: Vec<Answer>,
+    /// The ranked answers, varint-coded.
+    record: Box<[u8]>,
     /// Execution counters of the original (uncached) run.
     pub stats: SearchStats,
     /// Wall-clock time of the original search.
@@ -169,35 +196,116 @@ pub struct CachedResult {
     /// Phase breakdown of the original cold run (`parse`, `match`,
     /// `expand`, `score`), nanosecond offsets from the start of
     /// the search. Empty when span recording was off.
-    pub spans: Vec<Span>,
+    pub spans: Box<[Span]>,
 }
 
 impl CachedResult {
-    /// Heap bytes this result holds: itself (it lives behind an `Arc`),
-    /// the answers with their edge and keyword-node buffers, the spans,
-    /// and the memoized fragment once it is set.
+    /// Heap bytes this result holds: its `Arc` allocation (counts and
+    /// the result itself), the answer record, the spans, and the
+    /// memoized fragment once it is set. O(1): nothing is walked.
     pub fn heap_bytes(&self) -> usize {
-        let trees: usize = self
-            .answers
-            .iter()
-            .map(|a| {
-                a.tree.edges.capacity() * size_of::<(NodeId, NodeId, f64)>()
-                    + a.tree.keyword_nodes.capacity() * size_of::<NodeId>()
-            })
-            .sum();
-        size_of::<CachedResult>()
-            + self.answers.capacity() * size_of::<Answer>()
-            + trees
-            + self.spans.capacity() * size_of::<Span>()
+        2 * size_of::<usize>()
+            + size_of::<CachedResult>()
+            + self.record.len()
+            + size_of_val::<[Span]>(&self.spans)
             + self.http_fragment.get().map_or(0, |f| f.len())
+    }
+}
+
+/// One response's view of a result: the shared cache entry (its fields
+/// read through `Deref`) plus its answers in the kernel's form.
+#[derive(Debug, Clone)]
+pub struct ServedResult {
+    /// The ranked answers.
+    pub answers: Answers,
+}
+
+impl ServedResult {
+    /// A fresh result: the kernel's answers, and the entry they were
+    /// encoded into.
+    fn computed(entry: Arc<CachedResult>, answers: Vec<Answer>) -> ServedResult {
+        ServedResult {
+            answers: Answers {
+                entry,
+                decoded: OnceLock::from(answers),
+            },
+        }
+    }
+
+    /// A cache hit: the answers stay coded until a caller reads them.
+    fn cached(entry: Arc<CachedResult>) -> ServedResult {
+        ServedResult {
+            answers: Answers {
+                entry,
+                decoded: OnceLock::new(),
+            },
+        }
+    }
+
+    /// The shared cache entry.
+    pub fn entry(&self) -> &Arc<CachedResult> {
+        &self.answers.entry
+    }
+}
+
+impl std::ops::Deref for ServedResult {
+    type Target = CachedResult;
+
+    fn deref(&self) -> &CachedResult {
+        &self.answers.entry
+    }
+}
+
+/// The ranked answers of one response, read as a slice of
+/// [`Answer`]s. A miss carries the kernel's own; a hit decodes the
+/// entry's record into this response on first read, so a hit whose
+/// caller never reads them (a memoized HTTP hit) decodes nothing, and
+/// the decoded copy dies with the response.
+#[derive(Debug, Clone)]
+pub struct Answers {
+    entry: Arc<CachedResult>,
+    decoded: OnceLock<Vec<Answer>>,
+}
+
+impl Answers {
+    /// Number of answers, read from the record's header on a hit.
+    pub fn len(&self) -> usize {
+        match self.decoded.get() {
+            Some(answers) => answers.len(),
+            None => record::answer_count(&self.entry.record),
+        }
+    }
+
+    /// Whether there are no answers (no decode either).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl std::ops::Deref for Answers {
+    type Target = [Answer];
+
+    fn deref(&self) -> &[Answer] {
+        self.decoded
+            .get_or_init(|| record::decode(&self.entry.record))
+    }
+}
+
+impl<'a> IntoIterator for &'a Answers {
+    type Item = &'a Answer;
+    type IntoIter = std::slice::Iter<'a, Answer>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
 /// What [`QueryService::search`] returns.
 #[derive(Debug, Clone)]
 pub struct SearchResponse {
-    /// The result (shared with the cache — cloning is pointer-cheap).
-    pub result: Arc<CachedResult>,
+    /// The result (shares the cache's entry — cloning is cheap until a
+    /// hit's answers are decoded).
+    pub result: ServedResult,
     /// Whether this response came from the cache.
     pub cached: bool,
     /// Time to produce this response (lookup time on a hit, search time
@@ -222,8 +330,11 @@ pub struct ServiceStats {
     pub errors: u64,
     /// Cache counters.
     pub cache: CacheStats,
-    /// Heap bytes held by the live cache entries (their keys' terms plus
-    /// [`CachedResult::heap_bytes`]), summed when the stats are read.
+    /// Bytes the result cache holds: its tables
+    /// ([`ShardedLruCache::table_bytes`]: slots, each key inline once,
+    /// and index buckets) plus every live entry's joined terms and
+    /// [`CachedResult::heap_bytes`]. Summed when the stats are read,
+    /// O(1) per entry.
     pub cache_bytes: usize,
     /// Graph node count.
     pub graph_nodes: usize,
@@ -477,7 +588,7 @@ impl QueryService {
                     key,
                     epoch: result.epoch,
                     banks: Arc::clone(banks),
-                    result,
+                    result: ServedResult::cached(result),
                 });
             }
             CacheLookup::Stale => self.note_invalidation(snapshot.epoch),
@@ -526,7 +637,7 @@ impl QueryService {
             .fetch_max(state_bytes, Ordering::Relaxed);
         self.slow_log
             .record(elapsed.as_micros() as u64, || SlowQuery {
-                query: key.terms.join(" "),
+                query: key.terms.to_string(),
                 total_us: 0,
                 epoch: snapshot.epoch,
                 unix_ms: unix_millis_now(),
@@ -534,13 +645,15 @@ impl QueryService {
                 stop,
                 spans: spans.clone(),
             });
+        // The response renders from the kernel's answers; the cache
+        // keeps them as one compact record.
         let result = Arc::new(CachedResult {
-            answers: outcome.answers,
+            record: record::encode(&outcome.answers),
             stats: outcome.stats,
             cold_elapsed: elapsed,
             epoch: snapshot.epoch,
             http_fragment: OnceLock::new(),
-            spans,
+            spans: spans.into_boxed_slice(),
         });
         // Conditional insert under the shard lock: a fresher-epoch entry
         // (cached by a racing reader after a publish we missed, whether
@@ -562,7 +675,7 @@ impl QueryService {
             key,
             epoch: snapshot.epoch,
             banks: Arc::clone(banks),
-            result,
+            result: ServedResult::computed(result, outcome.answers),
         })
     }
 
@@ -594,9 +707,10 @@ impl QueryService {
             queries: self.queries.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             cache: self.cache.stats(),
-            cache_bytes: self.cache.fold(0, |bytes, key, result| {
-                bytes + key.heap_bytes() + result.heap_bytes()
-            }),
+            cache_bytes: self.cache.table_bytes()
+                + self.cache.fold(0, |bytes, key, result| {
+                    bytes + key.heap_bytes() + result.heap_bytes()
+                }),
             graph_nodes: snapshot.banks.tuple_graph().node_count(),
             graph_edges: snapshot.banks.tuple_graph().graph().edge_count(),
             memory_bytes: snapshot.banks.memory_bytes(),
@@ -794,7 +908,7 @@ mod tests {
             .search("Sudarshan  Mohan", QueryOptions::default())
             .unwrap();
         assert!(second.cached, "normalized repeat must hit");
-        assert!(Arc::ptr_eq(&first.result, &second.result));
+        assert!(Arc::ptr_eq(first.result.entry(), second.result.entry()));
         let stats = service.stats();
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 1);
@@ -851,6 +965,67 @@ mod tests {
         assert_eq!(stats.queries, 0);
         assert_eq!(stats.cache.misses, 0, "failed query's miss is retracted");
         assert_eq!(stats.cache.hits, 0);
+    }
+
+    /// `cache.bytes` against a count by hand: the cache's tables (hand
+    /// counted in the cache's own tests) plus, per entry, its joined
+    /// terms, its `Arc` allocation, its record and its spans — and a
+    /// memoized fragment once one is set.
+    #[test]
+    fn cache_bytes_match_a_hand_count_of_known_entries() {
+        let service = service();
+        assert_eq!(service.stats().cache_bytes, service.cache().table_bytes());
+        // A slot: the 40-byte key (joined terms, limit, fingerprint,
+        // strategy), the `Arc`, the hash and two `u32` links.
+        assert_eq!(size_of::<QueryKey>(), 40);
+        let slot = 40 + 8 + 8 + 4 + 4;
+        let entry = 2 * size_of::<usize>() + size_of::<CachedResult>();
+
+        let mut want = 0;
+        for (query, terms) in [("Mohan", "mohan"), ("sudarshan  MOHAN", "mohan sudarshan")] {
+            let response = service.search(query, QueryOptions::default()).unwrap();
+            let answers = &response.result.answers;
+            assert!(!answers.is_empty(), "{query}");
+            // Every node id and id step of this tiny graph is below 64,
+            // and every edge weight a small integer: one byte each.
+            let record: usize = 1 + answers
+                .iter()
+                .map(|a| {
+                    let t = &a.tree;
+                    assert!(t.nodes().iter().all(|n| n.0 < 64));
+                    assert!(t.edges.iter().all(|e| e.2 == e.2.round() && e.2 < 255.0));
+                    // relevance, root, keyword count + one byte each,
+                    // edge count + (from, to, weight) each.
+                    8 + 1 + (1 + t.keyword_nodes.len()) + (1 + 3 * t.edges.len())
+                })
+                .sum::<usize>();
+            let spans = response.result.spans.len() * size_of::<Span>();
+            assert_eq!(response.key.heap_bytes(), terms.len());
+            want += terms.len() + entry + record + spans;
+            let stats = service.stats();
+            assert_eq!(
+                stats.cache_bytes - service.cache().table_bytes(),
+                want,
+                "{query}"
+            );
+            assert!(service.cache().table_bytes() >= stats.cache.entries * slot);
+        }
+        // "mohan" alone is one single-node answer: a 13-byte record.
+        let mohan = service.search("mohan", QueryOptions::default()).unwrap();
+        assert!(mohan.cached);
+        assert_eq!(mohan.result.answers.len(), 1);
+        assert!(mohan.result.answers[0].tree.edges.is_empty());
+        assert_eq!(record::encode(&mohan.result.answers).len(), 13);
+        // A memoized fragment counts its bytes.
+        mohan
+            .result
+            .http_fragment
+            .set("{\"count\":1}".into())
+            .unwrap();
+        assert_eq!(
+            service.stats().cache_bytes - service.cache().table_bytes(),
+            want + 11
+        );
     }
 
     #[test]

@@ -275,6 +275,7 @@ fn rendered_json_is_memoized_on_the_first_hit_only() {
 
     for target in &targets {
         let (before, _) = cache_bytes_and_entries(addr);
+        let tables_before = fx.service.cache().table_bytes();
         let (status, miss) = http_get(addr, target);
         assert_eq!(status, 200, "{target}");
         assert!(miss.contains(r#""cached":false"#), "{target}: {miss}");
@@ -291,7 +292,9 @@ fn rendered_json_is_memoized_on_the_first_hit_only() {
             .cache()
             .fold(None, |found, key, result| {
                 found.or_else(|| {
-                    (key.terms == terms).then(|| (key.heap_bytes(), Arc::clone(result)))
+                    key.terms()
+                        .eq(terms.iter().map(String::as_str))
+                        .then(|| (key.heap_bytes(), Arc::clone(result)))
                 })
             })
             .expect("the miss was cached");
@@ -299,10 +302,13 @@ fn rendered_json_is_memoized_on_the_first_hit_only() {
             entry.http_fragment.get().is_none(),
             "{target}: a miss memoizes nothing"
         );
+        // The miss adds its key, its entry, and any slots or buckets
+        // its shard reserved to hold it.
         let (after_miss, _) = cache_bytes_and_entries(addr);
+        let tables_grown = fx.service.cache().table_bytes() - tables_before;
         assert_eq!(
             after_miss - before,
-            (key_bytes + entry.heap_bytes()) as u64,
+            (key_bytes + entry.heap_bytes() + tables_grown) as u64,
             "{target}"
         );
 
@@ -373,6 +379,190 @@ fn cold_entries_on_a_10k_corpus_stay_under_4_kib() {
         "{bytes} bytes over {entries} entries"
     );
     server.shutdown();
+}
+
+/// A `/search` body without the fields that differ between two reads of
+/// one cache entry (`cached`, `elapsed_us`) — and, across two servers,
+/// without the cold run's own time (`cold_elapsed_us`).
+fn strip_volatile(body: &str, across_servers: bool) -> String {
+    let mut out = body.to_string();
+    let mut fields = vec![r#","cached":"#, r#","elapsed_us":"#];
+    if across_servers {
+        fields.push(r#","cold_elapsed_us":"#);
+    }
+    for field in fields {
+        let start = out
+            .find(field)
+            .unwrap_or_else(|| panic!("{field} in {body}"));
+        let end = out[start + 1..].find(',').expect("a later field") + start + 1;
+        out.replace_range(start..end, "");
+    }
+    out
+}
+
+/// A cache hit decodes the entry's compact answer record and must render
+/// exactly what the miss rendered from the kernel's answers. On the
+/// `datagen` 10K corpus, ~200 queries in the benchmark's cold mix (two
+/// and three last names, first + last name, last name + title word, two
+/// title words), a metadata query, a forward search and a `limit=3`
+/// search: the first hit's body equals the miss's but for `cached` and
+/// `elapsed_us`; `trace=1` on a hit replays the cold run's spans; a
+/// paged server's hit body equals the in-RAM one; and after a publish
+/// the stale entry is dropped and recomputed.
+#[test]
+fn a_hit_renders_byte_identically_to_its_miss_on_a_10k_corpus() {
+    use banks_core::BanksConfig;
+    use banks_datagen::names::{FIRST_NAMES, LAST_NAMES, TITLE_WORDS};
+    use banks_datagen::stream::{build_database, generate_to_dir, StreamConfig};
+    use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
+    use banks_persist::{open_bundle_paged, save_bundle};
+    use banks_storage::Value;
+
+    let dir = std::env::temp_dir().join(format!("banks_loopback_hits_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    generate_to_dir(&StreamConfig::new(42, 10_000), &dir.join("corpus")).expect("datagen");
+    let in_ram = Arc::new(Banks::new(build_database(&dir.join("corpus")).unwrap()).unwrap());
+    let bundle = dir.join("bundle.banks");
+    save_bundle(&in_ram, 0, &bundle).unwrap();
+    let (paged, _) = open_bundle_paged(&bundle, 1 << 20, &BanksConfig::default()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let serve = |banks: Arc<Banks>| {
+        let service = Arc::new(QueryService::new(banks, ServiceConfig::default()));
+        let config = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = BanksServer::bind(Arc::clone(&service), None, None, None, config)
+            .expect("bind loopback");
+        (service, server)
+    };
+    let (ram_service, ram) = serve(Arc::clone(&in_ram));
+    let (_, paged) = serve(Arc::new(paged));
+
+    let pick = |pool: &[&str], i: usize| pool[i % pool.len()].to_lowercase();
+    let mut seen = std::collections::HashSet::new();
+    let mut targets: Vec<String> = Vec::new();
+    for i in 0.. {
+        if targets.len() == 200 {
+            break;
+        }
+        let (a, b, c) = (7 * i + 1, 13 * i + 5, 29 * i + 11);
+        let mut terms = match i % 5 {
+            0 => vec![pick(LAST_NAMES, a), pick(LAST_NAMES, b)],
+            1 => vec![pick(FIRST_NAMES, a), pick(LAST_NAMES, b)],
+            2 => vec![
+                pick(LAST_NAMES, a),
+                pick(LAST_NAMES, b),
+                pick(LAST_NAMES, c),
+            ],
+            3 => vec![pick(LAST_NAMES, a), pick(TITLE_WORDS, b)],
+            _ => vec![pick(TITLE_WORDS, a), pick(TITLE_WORDS, c)],
+        };
+        let text = terms.join("+");
+        terms.sort();
+        terms.dedup();
+        // Distinct under normalization, and no repeated keyword.
+        if terms.len() == text.split('+').count() && seen.insert(terms) {
+            targets.push(format!("/search?q={text}"));
+        }
+    }
+    // Metadata (every Author tuple matches the relation name), the
+    // forward strategy, and a shorter limit.
+    targets.push("/search?q=author".into());
+    targets.push("/search?q=smith+database&strategy=forward".into());
+    targets.push("/search?q=smith+database&limit=3".into());
+
+    let mut answered = 0;
+    for (i, target) in targets.iter().enumerate() {
+        // Every tenth target is traced, miss and hits alike (`trace` is
+        // not part of the cache key).
+        let target = if i % 10 == 0 {
+            format!("{target}&trace=1")
+        } else {
+            target.clone()
+        };
+        let (status, miss) = http_get(ram.local_addr(), &target);
+        assert_eq!(status, 200, "{target}: {miss}");
+        assert!(miss.contains(r#""cached":false"#), "{target}: {miss}");
+        let (_, hit) = http_get(ram.local_addr(), &target);
+        assert!(hit.contains(r#""cached":true"#), "{target}: {hit}");
+        if i % 10 == 0 {
+            let trace = |body: &str| {
+                let json = Json::parse(body).expect("search JSON");
+                let trace = json.get("trace").expect("trace section");
+                (
+                    trace.get("spans").expect("spans").compact(),
+                    trace.get("state_bytes").and_then(Json::as_u64),
+                )
+            };
+            assert_eq!(trace(&miss), trace(&hit), "{target}");
+            // The trace's own render time is this request's: drop it.
+            let without_render = |body: &str| {
+                let start = body.find(r#","render_ns":"#).expect("render_ns");
+                let end = body[start + 1..].find(',').expect("later field") + start + 1;
+                format!("{}{}", &body[..start], &body[end..])
+            };
+            assert_eq!(
+                strip_volatile(&without_render(&miss), false),
+                strip_volatile(&without_render(&hit), false),
+                "{target}"
+            );
+        } else {
+            assert_eq!(
+                strip_volatile(&miss, false),
+                strip_volatile(&hit, false),
+                "{target}"
+            );
+        }
+        answered += Json::parse(&hit)
+            .expect("search JSON")
+            .get("count")
+            .and_then(Json::as_u64)
+            .expect("count");
+
+        let (_, paged_miss) = http_get(paged.local_addr(), &target);
+        assert!(paged_miss.contains(r#""cached":false"#), "{target}");
+        let (_, paged_hit) = http_get(paged.local_addr(), &target);
+        assert!(paged_hit.contains(r#""cached":true"#), "{target}");
+        assert_eq!(fragment(&paged_hit), fragment(&hit), "{target}");
+        if i % 10 != 0 {
+            assert_eq!(
+                strip_volatile(&paged_hit, true),
+                strip_volatile(&hit, true),
+                "{target}"
+            );
+        }
+    }
+    assert!(
+        answered >= 5 * targets.len() as u64,
+        "the queries must find real answers: {answered}"
+    );
+
+    // A publish drops the stale entry: the next read recomputes it at
+    // the new epoch, and its first hit again renders like its miss.
+    let mut publisher = SnapshotPublisher::new(Arc::clone(&in_ram));
+    let batch = DeltaBatch {
+        ops: vec![TupleOp::Insert {
+            relation: "Author".into(),
+            values: vec![Value::text("LoopbackA"), Value::text("Zyxwv Smith")],
+        }],
+    };
+    let published = publisher.publish(&batch, None).unwrap();
+    ram_service.install_snapshot(published.banks, published.info.epoch, None);
+    let invalidations = ram_service.stats().cache.invalidations;
+    let target = &targets[1];
+    let (_, miss) = http_get(ram.local_addr(), target);
+    assert!(miss.contains(r#""cached":false"#), "{target}: {miss}");
+    assert!(miss.contains(r#""epoch":1"#), "{target}: {miss}");
+    assert_eq!(ram_service.stats().cache.invalidations, invalidations + 1);
+    let (_, hit) = http_get(ram.local_addr(), target);
+    assert!(hit.contains(r#""cached":true"#), "{target}: {hit}");
+    assert_eq!(strip_volatile(&miss, false), strip_volatile(&hit, false));
+
+    ram.shutdown();
+    paged.shutdown();
 }
 
 /// Send `request` raw, then read until the peer closes. Returns the
