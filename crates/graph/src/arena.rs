@@ -31,6 +31,7 @@ use crate::graph::{Graph, GraphReader, NodeId};
 use crate::heap::DistHeap;
 use crate::store::Segment;
 use banks_util::fxhash::FxHashMap;
+use banks_util::mem::table_bytes;
 use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::mem::size_of;
@@ -39,23 +40,6 @@ use std::sync::Arc;
 /// Sentinel for "no parent" / "no list entry" — the terminator
 /// [`OriginListPool::head`] and [`OriginListPool::next`] return.
 pub const NIL: u32 = u32::MAX;
-
-/// Heap bytes of a std (hashbrown) hash table whose `capacity()` is
-/// `capacity`: one `T` and one control byte per bucket, plus one
-/// trailing 16-byte control group. Buckets are a power of two, and a
-/// table of 8 or more buckets holds at most 7/8 of them.
-fn table_bytes<T>(capacity: usize) -> usize {
-    if capacity == 0 {
-        return 0;
-    }
-    let buckets = if capacity < 8 {
-        capacity + 1
-    } else {
-        capacity / 7 * 8
-    }
-    .next_power_of_two();
-    buckets * (size_of::<T>() + 1) + 16
-}
 
 /// One touched node of a [`DijkstraState`]: 12 bytes with 4-byte
 /// alignment (`packed(4)`), so a `(u32, NodeSlot)` table bucket is 16.

@@ -35,7 +35,9 @@
 use crate::codec::encode_segment;
 use crate::error::PagerError;
 use banks_graph::{Adjacency, Graph, NodeId, SegmentBuilder};
+use banks_storage::PostingSource;
 use banks_util::fxhash::{checksum, FxHasher};
+use banks_util::mem::arc_bytes;
 use std::fs::File;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -138,6 +140,25 @@ impl ByteSource {
                 buf.copy_from_slice(&bytes[start..start + buf.len()]);
                 Ok(())
             }
+        }
+    }
+}
+
+/// A bundle's TIDX section, read through the same region as its graph:
+/// a text index opened over it reads a term's list on first lookup.
+impl PostingSource for ByteSource {
+    fn len(&self) -> u64 {
+        ByteSource::len(self)
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        ByteSource::read_at(self, offset, buf).map_err(std::io::Error::other)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ByteSource::File { .. } => 0,
+            ByteSource::Mem(bytes) => arc_bytes(std::alloc::Layout::for_value(&**bytes)),
         }
     }
 }

@@ -70,7 +70,7 @@ use banks_core::{
 };
 use banks_graph::Graph;
 use banks_pager::{ByteSource, PageCache, PagedGraphStore, PagedTupleStore};
-use banks_storage::postings::{self, LazyTextIndex, PostingSource};
+use banks_storage::postings;
 use banks_storage::{blocks, Database, ResidentTupleStore, TextIndex, TupleStore};
 use banks_util::fault::{self, Site};
 use banks_util::fxhash::FxHasher;
@@ -600,22 +600,18 @@ fn decode_bundle(bytes: &[u8], base_config: &BanksConfig) -> PersistResult<(Bank
     let meta = decode_meta(verify_section(bytes, &dir.meta)?)?;
 
     // Checksum + open the payloads: the DATA section's blocks are
-    // verified and indexed in place of a decode (they stay encoded), the
-    // text index and graph are decoded. The three sections are
-    // independent until the graph rebinds to the database, so on a
-    // multi-core host the text index and graph decode on their own
-    // threads while this one takes the database — restore wall-clock is
-    // the *max* of the section costs, not their sum. A single-core host
-    // decodes sequentially (spawning would only add overhead).
-    let decode_data = || -> PersistResult<_> {
+    // indexed (they stay encoded), the text index opens its term table
+    // over a copy of its payload (lists are read on first lookup), and
+    // the graph is decoded — on its own thread on a multi-core host, so
+    // restore wall-clock is the *max* of the two costs, not their sum (a
+    // single-core host does all three in turn).
+    let open_data = || -> PersistResult<_> {
         let tuples = ResidentTupleStore::open(verify_section(bytes, &dir.data)?)?;
         let schema_text = tuples.directory().layout.schema_text.clone();
-        Ok(Database::open_lazy(&schema_text, tuples)?)
-    };
-    let decode_tidx = || -> PersistResult<_> {
-        Ok(postings::read_packed_postings(verify_section(
-            bytes, &dir.tidx,
-        )?)?)
+        let db = Database::open_lazy(&schema_text, tuples)?;
+        let payload = verify_section(bytes, &dir.tidx)?;
+        let text_index = TextIndex::open(Arc::new(ByteSource::Mem(payload.into())))?;
+        Ok((db, text_index))
     };
     let decode_graph = || -> PersistResult<Graph> {
         let payload = verify_section(bytes, &dir.grph)?;
@@ -624,19 +620,17 @@ fn decode_bundle(bytes: &[u8], base_config: &BanksConfig) -> PersistResult<(Bank
         ))?)
     };
     let parallel = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    let (db, text_index, graph) = if parallel {
-        let (db, text_index, graph) = std::thread::scope(|scope| {
-            let tidx_handle = scope.spawn(decode_tidx);
+    let (opened, graph) = if parallel {
+        std::thread::scope(|scope| {
             let graph_handle = scope.spawn(decode_graph);
-            let db = decode_data();
-            let text_index = tidx_handle.join().expect("text-index decode panicked");
-            let graph = graph_handle.join().expect("graph decode panicked");
-            (db, text_index, graph)
-        });
-        (db?, text_index?, graph?)
+            let opened = open_data();
+            (opened, graph_handle.join().expect("graph decode panicked"))
+        })
     } else {
-        (decode_data()?, decode_tidx()?, decode_graph()?)
+        (open_data(), decode_graph())
     };
+    let (db, text_index) = opened?;
+    let graph = graph?;
     assemble(db, text_index, graph, meta, base_config)
 }
 
@@ -657,35 +651,14 @@ fn assemble(
 
 /// Load a bundle from `path` in RAM: one sequential whole-file read,
 /// every section checksummed, then a query-ready [`Banks`] whose tuples
-/// stay encoded in resident blocks ([`ResidentTupleStore`]) and whose
-/// text index and graph are decoded.
+/// stay encoded in resident blocks ([`ResidentTupleStore`]), whose text
+/// index reads its lists out of the resident TIDX payload, and whose
+/// graph is decoded.
 /// `base_config`'s score/graph sections are replaced by the bundle's
 /// (see the module docs); everything else is kept.
 pub fn load_bundle(path: &Path, base_config: &BanksConfig) -> PersistResult<(Banks, BundleMeta)> {
     let bytes = std::fs::read(path)?;
     decode_bundle(&bytes, base_config)
-}
-
-/// A [`PostingSource`] over a byte window of an open file.
-#[derive(Debug)]
-struct FileRange {
-    file: Arc<File>,
-    base: u64,
-    len: u64,
-}
-
-impl PostingSource for FileRange {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        offset
-            .checked_add(buf.len() as u64)
-            .filter(|&end| end <= self.len)
-            .ok_or_else(|| std::io::Error::other("posting read out of section bounds"))?;
-        self.file.read_exact_at(buf, self.base + offset)
-    }
 }
 
 /// Read the meta section at `entry` off `file` and verify its checksum.
@@ -716,7 +689,7 @@ pub fn open_bundle_paged(
     let file = Arc::new(file);
     fault::maybe_fault(Site::BundleSectionRead)?;
     let meta = read_meta(&file, &dir.meta)?;
-    let lazy = LazyTextIndex::open(Arc::new(FileRange {
+    let text_index = TextIndex::open(Arc::new(ByteSource::File {
         file: Arc::clone(&file),
         base: dir.tidx.offset,
         len: dir.tidx.len,
@@ -733,7 +706,6 @@ pub fn open_bundle_paged(
         PagedTupleStore::open_file(Arc::clone(&file), dir.data.offset, dir.data.len, cache)?;
     let schema_text = tuples.directory().layout.schema_text.clone();
     let db = Database::open_lazy(&schema_text, tuples)?;
-    let text_index = TextIndex::from_lazy(Arc::new(lazy));
     assemble(db, text_index, Graph::from_store(store), meta, base_config)
 }
 
@@ -777,9 +749,10 @@ pub struct BundleInfo {
 
 /// Validate and summarize the bundle at `path`. Every section's
 /// checksum is verified — an `Ok` here means the bundle loads. The
-/// per-relation tuple counts come straight from the v3 DATA directory
-/// (and the graph's node/edge counts from the paged blob's), without
-/// decoding a single tuple block or adjacency segment.
+/// per-relation tuple counts come straight from the v3 DATA directory,
+/// the token and posting counts from the TIDX header, and the graph's
+/// node/edge counts from the paged blob's, without decoding a single
+/// tuple block, posting list or adjacency segment.
 pub fn inspect_bundle(path: &Path) -> PersistResult<BundleInfo> {
     let bytes = std::fs::read(path)?;
     let dir = parse_header(&bytes, bytes.len() as u64)?;
@@ -793,7 +766,9 @@ pub fn inspect_bundle(path: &Path) -> PersistResult<BundleInfo> {
             layout.relations.len()
         )));
     }
-    let text_index = postings::read_packed_postings(verify_section(&bytes, &dir.tidx)?)?;
+    let text_index = TextIndex::open(Arc::new(ByteSource::Mem(
+        verify_section(&bytes, &dir.tidx)?.into(),
+    )))?;
     let graph_store = banks_pager::PagedGraphStore::open_mem(
         verify_section(&bytes, &dir.grph)?.to_vec().into(),
         PageCache::new(0),
@@ -1012,7 +987,7 @@ mod tests {
         let (full, _) = load_bundle(&path, &BanksConfig::default()).unwrap();
         let (paged, meta) = open_bundle_paged(&path, 1 << 16, &BanksConfig::default()).unwrap();
         assert_eq!(meta.epoch, 7);
-        assert!(paged.text_index().is_lazy());
+        assert!(paged.text_index().lazy_cache_stats().is_some());
         // The tuple store is lazy too, and the open itself decoded no
         // tuple block — the O(blocks) cold-open contract.
         let tstats = paged.db().tuple_store_stats().expect("lazy tuple store");

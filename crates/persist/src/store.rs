@@ -830,7 +830,7 @@ mod tests {
         let (store, recovery) = PersistentStore::open(&dir, &config, options).unwrap();
         assert_eq!(recovery.epoch, 3);
         let paged = recovery.banks.unwrap();
-        assert!(paged.text_index().is_lazy() || recovery.replayed_batches > 0);
+        assert!(paged.text_index().lazy_cache_stats().is_some());
         // Same answers as an ordinary full-load recovery.
         let (store2, recovery2) =
             PersistentStore::open(&dir, &config, PersistOptions::default()).unwrap();

@@ -30,8 +30,9 @@
 //! [schema text](schema) in its header, and the packed
 //! postings ([`postings`]). A loaded bundle's [`Database`] reads its
 //! tuples out of the DATA section's encoded blocks, held resident
-//! ([`ResidentTupleStore`]) or paged in; for a bundle opened out of core,
-//! [`LazyTextIndex`] pages postings in too.
+//! ([`ResidentTupleStore`]) or paged in, and its [`TextIndex`] reads a
+//! term's postings out of the packed section, held in memory or on the
+//! file, when the term is first looked up.
 //!
 //! ## Quick example
 //!
@@ -76,7 +77,7 @@ pub use blocks::{
 pub use catalog::{BackRef, Database};
 pub use error::{StorageError, StorageResult};
 pub use metadata::{MetadataIndex, MetadataTarget};
-pub use postings::{LazyTextIndex, PostingSource};
+pub use postings::PostingSource;
 pub use predicate::Predicate;
 pub use schema::{ColumnType, RelationSchema};
 pub use table::Table;

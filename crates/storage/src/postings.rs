@@ -1,12 +1,13 @@
 //! Packed, lazily-decodable posting storage for the inverted keyword
-//! index — the text-index half of the out-of-core bundle format.
+//! index: the TIDX section of a bundle, and the shared base of a
+//! [`TextIndex`] opened from one.
 //!
 //! A stream that interleaved tokens and posting lists would make reading
 //! *any* token cost a full sequential parse. This module stores the
 //! postings mmap-style instead: a fixed-size term table and a
 //! string heap up front (tiny — read eagerly), with the raw posting
-//! triples in one contiguous area behind them (the bulk — left on disk
-//! and fetched per term on first lookup).
+//! triples in one contiguous area behind them (the bulk — read per term
+//! on first lookup, from memory or from the file).
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -27,17 +28,21 @@
 //! actually fetched. `post_off` values are cumulative posting counts;
 //! the byte offset of a list is `triples_base + post_off × 12`.
 //!
-//! [`LazyTextIndex::open`] validates the whole skeleton (magic, counts,
-//! tiling, UTF-8, sort order) eagerly, so a torn or corrupt term table
-//! is a typed [`StorageError::Corrupt`] before any lookup runs. The
-//! triples area itself is *not* checksummed here — the enclosing bundle
-//! section carries a whole-payload checksum for full loads, and a paged
-//! open trades that verification for not reading the bytes.
+//! [`TextIndex::open`] validates the whole skeleton (magic, counts,
+//! tiling, UTF-8, sort order, no empty list) eagerly, so a torn or
+//! corrupt term table is a typed [`StorageError::Corrupt`] before any
+//! lookup runs, and it allocates no more than the source holds. The
+//! triples area itself is *not* checksummed here: an in-RAM bundle load
+//! verifies the enclosing section's whole-payload checksum before it
+//! opens the payload held in memory, and a paged open trades that
+//! verification for not reading the bytes.
 
 use crate::error::{StorageError, StorageResult};
 use crate::text_index::{Posting, TextIndex};
 use crate::tuple::{RelationId, Rid};
 use banks_util::fxhash::FxHashMap;
+use banks_util::mem::{arc_bytes, table_bytes};
+use std::alloc::Layout;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -55,8 +60,9 @@ const TRIPLE_LEN: usize = 12;
 /// Byte-range reads against a packed postings payload, wherever it
 /// lives — an in-memory buffer, or a window of an open bundle file.
 ///
-/// Implementations must be cheap to call repeatedly ([`LazyTextIndex`]
-/// issues one `read_at` per first-touch term lookup) and thread-safe.
+/// Implementations must be cheap to call repeatedly (an opened
+/// [`TextIndex`] issues one `read_at` per first-touch term lookup) and
+/// thread-safe.
 pub trait PostingSource: Send + Sync + std::fmt::Debug {
     /// Total payload length in bytes.
     fn len(&self) -> u64;
@@ -66,25 +72,9 @@ pub trait PostingSource: Send + Sync + std::fmt::Debug {
     }
     /// Fill `buf` from `offset` (reads never cross `len`).
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()>;
-}
-
-/// A [`PostingSource`] over an in-memory buffer.
-#[derive(Debug, Clone)]
-pub(crate) struct MemSource(pub Arc<[u8]>);
-
-impl PostingSource for MemSource {
-    fn len(&self) -> u64 {
-        self.0.len() as u64
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        let start = usize::try_from(offset)
-            .ok()
-            .filter(|&s| s.checked_add(buf.len()).is_some_and(|e| e <= self.0.len()))
-            .ok_or_else(|| std::io::Error::other("posting read out of bounds"))?;
-        buf.copy_from_slice(&self.0[start..start + buf.len()]);
-        Ok(())
-    }
+    /// Heap bytes the source owns beyond its own struct: the payload of
+    /// an in-memory source, nothing for a file window.
+    fn heap_bytes(&self) -> usize;
 }
 
 /// One term-table row.
@@ -100,14 +90,15 @@ struct TermEntry {
 
 /// Serialize `index` in the packed layout above. Deterministic: tokens
 /// sorted lexicographically, lists in their stored `(rid, column)`
-/// order.
+/// order. Lists of an opened base are read one at a time and not
+/// cached, so writing never holds the whole base decoded.
 pub fn write_packed_postings(index: &TextIndex, w: &mut impl Write) -> StorageResult<()> {
     let io = |e: std::io::Error| StorageError::Corrupt(format!("io: {e}"));
     let mut tokens: Vec<&str> = index.tokens().collect();
     tokens.sort_unstable();
 
     let heap_len: u64 = tokens.iter().map(|t| t.len() as u64).sum();
-    let total: u64 = tokens.iter().map(|t| index.lookup(t).len() as u64).sum();
+    let total: u64 = tokens.iter().map(|t| index.list_len(t) as u64).sum();
 
     w.write_all(POSTINGS_MAGIC).map_err(io)?;
     w.write_all(&(tokens.len() as u32).to_le_bytes())
@@ -117,7 +108,7 @@ pub fn write_packed_postings(index: &TextIndex, w: &mut impl Write) -> StorageRe
 
     let (mut str_off, mut post_off) = (0u32, 0u64);
     for token in &tokens {
-        let count = index.lookup(token).len() as u32;
+        let count = index.list_len(token) as u32;
         w.write_all(&str_off.to_le_bytes()).map_err(io)?;
         w.write_all(&(token.len() as u32).to_le_bytes())
             .map_err(io)?;
@@ -130,7 +121,7 @@ pub fn write_packed_postings(index: &TextIndex, w: &mut impl Write) -> StorageRe
         w.write_all(token.as_bytes()).map_err(io)?;
     }
     for token in &tokens {
-        for p in index.lookup(token).iter() {
+        for p in index.list(token, false).iter() {
             w.write_all(&p.rid.relation.0.to_le_bytes()).map_err(io)?;
             w.write_all(&p.rid.slot.to_le_bytes()).map_err(io)?;
             w.write_all(&p.column.to_le_bytes()).map_err(io)?;
@@ -139,12 +130,12 @@ pub fn write_packed_postings(index: &TextIndex, w: &mut impl Write) -> StorageRe
     Ok(())
 }
 
-/// The lazy half of [`TextIndex`]: term table and string heap resident,
-/// posting lists fetched from the [`PostingSource`] on first lookup and
-/// cached after. A lookup shares the cached `Arc` with the caller, so a
-/// list a reader holds stays valid whether or not the cache keeps it;
-/// the cache never evicts today.
-pub struct LazyTextIndex {
+/// The base of an opened [`TextIndex`]: term table and string heap
+/// resident, posting lists fetched from the [`PostingSource`] on first
+/// lookup and cached after. A lookup shares the cached `Arc` with the
+/// caller, so a list a reader holds stays valid whether or not the cache
+/// keeps it; the cache never evicts today.
+pub(crate) struct LazyTextIndex {
     source: Arc<dyn PostingSource>,
     table: Box<[TermEntry]>,
     heap: Box<[u8]>,
@@ -169,7 +160,9 @@ impl std::fmt::Debug for LazyTextIndex {
 impl LazyTextIndex {
     /// Open a packed postings payload, validating its entire skeleton
     /// (everything except the triples area, which stays on the source).
-    pub fn open(source: Arc<dyn PostingSource>) -> StorageResult<LazyTextIndex> {
+    /// Nothing is allocated before the header's sizes are checked to
+    /// add up to the source's length.
+    pub(crate) fn open(source: Arc<dyn PostingSource>) -> StorageResult<LazyTextIndex> {
         let corrupt = |m: String| StorageError::Corrupt(m);
         let len = source.len();
         if len < HEADER_LEN as u64 {
@@ -221,6 +214,9 @@ impl LazyTextIndex {
             };
             if entry.str_off != want_str || entry.post_off != want_post {
                 return Err(corrupt("packed postings: term table does not tile".into()));
+            }
+            if entry.post_count == 0 {
+                return Err(corrupt("packed postings: a term without postings".into()));
             }
             want_str = entry
                 .str_off
@@ -291,19 +287,28 @@ impl LazyTextIndex {
         decode_triples(&raw).collect()
     }
 
-    /// Postings for `token`, fetched on first touch and cached; `None`
-    /// for a token the index does not hold. A miss reads and decodes
-    /// the list with no lock held, so a slow read stalls no lookup of
-    /// another term; if two threads miss on one term, the list cached
-    /// first is kept.
-    pub(crate) fn lookup(&self, token: &str) -> Option<Arc<[Posting]>> {
+    /// Postings for `token`, from the cache or read off the source, and
+    /// cached then if `keep`; `None` for a token the index does not hold.
+    /// A miss reads and decodes the list with no lock held, so a slow read
+    /// stalls no lookup of another term; if two threads miss on one term,
+    /// the list cached first is kept.
+    pub(crate) fn list(&self, token: &str, keep: bool) -> Option<Arc<[Posting]>> {
         let idx = self.find(token)? as u32;
         if let Some(list) = self.cache.lock().expect("postings cache").get(&idx) {
             return Some(Arc::clone(list));
         }
         let list = self.fetch(idx);
+        if !keep {
+            return Some(list);
+        }
         let mut cache = self.cache.lock().expect("postings cache");
         Some(Arc::clone(cache.entry(idx).or_insert(list)))
+    }
+
+    /// Length of `token`'s list, from the term table (0 if absent).
+    pub(crate) fn list_len(&self, token: &str) -> usize {
+        self.find(token)
+            .map_or(0, |i| self.table[i].post_count as usize)
     }
 
     /// All tokens, in lexicographic order.
@@ -321,45 +326,29 @@ impl LazyTextIndex {
         self.total_postings as usize
     }
 
-    /// Resident bytes: table + heap + currently cached posting lists.
-    /// (The triples area on the source is *not* resident.)
+    /// Heap bytes this base owns: the source's allocation and payload
+    /// (the whole section for an in-memory source, nothing for a file
+    /// window), the term table, the string heap, and the cache.
     pub(crate) fn memory_bytes(&self) -> usize {
         let (_, _, cached) = self.cache_stats();
-        self.table.len() * std::mem::size_of::<TermEntry>() + self.heap.len() + cached
+        arc_bytes(Layout::for_value(&*self.source))
+            + self.source.heap_bytes()
+            + self.table.len() * std::mem::size_of::<TermEntry>()
+            + self.heap.len()
+            + cached
     }
 
-    /// `(cached terms, total terms, cached posting bytes)` for storage
-    /// stats reporting.
+    /// `(cached terms, total terms, cache bytes)` for storage stats
+    /// reporting. The bytes are the cache's buckets plus each cached
+    /// list's `Arc` allocation.
     pub(crate) fn cache_stats(&self) -> (usize, usize, usize) {
         let cache = self.cache.lock().expect("postings cache");
-        let bytes = cache
+        let lists: usize = cache
             .values()
-            .map(|v| v.len() * std::mem::size_of::<Posting>())
+            .map(|list| arc_bytes(Layout::for_value::<[Posting]>(list)))
             .sum();
+        let bytes = table_bytes::<(u32, Arc<[Posting]>)>(cache.capacity()) + lists;
         (cache.len(), self.table.len(), bytes)
-    }
-
-    /// Decode everything into eager `(token, list)` pairs — the full
-    /// bundle-load path and the mutation path (an index being written
-    /// to must be eager). One bulk read of the triples area.
-    pub(crate) fn materialize(&self) -> StorageResult<Vec<(String, Vec<Posting>)>> {
-        let mut raw = vec![0u8; (self.total_postings as usize) * TRIPLE_LEN];
-        self.source
-            .read_at(self.triples_base, &mut raw)
-            .map_err(io_corrupt)?;
-        Ok(self
-            .table
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let lo = e.post_off as usize * TRIPLE_LEN;
-                let hi = lo + e.post_count as usize * TRIPLE_LEN;
-                (
-                    self.token_at(i).to_owned(),
-                    decode_triples(&raw[lo..hi]).collect(),
-                )
-            })
-            .collect())
     }
 }
 
@@ -373,16 +362,32 @@ fn decode_triples(raw: &[u8]) -> impl Iterator<Item = Posting> + '_ {
     })
 }
 
-/// Eagerly decode a packed postings payload into a [`TextIndex`] — the
-/// full-load counterpart of [`write_packed_postings`].
-pub fn read_packed_postings(bytes: &[u8]) -> StorageResult<TextIndex> {
-    let lazy = LazyTextIndex::open(Arc::new(MemSource(bytes.into())))?;
-    Ok(TextIndex::from_postings(lazy.materialize()?))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A [`PostingSource`] over an in-memory payload.
+    #[derive(Debug, Clone)]
+    pub(crate) struct MemSource(pub Box<[u8]>);
+
+    impl PostingSource for MemSource {
+        fn len(&self) -> u64 {
+            self.0.len() as u64
+        }
+
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            let start = usize::try_from(offset)
+                .ok()
+                .filter(|&s| s.checked_add(buf.len()).is_some_and(|e| e <= self.0.len()))
+                .ok_or_else(|| std::io::Error::other("posting read out of bounds"))?;
+            buf.copy_from_slice(&self.0[start..start + buf.len()]);
+            Ok(())
+        }
+
+        fn heap_bytes(&self) -> usize {
+            self.0.len()
+        }
+    }
     use crate::catalog::Database;
     use crate::schema::{ColumnType, RelationSchema};
     use crate::tokenizer::Tokenizer;
@@ -425,15 +430,15 @@ mod tests {
         assert_eq!(lazy.posting_count(), index.posting_count());
         for token in index.tokens() {
             assert_eq!(
-                lazy.lookup(token).unwrap()[..],
+                lazy.list(token, true).unwrap()[..],
                 index.lookup(token)[..],
                 "{token}"
             );
         }
-        assert!(lazy.lookup("absent-token").is_none());
+        assert!(lazy.list("absent-token", true).is_none());
         // A second lookup is a cache hit: the same shared list.
-        let a = lazy.lookup("mining").unwrap();
-        let b = lazy.lookup("mining").unwrap();
+        let a = lazy.list("mining", true).unwrap();
+        let b = lazy.list("mining", true).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let (cached, total, bytes) = lazy.cache_stats();
         assert!(cached >= 1 && cached <= total);
@@ -444,7 +449,7 @@ mod tests {
     /// announcing each such read first.
     #[derive(Debug)]
     struct GatedSource {
-        bytes: Arc<[u8]>,
+        bytes: MemSource,
         gated_offset: u64,
         entered: std::sync::mpsc::SyncSender<()>,
         release: Mutex<std::sync::mpsc::Receiver<()>>,
@@ -452,7 +457,7 @@ mod tests {
 
     impl PostingSource for GatedSource {
         fn len(&self) -> u64 {
-            self.bytes.len() as u64
+            self.bytes.len()
         }
 
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
@@ -460,15 +465,19 @@ mod tests {
                 self.entered.send(()).expect("test listens");
                 self.release.lock().unwrap().recv().expect("test releases");
             }
-            MemSource(Arc::clone(&self.bytes)).read_at(offset, buf)
+            self.bytes.read_at(offset, buf)
+        }
+
+        fn heap_bytes(&self) -> usize {
+            self.bytes.heap_bytes()
         }
     }
 
     #[test]
     fn a_blocked_fetch_does_not_stall_a_cached_lookup() {
         let index = sample_index();
-        let bytes: Arc<[u8]> = packed(&index).into();
-        let probe = LazyTextIndex::open(Arc::new(MemSource(Arc::clone(&bytes)))).unwrap();
+        let bytes = MemSource(packed(&index).into());
+        let probe = LazyTextIndex::open(Arc::new(bytes.clone())).unwrap();
         let mining = &probe.table[probe.find("mining").unwrap()];
         let gated_offset = probe.triples_base + mining.post_off * TRIPLE_LEN as u64;
         let (entered_tx, entered) = std::sync::mpsc::sync_channel(1);
@@ -480,15 +489,15 @@ mod tests {
             release: Mutex::new(release_rx),
         }))
         .unwrap();
-        let query = lazy.lookup("query").unwrap();
+        let query = lazy.list("query", true).unwrap();
         let lazy = &lazy;
         std::thread::scope(|s| {
-            let blocked = s.spawn(move || lazy.lookup("mining").unwrap());
+            let blocked = s.spawn(move || lazy.list("mining", true).unwrap());
             entered.recv().unwrap();
             // The fetch of "mining" is parked inside its read; a lookup
             // of the cached "query" must still answer.
             let (done_tx, done) = std::sync::mpsc::channel();
-            s.spawn(move || done_tx.send(lazy.lookup("query").unwrap()).unwrap());
+            s.spawn(move || done_tx.send(lazy.list("query", true).unwrap()).unwrap());
             let again = done.recv_timeout(std::time::Duration::from_secs(10));
             release.send(()).unwrap();
             assert!(
@@ -503,7 +512,7 @@ mod tests {
     fn packed_roundtrip_and_determinism() {
         let index = sample_index();
         let buf = packed(&index);
-        let restored = read_packed_postings(&buf).unwrap();
+        let restored = TextIndex::open(Arc::new(MemSource(buf.clone().into()))).unwrap();
         for token in index.tokens() {
             assert_eq!(restored.lookup(token), index.lookup(token), "{token}");
         }
@@ -517,7 +526,7 @@ mod tests {
         let lazy = LazyTextIndex::open(Arc::new(MemSource(buf.into()))).unwrap();
         assert_eq!(lazy.distinct_tokens(), 0);
         assert_eq!(lazy.posting_count(), 0);
-        assert!(lazy.lookup("anything").is_none());
+        assert!(lazy.list("anything", true).is_none());
     }
 
     #[test]
@@ -544,5 +553,143 @@ mod tests {
         let mut wrong_total = buf.clone();
         wrong_total[20] ^= 0x01;
         assert!(open(wrong_total).is_err());
+    }
+
+    /// A source that records the longest read it was asked for: every
+    /// buffer `open` and a lookup allocate is one such read.
+    #[derive(Debug)]
+    struct MeasuredSource {
+        bytes: MemSource,
+        longest_read: std::sync::atomic::AtomicUsize,
+    }
+
+    impl PostingSource for MeasuredSource {
+        fn len(&self) -> u64 {
+            self.bytes.len()
+        }
+
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.longest_read
+                .fetch_max(buf.len(), std::sync::atomic::Ordering::Relaxed);
+            self.bytes.read_at(offset, buf)
+        }
+
+        fn heap_bytes(&self) -> usize {
+            self.bytes.heap_bytes()
+        }
+    }
+
+    /// Open `bytes` and, if that succeeds, look every token up. Returns
+    /// whether the open succeeded; a panic fails the caller's test.
+    /// Every read stays within the source, so no buffer is larger than
+    /// the bytes it was opened from.
+    fn open_and_read_everything(bytes: Vec<u8>) -> bool {
+        let len = bytes.len();
+        let source = Arc::new(MeasuredSource {
+            bytes: MemSource(bytes.into()),
+            longest_read: Default::default(),
+        });
+        let opened = match LazyTextIndex::open(Arc::clone(&source) as Arc<dyn PostingSource>) {
+            Ok(lazy) => {
+                let tokens: Vec<String> = lazy.tokens().map(str::to_owned).collect();
+                assert_eq!(tokens.len(), lazy.distinct_tokens());
+                let mut postings = 0;
+                for token in &tokens {
+                    postings += lazy.list(token, true).expect("a listed token").len();
+                }
+                assert_eq!(postings, lazy.posting_count());
+                true
+            }
+            Err(StorageError::Corrupt(_)) => false,
+            Err(other) => panic!("untyped failure: {other:?}"),
+        };
+        let longest = source
+            .longest_read
+            .load(std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            longest <= len,
+            "read {longest} bytes from a {len}-byte source"
+        );
+        opened
+    }
+
+    /// Write `value` little-endian at `at`.
+    fn forge(bytes: &mut [u8], at: usize, value: &[u8]) {
+        bytes[at..at + value.len()].copy_from_slice(value);
+    }
+
+    #[test]
+    fn forged_header_counts_are_refused_before_any_allocation() {
+        let buf = packed(&sample_index());
+        for count in [u32::MAX, u32::MAX - 1, 1 << 31] {
+            let mut bad = buf.clone();
+            forge(&mut bad, 8, &count.to_le_bytes());
+            assert!(!open_and_read_everything(bad), "token_count {count}");
+        }
+        for at in [12, 20] {
+            for value in [u64::MAX, u64::MAX - 27, u64::MAX / 12 + 1, 1 << 40] {
+                let mut bad = buf.clone();
+                forge(&mut bad, at, &value.to_le_bytes());
+                assert!(!open_and_read_everything(bad), "field at {at} = {value}");
+            }
+        }
+        // A term table row claiming a huge list.
+        let mut bad = buf.clone();
+        forge(&mut bad, HEADER_LEN + 16, &u32::MAX.to_le_bytes());
+        assert!(!open_and_read_everything(bad));
+        // A term with no postings, the header and tiling kept consistent.
+        let empty_list = {
+            let mut b = POSTINGS_MAGIC.to_vec();
+            b.extend_from_slice(&1u32.to_le_bytes());
+            b.extend_from_slice(&1u64.to_le_bytes());
+            b.extend_from_slice(&0u64.to_le_bytes());
+            b.extend_from_slice(&[0; 4]);
+            b.extend_from_slice(&1u32.to_le_bytes());
+            b.extend_from_slice(&[0; 8]);
+            b.extend_from_slice(&0u32.to_le_bytes());
+            b.push(b'a');
+            b
+        };
+        assert!(!open_and_read_everything(empty_list));
+        assert!(open_and_read_everything(buf));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Mutations of a valid payload — flipped and overwritten bytes,
+        /// truncations, and header counts forged near their maximum —
+        /// open as a typed `Corrupt` or as an index whose every token
+        /// reads back, never a panic, and read nothing past the source.
+        #[test]
+        fn mutated_payloads_open_typed_and_bounded(
+            mutations in proptest::collection::vec(
+                (0u8..5, proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()),
+                1..4,
+            ),
+        ) {
+            let mut bytes = packed(&sample_index());
+            for (kind, at, byte) in mutations {
+                if bytes.is_empty() {
+                    break;
+                }
+                let pos = (at % bytes.len() as u64) as usize;
+                match kind {
+                    0 => bytes[pos] ^= byte.max(1),
+                    1 => bytes[pos] = byte,
+                    2 => bytes.truncate(pos),
+                    3 if bytes.len() >= HEADER_LEN => {
+                        let near_max = u64::MAX - u64::from(byte);
+                        match at % 3 {
+                            0 => forge(&mut bytes, 8, &(near_max as u32).to_le_bytes()),
+                            1 => forge(&mut bytes, 12, &near_max.to_le_bytes()),
+                            _ => forge(&mut bytes, 20, &near_max.to_le_bytes()),
+                        }
+                    }
+                    _ => bytes.insert(pos, byte),
+                }
+            }
+            open_and_read_everything(bytes);
+        }
     }
 }

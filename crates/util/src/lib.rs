@@ -22,7 +22,9 @@
 //! * [`fault`] — deterministic fault injection at named I/O sites; an
 //!   unarmed site costs its hook one relaxed atomic load;
 //! * [`process`] — this process's resident and peak memory, for
-//!   `/stats` and `/metrics`.
+//!   `/stats` and `/metrics`;
+//! * [`mem`] — heap bytes of hash tables and `Arc` allocations, for
+//!   memory counts that miss no allocation.
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +35,7 @@ pub mod fxhash;
 pub mod http;
 pub mod json;
 pub mod log;
+pub mod mem;
 pub mod process;
 pub mod retry;
 

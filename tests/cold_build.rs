@@ -21,7 +21,7 @@ use banks_datagen::stream::{build_database, generate_to_dir, stage_rows, StreamC
 use banks_datagen::{dblp, thesis, tpcd, DblpConfig, ThesisConfig, TpcdConfig};
 use banks_graph::{Adjacency, Graph, GraphBuilder, NodeId};
 use banks_ingest::{DeltaBatch, SnapshotPublisher, TupleOp};
-use banks_persist::{open_bundle_paged, save_bundle, write_corpus_bundle};
+use banks_persist::{inspect_bundle, open_bundle_paged, save_bundle, write_corpus_bundle};
 use banks_storage::{ColumnType, Database, Rid, RowArena, TextIndex, Tokenizer, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -110,6 +110,88 @@ fn datagen_10k_bundle_is_pinned() {
         bytes,
         "corpus writer bytes"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// On the pinned corpus, `banks snapshot inspect` reports the token and
+/// posting counts `TextIndex::build` has, read from the TIDX header; and
+/// one 10-op batch published on the paged bundle leaves its text index
+/// over the term table, with no more lists cached than the batch has
+/// distinct tokens (a publish copies the lists it changes and caches
+/// none), answering as a rebuild does.
+#[test]
+fn datagen_10k_bundle_inspects_and_publishes_off_its_term_table() {
+    let dir = tmp_dir("tidx");
+    let corpus = dir.join("corpus");
+    generate_to_dir(&StreamConfig::new(42, 10_000), &corpus).unwrap();
+    let db = build_database(&corpus).unwrap();
+    let tokenizer = Tokenizer::new();
+    let built = TextIndex::build(&db, &tokenizer);
+    let path = dir.join("bundle.banks");
+    save_bundle(&Banks::new(db).unwrap(), 0, &path).unwrap();
+    let info = inspect_bundle(&path).unwrap();
+    assert_eq!(
+        (info.tokens, info.postings),
+        (built.distinct_tokens(), built.posting_count())
+    );
+
+    let (paged, _) = open_bundle_paged(&path, 8 << 20, &BanksConfig::default()).unwrap();
+    let mut publisher = SnapshotPublisher::with_epoch(Arc::new(paged), 0);
+    // Four authors, four papers, two authorship links: new terms beside
+    // ones the base holds ("soumen", "mining").
+    let insert = |relation: &str, values: [String; 2]| TupleOp::Insert {
+        relation: relation.into(),
+        values: values.into_iter().map(Value::text).collect(),
+    };
+    let mut ops = Vec::new();
+    for i in 0..4 {
+        ops.push(insert(
+            "Author",
+            [format!("ZA{i}"), format!("Soumen Writer{i}")],
+        ));
+        ops.push(insert(
+            "Paper",
+            [format!("ZP{i}"), format!("Mining Streams {i}")],
+        ));
+    }
+    for i in 0..2 {
+        ops.push(insert("Writes", [format!("ZA{i}"), format!("ZP{i}")]));
+    }
+    let mut tokens = std::collections::BTreeSet::new();
+    for op in &ops {
+        if let TupleOp::Insert { values, .. } = op {
+            for text in values.iter().filter_map(Value::as_text) {
+                tokens.extend(tokenizer.tokenize(text));
+            }
+        }
+    }
+    assert!(!built.lookup("soumen").is_empty() && !built.lookup("mining").is_empty());
+    publisher.publish(&DeltaBatch { ops }, None).unwrap();
+
+    let after = publisher.current();
+    let (cached, total, _) = after
+        .text_index()
+        .lazy_cache_stats()
+        .expect("still over its term table");
+    assert_eq!(total, built.distinct_tokens());
+    assert!(
+        cached <= tokens.len(),
+        "{cached} lists cached for {} tokens",
+        tokens.len()
+    );
+    let rebuilt = TextIndex::build(after.db(), &tokenizer);
+    for token in &tokens {
+        assert_eq!(
+            after.text_index().lookup(token),
+            rebuilt.lookup(token),
+            "{token}"
+        );
+    }
+    assert_eq!(
+        after.text_index().distinct_tokens(),
+        rebuilt.distinct_tokens()
+    );
+    assert_eq!(after.text_index().posting_count(), rebuilt.posting_count());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,12 +2,19 @@
 //! graph identical — nodes, edges, weights — to a from-scratch rebuild
 //! of the mutated database, and a text index identical to a bulk
 //! re-index. This is the correctness contract of `banks-ingest`'s
-//! touched-neighborhood patching.
+//! touched-neighborhood patching. The text index is checked both as
+//! built and as opened from its packed bytes — in memory, and off a
+//! paged bundle — where a batch copies the lists it touches into an
+//! overlay and a clone taken before the batch must not see it.
 
-use banks_core::{BanksConfig, TupleGraph};
+use banks_core::{Banks, BanksConfig, TupleGraph};
 use banks_ingest::{apply_batch, DeltaBatch, TupleOp};
+use banks_pager::ByteSource;
+use banks_persist::{open_bundle_paged, save_bundle};
+use banks_storage::postings::write_packed_postings;
 use banks_storage::{ColumnType, Database, RelationSchema, Rid, TextIndex, Tokenizer, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Abstract op codes, concretized against an evolving shadow state so
 /// every generated batch is valid by construction (validity errors are
@@ -301,5 +308,97 @@ proptest! {
         for token in fresh.tokens() {
             prop_assert_eq!(text.lookup(token), fresh.lookup(token), "token {}", token);
         }
+    }
+}
+
+fn packed(index: &TextIndex) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_packed_postings(index, &mut bytes).unwrap();
+    bytes
+}
+
+/// `got` answers exactly as `want`: the token set, every token's list,
+/// both counts, and the packed bytes.
+fn assert_same_index(got: &TextIndex, want: &TextIndex, what: &str) {
+    let mut got_tokens: Vec<&str> = got.tokens().collect();
+    let mut want_tokens: Vec<&str> = want.tokens().collect();
+    got_tokens.sort_unstable();
+    want_tokens.sort_unstable();
+    assert_eq!(got_tokens, want_tokens, "{what}: tokens");
+    for token in &want_tokens {
+        assert_eq!(got.lookup(token), want.lookup(token), "{what}: {token}");
+    }
+    assert_eq!(got.distinct_tokens(), want.distinct_tokens(), "{what}");
+    assert_eq!(got.posting_count(), want.posting_count(), "{what}");
+    assert_eq!(packed(got), packed(want), "{what}: packed bytes");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// Batches applied over an index opened from packed bytes — an
+    /// in-memory source, or a paged bundle's file — leave it equal to a
+    /// bulk re-index after every batch, and a clone taken before a batch
+    /// still answers as the index did then.
+    #[test]
+    fn incremental_apply_over_an_opened_base_equals_rebuild(
+        authors in 2usize..8,
+        papers in 1usize..5,
+        paged in proptest::bool::ANY,
+        raw_batches in proptest::collection::vec(
+            proptest::collection::vec((op_code(), 0usize..1_000_000), 1..12),
+            1..4,
+        ),
+    ) {
+        let (seed_db, mut shadow) = seed(authors, papers);
+        let config = BanksConfig::default().graph;
+        let tokenizer = Tokenizer::new();
+        let dir = std::env::temp_dir().join(format!(
+            "banks_ingest_equivalence_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let (mut db, mut graph, mut text) = if paged {
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("bundle.banks");
+            save_bundle(&Banks::new(seed_db).unwrap(), 0, &path).unwrap();
+            let (banks, _) = open_bundle_paged(&path, 1 << 16, &BanksConfig::default()).unwrap();
+            (
+                banks.db().clone(),
+                banks.tuple_graph().clone(),
+                banks.text_index().clone(),
+            )
+        } else {
+            let built = packed(&TextIndex::build(&seed_db, &tokenizer));
+            let text = TextIndex::open(Arc::new(ByteSource::Mem(built.into()))).unwrap();
+            let graph = TupleGraph::build(&seed_db, &config).unwrap();
+            (seed_db, graph, text)
+        };
+        prop_assert!(text.lazy_cache_stats().is_some(), "an opened base");
+
+        for raw_ops in raw_batches {
+            let ops: Vec<TupleOp> = raw_ops
+                .into_iter()
+                .filter_map(|(code, salt)| shadow.concretize(code, salt))
+                .collect();
+            if ops.is_empty() {
+                continue;
+            }
+            let before = text.clone();
+            let before_rebuilt = TextIndex::build(&db, &tokenizer);
+            let (patched, _stats) = apply_batch(
+                &mut db,
+                &graph,
+                &mut text,
+                &DeltaBatch { ops },
+                &config,
+                &tokenizer,
+            )
+            .expect("generated batches are valid");
+            graph = patched;
+            assert_same_index(&text, &TextIndex::build(&db, &tokenizer), "after the batch");
+            assert_same_index(&before, &before_rebuilt, "a clone taken before the batch");
+            prop_assert!(text.lazy_cache_stats().is_some(), "still over its base");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -160,7 +160,7 @@ proptest! {
 
         let (paged, meta) = open_bundle_paged(&path, budget, &BanksConfig::default()).unwrap();
         prop_assert_eq!(meta.epoch, 3);
-        prop_assert!(paged.text_index().is_lazy());
+        prop_assert!(paged.text_index().lazy_cache_stats().is_some());
         assert_search_equivalent(&in_ram, &paged);
         assert_tuples_equivalent(&in_ram, &paged);
         assert_budget_respected(&paged);
